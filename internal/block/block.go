@@ -210,26 +210,33 @@ func EntriesRoot(entries []*Entry) codec.Hash { return EntriesRootWith(nil, entr
 // hashing fanned out across r (nil runs serially). The root is
 // identical to EntriesRoot's.
 func EntriesRootWith(r merkle.Runner, entries []*Entry) codec.Hash {
-	// The leaf encodings exist only to be hashed: encode each entry into
-	// a pooled scratch buffer, hash it, and hand the buffer on — no
-	// per-leaf allocation survives the loop.
-	hashes := make([]codec.Hash, len(entries))
-	if r != nil && len(entries) >= rootThreshold {
-		r.Each(len(entries), func(i int) {
+	return merkle.BuildFromHashes(leafHashes(r, len(entries), func(i int, buf []byte) []byte {
+		return entries[i].AppendEncode(buf)
+	})).Root()
+}
+
+// leafHashes hashes n commitment leaves, fanned out across r when the
+// list is long enough to pay for it. The leaf encodings exist only to be
+// hashed: encode(i, buf) appends leaf i's canonical encoding to a pooled
+// scratch buffer, so no per-leaf allocation survives the loop.
+func leafHashes(r merkle.Runner, n int, encode func(i int, buf []byte) []byte) []codec.Hash {
+	hashes := make([]codec.Hash, n)
+	if r != nil && n >= rootThreshold {
+		r.Each(n, func(i int) {
 			bp := leafScratchPool.Get().(*[]byte)
-			*bp = entries[i].AppendEncode((*bp)[:0])
+			*bp = encode(i, (*bp)[:0])
 			hashes[i] = merkle.HashLeaf(*bp)
 			leafScratchPool.Put(bp)
 		})
-	} else {
-		bp := leafScratchPool.Get().(*[]byte)
-		for i, e := range entries {
-			*bp = e.AppendEncode((*bp)[:0])
-			hashes[i] = merkle.HashLeaf(*bp)
-		}
-		leafScratchPool.Put(bp)
+		return hashes
 	}
-	return merkle.BuildFromHashes(hashes).Root()
+	bp := leafScratchPool.Get().(*[]byte)
+	for i := range hashes {
+		*bp = encode(i, (*bp)[:0])
+		hashes[i] = merkle.HashLeaf(*bp)
+	}
+	leafScratchPool.Put(bp)
+	return hashes
 }
 
 // leafScratchPool holds encode buffers for commitment-root leaf
@@ -248,23 +255,9 @@ func CarriedRoot(carried []CarriedEntry) codec.Hash { return CarriedRootWith(nil
 // CarriedRootWith is CarriedRoot fanned out across r, like
 // EntriesRootWith.
 func CarriedRootWith(r merkle.Runner, carried []CarriedEntry) codec.Hash {
-	hashes := make([]codec.Hash, len(carried))
-	if r != nil && len(carried) >= rootThreshold {
-		r.Each(len(carried), func(i int) {
-			bp := leafScratchPool.Get().(*[]byte)
-			*bp = carried[i].AppendEncode((*bp)[:0])
-			hashes[i] = merkle.HashLeaf(*bp)
-			leafScratchPool.Put(bp)
-		})
-	} else {
-		bp := leafScratchPool.Get().(*[]byte)
-		for i, c := range carried {
-			*bp = c.AppendEncode((*bp)[:0])
-			hashes[i] = merkle.HashLeaf(*bp)
-		}
-		leafScratchPool.Put(bp)
-	}
-	return merkle.BuildFromHashes(hashes).Root()
+	return merkle.BuildFromHashes(leafHashes(r, len(carried), func(i int, buf []byte) []byte {
+		return carried[i].AppendEncode(buf)
+	})).Root()
 }
 
 // NewNormal assembles an unmined normal block on top of the given
@@ -526,21 +519,24 @@ func decodeSeqRef(data []byte) (*SequenceRef, error) {
 // the growth experiments (E4).
 func (b *Block) EncodedSize() int { return len(b.Encode()) }
 
+// EntryTree builds the Merkle tree behind Header.EntriesRoot: over the
+// entries of a normal block, or the carried entries of a summary block.
+// Callers that need several proofs of one block build it once.
+func (b *Block) EntryTree() *merkle.Tree {
+	if b.IsSummary() {
+		return merkle.BuildFromHashes(leafHashes(nil, len(b.Carried), func(i int, buf []byte) []byte {
+			return b.Carried[i].AppendEncode(buf)
+		}))
+	}
+	return merkle.BuildFromHashes(leafHashes(nil, len(b.Entries), func(i int, buf []byte) []byte {
+		return b.Entries[i].AppendEncode(buf)
+	}))
+}
+
 // EntryProof returns a Merkle inclusion proof for entry i of a normal
 // block, or carried entry i of a summary block.
 func (b *Block) EntryProof(i int) (merkle.Proof, error) {
-	if b.IsSummary() {
-		leaves := make([][]byte, len(b.Carried))
-		for j, c := range b.Carried {
-			leaves[j] = c.Encode()
-		}
-		return merkle.Build(leaves).Proof(i)
-	}
-	leaves := make([][]byte, len(b.Entries))
-	for j, e := range b.Entries {
-		leaves[j] = e.Encode()
-	}
-	return merkle.Build(leaves).Proof(i)
+	return b.EntryTree().Proof(i)
 }
 
 // Clone returns a deep copy of the block.

@@ -429,14 +429,12 @@ func (c *Chain) NextIsSummary() bool {
 
 // blockAt returns the live block with the given number.
 func (c *Chain) blockAt(num uint64) (*block.Block, bool) {
-	if num < c.marker {
+	// Compared unsigned: a number far past the head (a client's cursor)
+	// must not wrap into a negative offset.
+	if num < c.marker || num-c.marker >= uint64(len(c.blocks)) {
 		return nil, false
 	}
-	i := int(num - c.marker)
-	if i >= len(c.blocks) {
-		return nil, false
-	}
-	return c.blocks[i], true
+	return c.blocks[num-c.marker], true
 }
 
 // Block returns the live block with the given number.

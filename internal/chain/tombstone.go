@@ -250,20 +250,24 @@ func (c *Chain) ProveDeleted(ref block.Ref) (*DeletedProof, error) {
 	right := sort.Search(len(sum.Carried), func(j int) bool {
 		return refLess(ref, sum.Carried[j].Ref())
 	})
+	left := right - 1
+	if left >= 0 && !refLess(sum.Carried[left].Ref(), ref) {
+		// The target itself is carried: it was never erased.
+		return nil, fmt.Errorf("%w: %s is carried in summary %d", ErrNotDeleted, ref, rec.SummaryBlock)
+	}
+	// Both bracket proofs come from one tree: building it re-encodes and
+	// re-hashes every carried entry, under the read lock.
+	tree := sum.EntryTree()
 	if right < len(sum.Carried) {
-		proof, err := sum.EntryProof(right)
+		proof, err := tree.Proof(right)
 		if err != nil {
 			return nil, fmt.Errorf("chain: deleted proof: %w", err)
 		}
 		p.RightLeaf = sum.Carried[right].Encode()
 		p.RightProof = &proof
 	}
-	if left := right - 1; left >= 0 {
-		if !refLess(sum.Carried[left].Ref(), ref) {
-			// The target itself is carried: it was never erased.
-			return nil, fmt.Errorf("%w: %s is carried in summary %d", ErrNotDeleted, ref, rec.SummaryBlock)
-		}
-		proof, err := sum.EntryProof(left)
+	if left >= 0 {
+		proof, err := tree.Proof(left)
 		if err != nil {
 			return nil, fmt.Errorf("chain: deleted proof: %w", err)
 		}

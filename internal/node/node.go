@@ -382,6 +382,14 @@ func (n *Node) EntriesSeq() iter.Seq2[block.Ref, *block.Entry] {
 	return n.Chain().EntriesSeq()
 }
 
+// EntriesAfter is the current chain's ordered seek; see
+// chain.Chain.EntriesAfter. Each call reads the chain current at that
+// moment, so a scan that spans a status-quo adoption continues on the
+// adopted chain with the same cursor (refs are chain-independent).
+func (n *Node) EntriesAfter(after block.Ref, haveCursor bool, limit int, skipMarked bool) []chain.RefEntry {
+	return n.Chain().EntriesAfter(after, haveCursor, limit, skipMarked)
+}
+
 // Tombstones returns the current chain's deletion audit records, oldest
 // first, waiting out pending compactions like chain.Chain.Tombstones.
 func (n *Node) Tombstones(ctx context.Context) ([]manifest.Record, error) {

@@ -409,6 +409,24 @@ func (pc *Chain) EntriesSeq() iter.Seq2[block.Ref, *block.Entry] {
 	}
 }
 
+// EntriesAfter is the ordered seek across partitions (see
+// chain.Chain.EntriesAfter). Striping already orders refs by partition,
+// so the seek starts in the partition owning the cursor and spills into
+// the following ones from their start. Each partition's share is
+// snapshot-consistent; the partitions are read one after the other.
+func (pc *Chain) EntriesAfter(after block.Ref, haveCursor bool, limit int, skipMarked bool) []chain.RefEntry {
+	p := uint64(0)
+	if haveCursor {
+		p = after.Block / pc.stride
+	}
+	var out []chain.RefEntry
+	for ; p < uint64(len(pc.parts)) && len(out) < limit; p++ {
+		out = append(out, pc.parts[p].EntriesAfter(after, haveCursor, limit-len(out), skipMarked)...)
+		haveCursor = false
+	}
+	return out
+}
+
 // Tombstones returns the deletion records of every partition merged
 // into one audit stream, ordered by (logical time, old marker). The
 // owning partition of any record is recoverable as

@@ -22,8 +22,16 @@ type Backend interface {
 	Submit(ctx context.Context, entries ...*block.Entry) ([]mempool.Receipt, error)
 	// SubmitWait submits and blocks until every receipt resolves.
 	SubmitWait(ctx context.Context, entries ...*block.Entry) ([]mempool.Sealed, error)
-	// EntriesSeq streams the live entries with their stable references,
-	// ascending by reference.
+	// EntriesAfter is the ordered seek behind GET /v1/entries: at most
+	// limit live entries, ascending by reference, strictly after the
+	// cursor (from the smallest live reference without one), leaving out
+	// deletion-marked entries when skipMarked is set.
+	EntriesAfter(after block.Ref, haveCursor bool, limit int, skipMarked bool) []chain.RefEntry
+	// EntriesSeq streams every live entry with its stable reference in
+	// physical order, which is NOT reference order once a truncation has
+	// happened. The server does not read through it; it stays on the
+	// interface for decorators written against it and as the oracle the
+	// seek is tested against.
 	EntriesSeq() iter.Seq2[block.Ref, *block.Entry]
 	// Tombstones returns the deletion audit records, oldest first.
 	Tombstones(ctx context.Context) ([]manifest.Record, error)

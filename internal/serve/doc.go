@@ -8,9 +8,9 @@
 //	POST /v1/submit            enqueue signed entries (202) or, with
 //	                           ?wait=1, block until sealed and return
 //	                           each entry's stable Ref
-//	GET  /v1/entries           snapshot-consistent pagination over the
-//	                           live entries (?after=CURSOR&limit=N), or
-//	                           an NDJSON stream with ?stream=1
+//	GET  /v1/entries           cursor pagination over the live entries
+//	                           in reference order (?after=CURSOR&limit=N),
+//	                           or an NDJSON stream with ?stream=1
 //	GET  /v1/tombstones        the durable deletion audit records
 //	GET  /v1/prove-deleted     a self-contained deletion proof for one
 //	                           erased reference
@@ -23,6 +23,16 @@
 // entries are handed to the mempool as one group, so connection-level
 // batching composes with the pipeline's own coalescing: concurrent
 // requests still seal together in full blocks.
+//
+// A page is one ordered seek of the backend (Backend.EntriesAfter):
+// O(log live + page) under one short read lock, snapshot-consistent, with
+// a cursor that never yields a duplicate and never skips an entry that
+// stays live for the whole scan, even across truncations. A stream is the
+// same walk run server-side in chunks of streamChunk entries, each chunk
+// snapshot-consistent, so its memory does not grow with the live set.
+// Both leave out entries whose deletion was approved but not yet
+// physically executed. /v1/stats counts pages and the entries their
+// seeks copied out (read_pages, entries_scanned).
 //
 // Admission control is wired to the pipeline's backpressure gauges
 // (mempool.Stats): requests are shed with 429 + Retry-After BEFORE the

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -67,6 +66,10 @@ type ServerStats struct {
 	MaxPendingEntries int64 `json:"max_pending_entries"`
 	// ReadPages counts /v1/entries pages served.
 	ReadPages uint64 `json:"read_pages"`
+	// EntriesScanned counts the entries those pages' seeks copied out of
+	// the backend. A page looks one entry ahead to learn whether a next
+	// page exists, so it stays within returned entries + ReadPages.
+	EntriesScanned uint64 `json:"entries_scanned"`
 }
 
 // StatsResponse is the GET /v1/stats body.
@@ -92,6 +95,7 @@ type Server struct {
 	rejected  atomic.Uint64
 	accepted  atomic.Uint64
 	readPages atomic.Uint64
+	scanned   atomic.Uint64
 }
 
 // New builds a Server fronting b.
@@ -264,44 +268,33 @@ func parseCursor(raw string) (block.Ref, bool, error) {
 	return block.Ref{Block: bn, Entry: uint32(en)}, true, nil
 }
 
-// refAfter orders references: the pagination cursor admits exactly the
-// refs strictly greater than it.
-func refAfter(r, cursor block.Ref) bool {
-	if r.Block != cursor.Block {
-		return r.Block > cursor.Block
-	}
-	return r.Entry > cursor.Entry
+// streamChunk is how many entries one seek of a ?stream=1 response
+// copies out of the backend: the stream's memory is O(streamChunk)
+// however long the live set is.
+const streamChunk = 256
+
+// seek reads the next entries after the cursor through the backend's
+// ordered seek. Entries whose deletion was approved are left out: the
+// chain keeps them until the next marker shift, the read path stops
+// serving them at once.
+func (s *Server) seek(cursor block.Ref, haveCursor bool, limit int) []chain.RefEntry {
+	items := s.b.EntriesAfter(cursor, haveCursor, limit, true)
+	s.scanned.Add(uint64(len(items)))
+	return items
 }
 
-// liveAfter snapshots the live entries with ref strictly greater than
-// the cursor, sorted ascending by ref. EntriesSeq yields blocks in
-// physical order, and a summary block sits at the HEAD of the window
-// while its carried entries keep their small origin refs — so the raw
-// iteration is NOT ref-ordered once a truncation has happened. Sorting
-// restores the total order the cursor contract needs: refs are stable
-// for the life of an entry (a carried entry keeps its origin ref), new
-// blocks only ever mint higher refs, and pages ascend strictly, so a
-// monotone cursor never yields a duplicate and never skips an entry
-// that stays live for the whole scan — even when a truncation moves
-// the live window between pages.
-func (s *Server) liveAfter(cursor block.Ref, haveCursor bool) []EntryWithRef {
-	var out []EntryWithRef
-	for ref, e := range s.b.EntriesSeq() {
-		if haveCursor && !refAfter(ref, cursor) {
-			continue
-		}
-		out = append(out, EntryWithRef{Ref: refJSON(ref), Entry: entryJSON(e)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return refAfter(out[j].Ref.Ref(), out[i].Ref.Ref())
-	})
-	return out
+func entryWithRef(it chain.RefEntry) EntryWithRef {
+	return EntryWithRef{Ref: refJSON(it.Ref), Entry: entryJSON(it.Entry)}
 }
 
-// handleEntries serves the read path. Each page is snapshot-consistent
-// (EntriesSeq snapshots the live blocks under the chain's read lock)
-// and the cursor is stable across pages; see liveAfter for why. With
-// ?stream=1 the remaining entries stream as NDJSON instead of one page.
+// handleEntries serves the read path. A page is one seek: snapshot-
+// consistent (copied under one read lock of the chain) and O(log live +
+// page), with the cursor contract chain.Chain.EntriesAfter describes — a
+// monotone cursor never yields a duplicate and never skips an entry that
+// stays live for the whole scan, even when a truncation moves the live
+// window between pages. The seek asks for one entry more than the page
+// holds to learn whether a next page exists. With ?stream=1 the
+// remaining entries stream as NDJSON instead of one page.
 func (s *Server) handleEntries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	cursor, haveCursor, err := parseCursor(q.Get("after"))
@@ -326,34 +319,47 @@ func (s *Server) handleEntries(w http.ResponseWriter, r *http.Request) {
 		limit = min(n, s.opts.MaxPageEntries)
 	}
 	page := EntryPage{CutBlocks: s.b.Stats().CutBlocks}
-	items := s.liveAfter(cursor, haveCursor)
+	items := s.seek(cursor, haveCursor, limit+1)
 	if len(items) > limit {
 		items = items[:limit]
-		page.Next = items[limit-1].Ref.Ref().String()
+		page.Next = items[limit-1].Ref.String()
 	}
-	page.Entries = items
+	// An empty page keeps its "entries":null wire form.
+	if len(items) > 0 {
+		page.Entries = make([]EntryWithRef, len(items))
+		for i, it := range items {
+			page.Entries[i] = entryWithRef(it)
+		}
+	}
 	s.readPages.Add(1)
 	writeJSON(w, http.StatusOK, page)
 }
 
 // streamEntries writes every remaining live entry as one NDJSON line,
-// flushing as it goes — the restore-churn read path.
+// flushing as it goes — the restore-churn read path. It is a cursor walk
+// on the server's side: repeated seeks of streamChunk entries, each
+// snapshot-consistent, with the cursor contract across chunks that pages
+// have across requests. The stream ends at the first short chunk, i.e.
+// once it has caught up with the head.
 func (s *Server) streamEntries(w http.ResponseWriter, cursor block.Ref, haveCursor bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	n := 0
-	for _, it := range s.liveAfter(cursor, haveCursor) {
-		if err := enc.Encode(it); err != nil {
-			return // client gone
+	for {
+		items := s.seek(cursor, haveCursor, streamChunk)
+		for _, it := range items {
+			if err := enc.Encode(entryWithRef(it)); err != nil {
+				return // client gone
+			}
 		}
-		if n++; n%256 == 0 && flusher != nil {
+		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	if flusher != nil {
-		flusher.Flush()
+		if len(items) < streamChunk {
+			break
+		}
+		cursor, haveCursor = items[len(items)-1].Ref, true
 	}
 	s.readPages.Add(1)
 }
@@ -415,6 +421,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			PendingEntries:    s.adm.pending.Load(),
 			MaxPendingEntries: s.adm.maxPending,
 			ReadPages:         s.readPages.Load(),
+			EntriesScanned:    s.scanned.Load(),
 		},
 	})
 }

@@ -29,7 +29,7 @@ type env struct {
 	keys     map[string]*identity.KeyPair
 }
 
-func newTestEnv(t *testing.T, users ...string) *env {
+func newTestEnv(t testing.TB, users ...string) *env {
 	t.Helper()
 	e := &env{registry: identity.NewRegistry(), keys: map[string]*identity.KeyPair{}}
 	for _, u := range users {
@@ -52,7 +52,7 @@ func (e *env) del(user string, target block.Ref) EntryJSON {
 
 // boundedChain builds an in-memory chain with the retention bound on,
 // so deletions become physical truncations.
-func boundedChain(t *testing.T, e *env, mutate ...func(*chain.Config)) *chain.Chain {
+func boundedChain(t testing.TB, e *env, mutate ...func(*chain.Config)) *chain.Chain {
 	t.Helper()
 	cfg := chain.Config{
 		SequenceLength: 3,
@@ -374,78 +374,90 @@ func collectPages(t *testing.T, base string, limit int, between func(pageNo int)
 
 // TestPaginationCursorStableAcrossTruncation starts a paginated scan,
 // fires a deletion-driven truncation between pages, and asserts the
-// cursor semantics hold: no reference is ever returned twice, and
-// every entry that stayed live through the whole scan is returned.
+// cursor semantics hold on every backend: no reference is ever returned
+// twice, and every entry that stayed live through the whole scan is
+// returned.
 func TestPaginationCursorStableAcrossTruncation(t *testing.T) {
-	e := newTestEnv(t, "alpha")
-	c := boundedChain(t, e)
-	_, hs := testServer(t, c, Options{})
-	ctx := context.Background()
+	e := newTestEnv(t, seekUsers...)
+	for _, kit := range testBackends(t, e, 2) {
+		t.Run(kit.name, func(t *testing.T) {
+			_, hs := testServer(t, kit.b, Options{})
+			ctx := context.Background()
 
-	// Seed: 12 keepers and one victim.
-	keepers := map[string]bool{}
-	for i := 0; i < 12; i++ {
-		sealed, err := c.SubmitWait(ctx, block.NewData("alpha", fmt.Appendf(nil, "keep-%02d", i)).Sign(e.keys["alpha"]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		keepers[sealed[0].Ref.String()] = true
-	}
-	victim, err := c.SubmitWait(ctx, block.NewData("alpha", []byte("victim")).Sign(e.keys["alpha"]))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	truncated := false
-	truncate := func(pageNo int) {
-		if truncated || pageNo != 1 {
-			return
-		}
-		truncated = true
-		if _, err := c.SubmitWait(ctx, block.NewDeletion("alpha", victim[0].Ref).Sign(e.keys["alpha"])); err != nil {
-			t.Fatal(err)
-		}
-		// Churn until the marker passes the victim: the deletion has
-		// physically executed and carried survivors moved into the
-		// summary block — mid-scan.
-		for i := 0; c.Marker() <= victim[0].Ref.Block; i++ {
-			if i > 64 {
-				t.Fatal("truncation never executed")
+			// Seed: 12 keepers and one victim.
+			keepers := map[string]bool{}
+			for i := 0; i < 12; i++ {
+				u := seekUsers[i%len(seekUsers)]
+				sealed, err := kit.b.SubmitWait(ctx, block.NewData(u, fmt.Appendf(nil, "keep-%02d", i)).Sign(e.keys[u]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				keepers[sealed[0].Ref.String()] = true
 			}
-			if _, err := c.SubmitWait(ctx, block.NewData("alpha", fmt.Appendf(nil, "churn-%02d", i)).Sign(e.keys["alpha"])); err != nil {
+			victim, err := kit.b.SubmitWait(ctx, block.NewData("alpha", []byte("victim")).Sign(e.keys["alpha"]))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.CompactWait(ctx); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 
-	seen := collectPages(t, hs.URL, 3, truncate)
-	for ref := range keepers {
-		if _, ok := seen[ref]; !ok {
-			t.Errorf("keeper %s missing from the paginated scan after truncation", ref)
-		}
-	}
-	if !truncated {
-		t.Fatal("scan finished before the truncation hook ran; test is vacuous")
-	}
-
-	// Under concurrent churn (readers racing writers and truncations,
-	// -race coverage): duplicates must still never appear. The churner
-	// is bounded so the scan terminates once it catches up.
-	var churn sync.WaitGroup
-	churn.Add(1)
-	go func() {
-		defer churn.Done()
-		for i := 0; i < 100; i++ {
-			if _, err := c.SubmitWait(ctx, block.NewData("alpha", fmt.Appendf(nil, "live-%04d", i)).Sign(e.keys["alpha"])); err != nil {
-				return
+			truncated := false
+			truncate := func(pageNo int) {
+				if truncated || pageNo != 1 {
+					return
+				}
+				truncated = true
+				if _, err := kit.b.SubmitWait(ctx, block.NewDeletion("alpha", victim[0].Ref).Sign(e.keys["alpha"])); err != nil {
+					t.Fatal(err)
+				}
+				// Churn until the victim no longer resolves: the deletion
+				// has physically executed and carried survivors moved into
+				// the summary block — mid-scan.
+				for i := 0; ; i++ {
+					if _, _, ok := kit.holder(victim[0].Ref).Lookup(victim[0].Ref); !ok {
+						break
+					}
+					if i > 64 {
+						t.Fatal("truncation never executed")
+					}
+					if err := churn(ctx, e, kit.b, fmt.Sprintf("churn-%02d", i), 1); err != nil {
+						t.Fatal(err)
+					}
+					if err := kit.settle(ctx); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	}()
-	collectPages(t, hs.URL, 5, nil)
-	churn.Wait()
+
+			seen := collectPages(t, hs.URL, 3, truncate)
+			for ref := range keepers {
+				if _, ok := seen[ref]; !ok {
+					t.Errorf("keeper %s missing from the paginated scan after truncation", ref)
+				}
+			}
+			if !truncated {
+				t.Fatal("scan finished before the truncation hook ran; test is vacuous")
+			}
+
+			// Under concurrent churn (readers racing writers and
+			// truncations, -race coverage): duplicates must still never
+			// appear and keepers never go missing. The churner is bounded
+			// so the scan terminates once it catches up.
+			var writer sync.WaitGroup
+			writer.Add(1)
+			go func() {
+				defer writer.Done()
+				if err := churn(ctx, e, kit.b, "live", 25); err != nil {
+					t.Error(err)
+				}
+			}()
+			seen = collectPages(t, hs.URL, 5, nil)
+			writer.Wait()
+			for ref := range keepers {
+				if _, ok := seen[ref]; !ok {
+					t.Errorf("keeper %s missing from the scan under churn", ref)
+				}
+			}
+		})
+	}
 }
 
 func TestTombstonesAndProveDeleted(t *testing.T) {
@@ -501,35 +513,49 @@ func TestTombstonesAndProveDeleted(t *testing.T) {
 	}
 }
 
+// TestStreamingEntries reads ?stream=1 on every backend while a writer
+// churns the window under it: the stream is a walk of several seeks (the
+// seed is longer than one chunk), so its refs must strictly ascend and
+// every entry that was live before it started must be in it.
 func TestStreamingEntries(t *testing.T) {
-	e := newTestEnv(t, "alpha")
-	c := boundedChain(t, e, func(cfg *chain.Config) { cfg.MaxSequences = 0 })
-	_, hs := testServer(t, c, Options{})
-	ctx := context.Background()
-	for i := 0; i < 9; i++ {
-		if _, err := c.SubmitWait(ctx, block.NewData("alpha", fmt.Appendf(nil, "s-%02d", i)).Sign(e.keys["alpha"])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := http.Get(hs.URL + "/v1/entries?stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("stream content-type %q", ct)
-	}
-	dec := json.NewDecoder(resp.Body)
-	n := 0
-	for dec.More() {
-		var it EntryWithRef
-		if err := dec.Decode(&it); err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != 9 {
-		t.Errorf("streamed %d entries, want 9", n)
+	e := newTestEnv(t, seekUsers...)
+	for _, kit := range testBackends(t, e, 2) {
+		t.Run(kit.name, func(t *testing.T) {
+			_, hs := testServer(t, kit.b, Options{})
+			ctx := context.Background()
+			seeded := map[block.Ref]bool{}
+			for i := 0; len(seeded) < 2*streamChunk+44; i++ {
+				batch := make([]*block.Entry, 0, 40)
+				for j := 0; j < 10; j++ {
+					for _, u := range seekUsers {
+						batch = append(batch, block.NewData(u, fmt.Appendf(nil, "s-%02d-%02d", i, j)).Sign(e.keys[u]))
+					}
+				}
+				sealed, err := kit.b.SubmitWait(ctx, batch...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range sealed {
+					seeded[s.Ref] = true
+				}
+			}
+			var writer sync.WaitGroup
+			writer.Add(1)
+			go func() {
+				defer writer.Done()
+				if err := churn(ctx, e, kit.b, "live", 25); err != nil {
+					t.Error(err)
+				}
+			}()
+			streamed := streamAll(t, hs.URL)
+			writer.Wait()
+			for _, it := range streamed {
+				delete(seeded, it.Ref.Ref())
+			}
+			if len(seeded) > 0 {
+				t.Errorf("stream of %d entries missed %d that were live throughout", len(streamed), len(seeded))
+			}
+		})
 	}
 }
 

@@ -43,7 +43,11 @@
 //	sealed, err := receipts[0].Wait(ctx)
 //
 // Entries of one Submit call always seal in the same block. For reads,
-// EntriesSeq and BlocksSeq stream the live chain without copying it.
+// EntriesSeq and BlocksSeq stream the live chain without copying it, in
+// physical order; EntriesAfter is the ordered seek — at most limit
+// entries, ascending by Ref, strictly after a cursor, in O(log live +
+// limit), optionally leaving out deletion-marked entries — that Server
+// builds every /v1/entries page and stream chunk from.
 //
 // The subsystems are re-exported here so applications depend only on
 // this package: identity management and role-based authorization,
@@ -98,6 +102,9 @@ type (
 	Location = chain.Location
 	// Mark is an approved, not-yet-executed deletion mark.
 	Mark = chain.Mark
+	// RefEntry pairs a live entry with its stable Ref; it is what
+	// Chain.EntriesAfter (and a ServerBackend's) returns.
+	RefEntry = chain.RefEntry
 	// Listener observes chain mutations.
 	Listener = chain.Listener
 	// RenderOptions controls the paper-style console rendering.
@@ -478,9 +485,11 @@ func ParseSchema(src string) (*Schema, error) { return schema.Parse(src) }
 type (
 	// Server is the HTTP front-end over a chain, partitioned chain, or
 	// node: client-signed submits with connection-level batching into
-	// the submission pipeline, snapshot-consistent entry pagination,
-	// tombstone/proof reads, stats, and admission control that sheds
-	// with 429 + Retry-After before the intake queue saturates.
+	// the submission pipeline, cursor pagination in Ref order (one
+	// EntriesAfter seek per page, deletion-marked entries left out,
+	// ?stream=1 as repeated seeks of a fixed chunk), tombstone/proof
+	// reads, stats, and admission control that sheds with 429 +
+	// Retry-After before the intake queue saturates.
 	Server = serve.Server
 	// ServerOptions parameterize a Server.
 	ServerOptions = serve.Options
