@@ -35,6 +35,12 @@ var (
 	ErrSummaryMismatch = chain.ErrSummaryMismatch
 	// ErrSealFailed reports a block whose consensus seal did not verify.
 	ErrSealFailed = chain.ErrSealFailed
+	// ErrStore reports that a block or a prune did not reach the chain's
+	// store (disk full, store closed under a live chain). The batch
+	// being sealed and every later Submit resolve with it, Chain.Close
+	// returns it, and Node.StoreErr reports it: the store no longer
+	// matches the chain and must not be trusted for a restart.
+	ErrStore = chain.ErrStore
 	// ErrNotNext reports a block that does not extend the current head.
 	ErrNotNext = chain.ErrNotNext
 	// ErrUnauthorized reports a deletion requester not authorized for the

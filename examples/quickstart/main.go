@@ -1,6 +1,6 @@
 // Quickstart: create a selective-deletion chain, write entries, delete
 // one on request, and watch it disappear physically — including from the
-// file-backed store.
+// segment store on disk.
 package main
 
 import (
@@ -33,14 +33,15 @@ func run() error {
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
-	store, err := seldel.NewFileStore(dir)
+	store, err := seldel.NewSegmentStore(dir, seldel.SegmentOptions{})
 	if err != nil {
 		return err
 	}
+	defer store.Close() // after chain.Close below: the handle is ours
 
 	// 3. A chain with a summary block every 3rd block and at most two
 	// complete sequences alive (the paper's evaluation configuration),
-	// mirrored into the file store from genesis.
+	// mirrored into the store from genesis.
 	chain, err := seldel.New(reg,
 		seldel.WithSequenceLength(3),
 		seldel.WithMaxSequences(2),
@@ -79,7 +80,7 @@ func run() error {
 
 	// 6. Drive the chain until the mark executes: the entry is not
 	// copied into the next merging summary block, its sequence is cut,
-	// and the block files are unlinked.
+	// and the cut blocks are removed from the store.
 	for chain.IsMarked(secret) {
 		if _, err := chain.AppendEmpty(); err != nil {
 			return err
@@ -88,7 +89,7 @@ func run() error {
 	if _, _, ok := chain.Lookup(secret); ok {
 		return fmt.Errorf("entry still resolvable after deletion")
 	}
-	// Physical cleanup (block-file unlinking) runs on the background
+	// Physical cleanup (pruning the store) runs on the background
 	// compactor; barrier on it before measuring the directory.
 	if err := chain.CompactWait(ctx); err != nil {
 		return err

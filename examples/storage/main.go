@@ -2,8 +2,7 @@
 // into bounded segment files, a deletion-driven truncation physically
 // retires segments (SizeBytes shrinks), a snapshot checkpoint is
 // written at the marker shift, and a restart restores from the
-// checkpoint instead of replaying history. Finishes by migrating a
-// legacy one-file-per-block directory into segments.
+// checkpoint instead of replaying history.
 package main
 
 import (
@@ -124,51 +123,5 @@ func run() error {
 		reopened.Stats().AppendedBlocks)
 	fmt.Printf("  head            = block %d, marker %d\n",
 		reopened.Head().Number, reopened.Marker())
-
-	// Migration: a legacy one-file-per-block directory converts into a
-	// fresh segment store without touching the original.
-	legacyDir := filepath.Join(os.TempDir(), "seldel-storage-example-legacy")
-	if err := os.RemoveAll(legacyDir); err != nil {
-		return err
-	}
-	legacy, err := seldel.NewFileStore(legacyDir)
-	if err != nil {
-		return err
-	}
-	legacyChain, err := seldel.New(reg, append(opts, seldel.WithStore(legacy))...)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 6; i++ {
-		e := seldel.NewData("alice", []byte(fmt.Sprintf("legacy #%d", i))).Sign(alice)
-		if _, err := legacyChain.SubmitWait(ctx, e); err != nil {
-			return err
-		}
-	}
-	legacyHead := legacyChain.HeadHash()
-	if err := legacyChain.Close(); err != nil {
-		return err
-	}
-	migratedDir := filepath.Join(os.TempDir(), "seldel-storage-example-migrated")
-	if err := os.RemoveAll(migratedDir); err != nil {
-		return err
-	}
-	migrated, err := seldel.NewSegmentStore(migratedDir, seldel.SegmentOptions{})
-	if err != nil {
-		return err
-	}
-	if err := seldel.MigrateStore(legacy, migrated); err != nil {
-		return err
-	}
-	migratedChain, err := seldel.New(reg, append(opts, seldel.WithStore(migrated))...)
-	if err != nil {
-		return err
-	}
-	defer migratedChain.Close()
-	if migratedChain.HeadHash() != legacyHead {
-		return fmt.Errorf("migrated chain head differs from legacy")
-	}
-	fmt.Printf("\nmigrated legacy file store (%s) -> segments (%s): head verified\n",
-		legacyDir, migratedDir)
-	return migratedChain.VerifyIntegrity()
+	return reopened.VerifyIntegrity()
 }

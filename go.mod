@@ -1,3 +1,3 @@
 module github.com/seldel/seldel
 
-go 1.23
+go 1.24

@@ -185,6 +185,7 @@ var (
 	ErrDependsMarked   = errors.New("chain: dependency is marked for deletion")
 	ErrNotFound        = errors.New("chain: entry not found")
 	ErrSealFailed      = errors.New("chain: seal verification failed")
+	ErrStore           = errors.New("chain: store write failed")
 )
 
 // Location says where an entry currently lives.
@@ -306,6 +307,8 @@ type Chain struct {
 	pendingTombs []manifest.Tombstone
 
 	listeners []Listener
+	// storeErr latches the first persistence failure (FailStore).
+	storeErr atomic.Pointer[error]
 
 	// pipe is the lazily started submission pipeline behind Submit,
 	// read lock-free on the hot path and retained after Close so stats
@@ -372,6 +375,27 @@ func (c *Chain) AddListener(l Listener) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.listeners = append(c.listeners, l)
+}
+
+// FailStore latches err as the chain's persistence failure; only the
+// first call counts. The store recorder calls it when a block or a
+// prune did not reach the store: listener callbacks have no error
+// return, and a chain that kept resolving receipts past that point
+// would report as sealed (or durable) blocks the disk does not hold.
+// From then on the batch being sealed and every later Submit resolve
+// with the error (wrapping ErrStore), and Close returns it. Blocks
+// received through AppendBlock are not stopped.
+func (c *Chain) FailStore(err error) {
+	err = fmt.Errorf("%w: %w", ErrStore, err)
+	c.storeErr.CompareAndSwap(nil, &err)
+}
+
+// StoreErr returns the latched persistence failure, or nil.
+func (c *Chain) StoreErr() error {
+	if p := c.storeErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Registry returns the identity registry the chain validates against.

@@ -106,11 +106,22 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 			c.cfg.Verifier.Warm(c.cfg.Registry, entries)
 		}
 	}
+	// A sealed batch resolves with the store-failure latch: its blocks
+	// went through the store listeners before Seal returned, so a write
+	// that failed is visible here.
+	opts.Durable = func(resolve func(error)) { resolve(c.StoreErr()) }
 	if c.cfg.Durability.Mode == DurabilityGroup {
 		// Group commit: sealed batches hand their receipt resolution to
 		// the committer, which shares one store fsync across everything
-		// sealed since the previous sync.
-		c.gc = newGroupCommitter(c.cfg.Durability.Sync, c.cfg.Durability.GroupWindow)
+		// sealed since the previous sync. A sync that succeeds after a
+		// failed write synced nothing, so the latch is read after it.
+		syncStore := func() error {
+			if err := c.cfg.Durability.Sync(); err != nil {
+				return err
+			}
+			return c.StoreErr()
+		}
+		c.gc = newGroupCommitter(syncStore, c.cfg.Durability.GroupWindow)
 		opts.Durable = c.gc.enqueue
 	}
 	b := mempool.NewBatcher(sealer{c}, opts)
@@ -123,13 +134,21 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 // on Chain itself.
 type sealer struct{ c *Chain }
 
-// Seal implements mempool.Ledger.
+// Seal implements mempool.Ledger. After a store failure nothing more is
+// sealed: the pipeline then asks ValidateEntries which entries to
+// reject, and that answers with the same error for every one.
 func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
+	if err := s.c.StoreErr(); err != nil {
+		return nil, nil, err
+	}
 	return s.c.commit(entries)
 }
 
 // ValidateEntries implements mempool.Ledger.
 func (s sealer) ValidateEntries(entries []*block.Entry) error {
+	if err := s.c.StoreErr(); err != nil {
+		return err
+	}
 	return s.c.ValidateEntries(entries)
 }
 
@@ -174,7 +193,8 @@ func (c *Chain) PipelineStats() mempool.Stats {
 // Submit calls return mempool.ErrClosed; reads, AppendBlock/AppendEmpty,
 // and PipelineStats keep working (late truncations compact inline).
 // Close is idempotent, and concurrent Close calls all block until the
-// drain completes.
+// drain completes. It returns the store failure latched by FailStore,
+// if any: the chain then holds blocks, or a marker, its store does not.
 func (c *Chain) Close() error {
 	c.pipeMu.Lock()
 	c.pipeClosed = true
@@ -212,6 +232,9 @@ func (c *Chain) Close() error {
 		if cerr := r.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if err == nil {
+		err = c.StoreErr()
 	}
 	return err
 }

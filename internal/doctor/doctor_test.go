@@ -47,7 +47,7 @@ func buildDir(t *testing.T, rounds int) (dir string, marker, head uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Attach(c, s); err != nil {
+	if err := store.Attach(c, s); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -394,7 +394,7 @@ func TestDoctorStoreReopensAfterRepair(t *testing.T) {
 	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := store.OpenChain(chain.Config{
+	c, err := store.Open(chain.Config{
 		SequenceLength: 3,
 		MaxSequences:   2,
 		Registry:       reg,

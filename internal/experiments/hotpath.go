@@ -107,21 +107,13 @@ func hotPathStore(opts segment.Options) (*segment.Store, string, error) {
 // hotPathChain builds the measured chain: the pipeline geometry the
 // submission benchmark uses, mirrored into ss.
 func hotPathChain(e *env, pool *verify.Pool, ss *segment.Store, durability chain.Durability) (*chain.Chain, error) {
-	c, err := chain.New(chain.Config{
+	return store.Open(chain.Config{
 		SequenceLength: 8,
 		Registry:       e.registry,
 		Clock:          simclock.NewLogical(0),
 		Verifier:       pool,
 		Durability:     durability,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := store.Attach(c, ss); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
+	}, ss)
 }
 
 // submitAll fans entries over p producers (the measureSubmitWith
@@ -237,7 +229,6 @@ func measureHotPathDurability(e *env, entries []*block.Entry, p int, mode string
 		// explicit window to amortize.
 		durability = chain.Durability{
 			Mode:        chain.DurabilityGroup,
-			Sync:        ss.Sync,
 			GroupWindow: hotPathGroupWindow,
 		}
 	}

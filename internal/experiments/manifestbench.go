@@ -59,13 +59,13 @@ func manifestChain(enabled bool) (*chain.Chain, func(), error) {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	c, err := chain.New(chain.Config{
+	c, err := store.Open(chain.Config{
 		SequenceLength: 6,
 		MaxBlocks:      24,
 		Shrink:         chain.ShrinkMinimal,
 		Registry:       reg,
 		Clock:          simclock.NewLogical(0),
-	})
+	}, ss)
 	if err != nil {
 		ss.Close()
 		os.RemoveAll(dir)
@@ -75,10 +75,6 @@ func manifestChain(enabled bool) (*chain.Chain, func(), error) {
 		c.Close()
 		ss.Close()
 		os.RemoveAll(dir)
-	}
-	if _, err := store.Attach(c, ss); err != nil {
-		cleanup()
-		return nil, nil, err
 	}
 	return c, cleanup, nil
 }

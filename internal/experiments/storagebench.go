@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the storage dimension of `seldel-bench -json` (PR 4):
-// it measures the segmented persistent store against the
-// one-file-per-block baseline along the three axes the store exists
-// for — append throughput under different durability settings,
+// it measures the segmented persistent store along the three axes
+// the store exists for — append throughput under different
+// durability settings,
 // restore time from the snapshot checkpoint versus replaying a full
 // unbounded history, and bytes physically reclaimed when a deletion
 // retires segments.
@@ -26,7 +26,7 @@ import (
 type StorageResult struct {
 	// Op is "append", "restore", or "reclaim".
 	Op string `json:"op"`
-	// Store is "file", "segment", or "segment-syncevery".
+	// Store is "segment" or "segment-syncevery".
 	Store string `json:"store"`
 	// Detail distinguishes restore sources: "snapshot" (truncated
 	// segment store, replay starts at the marker) vs "genesis"
@@ -88,29 +88,12 @@ func measureAppend(name string, s store.Store, blocks []*block.Block) (StorageRe
 	return r, nil
 }
 
-// measureAppendDimension compares append throughput: one file per block
-// (the pre-PR-4 layout) vs segment appends, batched and per-block
-// fsync.
+// measureAppendDimension compares append throughput of segment
+// appends with batched and with per-block fsync.
 func measureAppendDimension(n int) ([]StorageResult, error) {
 	kp := identity.Deterministic("storage-bench", "seldel-storage")
 	blocks := storageBlocks(kp, n, 4)
-	out := make([]StorageResult, 0, 3)
-
-	fileDir, err := os.MkdirTemp("", "seldel-bench-file-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(fileDir)
-	fs, err := store.NewFile(fileDir)
-	if err != nil {
-		return nil, err
-	}
-	r, err := measureAppend("file", fs, blocks)
-	if err != nil {
-		return nil, err
-	}
-	fs.Close()
-	out = append(out, r)
+	out := make([]StorageResult, 0, 2)
 
 	for _, cfg := range []struct {
 		name string
@@ -160,14 +143,11 @@ func storageChainConfig(reg *identity.Registry, bounded bool) chain.Config {
 // store's peak observed size.
 func runRestoreWorkload(reg *identity.Registry, kp *identity.KeyPair, s store.Store, bounded bool, rounds int) (int64, error) {
 	cfg := storageChainConfig(reg, bounded)
-	c, err := chain.New(cfg)
+	c, err := store.Open(cfg, s)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	if _, err := store.Attach(c, s); err != nil {
-		return 0, err
-	}
 	ctx := context.Background()
 	var peak int64
 	for i := 0; i < rounds; i++ {
@@ -197,12 +177,12 @@ func runRestoreWorkload(reg *identity.Registry, kp *identity.KeyPair, s store.St
 	return peak, nil
 }
 
-// measureRestore times OpenChain over a populated store.
+// measureRestore times store.Open over a populated store.
 func measureRestore(name, detail string, reg *identity.Registry, s store.Store, bounded bool) (StorageResult, error) {
 	cfg := storageChainConfig(reg, bounded)
 	cfg.Clock = simclock.NewLogical(0)
 	start := time.Now()
-	c, _, err := store.OpenChain(cfg, s)
+	c, err := store.Open(cfg, s)
 	if err != nil {
 		return StorageResult{}, fmt.Errorf("storage restore (%s): %w", detail, err)
 	}

@@ -49,8 +49,8 @@ type Options struct {
 	// handed to Durable instead of running inline, and the installed
 	// committer must run every closure exactly once — with nil once the
 	// sealed blocks reached stable storage (receipts resolve), or with
-	// the sync failure (receipts fail). Sealing is not delayed; only
-	// the receipts are.
+	// the store-write or sync failure (receipts fail). Sealing is not
+	// delayed; only the receipts are.
 	Durable func(resolve func(err error))
 }
 
@@ -399,9 +399,9 @@ func (b *Batcher) flush(batch []group) {
 			num, hash := sealed.Header.Number, sealed.Hash()
 			resolve := func(syncErr error) {
 				if syncErr != nil {
-					// The blocks sealed but never became durable (the
-					// group fsync failed): receipts must not claim
-					// durability, so they fail with the sync error.
+					// The blocks sealed but never became durable (a store
+					// write or the group fsync failed): receipts must not
+					// claim durability, so they fail with that error.
 					for _, t := range tickets {
 						t.fail(syncErr)
 					}

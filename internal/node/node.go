@@ -295,30 +295,14 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// openChain builds the node's chain: restored from a populated store
-// (which streams from its snapshot checkpoint), mirrored into an empty
-// one, stand-alone without one.
+// openChain builds the node's chain: on the store when there is one
+// (restored from its snapshot checkpoint, or mirrored into it from
+// genesis), stand-alone without one.
 func openChain(cfg chain.Config, s store.Store) (*chain.Chain, error) {
 	if s == nil {
 		return chain.New(cfg)
 	}
-	_, _, populated, err := s.Range()
-	if err != nil {
-		return nil, fmt.Errorf("node: probing store: %w", err)
-	}
-	if populated {
-		c, _, err := store.OpenChain(cfg, s)
-		return c, err
-	}
-	c, err := chain.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := store.Attach(c, s); err != nil {
-		c.Close()
-		return nil, err
-	}
-	return c, nil
+	return store.Open(cfg, s)
 }
 
 // Close detaches the node from the network, drains its proposal
@@ -1202,7 +1186,7 @@ func (n *Node) adoptRestored(restored *chain.Chain) bool {
 	// everything below the new marker.
 	old.Close()
 	if n.store != nil {
-		if _, err := store.Attach(restored, n.store); err != nil {
+		if err := store.Attach(restored, n.store); err != nil {
 			// The node keeps serving from memory, but persistence is
 			// broken: surface it instead of silently restoring a
 			// pre-adoption (quorum-deleted) suffix on the next restart.
@@ -1215,13 +1199,17 @@ func (n *Node) adoptRestored(restored *chain.Chain) bool {
 }
 
 // StoreErr reports a persistence failure the node could not surface
-// through a return value — today, a failed store re-point during
-// snapshot adoption. A non-nil value means the store must not be
-// trusted for a restart.
+// through a return value: a failed store re-point during snapshot
+// adoption, or a block or prune of the current chain that did not reach
+// the store (chain.ErrStore). A non-nil value means the store must not
+// be trusted for a restart.
 func (n *Node) StoreErr() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.storeErr
+	if n.storeErr != nil {
+		return n.storeErr
+	}
+	return n.chain.StoreErr()
 }
 
 // removeFromMempool drops entries that were included in a block another

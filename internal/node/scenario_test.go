@@ -16,6 +16,7 @@ import (
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/simclock"
+	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -511,5 +512,44 @@ func TestNodeSubmitDeletionReceiptOutcome(t *testing.T) {
 		if !n.Chain().IsMarked(sealed[0].Ref) {
 			t.Errorf("%s did not adopt the deletion mark", n.Name())
 		}
+	}
+}
+
+// putFailing is a store that stops accepting blocks at a given number.
+type putFailing struct {
+	*store.Mem
+	from uint64
+}
+
+func (s putFailing) PutBlock(b *block.Block) error {
+	if b.Header.Number >= s.from {
+		return errors.New("disk full")
+	}
+	return s.Mem.PutBlock(b)
+}
+
+func TestStoreErrReportsFailedWrite(t *testing.T) {
+	kp := identity.Deterministic("solo", "cluster-test")
+	reg := identity.NewRegistry()
+	if err := reg.RegisterKey(kp, identity.RoleMaster); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(Config{
+		Key:   kp,
+		Chain: chain.Config{SequenceLength: 3, Registry: reg, Clock: simclock.NewLogical(0)},
+		Store: putFailing{store.NewMem(), 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if err := n.StoreErr(); err != nil {
+		t.Fatalf("StoreErr before any write: %v", err)
+	}
+	if _, err := n.SubmitWait(context.Background(), block.NewData("solo", []byte("x")).Sign(kp)); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.StoreErr(); !errors.Is(err, chain.ErrStore) {
+		t.Errorf("StoreErr after a failed block write: %v, want ErrStore", err)
 	}
 }

@@ -172,23 +172,8 @@ func (pc *Chain) openPartition(i int) (*chain.Chain, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cc.Durability.Mode == chain.DurabilityGroup {
-		cc.Durability.Sync = s.Sync
-	}
-	var c *chain.Chain
-	_, _, populated, rerr := s.Range()
-	if rerr != nil {
-		s.Close()
-		return nil, fmt.Errorf("probing store: %w", rerr)
-	}
-	if populated {
-		c, _, err = store.OpenChain(cc, s)
-	} else {
-		c, err = chain.New(cc)
-		if err == nil {
-			_, err = store.Attach(c, s)
-		}
-	}
+	cc.Durability.Sync = nil // each stripe syncs its own store
+	c, err := store.Open(cc, s)
 	if err != nil {
 		s.Close()
 		return nil, err

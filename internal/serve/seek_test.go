@@ -242,22 +242,10 @@ func TestSeekOnChainReopenedFromSegmentStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var c *chain.Chain
-		if _, _, populated, err := s.Range(); err != nil {
+		cfg.Clock = simclock.NewLogical(0)
+		c, err := store.Open(cfg, s)
+		if err != nil {
 			t.Fatal(err)
-		} else if populated {
-			cfg.Clock = simclock.NewLogical(0)
-			c, _, err = store.OpenChain(cfg, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if c, err = chain.New(cfg); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := store.Attach(c, s); err != nil {
-				t.Fatal(err)
-			}
 		}
 		c.Own(s)
 		return c

@@ -122,16 +122,20 @@ func New(b Backend, opts Options) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // HTTPServer wraps the handler in an http.Server listening on addr,
-// with HTTP/2 over cleartext (h2c) enabled when the toolchain supports
-// it (go1.24+; earlier builds serve HTTP/1.1 — see protocols_go123.go).
+// speaking HTTP/2 over cleartext TCP (h2c) next to HTTP/1.1. h2c lets a
+// single load-generator connection multiplex many in-flight submits
+// without head-of-line blocking, which is what an open-loop harness
+// needs when responses stall.
 func (s *Server) HTTPServer(addr string) *http.Server {
-	srv := &http.Server{
+	p := new(http.Protocols)
+	p.SetHTTP1(true)
+	p.SetUnencryptedHTTP2(true)
+	return &http.Server{
 		Addr:              addr,
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
+		Protocols:         p,
 	}
-	configureProtocols(srv)
-	return srv
 }
 
 // Close stops the admission sampler. It does not close the backend.

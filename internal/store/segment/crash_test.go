@@ -334,7 +334,7 @@ func TestRestoreAfterTornTailOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Attach(c, s); err != nil {
+	if err := store.Attach(c, s); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -363,7 +363,7 @@ func TestRestoreAfterTornTailOnChain(t *testing.T) {
 	}
 	s2 := open(t, dir, Options{})
 	defer s2.Close()
-	c2, _, err := store.OpenChain(cfg, s2)
+	c2, err := store.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore after torn tail: %v", err)
 	}
@@ -430,7 +430,7 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Attach(c, ss); err != nil {
+	if err := store.Attach(c, ss); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -517,7 +517,7 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 	cfg.Durability = chain.Durability{}
 	s2 := open(t, dir, Options{})
 	defer s2.Close()
-	c2, _, err := store.OpenChain(cfg, s2)
+	c2, err := store.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore after group-commit crash: %v", err)
 	}
@@ -527,86 +527,5 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 	}
 	if err := c2.VerifyIntegrity(); err != nil {
 		t.Errorf("restored chain integrity: %v", err)
-	}
-}
-
-// TestMigrateFromFileStore converts a one-file-per-block store.File
-// directory (including its MARKER) into a segment store and verifies
-// the restored chain is identical.
-func TestMigrateFromFileStore(t *testing.T) {
-	reg := identity.NewRegistry()
-	kp := identity.Deterministic("writer", "migrate")
-	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
-		t.Fatal(err)
-	}
-	cfg := chain.Config{
-		SequenceLength: 3,
-		MaxSequences:   2,
-		Registry:       reg,
-		Clock:          simclock.NewLogical(0),
-	}
-	fileDir := t.TempDir()
-	fs, err := store.NewFile(fileDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := chain.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Attach(c, fs); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 30; i++ {
-		e := block.NewData("writer", []byte(fmt.Sprintf("m-%d", i))).Sign(kp)
-		sealed, err := c.SubmitWait(ctx, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.SubmitWait(ctx, block.NewDeletion("writer", sealed[0].Ref).Sign(kp)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.CompactWait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if c.Marker() == 0 {
-		t.Fatal("file-store chain never truncated")
-	}
-	headHash := c.HeadHash()
-	marker := c.Marker()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	segDir := t.TempDir()
-	dst := open(t, segDir, Options{})
-	if err := Migrate(fs, dst); err != nil {
-		t.Fatalf("Migrate: %v", err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if m, err := dst.Marker(); err != nil || m != marker {
-		t.Fatalf("migrated marker = %d, %v; want %d", m, err, marker)
-	}
-	if _, ok, err := dst.Snapshot(); err != nil || !ok {
-		t.Fatalf("migrated store has no snapshot: ok=%v err=%v", ok, err)
-	}
-	c2, _, err := store.OpenChain(cfg, dst)
-	if err != nil {
-		t.Fatalf("restore from migrated store: %v", err)
-	}
-	defer c2.Close()
-	defer dst.Close()
-	if c2.HeadHash() != headHash {
-		t.Error("migrated chain head hash differs")
-	}
-	if c2.Marker() != marker {
-		t.Errorf("migrated chain marker %d, want %d", c2.Marker(), marker)
-	}
-	if err := c2.VerifyIntegrity(); err != nil {
-		t.Errorf("migrated chain integrity: %v", err)
 	}
 }

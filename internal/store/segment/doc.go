@@ -1,13 +1,12 @@
-// Package segment implements the segmented persistent store: blocks
-// append into bounded, length-prefixed segment files instead of one
-// file per block.
+// Package segment implements the persistent store: blocks append into
+// bounded, length-prefixed segment files.
 //
-// The one-file-per-block layout of store.File makes physical deletion
-// observable, but at scale it is an inode explosion, one open/rename
-// per block on the hot path, and an unbounded unlink storm when the
-// compactor prunes a long prefix. The segment store keeps the paper's
-// storage promise — "the old sequence can be cut off and deleted from
-// the blockchain" (§IV-C) must reclaim bytes, not just unreachability —
+// One file per block would make physical deletion just as observable,
+// but at scale it is an inode explosion, one open/rename per block on
+// the hot path, and an unbounded unlink storm when the compactor
+// prunes a long prefix. The segment store keeps the paper's storage
+// promise — "the old sequence can be cut off and deleted from the
+// blockchain" (§IV-C) must reclaim bytes, not just unreachability —
 // while amortizing the filesystem cost:
 //
 //   - Appends go to the tail of the active segment file: the record is

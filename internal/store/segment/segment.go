@@ -535,7 +535,7 @@ func (s *Store) rollLocked() error {
 	return s.writeManifestLocked()
 }
 
-// GetBlock implements store.Store: one pread via the offset index.
+// GetBlock loads one block: one pread via the offset index.
 func (s *Store) GetBlock(num uint64) (*block.Block, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -595,34 +595,6 @@ func (s *Store) sortedNumbersLocked() []uint64 {
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	return nums
-}
-
-// LoadAll implements store.Store. Raw records are read under the store
-// lock, then decoded concurrently via the shared decode fan-out.
-func (s *Store) LoadAll() ([]*block.Block, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, store.ErrClosed
-	}
-	nums := s.sortedNumbersLocked()
-	raws := make([][]byte, len(nums))
-	for i, num := range nums {
-		loc := s.index[num]
-		f, err := s.handleLocked(loc.seg)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		raw := make([]byte, loc.n)
-		if _, err := f.ReadAt(raw, loc.off); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("segment: read block %d: %w", num, err)
-		}
-		raws[i] = raw
-	}
-	s.mu.Unlock()
-	return store.DecodeAll(nums, raws)
 }
 
 // Stream implements store.Store: blocks are yielded in ascending order

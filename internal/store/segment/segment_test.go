@@ -93,13 +93,6 @@ func TestStoreContract(t *testing.T) {
 	if sizeAfter >= sizeBefore {
 		t.Errorf("no space reclaimed: %d -> %d", sizeBefore, sizeAfter)
 	}
-	all, err := s.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("LoadAll returned %d blocks, want 3", len(all))
-	}
 	var streamed []*block.Block
 	for b, err := range s.Stream() {
 		if err != nil {
@@ -242,15 +235,8 @@ func TestChainLifecycleOnSegmentStore(t *testing.T) {
 		Clock:          simclock.NewLogical(0),
 	}
 	s := open(t, dir, Options{SegmentBytes: 1024})
-	c, _, err := store.OpenChain(cfg, s)
-	if err == nil {
-		t.Fatal("OpenChain on empty store should fail; use Attach path")
-	}
-	c, err = chain.New(cfg)
+	c, err := store.Open(cfg, s)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Attach(c, s); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -306,7 +292,7 @@ func TestChainLifecycleOnSegmentStore(t *testing.T) {
 
 	s2 := open(t, dir, Options{SegmentBytes: 1024})
 	defer s2.Close()
-	c2, _, err := store.OpenChain(cfg, s2)
+	c2, err := store.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore from segment store: %v", err)
 	}
@@ -365,15 +351,7 @@ func TestReadHandleLRUCapsOpenFiles(t *testing.T) {
 		}
 	}
 	checkCap("after random reads")
-	// LoadAll and Stream cross every segment too.
-	all, err := s.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != len(blocks) {
-		t.Fatalf("LoadAll returned %d blocks, want %d", len(all), len(blocks))
-	}
-	checkCap("after LoadAll")
+	// Stream crosses every segment too.
 	n := 0
 	for b, err := range s.Stream() {
 		if err != nil {

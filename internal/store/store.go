@@ -2,19 +2,18 @@
 //
 // The paper's central promise is that cut-off sequences are physically
 // deleted ("the old sequence can be cut off and deleted from the
-// blockchain", §IV-C). The file store therefore keeps one file per block
-// and deletes files on truncation, so reclaimed disk space is directly
-// observable — the growth experiments (E4) measure it.
+// blockchain", §IV-C), so a Store must drop what DeleteBelow cuts.
+// There are two: Mem here, for tests and simulations, and the segment
+// store (subpackage segment), for disks. Open is the one way a chain
+// gets onto either.
 package store
 
 import (
 	"errors"
 	"fmt"
 	"iter"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/seldel/seldel/internal/block"
 )
@@ -29,16 +28,12 @@ var (
 type Store interface {
 	// PutBlock persists a block (idempotent per block number).
 	PutBlock(b *block.Block) error
-	// GetBlock loads the block with the given number.
-	GetBlock(num uint64) (*block.Block, error)
 	// DeleteBelow removes every block with number < marker and persists
 	// marker as the new Genesis marker.
 	DeleteBelow(marker uint64) error
 	// Range returns the numbers of the first and last stored block.
 	// ok is false when the store is empty.
 	Range() (first, last uint64, ok bool, err error)
-	// LoadAll returns all stored blocks in ascending number order.
-	LoadAll() ([]*block.Block, error)
 	// Stream yields the stored blocks in ascending number order, one
 	// decoded block at a time, so a restore never materializes the
 	// whole persisted chain's raw bytes at once. Iteration stops at
@@ -71,20 +66,6 @@ func (m *Mem) PutBlock(b *block.Block) error {
 	}
 	m.blocks[b.Header.Number] = b.Encode()
 	return nil
-}
-
-// GetBlock implements Store.
-func (m *Mem) GetBlock(num uint64) (*block.Block, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	raw, ok := m.blocks[num]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNotFound, num)
-	}
-	return block.DecodeBlock(raw)
 }
 
 // DeleteBelow implements Store.
@@ -122,82 +103,6 @@ func (m *Mem) Range() (uint64, uint64, bool, error) {
 		}
 	}
 	return first, last, true, nil
-}
-
-// LoadAll implements Store. Blocks decode concurrently: decoding is
-// pure CPU (canonical decode + per-entry allocation), so a restore of a
-// long suffix scales with cores instead of serializing.
-func (m *Mem) LoadAll() ([]*block.Block, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	nums := make([]uint64, 0, len(m.blocks))
-	for num := range m.blocks {
-		nums = append(nums, num)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	raws := make([][]byte, len(nums))
-	for i, num := range nums {
-		raws[i] = m.blocks[num]
-	}
-	return decodeAll(nums, raws)
-}
-
-// DecodeAll decodes raw blocks in parallel, preserving order. The
-// first failure (by position) is reported. Store implementations in
-// subpackages (the segment store) share it for their LoadAll fan-out.
-func DecodeAll(nums []uint64, raws [][]byte) ([]*block.Block, error) {
-	return decodeAll(nums, raws)
-}
-
-// decodeAll decodes raw blocks in parallel, preserving order. The first
-// failure (by position) is reported.
-func decodeAll(nums []uint64, raws [][]byte) ([]*block.Block, error) {
-	out := make([]*block.Block, len(raws))
-	errs := make([]error, len(raws))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(raws) {
-		workers = len(raws)
-	}
-	if workers <= 1 {
-		for i, raw := range raws {
-			b, err := block.DecodeBlock(raw)
-			if err != nil {
-				return nil, fmt.Errorf("store: block %d: %w", nums[i], err)
-			}
-			out[i] = b
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(raws) {
-					return
-				}
-				b, err := block.DecodeBlock(raws[i])
-				if err != nil {
-					errs[i] = fmt.Errorf("store: block %d: %w", nums[i], err)
-					continue
-				}
-				out[i] = b
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Stream implements Store. The number/raw snapshot is taken under the

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/seldel/seldel/internal/block"
@@ -43,9 +40,8 @@ func testBlock(t *testing.T, num uint64, prev *block.Block) *block.Block {
 	return block.NewNormal(num, prevTime+1, prevHash, []*block.Entry{e})
 }
 
-// storeSuite runs the common Store contract against any implementation.
-func storeSuite(t *testing.T, s Store) {
-	t.Helper()
+func TestMemStoreContract(t *testing.T) {
+	var s Store = NewMem()
 	if _, _, ok, err := s.Range(); err != nil || ok {
 		t.Fatalf("fresh store Range = ok=%v err=%v", ok, err)
 	}
@@ -63,16 +59,6 @@ func storeSuite(t *testing.T, s Store) {
 	if err != nil || !ok || first != 0 || last != 5 {
 		t.Fatalf("Range = %d..%d ok=%v err=%v", first, last, ok, err)
 	}
-	got, err := s.GetBlock(3)
-	if err != nil {
-		t.Fatalf("GetBlock: %v", err)
-	}
-	if got.Hash() != blocks[3].Hash() {
-		t.Error("round-tripped block hash differs")
-	}
-	if _, err := s.GetBlock(99); !errors.Is(err, ErrNotFound) {
-		t.Errorf("GetBlock(99) = %v, want ErrNotFound", err)
-	}
 	sizeBefore, err := s.SizeBytes()
 	if err != nil || sizeBefore <= 0 {
 		t.Fatalf("SizeBytes = %d, %v", sizeBefore, err)
@@ -81,12 +67,6 @@ func storeSuite(t *testing.T, s Store) {
 	if err := s.DeleteBelow(3); err != nil {
 		t.Fatalf("DeleteBelow: %v", err)
 	}
-	if _, err := s.GetBlock(2); !errors.Is(err, ErrNotFound) {
-		t.Errorf("block 2 survived truncation: %v", err)
-	}
-	if _, err := s.GetBlock(3); err != nil {
-		t.Errorf("block 3 deleted by truncation: %v", err)
-	}
 	sizeAfter, err := s.SizeBytes()
 	if err != nil {
 		t.Fatal(err)
@@ -94,20 +74,8 @@ func storeSuite(t *testing.T, s Store) {
 	if sizeAfter >= sizeBefore {
 		t.Errorf("no space reclaimed: %d -> %d", sizeBefore, sizeAfter)
 	}
-	all, err := s.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("LoadAll returned %d blocks, want 3", len(all))
-	}
-	for i, b := range all {
-		if b.Header.Number != uint64(3+i) {
-			t.Errorf("LoadAll[%d] = block %d", i, b.Header.Number)
-		}
-	}
-	// Stream must yield exactly what LoadAll returns, in order, and
-	// honour early termination.
+	// Stream yields exactly the blocks at and above the marker, in
+	// order and unchanged, and honours early termination.
 	var streamed []*block.Block
 	for b, err := range s.Stream() {
 		if err != nil {
@@ -115,12 +83,12 @@ func storeSuite(t *testing.T, s Store) {
 		}
 		streamed = append(streamed, b)
 	}
-	if len(streamed) != len(all) {
-		t.Fatalf("Stream yielded %d blocks, LoadAll %d", len(streamed), len(all))
+	if len(streamed) != 3 {
+		t.Fatalf("Stream yielded %d blocks, want 3", len(streamed))
 	}
-	for i := range all {
-		if streamed[i].Hash() != all[i].Hash() {
-			t.Errorf("Stream[%d] differs from LoadAll[%d]", i, i)
+	for i, b := range streamed {
+		if b.Hash() != blocks[3+i].Hash() {
+			t.Errorf("Stream[%d] is not block %d as stored", i, 3+i)
 		}
 	}
 	for range s.Stream() {
@@ -136,86 +104,6 @@ func storeSuite(t *testing.T, s Store) {
 		if !errors.Is(err, ErrClosed) {
 			t.Errorf("Stream after Close = %v, want ErrClosed", err)
 		}
-	}
-}
-
-func TestMemStoreContract(t *testing.T) {
-	storeSuite(t, NewMem())
-}
-
-func TestFileStoreContract(t *testing.T) {
-	s, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	storeSuite(t, s)
-}
-
-func TestFileStoreDeletesFilesOnDisk(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prev *block.Block
-	for num := uint64(0); num < 4; num++ {
-		b := testBlock(t, num, prev)
-		prev = b
-		if err := s.PutBlock(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	countBlk := func() int {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".blk") {
-				n++
-			}
-		}
-		return n
-	}
-	if got := countBlk(); got != 4 {
-		t.Fatalf("%d block files, want 4", got)
-	}
-	if err := s.DeleteBelow(2); err != nil {
-		t.Fatal(err)
-	}
-	if got := countBlk(); got != 2 {
-		t.Errorf("%d block files after truncation, want 2", got)
-	}
-	m, err := s.Marker()
-	if err != nil || m != 2 {
-		t.Errorf("Marker = %d, %v", m, err)
-	}
-	// Marker persists across reopen.
-	s2, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := s2.Marker()
-	if err != nil || m2 != 2 {
-		t.Errorf("reopened Marker = %d, %v", m2, err)
-	}
-}
-
-func TestFileStoreIgnoresForeignFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "garbage.blk"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok, err := s.Range(); err != nil || ok {
-		t.Errorf("Range with only foreign files: ok=%v err=%v", ok, err)
 	}
 }
 
@@ -240,16 +128,15 @@ func TestRecorderMirrorsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewMem()
-	rec, err := Attach(c, s)
-	if err != nil {
+	if err := Attach(c, s); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		e := block.NewData("alpha", []byte(fmt.Sprintf("p%d", i))).Sign(kp)
 		sealOne(t, c, e)
 	}
-	if err := rec.Err(); err != nil {
-		t.Fatalf("recorder error: %v", err)
+	if err := c.StoreErr(); err != nil {
+		t.Fatalf("store error: %v", err)
 	}
 	// Store must hold exactly the live blocks.
 	first, last, ok, err := s.Range()
@@ -258,63 +145,6 @@ func TestRecorderMirrorsChain(t *testing.T) {
 	}
 	if first != c.Marker() || last != c.Head().Number {
 		t.Errorf("store range %d..%d, chain %d..%d", first, last, c.Marker(), c.Head().Number)
-	}
-}
-
-func TestOpenChainRestoresState(t *testing.T) {
-	reg := identity.NewRegistry()
-	kp := identity.Deterministic("alpha", "store-test")
-	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
-		t.Fatal(err)
-	}
-	cfg := chainConfig(reg)
-	c, err := chain.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	fs, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Attach(c, fs); err != nil {
-		t.Fatal(err)
-	}
-	var keepRef block.Ref
-	for i := 0; i < 8; i++ {
-		e := block.NewData("alpha", []byte(fmt.Sprintf("p%d", i))).Sign(kp)
-		blocks := sealOne(t, c, e)
-		if i == 6 {
-			keepRef = block.Ref{Block: blocks[0].Header.Number, Entry: 0}
-		}
-	}
-	headBefore := c.HeadHash()
-	markerBefore := c.Marker()
-
-	// "Restart": rebuild from disk with a fresh clock.
-	cfg2 := chainConfig(reg)
-	cfg2.Clock = simclock.NewLogical(0)
-	restored, rec, err := OpenChain(cfg2, fs)
-	if err != nil {
-		t.Fatalf("OpenChain: %v", err)
-	}
-	if restored.HeadHash() != headBefore {
-		t.Error("restored head differs")
-	}
-	if restored.Marker() != markerBefore {
-		t.Error("restored marker differs")
-	}
-	if err := restored.VerifyIntegrity(); err != nil {
-		t.Errorf("restored integrity: %v", err)
-	}
-	if _, _, ok := restored.Lookup(keepRef); !ok {
-		t.Error("restored chain lost a live entry")
-	}
-	// The restored chain keeps working and persisting.
-	e := block.NewData("alpha", []byte("after restart")).Sign(kp)
-	sealOne(t, restored, e)
-	if err := rec.Err(); err != nil {
-		t.Fatalf("recorder after restore: %v", err)
 	}
 }
 
@@ -345,25 +175,5 @@ func TestRestoreRejectsCorruptSuffix(t *testing.T) {
 	// Misaligned start (not at a sequence boundary).
 	if _, err := chain.Restore(cfg, blocks[1:]); err == nil {
 		t.Error("misaligned restore accepted")
-	}
-}
-
-func TestLoadAllClosedStores(t *testing.T) {
-	m := NewMem()
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LoadAll(); !errors.Is(err, ErrClosed) {
-		t.Errorf("mem: want ErrClosed, got %v", err)
-	}
-	f, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.LoadAll(); !errors.Is(err, ErrClosed) {
-		t.Errorf("file: want ErrClosed, got %v", err)
 	}
 }

@@ -30,9 +30,6 @@ type builder struct {
 	segDir      string
 	segOpts     SegmentOptions
 	manifestOff bool
-	// durability records a WithDurability request; it is wired to the
-	// resolved store's Sync in b.open(), after every option ran.
-	durability chain.Durability
 	// owned are resources opened by the builder itself (the deferred
 	// WithSegmentStore open) rather than passed in by the caller: the
 	// new chain adopts them (closed by Chain.Close), and New closes
@@ -115,33 +112,10 @@ func (b *builder) open() (*Chain, error) {
 	} else if b.manifestOff {
 		return nil, fmt.Errorf("%w: WithoutDeletionManifest requires WithSegmentStore", ErrConfig)
 	}
-	if b.durability.Mode == chain.DurabilityGroup {
-		syncer, ok := b.store.(interface{ Sync() error })
-		if !ok {
-			return nil, fmt.Errorf("%w: WithDurability(DurabilityGroup) requires a store with Sync — use WithSegmentStore, or WithStore with a store that implements Sync() error", ErrConfig)
-		}
-		b.durability.Sync = syncer.Sync
-		b.cfg.Durability = b.durability
-	}
 	if b.store == nil {
 		return chain.New(b.cfg)
 	}
-	_, _, populated, err := b.store.Range()
-	if err != nil {
-		return nil, fmt.Errorf("seldel: probing store: %w", err)
-	}
-	if populated {
-		c, _, err := store.OpenChain(b.cfg, b.store)
-		return c, err
-	}
-	c, err := chain.New(b.cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := store.Attach(c, b.store); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return store.Open(b.cfg, b.store)
 }
 
 // WithSequenceLength sets l, the distance between summary blocks
@@ -321,7 +295,7 @@ func WithDurability(mode DurabilityMode, window time.Duration) Option {
 		if window < 0 {
 			return fmt.Errorf("%w: negative durability window", ErrConfig)
 		}
-		b.durability = chain.Durability{Mode: mode, GroupWindow: window}
+		b.cfg.Durability = chain.Durability{Mode: mode, GroupWindow: window}
 		return nil
 	}
 }
@@ -467,10 +441,6 @@ func NewPartitioned(reg *Registry, opts ...Option) (*PartitionedChain, error) {
 	}
 	if b.engine != nil {
 		consensus.Configure(&b.cfg, b.engine)
-	}
-	if b.durability.Mode != 0 || b.durability.GroupWindow != 0 {
-		// partition.New wires each partition store's Sync.
-		b.cfg.Durability = b.durability
 	}
 	segOpts := b.segOpts
 	segOpts.DisableManifest = b.manifestOff

@@ -207,8 +207,6 @@ type (
 	Store = store.Store
 	// MemStore is the in-memory store.
 	MemStore = store.Mem
-	// FileStore is the file-backed store (one file per block).
-	FileStore = store.File
 	// SegmentStore is the segmented store: blocks append into bounded,
 	// length-prefixed segment files; truncation physically retires
 	// whole segments; a snapshot checkpoint makes restores start at the
@@ -335,7 +333,7 @@ const (
 var GenesisPrevHash = block.GenesisPrevHash
 
 // RestoreChain rebuilds a chain from persisted live blocks. Stores are
-// restored as streams (see OpenStoredChain / WithStore), so this slice
+// restored as streams (see WithStore / WithSegmentStore), so this slice
 // form is for blocks already in memory — adopted status-quo offers,
 // test fixtures.
 func RestoreChain(cfg Config, blocks []*Block) (*Chain, error) {
@@ -403,34 +401,11 @@ func NewClient(key *KeyPair, reg *Registry, net *Network, anchors []string) (*Cl
 // NewMemStore returns an in-memory block store.
 func NewMemStore() *MemStore { return store.NewMem() }
 
-// NewFileStore opens a file-backed block store rooted at dir.
-func NewFileStore(dir string) (*FileStore, error) { return store.NewFile(dir) }
-
 // NewSegmentStore opens (or creates) a segmented block store rooted at
 // dir, recovering torn tails and interrupted truncations from a crash.
 // The zero Options selects 1 MiB segments synced on roll/truncate/close.
 func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 	return segment.Open(dir, opts)
-}
-
-// MigrateStore copies the live blocks (and the persisted Genesis
-// marker, when src exposes one) of an existing store into a freshly
-// opened segment store — the upgrade path from a FileStore directory.
-// src is left untouched so the migration can be verified before the old
-// directory is deleted.
-func MigrateStore(src Store, dst *SegmentStore) error { return segment.Migrate(src, dst) }
-
-// AttachStore mirrors all chain mutations into s (and backfills the
-// current live blocks). New code can pass WithStore to New instead.
-func AttachStore(c *Chain, s Store) error {
-	_, err := store.Attach(c, s)
-	return err
-}
-
-// OpenStoredChain restores a chain from a store and keeps it mirrored.
-func OpenStoredChain(cfg Config, s Store) (*Chain, error) {
-	c, _, err := store.OpenChain(cfg, s)
-	return c, err
 }
 
 // Doctor cross-validates a segment-store directory's durable deletion

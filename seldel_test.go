@@ -175,10 +175,11 @@ func TestPublicAPIStoreRoundTrip(t *testing.T) {
 	if err := reg.RegisterKey(alice, RoleUser); err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewFileStore(t.TempDir())
+	st, err := NewSegmentStore(t.TempDir(), SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	opts := []Option{
 		WithSequenceLength(3), WithMaxSequences(1), WithShrink(ShrinkMinimal),
 		WithClock(NewLogicalClock(0)), WithStore(st),

@@ -154,62 +154,3 @@ func TestWithDurabilityGroup(t *testing.T) {
 		t.Fatalf("negative group window: err=%v, want ErrConfig", err)
 	}
 }
-
-// TestMigrateStore upgrades a FileStore directory to a SegmentStore
-// through the public façade.
-func TestMigrateStore(t *testing.T) {
-	reg := NewRegistry()
-	alice := DeterministicKey("alice", "migrate-api-test")
-	if err := reg.RegisterKey(alice, RoleUser); err != nil {
-		t.Fatal(err)
-	}
-	fileDir := t.TempDir()
-	fs, err := NewFileStore(fileDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(reg,
-		WithSequenceLength(3),
-		WithMaxSequences(2),
-		WithClock(NewLogicalClock(0)),
-		WithStore(fs),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; i < 12; i++ {
-		if _, err := c.SubmitWait(ctx, NewData("alice", []byte(fmt.Sprintf("m-%02d", i))).Sign(alice)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	headHash := c.HeadHash()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	segDir := t.TempDir()
-	dst, err := NewSegmentStore(segDir, SegmentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := MigrateStore(fs, dst); err != nil {
-		t.Fatalf("MigrateStore: %v", err)
-	}
-	if err := fs.Close(); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := New(reg,
-		WithSequenceLength(3),
-		WithMaxSequences(2),
-		WithClock(NewLogicalClock(0)),
-		WithStore(dst),
-	)
-	if err != nil {
-		t.Fatalf("open migrated store: %v", err)
-	}
-	defer c2.Close()
-	if c2.HeadHash() != headHash {
-		t.Error("migrated chain head hash differs")
-	}
-}
