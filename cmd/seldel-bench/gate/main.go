@@ -7,14 +7,13 @@
 // regression) or costs (allocs per appended entry, fsyncs per block —
 // HIGHER is a regression); both are stable under a smaller
 // -json-entries than the baseline. Rate guards: submission throughput
-// at 16 producers, segment-store restore-from-snapshot throughput,
-// cluster-replicated block throughput at 3 nodes, tombstone-proof
-// build+verify throughput, and partitioned submission throughput at 4
-// partitions. Cost guards: pipelined append allocs/entry, group-commit
-// fsyncs/block at 16 producers, and open-loop p99 append latency
-// through the HTTP front-end (the serving dimension; -dimension load
-// evaluates it alone, for seldel-load -json reports that carry nothing
-// else). Candidate-only checks: the 4-partition scaling floor
+// at 16 producers, cluster-replicated block throughput at 3 nodes,
+// tombstone-proof build+verify throughput, and partitioned submission
+// throughput at 4 partitions. Cost guards: pipelined append
+// allocs/entry, group-commit fsyncs/block at 16 producers, and open-loop
+// p99 append latency through the HTTP front-end (the serving dimension;
+// -dimension load evaluates it alone, for seldel-load -json reports that
+// carry nothing else). Candidate-only checks: the 4-partition scaling floor
 // (-min-partition-scaling, >= 4-CPU hardware) and the open-loop shed
 // ceiling (-max-shed-frac). Dimensions absent from the baseline are
 // skipped with a printed "skip:" line — never silently (see README.md
@@ -214,17 +213,6 @@ var metrics = []metric{
 			for _, res := range r.Results {
 				if res.API == "submit" && res.Producers == 16 {
 					return res.OpsPerSec, true
-				}
-			}
-			return 0, false
-		},
-	},
-	{
-		name: "segment restore-from-snapshot blocks/sec",
-		extract: func(r *experiments.PipelineReport) (float64, bool) {
-			for _, res := range r.StorageResults {
-				if res.Op == "restore" && res.Store == "segment" && res.Detail == "snapshot" {
-					return res.BlocksPerSec, true
 				}
 			}
 			return 0, false

@@ -10,16 +10,16 @@ import (
 	"github.com/seldel/seldel/internal/experiments"
 )
 
-func report(submit16, restoreSnap float64) *experiments.PipelineReport {
+func report(submit16, cluster3 float64) *experiments.PipelineReport {
 	r := &experiments.PipelineReport{}
 	if submit16 > 0 {
 		r.Results = append(r.Results, experiments.PipelineResult{
 			API: "submit", Producers: 16, OpsPerSec: submit16,
 		})
 	}
-	if restoreSnap > 0 {
-		r.StorageResults = append(r.StorageResults, experiments.StorageResult{
-			Op: "restore", Store: "segment", Detail: "snapshot", BlocksPerSec: restoreSnap,
+	if cluster3 > 0 {
+		r.ClusterResults = append(r.ClusterResults, experiments.ClusterResult{
+			Nodes: 3, BlocksPerSec: cluster3,
 		})
 	}
 	return r
@@ -44,14 +44,14 @@ func TestEvaluateFlagsRegression(t *testing.T) {
 		t.Fatalf("want one submit@16 failure, got %v", fails)
 	}
 	fails = evaluate(metrics, base, report(10000, 30000), 0.30)
-	if len(fails) != 1 || !strings.Contains(fails[0], "restore-from-snapshot") {
-		t.Fatalf("want one restore failure, got %v", fails)
+	if len(fails) != 1 || !strings.Contains(fails[0], "cluster@3") {
+		t.Fatalf("want one cluster@3 failure, got %v", fails)
 	}
 }
 
 func TestEvaluateMissingMetric(t *testing.T) {
 	base := report(10000, 50000)
-	// Candidate silently lost the storage dimension: that is a failure.
+	// Candidate silently lost the cluster dimension: that is a failure.
 	fails := evaluate(metrics, base, report(10000, 0), 0.30)
 	if len(fails) != 1 || !strings.Contains(fails[0], "missing from candidate") {
 		t.Fatalf("want missing-metric failure, got %v", fails)

@@ -1,10 +1,12 @@
 package seldel
 
 import (
+	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/client"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/mempool"
+	"github.com/seldel/seldel/internal/store/segment"
 )
 
 // Sentinel errors, re-exported so applications can classify failures
@@ -41,8 +43,19 @@ var (
 	// returns it, and Node.StoreErr reports it: the store no longer
 	// matches the chain and must not be trusted for a restart.
 	ErrStore = chain.ErrStore
-	// ErrNotNext reports a block that does not extend the current head.
+	// ErrNotNext reports a block that does not extend the current head:
+	// a gap in the numbering or a broken hash link, on append and on
+	// reopening a store.
 	ErrNotNext = chain.ErrNotNext
+	// ErrTimeRegression reports a block whose timestamp runs behind its
+	// predecessor's, on append and on reopening a store.
+	ErrTimeRegression = chain.ErrTimeRegression
+	// ErrRootMismatch reports a block whose body does not hash to the
+	// Merkle root in its header — a stored or received block was edited.
+	ErrRootMismatch = block.ErrRootMismatch
+	// ErrStoreCorrupt reports a segment store whose sealed segment holds
+	// a record failing its length or checksum: damage no crash explains.
+	ErrStoreCorrupt = segment.ErrCorrupt
 	// ErrUnauthorized reports a deletion requester not authorized for the
 	// target under the chain's deletion policy (§IV-D.1).
 	ErrUnauthorized = deletion.ErrUnauthorized

@@ -132,7 +132,9 @@ func (c CarriedEntry) encodeTo(e *codec.Encoder) {
 	e.Uint64(c.OriginBlock)
 	e.Uint64(c.OriginTime)
 	e.Uint32(c.EntryNumber)
-	e.Nested(c.Entry.encodeTo)
+	at := e.BeginNested()
+	c.Entry.encodeTo(e)
+	e.EndNested(at)
 }
 
 func decodeCarriedFrom(d *codec.Decoder) (CarriedEntry, error) {
@@ -383,22 +385,35 @@ func (b *Block) Encode() []byte {
 // place instead of encoded separately and copied in.
 func (b *Block) AppendEncode(dst []byte) []byte {
 	e := codec.NewEncoderBuf(dst)
-	e.Nested(b.Header.encodeTo)
+	b.encodeTo(e)
+	return e.Data()
+}
+
+// encodeTo appends the full canonical block encoding to e.
+func (b *Block) encodeTo(e *codec.Encoder) {
+	at := e.BeginNested()
+	b.Header.encodeTo(e)
+	e.EndNested(at)
 	e.Uint32(uint32(len(b.Entries)))
 	for _, en := range b.Entries {
-		e.Nested(en.encodeTo)
+		at := e.BeginNested()
+		en.encodeTo(e)
+		e.EndNested(at)
 	}
 	e.Uint32(uint32(len(b.Carried)))
 	for _, c := range b.Carried {
-		e.Nested(c.encodeTo)
+		at := e.BeginNested()
+		c.encodeTo(e)
+		e.EndNested(at)
 	}
 	if b.SeqRef != nil {
 		e.Bool(true)
-		e.Nested(b.SeqRef.encodeTo)
+		at := e.BeginNested()
+		b.SeqRef.encodeTo(e)
+		e.EndNested(at)
 	} else {
 		e.Bool(false)
 	}
-	return e.Data()
 }
 
 // DecodeBlock parses a canonical block encoding and verifies the header
@@ -515,9 +530,15 @@ func decodeSeqRef(data []byte) (*SequenceRef, error) {
 	return &s, nil
 }
 
-// EncodedSize returns the byte size of the canonical encoding, used by
-// the growth experiments (E4).
-func (b *Block) EncodedSize() int { return len(b.Encode()) }
+// EncodedSize returns the byte size of the canonical encoding — the
+// chain's LiveBytes accounting and the growth experiments (E4). It runs
+// the encode pass itself over a counting encoder, so it equals
+// len(Encode()) by construction and builds no buffer.
+func (b *Block) EncodedSize() int {
+	e := codec.NewCounter()
+	b.encodeTo(e)
+	return e.Len()
+}
 
 // EntryTree builds the Merkle tree behind Header.EntriesRoot: over the
 // entries of a normal block, or the carried entries of a summary block.

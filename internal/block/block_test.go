@@ -318,11 +318,38 @@ func TestCarriedEntryRef(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeGrowsWithContent(t *testing.T) {
-	small := NewNormal(1, 10, GenesisPrevHash, testEntries(t, 1))
-	big := NewNormal(1, 10, GenesisPrevHash, testEntries(t, 10))
-	if small.EncodedSize() >= big.EncodedSize() {
-		t.Error("EncodedSize not monotone in entry count")
+// TestEncodedSizeIsEncodeLength pins the counting pass to the encoding
+// it sizes, over every field a block can carry, and that it builds no
+// buffer: the chain calls it under its lock for every block pushed or cut.
+func TestEncodedSizeIsEncodeLength(t *testing.T) {
+	kp := identity.Deterministic("alpha", "block-test")
+	entries := testEntries(t, 10)
+	dependent := NewData("alpha", []byte("dep"))
+	dependent.DependsOn = []Ref{{Block: 1, Entry: 0}, {Block: 1, Entry: 1}}
+	dependent.Sign(kp)
+	mixed := append([]*Entry{
+		dependent,
+		NewTemporary("alpha", []byte("tmp"), 40, 9).Sign(kp),
+		NewDeletion("alpha", Ref{Block: 1, Entry: 1}).Sign(kp).AddCoSignature(kp).AddCoSignature(kp),
+	}, entries...)
+	normal := NewNormal(1, 10, GenesisPrevHash, mixed)
+	carried := make([]CarriedEntry, len(entries))
+	for i, e := range entries {
+		carried[i] = CarriedEntry{OriginBlock: 1, OriginTime: 10, EntryNumber: uint32(i), Entry: e}
+	}
+	ref := &SequenceRef{FirstBlock: 2, LastBlock: 4, Root: codec.HashBytes([]byte("seq"))}
+	for name, b := range map[string]*Block{
+		"genesis":       NewNormal(0, 1, GenesisPrevHash, nil),
+		"normal":        normal,
+		"summary":       NewSummary(5, 12, normal.Hash(), carried, ref),
+		"empty summary": NewSummary(2, 10, normal.Hash(), nil, nil),
+	} {
+		if got, want := b.EncodedSize(), len(b.Encode()); got != want {
+			t.Errorf("%s: EncodedSize %d, len(Encode()) %d", name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = b.EncodedSize() }); allocs != 0 {
+			t.Errorf("%s: EncodedSize allocates %v times per call", name, allocs)
+		}
 	}
 }
 

@@ -737,16 +737,39 @@ func (c *Chain) precheckDeletions(entries []*block.Entry) cosigChecks {
 func (c *Chain) screenPosition(b *block.Block) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	head := c.head()
-	next := head.Header.Number + 1
-	if b.Header.Number != next {
-		return fmt.Errorf("%w: got %d, want %d", ErrNotNext, b.Header.Number, next)
+	return c.checkLink(c.head(), b)
+}
+
+// checkLink checks everything that ties block b to its predecessor prev:
+// consecutive number, hash link, the kind its slot demands, and the
+// timestamp rules (a summary repeats its predecessor's time, §IV-B; a
+// normal block never runs behind it). prev is nil for the marker block
+// of a restored suffix, which has no live predecessor: only its slot is
+// checked. Appending (screenPosition, appendLocked), restoring
+// (registerRestoredBlock) and auditing (VerifyIntegrity) all link
+// through here, so none of them accepts what another rejects.
+func (c *Chain) checkLink(prev, b *block.Block) error {
+	num := b.Header.Number
+	if prev != nil {
+		if want := prev.Header.Number + 1; num != want {
+			return fmt.Errorf("%w: got %d, want %d", ErrNotNext, num, want)
+		}
+		if b.Header.PrevHash != prev.Hash() {
+			return fmt.Errorf("%w: previous hash mismatch at %d", ErrNotNext, num)
+		}
 	}
-	if b.Header.PrevHash != head.Hash() {
-		return fmt.Errorf("%w: previous hash mismatch at %d", ErrNotNext, b.Header.Number)
+	if want := c.isSummarySlot(num); b.IsSummary() != want {
+		return fmt.Errorf("%w: block %d: summary=%v, slot wants %v", ErrWrongSlot, num, b.IsSummary(), want)
 	}
-	if b.IsSummary() != c.isSummarySlot(next) {
-		return fmt.Errorf("%w: block %d: summary=%v, slot wants %v", ErrWrongSlot, next, b.IsSummary(), c.isSummarySlot(next))
+	if prev == nil {
+		return nil
+	}
+	if b.IsSummary() && b.Header.Time != prev.Header.Time {
+		return fmt.Errorf("%w: block %d: timestamp %d differs from its predecessor's %d",
+			ErrSummaryMismatch, num, b.Header.Time, prev.Header.Time)
+	}
+	if b.Header.Time < prev.Header.Time {
+		return fmt.Errorf("%w: block %d: %d < %d", ErrTimeRegression, num, b.Header.Time, prev.Header.Time)
 	}
 	return nil
 }
@@ -773,24 +796,15 @@ func (c *Chain) listenersSnapshot() []Listener {
 // co-signature verdicts for the batch's deletion entries.
 func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, error) {
 	var events chainEvents
-	head := c.head()
-	next := head.Header.Number + 1
-	if b.Header.Number != next {
-		return events, fmt.Errorf("%w: got %d, want %d", ErrNotNext, b.Header.Number, next)
-	}
-	if b.Header.PrevHash != head.Hash() {
-		return events, fmt.Errorf("%w: previous hash mismatch at %d", ErrNotNext, b.Header.Number)
-	}
-	wantSummary := c.isSummarySlot(next)
-	if b.IsSummary() != wantSummary {
-		return events, fmt.Errorf("%w: block %d: summary=%v, slot wants %v", ErrWrongSlot, next, b.IsSummary(), wantSummary)
+	if err := c.checkLink(c.head(), b); err != nil {
+		return events, err
 	}
 
 	if b.IsSummary() {
 		expected, plan := c.planSummaryLocked()
 		if expected.Hash() != b.Hash() {
 			return events, fmt.Errorf("%w: block %d: got %s, computed %s",
-				ErrSummaryMismatch, next, b.Hash(), expected.Hash())
+				ErrSummaryMismatch, b.Header.Number, b.Hash(), expected.Hash())
 		}
 		c.pushBlock(b)
 		events.appended = append(events.appended, b)
@@ -809,9 +823,6 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 	}
 
 	// Normal block.
-	if b.Header.Time < head.Header.Time {
-		return events, fmt.Errorf("%w: %d < %d", ErrTimeRegression, b.Header.Time, head.Header.Time)
-	}
 	if c.cfg.VerifySeal != nil {
 		if err := c.cfg.VerifySeal(b); err != nil {
 			return events, fmt.Errorf("%w: %v", ErrSealFailed, err)
@@ -1051,34 +1062,68 @@ func (c *Chain) AppendEmpty() ([]*block.Block, error) {
 	return blocks, err
 }
 
-// VerifyIntegrity re-validates the whole live chain: hash links, body
-// commitments, and slot kinds. It returns the first violation found.
+// VerifyIntegrity re-validates the whole live chain: body commitments,
+// and link by link numbers, hash links, slot kinds and timestamps. It
+// returns the first violation found. Signatures are VerifySignatures'.
 func (c *Chain) VerifyIntegrity() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for i, b := range c.blocks {
+	if first := c.blocks[0].Header.Number; first != c.marker {
+		return fmt.Errorf("first live block has number %d, want the marker %d", first, c.marker)
+	}
+	var prev *block.Block
+	for _, b := range c.blocks {
 		if err := b.CheckShape(); err != nil {
 			return fmt.Errorf("block %d: %w", b.Header.Number, err)
 		}
-		wantNum := c.marker + uint64(i)
-		if b.Header.Number != wantNum {
-			return fmt.Errorf("block at offset %d has number %d, want %d", i, b.Header.Number, wantNum)
+		if err := c.checkLink(prev, b); err != nil {
+			return err
 		}
-		if b.IsSummary() != c.isSummarySlot(b.Header.Number) {
-			return fmt.Errorf("block %d: kind %s does not match slot", b.Header.Number, b.Header.Kind)
+		prev = b
+	}
+	return nil
+}
+
+// VerifySignatures is the audit a trusted reopen leaves out (see
+// RestoreOwnStream): it verifies the owner signature of every live
+// entry, carried entries included, and re-derives every active deletion
+// mark from the co-signatures of the request that created it. The first
+// failure names the block and the entry. A chain restored from its own
+// store passes unless the store was rewritten by someone able to re-hash
+// it; run it after a reopen whose directory was out of the node's hands.
+func (c *Chain) VerifySignatures() error {
+	if err := c.cfg.Verifier.Blocks(c.cfg.Registry, c.snapshotBlocks()); err != nil {
+		return err
+	}
+	type markedRequest struct {
+		mark Mark
+		req  *block.Entry
+		pre  deletion.CoSigCheck
+	}
+	var requests []markedRequest
+	c.mu.RLock()
+	for _, m := range c.marks {
+		// A mark's request is live as long as the mark is: a cut that
+		// takes the request's block takes the older target with it.
+		// (Marks injected for fault tests have no request.)
+		if b, ok := c.blockAt(m.RequestRef.Block); ok && !b.IsSummary() && int(m.RequestRef.Entry) < len(b.Entries) {
+			requests = append(requests, markedRequest{mark: m, req: b.Entries[m.RequestRef.Entry]})
 		}
-		if i == 0 {
-			continue
+	}
+	c.mu.RUnlock()
+	for i := range requests {
+		requests[i].pre = deletion.PrecheckRequest(c.cfg.Verifier, c.cfg.Registry, requests[i].req)
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, r := range requests {
+		target, _, ok := c.lookup(r.mark.Target)
+		if _, still := c.marks[r.mark.Target]; !ok || !still {
+			continue // executed by a truncation since the snapshot
 		}
-		prev := c.blocks[i-1]
-		if b.Header.PrevHash != prev.Hash() {
-			return fmt.Errorf("block %d: broken hash link", b.Header.Number)
-		}
-		if b.IsSummary() && b.Header.Time != prev.Header.Time {
-			return fmt.Errorf("summary %d: timestamp differs from predecessor", b.Header.Number)
-		}
-		if !b.IsSummary() && b.Header.Time < prev.Header.Time {
-			return fmt.Errorf("block %d: timestamp regression", b.Header.Number)
+		if err := c.auth.ValidateRequestPrechecked(r.req, target, c.liveDependents(r.mark.Target), r.pre); err != nil {
+			return fmt.Errorf("block %d: entry %d: deletion mark on %s is not backed by its request: %w",
+				r.mark.RequestRef.Block, r.mark.RequestRef.Entry, r.mark.Target, err)
 		}
 	}
 	return nil

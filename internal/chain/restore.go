@@ -8,15 +8,13 @@ import (
 	"github.com/seldel/seldel/internal/deletion"
 )
 
-// Restore rebuilds a chain from persisted live blocks, e.g. after an
-// anchor node restart. The blocks must be the exact live suffix of a
-// selective-deletion chain: consecutive numbers starting at the marker,
-// hash-linked, with summary blocks in their slots, the first block being
-// the current Genesis marker (§IV-C: the marker block "is a trusted
-// anchor for the left blockchain part already approved by the anchor
-// nodes"). It is RestoreStream over an in-memory slice; stores feed
-// RestoreStream directly so large persisted chains never materialize
-// twice.
+// Restore rebuilds a chain from live blocks held in memory — somebody
+// else's: a status-quo offer, a test fixture. The blocks must be the
+// exact live suffix of a selective-deletion chain: consecutive numbers
+// starting at the marker, hash-linked, with summary blocks in their
+// slots, the first block being the current Genesis marker (§IV-C: the
+// marker block "is a trusted anchor for the left blockchain part already
+// approved by the anchor nodes"). It is RestoreStream over a slice.
 func Restore(cfg Config, blocks []*block.Block) (*Chain, error) {
 	return RestoreStream(cfg, func(yield func(*block.Block, error) bool) {
 		for _, b := range blocks {
@@ -27,41 +25,53 @@ func Restore(cfg Config, blocks []*block.Block) (*Chain, error) {
 	})
 }
 
-// restoreLookahead is the restore pipeline's window: how many streamed
-// blocks may sit decoded-and-verified ahead of the registration stage.
-// Small on purpose — the window bounds extra memory to a handful of
-// blocks while still overlapping the CPU-heavy verification of block
-// N+1 with the state registration of block N.
-const restoreLookahead = 4
-
-// restoreVerified is one block that has passed the stream's stateless
-// stage (shape check, pooled signature verification, deletion
-// co-signature prechecks) and awaits ordered registration.
-type restoreVerified struct {
-	b      *block.Block
-	checks cosigChecks
-	err    error
+// RestoreStream rebuilds a chain from a stream of live blocks that
+// crossed a trust boundary on their way here: a peer's snapshot offer, a
+// gossiped status quo, blocks a caller hands to the façade. Nothing is
+// believed: on top of everything RestoreOwnStream checks, the owner
+// signature of every entry — including entries carried inside summary
+// blocks — is verified through the parallel verification pool, so a
+// malicious offer is rejected at the offending block instead of
+// poisoning later validations. VerifySignatures runs the same check
+// over a chain that is already open.
+func RestoreStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
+	return restoreStream(cfg, blocks, true)
 }
 
-// RestoreStream rebuilds a chain from a stream of persisted live blocks
-// (e.g. Store.Stream), bounding memory to the live chain itself plus a
-// small look-ahead window: a pipeline stage decodes each block and
-// verifies its signatures — including entries carried inside summary
-// blocks and the co-signatures of deletion requests — through the
-// parallel verification pool, while the registration stage applies the
-// order-dependent checks (hash link, slot kind) and chain state (index,
-// dependency edges, marks, carried-entry ledger) of the block before
-// it. Verification is chain-state independent, so overlapping block
-// N+1's verification with block N's registration is sound; a tampered
-// persisted chain (or a malicious status-quo offer) is still rejected
-// at the offending block instead of poisoning later validations.
+// RestoreOwnStream rebuilds a chain from the stream of blocks this
+// process's own store wrote (store.Open is its one caller). A restart
+// crosses no trust boundary — the stored suffix is what this node
+// already validated, entry by entry, before it wrote it — so the bytes
+// are checked and the owner signatures are not: every block is
+// shape-checked (its body re-committed against the header's Merkle
+// root), numbers, hash links, slot kinds and timestamps are checked
+// link by link, and the co-signatures of deletion requests ARE verified,
+// because their verdicts decide which marks are re-created: a request
+// the chain once rejected must be rejected again. What this leaves
+// undetected is an attacker who can rewrite the directory AND re-hash
+// everything behind the rewritten block; VerifySignatures is the audit
+// for that, on demand.
+func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
+	return restoreStream(cfg, blocks, false)
+}
+
+// restoreStream is the one restore body; ownerSigs is the single stage
+// the two origins differ in. Blocks are checked and registered one at a
+// time as the stream yields them, so memory is bounded by the live chain
+// itself however long the stored or offered suffix.
+//
+// There is deliberately no stage running the stateless checks ahead of
+// registration: one block's signature batch already fans out across the
+// verification pool, registration is a twentieth of it, and a four-block
+// window measured no gain with owner signatures on or off (numbers in
+// docs/ARCHITECTURE.md §4).
 //
 // Deletion marks are reconstructed by re-processing the deletion entries
 // present in the live blocks; marks whose targets were already physically
 // forgotten are (correctly) not recreated. Lifetime statistics counters
 // (CutBlocks, ForgottenEntries, …) restart from zero — they describe the
 // current process, not the chain's full history.
-func RestoreStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
+func restoreStream(cfg Config, blocks iter.Seq2[*block.Block, error], ownerSigs bool) (*Chain, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -76,50 +86,25 @@ func RestoreStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, e
 		tombIndex:   make(map[block.Ref]int),
 		nextTombSeq: 1,
 	}
-	// Producer: stream, shape-check, and pool-verify up to
-	// restoreLookahead blocks ahead of registration. It stops at the
-	// first error it produces and unblocks promptly when the consumer
-	// abandons the restore.
-	ch := make(chan restoreVerified, restoreLookahead)
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		defer close(ch)
-		for b, err := range blocks {
-			v := restoreVerified{b: b, err: err}
-			if v.err != nil {
-				v.err = fmt.Errorf("chain: restore: %w", v.err)
-			} else {
-				v.checks, v.err = c.verifyRestoredBlock(b)
-			}
-			select {
-			case ch <- v:
-			case <-stop:
-				return
-			}
-			if v.err != nil {
-				return
-			}
-		}
-	}()
-
 	var prev *block.Block
-	n := uint64(0)
-	for v := range ch {
-		if v.err != nil {
-			return nil, v.err
+	for b, err := range blocks {
+		if err != nil {
+			return nil, fmt.Errorf("chain: restore: %w", err)
+		}
+		checks, err := c.verifyRestoredBlock(b, ownerSigs)
+		if err != nil {
+			return nil, err
 		}
 		if prev == nil {
-			c.marker = v.b.Header.Number
+			c.marker = b.Header.Number
 			if c.marker%uint64(full.SequenceLength) != 0 {
 				return nil, fmt.Errorf("%w: first block %d is not sequence-aligned", ErrConfig, c.marker)
 			}
 		}
-		if err := c.registerRestoredBlock(v.b, prev, v.checks); err != nil {
+		if err := c.registerRestoredBlock(b, prev, checks); err != nil {
 			return nil, err
 		}
-		prev = v.b
-		n++
+		prev = b
 	}
 	if prev == nil {
 		return nil, fmt.Errorf("%w: no blocks to restore", ErrConfig)
@@ -128,21 +113,21 @@ func RestoreStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, e
 	if setter, ok := full.Clock.(interface{ Set(uint64) }); ok {
 		setter.Set(c.head().Header.Time)
 	}
-	c.stats.AppendedBlocks = n
 	return c, nil
 }
 
 // verifyRestoredBlock runs the chain-state-independent half of a
-// streamed block's restore: structural shape, pooled signature
-// verification, and the deletion co-signature prechecks. It only reads
-// the chain's immutable configuration, so the restore pipeline may run
-// it for block N+1 while block N is still being registered.
-func (c *Chain) verifyRestoredBlock(b *block.Block) (cosigChecks, error) {
+// streamed block's restore: structural shape, pooled owner-signature
+// verification when the blocks are not this node's own, and the
+// deletion co-signature prechecks.
+func (c *Chain) verifyRestoredBlock(b *block.Block, ownerSigs bool) (cosigChecks, error) {
 	if err := b.CheckShape(); err != nil {
 		return nil, fmt.Errorf("chain: restore block %d: %w", b.Header.Number, err)
 	}
-	if err := c.cfg.Verifier.Blocks(c.cfg.Registry, []*block.Block{b}); err != nil {
-		return nil, fmt.Errorf("chain: restore: %w", err)
+	if ownerSigs {
+		if err := c.cfg.Verifier.Blocks(c.cfg.Registry, []*block.Block{b}); err != nil {
+			return nil, fmt.Errorf("chain: restore: %w", err)
+		}
 	}
 	if b.IsSummary() {
 		return nil, nil
@@ -151,27 +136,17 @@ func (c *Chain) verifyRestoredBlock(b *block.Block) (cosigChecks, error) {
 }
 
 // registerRestoredBlock applies the order-dependent checks and state
-// registration of one pipeline-verified block. The chain is not yet
-// shared, so no lock is held.
+// registration of one verified block. The chain is not yet shared, so no
+// lock is held.
 func (c *Chain) registerRestoredBlock(b *block.Block, prev *block.Block, checks cosigChecks) error {
-	if prev != nil {
-		wantNum := prev.Header.Number + 1
-		if b.Header.Number != wantNum {
-			return fmt.Errorf("chain: restore: block %d out of order (want %d)", b.Header.Number, wantNum)
-		}
-		if b.Header.PrevHash != prev.Hash() {
-			return fmt.Errorf("chain: restore: broken hash link at block %d", b.Header.Number)
-		}
+	if err := c.checkLink(prev, b); err != nil {
+		return fmt.Errorf("chain: restore: %w", err)
 	}
-	if b.IsSummary() != c.isSummarySlot(b.Header.Number) {
-		return fmt.Errorf("chain: restore: block %d kind %s does not match slot", b.Header.Number, b.Header.Kind)
-	}
+	c.pushBlock(b)
 	if !b.IsSummary() {
-		c.pushBlock(b)
 		c.processNormal(b, checks)
 		return nil
 	}
-	c.pushBlock(b)
 	// Re-register the dependency edges of carried entries. A live
 	// chain keeps these edges when entries migrate into a summary;
 	// dropping them here would let a replayed deletion request slip

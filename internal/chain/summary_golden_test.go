@@ -114,6 +114,15 @@ func driveGolden(t *testing.T, c *Chain, env *goldenEnv, rounds int) []string {
 		if !c.ledgerSortedForTest() {
 			t.Fatalf("ledger ordering invariant broken after block %d", c.Head().Number)
 		}
+		// LiveBytes is fed by Block.EncodedSize, a counting pass: it must
+		// stay the length of what Encode writes, through pushes and cuts.
+		var encoded int64
+		for _, b := range c.Blocks() {
+			encoded += int64(len(b.Encode()))
+		}
+		if s.LiveBytes != encoded {
+			t.Fatalf("LiveBytes %d after block %d, live blocks encode to %d", s.LiveBytes, c.Head().Number, encoded)
+		}
 	}
 
 	for r := 0; r < rounds; r++ {

@@ -99,6 +99,10 @@ func ParseHash(s string) (Hash, error) {
 // The zero value is ready to use.
 type Encoder struct {
 	buf []byte
+	// counting encoders (NewCounter) keep no bytes: every primitive only
+	// adds its encoded width to n.
+	counting bool
+	n        int
 }
 
 // NewEncoder returns an encoder with the given initial capacity hint.
@@ -113,13 +117,29 @@ func NewEncoderBuf(buf []byte) *Encoder {
 	return &Encoder{buf: buf}
 }
 
+// NewCounter returns an encoder that discards what it is given and only
+// counts it: Len reports the size the same calls would have encoded to,
+// Data stays empty. Running a structure's encode function over a counter
+// sizes it exactly, with no buffer.
+func NewCounter() *Encoder {
+	return &Encoder{counting: true}
+}
+
 // Uint64 appends v as 8 big-endian bytes.
 func (e *Encoder) Uint64(v uint64) {
+	if e.counting {
+		e.n += 8
+		return
+	}
 	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }
 
 // Uint32 appends v as 4 big-endian bytes.
 func (e *Encoder) Uint32(v uint32) {
+	if e.counting {
+		e.n += 4
+		return
+	}
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
@@ -130,6 +150,10 @@ func (e *Encoder) Int64(v int64) {
 
 // Byte appends a single raw byte.
 func (e *Encoder) Byte(b byte) {
+	if e.counting {
+		e.n++
+		return
+	}
 	e.buf = append(e.buf, b)
 }
 
@@ -145,39 +169,64 @@ func (e *Encoder) Bool(v bool) {
 // Bytes appends b with a uint32 length prefix.
 func (e *Encoder) Bytes(b []byte) {
 	e.Uint32(uint32(len(b)))
+	if e.counting {
+		e.n += len(b)
+		return
+	}
 	e.buf = append(e.buf, b...)
 }
 
-// Nested appends a uint32-length-prefixed field whose content fn
-// encodes directly into this encoder's buffer — the in-place form of
-// Bytes(sub.Encode()) for nested structures: the length prefix is
-// reserved up front and backfilled once fn returns, so the nested
-// encoding never materializes in a separate allocation. The resulting
-// bytes are identical to Bytes over the separately encoded content.
-func (e *Encoder) Nested(fn func(*Encoder)) {
-	at := len(e.buf)
+// BeginNested opens a uint32-length-prefixed field whose content the
+// caller encodes straight into this encoder, until EndNested(at) with
+// the returned position — the in-place form of Bytes(sub.Encode()) for
+// nested structures: the length prefix is reserved up front and
+// backfilled at the end, so the nested encoding never materializes in a
+// separate allocation. The resulting bytes are identical to Bytes over
+// the separately encoded content. (A begin/end pair and not a callback:
+// an encoder handed to a function value escapes to the heap.)
+func (e *Encoder) BeginNested() (at int) {
+	if e.counting {
+		e.n += 4
+		return 0
+	}
+	at = len(e.buf)
 	e.buf = append(e.buf, 0, 0, 0, 0)
-	fn(e)
+	return at
+}
+
+// EndNested closes the field opened by the BeginNested that returned at.
+func (e *Encoder) EndNested(at int) {
+	if e.counting {
+		return
+	}
 	binary.BigEndian.PutUint32(e.buf[at:at+4], uint32(len(e.buf)-at-4))
 }
 
 // String appends s with a uint32 length prefix.
 func (e *Encoder) String(s string) {
 	e.Uint32(uint32(len(s)))
+	if e.counting {
+		e.n += len(s)
+		return
+	}
 	e.buf = append(e.buf, s...)
 }
 
 // Hash appends a fixed-width hash with no length prefix.
 func (e *Encoder) Hash(h Hash) {
+	if e.counting {
+		e.n += HashSize
+		return
+	}
 	e.buf = append(e.buf, h[:]...)
 }
 
 // Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
+func (e *Encoder) Len() int { return len(e.buf) + e.n }
 
 // Reset discards the encoded bytes, keeping the buffer's capacity for
 // reuse. Any slice previously returned by Data is invalidated.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+func (e *Encoder) Reset() { e.buf, e.n = e.buf[:0], 0 }
 
 // Data returns the encoded bytes. The returned slice aliases the
 // encoder's internal buffer; callers must not mutate it.

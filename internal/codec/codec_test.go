@@ -247,6 +247,55 @@ func TestEncoderLen(t *testing.T) {
 	}
 }
 
+// TestCounterMatchesEncoder runs every primitive over a buffering and a
+// counting encoder: the counter keeps no bytes and reports the same
+// length at every step, nested fields included.
+func TestCounterMatchesEncoder(t *testing.T) {
+	steps := []func(*Encoder){
+		func(e *Encoder) { e.Uint64(1 << 40) },
+		func(e *Encoder) { e.Uint32(7) },
+		func(e *Encoder) { e.Int64(-1) },
+		func(e *Encoder) { e.Byte(9) },
+		func(e *Encoder) { e.Bool(true) },
+		func(e *Encoder) { e.Bytes([]byte("payload")) },
+		func(e *Encoder) { e.Bytes(nil) },
+		func(e *Encoder) { e.String("owner") },
+		func(e *Encoder) { e.Hash(HashBytes([]byte("h"))) },
+		func(e *Encoder) {
+			outer := e.BeginNested()
+			e.String("outer")
+			inner := e.BeginNested()
+			e.Uint64(2)
+			e.EndNested(inner)
+			e.EndNested(outer)
+		},
+	}
+	buf, count := NewEncoder(0), NewCounter()
+	for i, step := range steps {
+		step(buf)
+		step(count)
+		if buf.Len() != count.Len() {
+			t.Fatalf("after step %d: encoder holds %d bytes, counter says %d", i, buf.Len(), count.Len())
+		}
+	}
+	if len(count.Data()) != 0 {
+		t.Error("counting encoder kept bytes")
+	}
+	count.Reset()
+	if count.Len() != 0 {
+		t.Errorf("Len after Reset = %d", count.Len())
+	}
+	// The nested field reads back as one length-prefixed view.
+	d := NewDecoder(buf.Data()[buf.Len()-(4+4+5+4+8):])
+	nested := NewDecoder(d.View())
+	if s := nested.ReadString(); s != "outer" {
+		t.Errorf("nested string = %q", s)
+	}
+	if v := NewDecoder(nested.View()).Uint64(); v != 2 || nested.Finish() != nil || d.Finish() != nil {
+		t.Errorf("nested value = %d, finish %v / %v", v, nested.Finish(), d.Finish())
+	}
+}
+
 func TestEncoderSumMatchesHashBytes(t *testing.T) {
 	e := NewEncoder(0)
 	e.String("payload")

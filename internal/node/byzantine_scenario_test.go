@@ -16,6 +16,7 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store/segment"
+	"github.com/seldel/seldel/internal/verify"
 	"github.com/seldel/seldel/internal/wire"
 )
 
@@ -231,6 +232,9 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	defer st2.Close()
 	cfg.Store = st2
 	cfg.Chain.Clock = simclock.NewLogical(0)
+	ver := verify.New(verify.Options{})
+	defer ver.Close()
+	cfg.Chain.Verifier = ver
 	rejoined, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +256,42 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 		t.Fatalf("forged offer not floor-rejected: %+v", st1)
 	}
 
+	// The floor does not stop a forgery anchored at the honest marker: a
+	// suffix re-hashed around a forged owner signature. A member whose
+	// store directory was rewritten that way opens it without complaint
+	// (a node does not re-verify its own bytes; VerifySignatures is the
+	// audit that names the entry) and offers it in good faith. What
+	// crossed the network is verified signature by signature: refused.
+	honest := cl.nodes[0].Chain().Blocks()
+	at := len(honest) - 1
+	for at > 0 && len(honest[at].Entries) == 0 {
+		at--
+	}
+	reopenCfg := cfg.Chain
+	reopenCfg.Clock = simclock.NewLogical(0)
+	rewritten, err := chain.RestoreOwnStream(reopenCfg, func(yield func(*block.Block, error) bool) {
+		for _, b := range attack.RehashedSuffix(honest, at, func(b *block.Block) { attack.ForgeEntry(b.Entries[0]) }) {
+			if !yield(b, nil) {
+				return
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("re-hashed suffix did not open as the node's own: %v", err)
+	}
+	defer rewritten.Close()
+	if err := rewritten.VerifySignatures(); !errors.Is(err, identity.ErrBadSignature) {
+		t.Fatalf("VerifySignatures on the rewritten chain = %v, want a bad signature", err)
+	}
+	cl.nodes[2].sendSnapshot(rejoined.Name(), rewritten)
+	cl.net.Flush()
+	if head := rejoined.Chain().Head().Number; head != 0 {
+		t.Fatalf("rejoined replica adopted a suffix with a forged owner signature (head %d)", head)
+	}
+	if st := rejoined.SyncStats(); st.OffersAborted != st1.OffersAborted+1 || st.OffersCompleted != 0 {
+		t.Fatalf("forged-signature offer not aborted: before %+v, after %+v", st1, st)
+	}
+
 	// An honest peer's offer is anchored at or above the floor: adopted.
 	rejoined.requestSync(cl.nodes[0].Name())
 	cl.net.Flush()
@@ -261,6 +301,15 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	}
 	if rejoined.Chain().Marker() < floor {
 		t.Fatalf("adopted marker %d below the floor %d", rejoined.Chain().Marker(), floor)
+	}
+	adopted := 0
+	for _, b := range rejoined.Chain().Blocks() {
+		adopted += len(b.Entries) + len(b.Carried)
+	}
+	// Every entry that came from a peer cost this node's own verifier a
+	// verification (the forged offer's valid prefix stayed in its cache).
+	if got := ver.Stats().Verified; adopted == 0 || got < uint64(adopted) {
+		t.Fatalf("adopting %d entries from peers verified %d signatures", adopted, got)
 	}
 	if resolvable(rejoined, victim) {
 		t.Fatal("victim resurrected despite the floor")

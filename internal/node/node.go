@@ -966,15 +966,17 @@ func (n *Node) handleSyncResp(env wire.Envelope) {
 }
 
 // handleSnapshotResp streams a quorum peer's chunked snapshot offer into
-// the chain restore pipeline. Chunk 0 opens a session — after the
+// the chain restore. Chunk 0 opens a session — after the
 // resurrection-floor check on the offered marker — and starts a consumer
 // goroutine running chain.RestoreStream on a channel-fed block sequence;
 // every in-order chunk decodes its blocks and feeds them through. Memory
-// stays bounded by one chunk plus the restore pipeline's look-ahead, not
-// by the offered chain's length. The final chunk closes the feed, and
-// the restored chain is adopted (adoptRestored) only when it is
-// integrity-clean and strictly ahead of the local head. Out-of-order,
-// cross-offer, or non-contiguous chunks abort the session.
+// stays bounded by one chunk, not by the offered chain's length. These
+// are a peer's bytes: RestoreStream verifies every owner signature,
+// which a node reopening its own store (store.Open) does not. The final
+// chunk closes the feed, and the restored chain is adopted
+// (adoptRestored) only when it is integrity-clean and strictly ahead of
+// the local head. Out-of-order, cross-offer, or non-contiguous chunks
+// abort the session.
 func (n *Node) handleSnapshotResp(env wire.Envelope) {
 	if !n.quorum.Contains(env.Sender) || !n.offerGate(env.Sender) {
 		return

@@ -18,6 +18,7 @@ import (
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 // The scenario suite: multi-phase failure drills for the cluster layer,
@@ -282,12 +283,21 @@ func TestRestartRestoresFromSnapshotStore(t *testing.T) {
 	// The cluster moves on while the node is down.
 	cl.driveRounds(t, 0, 2, "while-down")
 
+	// A restart crosses no trust boundary: with a verifier of its own,
+	// the node opens its store without one signature verification (the
+	// drill holds no co-signed deletion request).
+	ver := verify.New(verify.Options{})
+	defer ver.Close()
+	cfg.Chain.Verifier = ver
 	restarted, err := New(cfg)
 	if err != nil {
 		t.Fatalf("restart from store: %v", err)
 	}
 	defer restarted.Close()
 	c := restarted.Chain()
+	if v := ver.Stats().Verified; v != 0 {
+		t.Errorf("restart from the node's own store verified %d signatures, want 0", v)
+	}
 	if c.Head().Number != headBefore {
 		t.Errorf("restored head %d, want %d", c.Head().Number, headBefore)
 	}

@@ -37,7 +37,11 @@ type syncer interface {
 }
 
 // Open puts a chain on s: restored from the stored blocks when s holds
-// any, created and mirrored into s from genesis otherwise. Either way
+// any, created and mirrored into s from genesis otherwise. s is the
+// caller's own store, written by an earlier run of this same code, and
+// that is the trust boundary: the restore checks bytes and links, not
+// owner signatures (chain.RestoreOwnStream). Blocks that came from
+// anyone else go through chain.RestoreStream instead. Either way
 // the store's surviving deletion records seed the chain's tombstones,
 // and from then on every append and truncation of the chain is written
 // through to s. A write that fails is latched on the chain
@@ -70,10 +74,10 @@ func Open(cfg chain.Config, s Store) (*chain.Chain, error) {
 		}
 		return c, nil
 	}
-	// The store is consumed as a stream: each block is decoded,
-	// pool-verified and registered before the next is read, so memory
-	// stays bounded by the live chain however long the stored suffix.
-	c, err := chain.RestoreStream(cfg, s.Stream())
+	// The store is consumed as a stream: each block is decoded, checked
+	// and registered before the next is read, so memory stays bounded by
+	// the live chain however long the stored suffix.
+	c, err := chain.RestoreOwnStream(cfg, s.Stream())
 	if err != nil {
 		return nil, err
 	}

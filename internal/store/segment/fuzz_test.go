@@ -124,6 +124,12 @@ func FuzzParseRecord(f *testing.F) {
 		if got := frameRecord(num, payload); !bytes.Equal(got, raw[:span]) {
 			t.Fatalf("re-framed record differs from parsed bytes")
 		}
+		// A payload that decodes is a canonical block encoding: the
+		// chain's byte accounting (EncodedSize, a counting pass) must
+		// size it as exactly the bytes on disk.
+		if b, err := block.DecodeBlock(payload); err == nil && b.EncodedSize() != len(payload) {
+			t.Fatalf("EncodedSize %d for a %d-byte block encoding", b.EncodedSize(), len(payload))
+		}
 	})
 }
 

@@ -113,6 +113,13 @@ type Store struct {
 
 var _ store.Store = (*Store)(nil)
 
+// ErrCorrupt reports a record of a sealed segment that fails its length
+// or checksum. Only the newest segment is ever appended to — the one
+// before it is fsynced before its successor is created — so a crash can
+// tear no other: a bad record anywhere else is damage or tampering, and
+// Open refuses the directory instead of truncating evidence away.
+var ErrCorrupt = errors.New("segment: corrupt record in a sealed segment")
+
 // Open opens (or creates) a segment store rooted at dir, reconciling
 // the manifest against the segment files actually present: torn tails
 // are truncated to the last durable record, segments created but not
@@ -239,8 +246,8 @@ func (s *Store) recover(man *manifest) error {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		seg, err := s.openSegment(id, onDisk[id])
+	for i, id := range ids {
+		seg, err := s.openSegment(id, onDisk[id], i == len(ids)-1)
 		if err != nil {
 			return err
 		}
@@ -292,11 +299,12 @@ func (s *Store) recover(man *manifest) error {
 	return nil
 }
 
-// openSegment reads one segment file, truncating a torn tail back to
-// the last record whose length and checksum verify, and registers its
-// records in the index (higher segments win on duplicate numbers, so
-// re-puts resolve to the newest copy).
-func (s *Store) openSegment(id uint64, path string) (*segmentFile, error) {
+// openSegment reads one segment file and registers its records in the
+// index (higher segments win on duplicate numbers, so re-puts resolve to
+// the newest copy). In the newest segment a tail that fails its length
+// or checksum is what a crash mid-append leaves: it is truncated back to
+// the last record that verifies. In a sealed one it is ErrCorrupt.
+func (s *Store) openSegment(id uint64, path string, newest bool) (*segmentFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("segment: open %s: %w", path, err)
@@ -331,6 +339,10 @@ func (s *Store) openSegment(id uint64, path string) (*segmentFile, error) {
 		good = int64(len(segMagic))
 	}
 	if good < int64(len(raw)) {
+		if !newest {
+			f.Close()
+			return nil, fmt.Errorf("%w: %s at offset %d", ErrCorrupt, path, good)
+		}
 		if err := f.Truncate(good); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("segment: truncate torn tail of %s: %w", path, err)

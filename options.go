@@ -64,7 +64,11 @@ func (b *builder) closeOwned() {
 //
 // When a store is supplied and already holds blocks, the chain is
 // restored from it; otherwise a fresh genesis is created and mirrored
-// into the store. Call Close when done to drain the submission pipeline.
+// into the store. The store is taken to be the chain's own: its bytes
+// are checked (checksums, Merkle roots, hash links, timestamps, deletion
+// co-signatures), the owner signatures it already validated before
+// writing are not — Chain.VerifySignatures audits those on demand. Call
+// Close when done to drain the submission pipeline.
 func New(reg *Registry, opts ...Option) (*Chain, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("%w: registry is required", ErrConfig)

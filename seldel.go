@@ -332,10 +332,11 @@ const (
 // form renders as "DEADB" exactly as in the paper's Fig. 6.
 var GenesisPrevHash = block.GenesisPrevHash
 
-// RestoreChain rebuilds a chain from persisted live blocks. Stores are
-// restored as streams (see WithStore / WithSegmentStore), so this slice
-// form is for blocks already in memory — adopted status-quo offers,
-// test fixtures.
+// RestoreChain rebuilds a chain from live blocks already in memory —
+// adopted status-quo offers, test fixtures. They are somebody else's
+// bytes: every owner signature is verified, which a chain reopening its
+// own store (WithStore / WithSegmentStore) leaves to
+// Chain.VerifySignatures.
 func RestoreChain(cfg Config, blocks []*Block) (*Chain, error) {
 	return chain.Restore(cfg, blocks)
 }

@@ -4,8 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/seldel/seldel/internal/attack"
+	"github.com/seldel/seldel/internal/block"
+	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 // TestWithSegmentStoreLifecycle exercises the public segment-store
@@ -152,5 +161,264 @@ func TestWithDurabilityGroup(t *testing.T) {
 	}
 	if _, err := New(reg, WithDurability(DurabilityGroup, -time.Second)); !errors.Is(err, ErrConfig) {
 		t.Fatalf("negative group window: err=%v, want ErrConfig", err)
+	}
+}
+
+// ownStore is a populated segment-store directory and what its chain
+// looked like when it was closed.
+type ownStore struct {
+	dir    string
+	reg    *Registry
+	opts   []Option // everything but the store and the verifier
+	cfg    Config   // the same geometry, for RestoreChain
+	head   Hash
+	marks  int
+	blocks []*Block
+}
+
+// newOwnStore runs a chain on a fresh segment store — several small
+// segments, sequences cut and carried, dependents, and deletion requests
+// that were approved (owner-only, or co-signed by the dependent's owner
+// when coSigned is set) and rejected (dependent's co-signature missing)
+// — and closes it.
+func newOwnStore(t *testing.T, coSigned bool) *ownStore {
+	t.Helper()
+	reg := NewRegistry()
+	alice := DeterministicKey("alice", "own-store-test")
+	bob := DeterministicKey("bob", "own-store-test")
+	for _, kp := range []*KeyPair{alice, bob} {
+		if err := reg.RegisterKey(kp, RoleUser); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := &ownStore{
+		dir:  t.TempDir(),
+		reg:  reg,
+		opts: []Option{WithSequenceLength(3), WithMaxSequences(4), WithShrink(ShrinkMinimal)},
+		cfg:  Config{SequenceLength: 3, MaxSequences: 4, Shrink: ShrinkMinimal, Registry: reg},
+	}
+	c := o.open(t, nil)
+	ctx := context.Background()
+	for i := 0; i < 24; i++ {
+		sealed, err := c.SubmitWait(ctx, NewData("alice", []byte(fmt.Sprintf("own-%02d", i))).Sign(alice))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, want := sealed[0].Ref, "approved"
+		del := NewDeletion("alice", ref)
+		switch i % 3 {
+		case 1: // a dependent of bob's: his co-signature decides
+			if _, err := c.SubmitWait(ctx, NewData("bob", []byte("dep")).WithDependsOn(ref).Sign(bob)); err != nil {
+				t.Fatal(err)
+			}
+			if coSigned {
+				del.Sign(alice).AddCoSignature(bob)
+			} else {
+				want = "rejected"
+			}
+		case 2:
+			continue
+		}
+		out, err := c.SubmitWait(ctx, del.Sign(alice))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0].Mark.String(); got != want {
+			t.Fatalf("deletion %d: %s, want %s", i, got, want)
+		}
+	}
+	if err := c.CompactWait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if c.Marker() == 0 || c.Stats().CarriedEntries == 0 {
+		t.Fatalf("fixture never cut and carried (marker %d)", c.Marker())
+	}
+	o.head, o.marks, o.blocks = c.HeadHash(), len(c.Marks()), c.Blocks()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// open opens the directory the way its owner does.
+func (o *ownStore) open(t *testing.T, ver *Verifier) *Chain {
+	t.Helper()
+	c, err := o.tryOpen(o.dir, ver)
+	if err != nil {
+		t.Fatalf("open own store: %v", err)
+	}
+	return c
+}
+
+func (o *ownStore) tryOpen(dir string, ver *Verifier) (*Chain, error) {
+	opts := append([]Option{WithClock(NewLogicalClock(0)), WithSegmentStore(dir, SegmentOptions{SegmentBytes: 1024})}, o.opts...)
+	if ver != nil {
+		opts = append(opts, WithVerifier(ver))
+	}
+	return New(o.reg, opts...)
+}
+
+// liveSignatures counts what a full verification of blocks has to pay
+// for: one owner signature per entry (carried ones included) and the
+// co-signatures of deletion requests.
+func liveSignatures(blocks []*Block) (owners, coSigs uint64) {
+	for _, b := range blocks {
+		owners += uint64(len(b.Entries) + len(b.Carried))
+		for _, e := range b.Entries {
+			coSigs += uint64(len(e.CoSigners))
+		}
+	}
+	return owners, coSigs
+}
+
+// TestReopenVerifiesBytesNotSignatures is the cost of the two restore
+// origins in signatures verified, which no machine changes: a chain
+// reopening its own store pays for the co-signatures of the deletion
+// requests it holds — their verdicts re-create the marks — and for no
+// owner signature; the same blocks handed over in memory (RestoreChain,
+// as a peer's offer is) pay for every live entry.
+func TestReopenVerifiesBytesNotSignatures(t *testing.T) {
+	for _, coSigned := range []bool{false, true} {
+		o := newOwnStore(t, coSigned)
+		owners, coSigs := liveSignatures(o.blocks)
+		if coSigned == (coSigs == 0) {
+			t.Fatalf("coSigned=%v fixture holds %d live co-signatures", coSigned, coSigs)
+		}
+
+		ver := NewVerifier(0, 0)
+		c := o.open(t, ver)
+		if got := ver.Stats().Verified; got != coSigs {
+			t.Errorf("coSigned=%v: reopening the own store verified %d signatures, want the %d live co-signatures", coSigned, got, coSigs)
+		}
+		// Bytes were checked, and the verdicts did their work: the same
+		// head, and every request approved or rejected as before.
+		if c.HeadHash() != o.head {
+			t.Errorf("coSigned=%v: reopened head differs", coSigned)
+		}
+		if got := len(c.Marks()); got != o.marks || got == 0 {
+			t.Errorf("coSigned=%v: reopened chain holds %d marks, want %d", coSigned, got, o.marks)
+		}
+		if err := c.VerifySignatures(); err != nil {
+			t.Errorf("coSigned=%v: VerifySignatures: %v", coSigned, err)
+		}
+		if got := ver.Stats().Verified; got < owners {
+			t.Errorf("coSigned=%v: the audit verified %d signatures for %d live entries", coSigned, got, owners)
+		}
+		c.Close()
+		ver.Close()
+
+		ver = NewVerifier(0, 0)
+		cfg := o.cfg
+		cfg.Clock, cfg.Verifier = NewLogicalClock(0), ver
+		foreign, err := RestoreChain(cfg, o.blocks)
+		if err != nil {
+			t.Fatalf("RestoreChain: %v", err)
+		}
+		if got := ver.Stats().Verified; got < owners {
+			t.Errorf("coSigned=%v: RestoreChain verified %d signatures for %d live entries", coSigned, got, owners)
+		}
+		foreign.Close()
+		ver.Close()
+	}
+}
+
+// TestOwnStoreTamperMatrix rewrites a closed store directory and reopens
+// it as its owner. Whatever breaks the bytes or the links fails New with
+// a typed error. The last row is the boundary of the trusted reopen,
+// stated: a suffix re-hashed all the way to the head around a forged
+// owner signature — consistent checksums, Merkle roots and hash links —
+// opens, because a node does not re-verify the signatures of its own
+// store; VerifySignatures is the audit that names the block and the
+// entry. (Offered by a peer, the same suffix is refused: the forged-
+// snapshot drill in internal/node.)
+func TestOwnStoreTamperMatrix(t *testing.T) {
+	o := newOwnStore(t, true)
+	at := -1
+	for i, b := range o.blocks[:len(o.blocks)-1] {
+		if i > 0 && len(b.Entries) > 0 && b.Entries[0].Kind == block.KindData {
+			at = i
+		}
+	}
+	if at < 0 {
+		t.Fatal("fixture has no data block before its head")
+	}
+	// reput appends records for blocks to the store in dir: framed and
+	// checksummed like any other, they supersede the originals.
+	reput := func(blocks []*Block) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			s, err := NewSegmentStore(dir, SegmentOptions{SegmentBytes: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, b := range blocks {
+				if err := s.PutBlock(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	edited := o.blocks[at].Clone()
+	edited.Entries[0].Payload = []byte("edited")
+	replaced := o.blocks[at].Clone()
+	replaced.Entries, replaced.Header.EntriesRoot = nil, block.EntriesRoot(nil)
+	regressed := attack.RehashedSuffix(o.blocks, at, func(b *Block) { b.Header.Time = 0 })
+	forged := attack.RehashedSuffix(o.blocks, at, func(b *Block) { attack.ForgeEntry(b.Entries[0]) })
+
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, dir string)
+		want   error // nil: New opens the store, VerifySignatures objects
+	}{
+		{"payload byte flipped in a sealed segment", func(t *testing.T, dir string) {
+			segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+			if err != nil || len(segs) < 2 {
+				t.Fatalf("want several segments, got %v (%v)", segs, err)
+			}
+			sort.Strings(segs)
+			raw, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(segs[0], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, ErrStoreCorrupt},
+		{"record rewritten under a valid checksum", reput([]*Block{edited}), ErrRootMismatch},
+		{"block replaced by a self-consistent one", reput([]*Block{replaced}), ErrNotNext},
+		{"time regressed, suffix re-hashed", reput(regressed[at:]), ErrTimeRegression},
+		{"owner signature forged, suffix re-hashed", reput(forged[at:]), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(o.dir)); err != nil {
+				t.Fatal(err)
+			}
+			tc.tamper(t, dir)
+			c, err := o.tryOpen(dir, nil)
+			if c != nil {
+				defer c.Close()
+			}
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("New = %v, want %v", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("New = %v, want the re-hashed store to open", err)
+			}
+			if c.HeadHash() == o.head {
+				t.Fatal("the rewritten suffix kept the old head hash")
+			}
+			err = c.VerifySignatures()
+			var ee *verify.EntryError
+			where := fmt.Sprintf("block %d:", o.blocks[at].Header.Number)
+			if !errors.Is(err, identity.ErrBadSignature) || !errors.As(err, &ee) || ee.Index != 0 || !strings.Contains(err.Error(), where) {
+				t.Fatalf("VerifySignatures = %v, want a bad signature at %s entry 0", err, where)
+			}
+		})
 	}
 }
