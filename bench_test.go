@@ -1,8 +1,9 @@
 package seldel
 
-// Benchmark harness: one benchmark per experiment area (DESIGN.md §4).
-// `go test -bench=. -benchmem` regenerates the performance side of the
-// evaluation; the table/figure outputs come from `seldel-bench`.
+// Go micro-benchmarks, one per experiment area (the index E1–E12 is the
+// package comment of internal/experiments): `go test -bench=. -benchmem`.
+// The table/figure outputs come from `seldel-bench`; end-to-end speed is
+// measured by the repo benchmark (benchmark/README.md).
 
 import (
 	"context"

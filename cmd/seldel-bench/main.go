@@ -1,21 +1,19 @@
 // Command seldel-bench regenerates the paper's figures and the
-// quantitative claims of the evaluation (experiment index E1–E12 in
-// DESIGN.md).
+// quantitative claims of the evaluation (experiments E1–E12, indexed in
+// the package comment of internal/experiments). Every table is
+// deterministic: two runs print the same bytes.
 //
 // Usage:
 //
-//	seldel-bench                        # run everything
-//	seldel-bench -list                  # list experiment ids
-//	seldel-bench -run fig7              # run one experiment
-//	seldel-bench -json BENCH_PR1.json   # machine-readable pipeline bench
+//	seldel-bench              # run everything
+//	seldel-bench -list        # list experiment ids
+//	seldel-bench -run fig7    # run one experiment
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"github.com/seldel/seldel/internal/experiments"
 )
@@ -31,115 +29,13 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("seldel-bench", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	id := fs.String("run", "", "run a single experiment by id (default: all)")
-	jsonPath := fs.String("json", "", "run the submission-pipeline benchmark and write machine-readable results to this file")
-	jsonN := fs.Int("json-entries", 4000, "entries per configuration for -json")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := fs.String("memprofile", "", "write a heap profile taken after the run to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "seldel-bench: memprofile:", err)
-				return
-			}
-			defer f.Close()
-			// Settle the heap so the profile shows retained allocations,
-			// not garbage awaiting collection.
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "seldel-bench: memprofile:", err)
-			}
-		}()
 	}
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("%-10s %-12s %s\n", e.ID, e.Paper, e.Title)
 		}
-		return nil
-	}
-	if *jsonPath != "" {
-		report, err := experiments.WritePipelineJSON(*jsonPath, *jsonN)
-		if err != nil {
-			return err
-		}
-		for _, r := range report.Results {
-			fmt.Printf("%-7s producers=%-2d entries=%-6d blocks=%-5d %10.0f ops/sec\n",
-				r.API, r.Producers, r.Entries, r.Blocks, r.OpsPerSec)
-		}
-		fmt.Printf("submit@16 vs serial@1: %.2fx\n", report.SpeedupX16)
-		for _, r := range report.VerifyResults {
-			fmt.Printf("verify  gomaxprocs=%-2d cache=%-5v entries=%-6d %10.0f ops/sec (ed25519=%d, hits=%d)\n",
-				r.GOMAXPROCS, r.Cache, r.Entries, r.OpsPerSec, r.Verified, r.CacheHits)
-		}
-		fmt.Printf("verify pool: %.2fx; cache: %.2fx\n",
-			report.VerifyPoolSpeedup, report.VerifyCacheSpeedup)
-		for _, r := range report.DeletionResults {
-			fmt.Printf("delete  producers=%-2d deletions=%-5d %10.0f del/sec  append=%.0fus  truncations=%d compacted=%d\n",
-				r.Producers, r.Deletions, r.DeletionsPerSec, r.AvgAppendMicros,
-				r.Truncations, r.BlocksCompacted)
-		}
-		for _, r := range report.StorageResults {
-			switch r.Op {
-			case "reclaim":
-				fmt.Printf("storage %-8s %-18s blocks=%-5d bytes %d -> %d (reclaimed %d, %d segments)\n",
-					r.Op, r.Store, r.Blocks, r.BytesBefore, r.BytesAfter, r.BytesReclaimed, r.Segments)
-			default:
-				fmt.Printf("storage %-8s %-18s blocks=%-5d %10.0f blocks/sec %s\n",
-					r.Op, r.Store, r.Blocks, r.BlocksPerSec, r.Detail)
-			}
-		}
-		fmt.Printf("restore snapshot vs genesis: %.2fx\n", report.RestoreSnapshotSpeedup)
-		for _, r := range report.ClusterResults {
-			fmt.Printf("cluster nodes=%-3d rounds=%-4d blocks=%-5d %10.0f blocks/sec  deletion converged in %d rounds / %.1fms\n",
-				r.Nodes, r.Rounds, r.Blocks, r.BlocksPerSec, r.DeletionRounds, r.DeletionConvergeMillis)
-		}
-		for _, r := range report.ManifestResults {
-			fmt.Printf("manifest %-9s manifest=%-5v rounds=%-5d records=%-3d %10.0f /sec\n",
-				r.Op, r.Manifest, r.Rounds, r.Records, r.RatePerSec)
-		}
-		fmt.Printf("tombstone proofs: %.0f/sec\n", report.TombstoneProofsPerSec)
-		for _, r := range report.BatchVerifyResults {
-			fmt.Printf("verifybatch %-6s batch=%-3d warm=%.1f dup=%.1f sigs=%-5d %10.0f sigs/sec (ed25519=%d, hits=%d) %5.2fx\n",
-				r.Mode, r.BatchSize, r.WarmFrac, r.DupFrac, r.Sigs, r.SigsPerSec, r.Verified, r.CacheHits, r.Speedup)
-		}
-		fmt.Printf("batch verify (batch=16, warm 0.5) vs single-sig: %.2fx\n", report.BatchVerifySpeedup)
-		for _, r := range report.HotPathResults {
-			switch r.Op {
-			case "append-allocs":
-				fmt.Printf("hotpath allocs     producers=%-2d entries=%-6d %8.1f allocs/entry %8.0f bytes/entry %10.0f ops/sec\n",
-					r.Producers, r.Entries, r.AllocsPerEntry, r.BytesPerEntry, r.OpsPerSec)
-			case "durability":
-				fmt.Printf("hotpath durability mode=%-10s producers=%-2d blocks=%-5d fsyncs=%-5d %6.3f fsyncs/block %10.0f ops/sec\n",
-					r.Mode, r.Producers, r.Blocks, r.Fsyncs, r.FsyncsPerBlock, r.OpsPerSec)
-			}
-		}
-		for _, r := range report.PartitionResults {
-			fmt.Printf("partition n=%-2d producers=%-2d entries=%-6d %10.0f ops/sec\n",
-				r.Partitions, r.Producers, r.Entries, r.OpsPerSec)
-		}
-		if report.PartitionScaling4x > 0 {
-			fmt.Printf("partitions submit@16: 4p vs 1p %.2fx\n", report.PartitionScaling4x)
-		}
-		if b := report.HotPathBaselinePR6; b != nil && b.AllocsPerEntry > 0 {
-			fmt.Printf("hotpath vs PR6 baseline (%s): allocs/entry %.1f -> %.1f, fsyncs/block (durable receipts) %.3f -> %.3f\n",
-				b.Commit, b.AllocsPerEntry, report.AppendAllocsPerOp,
-				b.FsyncsPerBlockSyncEvery, report.GroupFsyncsPerBlock)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 		return nil
 	}
 	if *id != "" {

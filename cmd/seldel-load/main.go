@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/experiments"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/loadgen"
 	"github.com/seldel/seldel/internal/serve"
@@ -185,7 +184,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	keySeed := fs.String("key-seed", "seldel-serve", "key-derivation seed (must match server -key-seed)")
 	payload := fs.Int("payload", 64, "data-entry payload bytes")
 	maxInflight := fs.Int("max-inflight", 4096, "in-flight safety valve (scheduled requests beyond it count as dropped)")
-	jsonPath := fs.String("json", "", "write machine-readable results (bench-gate PipelineReport shape) to this file")
+	jsonPath := fs.String("json", "", "write the workload name and the run's summary as JSON to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -312,10 +311,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		us(sum.P50Micros), us(sum.P99Micros), us(sum.P999Micro), us(sum.MaxMicros))
 
 	if *jsonPath != "" {
-		report := experiments.NewLoadReport([]experiments.LoadResult{
-			experiments.LoadResultFrom(*workload, sum),
-		})
-		data, err := json.MarshalIndent(report, "", "  ")
+		data, err := json.MarshalIndent(report{Workload: *workload, Summary: sum}, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -328,6 +324,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("%d requests errored", sum.Errors)
 	}
 	return nil
+}
+
+// report is what -json writes: the workload name beside the summary's
+// own fields.
+type report struct {
+	Workload string `json:"workload"`
+	loadgen.Summary
 }
 
 // boundRequests picks the loadgen request bound: duration-driven runs

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"github.com/seldel/seldel/internal/chain"
-	"github.com/seldel/seldel/internal/experiments"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/serve"
 	"github.com/seldel/seldel/internal/simclock"
@@ -76,20 +75,16 @@ func TestLoadMixedWorkloadEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report experiments.PipelineReport
-	if err := json.Unmarshal(data, &report); err != nil {
+	var row report
+	if err := json.Unmarshal(data, &row); err != nil {
 		t.Fatal(err)
 	}
-	if report.Bench != "serve-load" || len(report.LoadResults) != 1 {
-		t.Fatalf("report: bench=%q load_results=%d", report.Bench, len(report.LoadResults))
-	}
-	row := report.LoadResults[0]
 	if row.Workload != "mixed" || row.Scheduled != 200 {
 		t.Errorf("load row: %+v", row)
 	}
-	if row.OK+row.Sheds+row.Dropped != row.Scheduled {
+	if row.OKs+row.Sheds+row.Dropped != row.Scheduled {
 		t.Errorf("accounting: ok %d + sheds %d + dropped %d != scheduled %d",
-			row.OK, row.Sheds, row.Dropped, row.Scheduled)
+			row.OKs, row.Sheds, row.Dropped, row.Scheduled)
 	}
 	// Mixed is 70% append / 15% delete / 15% read and every delete
 	// victim was seeded first, so the server must hold entries.
@@ -98,7 +93,9 @@ func TestLoadMixedWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
-func TestLoadAppendJSONHasGateHeadline(t *testing.T) {
+// TestLoadAppendJSONRoundTrips pins what -json writes: the workload
+// name beside a loadgen.Summary under the summary's own field names.
+func TestLoadAppendJSONRoundTrips(t *testing.T) {
 	addr := startBackend(t, 4, "load-test")
 	out := filepath.Join(t.TempDir(), "load.json")
 	var buf bytes.Buffer
@@ -115,13 +112,12 @@ func TestLoadAppendJSONHasGateHeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report experiments.PipelineReport
-	if err := json.Unmarshal(data, &report); err != nil {
+	var got report
+	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	// The append row feeds the gate's serve_append_p99_us headline.
-	if report.ServeAppendP99Micros <= 0 {
-		t.Errorf("serve_append_p99_us = %v", report.ServeAppendP99Micros)
+	if got.Workload != "append" || got.P99Micros <= 0 || got.Scheduled != 100 {
+		t.Errorf("workload=%q p99_us=%d scheduled=%d in:\n%s", got.Workload, got.P99Micros, got.Scheduled, data)
 	}
 }
 

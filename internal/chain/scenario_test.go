@@ -564,8 +564,9 @@ func TestRenderMarksAndDeletionEntries(t *testing.T) {
 	}
 }
 
-// TestQuickChainInvariants drives random workloads and asserts the global
-// invariants from DESIGN.md §5 after every step.
+// TestQuickChainInvariants drives random workloads and asserts after
+// every step what must always hold (docs/ARCHITECTURE.md §3): integrity,
+// a marker on a sequence boundary, a live chain within its bound.
 func TestQuickChainInvariants(t *testing.T) {
 	env := newEnv(t, "u0", "u1", "u2")
 	users := []string{"u0", "u1", "u2"}

@@ -278,14 +278,14 @@ func repair(dir string, opts Options) ([]string, error) {
 		return nil, err
 	}
 	log := s.DeletionLog()
-	if log != nil && marker > opts.BaseMarker {
+	if marker > opts.BaseMarker {
 		if act, err := hydrate(s, log, marker, opts.BaseMarker); err != nil {
 			return nil, err
 		} else if act != "" {
 			actions = append(actions, act)
 		}
 	}
-	if opts.Archive && log != nil {
+	if opts.Archive {
 		if n, err := archive(dir, log); err != nil {
 			return nil, err
 		} else if n > 0 {

@@ -253,6 +253,19 @@ func TestDoctorHydratesLostManifest(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, manifest.FileName)); err != nil {
 		t.Fatal(err)
 	}
+	// A marker above 0 and no DELETIONS file is also what a store run
+	// with the manifest switched off (an option until PR 21) left
+	// behind: it still opens, at the marker it had.
+	s, err := segment.Open(dir, segment.Options{SegmentBytes: 1024})
+	if err != nil {
+		t.Fatalf("store rejects a directory without DELETIONS: %v", err)
+	}
+	if m, err := s.Marker(); err != nil || m != marker {
+		t.Fatalf("reopened marker %d (%v), want %d", m, err, marker)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	rep, err := Run(dir, Options{})
 	if err != nil {

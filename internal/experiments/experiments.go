@@ -1,7 +1,9 @@
 // Package experiments regenerates every figure and quantitative claim of
-// the paper's evaluation (see DESIGN.md §4 for the full index E1–E12).
-// Each experiment is deterministic: fixed seeds, logical clocks, and
-// deterministic keys, so repeated runs print identical tables.
+// the paper's evaluation; All is the index E1–E12 (id, title, artefact
+// reproduced). Each experiment is deterministic: fixed seeds, logical
+// clocks, deterministic keys, and costs counted rather than timed, so
+// repeated runs print identical tables — testdata/<id>.golden pins each
+// one byte for byte.
 package experiments
 
 import (
@@ -44,7 +46,6 @@ func All() []Experiment {
 		{ID: "baselines", Title: "Redaction effort: ours vs. chameleon vs. hard fork", Paper: "§III", Run: runBaselines},
 		{ID: "cluster", Title: "Summary determinism and fork detection across nodes", Paper: "§IV-B", Run: runCluster},
 		{ID: "consensus", Title: "Engine independence and extension overhead", Paper: "§V-B.3", Run: runConsensus},
-		{ID: "pipeline", Title: "Submission-pipeline, verify, and deletion-lifecycle throughput", Paper: "PR 1-3", Run: runPipeline},
 	}
 }
 

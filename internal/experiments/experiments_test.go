@@ -2,25 +2,47 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/json"
+	"flag"
 	"os"
-	"strings"
+	"path/filepath"
 	"testing"
 )
 
-func runByID(t *testing.T, id string) string {
+// update rewrites the golden files from this run instead of comparing:
+// go test ./internal/experiments -update
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+func goldenPath(id string) string { return filepath.Join("testdata", id+".golden") }
+
+// golden runs one experiment and compares what it prints, byte for
+// byte, with testdata/<id>.golden: the tables are counted, not timed,
+// so any difference is a change in behaviour.
+func golden(t *testing.T, id string) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Run(&buf, id); err != nil {
 		t.Fatalf("Run(%s): %v\noutput so far:\n%s", id, err, buf.String())
 	}
-	return buf.String()
+	if *update {
+		if err := os.WriteFile(goldenPath(id), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath(id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("%s differs from %s (rerun with -update if the change is meant)\n--- got\n%s--- want\n%s",
+			id, goldenPath(id), buf.Bytes(), want)
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
-	if len(all) != 13 {
-		t.Fatalf("%d experiments, want 13 (E1–E12 plus the PR 1 pipeline bench)", len(all))
+	if len(all) != 12 {
+		t.Fatalf("%d experiments, want 12 (E1–E12)", len(all))
 	}
 	seen := map[string]bool{}
 	for _, e := range all {
@@ -41,57 +63,24 @@ func TestRegistryComplete(t *testing.T) {
 	if err := Run(&bytes.Buffer{}, "nope"); err == nil {
 		t.Error("Run(nope) did not fail")
 	}
-	if len(IDs()) != 13 {
+	if len(IDs()) != 12 {
 		t.Error("IDs incomplete")
 	}
 }
 
-func TestFigure6Output(t *testing.T) {
-	out := runByID(t, "fig6")
-	for _, want := range []string{
-		"m -> 0",     // marker at genesis
-		"DEADB",      // genesis prev hash (paper Fig. 6)
-		"S2;", "S5;", // two summary blocks
-		"login ALPHA", // the three users' logins
-		"login BRAVO",
-		"login CHARLIE",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig6 output missing %q:\n%s", want, out)
-		}
-	}
-}
+// One test per experiment, each a golden comparison of its table.
 
-func TestFigure7Output(t *testing.T) {
-	out := runByID(t, "fig7")
-	for _, want := range []string{
-		"m -> 6",      // marker shifted to block 6 (paper Fig. 7)
-		"S8;",         // merging summary
-		"3/0@",        // surviving entry with original coordinates
-		"forgotten=1", // BRAVO's entry physically gone
-		"DEL 3/1",     // the deletion request itself, still live in block 6
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fig7 output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "login BRAVO tty1") {
-		t.Errorf("fig7 output still shows the deleted login:\n%s", out)
-	}
-}
-
-func TestFigure8Output(t *testing.T) {
-	out := runByID(t, "fig8")
-	if !strings.Contains(out, "m -> 12") {
-		t.Errorf("fig8 marker not at 12:\n%s", out)
-	}
-	if strings.Contains(out, "DEL ") {
-		t.Errorf("fig8 still shows a deletion entry:\n%s", out)
-	}
-	if !strings.Contains(out, "no deletion entry present in any live block — OK") {
-		t.Errorf("fig8 check line missing:\n%s", out)
-	}
-}
+func TestFigure6Output(t *testing.T)   { golden(t, "fig6") }
+func TestFigure7Output(t *testing.T)   { golden(t, "fig7") }
+func TestFigure8Output(t *testing.T)   { golden(t, "fig8") }
+func TestAttack51Output(t *testing.T)  { golden(t, "attack51") }
+func TestSumCostOutput(t *testing.T)   { golden(t, "sumcost") }
+func TestDelCostOutput(t *testing.T)   { golden(t, "delcost") }
+func TestDelayOutput(t *testing.T)     { golden(t, "delay") }
+func TestTTLOutput(t *testing.T)       { golden(t, "ttl") }
+func TestBaselinesOutput(t *testing.T) { golden(t, "baselines") }
+func TestClusterOutput(t *testing.T)   { golden(t, "cluster") }
+func TestConsensusOutput(t *testing.T) { golden(t, "consensus") }
 
 func TestGrowthShape(t *testing.T) {
 	// E4's headline claim: seldel bounded, plain unbounded.
@@ -130,226 +119,29 @@ func TestGrowthShape(t *testing.T) {
 	if gRatio < 3 {
 		t.Errorf("prune global growth ratio %.2f, want ~4", gRatio)
 	}
-	out := runByID(t, "growth")
-	if !strings.Contains(out, "sel_live_blocks") {
-		t.Error("growth table header missing")
-	}
+	golden(t, "growth")
 }
 
-func TestAttack51Output(t *testing.T) {
-	out := runByID(t, "attack51")
-	if !strings.Contains(out, "guarded(z=12)") {
-		t.Errorf("attack table missing guarded depth column:\n%s", out)
-	}
-	if !strings.Contains(out, "0.51") {
-		t.Error("majority row missing")
-	}
-}
-
-func TestSumCostOutput(t *testing.T) {
-	out := runByID(t, "sumcost")
-	for _, want := range []string{"full_copy_bytes", "hash_ref_bytes", "packaging"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sumcost output missing %q", want)
-		}
-	}
-}
-
-func TestDelCostOutput(t *testing.T) {
-	out := runByID(t, "delcost")
-	if !strings.Contains(out, "direct_lookup_ns") {
-		t.Errorf("delcost table missing:\n%s", out)
-	}
-}
-
-func TestDelayOutput(t *testing.T) {
-	out := runByID(t, "delay")
-	for _, want := range []string{"delete_delay_blocks", "filler-only"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("delay output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTTLOutput(t *testing.T) {
-	out := runByID(t, "ttl")
-	if !strings.Contains(out, "still alive (MUST be 0)\t0") &&
-		!strings.Contains(out, "still alive (MUST be 0)  0") {
-		t.Errorf("ttl output shows surviving expired entries:\n%s", out)
-	}
-}
-
-func TestBaselinesOutput(t *testing.T) {
-	out := runByID(t, "baselines")
-	for _, want := range []string{"selective deletion (ours)", "hard fork", "chameleon", "local pruning"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("baselines output missing %q", want)
-		}
-	}
-}
-
-func TestClusterOutput(t *testing.T) {
-	out := runByID(t, "cluster")
-	for _, want := range []string{"identical_heads", "fault injection", "anchor-3"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("cluster output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestConsensusOutput(t *testing.T) {
-	out := runByID(t, "consensus")
-	for _, want := range []string{"noop", "poa", "pow-8", "pow-12"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("consensus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
+// TestRunAll pins what `seldel-bench` prints with no flags: every
+// experiment of All() in index order, each table equal to its golden —
+// so an experiment added without one fails here.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
-		t.Skip("RunAll is slow")
+		t.Skip("every experiment already ran once on its own")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
+	var got, want bytes.Buffer
+	if err := RunAll(&got); err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	for _, e := range All() {
-		if !strings.Contains(buf.String(), "=== "+e.ID) {
-			t.Errorf("RunAll output missing %s", e.ID)
+		table, err := os.ReadFile(goldenPath(e.ID))
+		if err != nil {
+			t.Fatal(err)
 		}
+		want.Write(table)
+		want.WriteByte('\n')
 	}
-}
-
-func TestExperimentsDeterministic(t *testing.T) {
-	// Wall-time columns vary; the figure outputs must be bit-identical.
-	for _, id := range []string{"fig6", "fig7", "fig8", "growth", "ttl"} {
-		a := runByID(t, id)
-		b := runByID(t, id)
-		if a != b {
-			t.Errorf("%s output not deterministic", id)
-		}
-	}
-}
-
-func TestPipelineBenchStructure(t *testing.T) {
-	report, err := RunPipelineBench(160)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Results) != 4 {
-		t.Fatalf("%d results, want 4 (serial@1, submit@1/4/16)", len(report.Results))
-	}
-	if report.Results[0].API != "serial" || report.Results[0].Producers != 1 {
-		t.Errorf("first result must be the serial baseline, got %+v", report.Results[0])
-	}
-	wantProducers := []int{1, 1, 4, 16}
-	for i, r := range report.Results {
-		if r.Entries != 160 || r.OpsPerSec <= 0 || r.Blocks == 0 {
-			t.Errorf("result %d implausible: %+v", i, r)
-		}
-		if r.Producers != wantProducers[i] {
-			t.Errorf("result %d producers = %d, want %d", i, r.Producers, wantProducers[i])
-		}
-	}
-	// Concurrent submission must coalesce: strictly fewer blocks than the
-	// one-block-per-entry serial baseline.
-	if last := report.Results[3]; last.Blocks >= report.Results[0].Blocks {
-		t.Errorf("submit@16 did not batch: %d blocks vs serial's %d", last.Blocks, report.Results[0].Blocks)
-	}
-	// The deletion-lifecycle dimension must cover 1/4/16 producers, have
-	// actually compacted, and have physically forgotten what it deleted.
-	if len(report.DeletionResults) != 3 {
-		t.Fatalf("%d deletion results, want 3", len(report.DeletionResults))
-	}
-	for i, r := range report.DeletionResults {
-		if r.Producers != wantProducers[i+1] {
-			t.Errorf("deletion result %d producers = %d, want %d", i, r.Producers, wantProducers[i+1])
-		}
-		if r.Deletions == 0 || r.DeletionsPerSec <= 0 {
-			t.Errorf("deletion result %d implausible: %+v", i, r)
-		}
-		if r.Truncations == 0 || r.BlocksCompacted == 0 {
-			t.Errorf("deletion result %d never compacted: %+v", i, r)
-		}
-		if r.Forgotten == 0 {
-			t.Errorf("deletion result %d forgot nothing: %+v", i, r)
-		}
-	}
-	// The cluster dimension must cover 3/7/15 nodes plus the 50-node
-	// WAN row, replicate at a positive rate, and drive its deletion to
-	// physical convergence.
-	if len(report.ClusterResults) != 4 {
-		t.Fatalf("%d cluster results, want 4", len(report.ClusterResults))
-	}
-	wantNodes := []int{3, 7, 15, 50}
-	for i, r := range report.ClusterResults {
-		if r.Nodes != wantNodes[i] {
-			t.Errorf("cluster result %d nodes = %d, want %d", i, r.Nodes, wantNodes[i])
-		}
-		if r.Blocks == 0 || r.BlocksPerSec <= 0 {
-			t.Errorf("cluster result %d implausible: %+v", i, r)
-		}
-		if r.DeletionRounds == 0 || r.DeletionConvergeMillis <= 0 {
-			t.Errorf("cluster result %d deletion never converged: %+v", i, r)
-		}
-	}
-	// The manifest dimension must pair an off/on lifecycle run with a
-	// proofs row, each having sealed records at a positive rate, and
-	// the headline gate metric must mirror the proofs row.
-	if len(report.ManifestResults) != 3 {
-		t.Fatalf("%d manifest results, want 3", len(report.ManifestResults))
-	}
-	wantManifest := []struct {
-		op      string
-		enabled bool
-	}{{"lifecycle", false}, {"lifecycle", true}, {"proofs", true}}
-	for i, r := range report.ManifestResults {
-		if r.Op != wantManifest[i].op || r.Manifest != wantManifest[i].enabled {
-			t.Errorf("manifest result %d = %s/%v, want %s/%v",
-				i, r.Op, r.Manifest, wantManifest[i].op, wantManifest[i].enabled)
-		}
-		if r.Rounds == 0 || r.RatePerSec <= 0 || r.Records == 0 {
-			t.Errorf("manifest result %d implausible: %+v", i, r)
-		}
-	}
-	if report.TombstoneProofsPerSec != report.ManifestResults[2].RatePerSec {
-		t.Errorf("headline proofs rate %f does not mirror proofs row %f",
-			report.TombstoneProofsPerSec, report.ManifestResults[2].RatePerSec)
-	}
-	// The partition dimension must cover 1/2/4 sub-chains at 16
-	// producers, and the headline scaling factor must mirror the rows.
-	if len(report.PartitionResults) != 3 {
-		t.Fatalf("%d partition results, want 3", len(report.PartitionResults))
-	}
-	wantParts := []int{1, 2, 4}
-	for i, r := range report.PartitionResults {
-		if r.Partitions != wantParts[i] {
-			t.Errorf("partition result %d partitions = %d, want %d", i, r.Partitions, wantParts[i])
-		}
-		if r.Producers != 16 || r.Entries == 0 || r.OpsPerSec <= 0 {
-			t.Errorf("partition result %d implausible: %+v", i, r)
-		}
-	}
-	if want := report.PartitionResults[2].OpsPerSec / report.PartitionResults[0].OpsPerSec; report.PartitionScaling4x != want {
-		t.Errorf("scaling headline %f does not mirror rows (%f)", report.PartitionScaling4x, want)
-	}
-}
-
-func TestPipelineJSONWritten(t *testing.T) {
-	path := t.TempDir() + "/bench.json"
-	if _, err := WritePipelineJSON(path, 64); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report PipelineReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if report.Bench != "submission-pipeline" || len(report.Results) != 4 {
-		t.Errorf("unexpected report: %+v", report)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("RunAll is not the golden tables in index order:\n%s", got.Bytes())
 	}
 }

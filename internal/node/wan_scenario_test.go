@@ -248,6 +248,13 @@ func TestWANThreeWayPartitionDeletionConverges(t *testing.T) {
 	if marker == 0 {
 		t.Fatal("converged without ever shifting the marker")
 	}
+	// The drill runs under virtual time from a fixed seed, so the count
+	// is a property of the protocol, not of the machine: more rounds
+	// means healing got slower, fewer means the split stopped holding
+	// the deletion back. Other node counts have other counts.
+	if n == 50 && rounds != 2 {
+		t.Errorf("50 nodes, seed %d: converged in %d post-heal rounds, pinned at 2", seed, rounds)
+	}
 
 	// Determinism gate: the identical drill — same node count, same
 	// seed — must reproduce the convergence-round count and the

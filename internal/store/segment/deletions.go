@@ -12,25 +12,13 @@ import (
 	"github.com/seldel/seldel/internal/store"
 )
 
-// HasDeletionManifest reports whether this store keeps a deletion
-// manifest (false when opened with DisableManifest).
-func (s *Store) HasDeletionManifest() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.del != nil
-}
-
 // DeletionRecords returns every readable deletion record, oldest
-// first. Empty when the manifest is disabled or no truncation has
-// executed yet.
+// first. Empty when no truncation has executed yet.
 func (s *Store) DeletionRecords() ([]manifestlog.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, store.ErrClosed
-	}
-	if s.del == nil {
-		return nil, nil
 	}
 	return s.del.Records(), nil
 }
@@ -42,28 +30,22 @@ func (s *Store) DeletionHead() (manifestlog.Record, bool, error) {
 	if s.closed {
 		return manifestlog.Record{}, false, store.ErrClosed
 	}
-	if s.del == nil {
-		return manifestlog.Record{}, false, nil
-	}
 	head, ok := s.del.Head()
 	return head, ok, nil
 }
 
 // DeletionWarnings returns the recovery diagnostics the deletion
 // manifest accumulated at Open (corrupt lines skipped, torn tail
-// truncated); empty for a clean or disabled manifest.
+// truncated); empty for a clean manifest.
 func (s *Store) DeletionWarnings() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.del == nil {
-		return nil
-	}
 	return s.del.Warnings()
 }
 
-// DeletionLog exposes the underlying manifest log (nil when disabled)
-// for the doctor's repair paths — hydrating missing records and
-// archiving applied ones need append/rewrite access.
+// DeletionLog exposes the underlying manifest log for the doctor's
+// repair paths — hydrating missing records and archiving applied ones
+// need append/rewrite access.
 func (s *Store) DeletionLog() *manifestlog.Log {
 	s.mu.Lock()
 	defer s.mu.Unlock()

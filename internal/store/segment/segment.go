@@ -60,13 +60,6 @@ type Options struct {
 	// of one per segment. The active segment's handle is always open
 	// and does not count against the cap. 0 means DefaultMaxOpenFiles.
 	MaxOpenFiles int
-	// DisableManifest turns off the durable deletion manifest (the
-	// DELETIONS audit log written alongside every truncation). Off by
-	// default because the manifest is the only post-erasure evidence of
-	// what was deleted and the only local defense against a peer
-	// resurrecting cut blocks; disable it for benchmarks isolating raw
-	// truncation cost.
-	DisableManifest bool
 }
 
 // recordLoc locates one block's payload inside a segment file.
@@ -97,17 +90,17 @@ type Store struct {
 	index  map[uint64]recordLoc
 	marker uint64
 	closed bool
-	// del is the durable deletion manifest (nil when disabled): one
-	// audit record per executed truncation, appended before the marker
-	// shift becomes durable.
+	// del is the durable deletion manifest: one audit record per
+	// executed truncation, appended before the marker shift becomes
+	// durable.
 	del *manifestlog.Log
 	// lru holds the sealed segments whose read handle is currently
 	// open, least recently used first. The active segment never enters
 	// it: its handle must stay open for appends.
 	lru []*segmentFile
 	// fsyncs counts fsyncs issued against segment data files and the
-	// store directory (metadata marker files are excluded). The bench's
-	// fsyncs-per-block column divides this by blocks appended.
+	// store directory (metadata marker files are excluded);
+	// TestFsyncsPerBlock divides it by blocks appended.
 	fsyncs atomic.Uint64
 }
 
@@ -178,15 +171,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	// head ahead of both marker files; rolling the marker forward to it
 	// completes the interrupted deletion instead of resurrecting the
 	// blocks it recorded.
-	if !opts.DisableManifest {
-		del, err := manifestlog.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		s.del = del
-		if head, ok := del.Head(); ok && head.NewMarker > s.marker {
-			s.marker = head.NewMarker
-		}
+	del, err := manifestlog.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	s.del = del
+	if head, ok := del.Head(); ok && head.NewMarker > s.marker {
+		s.marker = head.NewMarker
 	}
 	if err := s.recover(man); err != nil {
 		s.closeFiles()
@@ -655,9 +646,7 @@ func (s *Store) DeleteBelow(marker uint64) error {
 // rec is appended durably to the DELETIONS log after the active
 // segment syncs and before the marker files shift, so the audit trail
 // exists from the first moment the deletion can become visible. The
-// assigned manifest sequence number is written back into rec. On a
-// store without a manifest (DisableManifest) the record is dropped and
-// the call degrades to DeleteBelow.
+// assigned manifest sequence number is written back into rec.
 func (s *Store) DeleteBelowRecord(marker uint64, rec *manifestlog.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -675,7 +664,7 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 		return fmt.Errorf("segment: sync before truncate: %w", err)
 	}
 	s.fsyncs.Add(1)
-	if rec != nil && s.del != nil {
+	if rec != nil {
 		stored, err := s.del.Append(*rec)
 		if err != nil {
 			return err
@@ -866,7 +855,7 @@ func (s *Store) Sync() error {
 func (s *Store) FsyncCount() uint64 { return s.fsyncs.Load() }
 
 // SegmentCount returns the number of live segment files (observability
-// for tests and the storage benchmark).
+// for tests, examples and the repo benchmark).
 func (s *Store) SegmentCount() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -906,9 +895,7 @@ func (s *Store) closeFiles() {
 			seg.f = nil
 		}
 	}
-	if s.del != nil {
-		s.del.Close()
-	}
+	s.del.Close()
 	s.lru = nil
 }
 

@@ -2,10 +2,7 @@ package seldel
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -129,57 +126,5 @@ func TestDeletionManifestFullLoop(t *testing.T) {
 	}
 	if rep.Marker < floor {
 		t.Errorf("doctor marker %d below the resurrection floor %d", rep.Marker, floor)
-	}
-}
-
-// TestWithoutDeletionManifest covers the opt-out: truncations shift the
-// marker without writing DELETIONS, and requesting the opt-out without
-// a segment store is a configuration error.
-func TestWithoutDeletionManifest(t *testing.T) {
-	dir := t.TempDir()
-	reg := NewRegistry()
-	alice := DeterministicKey("alice", "manifest-optout")
-	if err := reg.RegisterKey(alice, RoleUser); err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(reg,
-		WithSequenceLength(3),
-		WithMaxSequences(2),
-		WithClock(NewLogicalClock(0)),
-		WithSegmentStore(dir, SegmentOptions{SegmentBytes: 2048}),
-		WithoutDeletionManifest(),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	for i := 0; c.Marker() == 0; i++ {
-		if i > 64 {
-			t.Fatal("chain never truncated")
-		}
-		sealed, err := c.SubmitWait(ctx, NewData("alice", []byte(fmt.Sprintf("d-%02d", i))).Sign(alice))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.SubmitWait(ctx, NewDeletion("alice", sealed[0].Ref).Sign(alice)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CompactWait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "DELETIONS")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("opted-out chain wrote a DELETIONS log: %v", err)
-	}
-
-	if _, err := New(reg,
-		WithSequenceLength(3),
-		WithClock(NewLogicalClock(0)),
-		WithoutDeletionManifest(),
-	); !errors.Is(err, ErrConfig) {
-		t.Errorf("WithoutDeletionManifest without a segment store: %v, want ErrConfig", err)
 	}
 }

@@ -25,11 +25,10 @@ type builder struct {
 	store     Store
 	listeners []Listener
 	// segDir/segOpts record a WithSegmentStore request; the store is
-	// opened by b.open() so later options (WithoutDeletionManifest) can
-	// still adjust segOpts regardless of option order.
-	segDir      string
-	segOpts     SegmentOptions
-	manifestOff bool
+	// opened by b.open(), after every option ran, so a later option
+	// that fails leaves no directory behind.
+	segDir  string
+	segOpts SegmentOptions
 	// owned are resources opened by the builder itself (the deferred
 	// WithSegmentStore open) rather than passed in by the caller: the
 	// new chain adopts them (closed by Chain.Close), and New closes
@@ -102,19 +101,16 @@ func New(reg *Registry, opts ...Option) (*Chain, error) {
 }
 
 // open constructs the chain, restoring from the store when it already
-// holds blocks. A WithSegmentStore request is opened here — after every
-// option ran — so store-shaping options compose in any order.
+// holds blocks. A WithSegmentStore request is opened here, after every
+// option ran.
 func (b *builder) open() (*Chain, error) {
 	if b.segDir != "" {
-		b.segOpts.DisableManifest = b.manifestOff
 		s, err := segment.Open(b.segDir, b.segOpts)
 		if err != nil {
 			return nil, err
 		}
 		b.store = s
 		b.owned = append(b.owned, s)
-	} else if b.manifestOff {
-		return nil, fmt.Errorf("%w: WithoutDeletionManifest requires WithSegmentStore", ErrConfig)
 	}
 	if b.store == nil {
 		return chain.New(b.cfg)
@@ -259,20 +255,6 @@ func WithSegmentStore(dir string, opts ...SegmentOptions) Option {
 			b.segOpts = opts[0]
 		}
 		b.segDir = dir
-		return nil
-	}
-}
-
-// WithoutDeletionManifest disables the durable deletion manifest of a
-// WithSegmentStore chain: truncations shift the marker without writing
-// a DELETIONS audit record, so restarts cannot re-seed tombstones or
-// the sync resurrection floor from disk. Only for callers that measure
-// or explicitly do not want the audit trail; requires WithSegmentStore
-// (callers opening their own segment store set
-// SegmentOptions.DisableManifest instead).
-func WithoutDeletionManifest() Option {
-	return func(b *builder) error {
-		b.manifestOff = true
 		return nil
 	}
 }
@@ -446,17 +428,12 @@ func NewPartitioned(reg *Registry, opts ...Option) (*PartitionedChain, error) {
 	if b.engine != nil {
 		consensus.Configure(&b.cfg, b.engine)
 	}
-	segOpts := b.segOpts
-	segOpts.DisableManifest = b.manifestOff
-	if b.manifestOff && b.segDir == "" {
-		return nil, fmt.Errorf("%w: WithoutDeletionManifest requires WithSegmentStore", ErrConfig)
-	}
 	return partition.New(partition.Config{
 		Partitions: b.partitions,
 		Chain:      b.cfg,
 		Key:        b.partKey,
 		Dir:        b.segDir,
-		Segment:    segOpts,
+		Segment:    b.segOpts,
 		Listeners:  b.listeners,
 	})
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,6 +163,113 @@ func TestWithDurabilityGroup(t *testing.T) {
 	}
 	if _, err := New(reg, WithDurability(DurabilityGroup, -time.Second)); !errors.Is(err, ErrConfig) {
 		t.Fatalf("negative group window: err=%v, want ErrConfig", err)
+	}
+}
+
+// costChain is the chain the two cost tests below measure: the
+// submission pipeline over a fresh segment store whose handle the test
+// keeps, and n pre-signed entries to push through it.
+func costChain(t *testing.T, n int, seg SegmentOptions, opts ...Option) (*Chain, *SegmentStore, []*Entry) {
+	t.Helper()
+	reg := NewRegistry()
+	kp := DeterministicKey("writer", "cost-test")
+	if err := reg.RegisterKey(kp, RoleUser); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSegmentStore(t.TempDir(), seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	c, err := New(reg, append(opts, WithSequenceLength(8), WithClock(NewLogicalClock(0)), WithStore(ss))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	entries := make([]*Entry, n)
+	for i := range entries {
+		entries[i] = NewData("writer", []byte(fmt.Sprintf("load-%06d", i))).Sign(kp)
+	}
+	return c, ss, entries
+}
+
+// submitAll pipelines entries from p producers, one entry per Submit,
+// and waits for every receipt at the end.
+func submitAll(t *testing.T, c *Chain, entries []*Entry, p int) {
+	t.Helper()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < p; w++ {
+		receipts := make([]Receipt, 0, len(entries)/p+1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(entries); i += p {
+				// Re-sliced, not passed alone: boxing a variadic argument
+				// would be the harness's allocation, not the pipeline's.
+				rs, err := c.Submit(ctx, entries[i:i+1]...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				receipts = append(receipts, rs...)
+			}
+			for _, r := range receipts {
+				if _, err := r.Wait(ctx); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestAppendAllocsPerEntry is the append path's cost in heap
+// allocations, which no machine changes: one producer, 600 entries
+// through submit → verify → seal → segment store on a warmed pipeline,
+// counted process-wide. It reads 9.0 today (11.2 under -race); the
+// ceiling of 14 is half of what the path cost before it stopped copying
+// (27.5 at PR 6), so a per-entry copy or box creeping back in fails here.
+func TestAppendAllocsPerEntry(t *testing.T) {
+	const warm, n, ceiling = 64, 600, 14.0
+	c, _, entries := costChain(t, warm+n, SegmentOptions{}, WithVerifier(NewVerifier(0, 0)))
+	submitAll(t, c, entries[:warm], 1)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	submitAll(t, c, entries[warm:], 1)
+	runtime.ReadMemStats(&after)
+	if got := float64(after.Mallocs-before.Mallocs) / n; got > ceiling {
+		t.Errorf("%.1f allocations per appended entry, ceiling %.0f", got, ceiling)
+	} else {
+		t.Logf("%.1f allocations per appended entry", got)
+	}
+}
+
+// TestFsyncsPerBlock is the durability modes' cost in fsyncs, 16
+// producers over 600 entries: none while appending when the store syncs
+// on roll only, exactly one per block with SyncEvery, and under group
+// commit more than none — receipts resolve at durability — but fewer
+// than one per block, which is the whole point of sharing them.
+func TestFsyncsPerBlock(t *testing.T) {
+	measure := func(seg SegmentOptions, opts ...Option) (fsyncs, blocks uint64) {
+		c, ss, entries := costChain(t, 600, seg, opts...)
+		// Attaching the store and closing it sync too; neither is the
+		// append path.
+		f0, b0 := ss.FsyncCount(), c.Stats().AppendedBlocks
+		submitAll(t, c, entries, 16)
+		return ss.FsyncCount() - f0, c.Stats().AppendedBlocks - b0
+	}
+	if fsyncs, blocks := measure(SegmentOptions{}); fsyncs != 0 || blocks == 0 {
+		t.Errorf("roll-only: %d fsyncs over %d blocks, want none", fsyncs, blocks)
+	}
+	if fsyncs, blocks := measure(SegmentOptions{SyncEvery: true}); fsyncs != blocks || blocks == 0 {
+		t.Errorf("sync-every: %d fsyncs over %d blocks, want one each", fsyncs, blocks)
+	}
+	// Small batches, so that many blocks fall into each 50 ms window.
+	if fsyncs, blocks := measure(SegmentOptions{}, WithMaxBatch(16), WithDurability(DurabilityGroup, 50*time.Millisecond)); fsyncs == 0 || fsyncs >= blocks {
+		t.Errorf("group commit: %d fsyncs over %d blocks, want more than none and fewer than one each", fsyncs, blocks)
 	}
 }
 
