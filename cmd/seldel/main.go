@@ -186,8 +186,8 @@ func runSingle(extra int) error {
 		st.AppendedBlocks, st.CutBlocks, st.LiveBlocks,
 		st.ForgottenEntries, st.ExpiredEntries, st.RejectedRequests)
 	vs := chain.PipelineStats().Verify
-	fmt.Printf("verify: workers=%d ed25519=%d cache-hits=%d misses=%d\n",
-		vs.Workers, vs.Verified, vs.CacheHits, vs.CacheMisses)
+	fmt.Printf("verify: fan-out=%d ed25519=%d batched=%d cache-hits=%d misses=%d\n",
+		vs.Workers, vs.Verified, vs.Batched, vs.CacheHits, vs.CacheMisses)
 	return nil
 }
 

@@ -242,7 +242,7 @@ func leafHashes(r merkle.Runner, n int, encode func(i int, buf []byte) []byte) [
 }
 
 // leafScratchPool holds encode buffers for commitment-root leaf
-// hashing; one buffer per worker in the fanned-out path.
+// hashing; one buffer per goroutine in the fanned-out path.
 var leafScratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)

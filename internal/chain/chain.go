@@ -88,8 +88,7 @@ type Config struct {
 	// Verifier is the signature-verification engine used by every
 	// validation path (candidate entries, gossiped blocks, restores).
 	// Nil means the process-wide shared pool (verify.Shared()), so
-	// chains in one process share workers and the verified-signature
-	// cache.
+	// chains in one process share the verified-signature cache.
 	Verifier *verify.Pool
 	// MaxBatch is the submission pipeline's soft flush threshold: Submit
 	// batches are sealed once they hold at least this many entries.
@@ -105,12 +104,6 @@ type Config struct {
 	// holds receipts until a group fsync confirmed their blocks on
 	// stable storage — many sealed blocks per sync under load.
 	Durability Durability
-	// Compaction parameterizes the background compactor that executes
-	// the physical side of truncation (memory release, dependency-graph
-	// sweep, store pruning via OnTruncate) off the append path. The
-	// zero value is the asynchronous default; set Synchronous to run
-	// that work inline on the append path instead.
-	Compaction compact.Options
 	// BaseBlock offsets the chain's block numbering: the genesis block
 	// is created with this number and the Genesis marker starts here
 	// instead of 0. Partitioned deployments (internal/partition) give
@@ -403,7 +396,7 @@ func (c *Chain) Registry() *identity.Registry { return c.cfg.Registry }
 
 // Verifier returns the signature-verification pool the chain validates
 // through, so adjacent layers (mempool warming, node gossip screening)
-// share its workers and verified-signature cache.
+// share its verified-signature cache.
 func (c *Chain) Verifier() *verify.Pool { return c.cfg.Verifier }
 
 // SequenceLength returns the configured summary distance l.
@@ -812,9 +805,9 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 			// Stage the physical work while still under the chain lock:
 			// the compactor's intake is non-blocking, and staging here
 			// is what keeps truncation events in marker order across
-			// concurrent appenders. A synchronous (or closed) compactor
-			// instead runs inline after the lock is released —
-			// AppendBlock executes events.truncated then.
+			// concurrent appenders. A closed compactor instead runs
+			// inline after the lock is released — AppendBlock executes
+			// events.truncated then.
 			if !c.compactor().TryEnqueue(*ev) {
 				events.truncated = ev
 			}
@@ -1150,12 +1143,12 @@ func (c *Chain) compactor() *compact.Compactor {
 	if k := c.comp.Load(); k != nil {
 		return k
 	}
-	opts := c.cfg.Compaction
+	k := compact.New(c.runCompaction)
 	if c.compClosed {
-		// Started after Close: run inline, nothing to shut down later.
-		opts.Synchronous = true
+		// First needed after Close: closed at once, so Enqueue runs
+		// inline and there is nothing to shut down later.
+		k.Close()
 	}
-	k := compact.New(c.runCompaction, opts)
 	c.comp.Store(k)
 	return k
 }

@@ -6,7 +6,6 @@ import (
 	"iter"
 
 	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/mempool"
 )
 
@@ -97,14 +96,12 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 	opts := mempool.Options{
 		MaxBatch: c.cfg.MaxBatch,
 		Linger:   c.cfg.BatchLinger,
-	}
-	if c.cfg.Verifier.HasCache() {
 		// Pre-verify submissions while their batch assembles, so the
 		// sealing commit resolves the signatures from the verified-
 		// signature cache instead of re-paying Ed25519 for each.
-		opts.Warm = func(entries []*block.Entry) {
+		Warm: func(entries []*block.Entry) {
 			c.cfg.Verifier.Warm(c.cfg.Registry, entries)
-		}
+		},
 	}
 	// A sealed batch resolves with the store-failure latch: its blocks
 	// went through the store listeners before Seal returned, so a write
@@ -154,8 +151,8 @@ func (s sealer) ValidateEntries(entries []*block.Entry) error {
 
 // PipelineStats returns the submission pipeline's cumulative counters
 // and backpressure gauges: intake-queue depth/capacity, the adaptive
-// linger currently applied, the verification pool's utilization and
-// cache effectiveness, and the background compactor's progress
+// linger currently applied, the verifier's curve work and cache
+// effectiveness, and the background compactor's progress
 // (pending truncations, blocks/bytes physically reclaimed). The
 // counters survive Close, so shutdown reports see the final totals;
 // the verify and compaction snapshots are filled even before the first
@@ -176,12 +173,10 @@ func (c *Chain) PipelineStats() mempool.Stats {
 		Rebuilds: c.indexRebuilds,
 	}
 	c.mu.RUnlock()
+	// Never truncated: the zero snapshot, without starting the
+	// compactor goroutine for a pure read.
 	if k := c.comp.Load(); k != nil {
 		s.Compaction = k.Stats()
-	} else {
-		// Never truncated: report the configured mode without starting
-		// the compactor goroutine for a pure read.
-		s.Compaction = compact.Stats{Synchronous: c.cfg.Compaction.Synchronous}
 	}
 	return s
 }

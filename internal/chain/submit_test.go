@@ -9,6 +9,7 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/mempool"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 func TestSubmitSealsAndResolves(t *testing.T) {
@@ -223,7 +224,11 @@ func TestBlocksSeqAndEntriesSeq(t *testing.T) {
 
 func TestPipelineStatsSurviveClose(t *testing.T) {
 	env := newEnv(t, "alice")
-	c := newChain(t, defaultConfig(env))
+	cfg := defaultConfig(env)
+	// A verifier of its own with no cache: nothing warms, here or in a
+	// chain some earlier test left behind, while the snapshots are taken.
+	cfg.Verifier = verify.New(verify.Options{CacheSize: -1})
+	c := newChain(t, cfg)
 	if _, err := c.SubmitWait(context.Background(), env.data("alice", "x"), env.data("alice", "y")); err != nil {
 		t.Fatal(err)
 	}

@@ -23,21 +23,9 @@ type Event struct {
 	Record *manifest.Record
 }
 
-// Options parameterize a Compactor.
-type Options struct {
-	// Queue is an initial capacity hint for the pending-event staging
-	// buffer (it grows as needed). 0 means DefaultQueue.
-	Queue int
-	// Synchronous disables the background goroutine: every event runs
-	// inline in Enqueue, on the caller's goroutine — the pre-compactor
-	// behaviour, for deployments that want store pruning to complete
-	// before the append returns.
-	Synchronous bool
-}
-
-// DefaultQueue is the staging-buffer capacity hint used when
-// Options.Queue is 0.
-const DefaultQueue = 16
+// queueHint is the initial capacity of the pending-event staging
+// buffer (it grows as needed).
+const queueHint = 16
 
 // Stats is a snapshot of compactor activity — the CompactionStats
 // gauges surfaced through the chain's PipelineStats.
@@ -55,8 +43,6 @@ type Stats struct {
 	// LastMarker is the new Genesis marker of the last executed event
 	// (0 before any truncation).
 	LastMarker uint64
-	// Synchronous reports inline (non-background) execution.
-	Synchronous bool
 }
 
 // item is one staged element: a truncation event, or a Wait barrier.
@@ -69,7 +55,6 @@ type item struct {
 // zero value is not usable; call New.
 type Compactor struct {
 	apply func(Event)
-	sync  bool
 
 	// mu guards queue, pending, and closed. Never held while apply
 	// runs, so apply may take locks of its own (the chain lock).
@@ -89,25 +74,14 @@ type Compactor struct {
 	lastMarker  atomic.Uint64
 }
 
-// New starts a compactor executing events through apply. In
-// synchronous mode no goroutine is started and Enqueue runs apply
-// inline.
-func New(apply func(Event), opts Options) *Compactor {
-	queue := opts.Queue
-	if queue <= 0 {
-		queue = DefaultQueue
-	}
+// New starts a compactor executing events through apply.
+func New(apply func(Event)) *Compactor {
 	k := &Compactor{
 		apply: apply,
-		sync:  opts.Synchronous,
-		queue: make([]item, 0, queue),
+		queue: make([]item, 0, queueHint),
 		kick:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 		done:  make(chan struct{}),
-	}
-	if k.sync {
-		close(k.done)
-		return k
 	}
 	go k.run()
 	return k
@@ -117,12 +91,9 @@ func New(apply func(Event), opts Options) *Compactor {
 // reports whether it was accepted. It never blocks and never runs
 // apply itself, so callers may hold locks that apply needs — the chain
 // stages under its own lock, which is what orders events. It returns
-// false in synchronous mode or after Close; the caller must then run
-// the event via Enqueue once it holds nothing apply requires.
+// false after Close; the caller must then run the event via Enqueue
+// once it holds nothing apply requires.
 func (k *Compactor) TryEnqueue(ev Event) bool {
-	if k.sync {
-		return false
-	}
 	k.mu.Lock()
 	if k.closed {
 		k.mu.Unlock()
@@ -139,8 +110,8 @@ func (k *Compactor) TryEnqueue(ev Event) bool {
 }
 
 // Enqueue hands one truncation event to the compactor, executing it
-// inline when the background runner is unavailable (synchronous mode,
-// or after Close). Callers must not hold locks that apply takes.
+// inline after Close, when the background runner is gone. Callers
+// must not hold locks that apply takes.
 func (k *Compactor) Enqueue(ev Event) {
 	if !k.TryEnqueue(ev) {
 		k.execute(ev)
@@ -152,9 +123,6 @@ func (k *Compactor) Enqueue(ev Event) {
 // experiments that assert on post-truncation state (store contents,
 // reclaimed bytes).
 func (k *Compactor) Wait(ctx context.Context) error {
-	if k.sync {
-		return nil
-	}
 	barrier := make(chan struct{})
 	k.mu.Lock()
 	if k.closed {
@@ -183,9 +151,6 @@ func (k *Compactor) Wait(ctx context.Context) error {
 // inline. Close is idempotent; concurrent calls block until the drain
 // completes.
 func (k *Compactor) Close() {
-	if k.sync {
-		return
-	}
 	k.mu.Lock()
 	already := k.closed
 	k.closed = true
@@ -207,7 +172,6 @@ func (k *Compactor) Stats() Stats {
 		BlocksCompacted: k.blocks.Load(),
 		BytesReclaimed:  k.bytes.Load(),
 		LastMarker:      k.lastMarker.Load(),
-		Synchronous:     k.sync,
 	}
 }
 

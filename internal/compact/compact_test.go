@@ -14,7 +14,7 @@ func TestEventsExecuteInOrder(t *testing.T) {
 		mu.Lock()
 		got = append(got, ev.NewMarker)
 		mu.Unlock()
-	}, Options{})
+	})
 	for i := uint64(1); i <= 20; i++ {
 		k.Enqueue(Event{OldMarker: i - 1, NewMarker: i, Blocks: 1, Bytes: 10})
 	}
@@ -40,7 +40,7 @@ func TestWaitBarriersOnPriorEvents(t *testing.T) {
 	k := New(func(Event) {
 		<-release
 		done.Done()
-	}, Options{})
+	})
 	defer k.Close()
 	k.Enqueue(Event{NewMarker: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -65,7 +65,7 @@ func TestCloseDrainsAndRunsInlineAfter(t *testing.T) {
 		mu.Lock()
 		n++
 		mu.Unlock()
-	}, Options{})
+	})
 	k.Enqueue(Event{NewMarker: 1, Blocks: 2, Bytes: 7})
 	k.Close()
 	k.Close() // idempotent
@@ -90,27 +90,8 @@ func TestCloseDrainsAndRunsInlineAfter(t *testing.T) {
 	}
 }
 
-func TestSynchronousMode(t *testing.T) {
-	n := 0
-	k := New(func(Event) { n++ }, Options{Synchronous: true})
-	if k.TryEnqueue(Event{NewMarker: 5}) {
-		t.Fatal("TryEnqueue accepted in synchronous mode")
-	}
-	k.Enqueue(Event{NewMarker: 5})
-	if n != 1 {
-		t.Fatal("synchronous Enqueue did not run inline")
-	}
-	if err := k.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	k.Close()
-	if s := k.Stats(); !s.Synchronous || s.Truncations != 1 || s.LastMarker != 5 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestTryEnqueueRefusedAfterClose(t *testing.T) {
-	k := New(func(Event) {}, Options{})
+	k := New(func(Event) {})
 	k.Close()
 	if k.TryEnqueue(Event{NewMarker: 1}) {
 		t.Fatal("TryEnqueue accepted after Close")
@@ -135,7 +116,7 @@ func TestOrderUnderConcurrentStagers(t *testing.T) {
 		mu.Lock()
 		got = append(got, ev.NewMarker)
 		mu.Unlock()
-	}, Options{})
+	})
 	defer k.Close()
 	var stage sync.Mutex // stands in for Chain.mu
 	var wg sync.WaitGroup

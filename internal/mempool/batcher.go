@@ -41,8 +41,9 @@ type Options struct {
 	Linger time.Duration
 	// Warm, when set, is called with each submitted group's entries so
 	// their signatures pre-verify (and populate the verified-signature
-	// cache) while the batch is still being assembled. Failures are
-	// ignored here; sealing re-validates authoritatively.
+	// cache) while the batch is still being assembled. It may go on
+	// reading the slice after it returns. Failures are ignored here;
+	// sealing re-validates authoritatively.
 	Warm func(entries []*block.Entry)
 	// Durable, when set, defers receipt resolution to the durability
 	// point: after a successful seal the batch's resolution closure is
@@ -88,7 +89,7 @@ type Stats struct {
 	// AutoLinger is the linger the adaptive tuner is currently applying
 	// (zero while idle, when disabled, or when a fixed Linger is set).
 	AutoLinger time.Duration
-	// Verify is the verification pool's activity snapshot — utilization
+	// Verify is the verification pool's activity snapshot — curve work
 	// and cache effectiveness. Filled by Chain.PipelineStats; zero for a
 	// bare Batcher, which does not own a pool.
 	Verify verify.Stats
@@ -234,9 +235,8 @@ func (b *Batcher) Submit(ctx context.Context, entries ...*block.Entry) ([]Receip
 	}
 	if b.warm != nil {
 		// Pre-verify while the group waits for its batch: the warm hook
-		// dispatches to the verification pool and returns immediately
-		// (or helps verify inline when the pool is saturated), so the
-		// sealing flush later resolves the same signatures from cache.
+		// returns immediately and verifies on a goroutine of its own, so
+		// the sealing flush later resolves the same signatures from cache.
 		b.warm(g.entries)
 	}
 	select {
@@ -408,6 +408,8 @@ func (b *Batcher) flush(batch []group) {
 					b.rejected.Add(uint64(len(tickets)))
 					return
 				}
+				// Counted first: whoever a receipt wakes already reads it.
+				b.entries.Add(uint64(len(tickets)))
 				for i, t := range tickets {
 					mark := MarkNone
 					if i < len(outcomes) {
@@ -420,7 +422,6 @@ func (b *Batcher) flush(batch []group) {
 						Mark:      mark,
 					})
 				}
-				b.entries.Add(uint64(len(tickets)))
 			}
 			b.batches.Add(1)
 			if b.durable != nil {
@@ -440,7 +441,9 @@ func (b *Batcher) flush(batch []group) {
 		kept := batch[:0]
 		rejected := false
 		for _, g := range batch {
-			okEntries := g.entries[:0]
+			// Not compacted in place: the warm hook may still be reading
+			// g.entries.
+			okEntries := make([]*block.Entry, 0, len(g.entries))
 			okTickets := g.tickets[:0]
 			for i, e := range g.entries {
 				if verr := b.ledger.ValidateEntries([]*block.Entry{e}); verr != nil {

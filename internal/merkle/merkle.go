@@ -67,10 +67,10 @@ type Tree struct {
 	levels [][]codec.Hash
 }
 
-// Runner fans independent units of work across workers: Each runs
-// fn(i) for every i in [0, n) and waits for all of them. verify.Pool
-// satisfies it, so batch-level tree building shares the chain's
-// verification workers. A nil Runner runs serially.
+// Runner fans independent units of work out: Each runs fn(i) for every
+// i in [0, n) and waits for all of them. verify.Pool satisfies it, so
+// batch-level tree building forks no wider than the chain's signature
+// verification. A nil Runner runs serially.
 type Runner interface {
 	Each(n int, fn func(int))
 }

@@ -496,11 +496,6 @@ func (n *Node) AddToMempool(e *block.Entry) {
 func (n *Node) warmEntries(entries []*block.Entry) {
 	c := n.Chain()
 	c.Verifier().Warm(c.Registry(), entries)
-	for _, e := range entries {
-		if e.Kind == block.KindDeletion {
-			deletion.PrecheckRequest(c.Verifier(), c.Registry(), e)
-		}
-	}
 }
 
 // proposer adapts the node's proposal path to the batching pipeline's

@@ -23,8 +23,7 @@ import (
 //     BytesReclaimed are summed (disjoint physical work); LastMarker is
 //     the maximum (markers live in disjoint stripes, so the max is the
 //     most recent high-stripe truncation; recover the partition as
-//     LastMarker / StrideWidth()); Synchronous is the logical AND —
-//     the merged pipeline is only synchronous if every partition is.
+//     LastMarker / StrideWidth()).
 //   - Index: Live, Peak, and Rebuilds are summed. Peak is summed too,
 //     which makes the merged Peak an upper bound on any instantaneous
 //     global peak (partitions peak at different times).
@@ -41,7 +40,6 @@ func mergePipelineStats(all []mempool.Stats) mempool.Stats {
 		}
 		if i == 0 {
 			out.Verify = s.Verify
-			out.Compaction.Synchronous = s.Compaction.Synchronous
 		}
 		out.Compaction.Pending += s.Compaction.Pending
 		out.Compaction.Truncations += s.Compaction.Truncations
@@ -50,7 +48,6 @@ func mergePipelineStats(all []mempool.Stats) mempool.Stats {
 		if s.Compaction.LastMarker > out.Compaction.LastMarker {
 			out.Compaction.LastMarker = s.Compaction.LastMarker
 		}
-		out.Compaction.Synchronous = out.Compaction.Synchronous && s.Compaction.Synchronous
 		out.Index.Live += s.Index.Live
 		out.Index.Peak += s.Index.Peak
 		out.Index.Rebuilds += s.Index.Rebuilds

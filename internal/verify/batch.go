@@ -7,8 +7,7 @@ import (
 // batchChunk is the aggregate-verify unit: pending signatures are
 // verified in all-or-nothing chunks of this size, so one bad signature
 // costs a bisection over its own chunk instead of degrading the whole
-// batch, and chunks fan out across the pool's workers with one
-// dispatch per chunk instead of one per signature.
+// batch, and Each fans out whole chunks, not single signatures.
 const batchChunk = 16
 
 // batchItem is one accumulated signature check.
@@ -26,16 +25,15 @@ type batchItem struct {
 // Ed25519 cost: the verified-signature cache screens the whole batch
 // in one pass, identical (key, message, signature) tuples within the
 // batch are verified once (gossip re-delivery, co-signature storms),
-// and the remainder is verified in all-or-nothing chunks — one worker
-// dispatch per chunk, with bisection isolating failures so a single
-// bad signature cannot force per-signature fallback for everyone.
+// and the remainder is verified in all-or-nothing chunks, with
+// bisection isolating failures so a single bad signature cannot force
+// per-signature fallback for everyone.
 // The chunk primitive is pass/fail only, so a curve-level multiscalar
 // backend can replace its internals without touching the bisection or
 // the callers.
 //
-// A Batch is single-goroutine: Add everything, then call Verify (or
-// VerifyInline from code already running on a pool worker) exactly
-// once. Message and signature slices are retained until then.
+// A Batch is single-goroutine: Add everything, then call Verify
+// exactly once. Message and signature slices are retained until then.
 type Batch struct {
 	p     *Pool
 	items []batchItem
@@ -58,20 +56,6 @@ func (b *Batch) Add(pub ed25519.PublicKey, msg, sig []byte) {
 	b.items = append(b.items, it)
 }
 
-// Len returns the number of accumulated checks.
-func (b *Batch) Len() int { return len(b.items) }
-
-// Verify resolves every accumulated check and returns one verdict per
-// Add, in order. Chunks fan out across the pool's workers; like
-// Pool.Each it must not be called from inside a pool task — leaf code
-// uses VerifyInline.
-func (b *Batch) Verify() []bool { return b.verify(true) }
-
-// VerifyInline is Verify without worker fan-out: the whole batch runs
-// on the calling goroutine. It is the form leaf tasks (e.g. warm
-// chunks already executing on a pool worker) are allowed to use.
-func (b *Batch) VerifyInline() []bool { return b.verify(false) }
-
 // pending tracks one representative of a distinct signature tuple and
 // the batch positions that duplicate it.
 type pending struct {
@@ -79,7 +63,9 @@ type pending struct {
 	dups []int
 }
 
-func (b *Batch) verify(parallel bool) []bool {
+// Verify resolves every accumulated check and returns one verdict per
+// Add, in order.
+func (b *Batch) Verify() []bool {
 	n := len(b.items)
 	if n == 0 {
 		return nil
@@ -117,28 +103,12 @@ func (b *Batch) verify(parallel bool) []bool {
 		uniq = append(uniq, pending{item: i})
 	}
 	// Pass 2 — chunked aggregate verify with bisection on failure.
-	if len(uniq) > 0 {
-		b.p.batched.Add(uint64(len(uniq)))
-		nchunks := (len(uniq) + batchChunk - 1) / batchChunk
-		if parallel && nchunks > 1 {
-			b.p.Each(nchunks, func(ci int) {
-				lo := ci * batchChunk
-				hi := lo + batchChunk
-				if hi > len(uniq) {
-					hi = len(uniq)
-				}
-				b.resolveChunk(uniq[lo:hi], verdicts)
-			})
-		} else {
-			for lo := 0; lo < len(uniq); lo += batchChunk {
-				hi := lo + batchChunk
-				if hi > len(uniq) {
-					hi = len(uniq)
-				}
-				b.resolveChunk(uniq[lo:hi], verdicts)
-			}
-		}
-	}
+	b.p.batched.Add(uint64(len(uniq)))
+	b.p.Each((len(uniq)+batchChunk-1)/batchChunk, func(ci int) {
+		lo := ci * batchChunk
+		hi := min(lo+batchChunk, len(uniq))
+		b.resolveChunk(uniq[lo:hi], verdicts)
+	})
 	// Pass 3 — propagate representative verdicts to their duplicates.
 	for _, u := range uniq {
 		for _, d := range u.dups {
@@ -203,22 +173,4 @@ func (b *Batch) markValid(chunk []pending, verdicts []bool) {
 			b.p.cache.add(b.items[u.item].key)
 		}
 	}
-}
-
-// split partitions the accumulated items into sub-batches of at most
-// size checks each, sharing the parent's pool. Used by Warm to
-// dispatch chunk-sized leaf tasks.
-func (b *Batch) split(size int) []*Batch {
-	if len(b.items) == 0 {
-		return nil
-	}
-	out := make([]*Batch, 0, (len(b.items)+size-1)/size)
-	for lo := 0; lo < len(b.items); lo += size {
-		hi := lo + size
-		if hi > len(b.items) {
-			hi = len(b.items)
-		}
-		out = append(out, &Batch{p: b.p, items: b.items[lo:hi]})
-	}
-	return out
 }

@@ -186,24 +186,29 @@ func TestBatchWithoutCache(t *testing.T) {
 	}
 }
 
+// Verdicts do not depend on the fan-out width: serial (Workers 1) and
+// forked (Workers 8) agree.
 func TestBatchVerifyInlineMatchesVerify(t *testing.T) {
 	pubs, msgs, sigs := batchFixture(33)
 	sigs[10] = append([]byte(nil), sigs[10]...)
 	sigs[10][0] ^= 0xff
-	build := func(p *Pool) *Batch {
-		b := p.NewBatch(33)
+	verdicts := func(workers int) []bool {
+		b := New(Options{Workers: workers}).NewBatch(36)
 		for i := range pubs {
 			b.Add(pubs[i], msgs[i], sigs[i])
 		}
-		return b
+		for _, i := range []int{0, 10, 32} { // duplicates, one of them bad
+			b.Add(pubs[i], msgs[i], sigs[i])
+		}
+		return b.Verify()
 	}
-	pa := New(Options{Workers: 4})
-	pb := New(Options{Workers: 4})
-	va := build(pa).Verify()
-	vb := build(pb).VerifyInline()
-	for i := range va {
-		if va[i] != vb[i] {
-			t.Fatalf("verdict[%d]: Verify %v, VerifyInline %v", i, va[i], vb[i])
+	serial, forked := verdicts(1), verdicts(8)
+	for i := range serial {
+		if serial[i] != forked[i] {
+			t.Fatalf("verdict[%d]: Workers 1 %v, Workers 8 %v", i, serial[i], forked[i])
+		}
+		if want := i != 10 && i != 34; serial[i] != want {
+			t.Fatalf("verdict[%d] = %v, want %v", i, serial[i], want)
 		}
 	}
 }

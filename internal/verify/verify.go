@@ -19,8 +19,9 @@ const DefaultCacheSize = 1 << 14
 
 // Options parameterize a Pool.
 type Options struct {
-	// Workers is the number of verification workers. 0 means
-	// runtime.GOMAXPROCS(0).
+	// Workers bounds how many goroutines one Each call runs fn on,
+	// the caller included. 0 means runtime.GOMAXPROCS(0); 1 keeps
+	// every call on the caller's goroutine.
 	Workers int
 	// CacheSize is the verified-signature cache capacity. 0 means
 	// DefaultCacheSize; negative disables the cache entirely (every
@@ -31,10 +32,8 @@ type Options struct {
 
 // Stats is a snapshot of pool activity.
 type Stats struct {
-	// Workers is the pool size.
+	// Workers is the fan-out bound.
 	Workers int
-	// Busy is the number of workers executing a verification right now.
-	Busy int
 	// Verified counts Ed25519 verifications actually performed.
 	Verified uint64
 	// Batched counts signatures that reached the curve through the
@@ -46,8 +45,6 @@ type Stats struct {
 	CacheHits uint64
 	// CacheMisses counts cache probes that fell through to Ed25519.
 	CacheMisses uint64
-	// Utilization is Busy/Workers at snapshot time.
-	Utilization float64
 }
 
 // EntryError reports which entry of a batch failed verification.
@@ -63,38 +60,25 @@ func (e *EntryError) Error() string { return fmt.Sprintf("entry %d: %v", e.Index
 // Unwrap exposes the underlying cause to errors.Is/As.
 func (e *EntryError) Unwrap() error { return e.Err }
 
-// Pool is a sharded worker-pool signature verifier with a verified-
-// signature cache. Safe for concurrent use; the zero value is not usable,
-// call New (or use Shared).
+// Pool is a signature verifier: a verified-signature cache, activity
+// counters, and a bound on fork-join fan-out. It holds no goroutines.
+// Safe for concurrent use; the zero value is not usable, call New (or
+// use Shared).
 type Pool struct {
 	workers int
-	tasks   chan func()
 	cache   *cache
 
-	// closeMu guards closed: dispatch holds it shared around the
-	// channel send so Close (exclusive) never closes the channel while
-	// a send is in flight.
-	closeMu sync.RWMutex
-	closed  bool
-
-	busy     atomic.Int64
 	verified atomic.Uint64
 	batched  atomic.Uint64
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 }
 
-// New starts a verification pool.
+// New returns a verifier.
 func New(opts Options) *Pool {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	p := &Pool{
-		workers: workers,
-		// Deep enough that a full entry batch can be in flight per
-		// worker before submitters start helping inline.
-		tasks: make(chan func(), workers*8),
+	p := &Pool{workers: opts.Workers}
+	if p.workers <= 0 {
+		p.workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.CacheSize >= 0 {
 		size := opts.CacheSize
@@ -103,114 +87,57 @@ func New(opts Options) *Pool {
 		}
 		p.cache = newCache(size)
 	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
 	return p
 }
 
-var (
-	sharedOnce sync.Once
-	shared     *Pool
-)
-
-// Shared returns the process-wide default pool: GOMAXPROCS workers and
-// the default cache. Chains that are not configured with their own pool
-// verify through it, so summary re-computation on every node of a local
-// cluster shares one cache.
-func Shared() *Pool {
-	sharedOnce.Do(func() { shared = New(Options{}) })
-	return shared
-}
-
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
-// HasCache reports whether the pool caches verified signatures. Warming
-// work is only worth dispatching when it does.
-func (p *Pool) HasCache() bool { return p.cache != nil }
+// Shared returns the process-wide default pool: GOMAXPROCS-wide fan-out
+// and the default cache. Chains that are not configured with their own
+// pool verify through it, so summary re-computation on every node of a
+// local cluster shares one cache.
+var Shared = sync.OnceValue(func() *Pool { return New(Options{}) })
 
 // Stats returns a snapshot of pool activity.
 func (p *Pool) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Workers:     p.workers,
-		Busy:        int(p.busy.Load()),
 		Verified:    p.verified.Load(),
 		Batched:     p.batched.Load(),
 		CacheHits:   p.hits.Load(),
 		CacheMisses: p.misses.Load(),
 	}
-	if s.Workers > 0 {
-		s.Utilization = float64(s.Busy) / float64(s.Workers)
-	}
-	return s
 }
 
-// worker executes verification tasks for the life of the pool.
-func (p *Pool) worker() {
-	for fn := range p.tasks {
-		p.busy.Add(1)
-		fn()
-		p.busy.Add(-1)
-	}
-}
+// Close does nothing — a Pool owns nothing to stop — and goes once benchmark/ stops calling it.
+func (p *Pool) Close() {}
 
-// dispatch hands fn to a worker, or runs it inline when every worker is
-// saturated — submitters help instead of queuing unboundedly, so the
-// pool can never deadlock on its own intake. After Close, everything
-// runs inline: callers keep working, just without parallelism.
-func (p *Pool) dispatch(fn func()) {
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
-		fn()
-		return
-	}
-	select {
-	case p.tasks <- fn:
-		p.closeMu.RUnlock()
-	default:
-		p.closeMu.RUnlock()
-		fn()
-	}
-}
-
-// Close stops the worker goroutines once queued tasks drain. Verifying
-// through a closed pool stays correct — work simply runs on the caller.
-// Do not close the Shared pool. Close is idempotent.
-func (p *Pool) Close() {
-	p.closeMu.Lock()
-	defer p.closeMu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	close(p.tasks)
-}
-
-// Each runs fn(i) for every i in [0, n) across the pool's workers and
-// waits for all of them. It is the pool's generic fan-out primitive —
-// signature batches, co-signature batches, and Merkle leaf hashing all
-// route through it (it satisfies merkle.Runner). Must not be called
-// from inside a pool task: a task that waits on other tasks can
-// exhaust the workers and deadlock the pool.
+// Each runs fn(i) for every i in [0, n) and waits for all of them: on
+// the caller alone when Workers or n is 1, otherwise on the caller plus
+// min(Workers, n)-1 goroutines that pull indices from one counter and
+// exit. It is the generic fan-out primitive — signature chunks and
+// Merkle leaf hashing route through it (it satisfies merkle.Runner).
 func (p *Pool) Each(n int, fn func(int)) {
-	switch {
-	case n <= 0:
+	width := min(p.workers, n)
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
-	case n == 1:
-		fn(0)
-		return
+	}
+	var next atomic.Int64
+	pull := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
 	}
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.dispatch(func() {
+	wg.Add(width - 1)
+	for g := 1; g < width; g++ {
+		go func() {
 			defer wg.Done()
-			fn(i)
-		})
+			pull()
+		}()
 	}
+	pull()
 	wg.Wait()
 }
 
@@ -270,222 +197,143 @@ func (p *Pool) VerifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return true
 }
 
+// screen runs the checks on e that need no curve math — structural
+// shape and identity lookup — and returns the owner's public key.
+func screen(reg *identity.Registry, e *block.Entry) (ed25519.PublicKey, error) {
+	if err := e.CheckShape(); err != nil {
+		return nil, err
+	}
+	info, ok := reg.Lookup(e.Owner)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", identity.ErrUnknownIdentity, e.Owner)
+	}
+	return info.Public, nil
+}
+
+// firstBad checks shape and owner signature of every entry and returns
+// the first failure by position, nil when all pass. Screening runs
+// inline (nanoseconds against the microseconds of curve math); the
+// surviving signatures resolve together through one Batch — cache
+// screen, duplicate collapse, chunked aggregate verify fanned out by
+// Each. A lone entry, the common submit shape, skips the batch.
+func (p *Pool) firstBad(reg *identity.Registry, entries []*block.Entry) *EntryError {
+	badSig := func(e *block.Entry) error {
+		return fmt.Errorf("%w: signer %q", identity.ErrBadSignature, e.Owner)
+	}
+	if len(entries) == 1 {
+		e := entries[0]
+		pub, err := screen(reg, e)
+		if err == nil && !p.VerifySig(pub, e.SigningBytes(), e.Signature) {
+			err = badSig(e)
+		}
+		if err != nil {
+			return &EntryError{Index: 0, Err: err}
+		}
+		return nil
+	}
+	errs := make([]error, len(entries))
+	b := p.NewBatch(len(entries))
+	for i, e := range entries {
+		pub, err := screen(reg, e)
+		if errs[i] = err; err != nil {
+			// A keyless check keeps verdict i on entry i; Add fails it
+			// without touching the cache or the curve.
+			b.Add(nil, nil, nil)
+			continue
+		}
+		b.Add(pub, e.SigningBytes(), e.Signature)
+	}
+	for i, ok := range b.Verify() {
+		switch {
+		case errs[i] != nil:
+			return &EntryError{Index: i, Err: errs[i]}
+		case !ok:
+			return &EntryError{Index: i, Err: badSig(entries[i])}
+		}
+	}
+	return nil
+}
+
 // Entries verifies a batch of entries against reg: structural shape and
-// owner signature for every entry. Shape checks and identity lookups
-// run inline (they are nanoseconds against the microseconds of curve
-// math); the surviving signatures are then resolved together through
-// one Batch — cache screen, duplicate collapse, chunked aggregate
-// verify across the pool's workers. The first failure (by batch
+// owner signature for every entry. The first failure (by batch
 // position) is returned as an *EntryError. Chain-state-dependent rules
 // (dependencies, marks) are not checked here — they belong under the
 // chain lock.
 func (p *Pool) Entries(reg *identity.Registry, entries []*block.Entry) error {
-	switch len(entries) {
-	case 0:
-		return nil
-	case 1:
-		return p.verifyOne(reg, 0, entries[0])
-	}
-	errs := make([]error, len(entries))
-	b := p.NewBatch(len(entries))
-	idx := make([]int, 0, len(entries))
-	for i, e := range entries {
-		if err := e.CheckShape(); err != nil {
-			errs[i] = &EntryError{Index: i, Err: err}
-			continue
-		}
-		info, ok := reg.Lookup(e.Owner)
-		if !ok {
-			errs[i] = &EntryError{Index: i, Err: fmt.Errorf("%w: %q", identity.ErrUnknownIdentity, e.Owner)}
-			continue
-		}
-		b.Add(info.Public, e.SigningBytes(), e.Signature)
-		idx = append(idx, i)
-	}
-	for j, ok := range b.Verify() {
-		if !ok {
-			i := idx[j]
-			errs[i] = &EntryError{Index: i, Err: fmt.Errorf("%w: signer %q", identity.ErrBadSignature, entries[i].Owner)}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if bad := p.firstBad(reg, entries); bad != nil {
+		return bad
 	}
 	return nil
 }
 
 // CoSigners batch-verifies the co-signatures of a deletion entry: each
 // listed co-signer's Ed25519 signature over the cosigning bytes of the
-// entry's target, in parallel across the pool and through the
-// verified-signature cache. verdicts[i] reports whether e.CoSigners[i]
-// is a known identity with a valid signature. This is the lock-free
-// half of deletion authorization — the chain consumes the verdicts
-// under its lock without touching a signature again.
+// entry's target, through the verified-signature cache. verdicts[i]
+// reports whether e.CoSigners[i] is a known identity with a valid
+// signature. This is the lock-free half of deletion authorization — the
+// chain consumes the verdicts under its lock without touching a
+// signature again.
 func (p *Pool) CoSigners(reg *identity.Registry, e *block.Entry) []bool {
-	n := len(e.CoSigners)
-	if n == 0 {
+	if len(e.CoSigners) == 0 {
 		return nil
 	}
 	msg := block.CoSigningBytes(e.Target)
-	verdicts := make([]bool, n)
-	b := p.NewBatch(n)
-	idx := make([]int, 0, n)
-	for i, cs := range e.CoSigners {
-		info, ok := reg.Lookup(cs.Name)
-		if !ok {
-			continue
-		}
+	b := p.NewBatch(len(e.CoSigners))
+	for _, cs := range e.CoSigners {
+		// An unknown name has no key, and Add fails a keyless check
+		// without touching the cache or the curve.
+		info, _ := reg.Lookup(cs.Name)
 		b.Add(info.Public, msg, cs.Signature)
-		idx = append(idx, i)
 	}
-	for j, ok := range b.Verify() {
-		verdicts[idx[j]] = ok
-	}
-	return verdicts
+	return b.Verify()
 }
 
-// Warm pre-verifies entries, populating the cache so a later Entries
-// call over the same batch resolves from hits. Deletion entries also
-// warm their co-signatures, so request authorization at sealing time
-// resolves from the cache too. Failures are ignored — the
-// authoritative check happens at validation time. The signatures are
-// collected into one batch and dispatched in chunk-sized sub-batches,
-// each a leaf task resolving through VerifyInline (never a task that
-// waits on other tasks), so warming cannot deadlock the pool and costs
-// one dispatch per chunk instead of one per signature.
+// Warm pre-verifies entries on a goroutine of its own, populating the
+// cache so a later Entries call over the same batch — and, for deletion
+// entries, the CoSigners call of request authorization at sealing time
+// — resolves from hits. The slice is read after Warm returns, so the
+// caller must not modify it. Failures are ignored: the authoritative
+// check happens at validation time. Without a cache it does nothing.
 func (p *Pool) Warm(reg *identity.Registry, entries []*block.Entry) {
-	// The overwhelmingly common shape is a producer submitting a single
-	// data entry: one signature, no co-signers. Skip the batch machinery
-	// — one dispatched closure, the signing bytes computed off the
-	// submitter's goroutine, the cache filled through VerifySig.
-	if len(entries) == 1 && entries[0].Kind == block.KindData {
-		e := entries[0]
-		if e.CheckShape() != nil {
-			return
-		}
-		info, ok := reg.Lookup(e.Owner)
-		if !ok {
-			return
-		}
-		p.dispatch(func() { _ = p.VerifySig(info.Public, e.SigningBytes(), e.Signature) })
+	if p.cache == nil {
 		return
 	}
-	b := p.NewBatch(len(entries))
-	for _, e := range entries {
-		// Shape failures and unknown signers are screened here for free;
-		// the authoritative validation re-checks and reports them.
-		if e.CheckShape() != nil {
-			continue
-		}
-		if info, ok := reg.Lookup(e.Owner); ok {
-			b.Add(info.Public, e.SigningBytes(), e.Signature)
-		}
-		if e.Kind != block.KindDeletion {
-			continue
-		}
-		msg := block.CoSigningBytes(e.Target)
-		for _, cs := range e.CoSigners {
-			if info, ok := reg.Lookup(cs.Name); ok {
-				b.Add(info.Public, msg, cs.Signature)
+	go func() {
+		_ = p.Entries(reg, entries)
+		for _, e := range entries {
+			if e.Kind == block.KindDeletion {
+				p.CoSigners(reg, e)
 			}
 		}
-	}
-	if b.Len() <= batchChunk {
-		// One chunk: dispatch the batch itself instead of splitting.
-		p.dispatch(func() { _ = b.VerifyInline() })
-		return
-	}
-	for _, sub := range b.split(batchChunk) {
-		sub := sub
-		p.dispatch(func() { _ = sub.VerifyInline() })
-	}
+	}()
 }
 
-// verifyOne checks one entry's shape and owner signature.
-func (p *Pool) verifyOne(reg *identity.Registry, idx int, e *block.Entry) error {
-	if err := e.CheckShape(); err != nil {
-		return &EntryError{Index: idx, Err: err}
-	}
-	info, ok := reg.Lookup(e.Owner)
-	if !ok {
-		return &EntryError{Index: idx, Err: fmt.Errorf("%w: %q", identity.ErrUnknownIdentity, e.Owner)}
-	}
-	if !p.VerifySig(info.Public, e.SigningBytes(), e.Signature) {
-		return &EntryError{Index: idx, Err: fmt.Errorf("%w: signer %q", identity.ErrBadSignature, e.Owner)}
-	}
-	return nil
-}
-
-// Blocks verifies the entries of many blocks concurrently — the restore
+// Blocks verifies the entries of many blocks as one batch — the restore
 // path: a whole persisted chain (or an adopted status quo) is re-checked
-// with all cores before any of it is trusted. Summary blocks contribute
-// their carried entries. Shape and identity screening run inline, then
-// every signature across every block resolves through one Batch: the
-// cache screens entries that summary blocks re-carry, and the chunked
-// aggregate pass fans the remainder across the pool's workers. The
-// first failing block (by slice position) is reported.
+// before any of it is trusted. Summary blocks contribute their carried
+// entries, which the cache screens when several re-carry the same one.
+// The first failing block (by slice position) is reported.
 func (p *Pool) Blocks(reg *identity.Registry, blocks []*block.Block) error {
-	type unit struct {
-		blockNum uint64
-		entryIdx int
-		entry    *block.Entry
-	}
-	var units []unit
-	for _, b := range blocks {
-		for j, e := range blockEntries(b) {
-			units = append(units, unit{b.Header.Number, j, e})
-		}
-	}
-	errs := make([]error, len(units))
-	b := p.NewBatch(len(units))
-	idx := make([]int, 0, len(units))
-	for i, u := range units {
-		if err := u.entry.CheckShape(); err != nil {
-			errs[i] = fmt.Errorf("block %d: %w", u.blockNum, &EntryError{Index: u.entryIdx, Err: err})
+	var all []*block.Entry
+	starts := make([]int, len(blocks)) // starts[k]: position in all of block k's first entry
+	for k, b := range blocks {
+		starts[k] = len(all)
+		if !b.IsSummary() {
+			all = append(all, b.Entries...)
 			continue
 		}
-		info, ok := reg.Lookup(u.entry.Owner)
-		if !ok {
-			errs[i] = fmt.Errorf("block %d: %w", u.blockNum, &EntryError{
-				Index: u.entryIdx,
-				Err:   fmt.Errorf("%w: %q", identity.ErrUnknownIdentity, u.entry.Owner),
-			})
-			continue
-		}
-		b.Add(info.Public, u.entry.SigningBytes(), u.entry.Signature)
-		idx = append(idx, i)
-	}
-	for j, ok := range b.Verify() {
-		if !ok {
-			u := units[idx[j]]
-			errs[idx[j]] = fmt.Errorf("block %d: %w", u.blockNum, &EntryError{
-				Index: u.entryIdx,
-				Err:   fmt.Errorf("%w: signer %q", identity.ErrBadSignature, u.entry.Owner),
-			})
+		for _, ce := range b.Carried {
+			all = append(all, ce.Entry)
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// blockEntries collects the signed entries of a block: normal entries,
-// or the entries carried inside a summary block.
-func blockEntries(b *block.Block) []*block.Entry {
-	if !b.IsSummary() {
-		return b.Entries
-	}
-	if len(b.Carried) == 0 {
+	bad := p.firstBad(reg, all)
+	if bad == nil {
 		return nil
 	}
-	out := make([]*block.Entry, len(b.Carried))
-	for i, ce := range b.Carried {
-		out[i] = ce.Entry
+	k := len(blocks) - 1
+	for starts[k] > bad.Index {
+		k--
 	}
-	return out
+	bad.Index -= starts[k]
+	return fmt.Errorf("block %d: %w", blocks[k].Header.Number, bad)
 }

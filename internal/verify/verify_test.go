@@ -3,8 +3,12 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/identity"
@@ -186,22 +190,163 @@ func TestBlocksVerifiesCarriedEntries(t *testing.T) {
 	}
 }
 
+// settle polls until cond holds; Warm hands back no handle to wait on.
+func settle(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestCloseStopsWorkersKeepsVerifying pins that a pool holds no
+// goroutines — there is nothing for Close to stop or for a caller that
+// forgets it to leak — and that verifying after Close still works.
 func TestCloseStopsWorkersKeepsVerifying(t *testing.T) {
 	reg, kp := testRegistry(t)
-	entries := signedEntries(kp, 8)
-	p := New(Options{Workers: 2})
-	if err := p.Entries(reg, entries); err != nil {
-		t.Fatal(err)
+	entries := signedEntries(kp, 40)
+	before := runtime.NumGoroutine()
+	pools := make([]*Pool, 32)
+	for i := range pools {
+		pools[i] = New(Options{Workers: 4})
 	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("32 pools, none closed: %d goroutines, %d before", got, before)
+	}
+	p := pools[0]
+	p.Warm(reg, entries)
+	settle(t, "Warm's goroutines to exit", func() bool {
+		return p.Stats().Verified == 40 && runtime.NumGoroutine() <= before
+	})
+
 	p.Close()
 	p.Close() // idempotent
-	// Verification still works after Close (inline on the caller).
+	hits := p.Stats().CacheHits
 	if err := p.Entries(reg, entries); err != nil {
 		t.Fatalf("after close: %v", err)
 	}
-	s := p.Stats()
-	if s.CacheHits == 0 {
-		t.Fatal("cache not consulted after close")
+	if got := p.Stats().CacheHits - hits; got != 40 {
+		t.Fatalf("after close: %d cache hits, want 40", got)
+	}
+}
+
+// goid returns the calling goroutine's id, from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+func TestEachBoundsFanOut(t *testing.T) {
+	// Workers 1: ascending, on the caller's goroutine.
+	var order []int
+	caller := goid()
+	New(Options{Workers: 1}).Each(50, func(i int) {
+		if g := goid(); g != caller {
+			t.Errorf("index %d ran on goroutine %s, caller is %s", i, g, caller)
+		}
+		order = append(order, i)
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("Workers 1 visited %v, want ascending", order)
+		}
+	}
+	if len(order) != 50 {
+		t.Fatalf("Workers 1 visited %d of 50 indices", len(order))
+	}
+
+	// Every index exactly once, never more than Workers calls at once.
+	for _, tc := range []struct{ workers, n int }{{3, 200}, {8, 5}, {2, 2}, {4, 1}, {4, 0}} {
+		var running, peak atomic.Int64
+		visits := make([]atomic.Int64, tc.n)
+		New(Options{Workers: tc.workers}).Each(tc.n, func(i int) {
+			now := running.Add(1)
+			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
+			}
+			visits[i].Add(1)
+			time.Sleep(50 * time.Microsecond)
+			running.Add(-1)
+		})
+		for i := range visits {
+			if v := visits[i].Load(); v != 1 {
+				t.Fatalf("workers=%d n=%d: index %d visited %d times", tc.workers, tc.n, i, v)
+			}
+		}
+		if got, limit := peak.Load(), int64(min(tc.workers, tc.n)); got > limit {
+			t.Fatalf("workers=%d n=%d: %d calls in flight at once, bound is %d", tc.workers, tc.n, got, limit)
+		}
+	}
+
+	// And it does fan out: four calls that each wait for the other three
+	// only finish if min(Workers, n) of them run at once.
+	var arrived, met atomic.Int64
+	deadline := time.Now().Add(5 * time.Second)
+	New(Options{Workers: 4}).Each(4, func(int) {
+		arrived.Add(1)
+		for arrived.Load() < 4 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if arrived.Load() == 4 {
+			met.Add(1)
+		}
+	})
+	if met.Load() != 4 {
+		t.Fatalf("Workers 4, n 4: the four calls never ran at once (%d of them saw all four)", met.Load())
+	}
+}
+
+// TestWarmFillsTheCache: once Warm of a mixed batch has settled, the
+// authoritative checks over the same batch reach the curve for nothing.
+func TestWarmFillsTheCache(t *testing.T) {
+	reg, kp := testRegistry(t)
+	var cosigners []*identity.KeyPair
+	for _, name := range []string{"bob", "carol", "dave"} {
+		k := identity.Deterministic(name, "verify-test")
+		if err := reg.RegisterKey(k, identity.RoleUser); err != nil {
+			t.Fatal(err)
+		}
+		cosigners = append(cosigners, k)
+	}
+	del := block.NewDeletion(kp.Name(), block.Ref{Block: 1, Entry: 0})
+	for _, k := range cosigners {
+		del.AddCoSignature(k)
+	}
+	entries := append(signedEntries(kp, 20), del.Sign(kp))
+	const sigs = 21 + 3
+
+	before := runtime.NumGoroutine()
+	p := New(Options{Workers: 2})
+	p.Warm(reg, entries)
+	settle(t, "Warm's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+	warmed := p.Stats()
+	if warmed.Verified != sigs {
+		t.Fatalf("Warm verified %d signatures, want %d", warmed.Verified, sigs)
+	}
+	if err := p.Entries(reg, entries); err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range p.CoSigners(reg, del) {
+		if !ok {
+			t.Fatalf("co-signature %d rejected", i)
+		}
+	}
+	after := p.Stats()
+	if after.Verified != warmed.Verified || after.CacheMisses != warmed.CacheMisses {
+		t.Fatalf("after Warm the checks still reached the curve: %+v -> %+v", warmed, after)
+	}
+	if got := after.CacheHits - warmed.CacheHits; got != sigs {
+		t.Fatalf("cache hits after Warm: got %d, want %d", got, sigs)
+	}
+
+	// Without a cache there is nothing to warm.
+	off := New(Options{Workers: 2, CacheSize: -1})
+	off.Warm(reg, entries)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("cache-off Warm started %d goroutine(s)", got-before)
+	}
+	if s := off.Stats(); s.Verified != 0 {
+		t.Fatalf("cache-off Warm verified %d signatures", s.Verified)
 	}
 }
 

@@ -318,28 +318,10 @@ func WithBatchLinger(d time.Duration) Option {
 	}
 }
 
-// WithCompaction parameterizes the background compactor that executes
-// the physical side of truncation — cut-block memory release,
-// dependency-graph sweeps, store pruning via OnTruncate — off the
-// append path. The zero value is the asynchronous default; set
-// Synchronous to run that work inline on the append path (deterministic
-// single-threaded simulations that assert on store contents without a
-// CompactWait barrier). Queue is a capacity hint for the pending-event
-// staging buffer.
-func WithCompaction(o CompactionOptions) Option {
-	return func(b *builder) error {
-		if o.Queue < 0 {
-			return fmt.Errorf("%w: negative compaction queue", ErrConfig)
-		}
-		b.cfg.Compaction = o
-		return nil
-	}
-}
-
 // WithVerifier routes all signature verification of the new chain
-// through p instead of the process-wide shared pool — e.g. a pool with
-// a dedicated worker count, or with the verified-signature cache
-// disabled for benchmarking.
+// through p instead of the process-wide shared verifier — e.g. one
+// whose counters describe this chain alone, or with the
+// verified-signature cache disabled for benchmarking.
 func WithVerifier(p *Verifier) Option {
 	return func(b *builder) error {
 		if p == nil {
@@ -350,9 +332,10 @@ func WithVerifier(p *Verifier) Option {
 	}
 }
 
-// NewVerifier builds a standalone signature-verification pool. workers
-// 0 means GOMAXPROCS; cacheSize 0 means the default verified-signature
-// cache, negative disables caching.
+// NewVerifier builds a standalone signature verifier. workers bounds
+// the goroutines one batch forks across (0 means GOMAXPROCS, 1 keeps
+// every check on its caller); cacheSize 0 means the default
+// verified-signature cache, negative disables caching.
 func NewVerifier(workers, cacheSize int) *Verifier {
 	return verify.New(verify.Options{Workers: workers, CacheSize: cacheSize})
 }
@@ -402,7 +385,7 @@ func WithPartitions(n int, popts ...PartitionOption) Option {
 // NewPartitioned creates a partitioned selective-deletion chain: n
 // sub-chains (WithPartitions is required), each running the full
 // submission pipeline over its own block-number stripe, sharing one
-// verify pool, and anchoring into a cross-partition spine chain.
+// verifier, and anchoring into a cross-partition spine chain.
 // WithSegmentStore(dir) makes dir a partitioned store root holding one
 // segment store per partition (dir/p000, dir/p001, ...) plus a
 // PARTITIONS metadata file; populated partition stores are restored.

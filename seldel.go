@@ -121,17 +121,14 @@ type (
 	Sealed = mempool.Sealed
 	// PipelineStats are the submission pipeline's cumulative counters
 	// and backpressure gauges (intake-queue depth, adaptive linger,
-	// verify-pool utilization, compaction progress).
+	// verifier counters, compaction progress).
 	PipelineStats = mempool.Stats
-	// Verifier is the parallel signature-verification pool with the
-	// verified-signature cache; see NewVerifier and WithVerifier.
+	// Verifier is the signature verifier: the verified-signature cache,
+	// batch verification forked across a bounded number of goroutines,
+	// and its counters; see NewVerifier and WithVerifier.
 	Verifier = verify.Pool
 	// VerifyStats is a snapshot of a Verifier's activity.
 	VerifyStats = verify.Stats
-	// CompactionOptions parameterize the background compactor that
-	// executes the physical side of truncation off the append path;
-	// see WithCompaction.
-	CompactionOptions = compact.Options
 	// CompactionStats is a snapshot of the compactor's progress:
 	// pending truncations and blocks/bytes physically reclaimed. Use
 	// Chain.CompactWait to barrier on it.
