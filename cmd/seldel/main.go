@@ -24,6 +24,7 @@ import (
 
 	"github.com/seldel/seldel"
 	"github.com/seldel/seldel/internal/doctor"
+	"github.com/seldel/seldel/internal/mempool"
 )
 
 func main() {
@@ -229,37 +230,43 @@ func runCluster(n int) error {
 			return err
 		}
 	}
-	step := func(entries ...*seldel.Entry) error {
-		for _, e := range entries {
-			nodes[0].SubmitLocal(e)
-		}
+	// One SubmitWait per scenario step through anchor-0, which seals the
+	// step's entries as one block in the order given; the flush lets
+	// every peer append it and vote on any summary it makes due.
+	ctx := context.Background()
+	step := func(entries ...*seldel.Entry) ([]seldel.Sealed, error) {
+		sealed, err := nodes[0].SubmitWait(ctx, entries...)
 		net.Flush()
-		if _, err := nodes[0].Propose(); err != nil {
+		return sealed, err
+	}
+	for _, entries := range [][]*seldel.Entry{
+		{s.login("ALPHA", "tty1")},
+		{s.login("ALPHA", "tty2"), s.login("BRAVO", "tty1")},
+		{s.login("CHARLIE", "tty1")},
+	} {
+		if _, err := step(entries...); err != nil {
 			return err
 		}
-		net.Flush()
-		return nil
 	}
-	if err := step(s.login("ALPHA", "tty1")); err != nil {
+	del, err := step(seldel.NewDeletion("BRAVO", seldel.Ref{Block: 3, Entry: 1}).Sign(s.keys["BRAVO"]))
+	if err != nil {
 		return err
 	}
-	if err := step(s.login("ALPHA", "tty2"), s.login("BRAVO", "tty1")); err != nil {
-		return err
+	if del[0].Mark != mempool.MarkApproved {
+		return fmt.Errorf("cluster: BRAVO's deletion of 3/1 came back %v, want approved", del[0].Mark)
 	}
-	if err := step(s.login("CHARLIE", "tty1")); err != nil {
-		return err
-	}
-	if err := step(seldel.NewDeletion("BRAVO", seldel.Ref{Block: 3, Entry: 1}).Sign(s.keys["BRAVO"])); err != nil {
-		return err
-	}
-	if err := step(s.login("ALPHA", "tty3")); err != nil {
+	if _, err := step(s.login("ALPHA", "tty3")); err != nil {
 		return err
 	}
 	fmt.Printf("cluster of %d anchors after the Fig. 7 scenario:\n", n)
+	head := nodes[0].Chain().HeadHash()
 	for _, nd := range nodes {
 		fmt.Printf("  %s: head=%d hash=%s marker=%d forked=%v\n",
 			nd.Name(), nd.Chain().Head().Number, nd.Chain().HeadHash(),
 			nd.Chain().Marker(), nd.Forked())
+		if nd.Chain().HeadHash() != head {
+			return fmt.Errorf("cluster: %s ended on head %s, %s on %s", nd.Name(), nd.Chain().HeadHash(), nodes[0].Name(), head)
+		}
 	}
 	fmt.Println("\nchain as seen by", nodes[n-1].Name(), "(built its summaries locally):")
 	return nodes[n-1].Chain().Render(os.Stdout, &seldel.RenderOptions{ShowMarks: true})

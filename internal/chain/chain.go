@@ -395,7 +395,7 @@ func (c *Chain) StoreErr() error {
 func (c *Chain) Registry() *identity.Registry { return c.cfg.Registry }
 
 // Verifier returns the signature-verification pool the chain validates
-// through, so adjacent layers (mempool warming, node gossip screening)
+// through, so adjacent layers (mempool warming, a node's pipeline)
 // share its verified-signature cache.
 func (c *Chain) Verifier() *verify.Pool { return c.cfg.Verifier }
 

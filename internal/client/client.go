@@ -1,5 +1,8 @@
-// Package client implements blockchain clients: participants that submit
-// entries and deletion requests to anchor nodes and query the chain.
+// Package client implements blockchain clients: participants that build
+// signed entries and deletion requests and query the chain through the
+// anchor nodes. Clients are verifying readers; a write reaches the chain
+// through one anchor's Node.Submit (or POST /v1/submit on a serving
+// node), so one anchor seals it and the others receive it in the block.
 //
 // Clients do not hold the chain. They obtain "the current status quo of
 // the blockchain" from the anchor nodes (§V-B.4) and guard against node
@@ -9,7 +12,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -135,24 +137,6 @@ func (c *Client) NewTemporaryEntry(payload []byte, expireTime, expireBlock uint6
 // NewDeletionRequest builds and signs a deletion request (§IV-D).
 func (c *Client) NewDeletionRequest(target block.Ref) *block.Entry {
 	return block.NewDeletion(c.Name(), target).Sign(c.key)
-}
-
-// Submit sends signed entries to every anchor node for inclusion in the
-// anchors' pending pools; the anchors batch them into their next
-// proposed block. Sending stops early when ctx is done.
-func (c *Client) Submit(ctx context.Context, entries ...*block.Entry) error {
-	for _, e := range entries {
-		body := e.Encode()
-		for _, anchor := range c.anchors {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := c.ep.Send(anchor, wire.KindEntry, wire.SealEnvelope(c.key, wire.KindEntry, body)); err != nil {
-				return fmt.Errorf("client: submit to %s: %w", anchor, err)
-			}
-		}
-	}
-	return nil
 }
 
 // QueryStatus asks all anchors for the current status quo and returns

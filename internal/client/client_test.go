@@ -12,6 +12,7 @@ import (
 	"github.com/seldel/seldel/internal/client"
 	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
 	"github.com/seldel/seldel/internal/simclock"
@@ -75,15 +76,16 @@ func newHarness(t *testing.T, anchors int) *harness {
 	return h
 }
 
-func (h *harness) propose(t *testing.T) *block.Block {
+// write seals entries through anchor-0 — writes reach the chain through
+// one node, never through the client — and lets the network settle.
+func (h *harness) write(t *testing.T, entries ...*block.Entry) []mempool.Sealed {
 	t.Helper()
-	h.net.Flush()
-	b, err := h.nodes[0].Propose()
+	sealed, err := h.nodes[0].SubmitWait(context.Background(), entries...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.net.Flush()
-	return b
+	return sealed
 }
 
 func TestClientEntryBuilders(t *testing.T) {
@@ -108,25 +110,9 @@ func TestClientEntryBuilders(t *testing.T) {
 	}
 }
 
-func TestSubmitReachesAllAnchors(t *testing.T) {
-	h := newHarness(t, 3)
-	if err := h.cli.Submit(context.Background(), h.cli.NewDataEntry([]byte("gossip me"))); err != nil {
-		t.Fatal(err)
-	}
-	h.net.Flush()
-	for _, n := range h.nodes {
-		if n.MempoolSize() != 1 {
-			t.Errorf("%s mempool = %d, want 1", n.Name(), n.MempoolSize())
-		}
-	}
-}
-
 func TestQueryStatusHappyPath(t *testing.T) {
 	h := newHarness(t, 3)
-	if err := h.cli.Submit(context.Background(), h.cli.NewDataEntry([]byte("x"))); err != nil {
-		t.Fatal(err)
-	}
-	h.propose(t)
+	h.write(t, h.cli.NewDataEntry([]byte("x")))
 	status, err := h.cli.QueryStatus()
 	if err != nil {
 		t.Fatal(err)
@@ -151,11 +137,7 @@ func TestQueryStatusTimesOutWhenIsolated(t *testing.T) {
 
 func TestLookupVerifiesProofs(t *testing.T) {
 	h := newHarness(t, 2)
-	if err := h.cli.Submit(context.Background(), h.cli.NewDataEntry([]byte("prove me"))); err != nil {
-		t.Fatal(err)
-	}
-	b := h.propose(t)
-	ref := block.Ref{Block: b.Header.Number, Entry: 0}
+	ref := h.write(t, h.cli.NewDataEntry([]byte("prove me")))[0].Ref
 	got, err := h.cli.Lookup("anchor-1", ref)
 	if err != nil {
 		t.Fatalf("Lookup: %v", err)
@@ -170,7 +152,9 @@ func TestLookupVerifiesProofs(t *testing.T) {
 
 func TestLookupNotFound(t *testing.T) {
 	h := newHarness(t, 1)
-	h.propose(t)
+	if _, err := h.nodes[0].AppendEmpty(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := h.cli.Lookup("anchor-0", block.Ref{Block: 77, Entry: 0}); !errors.Is(err, client.ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -64,9 +65,7 @@ func runCluster(w io.Writer) error {
 	}
 
 	drive := func(payload string) error {
-		nodes[0].SubmitLocal(block.NewData("user", []byte(payload)).Sign(userKey))
-		net.Flush()
-		if _, err := nodes[0].Propose(); err != nil {
+		if _, err := nodes[0].SubmitWait(context.Background(), block.NewData("user", []byte(payload)).Sign(userKey)); err != nil {
 			return err
 		}
 		net.Flush()

@@ -3,21 +3,16 @@
 //
 // Related redactable-chain designs (Deuber et al., Kuperberg) treat both
 // writes and deletion requests as operations flowing through a pool of
-// pending operations rather than as caller-assembled blocks. This package
-// provides that pipeline in two pieces:
-//
-//   - Batcher coalesces entries from many concurrent producers into full
-//     blocks: a dedicated flusher goroutine drains submissions, seals one
-//     block per batch through the Ledger, and resolves a Receipt per entry
-//     with the final reference, block number, and block hash. A batch is
-//     flushed when it reaches the configured size or as soon as the
-//     submission stream goes idle (optionally after a short linger that
-//     trades latency for larger batches).
-//
-//   - Pool is the anchor-node pending set: a deduplicating holding area
-//     for gossiped entries that are included when the node next proposes
-//     a block (internal/node drives it explicitly so cluster simulations
-//     stay deterministic).
+// pending operations rather than as caller-assembled blocks. Batcher is
+// that flow: it coalesces entries from many concurrent producers into
+// full blocks — a dedicated flusher goroutine drains submissions, seals
+// one block per batch through the Ledger, and resolves a Receipt per
+// entry with the final reference, block number, and block hash. A batch
+// is flushed when it reaches the configured size or as soon as the
+// submission stream goes idle (optionally after a short linger that
+// trades latency for larger batches). A single chain and an anchor node
+// each write through one Batcher; they differ only in the Ledger behind
+// it.
 //
 // Entries submitted in one Submit call are kept in the same sealed block,
 // so multi-entry invariants ("these records appear together") survive

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/identity"
 )
 
 // fakeLedger seals batches by recording them; entries whose payload is
@@ -263,54 +262,6 @@ func TestZeroReceipt(t *testing.T) {
 	}
 	if r.Resolved() {
 		t.Error("zero receipt reports resolved")
-	}
-}
-
-func TestPoolDedupAndDeterministicOrder(t *testing.T) {
-	kp := identity.Deterministic("owner", "pool-test")
-	p := NewPool()
-	e1 := block.NewData("owner", []byte("one")).Sign(kp)
-	e2 := block.NewData("owner", []byte("two")).Sign(kp)
-	if !p.Add(e1) || !p.Add(e2) {
-		t.Fatal("fresh entries rejected")
-	}
-	if p.Add(e1) {
-		t.Error("duplicate accepted")
-	}
-	if p.Len() != 2 {
-		t.Errorf("Len = %d", p.Len())
-	}
-	got := p.Take()
-	if len(got) != 2 {
-		t.Fatalf("Take returned %d", len(got))
-	}
-	h0, h1 := got[0].Hash(), got[1].Hash()
-	if string(h0[:]) >= string(h1[:]) {
-		t.Error("Take order not hash-sorted")
-	}
-	if p.Len() != 0 {
-		t.Error("pool not drained")
-	}
-	// Still deduplicated after Take (inclusion memory).
-	if p.Add(e1) {
-		t.Error("entry re-accepted after Take")
-	}
-}
-
-func TestPoolRemove(t *testing.T) {
-	kp := identity.Deterministic("owner", "pool-test")
-	p := NewPool()
-	e1 := block.NewData("owner", []byte("a")).Sign(kp)
-	e2 := block.NewData("owner", []byte("b")).Sign(kp)
-	p.Add(e1)
-	p.Add(e2)
-	p.Remove([]*block.Entry{e1})
-	if p.Len() != 1 {
-		t.Errorf("Len = %d after Remove", p.Len())
-	}
-	left := p.Take()
-	if len(left) != 1 || left[0].Hash() != e2.Hash() {
-		t.Error("wrong entry removed")
 	}
 }
 

@@ -55,7 +55,7 @@ func TestEquivocationAtToleranceBound(t *testing.T) {
 	// computed the honest summary for their own chain, still converge.
 	cl := newClusterWithByzantine(t, 5,
 		map[int]attack.Behavior{3: attack.Equivocation, 4: attack.Equivocation}, "alpha")
-	cl.driveRounds(t, 0, 8, "equivocating")
+	cl.rounds(t, 0, 8, "equivocating")
 	if cl.nodes[0].Chain().Marker() == 0 {
 		t.Fatal("marker never shifted with equivocators at the tolerance bound")
 	}
@@ -80,11 +80,9 @@ func TestEquivocationBeyondToleranceBound(t *testing.T) {
 	// threshold of three.
 	cl := newClusterWithByzantine(t, 5,
 		map[int]attack.Behavior{2: attack.Equivocation, 3: attack.Equivocation, 4: attack.Equivocation}, "alpha")
-	alpha := cl.keys["alpha"]
+	ctx := context.Background()
 	for i := 0; i < 6; i++ {
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("b%d", i))).Sign(alpha))
-		cl.net.Flush()
-		if _, err := cl.nodes[0].Propose(); err != nil && !errors.Is(err, ErrSummaryPending) {
+		if _, err := cl.nodes[0].SubmitWait(ctx, cl.data("alpha", fmt.Sprintf("b%d", i))); err != nil && !errors.Is(err, ErrSummaryPending) {
 			t.Fatal(err)
 		}
 		cl.net.Flush()
@@ -109,16 +107,14 @@ func TestEquivocationBeyondToleranceBound(t *testing.T) {
 	marker := cl.nodes[0].Chain().Marker()
 	var lastErr error
 	for i := 0; i < 8 && lastErr == nil; i++ {
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("stall-%d", i))).Sign(alpha))
-		cl.net.Flush()
-		_, lastErr = cl.nodes[0].Propose()
+		_, lastErr = cl.nodes[0].SubmitWait(ctx, cl.data("alpha", fmt.Sprintf("stall-%d", i)))
 		cl.net.Flush()
 	}
 	if !errors.Is(lastErr, ErrSummaryPending) {
-		t.Fatalf("honest minority: Propose = %v, want ErrSummaryPending", lastErr)
+		t.Fatalf("honest minority: SubmitWait = %v, want ErrSummaryPending", lastErr)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := cl.nodes[0].Propose(); !errors.Is(err, ErrSummaryPending) {
+		if _, err := cl.nodes[0].AppendEmpty(); !errors.Is(err, ErrSummaryPending) {
 			t.Fatalf("summary passed without an honest majority: %v", err)
 		}
 		cl.net.Flush()
@@ -170,7 +166,7 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	// Age the chain past its first merge, then freeze the forger: its
 	// next snapshot build — here provoked by an out-of-window sync
 	// request — is the offer it will replay for the rest of its life.
-	cl.driveRounds(t, 0, 6, "age")
+	cl.rounds(t, 0, 6, "age")
 	if forger.Chain().Marker() == 0 {
 		t.Fatal("no marker shift before the freeze; drill is vacuous")
 	}
@@ -184,21 +180,9 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	}
 
 	// Now the deletion the frozen offer would resurrect.
-	cl.nodes[0].SubmitLocal(block.NewData("user", []byte("must stay dead")).Sign(user))
-	cl.net.Flush()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	victim := block.Ref{Block: b.Header.Number, Entry: 0}
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", victim).Sign(user))
-	cl.net.Flush()
-	if _, err := cl.nodes[0].Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.driveRounds(t, 0, 8, "truncate")
+	victim := cl.write(t, 0, cl.data("user", "must stay dead"))[0].Ref
+	cl.write(t, 0, block.NewDeletion("user", victim).Sign(user))
+	cl.rounds(t, 0, 8, "truncate")
 	if err := replica.Chain().CompactWait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -332,22 +316,11 @@ func TestRejectedOfferBackoffSuppressesAndLogsOnce(t *testing.T) {
 
 	// Establish a floor: seed a victim, capture a pre-deletion block,
 	// delete and truncate past it.
-	cl.nodes[0].SubmitLocal(block.NewData("user", []byte("bait")).Sign(user))
-	cl.net.Flush()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
+	victim := cl.write(t, 0, cl.data("user", "bait"))[0].Ref
+	b, _ := nd.Chain().Block(victim.Block)
 	stale := b.Encode()
-	victim := block.Ref{Block: b.Header.Number, Entry: 0}
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", victim).Sign(user))
-	cl.net.Flush()
-	if _, err := cl.nodes[0].Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.driveRounds(t, 0, 8, "truncate")
+	cl.write(t, 0, block.NewDeletion("user", victim).Sign(user))
+	cl.rounds(t, 0, 8, "truncate")
 	if nd.Chain().ResurrectionFloor() <= victim.Block {
 		t.Fatal("floor never passed the victim; test is vacuous")
 	}
@@ -422,7 +395,7 @@ func TestVoteRetrySelfDrivingOnLossyNetwork(t *testing.T) {
 	}
 	// Clean rounds let the stragglers sync, then everyone must agree.
 	cl.net.SetDropRate(0)
-	cl.driveRounds(t, 0, 3, "recover")
+	cl.rounds(t, 0, 3, "recover")
 	if err := cl.headsAndMarkersAgree(); err != nil {
 		t.Fatal(err)
 	}
@@ -439,18 +412,18 @@ func TestChunkedSnapshotBoundsStagedMemory(t *testing.T) {
 
 	cl := newCluster(t, 3, "alpha")
 	lagger := cl.nodes[2]
-	cl.driveRounds(t, 0, 2, "seed")
+	cl.rounds(t, 0, 2, "seed")
 	cl.net.Partition([]string{lagger.Name()})
-	cl.driveRounds(t, 0, 8, "ahead")
+	cl.rounds(t, 0, 8, "ahead")
 	// Top up the live window so the offer needs several 2-block chunks.
 	for cl.nodes[0].Chain().Head().Number-cl.nodes[0].Chain().Marker()+1 < 5 {
-		cl.driveRounds(t, 0, 1, "window")
+		cl.rounds(t, 0, 1, "window")
 	}
 	if lagger.Chain().Head().Number >= cl.nodes[0].Chain().Marker() {
 		t.Fatal("lagger not behind the marker; snapshot path not exercised")
 	}
 	cl.net.Heal()
-	cl.driveRounds(t, 0, 2, "heal")
+	cl.rounds(t, 0, 2, "heal")
 	if err := cl.headsAndMarkersAgree(); err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/seldel/seldel/internal/attack"
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/client"
 	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/wire"
@@ -28,6 +30,13 @@ type cluster struct {
 // newCluster builds n anchor nodes on a zero-latency network plus user
 // keys for the given participants.
 func newCluster(t *testing.T, n int, users ...string) *cluster {
+	t.Helper()
+	return newClusterWith(t, n, nil, users...)
+}
+
+// newClusterWith is newCluster with a per-node hook that adjusts each
+// node's Config (fault injection, engine) before the node is built.
+func newClusterWith(t *testing.T, n int, tweak func(i int, cfg *Config), users ...string) *cluster {
 	t.Helper()
 	cl := &cluster{
 		net:      netsim.New(netsim.Config{}),
@@ -58,8 +67,8 @@ func newCluster(t *testing.T, n int, users ...string) *cluster {
 		}
 		cl.keys[u] = kp
 	}
-	for _, name := range anchorNames {
-		nd, err := New(Config{
+	for i, name := range anchorNames {
+		cfg := Config{
 			Key: cl.keys[name],
 			Chain: chain.Config{
 				SequenceLength: 3,
@@ -70,7 +79,11 @@ func newCluster(t *testing.T, n int, users ...string) *cluster {
 			},
 			Quorum:  quorum,
 			Network: cl.net,
-		})
+		}
+		if tweak != nil {
+			tweak(i, &cfg)
+		}
+		nd, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,24 +93,78 @@ func newCluster(t *testing.T, n int, users ...string) *cluster {
 	return cl
 }
 
+// newClusterWithByzantine is newCluster with per-index fault injection.
+func newClusterWithByzantine(t *testing.T, n int, faults map[int]attack.Behavior, users ...string) *cluster {
+	t.Helper()
+	return newClusterWith(t, n, func(i int, cfg *Config) { cfg.Byzantine = faults[i] }, users...)
+}
+
+// writeAttempts bounds how often write and fill retry a due summary
+// whose vote is still in flight. Each attempt flushes the network once
+// more; a stalled one costs the pipeline's summary wait per seal try.
+const writeAttempts = 50
+
+// write seals entries through node i's pipeline (SubmitWait) and lets
+// the network settle. While a due summary vote is still in flight — the
+// votes of a WAN drill sit in the delay heap until a flush — the write
+// fails with ErrSummaryPending; write then flushes, so the votes land,
+// and retries.
+func (cl *cluster) write(t *testing.T, i int, entries ...*block.Entry) []mempool.Sealed {
+	t.Helper()
+	var sealed []mempool.Sealed
+	cl.untilSummaryLands(t, func() (err error) {
+		sealed, err = cl.nodes[i].SubmitWait(context.Background(), entries...)
+		return err
+	})
+	return sealed
+}
+
+// fill seals an empty filler block through node i (Node.AppendEmpty),
+// retrying like write.
+func (cl *cluster) fill(t *testing.T, i int) *block.Block {
+	t.Helper()
+	var b *block.Block
+	cl.untilSummaryLands(t, func() (err error) {
+		b, err = cl.nodes[i].AppendEmpty()
+		return err
+	})
+	return b
+}
+
+func (cl *cluster) untilSummaryLands(t *testing.T, op func() error) {
+	t.Helper()
+	for attempt := 1; ; attempt++ {
+		err := op()
+		cl.net.Flush()
+		if err == nil {
+			return
+		}
+		if !errors.Is(err, ErrSummaryPending) || attempt == writeAttempts {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+	}
+}
+
+// rounds writes n single-entry blocks through node i, each an alpha data
+// entry tagged with tag and its round.
+func (cl *cluster) rounds(t *testing.T, i, n int, tag string) {
+	t.Helper()
+	for r := 0; r < n; r++ {
+		cl.write(t, i, cl.data("alpha", fmt.Sprintf("%s-%d", tag, r)))
+	}
+}
+
+// data builds a data entry owned and signed by user.
+func (cl *cluster) data(user, payload string) *block.Entry {
+	return block.NewData(user, []byte(payload)).Sign(cl.keys[user])
+}
+
 func (cl *cluster) anchorNames() []string {
 	out := make([]string, len(cl.nodes))
 	for i, n := range cl.nodes {
 		out[i] = n.Name()
 	}
 	return out
-}
-
-// propose drives one block proposal through node 0 and waits for the
-// network to settle.
-func (cl *cluster) propose(t *testing.T) *block.Block {
-	t.Helper()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatalf("propose: %v", err)
-	}
-	cl.net.Flush()
-	return b
 }
 
 func (cl *cluster) headsAgree() bool {
@@ -112,13 +179,7 @@ func (cl *cluster) headsAgree() bool {
 
 func TestClusterConvergence(t *testing.T) {
 	cl := newCluster(t, 3, "alpha")
-	alpha := cl.keys["alpha"]
-	for i := 0; i < 10; i++ {
-		e := block.NewData("alpha", []byte(fmt.Sprintf("entry-%d", i))).Sign(alpha)
-		cl.nodes[0].SubmitLocal(e)
-		cl.net.Flush()
-		cl.propose(t)
-	}
+	cl.rounds(t, 0, 10, "entry")
 	if !cl.headsAgree() {
 		t.Fatal("cluster heads diverged")
 	}
@@ -145,13 +206,7 @@ func TestSummaryDeterminismAcrossNodes(t *testing.T) {
 	// only confirms the hash. After convergence all summary blocks are
 	// bit-identical.
 	cl := newCluster(t, 4, "alpha")
-	alpha := cl.keys["alpha"]
-	for i := 0; i < 6; i++ {
-		e := block.NewData("alpha", []byte(fmt.Sprintf("p%d", i))).Sign(alpha)
-		cl.nodes[0].SubmitLocal(e)
-		cl.net.Flush()
-		cl.propose(t)
-	}
+	cl.rounds(t, 0, 6, "p")
 	ref := cl.nodes[0].Chain().Blocks()
 	for _, n := range cl.nodes[1:] {
 		blocks := n.Chain().Blocks()
@@ -171,23 +226,14 @@ func TestForkOnCorruptedSummary(t *testing.T) {
 	// summary, loses the vote, and flags itself forked; the honest
 	// majority proceeds.
 	cl := newCluster(t, 3, "alpha")
-	alpha := cl.keys["alpha"]
-	e := block.NewData("alpha", []byte("victim")).Sign(alpha)
-	cl.nodes[0].SubmitLocal(e)
-	cl.net.Flush()
-	cl.propose(t) // block 1 + summary 2 (clean)
+	cl.write(t, 0, cl.data("alpha", "victim")) // block 1 + summary 2 (clean)
 
 	// Corrupt node 2: it believes entry 1/0 is marked for deletion.
 	cl.nodes[2].CorruptForTest(block.Ref{Block: 1, Entry: 0})
 
 	// Drive to the next merge, where the corrupted mark changes the
 	// summary content (entry not carried → different hash).
-	for i := 0; i < 4; i++ {
-		e := block.NewData("alpha", []byte(fmt.Sprintf("n%d", i))).Sign(alpha)
-		cl.nodes[0].SubmitLocal(e)
-		cl.net.Flush()
-		cl.propose(t)
-	}
+	cl.rounds(t, 0, 4, "n")
 	if !cl.nodes[2].Forked() {
 		t.Error("corrupted node did not detect its fork")
 	}
@@ -205,19 +251,13 @@ func TestForkOnCorruptedSummary(t *testing.T) {
 
 func TestClientStatusMajority(t *testing.T) {
 	cl := newCluster(t, 3, "alpha", "user")
-	alpha := cl.keys["alpha"]
 	cli, err := client.New(cl.keys["user"], cl.registry, cl.net, cl.anchorNames())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.SetTimeout(500 * time.Millisecond)
 
-	for i := 0; i < 4; i++ {
-		e := block.NewData("alpha", []byte(fmt.Sprintf("p%d", i))).Sign(alpha)
-		cl.nodes[0].SubmitLocal(e)
-		cl.net.Flush()
-		cl.propose(t)
-	}
+	cl.rounds(t, 0, 4, "p")
 	status, err := cli.QueryStatus()
 	if err != nil {
 		t.Fatalf("QueryStatus: %v", err)
@@ -241,15 +281,11 @@ func TestClientSubmitAndVerifiedLookup(t *testing.T) {
 	}
 	cli.SetTimeout(500 * time.Millisecond)
 
-	if err := cli.Submit(context.Background(), cli.NewDataEntry([]byte("hello chain"))); err != nil {
-		t.Fatal(err)
+	// The client builds and signs; one anchor seals the write.
+	ref := cl.write(t, 0, cli.NewDataEntry([]byte("hello chain")))[0].Ref
+	if b, _ := cl.nodes[0].Chain().Block(ref.Block); len(b.Entries) != 1 {
+		t.Fatalf("sealed block has %d entries", len(b.Entries))
 	}
-	cl.net.Flush()
-	b := cl.propose(t)
-	if len(b.Entries) != 1 {
-		t.Fatalf("proposed block has %d entries", len(b.Entries))
-	}
-	ref := block.Ref{Block: b.Header.Number, Entry: 0}
 
 	got, err := cli.Lookup(cl.nodes[1].Name(), ref)
 	if err != nil {
@@ -264,9 +300,7 @@ func TestClientSubmitAndVerifiedLookup(t *testing.T) {
 	// Drive past a merge so the entry migrates into a summary block, then
 	// look it up again — same ref, now carried.
 	for i := 0; i < 8; i++ {
-		cl.nodes[0].SubmitLocal(block.NewData("user", []byte(fmt.Sprintf("n%d", i))).Sign(cl.keys["user"]))
-		cl.net.Flush()
-		cl.propose(t)
+		cl.write(t, 0, cl.data("user", fmt.Sprintf("n%d", i)))
 	}
 	got2, err := cli.Lookup(cl.nodes[2].Name(), ref)
 	if err != nil {
@@ -288,23 +322,11 @@ func TestClientLookupDeletedEntry(t *testing.T) {
 	}
 	cli.SetTimeout(500 * time.Millisecond)
 
-	if err := cli.Submit(context.Background(), cli.NewDataEntry([]byte("to be forgotten"))); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	b := cl.propose(t)
-	ref := block.Ref{Block: b.Header.Number, Entry: 0}
-
-	if err := cli.Submit(context.Background(), cli.NewDeletionRequest(ref)); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.propose(t)
+	ref := cl.write(t, 0, cli.NewDataEntry([]byte("to be forgotten")))[0].Ref
+	cl.write(t, 0, cli.NewDeletionRequest(ref))
 	// Drive until physically forgotten everywhere.
 	for i := 0; i < 10; i++ {
-		cl.nodes[0].SubmitLocal(block.NewData("user", []byte(fmt.Sprintf("n%d", i))).Sign(cl.keys["user"]))
-		cl.net.Flush()
-		cl.propose(t)
+		cl.write(t, 0, cl.data("user", fmt.Sprintf("n%d", i)))
 	}
 	if _, err := cli.Lookup(cl.nodes[0].Name(), ref); !errors.Is(err, client.ErrNotFound) {
 		t.Errorf("Lookup deleted = %v, want ErrNotFound", err)
@@ -321,24 +343,17 @@ func TestPartitionIsolatesNode(t *testing.T) {
 	// the majority continues. Clients in the majority partition still get
 	// a consistent answer.
 	cl := newCluster(t, 3, "alpha", "user")
-	alpha := cl.keys["alpha"]
 	cli, err := client.New(cl.keys["user"], cl.registry, cl.net, cl.anchorNames())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli.SetTimeout(200 * time.Millisecond)
 
-	cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte("before")).Sign(alpha))
-	cl.net.Flush()
-	cl.propose(t)
+	cl.write(t, 0, cl.data("alpha", "before"))
 
 	// Isolate anchor-2 (the client stays with the majority).
 	cl.net.Partition([]string{cl.nodes[2].Name()})
-	for i := 0; i < 3; i++ {
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("during-%d", i))).Sign(alpha))
-		cl.net.Flush()
-		cl.propose(t)
-	}
+	cl.rounds(t, 0, 3, "during")
 	if cl.nodes[2].Chain().Head().Number >= cl.nodes[0].Chain().Head().Number {
 		t.Error("isolated node kept up impossibly")
 	}
@@ -372,12 +387,9 @@ func TestNodeConfigDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd.AddToMempool(block.NewData("solo", []byte("x")).Sign(kp))
-	if nd.MempoolSize() != 1 {
-		t.Errorf("MempoolSize = %d", nd.MempoolSize())
-	}
-	if _, err := nd.Propose(); err != nil {
-		t.Fatalf("solo propose: %v", err)
+	defer nd.Close()
+	if _, err := nd.SubmitWait(context.Background(), block.NewData("solo", []byte("x")).Sign(kp)); err != nil {
+		t.Fatalf("solo write: %v", err)
 	}
 	// Single-member quorum self-approves the summary.
 	if nd.Chain().Head().Number != 2 {
@@ -388,41 +400,19 @@ func TestNodeConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestMempoolDeduplicatesAndValidates(t *testing.T) {
-	cl := newCluster(t, 1, "alpha")
-	nd := cl.nodes[0]
-	alpha := cl.keys["alpha"]
-	e := block.NewData("alpha", []byte("once")).Sign(alpha)
-	nd.AddToMempool(e)
-	nd.AddToMempool(e)                                                               // duplicate
-	nd.AddToMempool(block.NewData("alpha", []byte("unsigned-entry")))                // unsigned
-	nd.AddToMempool(block.NewData("stranger", []byte("who")).Sign(alpha))            // wrong signer
-	nd.AddToMempool(block.NewData("alpha", []byte("ok too")).Sign(cl.keys["alpha"])) //nolint:staticcheck // same key, distinct payload
-	if got := nd.MempoolSize(); got != 2 {
-		t.Errorf("MempoolSize = %d, want 2", got)
-	}
-}
-
 func TestPartitionHealCatchUpIncremental(t *testing.T) {
 	// A node isolated for less than a full retention cycle re-syncs
 	// incrementally from the first gossiped block after the heal.
 	cl := newCluster(t, 3, "alpha")
-	alpha := cl.keys["alpha"]
-	drive := func(payload string) {
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(payload)).Sign(alpha))
-		cl.net.Flush()
-		cl.propose(t)
-	}
-	drive("before")
+	cl.write(t, 0, cl.data("alpha", "before"))
 	cl.net.Partition([]string{cl.nodes[2].Name()})
-	drive("during-1")
-	drive("during-2")
+	cl.rounds(t, 0, 2, "during")
 	if cl.nodes[2].Chain().Head().Number >= cl.nodes[0].Chain().Head().Number {
 		t.Fatal("isolation had no effect")
 	}
 	cl.net.Heal()
-	// The next proposal's gossip triggers the catch-up.
-	drive("after")
+	// The next write's gossiped block triggers the catch-up.
+	cl.write(t, 0, cl.data("alpha", "after"))
 	if got, want := cl.nodes[2].Chain().HeadHash(), cl.nodes[0].Chain().HeadHash(); got != want {
 		t.Errorf("lagging node did not catch up: %s vs %s", got, want)
 	}
@@ -436,18 +426,10 @@ func TestPartitionHealStatusQuoAdoption(t *testing.T) {
 	// Genesis marker; its continuation blocks were physically deleted, so
 	// it must adopt the majority's live chain (§IV-C / §V-B.4).
 	cl := newCluster(t, 3, "alpha")
-	alpha := cl.keys["alpha"]
-	drive := func(payload string) {
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(payload)).Sign(alpha))
-		cl.net.Flush()
-		cl.propose(t)
-	}
-	drive("genesis-era")
+	cl.write(t, 0, cl.data("alpha", "genesis-era"))
 	cl.net.Partition([]string{cl.nodes[2].Name()})
 	// Drive the majority through at least one marker shift.
-	for i := 0; i < 8; i++ {
-		drive(fmt.Sprintf("during-%d", i))
-	}
+	cl.rounds(t, 0, 8, "during")
 	if cl.nodes[0].Chain().Marker() == 0 {
 		t.Fatal("majority never shifted the marker; test is vacuous")
 	}
@@ -456,9 +438,9 @@ func TestPartitionHealStatusQuoAdoption(t *testing.T) {
 			cl.nodes[2].Chain().Head().Number, cl.nodes[0].Chain().Marker())
 	}
 	cl.net.Heal()
-	drive("after-heal")
-	// One more round so the adopted node also receives post-adoption blocks.
-	drive("after-heal-2")
+	// The second round lets the adopted node also receive post-adoption
+	// blocks.
+	cl.rounds(t, 0, 2, "after-heal")
 	if got, want := cl.nodes[2].Chain().HeadHash(), cl.nodes[0].Chain().HeadHash(); got != want {
 		t.Errorf("node did not adopt the status quo: head %s vs %s", got, want)
 	}
@@ -545,16 +527,11 @@ func TestProofOfAuthorityCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	cl := &cluster{net: net, registry: registry, nodes: nodes, keys: map[string]*identity.KeyPair{"alpha": alpha}}
 	for round := 0; round < 9; round++ {
-		// The slot leader for the next block proposes.
+		// The slot leader for the next block writes.
 		next := nodes[0].Chain().NextNumber()
-		leader := nodes[int(next%uint64(anchors))]
-		leader.SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("r%d", round))).Sign(alpha))
-		net.Flush()
-		if _, err := leader.Propose(); err != nil {
-			t.Fatalf("round %d leader %s: %v", round, leader.Name(), err)
-		}
-		net.Flush()
+		cl.write(t, int(next%uint64(anchors)), cl.data("alpha", fmt.Sprintf("r%d", round)))
 	}
 	h := nodes[0].Chain().HeadHash()
 	for _, n := range nodes[1:] {
@@ -568,8 +545,8 @@ func TestProofOfAuthorityCluster(t *testing.T) {
 	// A non-leader cannot seal its slot.
 	next := nodes[0].Chain().NextNumber()
 	wrong := nodes[int((next+1)%uint64(anchors))]
-	if _, err := wrong.Propose(); !errors.Is(err, consensus.ErrNotLeader) {
-		t.Errorf("non-leader propose: %v, want ErrNotLeader", err)
+	if _, err := wrong.AppendEmpty(); !errors.Is(err, consensus.ErrNotLeader) {
+		t.Errorf("non-leader filler: %v, want ErrNotLeader", err)
 	}
 }
 
@@ -578,37 +555,14 @@ func TestLossyNetworkRecoversViaSync(t *testing.T) {
 	// the way to a follower are fetched via sync_req at the next gossip
 	// that reveals the gap.
 	cl := newCluster(t, 3, "alpha")
-	alpha := cl.keys["alpha"]
-	// proposeRetry drives one proposal, retrying while the summary vote
-	// is pending (votes may be lost; the repair protocol re-announces).
-	proposeRetry := func(i int) {
-		t.Helper()
-		cl.nodes[0].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("p%d", i))).Sign(alpha))
-		cl.net.Flush()
-		for attempt := 0; ; attempt++ {
-			_, err := cl.nodes[0].Propose()
-			cl.net.Flush()
-			if err == nil {
-				return
-			}
-			if !errors.Is(err, ErrSummaryPending) {
-				t.Fatal(err)
-			}
-			if attempt > 200 {
-				t.Fatal("summary vote never completed")
-			}
-		}
-	}
+	// write retries while the summary vote is pending: votes may be lost,
+	// and every seal attempt re-announces ours, which the peers answer.
 	cl.net.SetDropRate(0.25)
-	for i := 0; i < 20; i++ {
-		proposeRetry(i)
-	}
+	cl.rounds(t, 0, 20, "lossy")
 	// Stop losing messages and drive a few clean rounds so stragglers
 	// catch up via sync.
 	cl.net.SetDropRate(0)
-	for i := 20; i < 24; i++ {
-		proposeRetry(i)
-	}
+	cl.rounds(t, 0, 4, "clean")
 	h := cl.nodes[0].Chain().HeadHash()
 	for _, n := range cl.nodes[1:] {
 		if n.Chain().HeadHash() != h {

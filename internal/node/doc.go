@@ -9,16 +9,15 @@
 // (optionally) a persistent store it restores from at startup, snapshot
 // checkpoint first, so a restarted node replays only the live suffix.
 //
-// Writes flow through the same batching pipeline as a single-process
-// chain: Submit coalesces concurrent local producers through a
-// mempool.Batcher whose sealer proposes blocks — build, engine-seal,
-// append, gossip, then kick the summary vote when the next slot is a
-// summary slot. Gossiped entries from peers and clients land in a
-// deduplicating pending pool after a signature screen that also
-// batch-prechecks deletion co-signatures through the verification pool,
-// so proposal-time authorization resolves from the verified-signature
-// cache. Propose drains that pool through the same pipeline — there is
-// exactly one sealing path.
+// There is one way to write to a node, and it is the batching pipeline
+// of a single-process chain: Submit coalesces concurrent producers
+// through a mempool.Batcher whose sealer proposes blocks — build,
+// engine-seal, append, gossip, then kick the summary vote when the next
+// slot is a summary slot. Each entry is accepted or rejected on its own
+// receipt; peers see entries only inside sealed blocks. AppendEmpty
+// seals the §IV-D.3 filler block through the same sealer. Once a block
+// of the node's own misses its store, the pipeline fails closed like a
+// chain's: that batch's receipts and every later write fail.
 //
 // Peer synchronization is snapshot-anchored: a node that fell behind
 // within the live window receives the missing suffix (wire.SyncResp),

@@ -2,11 +2,9 @@ package node
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
@@ -58,14 +56,7 @@ func TestRejoinRejectsResurrectionOffers(t *testing.T) {
 	// the "resurrection payload" a stale or malicious peer could offer
 	// after the deletion.
 	user := cl.keys["user"]
-	cl.nodes[0].SubmitLocal(block.NewData("user", []byte("erase me")).Sign(user))
-	cl.net.Flush()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	victim := block.Ref{Block: b.Header.Number, Entry: 0}
+	victim := cl.write(t, 0, cl.data("user", "erase me"))[0].Ref
 	var stale [][]byte
 	staleHead := uint64(0)
 	for blk := range cl.nodes[0].Chain().BlocksSeq() {
@@ -74,13 +65,8 @@ func TestRejoinRejectsResurrectionOffers(t *testing.T) {
 	}
 
 	// The quorum approves the deletion and truncates past the victim.
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", victim).Sign(user))
-	cl.net.Flush()
-	if _, err := cl.nodes[0].Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.driveRounds(t, 0, 8, "truncate")
+	cl.write(t, 0, block.NewDeletion("user", victim).Sign(user))
+	cl.rounds(t, 0, 8, "truncate")
 	if cl.nodes[0].Chain().Marker() <= victim.Block {
 		t.Fatal("marker never passed the victim; scenario is vacuous")
 	}
@@ -193,20 +179,9 @@ func TestRejoinRejectsResurrectionOffers(t *testing.T) {
 func TestSyncOffersCarryManifestHead(t *testing.T) {
 	cl := newCluster(t, 3, "alpha", "user")
 	user := cl.keys["user"]
-	cl.nodes[0].SubmitLocal(block.NewData("user", []byte("x")).Sign(user))
-	cl.net.Flush()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", block.Ref{Block: b.Header.Number, Entry: 0}).Sign(user))
-	cl.net.Flush()
-	if _, err := cl.nodes[0].Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.driveRounds(t, 0, 8, "truncate")
+	target := cl.write(t, 0, cl.data("user", "x"))[0].Ref
+	cl.write(t, 0, block.NewDeletion("user", target).Sign(user))
+	cl.rounds(t, 0, 8, "truncate")
 
 	c := cl.nodes[0].Chain()
 	head, ok := c.TombstoneHead()
@@ -237,70 +212,5 @@ func TestSyncOffersCarryManifestHead(t *testing.T) {
 	}
 	if decSync.ManifestSeq != head.Seq || decSync.ManifestMarker != head.NewMarker {
 		t.Fatalf("sync manifest head lost in transit: %+v", decSync)
-	}
-}
-
-// TestProposeFillerThrottle covers the Config.FillerInterval rate
-// limit: an idle node seals one filler per interval instead of minting
-// empty blocks as fast as Propose is called.
-func TestProposeFillerThrottle(t *testing.T) {
-	cl := newCluster(t, 1, "alpha", "user")
-	nd := cl.nodes[0]
-	nd.fillerEvery = time.Hour // retrofit: newCluster builds without an interval
-
-	if _, err := nd.Propose(); err != nil {
-		t.Fatalf("first filler: %v", err)
-	}
-	if _, err := nd.Propose(); !errors.Is(err, ErrFillerThrottled) {
-		t.Fatalf("second filler not throttled: %v", err)
-	}
-	// Entries are never throttled: a real submission still seals.
-	nd.SubmitLocal(block.NewData("user", []byte("work")).Sign(cl.keys["user"]))
-	cl.net.Flush()
-	b, err := nd.Propose()
-	if err != nil {
-		t.Fatalf("entry proposal throttled: %v", err)
-	}
-	if len(b.Entries) == 0 {
-		t.Fatal("entry proposal sealed an empty block")
-	}
-	// Elapsed interval: the filler flows again.
-	nd.mu.Lock()
-	nd.lastFiller = time.Now().Add(-2 * time.Hour)
-	nd.mu.Unlock()
-	if _, err := nd.Propose(); err != nil {
-		t.Fatalf("filler after interval: %v", err)
-	}
-}
-
-// TestFillerIntervalConfig checks the interval reaches the node from
-// Config (separately from the retrofit above).
-func TestFillerIntervalConfig(t *testing.T) {
-	reg := identity.NewRegistry()
-	kp := identity.Deterministic("solo", "filler-test")
-	if err := reg.RegisterKey(kp, identity.RoleMaster); err != nil {
-		t.Fatal(err)
-	}
-	nd, err := New(Config{
-		Key: kp,
-		Chain: chain.Config{
-			SequenceLength: 3,
-			Registry:       reg,
-			Clock:          simclock.NewLogical(0),
-		},
-		FillerInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Close()
-	if _, err := nd.Propose(); err != nil {
-		t.Fatalf("first filler: %v", err)
-	}
-	if _, err := nd.Propose(); !errors.Is(err, ErrFillerThrottled) {
-		t.Fatalf("want ErrFillerThrottled, got %v", err)
-	}
-	if nd.fillerEvery != time.Hour {
-		t.Fatalf("fillerEvery = %v, want 1h", nd.fillerEvery)
 	}
 }

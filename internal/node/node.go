@@ -15,7 +15,6 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/consensus"
-	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/mempool"
@@ -47,19 +46,11 @@ type Config struct {
 	// Byzantine fault-injects the node for the scenario suite; the
 	// zero value is an honest node. See internal/attack.Behavior.
 	Byzantine attack.Behavior
-	// FillerInterval rate-limits the empty-pool filler block Propose
-	// seals to keep retention ticking (§IV-D.3): with a non-zero
-	// interval, an empty-pool Propose within the interval of the last
-	// filler returns ErrFillerThrottled instead of minting another
-	// empty block. Zero keeps the historical behaviour — every
-	// empty-pool Propose seals a filler — which deterministic drivers
-	// rely on.
-	FillerInterval time.Duration
 	// VoteRetryInterval makes the node self-driving on lossy networks:
 	// while a due summary vote stays incomplete, the node re-announces
 	// its vote every interval (each re-announcement triggers the peers'
-	// repair answers) instead of waiting for the next caller-driven
-	// Propose. Zero disables the timer — deterministic drivers own time.
+	// repair answers) instead of waiting for the next write to announce
+	// it. Zero disables the timer — deterministic drivers own time.
 	VoteRetryInterval time.Duration
 	// Logf, when set, receives the node's rare operator-facing log lines
 	// (today: entering sync-offer suppression against a misbehaving
@@ -73,12 +64,6 @@ type Config struct {
 // re-announces its vote and the caller retries once the network
 // settles.
 var ErrSummaryPending = errors.New("node: summary vote pending")
-
-// ErrFillerThrottled is returned by Propose when the pool is empty and
-// the configured Config.FillerInterval since the last filler block has
-// not yet elapsed: the chain does not need another empty block before
-// the next retention tick.
-var ErrFillerThrottled = errors.New("node: filler block throttled")
 
 // ErrClosed is returned by writes after Close. It wraps the pipeline's
 // closed sentinel, so applications classify both with one errors.Is
@@ -152,21 +137,16 @@ type Node struct {
 	quorum   *consensus.Quorum
 	ep       *netsim.Endpoint
 	store    store.Store
-	pool     *mempool.Pool    // deduplicating pending set fed by gossip
 	prop     *mempool.Batcher // proposal pipeline; its sealer is proposer
-	// sealMu serializes block proposals: the pipeline flusher and the
-	// empty-slot filler path both seal through it, so they never race
-	// each other for the head slot.
+	// sealMu serializes block proposals: the pipeline flusher and
+	// AppendEmpty both seal through it, so they never race each other
+	// for the head slot.
 	sealMu    sync.Mutex
 	tallies   map[uint64]*voteState
 	forked    bool
 	byzantine attack.Behavior
 	closed    bool
 	storeErr  error // persistence failure during snapshot adoption
-	// fillerEvery/lastFiller implement the Config.FillerInterval rate
-	// limit on empty-pool filler blocks; lastFiller is guarded by mu.
-	fillerEvery time.Duration
-	lastFiller  time.Time
 
 	logf func(format string, args ...any)
 
@@ -271,10 +251,8 @@ func New(cfg Config) (*Node, error) {
 		engine:        cfg.Engine,
 		quorum:        cfg.Quorum,
 		store:         cfg.Store,
-		pool:          mempool.NewPool(),
 		tallies:       make(map[uint64]*voteState),
 		byzantine:     cfg.Byzantine,
-		fillerEvery:   cfg.FillerInterval,
 		voteRetry:     cfg.VoteRetryInterval,
 		logf:          logf,
 		equivocators:  make(map[string]bool),
@@ -282,7 +260,13 @@ func New(cfg Config) (*Node, error) {
 		suppressedLog: make(map[string]bool),
 		quit:          make(chan struct{}),
 	}
-	n.prop = mempool.NewBatcher(proposer{n}, mempool.Options{Warm: n.warmEntries})
+	n.prop = mempool.NewBatcher(proposer{n}, mempool.Options{
+		Warm: n.warmEntries,
+		// A sealed batch resolves with the store-failure latch, like a
+		// chain's own pipeline: its block went through the store
+		// listeners before Seal returned, so a failed write is visible.
+		Durable: func(resolve func(error)) { resolve(n.StoreErr()) },
+	})
 	if cfg.Network != nil {
 		ep, err := cfg.Network.Join(n.name, n.handle)
 		if err != nil {
@@ -415,11 +399,6 @@ func (n *Node) SyncStats() SyncStats {
 	return s
 }
 
-// MempoolSize returns the number of pending gossip entries.
-func (n *Node) MempoolSize() int {
-	return n.pool.Len()
-}
-
 // handle dispatches incoming network messages. It runs on the endpoint's
 // delivery goroutine.
 func (n *Node) handle(msg netsim.Message) {
@@ -428,8 +407,6 @@ func (n *Node) handle(msg netsim.Message) {
 		return // unauthenticated message: drop
 	}
 	switch env.Kind {
-	case wire.KindEntry:
-		n.handleEntry(env)
 	case wire.KindBlock:
 		n.handleBlock(env)
 	case wire.KindVote:
@@ -449,46 +426,6 @@ func (n *Node) handle(msg netsim.Message) {
 	}
 }
 
-func (n *Node) handleEntry(env wire.Envelope) {
-	e, err := block.DecodeEntry(env.Body)
-	if err != nil {
-		return
-	}
-	n.AddToMempool(e)
-}
-
-// screenEntry is the gossip intake filter: entry signatures verify
-// through the chain's verification pool, and deletion requests
-// batch-precheck their co-signatures the same way — both warm the
-// verified-signature cache, so the later proposal-time validation of
-// the same entry resolves from cache. A deletion request carrying a
-// cryptographically invalid co-signature is dropped here (it could
-// never create a mark); stateful cohesion failures still go on-chain
-// and are rejected as marks ("wrong requests … have no further
-// effects", §V).
-func (n *Node) screenEntry(e *block.Entry) bool {
-	c := n.Chain()
-	if err := c.Verifier().Entries(c.Registry(), []*block.Entry{e}); err != nil {
-		return false
-	}
-	if e.Kind == block.KindDeletion {
-		if pre := deletion.PrecheckRequest(c.Verifier(), c.Registry(), e); pre.BadSigner != "" {
-			return false
-		}
-	}
-	return true
-}
-
-// AddToMempool queues an entry for inclusion in the next proposed
-// block. Duplicates (by content hash) are ignored by the pending pool;
-// the signature screen runs through the chain's verification pool.
-func (n *Node) AddToMempool(e *block.Entry) {
-	if !n.screenEntry(e) {
-		return
-	}
-	n.pool.Add(e)
-}
-
 // warmEntries pre-verifies a submitted group while its batch is still
 // assembling: entry signatures and deletion co-signatures populate the
 // verified-signature cache, so the sealing flush re-checks them for
@@ -502,13 +439,21 @@ func (n *Node) warmEntries(entries []*block.Entry) {
 // Ledger interface: sealed batches become proposed blocks.
 type proposer struct{ n *Node }
 
-// Seal implements mempool.Ledger.
+// Seal implements mempool.Ledger. After a store failure nothing more is
+// sealed: the pipeline then asks ValidateEntries which entries to
+// reject, and that answers with the same error for every one.
 func (p proposer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
+	if err := p.n.StoreErr(); err != nil {
+		return nil, nil, err
+	}
 	return p.n.sealProposal(entries)
 }
 
 // ValidateEntries implements mempool.Ledger.
 func (p proposer) ValidateEntries(entries []*block.Entry) error {
+	if err := p.n.StoreErr(); err != nil {
+		return err
+	}
 	return p.n.Chain().ValidateEntries(entries)
 }
 
@@ -566,7 +511,7 @@ func (n *Node) waitSummaryApplied(c *chain.Chain) bool {
 }
 
 // Submit enqueues entries into the node's proposal pipeline and returns
-// one Receipt per entry: the concurrent local write path. Entries from
+// one Receipt per entry: the node's one write path. Entries from
 // many goroutines coalesce into proposed blocks exactly like a
 // single-process chain's Submit; each receipt resolves to the entry's
 // stable Ref (and deletion-mark outcome) once its block is sealed and
@@ -613,108 +558,24 @@ func (n *Node) PipelineStats() mempool.Stats {
 	return s
 }
 
-// SubmitLocal queues an entry as if received from a client and gossips
-// it to the peer anchors — the replicated-mempool flow driven by an
-// explicit Propose (deterministic simulations, the demo CLI). For the
-// pipelined flow, use Submit.
-func (n *Node) SubmitLocal(e *block.Entry) {
-	n.AddToMempool(e)
-	if n.ep != nil {
-		n.ep.Broadcast(wire.KindEntry, wire.SealEnvelope(n.key, wire.KindEntry, e.Encode()))
-	}
-}
-
-// Propose drains the pending gossip pool through the proposal pipeline:
-// one block holding every pending entry that still validates (invalid
-// ones are rejected per-entry by the pipeline, mirroring "wrong
-// requests … have no further effects"). With an empty pool it proposes
-// a filler block (§IV-D.3). While the summary vote for a due summary
-// slot is incomplete it re-announces our vote and returns
-// ErrSummaryPending; the caller retries once the network settles.
-func (n *Node) Propose() (*block.Block, error) {
+// AppendEmpty seals an empty normal block through the proposal path:
+// the filler block "regularly added … if no transaction has occurred"
+// so pending deletions execute (§IV-D.3), named like
+// chain.Chain.AppendEmpty. Like a write, it waits briefly for a due
+// summary vote and fails with ErrSummaryPending while that vote stays
+// incomplete.
+func (n *Node) AppendEmpty() (*block.Block, error) {
 	n.mu.Lock()
 	closed := n.closed
 	n.mu.Unlock()
 	if closed {
 		return nil, ErrClosed
 	}
-	c := n.Chain()
-	if c.NextIsSummary() {
-		// Re-announce ours; peers answer with theirs, repairing lost
-		// votes. Retried by the caller rather than blocking here, so
-		// deterministic drivers stay in control of time.
-		n.announceSummary(c)
-		if c.NextIsSummary() {
-			return nil, ErrSummaryPending
-		}
-	}
-	entries := n.pool.Take()
-	ctx := context.Background()
-	receipts, err := n.prop.Submit(ctx, entries...)
-	if err != nil {
-		n.pool.Requeue(entries)
-		return nil, err
-	}
-	var sealed *block.Block
-	var pending []*block.Entry // failed only on the stuck vote, still valid
-	var firstErr error
-	for i, r := range receipts {
-		s, err := r.Wait(ctx)
-		if err != nil {
-			if errors.Is(err, ErrSummaryPending) {
-				pending = append(pending, entries[i])
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if sealed == nil {
-			if b, ok := n.Chain().Block(s.Block); ok {
-				sealed = b
-			}
-		}
-	}
-	// Entries that failed only because the summary vote is incomplete
-	// were never sealed and still validate: they survive for the retry,
-	// whatever errors OTHER entries of the batch resolved with.
-	n.pool.Requeue(pending)
-	if sealed != nil {
-		return sealed, nil
-	}
-	if len(pending) > 0 {
-		return nil, ErrSummaryPending
-	}
-	// Empty pool, or every entry was rejected: the slot still gets its
-	// (possibly empty) block, like a retention tick. A truly empty pool
-	// is rate-limited to the configured filler interval, so idle nodes
-	// do not mint chains of empty blocks between retention ticks.
-	if len(entries) == 0 && !n.fillerDue() {
-		return nil, ErrFillerThrottled
-	}
 	blocks, _, err := n.sealProposal(nil)
 	if err != nil {
 		return nil, err
 	}
 	return blocks[0], nil
-}
-
-// fillerDue reports whether an empty-pool filler block may be sealed
-// now, stamping the throttle window when it is. With no configured
-// interval every filler is due, preserving deterministic drivers that
-// call Propose on their own clock.
-func (n *Node) fillerDue() bool {
-	if n.fillerEvery <= 0 {
-		return true
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	now := time.Now()
-	if !n.lastFiller.IsZero() && now.Sub(n.lastFiller) < n.fillerEvery {
-		return false
-	}
-	n.lastFiller = now
-	return true
 }
 
 func (n *Node) handleBlock(env wire.Envelope) {
@@ -734,7 +595,6 @@ func (n *Node) handleBlock(env wire.Envelope) {
 		// sender; that is decided by the vote, not here.
 		return
 	}
-	n.removeFromMempool(b.Entries)
 	n.afterAppend()
 }
 
@@ -952,7 +812,6 @@ func (n *Node) handleSyncResp(env wire.Envelope) {
 			return // stale or diverged; a later gossip round retries
 		}
 		appended = true
-		n.removeFromMempool(b.Entries)
 	}
 	if appended {
 		n.noteOfferAccepted(env.Sender)
@@ -1207,12 +1066,6 @@ func (n *Node) StoreErr() error {
 		return n.storeErr
 	}
 	return n.chain.StoreErr()
-}
-
-// removeFromMempool drops entries that were included in a block another
-// node proposed.
-func (n *Node) removeFromMempool(included []*block.Entry) {
-	n.pool.Remove(included)
 }
 
 // afterAppend starts the summary-vote round if a summary slot is due.

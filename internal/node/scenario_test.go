@@ -25,30 +25,6 @@ import (
 // scripted on the netsim scenario harness so every phase observes a
 // settled network and failures name the step that broke.
 
-// driveRounds submits one entry per round through leader and proposes,
-// retrying while a summary vote is pending.
-func (cl *cluster) driveRounds(t *testing.T, leader int, rounds int, tag string) {
-	t.Helper()
-	alpha := cl.keys["alpha"]
-	for i := 0; i < rounds; i++ {
-		cl.nodes[leader].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("%s-%d", tag, i))).Sign(alpha))
-		cl.net.Flush()
-		for attempt := 0; ; attempt++ {
-			_, err := cl.nodes[leader].Propose()
-			cl.net.Flush()
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, ErrSummaryPending) {
-				t.Fatalf("%s round %d: %v", tag, i, err)
-			}
-			if attempt > 200 {
-				t.Fatalf("%s round %d: summary vote never completed", tag, i)
-			}
-		}
-	}
-}
-
 // headsAndMarkersAgree returns an error naming the first diverged node.
 func (cl *cluster) headsAndMarkersAgree() error {
 	ref := cl.nodes[0].Chain()
@@ -76,33 +52,20 @@ func TestDeletionPropagationUnderPartition(t *testing.T) {
 
 	var victim block.Ref
 	_ = sc.Step("seed a victim entry", func() error {
-		e := block.NewData("user", []byte("right to be forgotten")).Sign(cl.keys["user"])
-		cl.nodes[0].SubmitLocal(e)
-		cl.net.Flush()
-		b, err := cl.nodes[0].Propose()
-		if err != nil {
-			return err
-		}
-		victim = block.Ref{Block: b.Header.Number, Entry: 0}
+		victim = cl.write(t, 0, cl.data("user", "right to be forgotten"))[0].Ref
 		return nil
 	})
 	minority := []string{cl.nodes[3].Name(), cl.nodes[4].Name()}
 	_ = sc.Partition("isolate a 2-node minority", minority)
 	_ = sc.Step("majority approves the deletion", func() error {
-		del := block.NewDeletion("user", victim).Sign(cl.keys["user"])
-		cl.nodes[0].SubmitLocal(del)
-		cl.net.Flush()
-		if _, err := cl.nodes[0].Propose(); err != nil {
-			return err
-		}
-		cl.net.Flush()
+		cl.write(t, 0, block.NewDeletion("user", victim).Sign(cl.keys["user"]))
 		if !cl.nodes[0].Chain().IsMarked(victim) && !deleted(cl.nodes[0], victim) {
 			return fmt.Errorf("deletion request had no effect on the majority")
 		}
 		return nil
 	})
 	_ = sc.Step("majority truncates past the victim", func() error {
-		cl.driveRounds(t, 0, 8, "during")
+		cl.rounds(t, 0, 8, "during")
 		maj := cl.nodes[0].Chain()
 		if maj.Marker() <= victim.Block {
 			return fmt.Errorf("marker %d never passed victim block %d; scenario is vacuous", maj.Marker(), victim.Block)
@@ -125,7 +88,7 @@ func TestDeletionPropagationUnderPartition(t *testing.T) {
 	})
 	_ = sc.Heal("heal the partition")
 	_ = sc.Step("gossip a round so the minority syncs", func() error {
-		cl.driveRounds(t, 0, 2, "after")
+		cl.rounds(t, 0, 2, "after")
 		return nil
 	})
 	_ = sc.Check("minority adopted the truncated status quo", func() error {
@@ -175,43 +138,21 @@ func TestDeletionDuringSyncConverges(t *testing.T) {
 	cl := newCluster(t, 5, "alpha", "user")
 	user := cl.keys["user"]
 
-	e := block.NewData("user", []byte("first victim")).Sign(user)
-	cl.nodes[0].SubmitLocal(e)
-	cl.net.Flush()
-	b, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := block.Ref{Block: b.Header.Number, Entry: 0}
-	e2 := block.NewData("user", []byte("second victim")).Sign(user)
-	cl.nodes[0].SubmitLocal(e2)
-	cl.net.Flush()
-	b2, err := cl.nodes[0].Propose()
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := block.Ref{Block: b2.Header.Number, Entry: 0}
+	first := cl.write(t, 0, cl.data("user", "first victim"))[0].Ref
+	second := cl.write(t, 0, cl.data("user", "second victim"))[0].Ref
 
 	cl.net.Partition([]string{cl.nodes[3].Name(), cl.nodes[4].Name()})
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", first).Sign(user))
-	cl.net.Flush()
-	if _, err := cl.nodes[0].Propose(); err != nil {
-		t.Fatal(err)
-	}
-	cl.driveRounds(t, 0, 8, "partitioned")
+	cl.write(t, 0, block.NewDeletion("user", first).Sign(user))
+	cl.rounds(t, 0, 8, "partitioned")
 	if cl.nodes[0].Chain().Marker() <= first.Block {
 		t.Fatal("first deletion never truncated; test is vacuous")
 	}
 
 	// Heal, and in the same breath push a second deletion into the mix:
-	// the minority's sync and the new request race on the wire.
+	// the minority's sync and the new request's block race on the wire.
 	cl.net.Heal()
-	cl.nodes[0].SubmitLocal(block.NewDeletion("user", second).Sign(user))
-	if _, err := cl.nodes[0].Propose(); err != nil && !errors.Is(err, ErrSummaryPending) {
-		t.Fatal(err)
-	}
-	cl.net.Flush()
-	cl.driveRounds(t, 0, 8, "healed")
+	cl.write(t, 0, block.NewDeletion("user", second).Sign(user))
+	cl.rounds(t, 0, 8, "healed")
 
 	if err := cl.headsAndMarkersAgree(); err != nil {
 		t.Fatal(err)
@@ -264,7 +205,7 @@ func TestRestartRestoresFromSnapshotStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl.driveRounds(t, 0, 8, "before-restart")
+	cl.rounds(t, 0, 8, "before-restart")
 	if cl.nodes[0].Chain().Marker() == 0 {
 		t.Fatal("no marker shift before restart; test is vacuous")
 	}
@@ -281,7 +222,7 @@ func TestRestartRestoresFromSnapshotStore(t *testing.T) {
 	}
 
 	// The cluster moves on while the node is down.
-	cl.driveRounds(t, 0, 2, "while-down")
+	cl.rounds(t, 0, 2, "while-down")
 
 	// A restart crosses no trust boundary: with a verifier of its own,
 	// the node opens its store without one signature verification (the
@@ -315,7 +256,7 @@ func TestRestartRestoresFromSnapshotStore(t *testing.T) {
 
 	// Rejoined under the old name: the next proposal's gossip reveals
 	// the gap and incremental sync closes it.
-	cl.driveRounds(t, 0, 2, "after-restart")
+	cl.rounds(t, 0, 2, "after-restart")
 	if restarted.Chain().HeadHash() != cl.nodes[0].Chain().HeadHash() {
 		t.Errorf("restarted node did not catch up: head %d vs %d",
 			restarted.Chain().Head().Number, cl.nodes[0].Chain().Head().Number)
@@ -334,7 +275,7 @@ func TestByzantineNonVoterToleranceAndLiveness(t *testing.T) {
 	}
 	cl := newClusterWithByzantine(t, 5,
 		map[int]attack.Behavior{3: attack.VoteWithholding, 4: attack.VoteWithholding}, "alpha")
-	cl.driveRounds(t, 0, 8, "tolerated")
+	cl.rounds(t, 0, 8, "tolerated")
 	if cl.nodes[0].Chain().Marker() == 0 {
 		t.Fatal("quorum with one silent member never shifted the marker")
 	}
@@ -348,81 +289,21 @@ func TestByzantineNonVoterToleranceAndLiveness(t *testing.T) {
 	}
 
 	// Beyond the bound liveness is lost (safety holds): with 2 of 3
-	// members silent the 2-vote threshold is unreachable and proposals
+	// members silent the 2-vote threshold is unreachable and writes
 	// stall at the summary slot with ErrSummaryPending.
 	stuck := newClusterWithByzantine(t, 3,
 		map[int]attack.Behavior{1: attack.VoteWithholding, 2: attack.VoteWithholding}, "alpha")
-	alpha := stuck.keys["alpha"]
 	var lastErr error
-	for i := 0; i < 6; i++ {
-		stuck.nodes[0].SubmitLocal(block.NewData("alpha", []byte(fmt.Sprintf("stall-%d", i))).Sign(alpha))
+	for i := 0; i < 6 && lastErr == nil; i++ {
+		_, lastErr = stuck.nodes[0].SubmitWait(context.Background(), stuck.data("alpha", fmt.Sprintf("stall-%d", i)))
 		stuck.net.Flush()
-		_, lastErr = stuck.nodes[0].Propose()
-		stuck.net.Flush()
-		if lastErr != nil {
-			break
-		}
 	}
 	if !errors.Is(lastErr, ErrSummaryPending) {
-		t.Errorf("over-tolerance quorum: Propose = %v, want ErrSummaryPending", lastErr)
+		t.Errorf("over-tolerance quorum: SubmitWait = %v, want ErrSummaryPending", lastErr)
 	}
 	if stuck.nodes[0].Chain().Marker() != 0 {
 		t.Error("marker shifted without a quorum majority")
 	}
-}
-
-// newClusterWithByzantine is newCluster with per-index fault injection.
-func newClusterWithByzantine(t *testing.T, n int, faults map[int]attack.Behavior, users ...string) *cluster {
-	t.Helper()
-	cl := &cluster{
-		net:      netsim.New(netsim.Config{}),
-		registry: identity.NewRegistry(),
-		keys:     make(map[string]*identity.KeyPair),
-	}
-	t.Cleanup(cl.net.Close)
-	var anchorNames []string
-	for i := 0; i < n; i++ {
-		anchorNames = append(anchorNames, fmt.Sprintf("anchor-%d", i))
-	}
-	quorum, err := consensus.NewQuorum(anchorNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range anchorNames {
-		kp := identity.Deterministic(name, "cluster-test")
-		if err := cl.registry.RegisterKey(kp, identity.RoleMaster); err != nil {
-			t.Fatal(err)
-		}
-		cl.keys[name] = kp
-	}
-	for _, u := range users {
-		kp := identity.Deterministic(u, "cluster-test")
-		if err := cl.registry.RegisterKey(kp, identity.RoleUser); err != nil {
-			t.Fatal(err)
-		}
-		cl.keys[u] = kp
-	}
-	for i, name := range anchorNames {
-		nd, err := New(Config{
-			Key: cl.keys[name],
-			Chain: chain.Config{
-				SequenceLength: 3,
-				MaxSequences:   2,
-				Shrink:         chain.ShrinkAllButNewest,
-				Registry:       cl.registry,
-				Clock:          simclock.NewLogical(0),
-			},
-			Quorum:    quorum,
-			Network:   cl.net,
-			Byzantine: faults[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Close() })
-		cl.nodes = append(cl.nodes, nd)
-	}
-	return cl
 }
 
 func TestLaggingNodeCatchesUp(t *testing.T) {
@@ -432,9 +313,9 @@ func TestLaggingNodeCatchesUp(t *testing.T) {
 	cl := newCluster(t, 3, "alpha")
 	laggard := cl.nodes[2].Name()
 	cl.net.SetPeerLatency(laggard, 2*time.Millisecond)
-	cl.driveRounds(t, 0, 6, "lagged")
+	cl.rounds(t, 0, 6, "lagged")
 	cl.net.SetPeerLatency(laggard, 0)
-	cl.driveRounds(t, 0, 2, "recovered")
+	cl.rounds(t, 0, 2, "recovered")
 	if err := cl.headsAndMarkersAgree(); err != nil {
 		t.Fatal(err)
 	}
@@ -556,10 +437,114 @@ func TestStoreErrReportsFailedWrite(t *testing.T) {
 	if err := n.StoreErr(); err != nil {
 		t.Fatalf("StoreErr before any write: %v", err)
 	}
-	if _, err := n.SubmitWait(context.Background(), block.NewData("solo", []byte("x")).Sign(kp)); err != nil {
-		t.Fatal(err)
+	// The node's own writes fail closed, like a chain's: the write whose
+	// block did not persist does not resolve OK...
+	ctx := context.Background()
+	if _, err := n.SubmitWait(ctx, block.NewData("solo", []byte("x")).Sign(kp)); !errors.Is(err, chain.ErrStore) {
+		t.Fatalf("SubmitWait whose block failed to persist: %v, want ErrStore", err)
 	}
 	if err := n.StoreErr(); !errors.Is(err, chain.ErrStore) {
 		t.Errorf("StoreErr after a failed block write: %v, want ErrStore", err)
+	}
+	// ...and nothing more is sealed.
+	head := n.Chain().HeadHash()
+	if _, err := n.SubmitWait(ctx, block.NewData("solo", []byte("y")).Sign(kp)); !errors.Is(err, chain.ErrStore) {
+		t.Errorf("SubmitWait after the store failed: %v, want ErrStore", err)
+	}
+	if got := n.Chain().HeadHash(); got != head {
+		t.Errorf("head moved after the store failed: %s, was %s", got, head)
+	}
+}
+
+func TestSubmitRejectsBadEntriesOnTheirOwnReceipts(t *testing.T) {
+	// One call mixes valid entries with an unsigned entry, an entry
+	// signed by someone other than its owner, and a deletion request
+	// whose co-signature is forged. Each bad entry fails on its own
+	// receipt; the valid ones seal together and reach every peer. The
+	// forged request is included — "wrong requests … have no further
+	// effects" (§V) — and its receipt says the mark was rejected.
+	cl := newCluster(t, 3, "alpha", "user")
+	user := cl.keys["user"]
+	seeded := cl.write(t, 0, cl.data("user", "keep me"), cl.data("user", "erase me"))
+	keep, erase := seeded[0].Ref, seeded[1].Ref
+
+	forged := block.NewDeletion("user", keep)
+	forged.CoSigners = []block.CoSignature{{Name: "alpha", Signature: user.Sign(block.CoSigningBytes(keep))}}
+	entries := []*block.Entry{
+		cl.data("user", "valid"),
+		block.NewData("user", []byte("unsigned")),
+		block.NewData("user", []byte("wrong signer")).Sign(cl.keys["alpha"]),
+		forged.Sign(user),
+		block.NewDeletion("user", erase).Sign(user),
+	}
+	receipts, err := cl.nodes[0].Submit(context.Background(), entries...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]mempool.Sealed, len(receipts))
+	for i, r := range receipts {
+		s, err := r.Wait(context.Background())
+		if bad := i == 1 || i == 2; bad != (err != nil) {
+			t.Fatalf("entry %d: receipt error %v, want an error: %v", i, err, bad)
+		}
+		results[i] = s
+	}
+	cl.net.Flush()
+	sealedIn := results[0].Block
+	for _, i := range []int{3, 4} {
+		if results[i].Block != sealedIn {
+			t.Errorf("entry %d sealed in block %d, the valid data in %d", i, results[i].Block, sealedIn)
+		}
+	}
+	if results[3].Mark != mempool.MarkRejected {
+		t.Errorf("forged co-signature: mark %v, want rejected", results[3].Mark)
+	}
+	if results[4].Mark != mempool.MarkApproved {
+		t.Errorf("valid deletion: mark %v, want approved", results[4].Mark)
+	}
+	for _, n := range cl.nodes {
+		if b, ok := n.Chain().Block(sealedIn); !ok || len(b.Entries) != 3 {
+			t.Errorf("%s: block %d missing or not the three valid entries", n.Name(), sealedIn)
+		}
+		if n.Chain().IsMarked(keep) || !n.Chain().IsMarked(erase) {
+			t.Errorf("%s: marks keep=%v erase=%v, want false/true", n.Name(), n.Chain().IsMarked(keep), n.Chain().IsMarked(erase))
+		}
+	}
+}
+
+func TestAppendEmpty(t *testing.T) {
+	// The §IV-D.3 filler: sealed through the engine, appended by every
+	// peer, stalled by an incomplete summary vote, refused after Close.
+	pow := consensus.NewPoW(8)
+	cl := newClusterWith(t, 3, func(_ int, cfg *Config) { cfg.Engine = pow })
+	b := cl.fill(t, 0)
+	if len(b.Entries) != 0 {
+		t.Fatalf("filler holds %d entries", len(b.Entries))
+	}
+	if err := pow.VerifySeal(b); err != nil {
+		t.Fatalf("filler not sealed by the engine: %v", err)
+	}
+	for _, n := range cl.nodes {
+		if got, ok := n.Chain().Block(b.Header.Number); !ok || got.Hash() != b.Hash() {
+			t.Errorf("%s did not append the filler", n.Name())
+		}
+	}
+
+	// Alone, node 0 cannot complete a summary vote.
+	nd := cl.nodes[0]
+	cl.net.Partition([]string{nd.Name()})
+	var err error
+	for i := 0; i < 8 && err == nil; i++ {
+		_, err = nd.AppendEmpty()
+	}
+	if !errors.Is(err, ErrSummaryPending) {
+		t.Errorf("filler on a stalled summary: %v, want ErrSummaryPending", err)
+	}
+
+	if err := nd.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nd.AppendEmpty(); !errors.Is(err, ErrClosed) {
+		t.Errorf("filler after Close: %v, want ErrClosed", err)
 	}
 }

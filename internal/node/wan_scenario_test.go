@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -139,14 +140,7 @@ func wanDeletionConvergence(t *testing.T, n int, seed int64) (rounds int, head c
 
 	var victim block.Ref
 	_ = sc.Step("seed a victim entry", func() error {
-		cl.nodes[0].SubmitLocal(block.NewData("user", []byte("right to be forgotten at WAN scale")).Sign(user))
-		cl.net.Flush()
-		b, err := cl.nodes[0].Propose()
-		if err != nil {
-			return err
-		}
-		victim = block.Ref{Block: b.Header.Number, Entry: 0}
-		cl.net.Flush()
+		victim = cl.write(t, 0, cl.data("user", "right to be forgotten at WAN scale"))[0].Ref
 		return nil
 	})
 
@@ -157,20 +151,23 @@ func wanDeletionConvergence(t *testing.T, n int, seed int64) (rounds int, head c
 	}
 	_ = sc.Partition("split along the three region borders", groups...)
 	_ = sc.Step("deletion requested in the leader's region", func() error {
-		cl.nodes[0].SubmitLocal(block.NewDeletion("user", victim).Sign(user))
+		// The leader's region seals the request and fillers for the slots
+		// after it, then stalls at the summary: its region cannot raise a
+		// majority.
+		if _, err := cl.nodes[0].SubmitWait(context.Background(), block.NewDeletion("user", victim).Sign(user)); err != nil {
+			return err
+		}
 		cl.net.Flush()
-		// The leader's region seals the request and the slots after it,
-		// then stalls at the summary: its region cannot raise a majority.
 		var lastErr error
-		for i := 0; i < 6 && lastErr == nil; i++ {
-			_, lastErr = cl.nodes[0].Propose()
+		for i := 0; i < 5 && lastErr == nil; i++ {
+			_, lastErr = cl.nodes[0].AppendEmpty()
 			cl.net.Flush()
 		}
 		if !errors.Is(lastErr, ErrSummaryPending) {
-			return fmt.Errorf("leader region: Propose = %v, want ErrSummaryPending", lastErr)
+			return fmt.Errorf("leader region: AppendEmpty = %v, want ErrSummaryPending", lastErr)
 		}
 		for i := 0; i < 3; i++ {
-			if _, err := cl.nodes[0].Propose(); !errors.Is(err, ErrSummaryPending) {
+			if _, err := cl.nodes[0].AppendEmpty(); !errors.Is(err, ErrSummaryPending) {
 				return fmt.Errorf("summary unstuck without a majority: %v", err)
 			}
 			cl.net.Flush()
@@ -215,7 +212,7 @@ func wanDeletionConvergence(t *testing.T, n int, seed int64) (rounds int, head c
 			if converged() {
 				return nil
 			}
-			cl.driveRounds(t, 0, 1, fmt.Sprintf("post-heal-%d", rounds))
+			cl.rounds(t, 0, 1, fmt.Sprintf("post-heal-%d", rounds))
 		}
 		return fmt.Errorf("no convergence within 60 rounds (marker %d, victim block %d)",
 			cl.nodes[0].Chain().Marker(), victim.Block)
@@ -278,7 +275,7 @@ func runWANStorm(t *testing.T, n, waves int) {
 	quorum := cl.nodes[0].quorum
 
 	_ = sc.Step("build history past the first merge", func() error {
-		cl.driveRounds(t, 0, 8, "warmup")
+		cl.rounds(t, 0, 8, "warmup")
 		if cl.nodes[0].Chain().Marker() == 0 {
 			return fmt.Errorf("no marker shift during warmup; storm would be vacuous")
 		}
@@ -303,7 +300,7 @@ func runWANStorm(t *testing.T, n, waves int) {
 			return cl.nodeByName(name).Close()
 		},
 		During: func(wave int) error {
-			cl.driveRounds(t, 0, 3, fmt.Sprintf("storm-wave-%d", wave))
+			cl.rounds(t, 0, 3, fmt.Sprintf("storm-wave-%d", wave))
 			return nil
 		},
 		Restart: func(name string) error {
@@ -323,7 +320,7 @@ func runWANStorm(t *testing.T, n, waves int) {
 		},
 	})
 	_ = sc.Step("post-storm settle", func() error {
-		cl.driveRounds(t, 0, 3, "post-storm")
+		cl.rounds(t, 0, 3, "post-storm")
 		return nil
 	})
 	_ = sc.Check("every node converged, restarts via chunked snapshot", func() error {

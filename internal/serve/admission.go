@@ -21,8 +21,8 @@ type AdmissionOptions struct {
 	MaxPending int
 	// Poll is the backpressure-gauge sampling interval. The pending
 	// budget is exact and per-request; the sampled queue gauge covers
-	// OTHER producers feeding the same pipeline (gossip intake,
-	// in-process writers), for which a short staleness window is fine.
+	// OTHER producers feeding the same pipeline (in-process writers),
+	// for which a short staleness window is fine.
 	// Default 2ms.
 	Poll time.Duration
 	// RetryAfter is the client backoff hint on 429 responses.
@@ -51,9 +51,9 @@ func (o AdmissionOptions) withDefaults() AdmissionOptions {
 //     and is what guarantees sheds happen before the intake saturates —
 //     the budget is set below the queue's capacity.
 //   - queueFrac: the pipeline's sampled intake-queue fullness. This
-//     covers producers the pending count cannot see (gossip intake,
-//     other in-process writers sharing the chain), at the cost of one
-//     poll interval of staleness.
+//     covers producers the pending count cannot see (other in-process
+//     writers sharing the chain or node), at the cost of one poll
+//     interval of staleness.
 //
 // Both trip the same answer: 429 with Retry-After, before the queue is
 // full, so no HTTP handler ever parks on a saturated intake.

@@ -1,6 +1,6 @@
 // Package wire defines the signed message formats exchanged between
-// anchor nodes and clients: entry submission, block gossip, summary
-// votes, status queries, and entry lookups with inclusion proofs.
+// anchor nodes and clients: block gossip, summary votes, catch-up sync,
+// status queries, and entry lookups with inclusion proofs.
 package wire
 
 import (
@@ -13,8 +13,6 @@ import (
 
 // Message kinds exchanged between nodes and clients.
 const (
-	// KindEntry carries a client-submitted entry to anchor nodes.
-	KindEntry = "entry"
 	// KindBlock gossips a sealed normal block.
 	KindBlock = "block"
 	// KindVote carries a quorum vote on the next summary block and
