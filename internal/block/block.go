@@ -417,10 +417,27 @@ func (b *Block) encodeTo(e *codec.Encoder) {
 }
 
 // DecodeBlock parses a canonical block encoding and verifies the header
-// commitments. The nested structures are decoded through views into
-// data — each inner decoder copies what it retains, so the returned
-// block never aliases data and the input buffer may be pooled.
+// commitments (Decode, then CheckShape): the decoder for bytes that
+// arrive from elsewhere — the wire, the snapshot checkpoint.
 func DecodeBlock(data []byte) (*Block, error) {
+	b, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.CheckShape(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// Decode parses a canonical block encoding without checking its shape:
+// the body is not re-committed against the header. It is for readers
+// whose consumer shape-checks every block anyway (a store's Stream feeds
+// RestoreOwnStream), so each block pays for CheckShape once. The nested
+// structures are decoded through views into data — each inner decoder
+// copies what it retains, so the returned block never aliases data and
+// the input buffer may be pooled.
+func Decode(data []byte) (*Block, error) {
 	d := codec.NewDecoder(data)
 	rawHeader := d.View()
 	if err := d.Err(); err != nil {
@@ -480,9 +497,6 @@ func DecodeBlock(data []byte) (*Block, error) {
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrDecode, err)
-	}
-	if err := b.CheckShape(); err != nil {
-		return nil, err
 	}
 	return b, nil
 }

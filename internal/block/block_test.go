@@ -234,8 +234,16 @@ func TestDecodeBlockRejectsCorruption(t *testing.T) {
 	// Flip a byte inside an entry payload: the root check must catch it.
 	corrupt := append([]byte(nil), enc...)
 	corrupt[len(corrupt)-10] ^= 0xFF
-	if _, err := DecodeBlock(corrupt); err == nil {
-		t.Error("corrupted body accepted")
+	if _, err := DecodeBlock(corrupt); !errors.Is(err, ErrRootMismatch) {
+		t.Errorf("corrupted body: DecodeBlock = %v, want ErrRootMismatch", err)
+	}
+	// Decode only parses: the root check is left to CheckShape.
+	parsed, err := Decode(corrupt)
+	if err != nil {
+		t.Fatalf("Decode of a well-formed encoding: %v", err)
+	}
+	if err := parsed.CheckShape(); !errors.Is(err, ErrRootMismatch) {
+		t.Errorf("CheckShape after Decode = %v, want ErrRootMismatch", err)
 	}
 }
 

@@ -279,6 +279,9 @@ type Chain struct {
 	// ledger is the incremental summary-planning state: the origin-
 	// ordered carried-entry candidates plus expiry heaps (ledger.go).
 	ledger carriedLedger
+	// planned is the last summary plan (summary.go): written under the
+	// read lock by BuildSummary, cleared by the append that consumes it.
+	planned atomic.Pointer[plannedSummary]
 	// liveEntries / carriedEntries are maintained incrementally on
 	// append, mark, and truncate, so Stats() is O(1).
 	liveEntries    int
@@ -607,6 +610,9 @@ func (c *Chain) InjectMarkForTest(ref block.Ref) {
 		}
 	}
 	c.marks[ref] = Mark{Target: ref, Requester: "<fault-injection>"}
+	// The one input change that leaves the head alone: the stored Σ no
+	// longer follows from the state.
+	c.planned.Store(nil)
 }
 
 // BuildNormal assembles (but does not append) the next normal block from
@@ -632,7 +638,9 @@ func (c *Chain) BuildNormal(entries []*block.Entry) (*block.Block, error) {
 
 // AppendBlock validates and appends a block received from consensus or
 // gossip. Summary blocks are compared bit-for-bit against the locally
-// computed summary (§IV-B); a mismatch signals a fork. Entry signatures
+// computed summary (§IV-B); a mismatch signals a fork. The very block
+// BuildSummary returned is that summary, so it is neither shape-checked
+// nor compared again. Entry signatures
 // of normal blocks — including the co-signatures of deletion requests —
 // verify in parallel before the chain lock is taken, but only after the
 // cheap chain-position screen, so a flood of stale or mispositioned
@@ -660,8 +668,12 @@ func (c *Chain) AppendBlockOutcomes(b *block.Block) ([]mempool.MarkOutcome, erro
 // appendBlock is AppendBlock surfacing the deletion-mark outcomes of
 // the appended block's entries, for the submission pipeline's receipts.
 func (c *Chain) appendBlock(b *block.Block) ([]mempool.MarkOutcome, error) {
-	if err := b.CheckShape(); err != nil {
-		return nil, err
+	// Σ as this chain planned it is built from checked entries; any other
+	// block, a copy of that Σ included, is checked.
+	if !c.isPlanned(b) {
+		if err := b.CheckShape(); err != nil {
+			return nil, err
+		}
 	}
 	var checks cosigChecks
 	if !b.IsSummary() {
@@ -795,10 +807,12 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 
 	if b.IsSummary() {
 		expected, plan := c.planSummaryLocked()
-		if expected.Hash() != b.Hash() {
+		if b != expected && expected.Hash() != b.Hash() {
 			return events, fmt.Errorf("%w: block %d: got %s, computed %s",
 				ErrSummaryMismatch, b.Header.Number, b.Hash(), expected.Hash())
 		}
+		// Consumed: no Σ is retained past its slot.
+		c.planned.Store(nil)
 		c.pushBlock(b)
 		events.appended = append(events.appended, b)
 		if ev := c.applyPlanLocked(plan); ev != nil {

@@ -264,8 +264,68 @@ func TestSummaryMismatchDetected(t *testing.T) {
 	if err := c.AppendBlock(forged); !errors.Is(err, ErrSummaryMismatch) {
 		t.Errorf("err = %v, want ErrSummaryMismatch", err)
 	}
+	// Only the planned block itself skips the shape check: a copy with
+	// its body swapped under the planned header is caught by it.
+	swapped := s.Clone()
+	swapped.Carried = forged.Carried
+	if err := c.AppendBlock(swapped); !errors.Is(err, block.ErrRootMismatch) {
+		t.Errorf("swapped body: err = %v, want ErrRootMismatch", err)
+	}
 	if err := c.AppendBlock(s); err != nil {
 		t.Fatalf("correct summary rejected: %v", err)
+	}
+}
+
+// TestSummaryPlannedOncePerHead: BuildSummary plans Σ once per head and
+// hands every caller the same block; a fault-injected mark, the one
+// change that leaves the head alone, replans; the append that consumes
+// the plan drops it.
+func TestSummaryPlannedOncePerHead(t *testing.T) {
+	env := newEnv(t, "alpha")
+	c := newChain(t, defaultConfig(env)) // l = 3, two sequences
+	for i := 0; i < 4; i++ {
+		mustSeal(t, c, env.data("alpha", fmt.Sprintf("x%d", i)))
+	}
+	if err := c.AppendBlock(mustBuildNormal(t, c, env.data("alpha", "last"))); err != nil {
+		t.Fatal(err)
+	}
+	s1, err := c.BuildSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2, _ := c.BuildSummary(); s2 != s1 {
+		t.Fatal("BuildSummary twice on one head returned two blocks")
+	}
+	victim := block.Ref{Block: 1, Entry: 0}
+	carries := func(s *block.Block, ref block.Ref) bool {
+		for _, ce := range s.Carried {
+			if ce.Ref() == ref {
+				return true
+			}
+		}
+		return false
+	}
+	if !carries(s1, victim) {
+		t.Fatalf("Σ %d does not carry %s: the fixture merges nothing", s1.Header.Number, victim)
+	}
+
+	c.InjectMarkForTest(victim)
+	s3, err := c.BuildSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s3 == s1 || carries(s3, victim) || len(s3.Carried) != len(s1.Carried)-1 {
+		t.Fatalf("after the injected mark Σ carries %d entries (victim carried: %v), before %d",
+			len(s3.Carried), carries(s3, victim), len(s1.Carried))
+	}
+	if err := c.AppendBlock(s1); !errors.Is(err, ErrSummaryMismatch) {
+		t.Fatalf("stale plan: err = %v, want ErrSummaryMismatch", err)
+	}
+	if err := c.AppendBlock(s3); err != nil {
+		t.Fatal(err)
+	}
+	if p := c.planned.Load(); p != nil {
+		t.Fatalf("Σ %d still held after its append", p.block.Header.Number)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // the next summary block. The naive planner (summary_reference.go)
 // rescans every merged block and every previously carried entry at each
 // summary slot; the ledger keeps that list materialized and updated on
-// append, mark, and truncate, so planSummaryLocked assembles Σ by
+// append, mark, and truncate, so computeSummaryLocked assembles Σ by
 // copying a prefix — O(carried output) with no per-slot rescans — and
 // Stats() reads live/carried counters in O(1).
 //

@@ -99,8 +99,8 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 		// Pre-verify submissions while their batch assembles, so the
 		// sealing commit resolves the signatures from the verified-
 		// signature cache instead of re-paying Ed25519 for each.
-		Warm: func(entries []*block.Entry) {
-			c.cfg.Verifier.Warm(c.cfg.Registry, entries)
+		Warm: func(entries []*block.Entry) <-chan struct{} {
+			return c.cfg.Verifier.Warm(c.cfg.Registry, entries)
 		},
 	}
 	// A sealed batch resolves with the store-failure latch: its blocks

@@ -62,16 +62,52 @@ func (c *Chain) retentionPlanLocked(num, headTime uint64) summaryPlan {
 	return plan
 }
 
-// planSummaryLocked computes the next summary block Σ and its retention
-// plan from the carried-entry ledger: instead of rescanning every merged
-// block (and every entry already carried inside a previous summary, the
-// dominant cost as chains grow), it copies the ledger's origin-ordered
-// prefix below the new marker — O(carried output). The result is
-// bit-identical to planSummaryReferenceLocked, which the golden tests
-// enforce. Callers must hold the chain lock (read or write) and must
-// have verified that the next slot is a summary slot; the method never
-// mutates chain state (nodes re-plan freely while voting).
+// plannedSummary is the chain's last plan: the summary block Σ and its
+// retention decision, computed on head. Every input of the plan changes
+// only by appending a block, which replaces the head (InjectMarkForTest
+// is the one exception and clears the plan), so while head is still the
+// head the plan is still Σ.
+type plannedSummary struct {
+	head  *block.Block
+	block *block.Block
+	plan  summaryPlan
+}
+
+// planSummaryLocked returns Σ and its retention plan for the current
+// head, computing them once per head: a node builds Σ to vote, again
+// when the vote lands and once more to append it, and a single chain
+// builds it to append and again to check it. Callers must hold the
+// chain lock (read or write) and must have verified that the next slot
+// is a summary slot. Under the read lock two callers may compute at
+// once; they compute the same block and the last store wins.
 func (c *Chain) planSummaryLocked() (*block.Block, summaryPlan) {
+	head := c.head()
+	if p := c.planned.Load(); p != nil && p.head == head {
+		return p.block, p.plan
+	}
+	b, plan := c.computeSummaryLocked()
+	c.planned.Store(&plannedSummary{head: head, block: b, plan: plan})
+	return b, plan
+}
+
+// isPlanned reports whether b is the very block the chain planned as Σ.
+// Such a block was assembled from ledger entries, each shape-checked
+// when its block was appended, so it needs no shape check of its own.
+func (c *Chain) isPlanned(b *block.Block) bool {
+	p := c.planned.Load()
+	return p != nil && p.block == b
+}
+
+// computeSummaryLocked computes the next summary block Σ and its
+// retention plan from the carried-entry ledger: instead of rescanning
+// every merged block (and every entry already carried inside a previous
+// summary, the dominant cost as chains grow), it copies the ledger's
+// origin-ordered prefix below the new marker — O(carried output). The
+// result is bit-identical to planSummaryReferenceLocked, which the
+// golden tests enforce. Callers must hold the chain lock (read or
+// write) and must have verified that the next slot is a summary slot;
+// the method never mutates chain state.
+func (c *Chain) computeSummaryLocked() (*block.Block, summaryPlan) {
 	head := c.head()
 	num := head.Header.Number + 1
 
@@ -171,7 +207,9 @@ func (c *Chain) middleSequenceRef(firstLiveSeq, currentSeq uint64) *block.Sequen
 
 // BuildSummary computes the next summary block Σ from local state. Every
 // honest node produces a bit-identical block (§IV-B). The block is not
-// appended; call AppendBlock with it.
+// appended; call AppendBlock with it. Repeated calls on one head return
+// the same *Block, which AppendBlock recognizes and does not re-check;
+// callers must not modify it.
 func (c *Chain) BuildSummary() (*block.Block, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -218,24 +256,40 @@ func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
 	c.marker = plan.newMarker
 
 	// Sweep the entry index: references whose current location was cut
-	// are physically gone. Marks pointing at them are now executed;
-	// unmarked leftovers are expired temporaries the merge dropped.
-	// (Marked entries left the live counters when their mark was
-	// approved, so only the expired ones are decremented here.)
-	for ref, loc := range c.index {
-		if loc.Block >= c.marker {
-			continue
+	// are physically gone. Every such reference is held by a cut block,
+	// so the sweep visits the cut's data and carried entries, not the
+	// live set; an entry also found in an older cut block (its origin,
+	// or an earlier summary) is dropped only at its holder. Marks
+	// pointing at them are now executed; unmarked leftovers are expired
+	// temporaries the merge dropped. (Marked entries left the live
+	// counters when their mark was approved, so only the expired ones
+	// are decremented here.)
+	drop := func(ref block.Ref, holder uint64) {
+		loc, ok := c.index[ref]
+		if !ok || loc.Block != holder {
+			return
 		}
 		delete(c.index, ref)
 		if m, marked := c.marks[ref]; marked {
 			delete(c.marks, ref)
 			c.stats.ForgottenEntries++
 			c.tombstoneLocked(m, loc, cutBlocks, old)
-			continue
+			return
 		}
 		c.liveEntries--
 		if loc.Carried {
 			c.carriedEntries--
+		}
+	}
+	for _, b := range cutBlocks {
+		num := b.Header.Number
+		for _, ce := range b.Carried {
+			drop(ce.Ref(), num)
+		}
+		for i, e := range b.Entries {
+			if e.Kind == block.KindData {
+				drop(block.Ref{Block: num, Entry: uint32(i)}, num)
+			}
 		}
 	}
 	// The ledger prune must stay logical/synchronous too: a deferred

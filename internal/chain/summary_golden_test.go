@@ -17,11 +17,11 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the summary golden file")
 
 // buildSummaryBothForTest runs the incremental and the naive reference
-// planner on identical chain state.
+// planner on identical chain state, bypassing the chain's stored plan.
 func (c *Chain) buildSummaryBothForTest() (inc, ref *block.Block, incPlan, refPlan summaryPlan) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	inc, incPlan = c.planSummaryLocked()
+	inc, incPlan = c.computeSummaryLocked()
 	ref, refPlan = c.planSummaryReferenceLocked()
 	return inc, ref, incPlan, refPlan
 }
@@ -41,6 +41,35 @@ func (c *Chain) recountStatsForTest() (live, carried int) {
 		}
 	}
 	return live, carried
+}
+
+// indexDiffForTest compares the entry index with one rebuilt from the
+// live blocks — every data entry at its newest holder — and describes
+// the first difference, "" when there is none.
+func (c *Chain) indexDiffForTest() string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	want := make(map[block.Ref]Location)
+	for _, b := range c.blocks {
+		num := b.Header.Number
+		for i, ce := range b.Carried {
+			want[ce.Ref()] = Location{Block: num, Index: i, Carried: true}
+		}
+		for i, e := range b.Entries {
+			if e.Kind == block.KindData {
+				want[block.Ref{Block: num, Entry: uint32(i)}] = Location{Block: num, Index: i}
+			}
+		}
+	}
+	for ref, loc := range want {
+		if got, ok := c.index[ref]; !ok || got != loc {
+			return fmt.Sprintf("%s: index has %+v (present %v), blocks say %+v", ref, got, ok, loc)
+		}
+	}
+	if len(c.index) != len(want) {
+		return fmt.Sprintf("index holds %d refs, blocks hold %d", len(c.index), len(want))
+	}
+	return ""
 }
 
 // ledgerSortedForTest verifies the carried-entry ledger's ordering
@@ -113,6 +142,9 @@ func driveGolden(t *testing.T, c *Chain, env *goldenEnv, rounds int) []string {
 		}
 		if !c.ledgerSortedForTest() {
 			t.Fatalf("ledger ordering invariant broken after block %d", c.Head().Number)
+		}
+		if diff := c.indexDiffForTest(); diff != "" {
+			t.Fatalf("entry index diverged from the live blocks after block %d: %s", c.Head().Number, diff)
 		}
 		// LiveBytes is fed by Block.EncodedSize, a counting pass: it must
 		// stay the length of what Encode writes, through pushes and cuts.

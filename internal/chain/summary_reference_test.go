@@ -7,7 +7,7 @@ import (
 )
 
 // planSummaryReferenceLocked is the naive summary planner retained as
-// the executable specification of planSummaryLocked: it rescans every
+// the executable specification of computeSummaryLocked: it rescans every
 // merged block — and every entry already carried inside a previous
 // summary — at each summary slot. The incremental planner must produce
 // a bit-identical block for identical chain state; the golden tests

@@ -90,8 +90,9 @@ func (c *Chain) sealDeletionRecordLocked(old uint64, cutBlocks []*block.Block) *
 	head := c.head()
 	tombs := c.pendingTombs
 	c.pendingTombs = nil
-	// The sweep iterates a map; order the tombstones by target so every
-	// honest node seals a bit-identical record.
+	// The sweep visits the cut block by block, not in target order;
+	// order the tombstones by target so every honest node seals a
+	// bit-identical record.
 	sort.Slice(tombs, func(i, j int) bool { return refLess(tombs[i].Target, tombs[j].Target) })
 	rec := manifest.Record{
 		Seq:          c.nextTombSeq,

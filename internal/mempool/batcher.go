@@ -42,9 +42,12 @@ type Options struct {
 	// Warm, when set, is called with each submitted group's entries so
 	// their signatures pre-verify (and populate the verified-signature
 	// cache) while the batch is still being assembled. It may go on
-	// reading the slice after it returns. Failures are ignored here;
-	// sealing re-validates authoritatively.
-	Warm func(entries []*block.Entry)
+	// reading the slice until the channel it returns is closed, and the
+	// flusher waits for that before sealing the group, so the seal
+	// finds every signature in the cache instead of racing the warm-up
+	// to the curve. A nil channel means nothing to wait for. Failures
+	// are ignored here; sealing re-validates authoritatively.
+	Warm func(entries []*block.Entry) <-chan struct{}
 	// Durable, when set, defers receipt resolution to the durability
 	// point: after a successful seal the batch's resolution closure is
 	// handed to Durable instead of running inline, and the installed
@@ -60,6 +63,9 @@ type Options struct {
 type group struct {
 	entries []*block.Entry
 	tickets []*ticket
+	// warmed is closed once the warm hook is done with entries; nil
+	// when there is nothing to wait for.
+	warmed <-chan struct{}
 }
 
 // singleSubmission backs a one-entry Submit with a single allocation:
@@ -137,7 +143,7 @@ type Batcher struct {
 	ledger   Ledger
 	maxBatch int
 	linger   time.Duration
-	warm     func([]*block.Entry)
+	warm     func([]*block.Entry) <-chan struct{}
 	durable  func(func(error))
 
 	// mu guards closed; Submit holds it shared for the duration of its
@@ -237,7 +243,7 @@ func (b *Batcher) Submit(ctx context.Context, entries ...*block.Entry) ([]Receip
 		// Pre-verify while the group waits for its batch: the warm hook
 		// returns immediately and verifies on a goroutine of its own, so
 		// the sealing flush later resolves the same signatures from cache.
-		b.warm(g.entries)
+		g.warmed = b.warm(g.entries)
 	}
 	select {
 	case b.ch <- g:
@@ -365,6 +371,13 @@ const maxFlushRetries = 3
 // sealing primitive can lose a head race against concurrent direct
 // appenders and succeed verbatim on retry) before failing the batch.
 func (b *Batcher) flush(batch []group) {
+	// Join the warm-ups first: the seal then resolves every signature of
+	// the batch from the cache, and nothing reads g.entries but us.
+	for _, g := range batch {
+		if g.warmed != nil {
+			<-g.warmed
+		}
+	}
 	// Feed the adaptive linger: remember how long sealing takes (EMA,
 	// weighted 3:1 toward history) and whether this batch showed real
 	// coalescing — more than one group sealed together, or groups
@@ -441,9 +454,8 @@ func (b *Batcher) flush(batch []group) {
 		kept := batch[:0]
 		rejected := false
 		for _, g := range batch {
-			// Not compacted in place: the warm hook may still be reading
-			// g.entries.
-			okEntries := make([]*block.Entry, 0, len(g.entries))
+			// Compacted in place: the warm hook was joined above.
+			okEntries := g.entries[:0]
 			okTickets := g.tickets[:0]
 			for i, e := range g.entries {
 				if verr := b.ledger.ValidateEntries([]*block.Entry{e}); verr != nil {

@@ -283,6 +283,35 @@ func TestBatcherRetriesTransientBatchFailure(t *testing.T) {
 	}
 }
 
+// TestBatcherSealsOnlyAfterWarm: the flusher joins a group's warm-up
+// before sealing it, so a warm channel held open holds the seal back.
+func TestBatcherSealsOnlyAfterWarm(t *testing.T) {
+	led := &fakeLedger{}
+	warmed := make(chan struct{})
+	b := NewBatcher(led, Options{Warm: func([]*block.Entry) <-chan struct{} { return warmed }})
+	defer b.Close()
+	receipts, err := b.Submit(context.Background(), entry("a"), entry("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Long enough for an idle flusher to have sealed, had it not waited.
+	time.Sleep(50 * time.Millisecond)
+	led.mu.Lock()
+	sealed := len(led.batches)
+	led.mu.Unlock()
+	if sealed != 0 || receipts[0].Resolved() {
+		t.Fatalf("%d batches sealed while the warm-up was still running", sealed)
+	}
+	close(warmed)
+	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for i, r := range receipts {
+		if _, err := r.Wait(deadline); err != nil {
+			t.Fatalf("receipt %d after the warm-up ended: %v", i, err)
+		}
+	}
+}
+
 func TestBatcherPartialCommitDoesNotDoubleSeal(t *testing.T) {
 	// Commit appended the normal block but reports a summary-step error:
 	// the entries are on-chain, so the receipts must resolve to that

@@ -430,9 +430,9 @@ func (n *Node) handle(msg netsim.Message) {
 // assembling: entry signatures and deletion co-signatures populate the
 // verified-signature cache, so the sealing flush re-checks them for
 // cache hits instead of Ed25519 cost.
-func (n *Node) warmEntries(entries []*block.Entry) {
+func (n *Node) warmEntries(entries []*block.Entry) <-chan struct{} {
 	c := n.Chain()
-	c.Verifier().Warm(c.Registry(), entries)
+	return c.Verifier().Warm(c.Registry(), entries)
 }
 
 // proposer adapts the node's proposal path to the batching pipeline's

@@ -538,7 +538,10 @@ func (s *Store) rollLocked() error {
 	return s.writeManifestLocked()
 }
 
-// GetBlock loads one block: one pread via the offset index.
+// GetBlock loads one block: one pread via the offset index. The block
+// is parsed, not shape-checked (block.Decode): its body is not
+// re-committed against its header. RestoreOwnStream does that for every
+// block Stream yields; other callers run Block.CheckShape themselves.
 func (s *Store) GetBlock(num uint64) (*block.Block, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -561,7 +564,7 @@ func (s *Store) getBlockLocked(num uint64) (*block.Block, error) {
 	if _, err := f.ReadAt(payload, loc.off); err != nil {
 		return nil, fmt.Errorf("segment: read block %d: %w", num, err)
 	}
-	return block.DecodeBlock(payload)
+	return block.Decode(payload)
 }
 
 // Range implements store.Store.

@@ -37,7 +37,9 @@ type Store interface {
 	// Stream yields the stored blocks in ascending number order, one
 	// decoded block at a time, so a restore never materializes the
 	// whole persisted chain's raw bytes at once. Iteration stops at
-	// the first yielded error.
+	// the first yielded error. Blocks are parsed, not shape-checked
+	// (block.Decode): the consumer, Open's RestoreOwnStream, checks
+	// every block's shape, so each is checked once.
 	Stream() iter.Seq2[*block.Block, error]
 	// SizeBytes returns the total persisted payload size.
 	SizeBytes() (int64, error)
@@ -127,7 +129,7 @@ func (m *Mem) Stream() iter.Seq2[*block.Block, error] {
 		}
 		m.mu.RUnlock()
 		for i, raw := range raws {
-			b, err := block.DecodeBlock(raw)
+			b, err := block.Decode(raw)
 			if err != nil {
 				yield(nil, fmt.Errorf("store: block %d: %w", nums[i], err))
 				return

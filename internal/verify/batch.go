@@ -4,11 +4,19 @@ import (
 	"crypto/ed25519"
 )
 
-// batchChunk is the aggregate-verify unit: pending signatures are
-// verified in all-or-nothing chunks of this size, so one bad signature
-// costs a bisection over its own chunk instead of degrading the whole
-// batch, and Each fans out whole chunks, not single signatures.
+// batchChunk is the largest aggregate-verify unit: pending signatures
+// are verified in all-or-nothing chunks of at most this size, so one bad
+// signature costs a bisection over its own chunk instead of degrading
+// the whole batch, and Each fans out whole chunks, not single
+// signatures. A batch too small to give every worker a full chunk is
+// cut into one smaller chunk per worker instead (chunkSize).
 const batchChunk = 16
+
+// chunkSize is the chunk length for n pending signatures on workers
+// goroutines: min(batchChunk, ⌈n/workers⌉), at least 1.
+func chunkSize(n, workers int) int {
+	return max(1, min(batchChunk, (n+workers-1)/workers))
+}
 
 // batchItem is one accumulated signature check.
 type batchItem struct {
@@ -104,9 +112,10 @@ func (b *Batch) Verify() []bool {
 	}
 	// Pass 2 — chunked aggregate verify with bisection on failure.
 	b.p.batched.Add(uint64(len(uniq)))
-	b.p.Each((len(uniq)+batchChunk-1)/batchChunk, func(ci int) {
-		lo := ci * batchChunk
-		hi := min(lo+batchChunk, len(uniq))
+	size := chunkSize(len(uniq), b.p.workers)
+	b.p.Each((len(uniq)+size-1)/size, func(ci int) {
+		lo := ci * size
+		hi := min(lo+size, len(uniq))
 		b.resolveChunk(uniq[lo:hi], verdicts)
 	})
 	// Pass 3 — propagate representative verdicts to their duplicates.

@@ -213,6 +213,19 @@ func TestBatchVerifyInlineMatchesVerify(t *testing.T) {
 	}
 }
 
+// TestChunkSizeSpreadsSmallBatches: a batch too small for 16-signature
+// chunks on every worker is cut so each worker gets one; larger batches
+// keep 16.
+func TestChunkSizeSpreadsSmallBatches(t *testing.T) {
+	for _, tc := range []struct{ n, workers, want int }{
+		{16, 2, 8}, {16, 1, 16}, {17, 2, 9}, {100, 2, 16}, {3, 4, 1}, {1, 1, 1}, {0, 2, 1},
+	} {
+		if got := chunkSize(tc.n, tc.workers); got != tc.want {
+			t.Errorf("chunkSize(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
+		}
+	}
+}
+
 func TestBatchEmpty(t *testing.T) {
 	p := New(Options{Workers: 2})
 	if v := p.NewBatch(0).Verify(); v != nil {

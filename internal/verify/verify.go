@@ -291,14 +291,18 @@ func (p *Pool) CoSigners(reg *identity.Registry, e *block.Entry) []bool {
 // Warm pre-verifies entries on a goroutine of its own, populating the
 // cache so a later Entries call over the same batch — and, for deletion
 // entries, the CoSigners call of request authorization at sealing time
-// — resolves from hits. The slice is read after Warm returns, so the
-// caller must not modify it. Failures are ignored: the authoritative
-// check happens at validation time. Without a cache it does nothing.
-func (p *Pool) Warm(reg *identity.Registry, entries []*block.Entry) {
+// — resolves from hits. The returned channel is closed when the
+// goroutine ends; until then the slice is read, so the caller must not
+// modify it, and a check of the same signatures would race the warm one
+// to the curve. Failures are ignored: the authoritative check happens
+// at validation time. Without a cache it does nothing and returns nil.
+func (p *Pool) Warm(reg *identity.Registry, entries []*block.Entry) <-chan struct{} {
 	if p.cache == nil {
-		return
+		return nil
 	}
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		_ = p.Entries(reg, entries)
 		for _, e := range entries {
 			if e.Kind == block.KindDeletion {
@@ -306,6 +310,7 @@ func (p *Pool) Warm(reg *identity.Registry, entries []*block.Entry) {
 			}
 		}
 	}()
+	return done
 }
 
 // Blocks verifies the entries of many blocks as one batch — the restore

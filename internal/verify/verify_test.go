@@ -190,7 +190,8 @@ func TestBlocksVerifiesCarriedEntries(t *testing.T) {
 	}
 }
 
-// settle polls until cond holds; Warm hands back no handle to wait on.
+// settle polls until cond holds: a goroutine that closed its done
+// channel may not have exited yet.
 func settle(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -215,10 +216,11 @@ func TestCloseStopsWorkersKeepsVerifying(t *testing.T) {
 		t.Fatalf("32 pools, none closed: %d goroutines, %d before", got, before)
 	}
 	p := pools[0]
-	p.Warm(reg, entries)
-	settle(t, "Warm's goroutines to exit", func() bool {
-		return p.Stats().Verified == 40 && runtime.NumGoroutine() <= before
-	})
+	<-p.Warm(reg, entries)
+	if got := p.Stats().Verified; got != 40 {
+		t.Fatalf("Warm's channel closed after %d of 40 verifications", got)
+	}
+	settle(t, "Warm's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 
 	p.Close()
 	p.Close() // idempotent
@@ -317,8 +319,7 @@ func TestWarmFillsTheCache(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	p := New(Options{Workers: 2})
-	p.Warm(reg, entries)
-	settle(t, "Warm's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+	<-p.Warm(reg, entries)
 	warmed := p.Stats()
 	if warmed.Verified != sigs {
 		t.Fatalf("Warm verified %d signatures, want %d", warmed.Verified, sigs)
@@ -340,8 +341,11 @@ func TestWarmFillsTheCache(t *testing.T) {
 	}
 
 	// Without a cache there is nothing to warm.
+	settle(t, "Warm's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
 	off := New(Options{Workers: 2, CacheSize: -1})
-	off.Warm(reg, entries)
+	if done := off.Warm(reg, entries); done != nil {
+		t.Fatal("cache-off Warm returned a channel to wait on")
+	}
 	if got := runtime.NumGoroutine(); got > before {
 		t.Fatalf("cache-off Warm started %d goroutine(s)", got-before)
 	}
