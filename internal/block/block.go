@@ -250,16 +250,31 @@ var leafScratchPool = sync.Pool{
 	},
 }
 
+// CarriedLeaf is the Merkle leaf of one carried entry: the hash of its
+// canonical encoding. It is the one leaf function of summary blocks —
+// CarriedRoot, EntryTree and the chain's planner, which hashes each
+// entry once in its life and keeps the result, all hash through it.
+func CarriedLeaf(c CarriedEntry) codec.Hash {
+	bp := leafScratchPool.Get().(*[]byte)
+	*bp = c.AppendEncode((*bp)[:0])
+	h := merkle.HashLeaf(*bp)
+	leafScratchPool.Put(bp)
+	return h
+}
+
+// carriedLeaves hashes every carried entry's leaf, in order.
+func carriedLeaves(carried []CarriedEntry) []codec.Hash {
+	leaves := make([]codec.Hash, len(carried))
+	for i := range carried {
+		leaves[i] = CarriedLeaf(carried[i])
+	}
+	return leaves
+}
+
 // CarriedRoot computes the Merkle root over the canonical encodings of a
 // summary block's carried entries.
-func CarriedRoot(carried []CarriedEntry) codec.Hash { return CarriedRootWith(nil, carried) }
-
-// CarriedRootWith is CarriedRoot fanned out across r, like
-// EntriesRootWith.
-func CarriedRootWith(r merkle.Runner, carried []CarriedEntry) codec.Hash {
-	return merkle.BuildFromHashes(leafHashes(r, len(carried), func(i int, buf []byte) []byte {
-		return carried[i].AppendEncode(buf)
-	})).Root()
+func CarriedRoot(carried []CarriedEntry) codec.Hash {
+	return merkle.BuildFromHashes(carriedLeaves(carried)).Root()
 }
 
 // NewNormal assembles an unmined normal block on top of the given
@@ -288,20 +303,22 @@ func NewNormalWith(r merkle.Runner, number, time uint64, prevHash codec.Hash, en
 // timestamp equals the timestamp of the preceding block (prevTime), its
 // content is fully deterministic, and it is never mined (zero nonce).
 func NewSummary(number, prevTime uint64, prevHash codec.Hash, carried []CarriedEntry, seqRef *SequenceRef) *Block {
-	return NewSummaryWith(nil, number, prevTime, prevHash, carried, seqRef)
+	return NewSummaryFromLeaves(number, prevTime, prevHash, carried, carriedLeaves(carried), seqRef)
 }
 
-// NewSummaryWith is NewSummary with the carried commitment built across
-// r. The block is bit-identical to NewSummary's — parallelism never
-// changes Σ, which the golden tests pin.
-func NewSummaryWith(r merkle.Runner, number, prevTime uint64, prevHash codec.Hash, carried []CarriedEntry, seqRef *SequenceRef) *Block {
+// NewSummaryFromLeaves is NewSummary for a caller that already holds the
+// carried entries' leaves: leaves[i] must be CarriedLeaf(carried[i]).
+// The chain's planner builds Σ this way, hashing only the entries it
+// carries for the first time. The block is bit-identical to
+// NewSummary's, which the golden tests pin.
+func NewSummaryFromLeaves(number, prevTime uint64, prevHash codec.Hash, carried []CarriedEntry, leaves []codec.Hash, seqRef *SequenceRef) *Block {
 	b := &Block{
 		Header: Header{
 			Kind:        KindSummary,
 			Number:      number,
 			Time:        prevTime,
 			PrevHash:    prevHash,
-			EntriesRoot: CarriedRootWith(r, carried),
+			EntriesRoot: merkle.BuildFromHashes(leaves).Root(),
 		},
 		Carried: carried,
 		SeqRef:  seqRef,
@@ -559,9 +576,7 @@ func (b *Block) EncodedSize() int {
 // Callers that need several proofs of one block build it once.
 func (b *Block) EntryTree() *merkle.Tree {
 	if b.IsSummary() {
-		return merkle.BuildFromHashes(leafHashes(nil, len(b.Carried), func(i int, buf []byte) []byte {
-			return b.Carried[i].AppendEncode(buf)
-		}))
+		return merkle.BuildFromHashes(carriedLeaves(b.Carried))
 	}
 	return merkle.BuildFromHashes(leafHashes(nil, len(b.Entries), func(i int, buf []byte) []byte {
 		return b.Entries[i].AppendEncode(buf)

@@ -209,8 +209,10 @@ type Mark struct {
 // Listener observes chain mutations. OnAppend runs synchronously after
 // the mutation completed and the chain lock was released; OnTruncate
 // runs on the background compactor's goroutine, off the append path
-// (CompactWait barriers on it). Implementations must not mutate the
-// chain reentrantly from callbacks.
+// (CompactWait barriers on it), and only after the OnAppend calls of the
+// append that truncated have returned. Implementations must not mutate
+// the chain reentrantly from callbacks, and OnAppend must not wait for
+// compaction (CompactWait, Tombstones).
 type Listener interface {
 	// OnAppend fires for every appended block (normal and summary).
 	OnAppend(b *block.Block)
@@ -260,24 +262,15 @@ type Chain struct {
 	// live block.
 	marker uint64
 
-	// index maps stable entry references (origin block, entry number) to
-	// current locations; it covers data entries only.
-	index map[block.Ref]Location
-	// indexPeak is the high-water entry count of index since its last
-	// rebuild. Go maps never release their buckets, so after a large cut
-	// the map can pin an arbitrary multiple of its live size; the
-	// compactor rebuilds it when live/peak falls below the shrink
-	// threshold (see maybeShrinkIndexLocked).
-	indexPeak int
-	// indexRebuilds counts those shrink rebuilds (PipelineStats gauge).
-	indexRebuilds uint64
 	// dependents maps a target reference to the entries depending on it.
 	dependents map[block.Ref][]deletion.Dependent
 	// marks holds approved, not-yet-executed deletion marks.
 	marks map[block.Ref]Mark
 
-	// ledger is the incremental summary-planning state: the origin-
-	// ordered carried-entry candidates plus expiry heaps (ledger.go).
+	// ledger is the chain's one entry index — every live data entry by
+	// its stable reference, with its current location — and the
+	// incremental summary-planning state: origin-ordered carried-entry
+	// candidates plus expiry heaps (ledger.go).
 	ledger carriedLedger
 	// planned is the last summary plan (summary.go): written under the
 	// read lock by BuildSummary, cleared by the append that consumes it.
@@ -352,7 +345,6 @@ func New(cfg Config) (*Chain, error) {
 		cfg:         full,
 		auth:        newAuthorizer(full),
 		marker:      full.BaseBlock,
-		index:       make(map[block.Ref]Location),
 		dependents:  make(map[block.Ref][]deletion.Dependent),
 		marks:       make(map[block.Ref]Mark),
 		ledger:      newCarriedLedger(),
@@ -480,19 +472,14 @@ func (c *Chain) Lookup(ref block.Ref) (*block.Entry, Location, bool) {
 	return c.lookup(ref)
 }
 
+// lookup resolves ref through the ledger. A candidate's entry is its
+// holder's own, so no block is consulted.
 func (c *Chain) lookup(ref block.Ref) (*block.Entry, Location, bool) {
-	loc, ok := c.index[ref]
+	cand, ok := c.ledger.byRef[ref]
 	if !ok {
 		return nil, Location{}, false
 	}
-	b, ok := c.blockAt(loc.Block)
-	if !ok {
-		return nil, Location{}, false
-	}
-	if loc.Carried {
-		return b.Carried[loc.Index].Entry, loc, true
-	}
-	return b.Entries[loc.Index], loc, true
+	return cand.ce.Entry, cand.location(), true
 }
 
 // IsMarked reports whether ref carries an approved deletion mark.
@@ -519,11 +506,11 @@ func (c *Chain) Marks() []Mark {
 func (c *Chain) Confirmations(ref block.Ref) (uint64, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	loc, ok := c.index[ref]
+	cand, ok := c.ledger.byRef[ref]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, ref)
 	}
-	return c.head().Header.Number - loc.Block, nil
+	return c.head().Header.Number - cand.holder, nil
 }
 
 // Stats returns a snapshot of the chain's size and deletion counters.
@@ -565,7 +552,7 @@ func (c *Chain) validateDepsLocked(entries []*block.Entry) error {
 			continue
 		}
 		for _, dep := range e.DependsOn {
-			if _, ok := c.index[dep]; !ok {
+			if _, ok := c.ledger.byRef[dep]; !ok {
 				return fmt.Errorf("%w: entry %d depends on %s", ErrDependsMissing, i, dep)
 			}
 			// §IV-D.3: "Subsequent incoming transactions based on this
@@ -600,15 +587,7 @@ func (c *Chain) ValidateEntries(entries []*block.Entry) error {
 func (c *Chain) InjectMarkForTest(ref block.Ref) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, already := c.marks[ref]; !already {
-		if loc, ok := c.index[ref]; ok {
-			c.liveEntries--
-			if loc.Carried {
-				c.carriedEntries--
-			}
-			c.ledger.mark(ref)
-		}
-	}
+	c.markLocked(ref)
 	c.marks[ref] = Mark{Target: ref, Requester: "<fault-injection>"}
 	// The one input change that leaves the head alone: the stored Σ no
 	// longer follows from the state.
@@ -704,6 +683,9 @@ func (c *Chain) appendVerified(b *block.Block, checks cosigChecks) ([]mempool.Ma
 			l.OnAppend(ab)
 		}
 	}
+	if events.listened != nil {
+		close(events.listened)
+	}
 	if events.truncated != nil {
 		c.compactor().Enqueue(*events.truncated)
 	}
@@ -780,8 +762,13 @@ func (c *Chain) checkLink(prev, b *block.Block) error {
 }
 
 type chainEvents struct {
-	appended  []*block.Block
+	appended []*block.Block
+	// truncated is set when the append's truncation could not be staged
+	// (the compactor is closed) and must run inline after the listeners.
 	truncated *compact.Event
+	// listened, set when the append truncated, is closed once the
+	// appended blocks reached every listener; the truncation waits for it.
+	listened chan struct{}
 	// outcomes are the per-entry deletion-mark outcomes of an appended
 	// normal block (nil when it held no deletion entries).
 	outcomes []mempool.MarkOutcome
@@ -806,22 +793,27 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 	}
 
 	if b.IsSummary() {
-		expected, plan := c.planSummaryLocked()
-		if b != expected && expected.Hash() != b.Hash() {
+		p := c.planSummaryLocked()
+		if b != p.block && p.block.Hash() != b.Hash() {
 			return events, fmt.Errorf("%w: block %d: got %s, computed %s",
-				ErrSummaryMismatch, b.Header.Number, b.Hash(), expected.Hash())
+				ErrSummaryMismatch, b.Header.Number, b.Hash(), p.block.Hash())
 		}
 		// Consumed: no Σ is retained past its slot.
 		c.planned.Store(nil)
 		c.pushBlock(b)
+		c.rehomeLocked(b, p)
 		events.appended = append(events.appended, b)
-		if ev := c.applyPlanLocked(plan); ev != nil {
+		if ev := c.applyPlanLocked(p.plan); ev != nil {
 			// Stage the physical work while still under the chain lock:
 			// the compactor's intake is non-blocking, and staging here
 			// is what keeps truncation events in marker order across
-			// concurrent appenders. A closed compactor instead runs
-			// inline after the lock is released — AppendBlock executes
-			// events.truncated then.
+			// concurrent appenders. The event is held until this append
+			// has run its listeners (appendVerified closes listened), so
+			// no store prunes below a Σ it has not written. A closed
+			// compactor instead runs inline after the listeners —
+			// appendVerified executes events.truncated then.
+			events.listened = make(chan struct{})
+			ev.After = events.listened
 			if !c.compactor().TryEnqueue(*ev) {
 				events.truncated = ev
 			}
@@ -844,75 +836,28 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 	return events, nil
 }
 
-// indexShrinkMinPeak is the smallest index high-water mark at which a
-// shrink rebuild is considered: below it the pinned buckets are noise
-// and a rebuild would just churn.
-const indexShrinkMinPeak = 1024
-
-// indexShrinkFactor triggers a rebuild when live entries fall below
-// peak/indexShrinkFactor — i.e. at least 75% of the map's bucket
-// capacity is dead weight.
-const indexShrinkFactor = 4
-
-// maybeShrinkIndexLocked rebuilds the entry index into a right-sized
-// map when a cut left it mostly empty. Runs on the compactor goroutine
-// under the chain lock: the rebuild is O(live), off the append path,
-// and invisible to readers.
-func (c *Chain) maybeShrinkIndexLocked() {
-	if c.indexPeak < indexShrinkMinPeak || len(c.index)*indexShrinkFactor >= c.indexPeak {
-		return
-	}
-	fresh := make(map[block.Ref]Location, len(c.index))
-	for ref, loc := range c.index {
-		fresh[ref] = loc
-	}
-	c.index = fresh
-	c.indexPeak = len(fresh)
-	c.indexRebuilds++
-}
-
-// pushBlock links b into the live slice, indexes its entries, and feeds
-// the carried-entry ledger and the incremental live/carried counters.
+// pushBlock links b into the live slice and, for a normal block, enters
+// its data entries into the ledger and the live counters. A summary
+// block's carried entries are the caller's: an append re-homes its
+// plan's candidates (rehomeLocked), a restore migrates by lookup.
 func (c *Chain) pushBlock(b *block.Block) {
 	c.blocks = append(c.blocks, b)
 	c.liveBytes += int64(b.EncodedSize())
 	c.stats.AppendedBlocks++
-	num := b.Header.Number
 	if b.IsSummary() {
-		for i, carried := range b.Carried {
-			ref := carried.Ref()
-			if loc, ok := c.index[ref]; !ok {
-				// Restored summary whose merge history is gone: the
-				// entry enters the live set directly as carried.
-				c.liveEntries++
-				c.carriedEntries++
-			} else if !loc.Carried {
-				c.carriedEntries++
-			}
-			c.index[ref] = Location{Block: num, Index: i, Carried: true}
-		}
-		c.ledger.migrate(num, b.Carried)
-		if len(c.index) > c.indexPeak {
-			c.indexPeak = len(c.index)
-		}
 		return
 	}
 	for i, e := range b.Entries {
 		if e.Kind != block.KindData {
 			continue
 		}
-		ref := block.Ref{Block: num, Entry: uint32(i)}
-		c.index[ref] = Location{Block: num, Index: i}
-		c.ledger.add(ref, block.CarriedEntry{
-			OriginBlock: num,
+		c.ledger.add(block.CarriedEntry{
+			OriginBlock: b.Header.Number,
 			OriginTime:  b.Header.Time,
 			EntryNumber: uint32(i),
 			Entry:       e,
 		})
 		c.liveEntries++
-	}
-	if len(c.index) > c.indexPeak {
-		c.indexPeak = len(c.index)
 	}
 }
 
@@ -964,17 +909,7 @@ func (c *Chain) processDeletionRequest(e *block.Entry, ref block.Ref, atBlock ui
 		c.stats.RejectedRequests++
 		return false
 	}
-	if _, already := c.marks[e.Target]; !already {
-		// The target leaves the live set logically; physical deletion
-		// happens at the next marker shift.
-		if loc, ok := c.index[e.Target]; ok {
-			c.liveEntries--
-			if loc.Carried {
-				c.carriedEntries--
-			}
-		}
-		c.ledger.mark(e.Target)
-	}
+	c.markLocked(e.Target)
 	c.marks[e.Target] = Mark{
 		Target:        e.Target,
 		Requester:     e.Owner,
@@ -984,12 +919,32 @@ func (c *Chain) processDeletionRequest(e *block.Entry, ref block.Ref, atBlock ui
 	return true
 }
 
+// markLocked is the logical half of a new mark on ref, whose Mark the
+// caller records next: the entry leaves the live counters and its ledger
+// candidate is flagged, so no later Σ carries it. Physical deletion
+// happens at the marker shift that cuts its holder. A ref already
+// marked, or not live, is left alone.
+func (c *Chain) markLocked(ref block.Ref) {
+	if _, already := c.marks[ref]; already {
+		return
+	}
+	cand, ok := c.ledger.byRef[ref]
+	if !ok {
+		return
+	}
+	c.liveEntries--
+	if cand.carried() {
+		c.carriedEntries--
+	}
+	cand.marked = true
+}
+
 // liveDependents returns the dependents of target that are still alive
 // and not themselves marked for deletion.
 func (c *Chain) liveDependents(target block.Ref) []deletion.Dependent {
 	var out []deletion.Dependent
 	for _, dep := range c.dependents[target] {
-		if _, ok := c.index[dep.Ref]; !ok {
+		if _, ok := c.ledger.byRef[dep.Ref]; !ok {
 			continue
 		}
 		if _, marked := c.marks[dep.Ref]; marked {
@@ -1170,8 +1125,8 @@ func (c *Chain) compactor() *compact.Compactor {
 // runCompaction executes the physical side of one truncation: release
 // the cut prefix's memory, sweep dead dependency edges, then let the
 // listeners prune their stores. The logical truncation (marker shift,
-// entry-index sweep, ledger prune) already happened under the append
-// lock — validation correctness never waits for the compactor.
+// ledger sweep) already happened under the append lock — validation
+// correctness never waits for the compactor.
 func (c *Chain) runCompaction(ev compact.Event) {
 	c.mu.Lock()
 	// Copy the live slice into a fresh backing array so the cut prefix
@@ -1182,13 +1137,13 @@ func (c *Chain) runCompaction(ev compact.Event) {
 	// liveDependents filters through the entry index, so stale edges
 	// are invisible in the meantime — this is pure space reclamation.
 	for target, deps := range c.dependents {
-		if _, ok := c.index[target]; !ok {
+		if _, ok := c.ledger.byRef[target]; !ok {
 			delete(c.dependents, target)
 			continue
 		}
 		kept := deps[:0]
 		for _, dep := range deps {
-			if _, ok := c.index[dep.Ref]; ok {
+			if _, ok := c.ledger.byRef[dep.Ref]; ok {
 				kept = append(kept, dep)
 			}
 		}
@@ -1200,7 +1155,7 @@ func (c *Chain) runCompaction(ev compact.Event) {
 	}
 	// Large cuts leave the entry index mostly dead buckets; rebuild it
 	// right-sized while we are already off the append path.
-	c.maybeShrinkIndexLocked()
+	c.ledger.maybeShrink()
 	c.mu.Unlock()
 	for _, l := range c.listenersSnapshot() {
 		if tl, ok := l.(TruncateEventListener); ok {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/seldel/seldel/internal/block"
+	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
@@ -445,6 +448,65 @@ type funcListener struct {
 
 func (l *funcListener) OnAppend(b *block.Block)      { l.onAppend(b) }
 func (l *funcListener) OnTruncate(oldM, newM uint64) { l.onTruncate(oldM, newM) }
+
+// slowSummaryListener takes 20 ms over every summary block it is handed,
+// as a store writing a large Σ to a slow disk does, and notes each
+// truncation that arrives before its summary block did.
+type slowSummaryListener struct {
+	mu          sync.Mutex
+	appended    map[uint64]bool
+	truncations int
+	early       []string
+}
+
+func (l *slowSummaryListener) OnAppend(b *block.Block) {
+	if b.IsSummary() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.appended[b.Header.Number] = true
+}
+
+func (l *slowSummaryListener) OnTruncate(uint64, uint64) {}
+
+func (l *slowSummaryListener) OnTruncateEvent(ev compact.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.truncations++
+	if !l.appended[ev.Record.SummaryBlock] {
+		l.early = append(l.early, fmt.Sprintf("truncation to %d arrived before summary %d", ev.NewMarker, ev.Record.SummaryBlock))
+	}
+}
+
+// TestTruncationWaitsForItsSummaryListeners: a truncation reaches the
+// listeners only after the summary block that caused it did, however
+// long OnAppend takes, so a store never deletes below a Σ it has not
+// written yet.
+func TestTruncationWaitsForItsSummaryListeners(t *testing.T) {
+	env := newEnv(t, "alpha")
+	cfg := defaultConfig(env)
+	cfg.MaxSequences = 1
+	cfg.Shrink = ShrinkMinimal
+	c := newChain(t, cfg)
+	defer c.Close()
+	l := &slowSummaryListener{appended: make(map[uint64]bool)}
+	c.AddListener(l)
+	for i := 0; i < 6; i++ {
+		mustSeal(t, c, env.data("alpha", fmt.Sprintf("p%d", i)))
+	}
+	if err := c.CompactWait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.truncations == 0 {
+		t.Fatal("the chain never truncated")
+	}
+	for _, msg := range l.early {
+		t.Error(msg)
+	}
+}
 
 func TestSealHooks(t *testing.T) {
 	env := newEnv(t, "alpha")

@@ -4,16 +4,29 @@ import (
 	"container/heap"
 
 	"github.com/seldel/seldel/internal/block"
+	"github.com/seldel/seldel/internal/codec"
 )
 
-// This file maintains the carried-entry ledger: a running, origin-ordered
-// view of every live data entry as the CarriedEntry it would become in
-// the next summary block. The naive planner (summary_reference.go)
-// rescans every merged block and every previously carried entry at each
-// summary slot; the ledger keeps that list materialized and updated on
-// append, mark, and truncate, so computeSummaryLocked assembles Σ by
-// copying a prefix — O(carried output) with no per-slot rescans — and
-// Stats() reads live/carried counters in O(1).
+// This file maintains the carried-entry ledger, the chain's one entry
+// index: every live data entry, keyed by its stable Ref, viewed as the
+// CarriedEntry it would become in the next summary block. byRef answers
+// where an entry lives (Lookup, Confirmations, dependency rules); the
+// origin-ordered list answers what the next Σ carries. The naive planner
+// (summary_reference_test.go) rescans every merged block and every
+// previously carried entry at each summary slot; the ledger keeps that
+// list materialized and updated on append, mark, and truncate, so
+// computeSummaryLocked assembles Σ by walking a prefix — O(carried
+// output) with no per-slot rescans — and Stats() reads live/carried
+// counters in O(1).
+//
+// Re-carrying an entry costs no lookup and no hash. The append that
+// consumes a plan re-homes the plan's own candidates in place
+// (Chain.rehomeLocked); a cut asks the ledger, not the cut blocks, which
+// entries died (prune); and each candidate keeps its Merkle leaf from the
+// first Σ that carried it. The memo is sound because appended entries
+// are immutable — block hashes already rely on that — and a carried entry
+// keeps its origin coordinates, so it encodes to the same bytes for its
+// whole life.
 //
 // Ordering invariant: `ordered` is sorted by (OriginBlock, EntryNumber).
 // Live appends preserve it naturally (origins only grow, and entries
@@ -25,19 +38,41 @@ import (
 type candidate struct {
 	// ce is the exact CarriedEntry the next summary would hold. For an
 	// entry still in its origin block this is pre-built at append time;
-	// after a migration it is re-pointed at the live summary's copy.
+	// once carried it is the holder's own copy.
 	ce block.CarriedEntry
+	// leaf memoizes block.CarriedLeaf(ce); zero until the first summary
+	// carrying the entry is appended. Only that append writes it, under
+	// the write lock; planners, under the read lock, only read it.
+	leaf codec.Hash
 	// holder is the number of the block currently holding the entry.
 	holder uint64
+	// pos is the entry's position in its holder: its index in Entries
+	// while in its origin block, in Carried once in a summary.
+	pos uint32
 	// marked mirrors the deletion-mark set for O(1) skipping during
 	// plan assembly.
 	marked bool
 }
 
-// carriedLedger is the incremental summary-planning state.
+// carried reports whether the entry lives inside a summary block.
+func (cd *candidate) carried() bool { return cd.holder != cd.ce.OriginBlock }
+
+// location derives where the entry lives from its holder and position.
+func (cd *candidate) location() Location {
+	return Location{Block: cd.holder, Index: int(cd.pos), Carried: cd.carried()}
+}
+
+// carriedLedger is the entry index and incremental summary-planning
+// state.
 type carriedLedger struct {
 	ordered []*candidate
 	byRef   map[block.Ref]*candidate
+	// peak is the high-water size of byRef since its last rebuild, and
+	// rebuilds counts those rebuilds (PipelineStats gauges). Go maps never
+	// release their buckets, so after a large cut the map can pin an
+	// arbitrary multiple of its live size; see maybeShrink.
+	peak     int
+	rebuilds uint64
 	// expireTime / expireBlock are min-heaps over the pending expiry
 	// deadlines of temporary entries (§IV-D.4). Planning peeks them to
 	// skip per-entry expiry checks entirely when no deadline has passed
@@ -52,14 +87,18 @@ func newCarriedLedger() carriedLedger {
 }
 
 // add registers a fresh data entry from a normal block.
-func (l *carriedLedger) add(ref block.Ref, ce block.CarriedEntry) {
-	cand := &candidate{ce: ce, holder: ce.OriginBlock}
+func (l *carriedLedger) add(ce block.CarriedEntry) {
+	cand := &candidate{ce: ce, holder: ce.OriginBlock, pos: ce.EntryNumber}
 	l.ordered = append(l.ordered, cand)
-	l.byRef[ref] = cand
-	l.pushDeadlines(ref, ce.Entry)
+	l.index(cand)
 }
 
-func (l *carriedLedger) pushDeadlines(ref block.Ref, e *block.Entry) {
+// index enters a new candidate into byRef and its deadlines into the
+// expiry heaps.
+func (l *carriedLedger) index(cand *candidate) {
+	ref, e := cand.ce.Ref(), cand.ce.Entry
+	l.byRef[ref] = cand
+	l.peak = max(l.peak, len(l.byRef))
 	if e.ExpireTime != 0 {
 		heap.Push(&l.expireTime, deadlineItem{deadline: e.ExpireTime, ref: ref})
 	}
@@ -68,29 +107,31 @@ func (l *carriedLedger) pushDeadlines(ref block.Ref, e *block.Entry) {
 	}
 }
 
-// migrate records that an appended summary block now holds the carried
-// entries. Known refs are re-homed (and re-pointed at the summary's own
-// copy, so entries of cut blocks become collectable); unknown refs —
-// which occur only when rebuilding from persisted blocks whose merge
-// history is gone — are inserted, preserving the ordering invariant.
-func (l *carriedLedger) migrate(summaryNum uint64, carried []block.CarriedEntry) {
+// migrate records that a restored summary block holds the carried
+// entries. Known refs are re-homed by lookup; unknown refs — which occur
+// only when rebuilding from persisted blocks whose merge history is gone
+// — are inserted, preserving the ordering invariant. It reports how many
+// entries were new and how many left their origin block, for the live
+// counters. A live append never comes here: it re-homes its plan's
+// candidates directly (Chain.rehomeLocked).
+func (l *carriedLedger) migrate(summaryNum uint64, carried []block.CarriedEntry) (added, moved int) {
 	var fresh []*candidate
-	for i := range carried {
-		ce := carried[i]
-		ref := ce.Ref()
-		if cand, ok := l.byRef[ref]; ok {
-			cand.ce = ce
-			cand.holder = summaryNum
+	for i, ce := range carried {
+		if cand, ok := l.byRef[ce.Ref()]; ok {
+			if !cand.carried() {
+				moved++
+			}
+			cand.ce, cand.holder, cand.pos = ce, summaryNum, uint32(i)
 			continue
 		}
-		cand := &candidate{ce: ce, holder: summaryNum}
-		l.byRef[ref] = cand
-		l.pushDeadlines(ref, ce.Entry)
+		cand := &candidate{ce: ce, holder: summaryNum, pos: uint32(i)}
+		l.index(cand)
 		fresh = append(fresh, cand)
 	}
 	if len(fresh) > 0 {
 		l.insertBatch(fresh)
 	}
+	return len(fresh), moved
 }
 
 // insertBatch adds candidates (themselves origin-ordered) into ordered.
@@ -125,25 +166,16 @@ func candidateLess(a, b *candidate) bool {
 	return a.ce.EntryNumber < b.ce.EntryNumber
 }
 
-// mark flags ref's candidate as deletion-marked. Reports whether a
-// candidate existed.
-func (l *carriedLedger) mark(ref block.Ref) bool {
-	cand, ok := l.byRef[ref]
-	if !ok {
-		return false
-	}
-	cand.marked = true
-	return true
-}
-
 // prune drops every candidate whose holder block was cut by a marker
-// shift (marked entries now physically forgotten, expired temporaries
-// dropped) and lazily clears dead expiry-heap items.
-func (l *carriedLedger) prune(newMarker uint64) {
+// shift, handing each to drop first (a marked entry is now physically
+// forgotten, any other is an expired temporary the merge left behind),
+// and lazily clears dead expiry-heap items.
+func (l *carriedLedger) prune(newMarker uint64, drop func(*candidate)) {
 	kept := l.ordered[:0]
 	for _, cand := range l.ordered {
 		if cand.holder < newMarker {
 			delete(l.byRef, cand.ce.Ref())
+			drop(cand)
 			continue
 		}
 		kept = append(kept, cand)
@@ -155,6 +187,32 @@ func (l *carriedLedger) prune(newMarker uint64) {
 	l.ordered = kept
 	l.dropDeadHeapItems(&l.expireTime)
 	l.dropDeadHeapItems(&l.expireBlock)
+}
+
+// indexShrinkMinPeak is the smallest index high-water mark at which a
+// shrink rebuild is considered: below it the pinned buckets are noise
+// and a rebuild would just churn.
+const indexShrinkMinPeak = 1024
+
+// indexShrinkFactor triggers a rebuild when live entries fall below
+// peak/indexShrinkFactor — i.e. at least 75% of the map's bucket
+// capacity is dead weight.
+const indexShrinkFactor = 4
+
+// maybeShrink rebuilds byRef into a right-sized map when a cut left it
+// mostly empty. The compactor calls it under the chain lock: the rebuild
+// is O(live), off the append path, and invisible to readers.
+func (l *carriedLedger) maybeShrink() {
+	if l.peak < indexShrinkMinPeak || len(l.byRef)*indexShrinkFactor >= l.peak {
+		return
+	}
+	fresh := make(map[block.Ref]*candidate, len(l.ordered))
+	for _, cand := range l.ordered {
+		fresh[cand.ce.Ref()] = cand
+	}
+	l.byRef = fresh
+	l.peak = len(fresh)
+	l.rebuilds++
 }
 
 // dropDeadHeapItems pops heap tops whose entries left the ledger.

@@ -79,7 +79,6 @@ func restoreStream(cfg Config, blocks iter.Seq2[*block.Block, error], ownerSigs 
 	c := &Chain{
 		cfg:         full,
 		auth:        newAuthorizer(full),
-		index:       make(map[block.Ref]Location),
 		dependents:  make(map[block.Ref][]deletion.Dependent),
 		marks:       make(map[block.Ref]Mark),
 		ledger:      newCarriedLedger(),
@@ -147,6 +146,12 @@ func (c *Chain) registerRestoredBlock(b *block.Block, prev *block.Block, checks 
 		c.processNormal(b, checks)
 		return nil
 	}
+	// A restored summary was planned by nobody here, so its entries are
+	// found by lookup; those whose merge history is gone enter the live
+	// set directly as carried.
+	added, moved := c.ledger.migrate(b.Header.Number, b.Carried)
+	c.liveEntries += added
+	c.carriedEntries += added + moved
 	// Re-register the dependency edges of carried entries. A live
 	// chain keeps these edges when entries migrate into a summary;
 	// dropping them here would let a replayed deletion request slip
@@ -154,7 +159,7 @@ func (c *Chain) registerRestoredBlock(b *block.Block, prev *block.Block, checks 
 	for _, ce := range b.Carried {
 		ref := ce.Ref()
 		for _, dep := range ce.Entry.DependsOn {
-			if _, ok := c.index[dep]; ok {
+			if _, ok := c.ledger.byRef[dep]; ok {
 				c.dependents[dep] = append(c.dependents[dep], deletion.Dependent{Ref: ref, Owner: ce.Entry.Owner})
 			}
 		}

@@ -168,9 +168,9 @@ func (c *Chain) PipelineStats() mempool.Stats {
 	s.Verify = c.cfg.Verifier.Stats()
 	c.mu.RLock()
 	s.Index = mempool.IndexStats{
-		Live:     len(c.index),
-		Peak:     c.indexPeak,
-		Rebuilds: c.indexRebuilds,
+		Live:     len(c.ledger.byRef),
+		Peak:     c.ledger.peak,
+		Rebuilds: c.ledger.rebuilds,
 	}
 	c.mu.RUnlock()
 	// Never truncated: the zero snapshot, without starting the

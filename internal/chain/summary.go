@@ -71,23 +71,30 @@ type plannedSummary struct {
 	head  *block.Block
 	block *block.Block
 	plan  summaryPlan
+	// cands are the ledger candidates Σ carries and leaves their Merkle
+	// leaves, both aligned with block.Carried: the append that consumes
+	// the plan re-homes each candidate and memoizes its leaf from here.
+	cands  []*candidate
+	leaves []codec.Hash
+	// hashed counts the leaves this plan hashed rather than took from a
+	// candidate's memo.
+	hashed int
 }
 
-// planSummaryLocked returns Σ and its retention plan for the current
-// head, computing them once per head: a node builds Σ to vote, again
-// when the vote lands and once more to append it, and a single chain
-// builds it to append and again to check it. Callers must hold the
-// chain lock (read or write) and must have verified that the next slot
-// is a summary slot. Under the read lock two callers may compute at
-// once; they compute the same block and the last store wins.
-func (c *Chain) planSummaryLocked() (*block.Block, summaryPlan) {
-	head := c.head()
-	if p := c.planned.Load(); p != nil && p.head == head {
-		return p.block, p.plan
+// planSummaryLocked returns the plan of Σ for the current head,
+// computing it once per head: a node builds Σ to vote, again when the
+// vote lands and once more to append it, and a single chain builds it to
+// append and again to check it. Callers must hold the chain lock (read
+// or write) and must have verified that the next slot is a summary slot.
+// Under the read lock two callers may compute at once; they compute the
+// same block and the last store wins.
+func (c *Chain) planSummaryLocked() *plannedSummary {
+	if p := c.planned.Load(); p != nil && p.head == c.head() {
+		return p
 	}
-	b, plan := c.computeSummaryLocked()
-	c.planned.Store(&plannedSummary{head: head, block: b, plan: plan})
-	return b, plan
+	p := c.computeSummaryLocked()
+	c.planned.Store(p)
+	return p
 }
 
 // isPlanned reports whether b is the very block the chain planned as Σ.
@@ -101,46 +108,77 @@ func (c *Chain) isPlanned(b *block.Block) bool {
 // computeSummaryLocked computes the next summary block Σ and its
 // retention plan from the carried-entry ledger: instead of rescanning
 // every merged block (and every entry already carried inside a previous
-// summary, the dominant cost as chains grow), it copies the ledger's
-// origin-ordered prefix below the new marker — O(carried output). The
+// summary, the dominant cost as chains grow), it walks the ledger's
+// origin-ordered prefix below the new marker — O(carried output). Only
+// entries carried for the first time have their leaf hashed, fanned out
+// across the verifier; every other leaf is its candidate's memo. The
 // result is bit-identical to planSummaryReferenceLocked, which the
 // golden tests enforce. Callers must hold the chain lock (read or
 // write) and must have verified that the next slot is a summary slot;
 // the method never mutates chain state.
-func (c *Chain) computeSummaryLocked() (*block.Block, summaryPlan) {
+func (c *Chain) computeSummaryLocked() *plannedSummary {
 	head := c.head()
 	num := head.Header.Number + 1
-
-	plan := c.retentionPlanLocked(num, head.Header.Time)
+	p := &plannedSummary{head: head, plan: c.retentionPlanLocked(num, head.Header.Time)}
 
 	var carried []block.CarriedEntry
-	if plan.newMarker > c.marker {
+	var missing []int
+	if p.plan.newMarker > c.marker {
 		// An entry's origin never exceeds its holder, so every entry of
 		// the merged prefix sits in the ledger's origin-< newMarker
 		// prefix; entries already migrated into a summary that survives
 		// the cut (ShrinkMinimal partial merges) are skipped by holder.
 		checkExpiry := c.ledger.expiryPossible(head.Header.Time, num)
 		for _, cand := range c.ledger.ordered {
-			if cand.ce.OriginBlock >= plan.newMarker {
+			if cand.ce.OriginBlock >= p.plan.newMarker {
 				break
 			}
-			if cand.holder >= plan.newMarker || cand.marked {
+			if cand.holder >= p.plan.newMarker || cand.marked {
 				continue
 			}
 			if checkExpiry && cand.ce.Entry.ExpiredAt(head.Header.Time, num) {
-				plan.expired++
+				p.plan.expired++
 				continue
 			}
+			if cand.leaf.IsZero() {
+				missing = append(missing, len(carried))
+			}
 			carried = append(carried, cand.ce)
+			p.cands = append(p.cands, cand)
+			p.leaves = append(p.leaves, cand.leaf)
 		}
 	}
+	c.cfg.Verifier.Each(len(missing), func(k int) {
+		i := missing[k]
+		p.leaves[i] = block.CarriedLeaf(carried[i])
+	})
+	p.hashed = len(missing)
 
 	var seqRef *block.SequenceRef
 	if c.cfg.RedundancyReference {
-		seqRef = c.middleSequenceRef(c.seqOf(plan.newMarker), c.seqOf(num))
+		seqRef = c.middleSequenceRef(c.seqOf(p.plan.newMarker), c.seqOf(num))
 	}
+	p.block = block.NewSummaryFromLeaves(num, head.Header.Time, head.Hash(), carried, p.leaves, seqRef)
+	return p
+}
 
-	return block.NewSummaryWith(c.cfg.Verifier, num, head.Header.Time, head.Hash(), carried, seqRef), plan
+// rehomeLocked moves the entries Σ carries into b, the summary block
+// just appended from plan p. b is the planned block itself or a copy
+// with its hash, so either way its carried list is p.cands position for
+// position: each candidate is re-homed in place, without a lookup, and
+// keeps its leaf from the plan. A copy's own entries replace the planned
+// ones, so what Σ replaced becomes collectable.
+func (c *Chain) rehomeLocked(b *block.Block, p *plannedSummary) {
+	num, copied := b.Header.Number, b != p.block
+	for i, cand := range p.cands {
+		if !cand.carried() {
+			c.carriedEntries++
+		}
+		cand.holder, cand.pos, cand.leaf = num, uint32(i), p.leaves[i]
+		if copied {
+			cand.ce = b.Carried[i]
+		}
+	}
 }
 
 // limitExceeded reports whether the configured MaxBlocks/MaxSequences
@@ -217,15 +255,14 @@ func (c *Chain) BuildSummary() (*block.Block, error) {
 	if !c.isSummarySlot(next) {
 		return nil, fmt.Errorf("%w: block %d is not a summary slot", ErrWrongSlot, next)
 	}
-	b, _ := c.planSummaryLocked()
-	return b, nil
+	return c.planSummaryLocked().block, nil
 }
 
 // applyPlanLocked executes the LOGICAL side of the retention plan after
 // its summary block was appended: shift the Genesis marker, drop the cut
-// prefix from the live view, and sweep the entry index, mark set, and
-// carried-entry ledger — everything later validations and summary plans
-// depend on (§IV-C: "the old sequence can be cut off and deleted").
+// prefix from the live view, and sweep the ledger and the mark set —
+// everything later validations and summary plans depend on (§IV-C: "the
+// old sequence can be cut off and deleted").
 // The physical side — releasing the cut blocks' memory, sweeping dead
 // dependency edges, pruning persistent stores — is described by the
 // returned compact.Event and executed by the background compactor off
@@ -255,47 +292,26 @@ func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
 	c.blocks = c.blocks[cut:]
 	c.marker = plan.newMarker
 
-	// Sweep the entry index: references whose current location was cut
-	// are physically gone. Every such reference is held by a cut block,
-	// so the sweep visits the cut's data and carried entries, not the
-	// live set; an entry also found in an older cut block (its origin,
-	// or an earlier summary) is dropped only at its holder. Marks
-	// pointing at them are now executed; unmarked leftovers are expired
-	// temporaries the merge dropped. (Marked entries left the live
-	// counters when their mark was approved, so only the expired ones
-	// are decremented here.)
-	drop := func(ref block.Ref, holder uint64) {
-		loc, ok := c.index[ref]
-		if !ok || loc.Block != holder {
-			return
-		}
-		delete(c.index, ref)
-		if m, marked := c.marks[ref]; marked {
+	// Sweep the ledger: entries whose holder was cut are physically gone.
+	// A marked one is executed, its mark becoming a tombstone; any other
+	// is an expired temporary the merge dropped. (Marked entries left the
+	// live counters when their mark was approved, so only the expired
+	// ones are decremented here.) The sweep must stay logical and
+	// synchronous: a deferred one would let the NEXT summary plan carry
+	// entries whose holder blocks were already cut.
+	c.ledger.prune(c.marker, func(cand *candidate) {
+		if cand.marked {
+			ref := cand.ce.Ref()
+			c.tombstoneLocked(c.marks[ref], cand.ce.Entry, cutBlocks, old)
 			delete(c.marks, ref)
 			c.stats.ForgottenEntries++
-			c.tombstoneLocked(m, loc, cutBlocks, old)
 			return
 		}
 		c.liveEntries--
-		if loc.Carried {
+		if cand.carried() {
 			c.carriedEntries--
 		}
-	}
-	for _, b := range cutBlocks {
-		num := b.Header.Number
-		for _, ce := range b.Carried {
-			drop(ce.Ref(), num)
-		}
-		for i, e := range b.Entries {
-			if e.Kind == block.KindData {
-				drop(block.Ref{Block: num, Entry: uint32(i)}, num)
-			}
-		}
-	}
-	// The ledger prune must stay logical/synchronous too: a deferred
-	// prune would let the NEXT summary plan carry entries whose holder
-	// blocks were already cut.
-	c.ledger.prune(c.marker)
+	})
 	ev := &compact.Event{
 		OldMarker: old,
 		NewMarker: c.marker,

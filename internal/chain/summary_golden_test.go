@@ -21,9 +21,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the summary golden file")
 func (c *Chain) buildSummaryBothForTest() (inc, ref *block.Block, incPlan, refPlan summaryPlan) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	inc, incPlan = c.computeSummaryLocked()
+	p := c.computeSummaryLocked()
 	ref, refPlan = c.planSummaryReferenceLocked()
-	return inc, ref, incPlan, refPlan
+	return p.block, ref, p.plan, refPlan
 }
 
 // recountStatsForTest recomputes the live/carried counters the way the
@@ -31,43 +31,71 @@ func (c *Chain) buildSummaryBothForTest() (inc, ref *block.Block, incPlan, refPl
 func (c *Chain) recountStatsForTest() (live, carried int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for ref, loc := range c.index {
+	for ref, cand := range c.ledger.byRef {
 		if _, marked := c.marks[ref]; marked {
 			continue
 		}
 		live++
-		if loc.Carried {
+		if cand.carried() {
 			carried++
 		}
 	}
 	return live, carried
 }
 
-// indexDiffForTest compares the entry index with one rebuilt from the
-// live blocks — every data entry at its newest holder — and describes
-// the first difference, "" when there is none.
+// indexDiffForTest audits the ledger, the chain's one entry index,
+// against the live blocks and describes the first difference, "" when
+// there is none. The index must hold exactly the list, and every data
+// entry of a live block at its newest holder, by position and by entry
+// pointer; every memoized leaf must be its entry's leaf; and every live
+// summary must commit to its carried entries — the planned Σ is
+// appended without a shape check, so this is where a wrong leaf shows.
 func (c *Chain) indexDiffForTest() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	want := make(map[block.Ref]Location)
+	if len(c.ledger.byRef) != len(c.ledger.ordered) {
+		return fmt.Sprintf("index holds %d refs, the ordered list %d", len(c.ledger.byRef), len(c.ledger.ordered))
+	}
+	type held struct {
+		loc   Location
+		entry *block.Entry
+	}
+	want := make(map[block.Ref]held)
 	for _, b := range c.blocks {
 		num := b.Header.Number
 		for i, ce := range b.Carried {
-			want[ce.Ref()] = Location{Block: num, Index: i, Carried: true}
+			want[ce.Ref()] = held{Location{Block: num, Index: i, Carried: true}, ce.Entry}
 		}
 		for i, e := range b.Entries {
 			if e.Kind == block.KindData {
-				want[block.Ref{Block: num, Entry: uint32(i)}] = Location{Block: num, Index: i}
+				want[block.Ref{Block: num, Entry: uint32(i)}] = held{Location{Block: num, Index: i}, e}
+			}
+		}
+		if b.IsSummary() {
+			if got := block.CarriedRoot(b.Carried); got != b.Header.EntriesRoot {
+				return fmt.Sprintf("summary %d commits to %s, its carried entries hash to %s", num, b.Header.EntriesRoot, got)
 			}
 		}
 	}
-	for ref, loc := range want {
-		if got, ok := c.index[ref]; !ok || got != loc {
-			return fmt.Sprintf("%s: index has %+v (present %v), blocks say %+v", ref, got, ok, loc)
+	for ref, h := range want {
+		cand, ok := c.ledger.byRef[ref]
+		if !ok {
+			return fmt.Sprintf("%s: missing from the index, blocks say %+v", ref, h.loc)
+		}
+		if cand.location() != h.loc {
+			return fmt.Sprintf("%s: index has %+v, blocks say %+v", ref, cand.location(), h.loc)
+		}
+		if cand.ce.Entry != h.entry {
+			return fmt.Sprintf("%s: index holds another entry than block %d", ref, h.loc.Block)
 		}
 	}
-	if len(c.index) != len(want) {
-		return fmt.Sprintf("index holds %d refs, blocks hold %d", len(c.index), len(want))
+	if len(c.ledger.byRef) != len(want) {
+		return fmt.Sprintf("index holds %d refs, blocks hold %d", len(c.ledger.byRef), len(want))
+	}
+	for _, cand := range c.ledger.ordered {
+		if !cand.leaf.IsZero() && cand.leaf != block.CarriedLeaf(cand.ce) {
+			return fmt.Sprintf("%s: memoized leaf %s, entry hashes to %s", cand.ce.Ref(), cand.leaf, block.CarriedLeaf(cand.ce))
+		}
 	}
 	return ""
 }
@@ -126,6 +154,25 @@ func driveGolden(t *testing.T, c *Chain, env *goldenEnv, rounds int) []string {
 			if !bytes.Equal(inc.Encode(), ref.Encode()) {
 				t.Fatalf("summary block %d differs: incremental %d carried, reference %d carried",
 					inc.Header.Number, len(inc.Carried), len(ref.Carried))
+			}
+			// Alternate the two shapes an appended Σ takes: every other
+			// slot appends the planned block itself, which skips the shape
+			// check, the others a decoded copy, as a replica receives it.
+			if len(hashes)%2 == 0 {
+				planned, err := c.BuildSummary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if planned.Hash() != inc.Hash() {
+					t.Fatalf("summary %d: stored plan differs from a fresh one", inc.Header.Number)
+				}
+				inc = planned
+			} else {
+				copied, err := block.DecodeBlock(inc.Encode())
+				if err != nil {
+					t.Fatal(err)
+				}
+				inc = copied
 			}
 			hashes = append(hashes, inc.Hash().String())
 			if err := c.AppendBlock(inc); err != nil {
@@ -315,6 +362,9 @@ func TestSummaryPlannerGoldenAfterRestore(t *testing.T) {
 			if !restored.ledgerSortedForTest() {
 				t.Fatal("restored ledger not sorted")
 			}
+			if diff := restored.indexDiffForTest(); diff != "" {
+				t.Fatalf("restored entry index diverged from the blocks: %s", diff)
+			}
 			// Restored counters must be internally consistent with a
 			// full index recount. (They may legitimately differ from the
 			// original chain's: mark reconstruction re-processes the
@@ -349,7 +399,7 @@ func TestSummaryPlannerGoldenWithInjectedMarks(t *testing.T) {
 	}
 	driveGolden(t, c, env, 10)
 	// Mark one live entry directly, and one ref that does not exist.
-	for ref := range c.index {
+	for ref := range c.ledger.byRef {
 		c.InjectMarkForTest(ref)
 		break
 	}

@@ -23,30 +23,18 @@ import (
 // live (or marked but not yet physically erased).
 var ErrNotDeleted = errors.New("chain: entry has not been deleted")
 
-// tombstoneLocked records the erasure of one marked entry during a
-// truncation sweep: the entry's content digest is resolved from the cut
-// prefix (still aliased by cutBlocks) and the authorizing co-signatures
-// from the deletion request entry, which may itself sit in the cut
-// prefix or still be live. Callers hold the write lock.
-func (c *Chain) tombstoneLocked(m Mark, loc Location, cutBlocks []*block.Block, oldMarker uint64) {
+// tombstoneLocked records the erasure of one marked entry e during a
+// truncation sweep: the tombstone keeps e's content digest and the
+// authorizing co-signatures, resolved from the deletion request entry,
+// which may sit in the cut prefix (still aliased by cutBlocks) or still
+// be live. Callers hold the write lock.
+func (c *Chain) tombstoneLocked(m Mark, e *block.Entry, cutBlocks []*block.Block, oldMarker uint64) {
 	t := manifest.Tombstone{
 		Target:        m.Target,
 		Requester:     m.Requester,
 		RequestRef:    m.RequestRef,
 		MarkedAtBlock: m.MarkedAtBlock,
-	}
-	if b := blockIn(cutBlocks, oldMarker, loc.Block); b != nil {
-		var e *block.Entry
-		if loc.Carried {
-			if loc.Index < len(b.Carried) {
-				e = b.Carried[loc.Index].Entry
-			}
-		} else if loc.Index < len(b.Entries) {
-			e = b.Entries[loc.Index]
-		}
-		if e != nil {
-			t.EntryDigest = e.Hash()
-		}
+		EntryDigest:   e.Hash(),
 	}
 	if !m.RequestRef.IsZero() {
 		rb := blockIn(cutBlocks, oldMarker, m.RequestRef.Block)
@@ -90,9 +78,8 @@ func (c *Chain) sealDeletionRecordLocked(old uint64, cutBlocks []*block.Block) *
 	head := c.head()
 	tombs := c.pendingTombs
 	c.pendingTombs = nil
-	// The sweep visits the cut block by block, not in target order;
-	// order the tombstones by target so every honest node seals a
-	// bit-identical record.
+	// Order the tombstones by target, whatever order the sweep handed
+	// them over in, so every honest node seals a bit-identical record.
 	sort.Slice(tombs, func(i, j int) bool { return refLess(tombs[i].Target, tombs[j].Target) })
 	rec := manifest.Record{
 		Seq:          c.nextTombSeq,
@@ -228,7 +215,7 @@ func (c *Chain) ProveDeleted(ref block.Ref) (*DeletedProof, error) {
 	defer c.mu.RUnlock()
 	i, ok := c.tombIndex[ref]
 	if !ok {
-		if _, live := c.index[ref]; live {
+		if _, live := c.ledger.byRef[ref]; live {
 			return nil, fmt.Errorf("%w: %s is live", ErrNotDeleted, ref)
 		}
 		return nil, fmt.Errorf("%w: no tombstone for %s", ErrNotFound, ref)

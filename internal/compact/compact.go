@@ -21,6 +21,11 @@ type Event struct {
 	// reachable. Listeners that persist an audit trail consume it; nil
 	// on events predating the manifest subsystem.
 	Record *manifest.Record
+	// After, when set, holds the event until it is closed. The chain
+	// closes it once the append that staged the event has run its
+	// listeners, so a store never prunes below a summary block it has
+	// not yet written. Later events wait behind it: order is kept.
+	After <-chan struct{}
 }
 
 // queueHint is the initial capacity of the pending-event staging
@@ -216,6 +221,9 @@ func (k *Compactor) drain() {
 }
 
 func (k *Compactor) execute(ev Event) {
+	if ev.After != nil {
+		<-ev.After
+	}
 	k.apply(ev)
 	k.truncations.Add(1)
 	k.blocks.Add(ev.Blocks)

@@ -7,8 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
@@ -280,6 +282,128 @@ func TestOpen(t *testing.T) {
 			t.Errorf("store marker = %d, %v after Open; want it left at %d", m, err, floor)
 		}
 	})
+}
+
+// slowSummaryStore is a segment store whose summary-block writes take
+// 20 ms — a slow disk, or a summary of megabytes — and which copies its
+// directory the moment each truncation returns: the image a crash right
+// then would leave behind, with the entries acknowledged by that time.
+type slowSummaryStore struct {
+	*Store
+	dir, images string
+
+	mu       sync.Mutex // orders writes against the copy
+	acked    []block.Ref
+	captured []crashImage
+	early    []string // truncations that found their summary unwritten
+	failed   error
+}
+
+type crashImage struct {
+	dir   string
+	acked []block.Ref
+}
+
+func (s *slowSummaryStore) PutBlock(b *block.Block) error {
+	if b.IsSummary() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.Store.PutBlock(b)
+}
+
+func (s *slowSummaryStore) DeleteBelowRecord(marker uint64, rec *manifestlog.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, err := s.Store.GetBlock(rec.SummaryBlock); err != nil {
+		s.early = append(s.early, fmt.Sprintf("truncation to %d before summary %d was written", marker, rec.SummaryBlock))
+	}
+	if err := s.Store.DeleteBelowRecord(marker, rec); err != nil {
+		return err
+	}
+	img := crashImage{dir: filepath.Join(s.images, fmt.Sprint(len(s.captured))), acked: append([]block.Ref(nil), s.acked...)}
+	if err := copyFiles(s.dir, img.dir); err != nil && s.failed == nil {
+		s.failed = err
+	}
+	s.captured = append(s.captured, img)
+	return nil
+}
+
+// copyFiles copies every regular file of dir into a new directory to.
+func copyFiles(dir, to string) error {
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestTruncationReachesStoreAfterItsSummary: the store deletes below a
+// new marker only once it holds the summary block that carries what the
+// cut removes, however slowly that block is written. A crash right after
+// any truncation then reopens with every acknowledged entry.
+func TestTruncationReachesStoreAfterItsSummary(t *testing.T) {
+	e := newOpenEnv(t)
+	dir := t.TempDir()
+	s := &slowSummaryStore{Store: open(t, dir, Options{}), dir: dir, images: t.TempDir()}
+	defer s.Store.Close()
+	c, err := store.Open(e.config(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		sealed, err := c.SubmitWait(ctx, block.NewData("writer", []byte(fmt.Sprintf("kept-%d", i))).Sign(e.kp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.mu.Lock()
+		s.acked = append(s.acked, sealed[0].Ref)
+		s.mu.Unlock()
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.failed != nil {
+		t.Fatal(s.failed)
+	}
+	if len(s.captured) == 0 {
+		t.Fatal("the chain never truncated")
+	}
+	for _, msg := range s.early {
+		t.Error(msg)
+	}
+	for i, img := range s.captured {
+		reopened := open(t, img.dir, Options{})
+		rc, err := store.Open(e.config(), reopened)
+		if err != nil {
+			t.Fatalf("image %d: reopen: %v", i, err)
+		}
+		for _, ref := range img.acked {
+			if _, _, ok := rc.Lookup(ref); !ok {
+				t.Errorf("image %d (marker %d, head %d): acknowledged entry %s is gone",
+					i, rc.Marker(), rc.Head().Number, ref)
+			}
+		}
+		rc.Close()
+		reopened.Close()
+	}
 }
 
 var errInjected = errors.New("injected store fault")
