@@ -14,6 +14,7 @@
 package doctor
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -128,9 +129,10 @@ func (r *Report) add(code string, sev Severity, repairable bool, format string, 
 }
 
 // Run cross-validates dir and, when requested, repairs it. An error is
-// returned only when the directory itself cannot be examined (or a
-// repair failed); drift and corruption inside it are reported as
-// findings.
+// returned only when the directory itself cannot be examined, its
+// deletion manifest or archive is in the retired format
+// (manifest.ErrRetiredFormat), or a repair failed; drift and corruption
+// inside it are reported as findings.
 func Run(dir string, opts Options) (*Report, error) {
 	if opts.Repair || opts.Archive {
 		actions, err := repair(dir, opts)
@@ -168,7 +170,12 @@ func check(dir string, base uint64) (*Report, error) {
 		rep.SnapshotMarker = info.Snapshot.Marker
 	}
 
+	// A log in the retired format is not drift to report: no reader for
+	// it remains, so the run fails with the named error.
 	recs, warns, err := manifest.Read(dir)
+	if errors.Is(err, manifest.ErrRetiredFormat) {
+		return nil, err
+	}
 	if err != nil {
 		rep.add("manifest-unreadable", Error, false, "deletion manifest unreadable: %v", err)
 	}
@@ -177,6 +184,9 @@ func check(dir string, base uint64) (*Report, error) {
 		rep.add("manifest-line", Warn, true, "deletion manifest: %s", w)
 	}
 	archived, _, err := manifest.ReadArchive(dir)
+	if errors.Is(err, manifest.ErrRetiredFormat) {
+		return nil, err
+	}
 	if err == nil {
 		rep.Archived = len(archived)
 	}

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -163,7 +166,9 @@ func TestDoctorTornManifestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crash mid-append: a CRC prefix and half a record, no newline.
-	if _, err := f.WriteString(`deadbeef {"seq":99,"old_`); err != nil {
+	line := manifest.EncodeLine(&manifest.Record{Seq: 99, OldMarker: 1 << 20, NewMarker: 1<<20 + 3})
+	torn := line[:len(line)/2]
+	if _, err := f.Write(torn); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -191,8 +196,47 @@ func TestDoctorTornManifestTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(data, []byte("deadbeef")) {
+	if bytes.Contains(data, torn) {
 		t.Error("torn bytes survived repair")
+	}
+}
+
+// TestDoctorRefusesRetiredManifest: a DELETIONS log written in the
+// retired JSON line format (CRC-32 of the JSON, a space, the JSON) fails
+// the store's open, the doctor's check and its repair with the named
+// error, and none of them touches the directory. Skipping the lines as
+// corrupt instead would drop every tombstone and the floor they carry.
+func TestDoctorRefusesRetiredManifest(t *testing.T) {
+	dir, _, _ := buildDir(t, 12)
+	recs, _, err := manifest.Read(dir)
+	if err != nil || len(recs) == 0 {
+		t.Fatalf("read %d records: %v", len(recs), err)
+	}
+	var retired []byte
+	for i := range recs {
+		body, err := json.Marshal(&recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		retired = fmt.Appendf(retired, "%08x %s\n", crc32.ChecksumIEEE(body), body)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifest.FileName), retired, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirDigest(t, dir)
+	if s, err := segment.Open(dir, segment.Options{}); !errors.Is(err, manifest.ErrRetiredFormat) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("segment.Open: err=%v, want ErrRetiredFormat", err)
+	}
+	for _, opts := range []Options{{}, {Repair: true}, {Archive: true}} {
+		if _, err := Run(dir, opts); !errors.Is(err, manifest.ErrRetiredFormat) {
+			t.Fatalf("Run(%+v): err=%v, want ErrRetiredFormat", opts, err)
+		}
+	}
+	if after := dirDigest(t, dir); after != before {
+		t.Error("a refused directory was modified")
 	}
 }
 

@@ -3,8 +3,10 @@ package manifest
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/seldel/seldel/internal/block"
@@ -33,30 +35,38 @@ func lineSeeds() [][]byte {
 			CoSigners:     []CoSigner{{Name: "bob", Signature: []byte{1, 2, 3}}},
 		}},
 	}
-	valid, err := EncodeLine(rec)
-	if err != nil {
-		panic(err)
-	}
-	seeds := [][]byte{valid}
+	valid := EncodeLine(rec)
 	// CRC mismatch: body edited after the prefix was computed.
 	tampered := append([]byte(nil), valid...)
 	tampered[len(tampered)/2] ^= 0x20
-	seeds = append(seeds,
+	return [][]byte{
+		valid,
 		tampered,
-		valid[:len(valid)/2],                       // torn mid-record
-		[]byte("deadbeef not-json\n"),              // CRC prefix, garbage body
-		[]byte("zzzzzzzz {}\n"),                    // malformed CRC prefix
-		[]byte(`00000000 {"seq":1}`),               // wrong CRC for the body
+		valid[:len(valid)/2],            // torn mid-record
+		[]byte("deadbeef not-base64\n"), // CRC prefix, garbage body
+		[]byte("zzzzzzzz {}\n"),         // malformed CRC prefix
+		[]byte("00000000 AAAA"),         // wrong CRC for the body
 		append(append([]byte(nil), valid...), 'x'), // trailing data
 		[]byte{},                       //
 		bytes.Repeat([]byte{0xff}, 24), // binary noise
-	)
-	if inv, err := EncodeLine(&Record{Seq: 1, OldMarker: 9, NewMarker: 3}); err == nil {
-		seeds = append(seeds, inv) // valid CRC, inverted marker range
+		EncodeLine(&Record{Seq: 1, OldMarker: 9, NewMarker: 3}), // valid CRC, inverted marker range
+		retiredLine(rec),                           // valid CRC, the retired JSON body
+		frameLine(rec.Encode()[:40]),               // valid CRC, truncated record
+		frameLine(append(rec.Encode(), 0)),         // valid CRC, trailing record bytes
+		frameLine(bytes.Repeat([]byte{0xff}, 140)), // valid CRC, every count huge
 	}
-	return seeds
 }
 
+// frameLine wraps raw bytes, whatever they hold, in a line with a
+// valid CRC, so a seed reaches the record decoder.
+func frameLine(raw []byte) []byte {
+	body := b64.EncodeToString(raw)
+	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
+}
+
+// FuzzDecodeLine: whatever decodes is exactly what EncodeLine writes —
+// re-encoding reproduces the input byte for byte (newline added) and
+// decodes to an equal record.
 func FuzzDecodeLine(f *testing.F) {
 	for _, s := range lineSeeds() {
 		f.Add(s)
@@ -69,16 +79,16 @@ func FuzzDecodeLine(f *testing.F) {
 		if r.NewMarker < r.OldMarker {
 			t.Fatalf("accepted inverted range [%d,%d)", r.OldMarker, r.NewMarker)
 		}
-		line, err := EncodeLine(r)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
+		line := EncodeLine(r)
+		nl := []byte("\n")
+		if !bytes.Equal(bytes.TrimSuffix(line, nl), bytes.TrimSuffix(raw, nl)) {
+			t.Fatalf("re-encoding changed the line:\n got %q\nwant %q", line, raw)
 		}
 		rt, err := DecodeLine(line)
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if rt.Seq != r.Seq || rt.OldMarker != r.OldMarker || rt.NewMarker != r.NewMarker ||
-			len(rt.Tombstones) != len(r.Tombstones) {
+		if !reflect.DeepEqual(rt, r) {
 			t.Fatalf("round trip changed record: %+v != %+v", rt, r)
 		}
 	})
@@ -125,18 +135,15 @@ func FuzzOpenRecovery(f *testing.F) {
 }
 
 // logSeeds builds whole-file corpora: multi-record logs with clean,
-// torn, and interleaved-corruption shapes.
+// torn, interleaved-corruption and retired-format shapes.
 func logSeeds() [][]byte {
 	var clean bytes.Buffer
 	for seq := uint64(1); seq <= 3; seq++ {
-		line, err := EncodeLine(&Record{Seq: seq, OldMarker: (seq - 1) * 3, NewMarker: seq * 3})
-		if err != nil {
-			panic(err)
-		}
-		clean.Write(line)
+		clean.Write(EncodeLine(&Record{Seq: seq, OldMarker: (seq - 1) * 3, NewMarker: seq * 3}))
 	}
 	full := clean.Bytes()
-	torn := append(append([]byte(nil), full...), []byte(`deadbeef {"seq":4,"old_`)...)
+	next := EncodeLine(&Record{Seq: 4, OldMarker: 9, NewMarker: 12})
+	torn := append(append([]byte(nil), full...), next[:len(next)/2]...)
 	var holed bytes.Buffer
 	holed.Write(full[:len(full)/3])
 	holed.WriteString("garbage line\n")
@@ -145,6 +152,7 @@ func logSeeds() [][]byte {
 		full,
 		torn,
 		holed.Bytes(),
+		append(append([]byte(nil), full...), retiredLine(&Record{Seq: 4, OldMarker: 9, NewMarker: 12})...),
 		nil,
 		[]byte("\n\n\n"),
 		bytes.Repeat([]byte{0x00}, 64),
@@ -170,6 +178,17 @@ func writeFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
 	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
+	}
+	// Seeds the generators no longer make go; crashers committed under
+	// their own names stay.
+	stale, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)

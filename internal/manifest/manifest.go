@@ -13,29 +13,35 @@
 // block that replaced the cut — written durably in the same critical
 // sequence as the marker shift, before the blocks are unlinked.
 //
-// The file format is deliberately line-oriented (one CRC-prefixed JSON
-// record per line, in the style of beads' deletions manifest) rather
-// than length-prefixed binary: a torn or corrupted line never poisons
-// the records after it, because recovery can resynchronize on the next
+// The file format is deliberately line-oriented (one record per line,
+// in the style of beads' deletions manifest) rather than
+// length-prefixed binary. A line is an 8-hex-digit CRC-32 of the body,
+// a space, the body, and a newline; the body is the standard base64 of
+// the record's canonical internal/codec encoding (Record.Encode), so it
+// never contains a newline. A torn or corrupted line therefore never
+// poisons the records after it: recovery resynchronizes on the next
 // newline. Open skips corrupt interior lines with warnings and
-// truncates a torn tail, so a crash mid-append costs at most the
-// record being written — which the store will regenerate, since the
-// marker shift it describes did not become durable either.
+// truncates a torn tail, so a crash mid-append costs at most the record
+// being written — which the store will regenerate, since the marker
+// shift it describes did not become durable either. A line whose CRC
+// holds but whose body is a JSON object is the retired format; it
+// refuses the whole log (ErrRetiredFormat) instead of being skipped,
+// which would silently drop its tombstones.
 package manifest
 
 import (
 	"bytes"
-	"encoding/json"
+	"cmp"
+	"encoding/base64"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
-
-	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/codec"
 )
 
 const (
@@ -47,9 +53,16 @@ const (
 
 // Errors returned by the manifest log.
 var (
-	// ErrBadLine is returned when a single line fails CRC or JSON
+	// ErrBadLine is returned when a single line fails CRC or decode
 	// validation. Open converts it into a warning; DecodeLine returns it.
 	ErrBadLine = errors.New("manifest: corrupt record line")
+	// ErrRetiredFormat is returned for a line whose CRC holds but whose
+	// body is a JSON object — records as they were stored before the
+	// canonical encoding. No reader for that format remains, and
+	// skipping its lines as corrupt would drop their tombstones and
+	// lower the resurrection floor, so Open, Read and ReadArchive
+	// refuse the whole file.
+	ErrRetiredFormat = errors.New("manifest: record in the retired JSON format")
 	// ErrClosed is returned for operations on a closed log.
 	ErrClosed = errors.New("manifest: log is closed")
 	// ErrSeqOrder is returned when an appended record would move the
@@ -57,136 +70,150 @@ var (
 	ErrSeqOrder = errors.New("manifest: record sequence out of order")
 )
 
-// CoSigner is one dependent-party approval carried into a tombstone,
-// preserved verbatim from the deletion request entry (§IV-D.2).
-type CoSigner struct {
-	Name      string `json:"name"`
-	Signature []byte `json:"sig"`
-}
-
-// Tombstone records the erasure of a single entry: what was deleted,
-// who asked, and which co-signers approved. EntryDigest is the content
-// hash of the erased entry, so an auditor holding the original bytes
-// can still match them to the tombstone without the chain retaining
-// anything recoverable.
-type Tombstone struct {
-	// Target is the erased entry's origin reference (α/e).
-	Target block.Ref `json:"target"`
-	// Requester is the identity that signed the deletion request.
-	Requester string `json:"requester"`
-	// RequestRef locates the deletion request entry that authorized
-	// this erasure. The request block itself may since have been cut.
-	RequestRef block.Ref `json:"request"`
-	// MarkedAtBlock is the chain height at which the request was
-	// admitted and the mark placed.
-	MarkedAtBlock uint64 `json:"marked_at"`
-	// EntryDigest is the content hash of the erased entry's canonical
-	// encoding, or zero when the entry bytes were no longer reachable
-	// at record time.
-	EntryDigest codec.Hash `json:"entry_digest"`
-	// CoSigners are the dependent-party approvals from the request.
-	CoSigners []CoSigner `json:"cosigners,omitempty"`
-}
-
-// Record is one durable deletion record: the audit trail for a single
-// executed truncation (marker shift) of the chain.
-type Record struct {
-	// Seq is the manifest sequence number, assigned by Append,
-	// strictly increasing within one log.
-	Seq uint64 `json:"seq"`
-	// OldMarker and NewMarker bound the deleted height range:
-	// blocks with OldMarker <= number < NewMarker were cut.
-	OldMarker uint64 `json:"old_marker"`
-	NewMarker uint64 `json:"new_marker"`
-	// SummaryBlock and SummaryHash identify the summary block Σ that
-	// replaced the cut prefix; its carried set plus these tombstones
-	// account for every entry of the deleted range.
-	SummaryBlock uint64     `json:"summary_block"`
-	SummaryHash  codec.Hash `json:"summary_hash"`
-	// FirstCutHash and LastCutHash are the block digests bounding the
-	// cut range (the former oldest live block and the last block below
-	// the new marker), pinning exactly which chain section vanished.
-	FirstCutHash codec.Hash `json:"first_cut_hash"`
-	LastCutHash  codec.Hash `json:"last_cut_hash"`
-	// Time is the chain's logical timestamp at execution.
-	Time uint64 `json:"time"`
-	// Tombstones lists the entries whose deletion marks were executed
-	// by this truncation (deliberately dropped, not merely expired).
-	Tombstones []Tombstone `json:"tombstones,omitempty"`
-	// Hydrated marks records reconstructed after the fact by
-	// `seldel doctor` from the snapshot checkpoint, which can recover
-	// the height range but not the per-entry tombstones.
-	Hydrated bool `json:"hydrated,omitempty"`
-}
-
-// Covers reports whether blockNum falls inside the deleted range.
-func (r *Record) Covers(blockNum uint64) bool {
-	return blockNum >= r.OldMarker && blockNum < r.NewMarker
-}
-
-// FindTombstone returns the tombstone for ref, if this record holds one.
-func (r *Record) FindTombstone(ref block.Ref) (Tombstone, bool) {
-	for _, t := range r.Tombstones {
-		if t.Target == ref {
-			return t, true
-		}
-	}
-	return Tombstone{}, false
-}
-
-// clone deep-copies a record so callers cannot alias log internals.
-func (r Record) clone() Record {
-	cp := r
-	cp.Tombstones = make([]Tombstone, len(r.Tombstones))
-	for i, t := range r.Tombstones {
-		cp.Tombstones[i] = t
-		cp.Tombstones[i].CoSigners = append([]CoSigner(nil), t.CoSigners...)
-	}
-	return cp
-}
+// b64 decodes line bodies, refusing nonzero padding bits; decodeLine
+// refuses the ignored CR/LF by length.
+var b64 = base64.StdEncoding.Strict()
 
 // EncodeLine renders one record as its durable line: an 8-hex-digit
-// CRC-32 (IEEE) of the JSON body, a space, the JSON, a newline.
-func EncodeLine(r *Record) ([]byte, error) {
-	body, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("manifest: encode record: %w", err)
-	}
-	line := make([]byte, 0, len(body)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(body))
-	line = append(line, body...)
-	line = append(line, '\n')
-	return line, nil
+// CRC-32 (IEEE) of the body, a space, the body — the standard base64 of
+// Encode — and a newline.
+func EncodeLine(r *Record) []byte {
+	raw := r.Encode()
+	n := b64.EncodedLen(len(raw))
+	line := make([]byte, 9+n+1)
+	body := line[9 : 9+n]
+	b64.Encode(body, raw)
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(body))
+	hex.Encode(line[:8], sum[:])
+	line[8] = ' '
+	line[len(line)-1] = '\n'
+	return line
 }
 
 // DecodeLine parses one line (without requiring the trailing newline)
-// back into a record, verifying the CRC.
+// back into a record, verifying the CRC. Only EncodeLine's exact bytes
+// decode: re-encoding a decoded line reproduces it.
 func DecodeLine(line []byte) (*Record, error) {
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	if len(line) < 10 || line[8] != ' ' {
-		return nil, fmt.Errorf("%w: missing crc prefix", ErrBadLine)
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return nil, fmt.Errorf("%w: bad crc prefix: %v", ErrBadLine, err)
-	}
-	body := line[9:]
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("%w: crc mismatch (have %08x, want %08x)", ErrBadLine, got, want)
-	}
-	var r Record
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadLine, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("%w: trailing data after record", ErrBadLine)
-	}
-	if r.NewMarker < r.OldMarker {
-		return nil, fmt.Errorf("%w: inverted marker range [%d,%d)", ErrBadLine, r.OldMarker, r.NewMarker)
+	var buf []byte
+	r, err := decodeLine(line, &buf)
+	if err != nil {
+		return nil, err
 	}
 	return &r, nil
+}
+
+// decodeLine is DecodeLine decoding the base64 body into *buf, grown as
+// needed and kept for the next line; nothing decoded aliases it.
+func decodeLine(line []byte, buf *[]byte) (Record, error) {
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	if len(line) < 10 || line[8] != ' ' {
+		return Record{}, fmt.Errorf("%w: missing crc prefix", ErrBadLine)
+	}
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[:8]); err != nil {
+		return Record{}, fmt.Errorf("%w: bad crc prefix: %v", ErrBadLine, err)
+	}
+	var lower [8]byte
+	hex.Encode(lower[:], sum[:])
+	if lower != [8]byte(line[:8]) {
+		return Record{}, fmt.Errorf("%w: crc prefix %q is not lower-case hex", ErrBadLine, line[:8])
+	}
+	body := line[9:]
+	if got, want := crc32.ChecksumIEEE(body), binary.BigEndian.Uint32(sum[:]); got != want {
+		return Record{}, fmt.Errorf("%w: crc mismatch (have %08x, want %08x)", ErrBadLine, got, want)
+	}
+	if body[0] == '{' {
+		return Record{}, ErrRetiredFormat
+	}
+	if n := b64.DecodedLen(len(body)); cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	n, err := b64.Decode((*buf)[:cap(*buf)], body)
+	if err == nil && b64.EncodedLen(n) != len(body) {
+		err = errors.New("line break inside the body")
+	}
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: base64: %v", ErrBadLine, err)
+	}
+	r, err := decodeRecord((*buf)[:n])
+	if err != nil {
+		return Record{}, fmt.Errorf("%w: %v", ErrBadLine, err)
+	}
+	if r.NewMarker < r.OldMarker {
+		return Record{}, fmt.Errorf("%w: inverted marker range [%d,%d)", ErrBadLine, r.OldMarker, r.NewMarker)
+	}
+	return r, nil
+}
+
+// logFile is one parse of a file in the durable line format.
+type logFile struct {
+	// recs holds the readable records, oldest first by sequence number.
+	recs []Record
+	// warnings name a torn tail — the torn bytes after the last newline,
+	// never parsed — and each corrupt line skipped.
+	warnings []string
+	torn     int
+	// misordered names each line kept although its sequence number is
+	// not above every line before it; nextSeq is one past the highest.
+	misordered []string
+	nextSeq    uint64
+}
+
+// parse decodes data one complete line at a time, what naming a line in
+// warnings ("line", "archive line"). A corrupt line is skipped with a
+// warning and the next newline resynchronizes; a line in the retired
+// format fails the whole parse.
+func parse(data []byte, what string) (logFile, error) {
+	f := logFile{nextSeq: 1}
+	keep := bytes.LastIndexByte(data, '\n') + 1
+	if f.torn = len(data) - keep; f.torn > 0 {
+		f.warnings = append(f.warnings, fmt.Sprintf("torn tail (%d bytes after last complete record)", f.torn))
+	}
+	f.recs = make([]Record, 0, bytes.Count(data[:keep], []byte("\n")))
+	var buf []byte
+	for lineNo, rest := 1, data[:keep]; len(rest) > 0; lineNo++ {
+		i := bytes.IndexByte(rest, '\n')
+		line := rest[:i]
+		rest = rest[i+1:]
+		if len(line) == 0 {
+			continue
+		}
+		r, err := decodeLine(line, &buf)
+		if errors.Is(err, ErrRetiredFormat) {
+			return logFile{}, fmt.Errorf("%w at %s %d", err, what, lineNo)
+		}
+		if err != nil {
+			f.warnings = append(f.warnings, fmt.Sprintf("%s %d: %v (skipped)", what, lineNo, err))
+			continue
+		}
+		if r.Seq < f.nextSeq {
+			f.misordered = append(f.misordered, fmt.Sprintf(
+				"%s %d: sequence %d not after %d (kept)", what, lineNo, r.Seq, f.nextSeq-1))
+		} else {
+			f.nextSeq = r.Seq + 1
+		}
+		f.recs = append(f.recs, r)
+	}
+	slices.SortStableFunc(f.recs, func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	return f, nil
+}
+
+// readFile parses the log at path without mutating it. A missing file
+// holds no records.
+func readFile(path, what string) ([]Record, []string, error) {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("manifest: read %s: %w", path, err)
+	}
+	f, err := parse(data, what)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return f.recs, f.warnings, nil
 }
 
 // Read parses the manifest log in dir without mutating it: no torn-tail
@@ -195,33 +222,7 @@ func DecodeLine(line []byte) (*Record, error) {
 // A missing log yields an empty slice. Records are returned oldest
 // first by sequence number.
 func Read(dir string) ([]Record, []string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, FileName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("manifest: read: %w", err)
-	}
-	var recs []Record
-	var warnings []string
-	if n := bytes.LastIndexByte(data, '\n'); n < len(data)-1 {
-		warnings = append(warnings, fmt.Sprintf(
-			"torn tail (%d bytes after last complete record)", len(data)-(n+1)))
-		data = data[:n+1]
-	}
-	for lineNo, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		r, err := DecodeLine(line)
-		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("line %d: %v (skipped)", lineNo+1, err))
-			continue
-		}
-		recs = append(recs, *r)
-	}
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	return recs, warnings, nil
+	return readFile(filepath.Join(dir, FileName), "line")
 }
 
 // Log is the append-only deletion-record log backing one store
@@ -237,43 +238,22 @@ type Log struct {
 }
 
 // Open loads (or creates) the manifest log in dir. Corrupt interior
-// lines are skipped and reported via Warnings; a torn tail — bytes
-// after the last complete line, the signature of a crash mid-append —
-// is truncated away so future appends start on a line boundary.
+// lines are skipped and reported via Warnings, as are records whose
+// sequence number does not advance; a torn tail — bytes after the last
+// complete line, the signature of a crash mid-append — is reported and
+// truncated away so future appends start on a line boundary.
 func Open(dir string) (*Log, error) {
 	path := filepath.Join(dir, FileName)
-	l := &Log{path: path, nextSeq: 1}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("manifest: read %s: %w", path, err)
 	}
-	keep := len(data) // bytes to retain: end of the last complete line
-	if n := bytes.LastIndexByte(data, '\n'); n < len(data)-1 {
-		keep = n + 1 // drop the torn, never-terminated tail
-		l.warnings = append(l.warnings, fmt.Sprintf(
-			"truncated torn tail (%d bytes after last complete record)", len(data)-keep))
+	parsed, err := parse(data, "line")
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	for lineNo, line := range bytes.Split(data[:keep], []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		r, err := DecodeLine(line)
-		if err != nil {
-			l.warnings = append(l.warnings, fmt.Sprintf("line %d: %v (skipped)", lineNo+1, err))
-			continue
-		}
-		if r.Seq < l.nextSeq {
-			l.warnings = append(l.warnings, fmt.Sprintf(
-				"line %d: sequence %d not after %d (kept)", lineNo+1, r.Seq, l.nextSeq-1))
-		}
-		l.recs = append(l.recs, *r)
-		if r.Seq >= l.nextSeq {
-			l.nextSeq = r.Seq + 1
-		}
-	}
-	sort.SliceStable(l.recs, func(i, j int) bool { return l.recs[i].Seq < l.recs[j].Seq })
-	if keep < len(data) {
-		if err := os.WriteFile(path+".tmp", data[:keep], 0o644); err != nil {
+	if parsed.torn > 0 {
+		if err := os.WriteFile(path+".tmp", data[:len(data)-parsed.torn], 0o644); err != nil {
 			return nil, fmt.Errorf("manifest: rewrite torn log: %w", err)
 		}
 		if err := os.Rename(path+".tmp", path); err != nil {
@@ -284,8 +264,13 @@ func Open(dir string) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("manifest: open %s: %w", path, err)
 	}
-	l.f = f
-	return l, nil
+	return &Log{
+		path:     path,
+		f:        f,
+		recs:     parsed.recs,
+		warnings: append(parsed.warnings, parsed.misordered...),
+		nextSeq:  parsed.nextSeq,
+	}, nil
 }
 
 // Append assigns the next sequence number to r (unless the caller
@@ -302,11 +287,7 @@ func (l *Log) Append(r Record) (Record, error) {
 	} else if r.Seq < l.nextSeq {
 		return Record{}, fmt.Errorf("%w: %d < %d", ErrSeqOrder, r.Seq, l.nextSeq)
 	}
-	line, err := EncodeLine(&r)
-	if err != nil {
-		return Record{}, err
-	}
-	if _, err := l.f.Write(line); err != nil {
+	if _, err := l.f.Write(EncodeLine(&r)); err != nil {
 		return Record{}, fmt.Errorf("manifest: append: %w", err)
 	}
 	if err := l.f.Sync(); err != nil {
@@ -365,11 +346,7 @@ func (l *Log) Rewrite(recs []Record) error {
 	}
 	var buf bytes.Buffer
 	for i := range recs {
-		line, err := EncodeLine(&recs[i])
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
+		buf.Write(EncodeLine(&recs[i]))
 	}
 	tmp := l.path + ".tmp"
 	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
@@ -420,11 +397,7 @@ func AppendToArchive(dir string, recs []Record) error {
 	}
 	defer f.Close()
 	for i := range recs {
-		line, err := EncodeLine(&recs[i])
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(line); err != nil {
+		if _, err := f.Write(EncodeLine(&recs[i])); err != nil {
 			return fmt.Errorf("manifest: append archive: %w", err)
 		}
 	}
@@ -437,25 +410,5 @@ func AppendToArchive(dir string, recs []Record) error {
 // ReadArchive loads the archived records in dir, oldest first. A
 // missing archive yields an empty slice.
 func ReadArchive(dir string) ([]Record, []string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ArchiveName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("manifest: read archive: %w", err)
-	}
-	var recs []Record
-	var warnings []string
-	for lineNo, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		r, err := DecodeLine(line)
-		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("archive line %d: %v (skipped)", lineNo+1, err))
-			continue
-		}
-		recs = append(recs, *r)
-	}
-	return recs, warnings, nil
+	return readFile(filepath.Join(dir, ArchiveName), "archive line")
 }

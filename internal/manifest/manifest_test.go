@@ -2,8 +2,15 @@ package manifest
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,33 +41,29 @@ func sampleRecord(seq, old, newMarker uint64) Record {
 
 func TestLineRoundTrip(t *testing.T) {
 	r := sampleRecord(3, 0, 6)
-	line, err := EncodeLine(&r)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	r.Hydrated = true
+	r.Tombstones = append(r.Tombstones, Tombstone{
+		Target:    block.Ref{Block: 4, Entry: 7},
+		Requester: "carol",
+		CoSigners: []CoSigner{{Name: "dave", Signature: []byte{9}}, {Name: "erin", Signature: []byte{8, 7}}},
+	})
+	line := EncodeLine(&r)
 	got, err := DecodeLine(line)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Seq != r.Seq || got.NewMarker != r.NewMarker || len(got.Tombstones) != 1 {
-		t.Fatalf("round trip mismatch: %+v", got)
+	if !reflect.DeepEqual(*got, r) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", *got, r)
 	}
-	ts := got.Tombstones[0]
-	if ts.Requester != "alice" || ts.Target != (block.Ref{Block: 1}) || len(ts.CoSigners) != 1 {
-		t.Fatalf("tombstone mismatch: %+v", ts)
-	}
-	if ts.CoSigners[0].Name != "bob" || !bytes.Equal(ts.CoSigners[0].Signature, []byte{1, 2, 3}) {
-		t.Fatalf("cosigner mismatch: %+v", ts.CoSigners[0])
+	if again := EncodeLine(got); !bytes.Equal(again, line) {
+		t.Fatalf("re-encoded line differs:\n%s%s", again, line)
 	}
 }
 
 func TestDecodeLineRejectsCorruption(t *testing.T) {
 	r := sampleRecord(1, 0, 3)
-	line, err := EncodeLine(&r)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	// Flip one byte inside the JSON body.
+	line := EncodeLine(&r)
+	// Flip one byte inside the body.
 	bad := append([]byte(nil), line...)
 	bad[len(bad)/2] ^= 0xff
 	if _, err := DecodeLine(bad); err == nil {
@@ -71,6 +74,96 @@ func TestDecodeLineRejectsCorruption(t *testing.T) {
 	}
 	if _, err := DecodeLine([]byte("zzzzzzzz {}")); err == nil {
 		t.Fatal("bad crc prefix accepted")
+	}
+	// A record under an upper-case CRC is not the line EncodeLine wrote,
+	// so it does not decode (the first CRC with a hex letter in it).
+	for seq := uint64(1); ; seq++ {
+		r := sampleRecord(seq, 0, 3)
+		line := EncodeLine(&r)
+		upper := append(bytes.ToUpper(line[:8]), line[8:]...)
+		if bytes.Equal(upper, line) {
+			continue
+		}
+		if _, err := DecodeLine(upper); !errors.Is(err, ErrBadLine) {
+			t.Fatalf("upper-case crc prefix: err=%v, want ErrBadLine", err)
+		}
+		break
+	}
+}
+
+// TestDecodeChecksCountsBeforeAllocating hands the decoder counts that
+// claim far more elements than the bytes left could hold: each must be
+// refused before its slice is allocated.
+func TestDecodeChecksCountsBeforeAllocating(t *testing.T) {
+	oneTomb := sampleRecord(1, 0, 3)
+	oneTomb.Tombstones[0].CoSigners = nil
+	raw := oneTomb.Encode()
+	// The tombstone count sits after four uint64s, three hashes and Time.
+	tombCount := 4*8 + 3*codec.HashSize + 8
+	// The co-signer count is the last field of the lone tombstone,
+	// followed only by the Hydrated byte.
+	coCount := len(raw) - 1 - 4
+	for _, at := range []int{tombCount, coCount} {
+		bad := append([]byte(nil), raw...)
+		binary.BigEndian.PutUint32(bad[at:], 1<<26)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeRecord(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("count at offset %d: oversized count accepted", at)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("count at offset %d: decoder allocated %d bytes before refusing", at, grew)
+		}
+	}
+}
+
+// retiredLine builds a line the way the retired format's encoder did:
+// the CRC-32 of the record's JSON, as 8 hex digits, a space, the JSON,
+// a newline.
+func retiredLine(r *Record) []byte {
+	body, err := json.Marshal(r)
+	if err != nil {
+		panic(err) // a record is integers, strings and byte slices
+	}
+	return append(fmt.Appendf(nil, "%08x ", crc32.ChecksumIEEE(body)), append(body, '\n')...)
+}
+
+// TestRetiredFormatRefused: a log holding a line in the retired JSON
+// format is refused by name by every reader, and left as it was, not
+// salvaged around the line — skipping it would drop its tombstones.
+func TestRetiredFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	r1, r2, r3 := sampleRecord(1, 0, 3), sampleRecord(2, 3, 6), sampleRecord(3, 6, 9)
+	var data []byte
+	data = append(data, EncodeLine(&r1)...)
+	data = append(data, retiredLine(&r2)...)
+	data = append(data, EncodeLine(&r3)...)
+	data = append(data, "torn"...)
+	for _, name := range []string{FileName, ArchiveName} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := DecodeLine(retiredLine(&r2)); !errors.Is(err, ErrRetiredFormat) {
+		t.Fatalf("DecodeLine: err=%v, want ErrRetiredFormat", err)
+	}
+	if l, err := Open(dir); !errors.Is(err, ErrRetiredFormat) {
+		if err == nil {
+			l.Close()
+		}
+		t.Fatalf("Open: err=%v, want ErrRetiredFormat", err)
+	}
+	if recs, _, err := Read(dir); !errors.Is(err, ErrRetiredFormat) || recs != nil {
+		t.Fatalf("Read: %d records, err=%v, want none and ErrRetiredFormat", len(recs), err)
+	}
+	if recs, _, err := ReadArchive(dir); !errors.Is(err, ErrRetiredFormat) || recs != nil {
+		t.Fatalf("ReadArchive: %d records, err=%v, want none and ErrRetiredFormat", len(recs), err)
+	}
+	// The refused Open repaired nothing: the torn tail is still there.
+	if got, err := os.ReadFile(filepath.Join(dir, FileName)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("refused log was modified (err=%v)", err)
 	}
 }
 
@@ -175,10 +268,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 
 	// Simulate a crash mid-append: half a record, no newline.
 	path := filepath.Join(dir, FileName)
-	full, err := EncodeLine(&Record{Seq: 2, OldMarker: 3, NewMarker: 6})
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	full := EncodeLine(&Record{Seq: 2, OldMarker: 3, NewMarker: 6})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatalf("open for torn write: %v", err)

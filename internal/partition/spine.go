@@ -62,13 +62,10 @@ func (b SpineBlock) Hash() codec.Hash {
 }
 
 // recordDigest is the leaf digest of one deletion record inside an
-// anchor's RecordChain.
+// anchor's RecordChain: the hash of its canonical encoding, the bytes
+// the DELETIONS log stores.
 func recordDigest(rec *manifest.Record) codec.Hash {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("partition: record marshal: %v", err))
-	}
-	return codec.HashBytes(raw)
+	return codec.HashBytes(rec.Encode())
 }
 
 // recTracker accumulates one partition's deletion-record digests in the

@@ -186,6 +186,17 @@ func writeFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	// Seeds the generators no longer make go; crashers committed under
+	// their own names stay.
+	stale, err := filepath.Glob(filepath.Join(dir, "seed-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stale {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i, s := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seed-%02d", i)), []byte(body), 0o644); err != nil {
