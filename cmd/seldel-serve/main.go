@@ -7,7 +7,6 @@
 // Usage:
 //
 //	seldel-serve -addr :8420 -store /var/lib/seldel
-//	seldel-serve -addr :8420 -store /var/lib/seldel -partitions 4
 //	seldel-serve -addr :8420 -durability group -group-window 2ms
 //
 // The identity registry is seeded with -keys deterministic user keys
@@ -64,8 +63,7 @@ func registrySeed(n int, seed string) (*identity.Registry, error) {
 func run(ctx context.Context, args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("seldel-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8420", "listen address")
-	storeDir := fs.String("store", "", "segment-store root directory (empty: in-memory chain)")
-	partitions := fs.Int("partitions", 1, "number of chain partitions (>1 shards the write path)")
+	storeDir := fs.String("store", "", "segment-store directory (empty: in-memory chain)")
 	seqLen := fs.Int("seq-len", 3, "blocks per sequence (summary block distance)")
 	maxSeq := fs.Int("max-sequences", 64, "live-chain bound in sequences (0: unbounded, no physical deletion)")
 	durability := fs.String("durability", "seal", `receipt durability: "seal" or "group" (group commit; requires -store)`)
@@ -76,9 +74,6 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	keySeed := fs.String("key-seed", "seldel-serve", "seed for deterministic key derivation")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *partitions < 1 {
-		return fmt.Errorf("-partitions %d: want >= 1", *partitions)
 	}
 	if *shedFrac <= 0 || *shedFrac > 1 {
 		return fmt.Errorf("-shed-frac %v: want a fraction in (0,1]", *shedFrac)
@@ -109,26 +104,13 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		return fmt.Errorf("unknown -durability %q (want seal or group)", *durability)
 	}
 
-	var (
-		backend serve.Backend
-		closeFn func() error
-	)
-	if *partitions > 1 {
-		pc, err := seldel.NewPartitioned(reg, append(opts, seldel.WithPartitions(*partitions))...)
-		if err != nil {
-			return err
-		}
-		backend, closeFn = pc, pc.Close
-	} else {
-		c, err := seldel.New(reg, opts...)
-		if err != nil {
-			return err
-		}
-		backend, closeFn = c, c.Close
+	c, err := seldel.New(reg, opts...)
+	if err != nil {
+		return err
 	}
-	defer func() { _ = closeFn() }()
+	defer func() { _ = c.Close() }()
 
-	srv := serve.New(backend, serve.Options{Admission: serve.AdmissionOptions{
+	srv := serve.New(c, serve.Options{Admission: serve.AdmissionOptions{
 		ShedFraction: *shedFrac,
 		MaxPending:   *maxPending,
 	}})
@@ -139,8 +121,8 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "seldel-serve: listening on %s (partitions=%d store=%q durability=%s)\n",
-		ln.Addr(), *partitions, *storeDir, *durability)
+	fmt.Fprintf(os.Stderr, "seldel-serve: listening on %s (store=%q durability=%s)\n",
+		ln.Addr(), *storeDir, *durability)
 	if ready != nil {
 		ready(ln.Addr().String())
 	}

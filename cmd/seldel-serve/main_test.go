@@ -72,7 +72,7 @@ func TestServeSmoke(t *testing.T) {
 
 func TestServePartitionedAndDurableSmoke(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	base, _ := startServe(t, "-partitions", "2", "-store", dir, "-durability", "group")
+	base, _ := startServe(t, "-store", dir, "-durability", "group")
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestServeFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-durability", "group"},       // group commit requires -store
 		{"-durability", "bogus"},       // unknown mode
-		{"-partitions", "-1"},          // negative shard count
+		{"-partitions", "2"},           // undefined flag: one chain type
 		{"-shed-frac", "1.5"},          // fraction out of range
 		{"-addr", "127.0.0.1:0", "-x"}, // unknown flag
 	} {

@@ -66,21 +66,6 @@ func runDoctor(args []string) error {
 		return fmt.Errorf("doctor: -dir is required")
 	}
 	opts := doctor.Options{Repair: *repair || *archive, Archive: *archive}
-	// A partitioned store root (PARTITIONS metadata + p*/ stores) is
-	// audited partition by partition automatically.
-	if doctor.IsPartitionedRoot(*dir) {
-		rep, err := doctor.RunPartitioned(*dir, opts)
-		if err != nil {
-			return err
-		}
-		if err := rep.Write(os.Stdout); err != nil {
-			return err
-		}
-		if !rep.Clean() {
-			return fmt.Errorf("doctor: %s has unresolved issues", *dir)
-		}
-		return nil
-	}
 	rep, err := doctor.Run(*dir, opts)
 	if err != nil {
 		return err

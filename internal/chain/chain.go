@@ -104,15 +104,6 @@ type Config struct {
 	// holds receipts until a group fsync confirmed their blocks on
 	// stable storage — many sealed blocks per sync under load.
 	Durability Durability
-	// BaseBlock offsets the chain's block numbering: the genesis block
-	// is created with this number and the Genesis marker starts here
-	// instead of 0. Partitioned deployments (internal/partition) give
-	// each sub-chain a disjoint number stripe so entry references stay
-	// globally unique and the owning partition of any Ref is recovered
-	// by integer division. Must be a multiple of SequenceLength so the
-	// summary-slot rule ((α+1) mod l == 0) and the restore alignment
-	// check keep holding; 0 is the classic single-chain numbering.
-	BaseBlock uint64
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -146,10 +137,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.Verifier == nil {
 		cfg.Verifier = verify.Shared()
-	}
-	if cfg.BaseBlock%uint64(cfg.SequenceLength) != 0 {
-		return cfg, fmt.Errorf("%w: BaseBlock %d is not a multiple of SequenceLength %d",
-			ErrConfig, cfg.BaseBlock, cfg.SequenceLength)
 	}
 	if err := cfg.Durability.validate(); err != nil {
 		return cfg, err
@@ -334,8 +321,8 @@ func (c *Chain) Own(r io.Closer) {
 	c.owned = append(c.owned, r)
 }
 
-// New creates a chain with a fresh genesis block (number Config.BaseBlock,
-// normally 0; previous hash GenesisPrevHash, no entries).
+// New creates a chain with a fresh genesis block (number 0, previous
+// hash GenesisPrevHash, no entries).
 func New(cfg Config) (*Chain, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
@@ -344,14 +331,13 @@ func New(cfg Config) (*Chain, error) {
 	c := &Chain{
 		cfg:         full,
 		auth:        newAuthorizer(full),
-		marker:      full.BaseBlock,
 		dependents:  make(map[block.Ref][]deletion.Dependent),
 		marks:       make(map[block.Ref]Mark),
 		ledger:      newCarriedLedger(),
 		tombIndex:   make(map[block.Ref]int),
 		nextTombSeq: 1,
 	}
-	genesis := block.NewNormal(full.BaseBlock, full.Clock.Tick(), block.GenesisPrevHash, nil)
+	genesis := block.NewNormal(0, full.Clock.Tick(), block.GenesisPrevHash, nil)
 	c.blocks = append(c.blocks, genesis)
 	c.liveBytes = int64(genesis.EncodedSize())
 	c.stats.AppendedBlocks = 1

@@ -72,12 +72,6 @@ type Options struct {
 	// DELETIONS.archive, keeping the active manifest small. Implies the
 	// store open of Repair.
 	Archive bool
-	// BaseMarker is the store's genesis block number — zero for a
-	// classic chain, the partition's stripe base (index · stride) for a
-	// store under a partitioned root. A marker at the base is pristine:
-	// it needs no covering deletion record and hydrate must not
-	// fabricate one below it. RunPartitioned fills it per partition.
-	BaseMarker uint64
 }
 
 // Report is the outcome of one doctor run.
@@ -129,17 +123,18 @@ func (r *Report) add(code string, sev Severity, repairable bool, format string, 
 }
 
 // Run cross-validates dir and, when requested, repairs it. An error is
-// returned only when the directory itself cannot be examined, its
-// deletion manifest or archive is in the retired format
-// (manifest.ErrRetiredFormat), or a repair failed; drift and corruption
-// inside it are reported as findings.
+// returned only when the directory itself cannot be examined, it is in a
+// retired layout (segment.ErrRetiredLayout), its deletion manifest or
+// archive is in the retired format (manifest.ErrRetiredFormat), or a
+// repair failed; drift and corruption inside it are reported as
+// findings.
 func Run(dir string, opts Options) (*Report, error) {
 	if opts.Repair || opts.Archive {
 		actions, err := repair(dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := check(dir, opts.BaseMarker)
+		rep, err := check(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -147,12 +142,11 @@ func Run(dir string, opts Options) (*Report, error) {
 		rep.Repaired = true
 		return rep, nil
 	}
-	return check(dir, opts.BaseMarker)
+	return check(dir)
 }
 
-// check is the read-only cross-validation pass; base is the store's
-// genesis block number (Options.BaseMarker).
-func check(dir string, base uint64) (*Report, error) {
+// check is the read-only cross-validation pass.
+func check(dir string) (*Report, error) {
 	rep := &Report{Dir: dir}
 	info, err := segment.Inspect(dir)
 	if err != nil {
@@ -206,7 +200,7 @@ func check(dir string, base uint64) (*Report, error) {
 	}
 
 	checkSegments(rep, info)
-	checkManifest(rep, recs, info, base)
+	checkManifest(rep, recs, info)
 	return rep, nil
 }
 
@@ -228,7 +222,7 @@ func checkSegments(rep *Report, info *segment.DirInfo) {
 
 // checkManifest validates the deletion records against each other and
 // against the other marker sources.
-func checkManifest(rep *Report, recs []manifest.Record, info *segment.DirInfo, base uint64) {
+func checkManifest(rep *Report, recs []manifest.Record, info *segment.DirInfo) {
 	if rep.ManifestMarker > info.MarkerFile && info.MarkerErr == "" {
 		rep.add("truncation-interrupted", Warn, true,
 			"deletion record %d shifted the marker to %d but MANIFEST still says %d",
@@ -239,7 +233,7 @@ func checkManifest(rep *Report, recs []manifest.Record, info *segment.DirInfo, b
 			"snapshot checkpoint at marker %d predates deletion record marker %d",
 			rep.SnapshotMarker, rep.ManifestMarker)
 	}
-	if rep.Marker > base && rep.ManifestMarker < rep.Marker {
+	if rep.ManifestMarker < rep.Marker {
 		rep.add("manifest-missing-record", Warn, true,
 			"marker %d has no covering deletion record (manifest predates it or was lost); repair hydrates one from the snapshot checkpoint",
 			rep.Marker)
@@ -288,12 +282,10 @@ func repair(dir string, opts Options) ([]string, error) {
 		return nil, err
 	}
 	log := s.DeletionLog()
-	if marker > opts.BaseMarker {
-		if act, err := hydrate(s, log, marker, opts.BaseMarker); err != nil {
-			return nil, err
-		} else if act != "" {
-			actions = append(actions, act)
-		}
+	if act, err := hydrate(s, log, marker); err != nil {
+		return nil, err
+	} else if act != "" {
+		actions = append(actions, act)
 	}
 	if opts.Archive {
 		if n, err := archive(dir, log); err != nil {
@@ -311,9 +303,9 @@ func repair(dir string, opts Options) ([]string, error) {
 // checkpoint — the marker block, "a trusted anchor ... already approved
 // by the anchor nodes" (§IV-C) — supplies what the lost record knew;
 // the per-entry tombstones are gone for good, which Hydrated records.
-func hydrate(s *segment.Store, log *manifest.Log, marker, base uint64) (string, error) {
-	covered := base
-	if head, ok := log.Head(); ok && head.NewMarker > covered {
+func hydrate(s *segment.Store, log *manifest.Log, marker uint64) (string, error) {
+	var covered uint64
+	if head, ok := log.Head(); ok {
 		covered = head.NewMarker
 	}
 	if covered >= marker {

@@ -10,7 +10,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
@@ -80,23 +79,26 @@ func buildDir(t *testing.T, rounds int) (dir string, marker, head uint64) {
 	return dir, marker, head
 }
 
-// dirDigest fingerprints every file in dir (name, size, content hash),
-// for proving check mode never writes.
+// dirDigest fingerprints every file under dir (path, size, content
+// hash), for proving check mode never writes.
 func dirDigest(t *testing.T, dir string) string {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "*"))
+	h := sha256.New()
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		fmt.Fprintf(h, "%s %d ", rel, len(data))
+		h.Write(data)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d ", filepath.Base(n), len(data))
-		h.Write(data)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -236,6 +238,40 @@ func TestDoctorRefusesRetiredManifest(t *testing.T) {
 		}
 	}
 	if after := dirDigest(t, dir); after != before {
+		t.Error("a refused directory was modified")
+	}
+}
+
+// TestDoctorRefusesPartitionedRoot: a partitioned store root — a
+// PARTITIONS file over one segment store per partition, the layout
+// partitioned chains wrote — is a retired layout. The root itself holds
+// no segment, so a check that did not look for PARTITIONS would call it
+// clean. The store's open, the doctor's check, its repair and its
+// archive all fail with the named error instead, and none of them
+// touches the tree.
+func TestDoctorRefusesPartitionedRoot(t *testing.T) {
+	part, _, _ := buildDir(t, 12)
+	root := t.TempDir()
+	if err := os.Rename(part, filepath.Join(root, "p000")); err != nil {
+		t.Fatal(err)
+	}
+	meta := `{"version": 1, "partitions": 1, "stride": 17592186044415, "sequence_length": 3}` + "\n"
+	if err := os.WriteFile(filepath.Join(root, "PARTITIONS"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirDigest(t, root)
+	if s, err := segment.Open(root, segment.Options{}); !errors.Is(err, segment.ErrRetiredLayout) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("segment.Open: err=%v, want ErrRetiredLayout", err)
+	}
+	for _, opts := range []Options{{}, {Repair: true}, {Archive: true}} {
+		if rep, err := Run(root, opts); !errors.Is(err, segment.ErrRetiredLayout) {
+			t.Fatalf("Run(%+v): report %+v, err=%v, want ErrRetiredLayout", opts, rep, err)
+		}
+	}
+	if after := dirDigest(t, root); after != before {
 		t.Error("a refused directory was modified")
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/node"
-	"github.com/seldel/seldel/internal/partition"
 )
 
-// Backend is the engine surface a Server fronts. *chain.Chain,
-// *partition.Chain, and *node.Node all satisfy it, so the same handler
-// set serves a single store, a sharded write path, or a replicating
-// cluster member.
+// Backend is the engine surface a Server fronts. *chain.Chain and
+// *node.Node both satisfy it, so the same handler set serves a single
+// store or a replicating cluster member.
 type Backend interface {
 	// Submit enqueues signed entries into the submission pipeline,
 	// returning one receipt per entry.
@@ -35,6 +33,10 @@ type Backend interface {
 	EntriesSeq() iter.Seq2[block.Ref, *block.Entry]
 	// Tombstones returns the deletion audit records, oldest first.
 	Tombstones(ctx context.Context) ([]manifest.Record, error)
+	// ProveDeleted is the deletion proof behind GET /v1/prove-deleted;
+	// it fails with chain.ErrNotDeleted while the entry is live and with
+	// chain.ErrNotFound when no tombstone covers it.
+	ProveDeleted(ref block.Ref) (*chain.DeletedProof, error)
 	// Stats is the chain-size and deletion-counter snapshot.
 	Stats() chain.Stats
 	// PipelineStats exposes the submission pipeline's backpressure
@@ -42,26 +44,9 @@ type Backend interface {
 	PipelineStats() mempool.Stats
 }
 
-// DeletedProver is the optional single-chain proof surface; chains and
-// nodes implement it.
-type DeletedProver interface {
-	ProveDeleted(ref block.Ref) (*chain.DeletedProof, error)
-}
-
-// PartitionProver is the optional partitioned proof surface; a
-// partitioned chain's proofs tie into its spine, so the result type
-// (and signature) differ from the single-chain form.
-type PartitionProver interface {
-	ProveDeleted(ctx context.Context, ref block.Ref) (*partition.Proof, error)
-}
-
 // Interface conformance pins: every engine shape the façade builds can
 // back a Server.
 var (
-	_ Backend         = (*chain.Chain)(nil)
-	_ Backend         = (*partition.Chain)(nil)
-	_ Backend         = (*node.Node)(nil)
-	_ DeletedProver   = (*chain.Chain)(nil)
-	_ DeletedProver   = (*node.Node)(nil)
-	_ PartitionProver = (*partition.Chain)(nil)
+	_ Backend = (*chain.Chain)(nil)
+	_ Backend = (*node.Node)(nil)
 )

@@ -17,9 +17,9 @@
 //	GET  /v1/stats             chain, pipeline, and server counters
 //	GET  /healthz              liveness
 //
-// A Server fronts any Backend: a single chain, a partitioned chain, or
-// a cluster node — all three satisfy the interface. Submitted entries
-// are signed by the CLIENT; the server never holds keys. One request's
+// A Server fronts any Backend: a single chain or a cluster node — both
+// satisfy the interface. Submitted entries are signed by the CLIENT;
+// the server never holds keys. One request's
 // entries are handed to the mempool as one group, so connection-level
 // batching composes with the pipeline's own coalescing: concurrent
 // requests still seal together in full blocks.

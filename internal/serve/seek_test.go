@@ -16,7 +16,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
-	"github.com/seldel/seldel/internal/partition"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
@@ -59,26 +58,11 @@ type backendKit struct {
 	settle func(context.Context) error
 }
 
-// testBackends builds all three engine shapes over e's registry with the
-// retention bound on: a single chain, a partitioned chain, and a
-// single-anchor cluster node.
-func testBackends(t *testing.T, e *env, partitions int) []backendKit {
+// testBackends builds both engine shapes over e's registry with the
+// retention bound on: a single chain and a single-anchor cluster node.
+func testBackends(t *testing.T, e *env) []backendKit {
 	t.Helper()
 	c := boundedChain(t, e)
-
-	pc, err := partition.New(partition.Config{
-		Partitions: partitions,
-		Chain: chain.Config{
-			SequenceLength: 3,
-			MaxSequences:   2,
-			Shrink:         chain.ShrinkAllButNewest,
-			Registry:       e.registry,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pc.Close() })
 
 	net := netsim.New(netsim.Config{})
 	t.Cleanup(net.Close)
@@ -109,8 +93,6 @@ func testBackends(t *testing.T, e *env, partitions int) []backendKit {
 
 	return []backendKit{
 		{"chain", c, func(block.Ref) *chain.Chain { return c }, c.CompactWait},
-		{fmt.Sprintf("partition-%d", partitions), pc,
-			func(ref block.Ref) *chain.Chain { return pc.Part(pc.Owner(ref)) }, pc.CompactWait},
 		{"node", nd, func(block.Ref) *chain.Chain { return nd.Chain() },
 			func(ctx context.Context) error { return nd.Chain().CompactWait(ctx) }},
 	}
@@ -118,8 +100,7 @@ func testBackends(t *testing.T, e *env, partitions int) []backendKit {
 
 var seekUsers = []string{"alpha", "beta", "gamma", "delta"}
 
-// churn writes n rounds of one entry per user, so every partition of a
-// partitioned backend advances.
+// churn writes n rounds of one entry per user.
 func churn(ctx context.Context, e *env, b Backend, tag string, n int) error {
 	for i := 0; i < n; i++ {
 		for _, u := range seekUsers {
@@ -172,52 +153,45 @@ func checkSeekAgainstOracle(t *testing.T, kit backendKit) {
 }
 
 // TestSeekMatchesSortedScanOnEveryBackend runs a random write/delete
-// workload against a single chain, partitioned chains of one and four
-// partitions, and a node, and holds each backend's seek to the
-// sort-of-EntriesSeq oracle.
+// workload against a single chain and a node, and holds each backend's
+// seek to the sort-of-EntriesSeq oracle.
 func TestSeekMatchesSortedScanOnEveryBackend(t *testing.T) {
 	ctx := context.Background()
-	for _, partitions := range []int{1, 4} {
-		e := newTestEnv(t, seekUsers...)
-		kits := testBackends(t, e, partitions)
-		if partitions > 1 {
-			kits = kits[1:2] // chain and node were covered in the first round
+	e := newTestEnv(t, seekUsers...)
+	for _, kit := range testBackends(t, e) {
+		rng := rand.New(rand.NewSource(1))
+		type owned struct {
+			ref   block.Ref
+			owner string
 		}
-		for _, kit := range kits {
-			rng := rand.New(rand.NewSource(int64(partitions)))
-			type owned struct {
-				ref   block.Ref
-				owner string
-			}
-			var sealed []owned
-			marked := 0
-			for step := 0; step < 40; step++ {
-				if rng.Intn(4) == 0 && len(sealed) > 0 {
-					v := sealed[rng.Intn(len(sealed))]
-					if _, err := kit.b.SubmitWait(ctx, block.NewDeletion(v.owner, v.ref).Sign(e.keys[v.owner])); err != nil {
-						t.Fatal(err)
-					}
-				} else {
-					u := seekUsers[rng.Intn(len(seekUsers))]
-					res, err := kit.b.SubmitWait(ctx,
-						block.NewData(u, fmt.Appendf(nil, "a-%d", step)).Sign(e.keys[u]),
-						block.NewData(u, fmt.Appendf(nil, "b-%d", step)).Sign(e.keys[u]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, s := range res {
-						sealed = append(sealed, owned{s.Ref, u})
-					}
+		var sealed []owned
+		marked := 0
+		for step := 0; step < 40; step++ {
+			if rng.Intn(4) == 0 && len(sealed) > 0 {
+				v := sealed[rng.Intn(len(sealed))]
+				if _, err := kit.b.SubmitWait(ctx, block.NewDeletion(v.owner, v.ref).Sign(e.keys[v.owner])); err != nil {
+					t.Fatal(err)
 				}
-				if step%5 == 4 {
-					checkSeekAgainstOracle(t, kit)
-					marked += kit.b.Stats().ActiveMarks
+			} else {
+				u := seekUsers[rng.Intn(len(seekUsers))]
+				res, err := kit.b.SubmitWait(ctx,
+					block.NewData(u, fmt.Appendf(nil, "a-%d", step)).Sign(e.keys[u]),
+					block.NewData(u, fmt.Appendf(nil, "b-%d", step)).Sign(e.keys[u]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range res {
+					sealed = append(sealed, owned{s.Ref, u})
 				}
 			}
-			st := kit.b.Stats()
-			if st.CutBlocks == 0 || st.CarriedEntries == 0 || marked == 0 {
-				t.Fatalf("%s: cut=%d carried=%d marked=%d; the test is vacuous", kit.name, st.CutBlocks, st.CarriedEntries, marked)
+			if step%5 == 4 {
+				checkSeekAgainstOracle(t, kit)
+				marked += kit.b.Stats().ActiveMarks
 			}
+		}
+		st := kit.b.Stats()
+		if st.CutBlocks == 0 || st.CarriedEntries == 0 || marked == 0 {
+			t.Fatalf("%s: cut=%d carried=%d marked=%d; the test is vacuous", kit.name, st.CutBlocks, st.CarriedEntries, marked)
 		}
 	}
 }
@@ -287,7 +261,7 @@ func TestSeekOnChainReopenedFromSegmentStore(t *testing.T) {
 // 409) until the next marker shift erases it.
 func TestApprovedDeletionLeavesThePageAtOnce(t *testing.T) {
 	e := newTestEnv(t, seekUsers...)
-	for _, kit := range testBackends(t, e, 2) {
+	for _, kit := range testBackends(t, e) {
 		t.Run(kit.name, func(t *testing.T) {
 			_, hs := testServer(t, kit.b, Options{})
 			resp, sr := postSubmit(t, hs.URL, true, e.data("alpha", "keep"), e.data("alpha", "victim"))

@@ -378,8 +378,7 @@ func (s *Server) handleTombstones(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProveDeleted answers with the backend's deletion proof for one
-// reference: the single-chain DeletedProof, or the spine-tied partition
-// proof for a partitioned backend.
+// reference.
 func (s *Server) handleProveDeleted(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	bn, err1 := strconv.ParseUint(q.Get("block"), 10, 64)
@@ -389,17 +388,7 @@ func (s *Server) handleProveDeleted(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ref := block.Ref{Block: bn, Entry: uint32(en)}
-	var proof any
-	var err error
-	switch p := s.b.(type) {
-	case PartitionProver:
-		proof, err = p.ProveDeleted(r.Context(), ref)
-	case DeletedProver:
-		proof, err = p.ProveDeleted(ref)
-	default:
-		writeError(w, http.StatusNotImplemented, "backend does not expose deletion proofs")
-		return
-	}
+	proof, err := s.b.ProveDeleted(ref)
 	if err != nil {
 		status := http.StatusNotFound
 		if errors.Is(err, chain.ErrNotDeleted) {

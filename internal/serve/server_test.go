@@ -19,7 +19,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
-	"github.com/seldel/seldel/internal/partition"
 	"github.com/seldel/seldel/internal/simclock"
 )
 
@@ -379,7 +378,7 @@ func collectPages(t *testing.T, base string, limit int, between func(pageNo int)
 // returned.
 func TestPaginationCursorStableAcrossTruncation(t *testing.T) {
 	e := newTestEnv(t, seekUsers...)
-	for _, kit := range testBackends(t, e, 2) {
+	for _, kit := range testBackends(t, e) {
 		t.Run(kit.name, func(t *testing.T) {
 			_, hs := testServer(t, kit.b, Options{})
 			ctx := context.Background()
@@ -519,7 +518,7 @@ func TestTombstonesAndProveDeleted(t *testing.T) {
 // every entry that was live before it started must be in it.
 func TestStreamingEntries(t *testing.T) {
 	e := newTestEnv(t, seekUsers...)
-	for _, kit := range testBackends(t, e, 2) {
+	for _, kit := range testBackends(t, e) {
 		t.Run(kit.name, func(t *testing.T) {
 			_, hs := testServer(t, kit.b, Options{})
 			ctx := context.Background()
@@ -556,70 +555,6 @@ func TestStreamingEntries(t *testing.T) {
 				t.Errorf("stream of %d entries missed %d that were live throughout", len(streamed), len(seeded))
 			}
 		})
-	}
-}
-
-func TestPartitionedBackend(t *testing.T) {
-	e := newTestEnv(t, "alpha", "beta", "gamma")
-	pc, err := partition.New(partition.Config{
-		Partitions: 2,
-		Chain: chain.Config{
-			SequenceLength: 3,
-			MaxSequences:   2,
-			Shrink:         chain.ShrinkAllButNewest,
-			Registry:       e.registry,
-			Clock:          simclock.NewLogical(0),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { pc.Close() })
-	_, hs := testServer(t, pc, Options{})
-
-	resp, sr := postSubmit(t, hs.URL, true,
-		e.data("alpha", "p1"), e.data("beta", "p2"), e.data("gamma", "p3"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("partitioned submit: HTTP %d", resp.StatusCode)
-	}
-	for i, s := range sr.Sealed {
-		if s.Error != "" {
-			t.Fatalf("entry %d: %s", i, s.Error)
-		}
-	}
-	seen := collectPages(t, hs.URL, 2, nil)
-	if len(seen) != 3 {
-		t.Fatalf("partitioned scan saw %d entries, want 3", len(seen))
-	}
-
-	// Delete alpha's entry and truncate its partition, then fetch the
-	// spine-tied proof through the PartitionProver dispatch.
-	ctx := context.Background()
-	var victim block.Ref
-	for ref, ent := range pc.EntriesSeq() {
-		if ent.Owner == "alpha" {
-			victim = ref
-			break
-		}
-	}
-	if _, err := pc.SubmitWait(ctx, block.NewDeletion("alpha", victim).Sign(e.keys["alpha"])); err != nil {
-		t.Fatal(err)
-	}
-	p := pc.Part(pc.Owner(victim))
-	for i := 0; p.Marker() <= victim.Block; i++ {
-		if i > 64 {
-			t.Fatal("partition truncation never executed")
-		}
-		if _, err := pc.SubmitWait(ctx, block.NewData("alpha", fmt.Appendf(nil, "churn-%02d", i)).Sign(e.keys["alpha"])); err != nil {
-			t.Fatal(err)
-		}
-		if err := pc.CompactWait(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp = getJSON(t, fmt.Sprintf("%s/v1/prove-deleted?block=%d&entry=%d", hs.URL, victim.Block, victim.Entry), nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("partitioned prove-deleted: HTTP %d", resp.StatusCode)
 	}
 }
 

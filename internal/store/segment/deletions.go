@@ -94,11 +94,15 @@ type DirInfo struct {
 // store: no torn-tail truncation, no interrupted-truncation completion,
 // no manifest rewrite. Safe to run against a directory another process
 // has open only insofar as the filesystem serves consistent reads; the
-// intended use is offline diagnosis.
+// intended use is offline diagnosis. A directory in a retired layout
+// fails with ErrRetiredLayout.
 func Inspect(dir string) (*DirInfo, error) {
 	info := &DirInfo{Dir: dir}
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("segment: inspect: %w", err)
+	}
+	if err := checkLayout(dir); err != nil {
+		return nil, err
 	}
 	switch man, err := readManifest(dir); {
 	case err == nil:

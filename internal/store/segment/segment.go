@@ -31,12 +31,10 @@ const (
 	// maxRecordBytes bounds a single decoded record, so a corrupt
 	// length field cannot drive allocation.
 	maxRecordBytes = 64 << 20
-	// PartitionsMetaName is the metadata file that marks a directory as
-	// a partitioned store root (per-partition stores live in p000/,
-	// p001/, ... beneath it). It is defined here rather than in the
-	// partition package so Open can recognize such roots without an
-	// import cycle.
-	PartitionsMetaName = "PARTITIONS"
+	// retiredPartitionsMeta marks a directory written as a partitioned
+	// store root: this file over one segment store per partition in
+	// p000/, p001/, ... (see ErrRetiredLayout).
+	retiredPartitionsMeta = "PARTITIONS"
 )
 
 // Options parameterize a segment store.
@@ -113,12 +111,27 @@ var _ store.Store = (*Store)(nil)
 // Open refuses the directory instead of truncating evidence away.
 var ErrCorrupt = errors.New("segment: corrupt record in a sealed segment")
 
+// ErrRetiredLayout reports a directory that is a partitioned store root
+// (a PARTITIONS file over p000/, p001/, ...), a layout no reader remains
+// for. Open and Inspect refuse it before touching a byte: opened as a
+// store it would look empty, and a doctor would call it clean.
+var ErrRetiredLayout = errors.New("segment: partitioned store root, a retired layout")
+
+// checkLayout refuses a directory in a retired layout.
+func checkLayout(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, retiredPartitionsMeta)); err == nil {
+		return fmt.Errorf("%w: %s has %s", ErrRetiredLayout, dir, retiredPartitionsMeta)
+	}
+	return nil
+}
+
 // Open opens (or creates) a segment store rooted at dir, reconciling
 // the manifest against the segment files actually present: torn tails
 // are truncated to the last durable record, segments created but not
 // yet recorded are adopted, and truncations interrupted mid-flight
 // (manifest advanced, files not yet deleted or rewritten) are
 // completed. The reconciled state is re-persisted before Open returns.
+// A directory in a retired layout fails with ErrRetiredLayout.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes < 0 {
 		return nil, fmt.Errorf("segment: negative SegmentBytes")
@@ -132,15 +145,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxOpenFiles == 0 {
 		opts.MaxOpenFiles = DefaultMaxOpenFiles
 	}
+	if err := checkLayout(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: create dir: %w", err)
-	}
-	// A partitioned store root holds per-partition stores in p000/,
-	// p001/, ... subdirectories plus a PARTITIONS metadata file; it is
-	// not itself a segment store. Opening it directly would create a
-	// stray empty store alongside the partitions, so refuse loudly.
-	if _, err := os.Stat(filepath.Join(dir, PartitionsMetaName)); err == nil {
-		return nil, fmt.Errorf("segment: %s is a partitioned store root (has %s); open its p*/ subdirectories or use the partition package", dir, PartitionsMetaName)
 	}
 	s := &Store{
 		dir:   dir,

@@ -5,10 +5,8 @@ import (
 	"io"
 	"time"
 
-	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/consensus"
-	"github.com/seldel/seldel/internal/partition"
 	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
@@ -34,10 +32,6 @@ type builder struct {
 	// new chain adopts them (closed by Chain.Close), and New closes
 	// them on a construction failure so no handle leaks.
 	owned []io.Closer
-	// partitions/partKey record a WithPartitions request, consumed by
-	// NewPartitioned (New rejects it).
-	partitions int
-	partKey    func(*block.Entry) string
 }
 
 // closeOwned releases option-opened resources after a failed build.
@@ -78,10 +72,6 @@ func New(reg *Registry, opts ...Option) (*Chain, error) {
 			b.closeOwned()
 			return nil, err
 		}
-	}
-	if b.partitions > 0 {
-		b.closeOwned()
-		return nil, fmt.Errorf("%w: WithPartitions requires NewPartitioned", ErrConfig)
 	}
 	if b.engine != nil {
 		consensus.Configure(&b.cfg, b.engine)
@@ -338,85 +328,4 @@ func WithVerifier(p *Verifier) Option {
 // verified-signature cache, negative disables caching.
 func NewVerifier(workers, cacheSize int) *Verifier {
 	return verify.New(verify.Options{Workers: workers, CacheSize: cacheSize})
-}
-
-// A PartitionOption tunes a WithPartitions request.
-type PartitionOption func(*builder) error
-
-// WithPartitionKey sets the partition-key extractor: entries with equal
-// keys route to the same partition. The default keys by Entry.Owner,
-// keeping one participant's data (and the deletion requests targeting
-// it) on one partition.
-func WithPartitionKey(fn func(*Entry) string) PartitionOption {
-	return func(b *builder) error {
-		if fn == nil {
-			return fmt.Errorf("%w: nil partition key function", ErrConfig)
-		}
-		b.partKey = fn
-		return nil
-	}
-}
-
-// WithPartitions shards the chain's write path across n sub-chains
-// behind a consistent-hash router, cross-linked by a spine chain (see
-// PartitionedChain). Only NewPartitioned accepts it; New rejects it so
-// a partitioned deployment cannot silently collapse to one chain.
-//
-//	pc, err := seldel.NewPartitioned(reg,
-//		seldel.WithPartitions(4, seldel.WithPartitionKey(func(e *seldel.Entry) string { return e.Owner })),
-//		seldel.WithMaxSequences(4),
-//		seldel.WithSegmentStore(dir),
-//	)
-func WithPartitions(n int, popts ...PartitionOption) Option {
-	return func(b *builder) error {
-		if n < 1 {
-			return fmt.Errorf("%w: partitions must be ≥ 1, got %d", ErrConfig, n)
-		}
-		b.partitions = n
-		for _, po := range popts {
-			if err := po(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// NewPartitioned creates a partitioned selective-deletion chain: n
-// sub-chains (WithPartitions is required), each running the full
-// submission pipeline over its own block-number stripe, sharing one
-// verifier, and anchoring into a cross-partition spine chain.
-// WithSegmentStore(dir) makes dir a partitioned store root holding one
-// segment store per partition (dir/p000, dir/p001, ...) plus a
-// PARTITIONS metadata file; populated partition stores are restored.
-// WithStore is not supported — per-partition stores must be
-// independent directories.
-func NewPartitioned(reg *Registry, opts ...Option) (*PartitionedChain, error) {
-	if reg == nil {
-		return nil, fmt.Errorf("%w: registry is required", ErrConfig)
-	}
-	b := &builder{cfg: Config{SequenceLength: 3, Registry: reg}}
-	for _, opt := range opts {
-		if err := opt(b); err != nil {
-			b.closeOwned()
-			return nil, err
-		}
-	}
-	if b.partitions == 0 {
-		return nil, fmt.Errorf("%w: NewPartitioned requires WithPartitions", ErrConfig)
-	}
-	if b.store != nil {
-		return nil, fmt.Errorf("%w: WithStore is not supported for partitioned chains; use WithSegmentStore with a root directory", ErrConfig)
-	}
-	if b.engine != nil {
-		consensus.Configure(&b.cfg, b.engine)
-	}
-	return partition.New(partition.Config{
-		Partitions: b.partitions,
-		Chain:      b.cfg,
-		Key:        b.partKey,
-		Dir:        b.segDir,
-		Segment:    b.segOpts,
-		Listeners:  b.listeners,
-	})
 }

@@ -2,7 +2,7 @@
 // Blockchain" (Hillmann, Knüpfer, Heiland, Karcher — ICDCS 2020,
 // arXiv:2101.05495): a blockchain that can forget.
 //
-// The chain is partitioned into sequences by periodically inserted,
+// The chain is divided into sequences by periodically inserted,
 // deterministically computed summary blocks Σ. When the live chain
 // exceeds its configured bound, the oldest sequences are merged into the
 // newest summary block — leaving out entries whose owners requested
@@ -79,7 +79,6 @@ import (
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
-	"github.com/seldel/seldel/internal/partition"
 	"github.com/seldel/seldel/internal/schema"
 	"github.com/seldel/seldel/internal/serve"
 	"github.com/seldel/seldel/internal/simclock"
@@ -243,30 +242,6 @@ type (
 	DoctorReport = doctor.Report
 	// DoctorFinding is one issue found by Doctor.
 	DoctorFinding = doctor.Finding
-	// PartitionedDoctorReport aggregates per-partition doctor reports
-	// over a partitioned store root.
-	PartitionedDoctorReport = doctor.PartitionedReport
-)
-
-// Partitioned-chain types: the sharded write path of NewPartitioned.
-// Entries route by consistent hash of a partition key across N
-// sub-chains (each the full single-chain pipeline over its own
-// block-number stripe), and every truncation anchors the partition's
-// head into a spine chain that cross-partition deletion proofs verify
-// against. See README "Partitioning" and docs/ARCHITECTURE.md §8.
-type (
-	// PartitionedChain is the router + sub-chains + spine aggregate
-	// built by NewPartitioned.
-	PartitionedChain = partition.Chain
-	// SpineBlock is one block of the cross-partition spine chain.
-	SpineBlock = partition.SpineBlock
-	// SpineAnchor is one partition's head commitment inside a
-	// SpineBlock.
-	SpineAnchor = partition.Anchor
-	// PartitionProof is PartitionedChain.ProveDeleted's result: the
-	// owning partition's DeletedProof tied into the spine by the
-	// deletion-record digest chain. Verify checks it standalone.
-	PartitionProof = partition.Proof
 )
 
 // Audit use-case types (the paper's evaluation scenario).
@@ -415,17 +390,6 @@ func Doctor(dir string, opts DoctorOptions) (*DoctorReport, error) {
 	return doctor.Run(dir, opts)
 }
 
-// DoctorPartitioned runs Doctor over every partition store beneath a
-// partitioned store root (a NewPartitioned + WithSegmentStore layout:
-// PARTITIONS metadata plus p000/, p001/, ... segment stores).
-func DoctorPartitioned(root string, opts DoctorOptions) (*PartitionedDoctorReport, error) {
-	return doctor.RunPartitioned(root, opts)
-}
-
-// IsPartitionedStoreRoot reports whether dir is a partitioned store
-// root; `seldel doctor` uses it to pick the aggregated audit.
-func IsPartitionedStoreRoot(dir string) bool { return doctor.IsPartitionedRoot(dir) }
-
 // NewAuditLogger builds the login-audit logger of the paper's evaluation
 // scenario over an existing chain.
 func NewAuditLogger(c *Chain) (*AuditLogger, error) { return audit.NewLogger(c) }
@@ -456,8 +420,8 @@ func ParseSchema(src string) (*Schema, error) { return schema.Parse(src) }
 // open-loop load-generation primitives behind cmd/seldel-load. See
 // docs/ARCHITECTURE.md §9.
 type (
-	// Server is the HTTP front-end over a chain, partitioned chain, or
-	// node: client-signed submits with connection-level batching into
+	// Server is the HTTP front-end over a chain or a node: client-signed
+	// submits with connection-level batching into
 	// the submission pipeline, cursor pagination in Ref order (one
 	// EntriesAfter seek per page, deletion-marked entries left out,
 	// ?stream=1 as repeated seeks of a fixed chunk), tombstone/proof
@@ -466,8 +430,8 @@ type (
 	Server = serve.Server
 	// ServerOptions parameterize a Server.
 	ServerOptions = serve.Options
-	// ServerBackend is what a Server fronts; *Chain, *PartitionedChain,
-	// and *Node all satisfy it.
+	// ServerBackend is what a Server fronts; *Chain and *Node both
+	// satisfy it.
 	ServerBackend = serve.Backend
 	// AdmissionOptions tune the Server's load shedding.
 	AdmissionOptions = serve.AdmissionOptions
@@ -507,8 +471,8 @@ const (
 // to a Server.
 func NewEntryJSON(e *Entry) EntryJSON { return serve.NewEntryJSON(e) }
 
-// NewServer builds the HTTP front-end over backend (a *Chain,
-// *PartitionedChain, or *Node). Close the server to stop its admission
+// NewServer builds the HTTP front-end over backend (a *Chain or a
+// *Node). Close the server to stop its admission
 // sampler; closing the backend stays the caller's job.
 func NewServer(backend ServerBackend, opts ServerOptions) *Server {
 	return serve.New(backend, opts)
