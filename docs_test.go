@@ -146,6 +146,39 @@ func TestDocSymbolsExist(t *testing.T) {
 	}
 }
 
+// TestNoSleepInInternal keeps waits event-driven: no non-test file under
+// internal/ may call time.Sleep. A wait blocks on the event it waits for
+// (a channel, a timer bounding it), or the drills' simulated time would
+// be spent as wall time.
+func TestNoSleepInInternal(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+					t.Errorf("%s: time.Sleep", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // goDeclarations parses the root package and everything under internal/
 // (tests and testdata aside) and returns each package name's top-level
 // declarations and each type name's methods and fields, the latter

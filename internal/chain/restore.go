@@ -9,33 +9,105 @@ import (
 )
 
 // Restore rebuilds a chain from live blocks held in memory — somebody
-// else's: a status-quo offer, a test fixture. The blocks must be the
-// exact live suffix of a selective-deletion chain: consecutive numbers
-// starting at the marker, hash-linked, with summary blocks in their
-// slots, the first block being the current Genesis marker (§IV-C: the
-// marker block "is a trusted anchor for the left blockchain part already
-// approved by the anchor nodes"). It is RestoreStream over a slice.
+// else's: a test fixture, blocks a caller hands to the façade. It is a
+// Restorer fed from a slice.
 func Restore(cfg Config, blocks []*block.Block) (*Chain, error) {
-	return RestoreStream(cfg, func(yield func(*block.Block, error) bool) {
+	return restoreStream(cfg, func(yield func(*block.Block, error) bool) {
 		for _, b := range blocks {
 			if !yield(b, nil) {
 				return
 			}
 		}
-	})
+	}, true)
 }
 
-// RestoreStream rebuilds a chain from a stream of live blocks that
-// crossed a trust boundary on their way here: a peer's snapshot offer, a
-// gossiped status quo, blocks a caller hands to the façade. Nothing is
-// believed: on top of everything RestoreOwnStream checks, the owner
-// signature of every entry — including entries carried inside summary
-// blocks — is verified through the parallel verification pool, so a
-// malicious offer is rejected at the offending block instead of
-// poisoning later validations. VerifySignatures runs the same check
-// over a chain that is already open.
-func RestoreStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
-	return restoreStream(cfg, blocks, true)
+// Restorer rebuilds a chain from live blocks pushed to it one at a time
+// — blocks that crossed a trust boundary on their way here, such as the
+// chunks of a peer's snapshot offer. The blocks must be the exact live
+// suffix of a selective-deletion chain: consecutive numbers starting at
+// the marker, hash-linked, with summary blocks in their slots, the first
+// block being the current Genesis marker (§IV-C: the marker block "is a
+// trusted anchor for the left blockchain part already approved by the
+// anchor nodes"). Nothing is believed: on top of everything
+// RestoreOwnStream checks, the owner signature of every entry —
+// including entries carried inside summary blocks — is verified through
+// the parallel verification pool, so a malicious offer is rejected at
+// the offending block instead of poisoning later validations.
+// VerifySignatures runs the same check over a chain that is already
+// open.
+//
+// Each Add checks and registers its block before it returns, so a
+// caller holds no more than the block it is adding. After an error the
+// restore is dead: Add and Finish return that error again.
+type Restorer struct {
+	c         *Chain
+	prev      *block.Block
+	ownerSigs bool
+	err       error
+}
+
+// NewRestorer starts a restore of somebody else's blocks.
+func NewRestorer(cfg Config) (*Restorer, error) { return newRestorer(cfg, true) }
+
+func newRestorer(cfg Config, ownerSigs bool) (*Restorer, error) {
+	full, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	return &Restorer{
+		c: &Chain{
+			cfg:         full,
+			auth:        newAuthorizer(full),
+			dependents:  make(map[block.Ref][]deletion.Dependent),
+			marks:       make(map[block.Ref]Mark),
+			ledger:      newCarriedLedger(),
+			tombIndex:   make(map[block.Ref]int),
+			nextTombSeq: 1,
+		},
+		ownerSigs: ownerSigs,
+	}, nil
+}
+
+// Add checks b against the blocks added before it and registers it.
+func (r *Restorer) Add(b *block.Block) error {
+	if r.err == nil {
+		r.err = r.add(b)
+	}
+	return r.err
+}
+
+func (r *Restorer) add(b *block.Block) error {
+	c := r.c
+	checks, err := c.verifyRestoredBlock(b, r.ownerSigs)
+	if err != nil {
+		return err
+	}
+	if r.prev == nil {
+		c.marker = b.Header.Number
+		if c.marker%uint64(c.cfg.SequenceLength) != 0 {
+			return fmt.Errorf("%w: first block %d is not sequence-aligned", ErrConfig, c.marker)
+		}
+	}
+	if err := c.registerRestoredBlock(b, r.prev, checks); err != nil {
+		return err
+	}
+	r.prev = b
+	return nil
+}
+
+// Finish returns the restored chain once the last block has been added.
+func (r *Restorer) Finish() (*Chain, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.prev == nil {
+		return nil, fmt.Errorf("%w: no blocks to restore", ErrConfig)
+	}
+	// Make sure a restored clock never reissues timestamps from the past.
+	if setter, ok := r.c.cfg.Clock.(interface{ Set(uint64) }); ok {
+		setter.Set(r.c.head().Header.Time)
+	}
+	return r.c, nil
 }
 
 // RestoreOwnStream rebuilds a chain from the stream of blocks this
@@ -55,10 +127,11 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 	return restoreStream(cfg, blocks, false)
 }
 
-// restoreStream is the one restore body; ownerSigs is the single stage
-// the two origins differ in. Blocks are checked and registered one at a
-// time as the stream yields them, so memory is bounded by the live chain
-// itself however long the stored or offered suffix.
+// restoreStream drives one Restorer over a stream; ownerSigs is the
+// single stage the two origins differ in. Blocks are checked and
+// registered one at a time as the stream yields them, so memory is
+// bounded by the live chain itself however long the stored or offered
+// suffix.
 //
 // There is deliberately no stage running the stateless checks ahead of
 // registration: one block's signature batch already fans out across the
@@ -72,47 +145,19 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 // (CutBlocks, ForgottenEntries, …) restart from zero — they describe the
 // current process, not the chain's full history.
 func restoreStream(cfg Config, blocks iter.Seq2[*block.Block, error], ownerSigs bool) (*Chain, error) {
-	full, err := cfg.withDefaults()
+	r, err := newRestorer(cfg, ownerSigs)
 	if err != nil {
 		return nil, err
 	}
-	c := &Chain{
-		cfg:         full,
-		auth:        newAuthorizer(full),
-		dependents:  make(map[block.Ref][]deletion.Dependent),
-		marks:       make(map[block.Ref]Mark),
-		ledger:      newCarriedLedger(),
-		tombIndex:   make(map[block.Ref]int),
-		nextTombSeq: 1,
-	}
-	var prev *block.Block
 	for b, err := range blocks {
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: %w", err)
 		}
-		checks, err := c.verifyRestoredBlock(b, ownerSigs)
-		if err != nil {
+		if err := r.Add(b); err != nil {
 			return nil, err
 		}
-		if prev == nil {
-			c.marker = b.Header.Number
-			if c.marker%uint64(full.SequenceLength) != 0 {
-				return nil, fmt.Errorf("%w: first block %d is not sequence-aligned", ErrConfig, c.marker)
-			}
-		}
-		if err := c.registerRestoredBlock(b, prev, checks); err != nil {
-			return nil, err
-		}
-		prev = b
 	}
-	if prev == nil {
-		return nil, fmt.Errorf("%w: no blocks to restore", ErrConfig)
-	}
-	// Make sure a restored clock never reissues timestamps from the past.
-	if setter, ok := full.Clock.(interface{ Set(uint64) }); ok {
-		setter.Set(c.head().Header.Time)
-	}
-	return c, nil
+	return r.Finish()
 }
 
 // verifyRestoredBlock runs the chain-state-independent half of a

@@ -69,10 +69,26 @@ func seqOf(blocks []*block.Block) iter.Seq2[*block.Block, error] {
 }
 
 // origins are the two restore entry points: somebody else's blocks
-// (owner signatures verified) and the node's own store (bytes only).
+// pushed into a Restorer one at a time, exactly as a node adopting a
+// snapshot offer does (owner signatures verified), and the node's own
+// store (bytes only).
 var origins = map[string]func(Config, iter.Seq2[*block.Block, error]) (*Chain, error){
-	"foreign": RestoreStream,
-	"own":     RestoreOwnStream,
+	"foreign": func(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
+		r, err := NewRestorer(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for b, err := range blocks {
+			if err != nil {
+				return nil, err
+			}
+			if err := r.Add(b); err != nil {
+				return nil, err
+			}
+		}
+		return r.Finish()
+	},
+	"own": RestoreOwnStream,
 }
 
 // TestRestoreReproducesLiveState pins that a restore from either origin

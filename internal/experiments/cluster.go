@@ -101,7 +101,7 @@ func runCluster(w io.Writer) error {
 
 	// Fault injection: corrupt one node's deletion state.
 	fmt.Fprintln(w, "\nfault injection: anchor-3 gets an unauthorized deletion mark")
-	nodes[3].CorruptForTest(block.Ref{Block: 7, Entry: 0})
+	nodes[3].Chain().InjectMarkForTest(block.Ref{Block: 7, Entry: 0})
 	for round := 9; round <= 12; round++ {
 		if err := drive(fmt.Sprintf("round-%d", round)); err != nil {
 			return err

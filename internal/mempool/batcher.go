@@ -358,9 +358,12 @@ func (b *Batcher) collect(first group) []group {
 }
 
 // maxFlushRetries bounds re-seals of a batch whose entries all still
-// validate. One retry absorbs a head race with a concurrent direct
-// appender (e.g. a retention ticker appending empty blocks); the bound
-// keeps a persistent batch-level failure (a broken sealer) from looping.
+// validate. One retry absorbs a lost head race: a concurrent
+// Chain.AppendEmpty or AppendBlock beside a chain's own pipeline, or a
+// block received from a peer beside a node's proposal. The bound keeps a
+// persistent batch-level failure (a broken sealer) from looping. A
+// node's ErrSummaryPending never reaches this retry: while the summary
+// slot is due, its ValidateEntries rejects every entry with it.
 const maxFlushRetries = 3
 
 // flush seals one batch as a single normal block and resolves its

@@ -229,7 +229,7 @@ func TestForkOnCorruptedSummary(t *testing.T) {
 	cl.write(t, 0, cl.data("alpha", "victim")) // block 1 + summary 2 (clean)
 
 	// Corrupt node 2: it believes entry 1/0 is marked for deletion.
-	cl.nodes[2].CorruptForTest(block.Ref{Block: 1, Entry: 0})
+	cl.nodes[2].Chain().InjectMarkForTest(block.Ref{Block: 1, Entry: 0})
 
 	// Drive to the next merge, where the corrupted mark changes the
 	// summary content (entry not carried → different hash).
@@ -366,6 +366,31 @@ func TestPartitionIsolatesNode(t *testing.T) {
 	}
 	if status.HeadNumber != cl.nodes[0].Chain().Head().Number {
 		t.Error("client status does not match majority head")
+	}
+}
+
+func TestStalledSubmitAnnouncesOnce(t *testing.T) {
+	// A write that lands on a due summary slot its node cannot get voted
+	// through announces the vote once and fails with ErrSummaryPending;
+	// the pipeline does not re-seal it (re-announcing is the job of
+	// VoteRetryInterval and the caller).
+	cl := newCluster(t, 3, "alpha")
+	nd := cl.nodes[0]
+	cl.net.Partition([]string{nd.Name()})
+	ctx := context.Background()
+	if _, err := nd.SubmitWait(ctx, cl.data("alpha", "last normal")); err != nil {
+		t.Fatal(err)
+	}
+	if !nd.Chain().NextIsSummary() {
+		t.Fatalf("head %d: next slot is not a summary slot; test is vacuous", nd.Chain().Head().Number)
+	}
+	before := cl.net.Stats().Dropped
+	if _, err := nd.SubmitWait(ctx, cl.data("alpha", "stalled")); !errors.Is(err, ErrSummaryPending) {
+		t.Fatalf("SubmitWait on a stalled summary = %v, want ErrSummaryPending", err)
+	}
+	// One announcement, to two unreachable peers.
+	if got := cl.net.Stats().Dropped - before; got != 2 {
+		t.Fatalf("stalled SubmitWait sent %d messages into the partition, want 2", got)
 	}
 }
 

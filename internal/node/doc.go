@@ -23,9 +23,11 @@
 // within the live window receives the missing suffix (wire.SyncResp),
 // while one that fell behind the quorum's Genesis marker receives the
 // snapshot payload (wire.SnapshotResp) — marker, head, and the live
-// blocks — and adopts it by streaming the blocks through the chain's
-// restore pipeline (chain.RestoreStream), never replaying anything the
-// quorum already deleted.
+// blocks — and adopts it by adding each block to a chain.Restorer as it
+// decodes the chunk holding it, never replaying anything the quorum
+// already deleted. No goroutine serves a snapshot session, and a write
+// stalled on a due summary vote costs one announcement and one bounded
+// wait.
 //
 // Fault injection for the scenario suite comes from internal/attack
 // (Config.Byzantine): a vote-withholding member computes summaries but

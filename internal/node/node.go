@@ -7,7 +7,6 @@ import (
 	"iter"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/seldel/seldel/internal/attack"
@@ -60,9 +59,10 @@ type Config struct {
 
 // ErrSummaryPending is returned while the quorum vote for the due
 // summary block is still incomplete (e.g. votes were lost on a lossy
-// network, or the node sits in a minority partition); the node
-// re-announces its vote and the caller retries once the network
-// settles.
+// network, or the node sits in a minority partition). The write that
+// hit it announced the node's vote once; it is not re-sealed. Further
+// announcements come from Config.VoteRetryInterval or from the caller
+// retrying once the network settles.
 var ErrSummaryPending = errors.New("node: summary vote pending")
 
 // ErrClosed is returned by writes after Close. It wraps the pipeline's
@@ -70,12 +70,13 @@ var ErrSummaryPending = errors.New("node: summary vote pending")
 // against the root façade's ErrClosed.
 var ErrClosed = fmt.Errorf("node: %w", mempool.ErrClosed)
 
-// summaryWait bounds how long a pipeline seal blocks waiting for a due
-// summary vote to complete before reporting ErrSummaryPending. On an
-// in-process network the vote settles in microseconds; the budget only
-// matters under partitions and message loss, where failing fast (and
-// letting the caller retry after re-announce) beats stalling the
-// flusher.
+// summaryWait bounds how long a proposal blocks on a due summary vote
+// before reporting ErrSummaryPending. On an in-process network the vote
+// settles in microseconds; the budget only matters under partitions and
+// message loss, where failing fast (and letting the caller retry) beats
+// stalling the flusher. It is wall-clock time, not the network's
+// simulated clock: virtual time moves only inside netsim's Flush, and in
+// the drills the caller blocked in the wait is the one who would call it.
 const summaryWait = 25 * time.Millisecond
 
 // voteState tracks the quorum votes for one pending summary block.
@@ -85,6 +86,9 @@ type voteState struct {
 	localHash codec.Hash
 	localSet  bool
 	applied   bool
+	// decided is closed once the round is decided (maybeApplySummary):
+	// the summary is appended or the node found itself forked.
+	decided chan struct{}
 	// evidence keeps the raw signed vote envelopes seen per sender for
 	// this round, keyed by claimed hash. Two entries for one sender are
 	// proof of equivocation: both are relayable and independently
@@ -103,9 +107,7 @@ type voteState struct {
 const offerRejectLimit = 3
 
 // SyncStats counts the node's catch-up traffic: snapshot offers by
-// outcome, chunk flow in both directions, and the high-water mark of
-// blocks staged in the receive path (which the chunked protocol keeps
-// bounded regardless of chain length).
+// outcome and chunk flow in both directions.
 type SyncStats struct {
 	// OffersStarted..OffersIgnored count received snapshot offers:
 	// accepted-and-streaming, adopted, failed mid-stream, rejected by the
@@ -121,9 +123,6 @@ type SyncStats struct {
 	// ChunksSent and ChunksReceived count snapshot chunks on the wire.
 	ChunksSent     uint64
 	ChunksReceived uint64
-	// PeakStagedBlocks is the most blocks that ever sat decoded in the
-	// receive path awaiting restore-pipeline registration.
-	PeakStagedBlocks int64
 }
 
 // Node is one anchor node.
@@ -161,11 +160,6 @@ type Node struct {
 	voteRetry  time.Duration
 	retryTimer *time.Timer
 
-	// quit is closed by Close; the snapshot-session restore consumer
-	// selects on it so an offer in flight at shutdown unwinds instead of
-	// leaking its goroutine.
-	quit chan struct{}
-
 	// Snapshot catch-up state. sess is the single active inbound offer
 	// session; it is owned by the endpoint's delivery goroutine (all
 	// chunks arrive there), so it needs no lock. offerRejects /
@@ -178,38 +172,18 @@ type Node struct {
 	frozenOffer    []wire.SnapshotPayload
 	frozenOfferSet bool // guarded by mu with frozenOffer
 
-	// staged/stagedPeak gauge blocks decoded in the receive path but not
-	// yet consumed by the restore pipeline (atomics; see SyncStats).
-	staged     atomic.Int64
-	stagedPeak atomic.Int64
 	// stats counters below are guarded by mu.
 	stats SyncStats
 }
 
-// snapSession is one inbound snapshot offer being streamed into the
-// restore pipeline. The delivery goroutine feeds decoded blocks through
-// feed; a dedicated consumer goroutine runs chain.RestoreStream and
-// deposits the outcome in res (buffered, so it can always exit).
+// snapSession is one inbound snapshot offer being restored. Its chunks
+// arrive on the endpoint's delivery goroutine, which adds each block to
+// the restorer as it decodes it, so nothing of the offer outlives the
+// chunk in hand but the chain being rebuilt.
 type snapSession struct {
-	sender  string
-	offerID uint64
-	last    wire.SnapshotPayload // last accepted chunk's header (no blocks)
-	feed    chan snapFeedItem
-	res     chan snapResult
-	// dead is closed when the consumer goroutine stops reading (restore
-	// finished or failed); feed pushes select on it so an abort can never
-	// wedge the delivery goroutine against a full channel.
-	dead chan struct{}
-}
-
-type snapFeedItem struct {
-	b   *block.Block
-	err error
-}
-
-type snapResult struct {
-	c   *chain.Chain
-	err error
+	sender string
+	last   wire.SnapshotPayload // last accepted chunk's header (no blocks)
+	r      *chain.Restorer
 }
 
 // New creates an anchor node and joins it to the network. With a
@@ -258,7 +232,6 @@ func New(cfg Config) (*Node, error) {
 		equivocators:  make(map[string]bool),
 		offerRejects:  make(map[string]int),
 		suppressedLog: make(map[string]bool),
-		quit:          make(chan struct{}),
 	}
 	n.prop = mempool.NewBatcher(proposer{n}, mempool.Options{
 		Warm: n.warmEntries,
@@ -304,7 +277,6 @@ func (n *Node) Close() error {
 		n.retryTimer = nil
 	}
 	n.mu.Unlock()
-	close(n.quit)
 	// Drain the proposal pipeline while still on the network: queued
 	// submissions may land on a due summary slot, and completing that
 	// vote needs the peers' answers to still reach us. Only then leave.
@@ -393,10 +365,8 @@ func (n *Node) Equivocators() []string {
 // SyncStats snapshots the node's catch-up counters.
 func (n *Node) SyncStats() SyncStats {
 	n.mu.Lock()
-	s := n.stats
-	n.mu.Unlock()
-	s.PeakStagedBlocks = n.stagedPeak.Load()
-	return s
+	defer n.mu.Unlock()
+	return n.stats
 }
 
 // handle dispatches incoming network messages. It runs on the endpoint's
@@ -449,22 +419,28 @@ func (p proposer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOu
 	return p.n.sealProposal(entries)
 }
 
-// ValidateEntries implements mempool.Ledger.
+// ValidateEntries implements mempool.Ledger. While the summary slot is
+// still due, every entry fails with ErrSummaryPending, so a batch whose
+// seal stalled on the vote fails once instead of being re-sealed.
 func (p proposer) ValidateEntries(entries []*block.Entry) error {
 	if err := p.n.StoreErr(); err != nil {
 		return err
 	}
-	return p.n.Chain().ValidateEntries(entries)
+	c := p.n.Chain()
+	if c.NextIsSummary() {
+		return ErrSummaryPending
+	}
+	return c.ValidateEntries(entries)
 }
 
 // sealProposal is the node's single sealing path: build a normal block
 // from the batch, seal it with the consensus engine, append it, gossip
 // it, and kick the summary vote when the next slot is a summary slot.
 // When that next slot is ALREADY a summary slot, the proposal must wait
-// for the quorum vote to land the summary first; if the vote does not
-// complete within the budget (lost votes, minority partition), the
-// batch fails with ErrSummaryPending and the pipeline's retry/receipt
-// machinery reports it to the callers.
+// for the quorum vote to land the summary first; if the vote is not
+// decided within summaryWait (lost votes, minority partition), the
+// proposal fails with ErrSummaryPending and the batch's receipts report
+// it to the callers.
 func (n *Node) sealProposal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
 	n.sealMu.Lock()
 	defer n.sealMu.Unlock()
@@ -494,20 +470,21 @@ func (n *Node) sealProposal(entries []*block.Entry) ([]*block.Block, []mempool.M
 }
 
 // waitSummaryApplied announces our vote for the due summary block and
-// polls briefly for the quorum decision to apply it. It reports whether
-// the summary landed (votes are applied by the network delivery
-// goroutines, so polling — not re-entering the tally — is correct
-// here).
+// waits, at most summaryWait, for the round to be decided. Votes are
+// tallied on the network delivery goroutines, which close the round's
+// decided channel. It reports whether the summary landed.
 func (n *Node) waitSummaryApplied(c *chain.Chain) bool {
 	n.announceSummary(c)
-	deadline := time.Now().Add(summaryWait)
-	for c.NextIsSummary() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(100 * time.Microsecond)
+	n.mu.Lock()
+	decided := n.talliesFor(c.NextNumber()).decided
+	n.mu.Unlock()
+	timer := time.NewTimer(summaryWait)
+	defer timer.Stop()
+	select {
+	case <-decided:
+	case <-timer.C:
 	}
-	return true
+	return !c.NextIsSummary()
 }
 
 // Submit enqueues entries into the node's proposal pipeline and returns
@@ -819,18 +796,18 @@ func (n *Node) handleSyncResp(env wire.Envelope) {
 	n.afterAppend()
 }
 
-// handleSnapshotResp streams a quorum peer's chunked snapshot offer into
-// the chain restore. Chunk 0 opens a session — after the
-// resurrection-floor check on the offered marker — and starts a consumer
-// goroutine running chain.RestoreStream on a channel-fed block sequence;
-// every in-order chunk decodes its blocks and feeds them through. Memory
-// stays bounded by one chunk, not by the offered chain's length. These
-// are a peer's bytes: RestoreStream verifies every owner signature,
-// which a node reopening its own store (store.Open) does not. The final
-// chunk closes the feed, and the restored chain is adopted
-// (adoptRestored) only when it is integrity-clean and strictly ahead of
-// the local head. Out-of-order, cross-offer, or non-contiguous chunks
-// abort the session.
+// handleSnapshotResp restores a quorum peer's chunked snapshot offer in
+// place. Chunk 0 opens a session with a chain.Restorer — after the
+// resurrection-floor check on the offered marker — and every in-order
+// chunk adds its blocks to it one at a time as it decodes them, so the
+// offer costs one chunk of memory beyond the chain being rebuilt,
+// whatever its length. These are a peer's bytes: the Restorer verifies
+// every owner signature, which a node reopening its own store
+// (store.Open) does not. The final chunk finishes the restore, and the
+// restored chain is adopted (adoptRestored) only when it is
+// integrity-clean and strictly ahead of the local head. Out-of-order,
+// cross-offer, or non-contiguous chunks, and any block the Restorer
+// refuses, abort the session.
 func (n *Node) handleSnapshotResp(env wire.Envelope) {
 	if !n.quorum.Contains(env.Sender) || !n.offerGate(env.Sender) {
 		return
@@ -848,11 +825,10 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 			if sess.sender == env.Sender {
 				// The peer restarted its offer (e.g. after a crash):
 				// drop the stale session and start over.
-				n.abortSession(sess)
+				n.abortSession()
 			} else {
 				// One inbound offer at a time bounds restore work and
-				// staging memory; competing offers retry via later
-				// sync rounds.
+				// memory; competing offers retry via later sync rounds.
 				n.mu.Lock()
 				n.stats.OffersIgnored++
 				n.mu.Unlock()
@@ -869,7 +845,12 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 			n.noteOfferRejected(env.Sender)
 			return
 		}
-		sess = n.startSession(env.Sender, p.OfferID)
+		r, err := chain.NewRestorer(n.chainCfg)
+		if err != nil {
+			return
+		}
+		sess = &snapSession{sender: env.Sender, r: r}
+		n.sess = sess
 		n.mu.Lock()
 		n.stats.OffersStarted++
 		n.mu.Unlock()
@@ -878,19 +859,17 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 			return // no session (or someone else's): drop the straggler
 		}
 		if err := wire.SnapshotChunkFollows(sess.last, p); err != nil {
-			n.abortSession(sess) // gap, replay, or cross-offer interleave
+			n.abortSession() // gap, replay, or cross-offer interleave
 			return
 		}
 	}
-	// Feed the chunk's blocks to the restore consumer in order.
 	for _, raw := range p.Blocks {
-		b, derr := block.DecodeBlock(raw)
-		if derr != nil {
-			n.abortSession(sess)
-			return
+		b, err := block.DecodeBlock(raw)
+		if err == nil {
+			err = sess.r.Add(b)
 		}
-		if !n.feedSession(sess, snapFeedItem{b: b}) {
-			n.abortSession(sess)
+		if err != nil {
+			n.abortSession()
 			return
 		}
 	}
@@ -899,112 +878,32 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 	if !p.Last {
 		return
 	}
-	// Offer complete: close the feed, collect the restored chain.
 	n.sess = nil
-	close(sess.feed)
-	r := <-sess.res
-	if r.err != nil || r.c == nil {
-		n.mu.Lock()
-		n.stats.OffersAborted++
-		n.mu.Unlock()
+	restored, err := sess.r.Finish()
+	if err == nil {
+		if err = restored.VerifyIntegrity(); err != nil {
+			restored.Close()
+		}
+	}
+	if err != nil || !n.adoptRestored(restored) {
+		n.abortSession()
 		return
 	}
-	if n.adoptRestored(r.c) {
-		n.noteOfferAccepted(env.Sender)
-		n.mu.Lock()
-		n.stats.OffersCompleted++
-		n.mu.Unlock()
-		// The adopted chain may sit exactly on a summary boundary; the
-		// adopter must join that vote like any appender would, or a
-		// cluster with many freshly adopted nodes can starve the
-		// threshold (seen in the crash-restart-storm drill).
-		n.afterAppend()
-	} else {
-		n.mu.Lock()
-		n.stats.OffersAborted++
-		n.mu.Unlock()
-	}
+	n.noteOfferAccepted(env.Sender)
+	n.mu.Lock()
+	n.stats.OffersCompleted++
+	n.mu.Unlock()
+	// The adopted chain may sit exactly on a summary boundary; the
+	// adopter must join that vote like any appender would, or a cluster
+	// with many freshly adopted nodes can starve the threshold (seen in
+	// the crash-restart-storm drill).
+	n.afterAppend()
 }
 
-// startSession opens an inbound offer session and its restore consumer.
-// The feed holds up to one full wire-max chunk so the delivery goroutine
-// never blocks between chunks of a well-paced offer; the staged gauge
-// tracks blocks parked in it.
-func (n *Node) startSession(sender string, offerID uint64) *snapSession {
-	sess := &snapSession{
-		sender:  sender,
-		offerID: offerID,
-		feed:    make(chan snapFeedItem, wire.MaxSnapshotChunkBlocks),
-		res:     make(chan snapResult, 1),
-		dead:    make(chan struct{}),
-	}
-	n.sess = sess
-	go func() {
-		c, err := chain.RestoreStream(n.chainCfg, func(yield func(*block.Block, error) bool) {
-			for {
-				select {
-				case it, ok := <-sess.feed:
-					if !ok {
-						return
-					}
-					n.staged.Add(-1)
-					if !yield(it.b, it.err) || it.err != nil {
-						return
-					}
-				case <-n.quit:
-					yield(nil, errors.New("node: closed during snapshot restore"))
-					return
-				}
-			}
-		})
-		close(sess.dead)
-		if err == nil && c != nil {
-			if verr := c.VerifyIntegrity(); verr != nil {
-				c.Close()
-				c, err = nil, verr
-			}
-		}
-		sess.res <- snapResult{c: c, err: err}
-	}()
-	return sess
-}
-
-// feedSession hands one item to the session's consumer, maintaining the
-// staged-blocks gauge. It returns false when the consumer is gone
-// (restore already failed), so the caller aborts instead of wedging.
-func (n *Node) feedSession(sess *snapSession, it snapFeedItem) bool {
-	staged := n.staged.Add(1)
-	for {
-		peak := n.stagedPeak.Load()
-		if staged <= peak || n.stagedPeak.CompareAndSwap(peak, staged) {
-			break
-		}
-	}
-	select {
-	case sess.feed <- it:
-		return true
-	case <-sess.dead:
-		n.staged.Add(-1)
-		return false
-	}
-}
-
-// abortSession tears down the active inbound offer: the feed is closed,
-// the consumer's outcome is drained (closing any chain it built), and
-// the staged gauge sheds whatever was still parked.
-func (n *Node) abortSession(sess *snapSession) {
-	if n.sess == sess {
-		n.sess = nil
-	}
-	close(sess.feed)
-	r := <-sess.res
-	if r.c != nil {
-		r.c.Close()
-	}
-	// Whatever the consumer never drained is no longer staged.
-	for range sess.feed {
-		n.staged.Add(-1)
-	}
+// abortSession drops the inbound offer, if one is open, and counts the
+// offer as aborted. The restorer holds nothing but memory.
+func (n *Node) abortSession() {
+	n.sess = nil
 	n.mu.Lock()
 	n.stats.OffersAborted++
 	n.mu.Unlock()
@@ -1166,6 +1065,7 @@ func (n *Node) talliesFor(num uint64) *voteState {
 		st = &voteState{
 			counts:   make(map[codec.Hash]int),
 			voted:    make(map[string]codec.Hash),
+			decided:  make(chan struct{}),
 			evidence: make(map[string]map[codec.Hash][]byte),
 			relayed:  make(map[string]map[codec.Hash]bool),
 		}
@@ -1344,7 +1244,7 @@ func (n *Node) recordVote(sender string, v wire.VotePayload) {
 // majority voted for the same hash. A majority on a different hash means
 // this node's state diverged: it marks itself forked (§IV-B: "In case of
 // a failure, the hash of the blocks are different, which would result in
-// a fork").
+// a fork"). Either way the round's decided channel is then closed.
 func (n *Node) maybeApplySummary(num uint64) {
 	n.mu.Lock()
 	st := n.tallies[num]
@@ -1368,6 +1268,7 @@ func (n *Node) maybeApplySummary(num uint64) {
 	st.applied = true
 	local := st.localHash
 	n.mu.Unlock()
+	defer close(st.decided)
 
 	if winner != local {
 		n.mu.Lock()
@@ -1460,12 +1361,4 @@ func (n *Node) buildLookupResp(req wire.LookupReqPayload) wire.LookupRespPayload
 		resp.LeafBytes = holder.Entries[loc.Index].Encode()
 	}
 	return resp
-}
-
-// CorruptForTest mutates the node's deletion-mark state so its next
-// summary diverges — used by the fork-detection tests (E11) to model a
-// faulty or malicious node. It marks the given ref deleted without any
-// authorization.
-func (n *Node) CorruptForTest(ref block.Ref) {
-	n.Chain().InjectMarkForTest(ref)
 }

@@ -41,7 +41,7 @@ type syncer interface {
 // caller's own store, written by an earlier run of this same code, and
 // that is the trust boundary: the restore checks bytes and links, not
 // owner signatures (chain.RestoreOwnStream). Blocks that came from
-// anyone else go through chain.RestoreStream instead. Either way
+// anyone else go through a chain.Restorer instead. Either way
 // the store's surviving deletion records seed the chain's tombstones,
 // and from then on every append and truncation of the chain is written
 // through to s. A write that fails is latched on the chain
