@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
 	"sync"
 	"time"
 
@@ -57,73 +56,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// ErrSummaryPending is returned while the quorum vote for the due
-// summary block is still incomplete (e.g. votes were lost on a lossy
-// network, or the node sits in a minority partition). The write that
-// hit it announced the node's vote once; it is not re-sealed. Further
-// announcements come from Config.VoteRetryInterval or from the caller
-// retrying once the network settles.
-var ErrSummaryPending = errors.New("node: summary vote pending")
-
 // ErrClosed is returned by writes after Close. It wraps the pipeline's
 // closed sentinel, so applications classify both with one errors.Is
 // against the root façade's ErrClosed.
 var ErrClosed = fmt.Errorf("node: %w", mempool.ErrClosed)
-
-// summaryWait bounds how long a proposal blocks on a due summary vote
-// before reporting ErrSummaryPending. On an in-process network the vote
-// settles in microseconds; the budget only matters under partitions and
-// message loss, where failing fast (and letting the caller retry) beats
-// stalling the flusher. It is wall-clock time, not the network's
-// simulated clock: virtual time moves only inside netsim's Flush, and in
-// the drills the caller blocked in the wait is the one who would call it.
-const summaryWait = 25 * time.Millisecond
-
-// voteState tracks the quorum votes for one pending summary block.
-type voteState struct {
-	counts    map[codec.Hash]int
-	voted     map[string]codec.Hash // sender → hash it voted for
-	localHash codec.Hash
-	localSet  bool
-	applied   bool
-	// decided is closed once the round is decided (maybeApplySummary):
-	// the summary is appended or the node found itself forked.
-	decided chan struct{}
-	// evidence keeps the raw signed vote envelopes seen per sender for
-	// this round, keyed by claimed hash. Two entries for one sender are
-	// proof of equivocation: both are relayable and independently
-	// verifiable by any peer.
-	evidence map[string]map[codec.Hash][]byte
-	// relayed tracks which disagreeing (sender, hash) votes we already
-	// forwarded as evidence, so relay-on-disagreement sends each at most
-	// once.
-	relayed map[string]map[codec.Hash]bool
-}
-
-// offerRejectLimit is how many consecutive resurrection-rejected catch-up
-// offers a peer may send before the node stops reading its offers
-// entirely (satellite defense against forged-snapshot spam). The counter
-// resets when the node itself asks that peer for data again.
-const offerRejectLimit = 3
-
-// SyncStats counts the node's catch-up traffic: snapshot offers by
-// outcome and chunk flow in both directions.
-type SyncStats struct {
-	// OffersStarted..OffersIgnored count received snapshot offers:
-	// accepted-and-streaming, adopted, failed mid-stream, rejected by the
-	// resurrection floor, dropped before decode because the sender is in
-	// rejection backoff, and dropped because another offer was already
-	// streaming.
-	OffersStarted    uint64
-	OffersCompleted  uint64
-	OffersAborted    uint64
-	OffersRejected   uint64
-	OffersSuppressed uint64
-	OffersIgnored    uint64
-	// ChunksSent and ChunksReceived count snapshot chunks on the wire.
-	ChunksSent     uint64
-	ChunksReceived uint64
-}
 
 // Node is one anchor node.
 type Node struct {
@@ -174,16 +110,6 @@ type Node struct {
 
 	// stats counters below are guarded by mu.
 	stats SyncStats
-}
-
-// snapSession is one inbound snapshot offer being restored. Its chunks
-// arrive on the endpoint's delivery goroutine, which adds each block to
-// the restorer as it decodes it, so nothing of the offer outlives the
-// chunk in hand but the chain being rebuilt.
-type snapSession struct {
-	sender string
-	last   wire.SnapshotPayload // last accepted chunk's header (no blocks)
-	r      *chain.Restorer
 }
 
 // New creates an anchor node and joins it to the network. With a
@@ -342,33 +268,6 @@ func (n *Node) ProveDeleted(ref block.Ref) (*chain.DeletedProof, error) {
 	return n.Chain().ProveDeleted(ref)
 }
 
-// Forked reports whether the node detected divergence from the quorum.
-func (n *Node) Forked() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.forked
-}
-
-// Equivocators returns the quorum members this node holds equivocation
-// proof against (two conflicting signed votes for one round), sorted.
-func (n *Node) Equivocators() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.equivocators))
-	for name := range n.equivocators {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// SyncStats snapshots the node's catch-up counters.
-func (n *Node) SyncStats() SyncStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
 // handle dispatches incoming network messages. It runs on the endpoint's
 // delivery goroutine.
 func (n *Node) handle(msg netsim.Message) {
@@ -394,908 +293,6 @@ func (n *Node) handle(msg netsim.Message) {
 	case wire.KindSnapshotResp:
 		n.handleSnapshotResp(env)
 	}
-}
-
-// warmEntries pre-verifies a submitted group while its batch is still
-// assembling: entry signatures and deletion co-signatures populate the
-// verified-signature cache, so the sealing flush re-checks them for
-// cache hits instead of Ed25519 cost.
-func (n *Node) warmEntries(entries []*block.Entry) <-chan struct{} {
-	c := n.Chain()
-	return c.Verifier().Warm(c.Registry(), entries)
-}
-
-// proposer adapts the node's proposal path to the batching pipeline's
-// Ledger interface: sealed batches become proposed blocks.
-type proposer struct{ n *Node }
-
-// Seal implements mempool.Ledger. After a store failure nothing more is
-// sealed: the pipeline then asks ValidateEntries which entries to
-// reject, and that answers with the same error for every one.
-func (p proposer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
-	if err := p.n.StoreErr(); err != nil {
-		return nil, nil, err
-	}
-	return p.n.sealProposal(entries)
-}
-
-// ValidateEntries implements mempool.Ledger. While the summary slot is
-// still due, every entry fails with ErrSummaryPending, so a batch whose
-// seal stalled on the vote fails once instead of being re-sealed.
-func (p proposer) ValidateEntries(entries []*block.Entry) error {
-	if err := p.n.StoreErr(); err != nil {
-		return err
-	}
-	c := p.n.Chain()
-	if c.NextIsSummary() {
-		return ErrSummaryPending
-	}
-	return c.ValidateEntries(entries)
-}
-
-// sealProposal is the node's single sealing path: build a normal block
-// from the batch, seal it with the consensus engine, append it, gossip
-// it, and kick the summary vote when the next slot is a summary slot.
-// When that next slot is ALREADY a summary slot, the proposal must wait
-// for the quorum vote to land the summary first; if the vote is not
-// decided within summaryWait (lost votes, minority partition), the
-// proposal fails with ErrSummaryPending and the batch's receipts report
-// it to the callers.
-func (n *Node) sealProposal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
-	n.sealMu.Lock()
-	defer n.sealMu.Unlock()
-	c := n.Chain()
-	if c.NextIsSummary() {
-		if !n.waitSummaryApplied(c) {
-			return nil, nil, ErrSummaryPending
-		}
-		c = n.Chain()
-	}
-	b, err := c.BuildNormal(entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := n.engine.Seal(b); err != nil {
-		return nil, nil, fmt.Errorf("node: seal: %w", err)
-	}
-	outcomes, err := c.AppendBlockOutcomes(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n.ep != nil {
-		n.ep.Broadcast(wire.KindBlock, wire.SealEnvelope(n.key, wire.KindBlock, b.Encode()))
-	}
-	n.afterAppend()
-	return []*block.Block{b}, outcomes, nil
-}
-
-// waitSummaryApplied announces our vote for the due summary block and
-// waits, at most summaryWait, for the round to be decided. Votes are
-// tallied on the network delivery goroutines, which close the round's
-// decided channel. It reports whether the summary landed.
-func (n *Node) waitSummaryApplied(c *chain.Chain) bool {
-	n.announceSummary(c)
-	n.mu.Lock()
-	decided := n.talliesFor(c.NextNumber()).decided
-	n.mu.Unlock()
-	timer := time.NewTimer(summaryWait)
-	defer timer.Stop()
-	select {
-	case <-decided:
-	case <-timer.C:
-	}
-	return !c.NextIsSummary()
-}
-
-// Submit enqueues entries into the node's proposal pipeline and returns
-// one Receipt per entry: the node's one write path. Entries from
-// many goroutines coalesce into proposed blocks exactly like a
-// single-process chain's Submit; each receipt resolves to the entry's
-// stable Ref (and deletion-mark outcome) once its block is sealed and
-// gossiped. Entries reach the peers inside the sealed block — a
-// receipt therefore implies the entry is on the node's chain and on the
-// wire to every reachable peer.
-func (n *Node) Submit(ctx context.Context, entries ...*block.Entry) ([]mempool.Receipt, error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	return n.prop.Submit(ctx, entries...)
-}
-
-// SubmitWait submits entries and blocks until every receipt resolves,
-// failing fast on the first per-entry error.
-func (n *Node) SubmitWait(ctx context.Context, entries ...*block.Entry) ([]mempool.Sealed, error) {
-	receipts, err := n.Submit(ctx, entries...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]mempool.Sealed, len(receipts))
-	for i, r := range receipts {
-		s, err := r.Wait(ctx)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// PipelineStats returns the node's proposal-pipeline counters (sealed
-// batches, receipts, backpressure) merged with the chain's
-// verification, compaction, and index gauges.
-func (n *Node) PipelineStats() mempool.Stats {
-	s := n.prop.Stats()
-	cs := n.Chain().PipelineStats()
-	s.Verify = cs.Verify
-	s.Compaction = cs.Compaction
-	s.Index = cs.Index
-	return s
-}
-
-// AppendEmpty seals an empty normal block through the proposal path:
-// the filler block "regularly added … if no transaction has occurred"
-// so pending deletions execute (§IV-D.3), named like
-// chain.Chain.AppendEmpty. Like a write, it waits briefly for a due
-// summary vote and fails with ErrSummaryPending while that vote stays
-// incomplete.
-func (n *Node) AppendEmpty() (*block.Block, error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	blocks, _, err := n.sealProposal(nil)
-	if err != nil {
-		return nil, err
-	}
-	return blocks[0], nil
-}
-
-func (n *Node) handleBlock(env wire.Envelope) {
-	b, err := block.DecodeBlock(env.Body)
-	if err != nil {
-		return
-	}
-	c := n.Chain()
-	if err := c.AppendBlock(b); err != nil {
-		// A gap means we fell behind (e.g. a healed partition): ask the
-		// sender for the missing suffix (§V-B.4 recovery via anchors).
-		if errors.Is(err, chain.ErrNotNext) && b.Header.Number > c.Head().Number+1 {
-			n.requestSync(env.Sender)
-		}
-		// Otherwise: stale or conflicting block. A summary mismatch means
-		// WE may be the forked party only if the majority agrees with the
-		// sender; that is decided by the vote, not here.
-		return
-	}
-	n.afterAppend()
-}
-
-// requestSync asks peer for everything after our head. Asking is a
-// deliberate act, so it lifts any offer-rejection backoff against that
-// peer: the answer we just solicited will be read.
-func (n *Node) requestSync(peer string) {
-	if n.ep == nil {
-		return
-	}
-	n.mu.Lock()
-	delete(n.offerRejects, peer)
-	delete(n.suppressedLog, peer)
-	n.mu.Unlock()
-	body := wire.EncodeSyncReq(wire.SyncReqPayload{HeadNumber: n.Chain().Head().Number})
-	_ = n.ep.Send(peer, wire.KindSyncReq, wire.SealEnvelope(n.key, wire.KindSyncReq, body))
-}
-
-// offerGate applies the per-peer offer backoff: once a peer has had
-// offerRejectLimit consecutive offers rejected by the resurrection
-// floor, further unsolicited offers are dropped before decoding (logged
-// once per suppression episode). Returns false when the offer must be
-// ignored.
-func (n *Node) offerGate(peer string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.equivocators[peer] {
-		n.stats.OffersSuppressed++
-		return false
-	}
-	if n.offerRejects[peer] < offerRejectLimit {
-		return true
-	}
-	n.stats.OffersSuppressed++
-	if !n.suppressedLog[peer] {
-		n.suppressedLog[peer] = true
-		n.logf("node %s: suppressing catch-up offers from %s after %d resurrection-rejected offers", n.name, peer, n.offerRejects[peer])
-	}
-	return false
-}
-
-// noteOfferRejected records a resurrection-floor rejection of an offer
-// from peer; noteOfferAccepted clears the strike counter.
-func (n *Node) noteOfferRejected(peer string) {
-	n.mu.Lock()
-	n.offerRejects[peer]++
-	n.stats.OffersRejected++
-	n.mu.Unlock()
-}
-
-func (n *Node) noteOfferAccepted(peer string) {
-	n.mu.Lock()
-	delete(n.offerRejects, peer)
-	delete(n.suppressedLog, peer)
-	n.mu.Unlock()
-}
-
-// handleSyncReq serves catch-up data. A requester still inside our live
-// window gets the incremental suffix it can append directly; one whose
-// continuation point was already truncated away gets the
-// snapshot-anchored status quo instead — marker, head, and the live
-// blocks — which it adopts wholesale (the marker block "is a trusted
-// anchor … already approved by the anchor nodes", §IV-C).
-func (n *Node) handleSyncReq(env wire.Envelope) {
-	if n.ep == nil {
-		return
-	}
-	req, err := wire.DecodeSyncReq(env.Body)
-	if err != nil {
-		return
-	}
-	c := n.Chain()
-	from := req.HeadNumber + 1
-	if from < c.Marker() {
-		n.sendSnapshot(env.Sender, c)
-		return
-	}
-	resp := wire.SyncRespPayload{}
-	if head, ok := c.TombstoneHead(); ok {
-		resp.ManifestSeq = head.Seq
-		resp.ManifestMarker = head.NewMarker
-	}
-	for b := range c.BlocksSeq() {
-		if b.Header.Number < from {
-			continue
-		}
-		// Incremental catch-up may be partial: the requester appends
-		// what fits under the wire bound, and the gap its next gossip
-		// reveals triggers another sync round for the rest.
-		if len(resp.Blocks) == wire.MaxSyncBlocks {
-			break
-		}
-		resp.Blocks = append(resp.Blocks, b.Encode())
-	}
-	if len(resp.Blocks) == 0 {
-		return
-	}
-	_ = n.ep.Send(env.Sender, wire.KindSyncResp,
-		wire.SealEnvelope(n.key, wire.KindSyncResp, wire.EncodeSyncResp(resp)))
-}
-
-// snapChunkBlocks is the sender-side chunk size. It defaults to the wire
-// maximum; tests shrink it (same package) to exercise multi-chunk offers
-// without sealing hundreds of blocks first. Receivers accept any chunk
-// up to the wire bound, so the two sides need not agree.
-var snapChunkBlocks = wire.MaxSnapshotChunkBlocks
-
-// sendSnapshot streams our snapshot-anchored live chain to peer as a
-// sequence of bounded chunks sharing one offer ID. The offer's marker
-// and head are taken from the streamed blocks themselves, so the stream
-// is internally consistent even if a truncation lands concurrently. At
-// no point does the whole live window sit encoded in memory — the send
-// buffer holds at most one chunk.
-//
-// A ForgedSnapshot node serves the first offer it ever built, forever:
-// the replayed chunks are re-signed fresh (the forger IS a quorum
-// member; its signatures are genuine) but anchor at a marker the quorum
-// has long moved past — the receiver's resurrection floor is what must
-// catch that.
-func (n *Node) sendSnapshot(peer string, c *chain.Chain) {
-	n.mu.Lock()
-	n.snapOfferSeq++
-	offerID := n.snapOfferSeq
-	frozen := n.frozenOfferSet
-	replay := append([]wire.SnapshotPayload(nil), n.frozenOffer...)
-	n.mu.Unlock()
-
-	if n.byzantine.ReplaysStaleSnapshot() && frozen {
-		for _, p := range replay {
-			p.OfferID = offerID
-			n.sendSnapshotChunk(peer, p)
-		}
-		return
-	}
-
-	var sent []wire.SnapshotPayload
-	base := wire.SnapshotPayload{OfferID: offerID}
-	if head, ok := c.TombstoneHead(); ok {
-		base.ManifestSeq = head.Seq
-		base.ManifestMarker = head.NewMarker
-	}
-	chunk := base
-	idx := uint32(0)
-	flush := func(last bool) {
-		chunk.Chunk = idx
-		chunk.Last = last
-		n.sendSnapshotChunk(peer, chunk)
-		sent = append(sent, chunk)
-		idx++
-		next := base
-		next.Marker = chunk.Head + 1
-		chunk = next
-	}
-	for b := range c.BlocksSeq() {
-		if len(chunk.Blocks) >= snapChunkBlocks {
-			flush(false)
-		}
-		if len(chunk.Blocks) == 0 {
-			chunk.Marker = b.Header.Number
-		}
-		chunk.Head = b.Header.Number
-		chunk.Blocks = append(chunk.Blocks, b.Encode())
-	}
-	if len(chunk.Blocks) == 0 {
-		return
-	}
-	flush(true)
-
-	if n.byzantine.ReplaysStaleSnapshot() {
-		n.mu.Lock()
-		if !n.frozenOfferSet {
-			n.frozenOffer = sent
-			n.frozenOfferSet = true
-		}
-		n.mu.Unlock()
-	}
-}
-
-func (n *Node) sendSnapshotChunk(peer string, p wire.SnapshotPayload) {
-	_ = n.ep.Send(peer, wire.KindSnapshotResp,
-		wire.SealEnvelope(n.key, wire.KindSnapshotResp, wire.EncodeSnapshot(p)))
-	n.mu.Lock()
-	n.stats.ChunksSent++
-	n.mu.Unlock()
-}
-
-func (n *Node) handleSyncResp(env wire.Envelope) {
-	// Only quorum members are trusted for catch-up data, and peers in
-	// offer-rejection backoff are not read at all.
-	if !n.quorum.Contains(env.Sender) || !n.offerGate(env.Sender) {
-		return
-	}
-	resp, err := wire.DecodeSyncResp(env.Body)
-	if err != nil || len(resp.Blocks) == 0 {
-		return
-	}
-	c := n.Chain()
-	// Resurrection guard: our own deletion manifest is authoritative.
-	// Any offered block below the highest marker we recorded a deletion
-	// for would re-introduce data the quorum erased — drop the whole
-	// offer, whatever manifest head the sender claims, and give the
-	// sender a strike toward offer suppression.
-	floor := c.ResurrectionFloor()
-	appended := false
-	for _, raw := range resp.Blocks {
-		b, err := block.DecodeBlock(raw)
-		if err != nil {
-			return
-		}
-		if b.Header.Number < floor {
-			n.noteOfferRejected(env.Sender)
-			return
-		}
-		if err := c.AppendBlock(b); err != nil {
-			return // stale or diverged; a later gossip round retries
-		}
-		appended = true
-	}
-	if appended {
-		n.noteOfferAccepted(env.Sender)
-	}
-	n.afterAppend()
-}
-
-// handleSnapshotResp restores a quorum peer's chunked snapshot offer in
-// place. Chunk 0 opens a session with a chain.Restorer — after the
-// resurrection-floor check on the offered marker — and every in-order
-// chunk adds its blocks to it one at a time as it decodes them, so the
-// offer costs one chunk of memory beyond the chain being rebuilt,
-// whatever its length. These are a peer's bytes: the Restorer verifies
-// every owner signature, which a node reopening its own store
-// (store.Open) does not. The final chunk finishes the restore, and the
-// restored chain is adopted (adoptRestored) only when it is
-// integrity-clean and strictly ahead of the local head. Out-of-order,
-// cross-offer, or non-contiguous chunks, and any block the Restorer
-// refuses, abort the session.
-func (n *Node) handleSnapshotResp(env wire.Envelope) {
-	if !n.quorum.Contains(env.Sender) || !n.offerGate(env.Sender) {
-		return
-	}
-	p, err := wire.DecodeSnapshot(env.Body)
-	if err != nil {
-		return
-	}
-	n.mu.Lock()
-	n.stats.ChunksReceived++
-	n.mu.Unlock()
-	sess := n.sess
-	if p.Chunk == 0 {
-		if sess != nil {
-			if sess.sender == env.Sender {
-				// The peer restarted its offer (e.g. after a crash):
-				// drop the stale session and start over.
-				n.abortSession()
-			} else {
-				// One inbound offer at a time bounds restore work and
-				// memory; competing offers retry via later sync rounds.
-				n.mu.Lock()
-				n.stats.OffersIgnored++
-				n.mu.Unlock()
-				return
-			}
-		}
-		// Resurrection guard: a snapshot anchored below our own recorded
-		// deletion floor would hand back blocks this node witnessed the
-		// quorum delete (e.g. a stale or malicious peer replaying an old
-		// status quo). The floor outlives the blocks themselves — it is
-		// re-seeded from the store's DELETIONS log on restart — so the
-		// check holds even when the local chain was rebuilt from scratch.
-		if p.Marker < n.Chain().ResurrectionFloor() {
-			n.noteOfferRejected(env.Sender)
-			return
-		}
-		r, err := chain.NewRestorer(n.chainCfg)
-		if err != nil {
-			return
-		}
-		sess = &snapSession{sender: env.Sender, r: r}
-		n.sess = sess
-		n.mu.Lock()
-		n.stats.OffersStarted++
-		n.mu.Unlock()
-	} else {
-		if sess == nil || sess.sender != env.Sender {
-			return // no session (or someone else's): drop the straggler
-		}
-		if err := wire.SnapshotChunkFollows(sess.last, p); err != nil {
-			n.abortSession() // gap, replay, or cross-offer interleave
-			return
-		}
-	}
-	for _, raw := range p.Blocks {
-		b, err := block.DecodeBlock(raw)
-		if err == nil {
-			err = sess.r.Add(b)
-		}
-		if err != nil {
-			n.abortSession()
-			return
-		}
-	}
-	sess.last = p
-	sess.last.Blocks = nil
-	if !p.Last {
-		return
-	}
-	n.sess = nil
-	restored, err := sess.r.Finish()
-	if err == nil {
-		if err = restored.VerifyIntegrity(); err != nil {
-			restored.Close()
-		}
-	}
-	if err != nil || !n.adoptRestored(restored) {
-		n.abortSession()
-		return
-	}
-	n.noteOfferAccepted(env.Sender)
-	n.mu.Lock()
-	n.stats.OffersCompleted++
-	n.mu.Unlock()
-	// The adopted chain may sit exactly on a summary boundary; the
-	// adopter must join that vote like any appender would, or a cluster
-	// with many freshly adopted nodes can starve the threshold (seen in
-	// the crash-restart-storm drill).
-	n.afterAppend()
-}
-
-// abortSession drops the inbound offer, if one is open, and counts the
-// offer as aborted. The restorer holds nothing but memory.
-func (n *Node) abortSession() {
-	n.sess = nil
-	n.mu.Lock()
-	n.stats.OffersAborted++
-	n.mu.Unlock()
-}
-
-// adoptRestored swaps the node onto a fully restored, integrity-checked
-// chain when it is strictly ahead of the local head, re-pointing the
-// local store at it — the old suffix below the new marker is physically
-// deleted, exactly as if this node had executed the quorum's
-// truncations itself. Returns whether the adoption happened; a rejected
-// chain is closed here.
-func (n *Node) adoptRestored(restored *chain.Chain) bool {
-	// sealMu excludes the proposal pipeline for the whole adoption:
-	// gossip and vote appends run on this same delivery goroutine, so
-	// with the flusher held off, nothing can append to either chain
-	// until the store is re-pointed — the persisted suffix can have no
-	// gap between Attach's backfill and its listener registration.
-	n.sealMu.Lock()
-	defer n.sealMu.Unlock()
-	n.mu.Lock()
-	if n.closed || restored.Head().Number <= n.chain.Head().Number || restored.Marker() < n.chain.Marker() {
-		n.mu.Unlock()
-		restored.Close()
-		return false
-	}
-	old := n.chain
-	n.chain = restored
-	n.tallies = make(map[uint64]*voteState)
-	n.forked = false
-	n.mu.Unlock()
-	// Drain the old chain first (its compactor may still prune the
-	// store with pre-adoption markers; the segment store rejects those
-	// backwards marker moves), then re-point the store at the adopted
-	// chain: Attach backfills the new live suffix and deletes
-	// everything below the new marker.
-	old.Close()
-	if n.store != nil {
-		if err := store.Attach(restored, n.store); err != nil {
-			// The node keeps serving from memory, but persistence is
-			// broken: surface it instead of silently restoring a
-			// pre-adoption (quorum-deleted) suffix on the next restart.
-			n.mu.Lock()
-			n.storeErr = err
-			n.mu.Unlock()
-		}
-	}
-	return true
-}
-
-// StoreErr reports a persistence failure the node could not surface
-// through a return value: a failed store re-point during snapshot
-// adoption, or a block or prune of the current chain that did not reach
-// the store (chain.ErrStore). A non-nil value means the store must not
-// be trusted for a restart.
-func (n *Node) StoreErr() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.storeErr != nil {
-		return n.storeErr
-	}
-	return n.chain.StoreErr()
-}
-
-// afterAppend starts the summary-vote round if a summary slot is due.
-func (n *Node) afterAppend() {
-	c := n.Chain()
-	if !c.NextIsSummary() {
-		return
-	}
-	n.announceSummary(c)
-}
-
-// announceSummary computes the due summary block locally (§IV-B: every
-// node builds Σ itself), records it as our position for the vote round,
-// and emits the vote traffic the node's behaviour plans: an honest node
-// broadcasts its vote, a withholder stays silent, an equivocator tells
-// each half of the quorum a different hash (attack.PlanSummaryVotes).
-// Safe to call repeatedly — re-announcement is the repair protocol for
-// lost votes. With Config.VoteRetryInterval set, a retry timer re-runs
-// this until the vote lands.
-func (n *Node) announceSummary(c *chain.Chain) {
-	local, err := c.BuildSummary()
-	if err != nil {
-		return
-	}
-	num := local.Header.Number
-	marker := c.Marker() // marker before the shift; vote carries it for audit
-	vote := wire.VotePayload{Number: num, Hash: local.Hash(), Marker: marker, Approve: true}
-
-	n.mu.Lock()
-	st := n.talliesFor(num)
-	st.localHash = local.Hash()
-	st.localSet = true
-	n.mu.Unlock()
-
-	peers := make([]string, 0, n.quorum.Size()-1)
-	for _, m := range n.quorum.Members() {
-		if m != n.name {
-			peers = append(peers, m)
-		}
-	}
-	sends, countSelf := attack.PlanSummaryVotes(n.byzantine, peers, vote)
-	if n.ep != nil {
-		for _, s := range sends {
-			sealed := wire.SealEnvelope(n.key, wire.KindVote, wire.EncodeVote(s.Payload))
-			if s.Peer == "" {
-				n.ep.Broadcast(wire.KindVote, sealed)
-			} else {
-				_ = n.ep.Send(s.Peer, wire.KindVote, sealed)
-			}
-		}
-	}
-	if countSelf {
-		n.recordVote(n.name, vote)
-	} else {
-		// Votes may already have arrived before our position was set;
-		// re-evaluate the tally without announcing anything.
-		n.maybeApplySummary(num)
-	}
-	if c.NextIsSummary() {
-		n.armVoteRetry()
-	}
-}
-
-// armVoteRetry schedules a vote re-announcement if self-driving retries
-// are configured and none is already pending. The timer is one-shot and
-// re-arms from its own firing while the summary stays pending, so a
-// settled vote leaves no timer behind.
-func (n *Node) armVoteRetry() {
-	if n.voteRetry <= 0 || n.ep == nil {
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.retryTimer != nil {
-		return
-	}
-	n.retryTimer = time.AfterFunc(n.voteRetry, n.voteRetryFire)
-}
-
-func (n *Node) voteRetryFire() {
-	n.mu.Lock()
-	n.retryTimer = nil
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
-		return
-	}
-	c := n.Chain()
-	if !c.NextIsSummary() {
-		return
-	}
-	n.announceSummary(c) // re-arms while still pending
-}
-
-func (n *Node) talliesFor(num uint64) *voteState {
-	st, ok := n.tallies[num]
-	if !ok {
-		st = &voteState{
-			counts:   make(map[codec.Hash]int),
-			voted:    make(map[string]codec.Hash),
-			decided:  make(chan struct{}),
-			evidence: make(map[string]map[codec.Hash][]byte),
-			relayed:  make(map[string]map[codec.Hash]bool),
-		}
-		n.tallies[num] = st
-	}
-	return st
-}
-
-func (n *Node) handleVote(env wire.Envelope) {
-	v, err := wire.DecodeVote(env.Body)
-	if err != nil || !v.Approve {
-		return
-	}
-	if !n.quorum.Contains(env.Sender) {
-		return
-	}
-	if n.observeVote(env, v) {
-		return // flagged equivocator (previously or just now): not counted
-	}
-	n.recordVote(env.Sender, v)
-	// A vote for a round beyond our head means we missed blocks: sync.
-	if v.Number > n.Chain().Head().Number+1 {
-		n.requestSync(env.Sender)
-		return
-	}
-	// Answer announcements (never answers): repairs lost votes. Repair
-	// votes themselves are counted above but not answered, so the repair
-	// protocol cannot loop. A vote-withholding member never answers.
-	if !v.Repair && n.byzantine != attack.VoteWithholding {
-		n.answerVote(env.Sender, v.Number)
-	}
-}
-
-// handleVoteEvidence ingests a relayed third-party vote: the body is the
-// relayed sender's original signed envelope, verified against the same
-// registry, so a relayer cannot fabricate votes — only repeat them. The
-// inner vote flows through the same observation and tally path as a
-// direct one (without triggering answers or further relays of relays),
-// which is how conflicting votes shown to different halves of the quorum
-// end up side by side at every member.
-func (n *Node) handleVoteEvidence(env wire.Envelope) {
-	inner, err := wire.OpenEnvelope(n.Chain().Registry(), env.Body)
-	if err != nil || inner.Kind != wire.KindVote {
-		return
-	}
-	v, err := wire.DecodeVote(inner.Body)
-	if err != nil || !v.Approve {
-		return
-	}
-	if !n.quorum.Contains(inner.Sender) || inner.Sender == n.name {
-		return
-	}
-	if n.observeVote(inner, v) {
-		return
-	}
-	n.recordVote(inner.Sender, v)
-}
-
-// observeVote is the equivocation screen on every counted vote. It
-// archives the signed envelope as evidence for (round, sender, hash),
-// flags the sender once two conflicting hashes are on file (retracting
-// its counted vote and broadcasting both proofs), and relays any vote
-// that disagrees with our own locally built summary so the rest of the
-// quorum sees what we were told. Returns true when the vote must not be
-// counted (sender already flagged, or flagged by this very vote).
-func (n *Node) observeVote(env wire.Envelope, v wire.VotePayload) bool {
-	n.mu.Lock()
-	if n.equivocators[env.Sender] {
-		n.mu.Unlock()
-		return true
-	}
-	if env.Sender == n.name {
-		n.mu.Unlock()
-		return false
-	}
-	st := n.talliesFor(v.Number)
-	byHash := st.evidence[env.Sender]
-	if byHash == nil {
-		byHash = make(map[codec.Hash][]byte)
-		st.evidence[env.Sender] = byHash
-	}
-	if _, ok := byHash[v.Hash]; !ok && len(byHash) < 2 {
-		byHash[v.Hash] = wire.EncodeEnvelope(env)
-	}
-	var proofs [][]byte
-	if len(byHash) >= 2 {
-		for _, raw := range byHash {
-			proofs = append(proofs, raw)
-		}
-		n.markEquivocatorLocked(env.Sender)
-	}
-	var relay []byte
-	if proofs == nil && st.localSet && v.Hash != st.localHash {
-		seen := st.relayed[env.Sender]
-		if seen == nil {
-			seen = make(map[codec.Hash]bool)
-			st.relayed[env.Sender] = seen
-		}
-		if !seen[v.Hash] {
-			seen[v.Hash] = true
-			relay = wire.EncodeEnvelope(env)
-		}
-	}
-	n.mu.Unlock()
-
-	if n.ep != nil {
-		for _, raw := range proofs {
-			n.ep.Broadcast(wire.KindVoteEvidence, wire.SealEnvelope(n.key, wire.KindVoteEvidence, raw))
-		}
-		if relay != nil {
-			n.ep.Broadcast(wire.KindVoteEvidence, wire.SealEnvelope(n.key, wire.KindVoteEvidence, relay))
-		}
-	}
-	return proofs != nil
-}
-
-// markEquivocatorLocked flags sender and retracts any votes of theirs
-// already counted in open tallies. Caller holds mu. Applied rounds stay
-// applied — the retraction protects undecided rounds; a decided one was
-// reached by honest votes alone or not at all (conflicting minority
-// hashes can never reach the majority threshold).
-func (n *Node) markEquivocatorLocked(sender string) {
-	if n.equivocators[sender] {
-		return
-	}
-	n.equivocators[sender] = true
-	for _, st := range n.tallies {
-		if h, ok := st.voted[sender]; ok {
-			st.counts[h]--
-			if st.counts[h] <= 0 {
-				delete(st.counts, h)
-			}
-			delete(st.voted, sender)
-		}
-	}
-}
-
-// answerVote unicasts our own vote for round num back to peer, marked as
-// a repair answer.
-func (n *Node) answerVote(peer string, num uint64) {
-	if n.ep == nil {
-		return
-	}
-	n.mu.Lock()
-	st := n.tallies[num]
-	send := st != nil && st.localSet
-	var local codec.Hash
-	if send {
-		local = st.localHash
-	}
-	n.mu.Unlock()
-	if !send {
-		return
-	}
-	vote := wire.VotePayload{
-		Number: num, Hash: local, Marker: n.Chain().Marker(),
-		Approve: true, Repair: true,
-	}
-	_ = n.ep.Send(peer, wire.KindVote, wire.SealEnvelope(n.key, wire.KindVote, wire.EncodeVote(vote)))
-}
-
-func (n *Node) recordVote(sender string, v wire.VotePayload) {
-	n.mu.Lock()
-	st := n.talliesFor(v.Number)
-	if _, ok := st.voted[sender]; ok {
-		n.mu.Unlock()
-		return
-	}
-	st.voted[sender] = v.Hash
-	st.counts[v.Hash]++
-	n.mu.Unlock()
-	n.maybeApplySummary(v.Number)
-}
-
-// maybeApplySummary appends the locally built summary once a quorum
-// majority voted for the same hash. A majority on a different hash means
-// this node's state diverged: it marks itself forked (§IV-B: "In case of
-// a failure, the hash of the blocks are different, which would result in
-// a fork"). Either way the round's decided channel is then closed.
-func (n *Node) maybeApplySummary(num uint64) {
-	n.mu.Lock()
-	st := n.tallies[num]
-	if st == nil || st.applied || !st.localSet {
-		n.mu.Unlock()
-		return
-	}
-	threshold := n.quorum.Threshold()
-	var winner codec.Hash
-	decided := false
-	for h, count := range st.counts {
-		if count >= threshold {
-			winner, decided = h, true
-			break
-		}
-	}
-	if !decided {
-		n.mu.Unlock()
-		return
-	}
-	st.applied = true
-	local := st.localHash
-	n.mu.Unlock()
-	defer close(st.decided)
-
-	if winner != local {
-		n.mu.Lock()
-		n.forked = true
-		n.mu.Unlock()
-		return
-	}
-	c := n.Chain()
-	summary, err := c.BuildSummary()
-	if err != nil {
-		return // already appended via another path
-	}
-	if summary.Hash() != winner {
-		n.mu.Lock()
-		n.forked = true
-		n.mu.Unlock()
-		return
-	}
-	_ = c.AppendBlock(summary)
-	// Clean up old tallies to bound memory.
-	n.mu.Lock()
-	for old := range n.tallies {
-		if old+16 < num {
-			delete(n.tallies, old)
-		}
-	}
-	n.mu.Unlock()
 }
 
 func (n *Node) handleStatusReq(env wire.Envelope) {
