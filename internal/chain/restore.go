@@ -37,8 +37,9 @@ func Restore(cfg Config, blocks []*block.Block) (*Chain, error) {
 // open.
 //
 // Each Add checks and registers its block before it returns, so a
-// caller holds no more than the block it is adding. After an error the
-// restore is dead: Add and Finish return that error again.
+// caller holds no more than the block it is adding. After an error —
+// an invalid Config included — the restore is dead: Add and Finish
+// return that error.
 type Restorer struct {
 	c         *Chain
 	prev      *block.Block
@@ -47,12 +48,12 @@ type Restorer struct {
 }
 
 // NewRestorer starts a restore of somebody else's blocks.
-func NewRestorer(cfg Config) (*Restorer, error) { return newRestorer(cfg, true) }
+func NewRestorer(cfg Config) *Restorer { return newRestorer(cfg, true) }
 
-func newRestorer(cfg Config, ownerSigs bool) (*Restorer, error) {
+func newRestorer(cfg Config, ownerSigs bool) *Restorer {
 	full, err := cfg.withDefaults()
 	if err != nil {
-		return nil, err
+		return &Restorer{err: err}
 	}
 	return &Restorer{
 		c: &Chain{
@@ -65,7 +66,7 @@ func newRestorer(cfg Config, ownerSigs bool) (*Restorer, error) {
 			nextTombSeq: 1,
 		},
 		ownerSigs: ownerSigs,
-	}, nil
+	}
 }
 
 // Add checks b against the blocks added before it and registers it.
@@ -145,10 +146,7 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 // (CutBlocks, ForgottenEntries, …) restart from zero — they describe the
 // current process, not the chain's full history.
 func restoreStream(cfg Config, blocks iter.Seq2[*block.Block, error], ownerSigs bool) (*Chain, error) {
-	r, err := newRestorer(cfg, ownerSigs)
-	if err != nil {
-		return nil, err
-	}
+	r := newRestorer(cfg, ownerSigs)
 	for b, err := range blocks {
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: %w", err)

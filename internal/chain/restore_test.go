@@ -74,10 +74,7 @@ func seqOf(blocks []*block.Block) iter.Seq2[*block.Block, error] {
 // store (bytes only).
 var origins = map[string]func(Config, iter.Seq2[*block.Block, error]) (*Chain, error){
 	"foreign": func(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
-		r, err := NewRestorer(cfg)
-		if err != nil {
-			return nil, err
-		}
+		r := NewRestorer(cfg)
 		for b, err := range blocks {
 			if err != nil {
 				return nil, err
@@ -256,5 +253,18 @@ func TestVerifySignaturesRederivesMarks(t *testing.T) {
 	err := c.VerifySignatures()
 	if where := fmt.Sprintf("block %d: entry 0:", request.Block); !errors.Is(err, deletion.ErrMissingCoSign) || !strings.Contains(err.Error(), where) {
 		t.Fatalf("VerifySignatures = %v, want a missing co-signature at %s", err, where)
+	}
+}
+
+// TestRestorerCarriesConfigError pins that a Restorer built from an
+// invalid Config refuses every block and never yields a chain.
+func TestRestorerCarriesConfigError(t *testing.T) {
+	_, blocks, _ := restoreFixture(t, 1)
+	r := NewRestorer(Config{SequenceLength: 1})
+	if err := r.Add(blocks[0]); !errors.Is(err, ErrConfig) {
+		t.Fatalf("Add = %v, want ErrConfig", err)
+	}
+	if c, err := r.Finish(); c != nil || !errors.Is(err, ErrConfig) {
+		t.Fatalf("Finish = %v, %v, want no chain and ErrConfig", c, err)
 	}
 }

@@ -1,3 +1,8 @@
+// Status-quo adoption (§IV-C): swapping the node onto a restored chain
+// and re-pointing its store. It owns the chain pointer and storeErr,
+// both guarded by mu; an adoption also holds sealMu throughout, so no
+// proposal runs while the chain is swapped.
+
 package node
 
 import (

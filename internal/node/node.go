@@ -1,3 +1,8 @@
+// The Node type: its constructor and Close, the read surface, and the
+// dispatch of incoming messages to the state machines in pipeline.go,
+// vote.go, sync.go and adopt.go. It owns mu and closed, guarded by mu.
+// The fields no file names as its own are set once by New.
+
 package node
 
 import (
@@ -67,7 +72,7 @@ type Node struct {
 	name     string
 	key      *identity.KeyPair
 	chain    *chain.Chain // guarded by mu for the rare status-quo adoption swap
-	chainCfg chain.Config // engine-wired config, reused by adoptSnapshot
+	chainCfg chain.Config // engine-wired config, reused by snapshot restores
 	engine   consensus.Engine
 	quorum   *consensus.Quorum
 	ep       *netsim.Endpoint

@@ -1,3 +1,8 @@
+// The proposal pipeline: Submit and AppendEmpty seal through
+// sealProposal. It owns prop (set once by New) and sealMu, which is held
+// for a whole proposal, the bounded summary-vote wait included, and is
+// taken before mu, never under it.
+
 package node
 
 import (

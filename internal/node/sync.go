@@ -1,3 +1,8 @@
+// Catch-up: incremental sync, chunked snapshot offers and the per-peer
+// offer backoff. It owns sess, touched only by the endpoint's delivery
+// goroutine and so unlocked, and offerRejects, suppressedLog,
+// snapOfferSeq, frozenOffer, frozenOfferSet and stats, guarded by mu.
+
 package node
 
 import (
@@ -340,11 +345,7 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 			n.noteOfferRejected(env.Sender)
 			return
 		}
-		r, err := chain.NewRestorer(n.chainCfg)
-		if err != nil {
-			return
-		}
-		sess = &snapSession{sender: env.Sender, r: r}
+		sess = &snapSession{sender: env.Sender, r: chain.NewRestorer(n.chainCfg)}
 		n.sess = sess
 		n.mu.Lock()
 		n.stats.OffersStarted++
@@ -374,12 +375,8 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 		return
 	}
 	n.sess = nil
+	// Each Add ran every check VerifyIntegrity would: shape and links.
 	restored, err := sess.r.Finish()
-	if err == nil {
-		if err = restored.VerifyIntegrity(); err != nil {
-			restored.Close()
-		}
-	}
 	if err != nil || !n.adoptRestored(restored) {
 		n.abortSession()
 		return

@@ -1,3 +1,8 @@
+// Summary votes and equivocation evidence (§IV-B/C): every node builds
+// Σ itself, announces its hash, and appends Σ once a majority agrees. It
+// owns tallies, forked, equivocators, voteRetry and retryTimer, all
+// guarded by mu; mu is never held across a send or a chain append.
+
 package node
 
 import (
