@@ -10,8 +10,8 @@
 //	seldel doctor -dir DIR    # cross-validate a store directory
 //
 // The doctor subcommand checks a persistent store directory's deletion
-// manifest, snapshot checkpoint, marker file, and segment files against
-// each other; -repair heals what the store's own recovery path can fix
+// manifest, marker file, and segment files against each other and
+// flags any other file that could hold block bytes; -repair heals what the store's own recovery path can fix
 // and hydrates a missing deletion record, -archive moves applied
 // records to DELETIONS.archive.
 package main

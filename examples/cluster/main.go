@@ -15,7 +15,7 @@
 //     through the chain restore pipeline — no genesis replay, and the
 //     deleted entry is gone on every replica (§IV-C, §V-B.4).
 //  3. A store-backed node restarts: its chain comes back from the
-//     segment store's snapshot checkpoint (live suffix only) and
+//     segment store's live suffix (from the Genesis marker on) and
 //     catches up incrementally under its old name.
 package main
 
@@ -164,9 +164,10 @@ func run() error {
 		isolated.Name(), c.Head().Number, c.Marker(), c.Blocks()[0].Header.Number)
 	fmt.Printf("victim resolvable anywhere: %v (physically deleted cluster-wide)\n", anyResolves(nodes, victim))
 
-	// Phase 3 — restart from the snapshot checkpoint. The store-backed
-	// node leaves the network; on reopen its chain streams from the
-	// segment store's SNAPSHOT marker (live suffix only, no genesis).
+	// Phase 3 — restart from the segment store. The store-backed node
+	// leaves the network; on reopen its chain streams from the store's
+	// Genesis marker, kept in MANIFEST and DELETIONS (live suffix only,
+	// no genesis).
 	stored := nodes[anchors-1]
 	fmt.Printf("\nrestarting %s from its segment store …\n", stored.Name())
 	if err := stored.Close(); err != nil {

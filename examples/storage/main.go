@@ -1,8 +1,8 @@
 // Storage: the segmented persistent store end to end — appends batch
 // into bounded segment files, a deletion-driven truncation physically
-// retires segments (SizeBytes shrinks), a snapshot checkpoint is
-// written at the marker shift, and a restart restores from the
-// checkpoint instead of replaying history.
+// retires segments (SizeBytes shrinks) and durably shifts the Genesis
+// marker, and a restart restores from the marker instead of replaying
+// history.
 package main
 
 import (
@@ -33,7 +33,7 @@ func run() error {
 		return err
 	}
 	// Open the segment store explicitly (rather than WithSegmentStore)
-	// to keep the handle for SizeBytes/Snapshot observability. Tiny
+	// to keep the handle for SizeBytes/Marker observability. Tiny
 	// segments so retirement is visible in a short run.
 	store, err := seldel.NewSegmentStore(dir, seldel.SegmentOptions{SegmentBytes: 2048})
 	if err != nil {
@@ -90,18 +90,17 @@ func run() error {
 	fmt.Printf("  store size      = %d bytes in %d segment files (peak was %d — deletion reclaimed bytes)\n",
 		size, segments, peak)
 
-	snap, ok, err := store.Snapshot()
+	stored, err := store.Marker()
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("no snapshot checkpoint after truncation")
+	if stored != chain.Marker() {
+		return fmt.Errorf("store marker %d, chain marker %d", stored, chain.Marker())
 	}
-	fmt.Printf("  snapshot        = marker %d, head %d, checkpoint block kind %s\n",
-		snap.Marker, snap.Head, snap.Checkpoint.Header.Kind)
+	fmt.Printf("  store marker    = %d (durable in MANIFEST and DELETIONS)\n", stored)
 
-	// Restart: reopening the directory restores from the checkpoint —
-	// only the live suffix is replayed, however long the chain lived.
+	// Restart: reopening the directory restores from the marker — only
+	// the live suffix is replayed, however long the chain lived.
 	// These are the blocks this process wrote, so the reopen checks their
 	// bytes (checksums, Merkle roots, hash links, timestamps), not the
 	// owners' signatures.
@@ -121,7 +120,7 @@ func run() error {
 	if reopened.HeadHash() != headHash {
 		return fmt.Errorf("restored head differs")
 	}
-	fmt.Printf("\nrestored from snapshot:\n")
+	fmt.Printf("\nrestored from the marker:\n")
 	fmt.Printf("  replayed blocks = %d (the live suffix only, not the full history)\n",
 		reopened.Stats().AppendedBlocks)
 	fmt.Printf("  head            = block %d, marker %d\n",

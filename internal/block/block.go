@@ -435,7 +435,7 @@ func (b *Block) encodeTo(e *codec.Encoder) {
 
 // DecodeBlock parses a canonical block encoding and verifies the header
 // commitments (Decode, then CheckShape): the decoder for bytes that
-// arrive from elsewhere — the wire, the snapshot checkpoint.
+// arrive from elsewhere — the wire.
 func DecodeBlock(data []byte) (*Block, error) {
 	b, err := Decode(data)
 	if err != nil {

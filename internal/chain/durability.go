@@ -13,9 +13,10 @@ type DurabilityMode uint8
 const (
 	// DurabilitySeal is the default contract: a receipt resolves as
 	// soon as its block is sealed, appended, and handed to the store
-	// listeners. Durability then follows the store's own policy (fsync
-	// on segment roll and Close, or per block with SyncEvery) — a crash
-	// can lose the unsynced tail even though its receipts resolved.
+	// listeners. Durability then follows the store's own policy (the
+	// segment store fsyncs on segment roll, truncation and Close) — a
+	// crash can lose the unsynced tail even though its receipts
+	// resolved.
 	DurabilitySeal DurabilityMode = iota
 	// DurabilityGroup is the group-commit contract: receipts resolve
 	// only after Durability.Sync confirmed their blocks on stable

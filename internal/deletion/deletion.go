@@ -154,7 +154,7 @@ func cosigCheckFrom(req *block.Entry, verdicts []bool) CoSigCheck {
 // owned by the requester itself are implicitly approved (the requester
 // already signed the request). Co-signatures are verified inline and
 // serially; hot paths precheck through the pool instead
-// (ValidateRequestPooled / ValidateRequestPrechecked).
+// (PrecheckRequest, then ValidateRequestPrechecked).
 func (a *Authorizer) CheckCohesion(req *block.Entry, target *block.Entry, dependents []Dependent) error {
 	return a.checkCohesion(req, target, dependents, a.precheckSerial(req))
 }
@@ -198,17 +198,9 @@ func (a *Authorizer) checkCohesion(req *block.Entry, target *block.Entry, depend
 // requester authorization, then semantic cohesion over the live
 // dependents of the target. Signatures verify serially on the calling
 // goroutine — this is the executable spec; concurrent call sites use
-// ValidateRequestPooled or the precheck/validate split.
+// the precheck/validate split.
 func (a *Authorizer) ValidateRequest(req *block.Entry, target *block.Entry, dependents []Dependent) error {
 	return a.ValidateRequestPrechecked(req, target, dependents, a.precheckSerial(req))
-}
-
-// ValidateRequestPooled is ValidateRequest with the co-signature work
-// fanned out across the verification pool (and answered from its
-// verified-signature cache): the full §IV-D pipeline for call sites
-// that hold no lock.
-func (a *Authorizer) ValidateRequestPooled(pool *verify.Pool, req *block.Entry, target *block.Entry, dependents []Dependent) error {
-	return a.ValidateRequestPrechecked(req, target, dependents, PrecheckRequest(pool, a.registry, req))
 }
 
 // ValidateRequestPrechecked runs the stateful half of the §IV-D

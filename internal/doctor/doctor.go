@@ -1,16 +1,17 @@
 // Package doctor cross-validates the durable state of a segment store
-// directory: the deletion manifest (DELETIONS), the snapshot checkpoint
-// (SNAPSHOT), the marker file (MANIFEST), and the live segment files
-// must all tell the same story about what was deleted and what is live.
-// It backs the `seldel doctor` subcommand.
+// directory: the deletion manifest (DELETIONS), the marker file
+// (MANIFEST), and the live segment files must all tell the same story
+// about what was deleted and what is live, and no other file may hold
+// block bytes. It backs the `seldel doctor` subcommand.
 //
 // Check mode is strictly read-only — it reports drift without touching
 // a byte, so it is safe to run against a directory a node has open (up
 // to filesystem read consistency). Repair mode opens the store through
 // the normal recovery path (which completes interrupted truncations,
-// truncates torn tails, and reconciles the marker forward), hydrates a
-// missing deletion record from the snapshot checkpoint, and optionally
-// archives applied records to DELETIONS.archive.
+// truncates torn tails, reconciles the marker forward, and removes a
+// retired SNAPSHOT file), hydrates a missing deletion record from the
+// marker block the store holds, and optionally archives applied records
+// to DELETIONS.archive.
 package doctor
 
 import (
@@ -65,7 +66,7 @@ type Finding struct {
 type Options struct {
 	// Repair opens the store through its recovery path (completing
 	// interrupted truncations and healing torn tails) and hydrates a
-	// missing deletion record from the snapshot checkpoint. Without it
+	// missing deletion record from the stored marker block. Without it
 	// the run is strictly read-only.
 	Repair bool
 	// Archive moves every applied deletion record except the head to
@@ -78,13 +79,12 @@ type Options struct {
 type Report struct {
 	Dir string
 	// Marker is the effective Genesis marker: the maximum of the marker
-	// file, the snapshot checkpoint, and the deletion-manifest head —
-	// the value the store's recovery would reconcile to.
+	// file and the deletion-manifest head — the value the store's
+	// recovery would reconcile to.
 	Marker uint64
-	// MarkerFile, SnapshotMarker, and ManifestMarker are the three
-	// durable marker records individually (zero when absent).
+	// MarkerFile and ManifestMarker are the two durable marker records
+	// individually (zero when absent).
 	MarkerFile     uint64
-	SnapshotMarker uint64
 	ManifestMarker uint64
 	// Records counts the readable deletion records; Archived counts the
 	// records in DELETIONS.archive.
@@ -157,11 +157,9 @@ func check(dir string) (*Report, error) {
 	if info.MarkerErr != "" {
 		rep.add("marker-file", Error, false, "MANIFEST unreadable: %s", info.MarkerErr)
 	}
-	if info.SnapshotErr != "" {
-		rep.add("snapshot", Error, false, "SNAPSHOT unreadable: %s", info.SnapshotErr)
-	}
-	if info.Snapshot != nil {
-		rep.SnapshotMarker = info.Snapshot.Marker
+	if info.RetiredSnapshot {
+		rep.add("retired-snapshot", Warn, true,
+			"SNAPSHOT is a retired copy of an old marker block that erasure does not reach; opening the store removes it")
 	}
 
 	// A log in the retired format is not drift to report: no reader for
@@ -186,11 +184,8 @@ func check(dir string) (*Report, error) {
 	}
 
 	// The effective marker is what the store's recovery reconciles to:
-	// the furthest of the three durable records.
+	// the further of the two durable records.
 	rep.Marker = info.MarkerFile
-	if rep.SnapshotMarker > rep.Marker {
-		rep.Marker = rep.SnapshotMarker
-	}
 	if len(recs) > 0 {
 		head := recs[len(recs)-1]
 		rep.ManifestMarker = head.NewMarker
@@ -228,14 +223,9 @@ func checkManifest(rep *Report, recs []manifest.Record, info *segment.DirInfo) {
 			"deletion record %d shifted the marker to %d but MANIFEST still says %d",
 			recs[len(recs)-1].Seq, rep.ManifestMarker, info.MarkerFile)
 	}
-	if info.Snapshot != nil && rep.SnapshotMarker < rep.ManifestMarker {
-		rep.add("snapshot-stale", Warn, true,
-			"snapshot checkpoint at marker %d predates deletion record marker %d",
-			rep.SnapshotMarker, rep.ManifestMarker)
-	}
 	if rep.ManifestMarker < rep.Marker {
 		rep.add("manifest-missing-record", Warn, true,
-			"marker %d has no covering deletion record (manifest predates it or was lost); repair hydrates one from the snapshot checkpoint",
+			"marker %d has no covering deletion record (manifest predates it or was lost); repair hydrates one from the marker block",
 			rep.Marker)
 	}
 	for i := 1; i < len(recs); i++ {
@@ -271,11 +261,6 @@ func repair(dir string, opts Options) ([]string, error) {
 	for _, w := range s.DeletionWarnings() {
 		actions = append(actions, "manifest recovery: "+w)
 	}
-	// Refresh the checkpoint: a crash after the DELETIONS append but
-	// before the snapshot write leaves SNAPSHOT one deletion behind.
-	if err := s.Checkpoint(); err != nil {
-		return nil, fmt.Errorf("doctor: refresh checkpoint: %w", err)
-	}
 
 	marker, err := s.Marker()
 	if err != nil {
@@ -299,10 +284,11 @@ func repair(dir string, opts Options) ([]string, error) {
 
 // hydrate appends a synthetic deletion record when the marker advanced
 // beyond the manifest's coverage (the manifest was introduced after
-// deletions already ran, or the DELETIONS file was lost). The snapshot
-// checkpoint — the marker block, "a trusted anchor ... already approved
-// by the anchor nodes" (§IV-C) — supplies what the lost record knew;
-// the per-entry tombstones are gone for good, which Hydrated records.
+// deletions already ran, or the DELETIONS file was lost). The marker
+// block, "a trusted anchor ... already approved by the anchor nodes"
+// (§IV-C) and the store's first live record, supplies what the lost
+// record knew; the per-entry tombstones are gone for good, which
+// Hydrated records.
 func hydrate(s *segment.Store, log *manifest.Log, marker uint64) (string, error) {
 	var covered uint64
 	if head, ok := log.Head(); ok {
@@ -316,16 +302,16 @@ func hydrate(s *segment.Store, log *manifest.Log, marker uint64) (string, error)
 		NewMarker: marker,
 		Hydrated:  true,
 	}
-	if snap, ok, err := s.Snapshot(); err == nil && ok && snap.Marker == marker && snap.Checkpoint != nil {
-		rec.SummaryBlock = snap.Checkpoint.Header.Number
-		rec.SummaryHash = snap.Checkpoint.Hash()
-		rec.Time = snap.Checkpoint.Header.Time
+	if b, err := s.GetBlock(marker); err == nil {
+		rec.SummaryBlock = b.Header.Number
+		rec.SummaryHash = b.Hash()
+		rec.Time = b.Header.Time
 	}
 	stored, err := log.Append(rec)
 	if err != nil {
 		return "", fmt.Errorf("doctor: hydrate record: %w", err)
 	}
-	return fmt.Sprintf("hydrated deletion record %d covering markers %d..%d from the snapshot checkpoint",
+	return fmt.Sprintf("hydrated deletion record %d covering markers %d..%d from the marker block",
 		stored.Seq, rec.OldMarker, rec.NewMarker), nil
 }
 
@@ -350,8 +336,8 @@ func archive(dir string, log *manifest.Log) (int, error) {
 // Write renders the report in the doctor subcommand's console format.
 func (r *Report) Write(w io.Writer) error {
 	fmt.Fprintf(w, "doctor: %s\n", r.Dir)
-	fmt.Fprintf(w, "  marker: %d (MANIFEST=%d SNAPSHOT=%d DELETIONS=%d)\n",
-		r.Marker, r.MarkerFile, r.SnapshotMarker, r.ManifestMarker)
+	fmt.Fprintf(w, "  marker: %d (MANIFEST=%d DELETIONS=%d)\n",
+		r.Marker, r.MarkerFile, r.ManifestMarker)
 	if r.HasBlocks {
 		fmt.Fprintf(w, "  live blocks: %d..%d\n", r.FirstLive, r.LastLive)
 	} else {

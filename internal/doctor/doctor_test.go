@@ -125,9 +125,9 @@ func TestDoctorCleanLifecycle(t *testing.T) {
 	if rep.Marker != marker {
 		t.Errorf("report marker %d, want %d", rep.Marker, marker)
 	}
-	if rep.MarkerFile != marker || rep.SnapshotMarker != marker || rep.ManifestMarker != marker {
-		t.Errorf("marker sources disagree on a clean store: MANIFEST=%d SNAPSHOT=%d DELETIONS=%d",
-			rep.MarkerFile, rep.SnapshotMarker, rep.ManifestMarker)
+	if rep.MarkerFile != marker || rep.ManifestMarker != marker {
+		t.Errorf("marker sources disagree on a clean store: MANIFEST=%d DELETIONS=%d",
+			rep.MarkerFile, rep.ManifestMarker)
 	}
 	if !rep.HasBlocks || rep.FirstLive != marker || rep.LastLive != head {
 		t.Errorf("live range %d..%d (has=%v), want %d..%d", rep.FirstLive, rep.LastLive, rep.HasBlocks, marker, head)
@@ -301,7 +301,7 @@ func TestDoctorInterruptedTruncation(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("interrupted truncation not detected")
 	}
-	for _, code := range []string{"truncation-interrupted", "snapshot-stale", "stale-blocks"} {
+	for _, code := range []string{"truncation-interrupted", "stale-blocks"} {
 		fn := findCode(rep, code)
 		if fn == nil || !fn.Repairable {
 			t.Errorf("missing repairable finding %q: %+v", code, rep.Findings)
@@ -319,9 +319,9 @@ func TestDoctorInterruptedTruncation(t *testing.T) {
 		t.Fatalf("repair did not complete the truncation: %+v", rep.Findings)
 	}
 	// Repair rolled every durable record forward, never back.
-	if rep.MarkerFile != next || rep.SnapshotMarker != next || rep.ManifestMarker != next {
-		t.Errorf("marker sources after repair: MANIFEST=%d SNAPSHOT=%d DELETIONS=%d, want all %d",
-			rep.MarkerFile, rep.SnapshotMarker, rep.ManifestMarker, next)
+	if rep.MarkerFile != next || rep.ManifestMarker != next {
+		t.Errorf("marker sources after repair: MANIFEST=%d DELETIONS=%d, want both %d",
+			rep.MarkerFile, rep.ManifestMarker, next)
 	}
 	if rep.FirstLive != next {
 		t.Errorf("stale blocks below %d survived repair (first live %d)", next, rep.FirstLive)
@@ -342,6 +342,10 @@ func TestDoctorHydratesLostManifest(t *testing.T) {
 	}
 	if m, err := s.Marker(); err != nil || m != marker {
 		t.Fatalf("reopened marker %d (%v), want %d", m, err, marker)
+	}
+	markerBlock, err := s.GetBlock(marker)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -380,8 +384,9 @@ func TestDoctorHydratesLostManifest(t *testing.T) {
 	if got.NewMarker != marker {
 		t.Errorf("hydrated record covers up to %d, want %d", got.NewMarker, marker)
 	}
-	if got.SummaryBlock != marker || got.SummaryHash == (block.GenesisPrevHash) {
-		t.Errorf("hydrated record missing checkpoint identity: block %d hash %x", got.SummaryBlock, got.SummaryHash)
+	if got.SummaryBlock != markerBlock.Header.Number || got.SummaryHash != markerBlock.Hash() {
+		t.Errorf("hydrated record names block %d hash %x, want the stored marker block %d hash %x",
+			got.SummaryBlock, got.SummaryHash, markerBlock.Header.Number, markerBlock.Hash())
 	}
 	if len(got.Tombstones) != 0 {
 		t.Error("hydration invented tombstones it cannot know")

@@ -42,6 +42,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"syscall"
 )
 
 const (
@@ -253,10 +254,7 @@ func Open(dir string) (*Log, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if parsed.torn > 0 {
-		if err := os.WriteFile(path+".tmp", data[:len(data)-parsed.torn], 0o644); err != nil {
-			return nil, fmt.Errorf("manifest: rewrite torn log: %w", err)
-		}
-		if err := os.Rename(path+".tmp", path); err != nil {
+		if err := WriteFileAtomic(path, data[:len(data)-parsed.torn]); err != nil {
 			return nil, fmt.Errorf("manifest: rewrite torn log: %w", err)
 		}
 	}
@@ -348,11 +346,7 @@ func (l *Log) Rewrite(recs []Record) error {
 	for i := range recs {
 		buf.Write(EncodeLine(&recs[i]))
 	}
-	tmp := l.path + ".tmp"
-	if err := os.WriteFile(tmp, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("manifest: rewrite: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
+	if err := WriteFileAtomic(l.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("manifest: rewrite: %w", err)
 	}
 	if err := l.f.Close(); err != nil {
@@ -411,4 +405,54 @@ func AppendToArchive(dir string, recs []Record) error {
 // missing archive yields an empty slice.
 func ReadArchive(dir string) ([]Record, []string, error) {
 	return readFile(filepath.Join(dir, ArchiveName), "archive line")
+}
+
+// WriteFileAtomic replaces path with data via a synced temp file, an
+// atomic rename, and a parent-directory fsync, so a crash or power loss
+// leaves either the old or the new file, never a torn or empty one.
+// Without the directory sync the rename has no durable ordering against
+// later operations (a store's unlinks), and a power loss could surface
+// the OLD file next to the NEW directory contents. Every rewrite of a
+// store's metadata (DELETIONS, MANIFEST) goes through it.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("write %s: %w", tmp, err)
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("write %s: %w", tmp, err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("sync %s: %w", tmp, err)
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("close %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("rename %s: %w", path, err)
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory so preceding renames and unlinks in it are
+// durably ordered. Filesystems that cannot sync a directory handle
+// (some platforms return EINVAL/EBADF) degrade to the old behaviour
+// rather than failing the operation.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("open dir %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.EBADF) {
+		return fmt.Errorf("sync dir %s: %w", dir, err)
+	}
+	return nil
 }

@@ -65,7 +65,7 @@ type Record struct {
 	// by this truncation (deliberately dropped, not merely expired).
 	Tombstones []Tombstone `json:"tombstones,omitempty"`
 	// Hydrated marks records reconstructed after the fact by
-	// `seldel doctor` from the snapshot checkpoint, which can recover
+	// `seldel doctor` from the stored marker block, which can recover
 	// the height range but not the per-entry tombstones.
 	Hydrated bool `json:"hydrated,omitempty"`
 }

@@ -61,12 +61,6 @@ func (g *Geo) SetInterRegion(from, to string, p LinkProfile) {
 	g.inter[linkKey{from, to}] = p
 }
 
-// SymmetricInterRegion installs the same profile in both directions.
-func (g *Geo) SymmetricInterRegion(a, b string, p LinkProfile) {
-	g.SetInterRegion(a, b, p)
-	g.SetInterRegion(b, a, p)
-}
-
 // Assign places an endpoint in a region (declaring the region if
 // needed). Assignments are by name, so a crashed node that rejoins under
 // its old name keeps its region.

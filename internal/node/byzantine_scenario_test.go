@@ -199,7 +199,7 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	}
 
 	// Disk incident: everything but the DELETIONS audit log is lost.
-	for _, pattern := range []string{"seg-*.seg", "MANIFEST", "SNAPSHOT"} {
+	for _, pattern := range []string{"seg-*.seg", "MANIFEST"} {
 		matches, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)

@@ -86,7 +86,7 @@ func TestRejoinRejectsResurrectionOffers(t *testing.T) {
 
 	// The incident: every block file, the marker file, and the snapshot
 	// are lost; only the DELETIONS audit log survives.
-	for _, pattern := range []string{"seg-*.seg", "MANIFEST", "SNAPSHOT"} {
+	for _, pattern := range []string{"seg-*.seg", "MANIFEST"} {
 		matches, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			t.Fatal(err)

@@ -41,8 +41,8 @@ type Config struct {
 	// Network connects the node to its peers.
 	Network *netsim.Network
 	// Store, when set, persists the node's chain. A populated store is
-	// restored from at startup — starting at its snapshot checkpoint,
-	// so only the live suffix is replayed — and an empty one is
+	// restored from at startup — starting at its Genesis marker, so
+	// only the live suffix is replayed — and an empty one is
 	// mirrored from genesis. The store stays the caller's to close
 	// (after Node.Close), like seldel.WithStore.
 	Store store.Store
@@ -118,9 +118,8 @@ type Node struct {
 }
 
 // New creates an anchor node and joins it to the network. With a
-// populated Config.Store the chain is restored from the store's
-// snapshot checkpoint (the restart path); otherwise a fresh genesis is
-// created.
+// populated Config.Store the chain is restored from the store's live
+// suffix (the restart path); otherwise a fresh genesis is created.
 func New(cfg Config) (*Node, error) {
 	if cfg.Key == nil {
 		return nil, errors.New("node: missing key")
@@ -184,8 +183,8 @@ func New(cfg Config) (*Node, error) {
 }
 
 // openChain builds the node's chain: on the store when there is one
-// (restored from its snapshot checkpoint, or mirrored into it from
-// genesis), stand-alone without one.
+// (restored from its live suffix, or mirrored into it from genesis),
+// stand-alone without one.
 func openChain(cfg chain.Config, s store.Store) (*chain.Chain, error) {
 	if s == nil {
 		return chain.New(cfg)

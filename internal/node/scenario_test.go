@@ -169,7 +169,7 @@ func TestDeletionDuringSyncConverges(t *testing.T) {
 
 func TestRestartRestoresFromSnapshotStore(t *testing.T) {
 	// A node with a segment store restarts: its chain comes back from
-	// the store's snapshot checkpoint (no genesis replay), it rejoins
+	// the store's live suffix (no genesis replay), it rejoins
 	// under its old name, and catches up incrementally.
 	cl := newCluster(t, 3, "alpha")
 	dir := t.TempDir()

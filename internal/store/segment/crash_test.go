@@ -21,6 +21,7 @@ import (
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/identity"
+	manifestlog "github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store"
 )
@@ -123,7 +124,7 @@ func TestRecoverCorruptPayloadChecksum(t *testing.T) {
 }
 
 // TestRecoverInterruptedTruncation simulates a crash after the
-// truncation's durable point (snapshot + manifest carry the new marker)
+// truncation's durable point (MANIFEST carries the new marker)
 // but before the file surgery: the retired segment files are still on
 // disk. Open must complete the deletion instead of resurrecting the cut
 // blocks.
@@ -152,8 +153,8 @@ func TestRecoverInterruptedTruncation(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// "Un-delete" the segment files: manifest and snapshot stay at
-	// marker 15, but the directory looks like the unlinks never hit
+	// "Un-delete" the segment files: MANIFEST stays at marker 15, but
+	// the directory looks like the unlinks never hit
 	// the disk.
 	for name, raw := range preFiles {
 		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
@@ -189,14 +190,14 @@ func TestRecoverInterruptedTruncation(t *testing.T) {
 	}
 }
 
-// TestRecoverManifestMissing loses the MANIFEST entirely: the snapshot
-// checkpoint is the fallback marker record, so cut blocks still must
-// not resurrect.
+// TestRecoverManifestMissing loses the MANIFEST entirely: the DELETIONS
+// head is the marker's other durable home, so cut blocks still must not
+// resurrect.
 func TestRecoverManifestMissing(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{SegmentBytes: 512})
 	fill(t, s, 20)
-	if err := s.DeleteBelow(12); err != nil {
+	if err := s.DeleteBelowRecord(12, &manifestlog.Record{NewMarker: 12}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -208,43 +209,11 @@ func TestRecoverManifestMissing(t *testing.T) {
 	s2 := open(t, dir, Options{SegmentBytes: 512})
 	defer s2.Close()
 	if m, err := s2.Marker(); err != nil || m != 12 {
-		t.Fatalf("marker after manifest loss = %d, %v; want 12 (from snapshot)", m, err)
+		t.Fatalf("marker after manifest loss = %d, %v; want 12 (from DELETIONS)", m, err)
 	}
 	nums := liveNumbers(t, s2)
 	if nums[0] != 12 || nums[len(nums)-1] != 19 {
 		t.Fatalf("recovered %v, want 12..19", nums)
-	}
-}
-
-// TestCorruptSnapshotFailsLoudly: a bit-rotted SNAPSHOT is a durable
-// marker record that can no longer be trusted — Open must fail instead
-// of silently falling back to a marker that may resurrect cut blocks.
-func TestCorruptSnapshotFailsLoudly(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 512})
-	fill(t, s, 20)
-	if err := s.DeleteBelow(12); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snapPath := filepath.Join(dir, snapshotName)
-	raw, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(snapPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Worst case: the manifest is gone too, so the snapshot would have
-	// been the only marker record.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{SegmentBytes: 512}); err == nil {
-		t.Fatal("Open succeeded on a corrupt snapshot")
 	}
 }
 

@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,17 +20,6 @@ func (s *Store) DeletionRecords() ([]manifestlog.Record, error) {
 		return nil, store.ErrClosed
 	}
 	return s.del.Records(), nil
-}
-
-// DeletionHead returns the most recent deletion record, if any.
-func (s *Store) DeletionHead() (manifestlog.Record, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return manifestlog.Record{}, false, store.ErrClosed
-	}
-	head, ok := s.del.Head()
-	return head, ok, nil
 }
 
 // DeletionWarnings returns the recovery diagnostics the deletion
@@ -76,10 +64,9 @@ type DirInfo struct {
 	MarkerFile uint64
 	// MarkerErr is set when the MANIFEST exists but cannot be parsed.
 	MarkerErr string
-	// Snapshot is the checkpoint (nil when never truncated);
-	// SnapshotErr is set when the file exists but fails validation.
-	Snapshot    *Snapshot
-	SnapshotErr string
+	// RetiredSnapshot reports a leftover SNAPSHOT file: a copy of an old
+	// marker block that no reader uses and that Open removes.
+	RetiredSnapshot bool
 	// Segments lists the segment files on disk, ascending by id.
 	Segments []SegmentInfo
 	// First and Last bound the block numbers across all decodable
@@ -110,18 +97,14 @@ func Inspect(dir string) (*DirInfo, error) {
 	default:
 		info.MarkerErr = err.Error()
 	}
-	switch snap, err := readSnapshot(dir); {
-	case err == nil:
-		info.Snapshot = &snap
-	case errors.Is(err, errNoCheckpoint):
-	default:
-		info.SnapshotErr = err.Error()
-	}
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("segment: inspect: %w", err)
 	}
 	for _, e := range names {
+		if e.Name() == retiredSnapshotName {
+			info.RetiredSnapshot = true
+		}
 		id, ok := parseSegmentName(e.Name())
 		if !ok {
 			continue

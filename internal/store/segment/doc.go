@@ -11,12 +11,11 @@
 //
 //   - Appends go to the tail of the active segment file: the record is
 //     framed in a pooled buffer (one write syscall, no per-append heap
-//     allocation at steady state) and fsynced per append only when
-//     Options.SyncEvery is set. Otherwise the store syncs on segment
-//     roll, truncation, snapshot, and Close — and on demand via Sync,
-//     which is the hook the chain's group-commit durability mode uses
-//     to make many appended blocks durable with one fsync before their
-//     receipts resolve.
+//     allocation at steady state) and not fsynced per append. The store
+//     syncs on segment roll, truncation, and Close — and on demand via
+//     Sync, which is the hook the chain's group-commit durability mode
+//     uses to make many appended blocks durable with one fsync before
+//     their receipts resolve.
 //   - An in-memory offset index maps block numbers to (segment,
 //     offset), so reads are one pread.
 //   - Sealed segments' read handles live in an LRU capped by
@@ -31,11 +30,13 @@
 //     Genesis marker and the expected segment set; Open reconciles it
 //     against the directory, truncating torn record tails and
 //     completing interrupted truncations.
-//   - A snapshot checkpoint (SNAPSHOT) is written at every marker
-//     shift: the marker, the head at checkpoint time, and the full
-//     marker block (the paper's trusted anchor, §IV-C; the summary
-//     blocks inside the live suffix re-seed the carried-entry ledger).
-//     Stream starts at the snapshot's marker, so a restore replays
-//     only the live suffix even when a crash left stale pre-marker
-//     segments behind.
+//   - The Genesis marker has two durable homes: the DELETIONS head,
+//     appended first, rolls an interrupted truncation forward; MANIFEST,
+//     rewritten before any file surgery, is the only home of a
+//     record-less DeleteBelow. Open takes the larger of the two.
+//   - The marker block itself — the paper's trusted anchor for the cut
+//     part (§IV-C) — is stored once, as the first live record. Stream
+//     starts at it, so a restore replays only the live suffix even when
+//     a crash left stale pre-marker segments behind; the summary blocks
+//     inside that suffix re-seed the carried-entry ledger.
 package segment

@@ -2,12 +2,12 @@ package segment
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"syscall"
+
+	manifestlog "github.com/seldel/seldel/internal/manifest"
 )
 
 // manifestName is the manifest file inside a store directory.
@@ -84,8 +84,8 @@ func readManifest(dir string) (*manifest, error) {
 }
 
 // writeManifestLocked persists the current marker and segment set
-// atomically (temp file + fsync + rename), so a crash leaves either the
-// old or the new manifest, never a torn one.
+// atomically (temp file + fsync + rename + directory fsync), so a crash
+// leaves either the old or the new manifest, never a torn one.
 func (s *Store) writeManifestLocked() error {
 	var b strings.Builder
 	fmt.Fprintln(&b, manifestHeader)
@@ -93,53 +93,8 @@ func (s *Store) writeManifestLocked() error {
 	for _, seg := range s.segs {
 		fmt.Fprintf(&b, "segment %d %d %d %d\n", seg.id, seg.count, seg.first, seg.last)
 	}
-	return writeFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String()))
-}
-
-// writeFileAtomic writes data to path via a synced temp file, an
-// atomic rename, and a parent-directory fsync — without the directory
-// sync, the rename has no durable ordering against later operations
-// (DeleteBelow's unlinks), and a power loss could surface the OLD
-// manifest next to the NEW directory contents.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segment: write %s: %w", tmp, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segment: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segment: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segment: close %s: %w", tmp, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segment: rename %s: %w", path, err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs a directory so preceding renames/unlinks in it are
-// durably ordered. Filesystems that cannot sync a directory handle
-// (some platforms return EINVAL/EBADF) degrade to the old behaviour
-// rather than failing the operation.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("segment: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.EBADF) {
-		return fmt.Errorf("segment: sync dir %s: %w", dir, err)
+	if err := manifestlog.WriteFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String())); err != nil {
+		return fmt.Errorf("segment: manifest: %w", err)
 	}
 	return nil
 }

@@ -247,7 +247,7 @@ func TestOpen(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, pattern := range []string{"seg-*.seg", "MANIFEST", "SNAPSHOT"} {
+		for _, pattern := range []string{"seg-*.seg", "MANIFEST"} {
 			matches, err := filepath.Glob(filepath.Join(dir, pattern))
 			if err != nil {
 				t.Fatal(err)

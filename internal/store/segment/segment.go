@@ -35,6 +35,11 @@ const (
 	// store root: this file over one segment store per partition in
 	// p000/, p001/, ... (see ErrRetiredLayout).
 	retiredPartitionsMeta = "PARTITIONS"
+	// retiredSnapshotName is the checkpoint file older stores wrote at
+	// every marker shift: the marker, the head, and a copy of the marker
+	// block. Nothing reads it; Open removes a leftover one, so the bytes
+	// of entries erased later do not outlive them in that copy.
+	retiredSnapshotName = "SNAPSHOT"
 )
 
 // Options parameterize a segment store.
@@ -44,13 +49,6 @@ type Options struct {
 	// under truncation (bytes reclaim sooner); larger ones amortize
 	// per-file cost further. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// SyncEvery forces an fsync after every PutBlock — per-block
-	// durability, the strongest (and slowest) setting. When false (the
-	// default) the store syncs on segment roll, truncation, snapshot,
-	// and Close, bounding loss to the unsynced tail of the active
-	// segment; Open truncates any torn tail back to the last durable
-	// record.
-	SyncEvery bool
 	// MaxOpenFiles caps how many sealed segments keep their read file
 	// handle open at once. Sealed segments are read-only; their handles
 	// live in an LRU and are reopened transparently on access, so a
@@ -130,8 +128,9 @@ func checkLayout(dir string) error {
 // are truncated to the last durable record, segments created but not
 // yet recorded are adopted, and truncations interrupted mid-flight
 // (manifest advanced, files not yet deleted or rewritten) are
-// completed. The reconciled state is re-persisted before Open returns.
-// A directory in a retired layout fails with ErrRetiredLayout.
+// completed. The reconciled state is re-persisted before Open returns,
+// and a leftover SNAPSHOT file (retiredSnapshotName) is removed. A
+// directory in a retired layout fails with ErrRetiredLayout.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes < 0 {
 		return nil, fmt.Errorf("segment: negative SegmentBytes")
@@ -161,25 +160,12 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.marker = man.marker
-	// The snapshot checkpoint is a second durable marker record: if the
-	// manifest was lost (or predates the last truncation), the snapshot
-	// still prevents cut blocks from resurrecting into the stream. A
-	// corrupt snapshot is therefore a loud failure, not a fallback —
-	// silently ignoring it could replay logically deleted blocks.
-	switch snap, err := readSnapshot(dir); {
-	case err == nil:
-		if snap.Marker > s.marker {
-			s.marker = snap.Marker
-		}
-	case !errors.Is(err, errNoCheckpoint):
-		return nil, err
-	}
-	// The deletion manifest is the third durable marker record, written
-	// BEFORE the snapshot in the truncation sequence. A crash between
-	// the manifest append and the snapshot write leaves the manifest
-	// head ahead of both marker files; rolling the marker forward to it
-	// completes the interrupted deletion instead of resurrecting the
-	// blocks it recorded.
+	// The deletion manifest is the marker's second durable home, appended
+	// BEFORE the MANIFEST rewrite in the truncation sequence. A crash
+	// between the two leaves the DELETIONS head ahead of MANIFEST; rolling
+	// the marker forward to it completes the interrupted deletion instead
+	// of resurrecting the blocks it recorded. If MANIFEST is lost, the
+	// head still keeps cut blocks out of the stream.
 	del, err := manifestlog.Open(dir)
 	if err != nil {
 		return nil, err
@@ -191,6 +177,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.recover(man); err != nil {
 		s.closeFiles()
 		return nil, err
+	}
+	// The MANIFEST rewrite below fsyncs the directory, which makes this
+	// removal durable too.
+	if err := os.Remove(filepath.Join(dir, retiredSnapshotName)); err != nil && !os.IsNotExist(err) {
+		s.closeFiles()
+		return nil, fmt.Errorf("segment: remove retired %s: %w", retiredSnapshotName, err)
 	}
 	if err := s.writeManifestLocked(); err != nil {
 		s.closeFiles()
@@ -520,12 +512,6 @@ func (s *Store) PutBlock(b *block.Block) error {
 	}
 	s.indexRecord(act, b.Header.Number, act.size+recHeaderSize, payloadLen)
 	act.size += int64(len(rec))
-	if s.opts.SyncEvery {
-		if err := act.f.Sync(); err != nil {
-			return fmt.Errorf("segment: sync: %w", err)
-		}
-		s.fsyncs.Add(1)
-	}
 	return nil
 }
 
@@ -613,8 +599,9 @@ func (s *Store) sortedNumbersLocked() []uint64 {
 }
 
 // Stream implements store.Store: blocks are yielded in ascending order
-// starting at the Genesis marker — the snapshot checkpoint's promise
-// that a restore replays only the live suffix. Each block is read and
+// starting at the Genesis marker, so a restore replays only the live
+// suffix — the marker block first, the paper's trusted anchor for the
+// cut-off part (§IV-C). Each block is read and
 // decoded lazily per yield (re-locking per read, so a concurrent Close
 // is honoured mid-stream).
 func (s *Store) Stream() iter.Seq2[*block.Block, error] {
@@ -640,14 +627,14 @@ func (s *Store) Stream() iter.Seq2[*block.Block, error] {
 	}
 }
 
-// DeleteBelow implements store.Store: persist marker, write the
-// snapshot checkpoint, then physically retire the cut prefix — whole
-// segments below the marker are unlinked (one syscall each, however
-// many blocks they held) and the boundary segment straddling the marker
-// is rewritten without its dead prefix. The durable ordering (snapshot
-// and manifest first, file surgery second) makes an interrupted
-// truncation recoverable: Open completes the deletion instead of
-// resurrecting cut blocks.
+// DeleteBelow implements store.Store: persist the marker in MANIFEST,
+// then physically retire the cut prefix — whole segments below the
+// marker are unlinked (one syscall each, however many blocks they held)
+// and the boundary segment straddling the marker is rewritten without
+// its dead prefix. The durable ordering (marker first, file surgery
+// second) makes an interrupted truncation recoverable: Open completes
+// the deletion instead of resurrecting cut blocks. Without a record,
+// MANIFEST is the marker's only durable home (the store.Attach path).
 func (s *Store) DeleteBelow(marker uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -656,8 +643,9 @@ func (s *Store) DeleteBelow(marker uint64) error {
 
 // DeleteBelowRecord is DeleteBelow with a deletion-manifest record:
 // rec is appended durably to the DELETIONS log after the active
-// segment syncs and before the marker files shift, so the audit trail
-// exists from the first moment the deletion can become visible. The
+// segment syncs and before MANIFEST shifts, so the audit trail exists
+// from the first moment the deletion can become visible, and a crash
+// before the MANIFEST rewrite rolls forward to rec's marker. The
 // assigned manifest sequence number is written back into rec.
 func (s *Store) DeleteBelowRecord(marker uint64, rec *manifestlog.Record) error {
 	s.mu.Lock()
@@ -684,9 +672,6 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 		rec.Seq = stored.Seq
 	}
 	s.marker = marker
-	if err := s.writeSnapshotLocked(); err != nil {
-		return err
-	}
 	if err := s.writeManifestLocked(); err != nil {
 		return err
 	}
@@ -736,8 +721,8 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 	// expects files whose deletion already reached the disk (or vice
 	// versa leave both — either ordering is recoverable, torn metadata
 	// is not).
-	if err := syncDir(s.dir); err != nil {
-		return err
+	if err := manifestlog.SyncDir(s.dir); err != nil {
+		return fmt.Errorf("segment: %w", err)
 	}
 	s.fsyncs.Add(1)
 	return s.writeManifestLocked()
@@ -845,7 +830,7 @@ func (s *Store) SizeBytes() (int64, error) {
 }
 
 // Sync forces the active segment to stable storage, for callers that
-// batch appends with SyncEvery disabled but want a durability point.
+// batch appends but want a durability point (group commit).
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -861,7 +846,7 @@ func (s *Store) Sync() error {
 
 // FsyncCount reports the number of fsyncs issued so far against
 // segment data files and the store directory. Marker metadata writes
-// (manifest, snapshot, deletion log) are excluded: the counter exists
+// (MANIFEST, DELETIONS) are excluded: the counter exists
 // to measure append-path durability cost, where the segment data sync
 // is the unit of work group commit amortizes.
 func (s *Store) FsyncCount() uint64 { return s.fsyncs.Load() }
@@ -910,6 +895,3 @@ func (s *Store) closeFiles() {
 	s.del.Close()
 	s.lru = nil
 }
-
-// errNoCheckpoint distinguishes "no snapshot yet" from a read failure.
-var errNoCheckpoint = errors.New("segment: no snapshot checkpoint")

@@ -195,32 +195,10 @@ func TestPutBlockSupersedes(t *testing.T) {
 	}
 }
 
-func TestSnapshotCheckpoint(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	defer s.Close()
-	blocks := fill(t, s, 10)
-	if _, ok, err := s.Snapshot(); err != nil || ok {
-		t.Fatalf("snapshot before any truncation: ok=%v err=%v", ok, err)
-	}
-	if err := s.DeleteBelow(4); err != nil {
-		t.Fatal(err)
-	}
-	snap, ok, err := s.Snapshot()
-	if err != nil || !ok {
-		t.Fatalf("Snapshot = ok=%v err=%v", ok, err)
-	}
-	if snap.Marker != 4 || snap.Head != 9 {
-		t.Errorf("snapshot marker/head = %d/%d, want 4/9", snap.Marker, snap.Head)
-	}
-	if snap.Checkpoint.Hash() != blocks[4].Hash() {
-		t.Error("snapshot checkpoint block differs from block at marker")
-	}
-}
-
 // TestChainLifecycleOnSegmentStore is the end-to-end acceptance test:
 // a retention-bounded chain mirrored into a segment store truncates,
-// the store's physical size shrinks, a snapshot checkpoint appears,
-// and a restore replays only the post-marker live suffix.
+// the store's physical size shrinks, the store's marker follows the
+// chain's, and a restore replays only the post-marker live suffix.
 func TestChainLifecycleOnSegmentStore(t *testing.T) {
 	dir := t.TempDir()
 	reg := identity.NewRegistry()
@@ -274,12 +252,8 @@ func TestChainLifecycleOnSegmentStore(t *testing.T) {
 	if !shrankOnce {
 		t.Error("SizeBytes never decreased across truncations")
 	}
-	snap, ok, err := s.Snapshot()
-	if err != nil || !ok {
-		t.Fatalf("no snapshot after truncation: ok=%v err=%v", ok, err)
-	}
-	if snap.Marker != marker {
-		t.Errorf("snapshot marker %d != chain marker %d", snap.Marker, marker)
+	if m, err := s.Marker(); err != nil || m != marker {
+		t.Errorf("store marker %d (%v) != chain marker %d", m, err, marker)
 	}
 	headHash := c.HeadHash()
 	liveBlocks := c.Len()

@@ -227,11 +227,11 @@ func WithStore(s Store) Option {
 // dir, opening (or creating) it with the given options (pass none for
 // the defaults: 1 MiB segments, fsync on roll/truncate/close). Like
 // WithStore, a populated store restores the chain — starting at the
-// snapshot checkpoint's Genesis marker, so only the live suffix is
-// replayed — and an empty one is mirrored from genesis. Because the
-// option opens the store itself, the chain owns it: Chain.Close syncs
-// and closes it after the final compaction. Callers needing the handle
-// (SizeBytes, Snapshot) should open it with NewSegmentStore and pass
+// store's Genesis marker, so only the live suffix is replayed — and an
+// empty one is mirrored from genesis. Because the option opens the
+// store itself, the chain owns it: Chain.Close syncs and closes it
+// after the final compaction. Callers needing the handle (SizeBytes,
+// Marker) should open it with NewSegmentStore and pass
 // WithStore instead — then the handle, and its Close, stay theirs.
 func WithSegmentStore(dir string, opts ...SegmentOptions) Option {
 	return func(b *builder) error {

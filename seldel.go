@@ -205,15 +205,12 @@ type (
 	MemStore = store.Mem
 	// SegmentStore is the segmented store: blocks append into bounded,
 	// length-prefixed segment files; truncation physically retires
-	// whole segments; a snapshot checkpoint makes restores start at the
-	// Genesis marker. See README "Storage".
+	// whole segments; restores start at the durable Genesis marker. See
+	// README "Storage".
 	SegmentStore = segment.Store
-	// SegmentOptions parameterize a SegmentStore (segment size, fsync
-	// policy).
+	// SegmentOptions parameterize a SegmentStore (segment size, open
+	// read-handle cap).
 	SegmentOptions = segment.Options
-	// StoreSnapshot is a segment store's checkpoint: the Genesis marker,
-	// the head at checkpoint time, and the marker block itself.
-	StoreSnapshot = segment.Snapshot
 )
 
 // Deletion-manifest types: the durable audit trail every truncation of
@@ -382,8 +379,8 @@ func NewSegmentStore(dir string, opts SegmentOptions) (*SegmentStore, error) {
 }
 
 // Doctor cross-validates a segment-store directory's durable deletion
-// state — DELETIONS manifest, SNAPSHOT checkpoint, MANIFEST marker,
-// segment files — and optionally repairs drift; the `seldel doctor`
+// state — DELETIONS manifest, MANIFEST marker, segment files — and
+// optionally repairs drift; the `seldel doctor`
 // subcommand is a thin wrapper around it. Run it against a directory no
 // chain has open (check mode is read-only, repair mode is not).
 func Doctor(dir string, opts DoctorOptions) (*DoctorReport, error) {

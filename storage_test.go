@@ -23,8 +23,8 @@ import (
 
 // TestWithSegmentStoreLifecycle exercises the public segment-store
 // surface: WithSegmentStore mirrors a fresh chain, deletion shrinks the
-// store, and reopening the same directory restores from the snapshot
-// checkpoint (only the live suffix is replayed).
+// store, and reopening the same directory restores from the durable
+// Genesis marker (only the live suffix is replayed).
 func TestWithSegmentStoreLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry()
@@ -68,8 +68,8 @@ func TestWithSegmentStoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen the same directory: the chain restores from the snapshot
-	// checkpoint — marker, head, and only the live suffix replayed.
+	// Reopen the same directory: the chain restores from the durable
+	// marker — marker, head, and only the live suffix replayed.
 	c2, err := New(reg, append(opts, WithSegmentStore(dir, SegmentOptions{SegmentBytes: 2048}))...)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -86,7 +86,7 @@ func TestWithSegmentStoreLifecycle(t *testing.T) {
 	}
 
 	// The standalone handle also works against the same directory once
-	// the chain is closed, exposing the snapshot to operators.
+	// the chain is closed, exposing the marker to operators.
 	if err := c2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,8 @@ func TestWithSegmentStoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	snap, ok, err := s.Snapshot()
-	if err != nil || !ok {
-		t.Fatalf("Snapshot: ok=%v err=%v", ok, err)
-	}
-	if snap.Marker != marker {
-		t.Errorf("snapshot marker %d, want %d", snap.Marker, marker)
+	if m, err := s.Marker(); err != nil || m != marker {
+		t.Errorf("store marker %d (%v), want %d", m, err, marker)
 	}
 }
 
@@ -404,9 +400,9 @@ func TestSubmitVerifiesEachSignatureOnce(t *testing.T) {
 
 // TestFsyncsPerBlock is the durability modes' cost in fsyncs, 16
 // producers over 600 entries: none while appending when the store syncs
-// on roll only, exactly one per block with SyncEvery, and under group
-// commit more than none — receipts resolve at durability — but fewer
-// than one per block, which is the whole point of sharing them.
+// on roll only, and under group commit more than none — receipts
+// resolve at durability — but fewer than one per block, which is the
+// whole point of sharing them.
 func TestFsyncsPerBlock(t *testing.T) {
 	measure := func(seg SegmentOptions, opts ...Option) (fsyncs, blocks uint64) {
 		c, ss, entries := costChain(t, 600, seg, opts...)
@@ -418,9 +414,6 @@ func TestFsyncsPerBlock(t *testing.T) {
 	}
 	if fsyncs, blocks := measure(SegmentOptions{}); fsyncs != 0 || blocks == 0 {
 		t.Errorf("roll-only: %d fsyncs over %d blocks, want none", fsyncs, blocks)
-	}
-	if fsyncs, blocks := measure(SegmentOptions{SyncEvery: true}); fsyncs != blocks || blocks == 0 {
-		t.Errorf("sync-every: %d fsyncs over %d blocks, want one each", fsyncs, blocks)
 	}
 	// Small batches, so that many blocks fall into each 50 ms window.
 	if fsyncs, blocks := measure(SegmentOptions{}, WithMaxBatch(16), WithDurability(DurabilityGroup, 50*time.Millisecond)); fsyncs == 0 || fsyncs >= blocks {
