@@ -10,10 +10,10 @@
 //	seldel-serve -addr :8420 -durability group -group-window 2ms
 //
 // The identity registry is seeded with -keys deterministic user keys
-// derived from -key-seed (user000, user001, ...), matching what
-// seldel-load signs with client-side. Production deployments would
-// load a real registry instead; the deterministic registry is what
-// makes the serve/load pair a self-contained harness.
+// derived from -key-seed (user000, user001, ...), so a client can sign
+// with identity.Deterministic("user%03d", seed), as this command's
+// tests do. Production deployments would load a real registry instead;
+// the deterministic one makes the binary testable on its own.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 }
 
 // registrySeed registers n deterministic user keys (user000...) plus a
-// master key, mirroring seldel-load's client-side derivation.
+// master key, the keys a client derives with identity.Deterministic.
 func registrySeed(n int, seed string) (*identity.Registry, error) {
 	reg := identity.NewRegistry()
 	for i := 0; i < n; i++ {

@@ -1,9 +1,9 @@
-// Serving: the HTTP front-end and the open-loop load harness end to
-// end — a server over an in-memory bounded chain, client-signed
-// submits over HTTP with sealed receipts, cursor pagination that stays
-// stable across a deletion-driven truncation, a deletion proof fetched
-// through the API, and a short open-loop burst reporting scheduled-time
-// latency quantiles (the shape cmd/seldel-load measures at scale).
+// Serving: the HTTP front-end end to end — a server over an in-memory
+// bounded chain, client-signed submits over HTTP with sealed receipts,
+// cursor pagination, and a deletion proof fetched through the API once
+// a truncation has made the deletion physical. What the front-end costs
+// under load is measured by the repo benchmark
+// (bash benchmark/run.sh --workload read).
 package main
 
 import (
@@ -117,48 +117,6 @@ func run() error {
 		return fmt.Errorf("prove-deleted: HTTP %d", resp.StatusCode)
 	}
 	fmt.Printf("deletion of %s proven through the API (marker now %d)\n", victim, c.Marker())
-
-	// --- A short open-loop burst: 200 requests at 500/s, latency
-	// measured from each request's SCHEDULED time (no coordinated
-	// omission — see cmd/seldel-load/README.md).
-	bodies := make([][]byte, 200)
-	for i := range bodies {
-		e := seldel.NewData("alice", fmt.Appendf(nil, "burst %d", i)).Sign(alice)
-		bodies[i], err = json.Marshal(seldel.SubmitRequest{Entries: []seldel.EntryJSON{seldel.NewEntryJSON(e)}})
-		if err != nil {
-			return err
-		}
-	}
-	client := &http.Client{}
-	sum := seldel.RunLoad(ctx, seldel.LoadOptions{
-		Rate:     500,
-		Requests: len(bodies),
-		Fire: func(ctx context.Context, i int) seldel.LoadClass {
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/submit?wait=1", bytes.NewReader(bodies[i]))
-			if err != nil {
-				return seldel.LoadErrored
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				return seldel.LoadErrored
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				return seldel.LoadOK
-			case http.StatusTooManyRequests:
-				return seldel.LoadShed
-			default:
-				return seldel.LoadErrored
-			}
-		},
-	})
-	fmt.Printf("open-loop burst: offered=%.0f/s ok=%d sheds=%d errors=%d p50=%dµs p99=%dµs\n",
-		sum.Offered, sum.OKs, sum.Sheds, sum.Errors, sum.P50Micros, sum.P99Micros)
-	if sum.Errors > 0 {
-		return fmt.Errorf("%d burst requests errored", sum.Errors)
-	}
 	return nil
 }
 

@@ -118,8 +118,8 @@ type Registry struct {
 
 	// Verified-signature cache, enabled by EnableVerifyCache. In
 	// broadcast-heavy simulations many nodes share one registry and each
-	// envelope is verified once per receiver; remembering (signer, msg,
-	// sig) triples already proven valid turns n-1 of those n Ed25519
+	// envelope is verified once per receiver; remembering (public key,
+	// msg, sig) triples already proven valid turns n-1 of those n Ed25519
 	// verifications into a hash lookup.
 	cacheMu  sync.Mutex
 	cache    map[[sha256.Size]byte]struct{}
@@ -187,20 +187,17 @@ func (r *Registry) EnableVerifyCache(capacity int) {
 	r.cacheCap = capacity
 }
 
-// verifyCacheKey binds signer, message, and signature into one digest.
-// Length prefixes keep (name, msg) concatenation unambiguous.
-func verifyCacheKey(name string, msg, sig []byte) [sha256.Size]byte {
+// verifyCacheKey binds signer key, signature, and message into one
+// digest. The key and the signature have fixed sizes (Verify rejects any
+// other signature size before it gets here), so the one variable-length
+// part comes last and no two triples hash the same bytes. Keying on the
+// public key rather than the name leaves a participant no say over the
+// prefix.
+func verifyCacheKey(pub ed25519.PublicKey, msg, sig []byte) [sha256.Size]byte {
 	h := sha256.New()
-	var n [8]byte
-	n[0] = byte(len(name))
-	h.Write(n[:1])
-	h.Write([]byte(name))
-	for i, l := 0, len(msg); i < 8; i++ {
-		n[i] = byte(l >> (8 * i))
-	}
-	h.Write(n[:])
-	h.Write(msg)
+	h.Write(pub)
 	h.Write(sig)
+	h.Write(msg)
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out
@@ -212,12 +209,15 @@ func (r *Registry) Verify(name string, msg, sig []byte) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownIdentity, name)
 	}
+	if len(sig) != ed25519.SignatureSize {
+		return fmt.Errorf("%w: signer %q: %d-byte signature", ErrBadSignature, name, len(sig))
+	}
 	r.cacheMu.Lock()
 	enabled := r.cache != nil
 	r.cacheMu.Unlock()
 	var key [sha256.Size]byte
 	if enabled {
-		key = verifyCacheKey(name, msg, sig)
+		key = verifyCacheKey(info.Public, msg, sig)
 		r.cacheMu.Lock()
 		_, hit := r.cache[key]
 		r.cacheMu.Unlock()

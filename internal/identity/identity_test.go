@@ -1,7 +1,10 @@
 package identity
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -208,5 +211,42 @@ func TestRoleOfAndLookup(t *testing.T) {
 	info, ok := reg.Lookup("alpha")
 	if !ok || info.Name != "alpha" || info.Role != RoleAdmin {
 		t.Errorf("Lookup = %+v, %v", info, ok)
+	}
+}
+
+// TestVerifyCacheRejectsCollidingTriple: a participant must not be able
+// to make its own cached signature answer for another participant's
+// (name, message, signature) triple by choosing a name whose bytes,
+// concatenated with its message and signature, re-split into the
+// victim's. Here the attacker's name is "v" + an 8-byte length + 248
+// filler bytes: 257 bytes, so a one-byte length prefix would read it as
+// len("v").
+func TestVerifyCacheRejectsCollidingTriple(t *testing.T) {
+	reg := NewRegistry()
+	reg.EnableVerifyCache(16)
+	filler := bytes.Repeat([]byte{'x'}, 248)
+	msgA := []byte("the attacker's own message")
+	var lenA, lenB [8]byte
+	binary.LittleEndian.PutUint64(lenA[:], uint64(len(msgA)))
+	binary.LittleEndian.PutUint64(lenB[:], uint64(len(filler)+8+len(msgA)))
+	name := string(slices.Concat([]byte("v"), lenB[:], filler))
+	victim := Deterministic("v", "cache-collision")
+	attacker := Deterministic(name, "cache-collision")
+	for _, kp := range []*KeyPair{victim, attacker} {
+		if err := reg.RegisterKey(kp, RoleUser); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sig := attacker.Sign(msgA)
+	if err := reg.Verify(name, msgA, sig); err != nil {
+		t.Fatalf("attacker's own signature: %v", err)
+	}
+	msgB := slices.Concat(filler, lenA[:], msgA)
+	if err := reg.Verify("v", msgB, sig); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("re-split triple under %q: err = %v, want ErrBadSignature", "v", err)
+	}
+	// A signature of the wrong size never reaches the cache.
+	if err := reg.Verify(name, msgA, append(sig, 0)); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("65-byte signature: err = %v, want ErrBadSignature", err)
 	}
 }

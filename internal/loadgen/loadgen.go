@@ -1,3 +1,9 @@
+// Package loadgen is an open-loop request scheduler: request i fires at
+// start + i/Rate whether or not earlier responses have come back, so a
+// stalled server accumulates scheduled-but-unanswered requests instead
+// of throttling its own measurement (no coordinated omission). Its one
+// caller is the repo benchmark (benchmark/, through seldel.RunLoad),
+// which times each request from its scheduled tick.
 package loadgen
 
 import (
@@ -7,102 +13,57 @@ import (
 	"time"
 )
 
-// Class is a fire function's verdict about one request, counted into
-// the run summary.
+// Class is a fire function's verdict about one request.
 type Class int
 
 const (
-	// OK: the request succeeded.
-	OK Class = iota
-	// Shed: the server refused it with backpressure (HTTP 429). Sheds
-	// are the system working as designed; they are counted, not
-	// recorded as latency samples.
-	Shed
-	// Errored: the request failed (transport error, 5xx, bad reply).
-	Errored
+	OK      Class = iota // the request succeeded
+	Shed                 // the server refused it with backpressure (HTTP 429)
+	Errored              // transport error, 5xx, bad reply
 )
 
-// Options configure an open-loop run.
+// Options configure an open-loop run. Rate, Requests and Fire are
+// required.
 type Options struct {
-	// Rate is the offered load in requests per second. Required.
-	Rate float64
-	// Duration bounds the run; Requests bounds the request count.
-	// Whichever is set (or hit) first ends the schedule.
-	Duration time.Duration
-	Requests int
-	// MaxInflight is a safety valve: if this many requests are already
-	// outstanding, a scheduled request is counted as Dropped instead of
-	// fired, so a wedged server cannot make the harness spawn unbounded
-	// goroutines. It does NOT slow the schedule down — later requests
-	// still fire at their scheduled times. Default 4096.
+	Rate     float64 // offered load, requests per second
+	Requests int     // requests to schedule
+	// MaxInflight is a safety valve: a request scheduled while this many
+	// are outstanding is counted as Dropped instead of fired, so a wedged
+	// server cannot make the harness spawn unbounded goroutines. It does
+	// not slow the schedule down. Default 4096.
 	MaxInflight int
-	// Fire issues request i and classifies the outcome. It runs on its
-	// own goroutine; many can be in flight at once. Required.
+	// Fire issues request i and classifies the outcome, on a goroutine
+	// of its own; many can be in flight at once.
 	Fire func(ctx context.Context, i int) Class
 }
 
-// Summary is one run's outcome.
+// Summary counts one run's requests by outcome.
 type Summary struct {
-	Offered   float64       `json:"offered_per_sec"`  // configured rate
-	Achieved  float64       `json:"achieved_per_sec"` // completed OK / wall time
-	Wall      time.Duration `json:"-"`
-	WallSec   float64       `json:"wall_sec"`
-	Scheduled int64         `json:"scheduled"`
-	OKs       int64         `json:"ok"`
-	Sheds     int64         `json:"sheds"`
-	Errors    int64         `json:"errors"`
-	Dropped   int64         `json:"dropped"` // hit MaxInflight, never fired
-	P50Micros int64         `json:"p50_us"`
-	P99Micros int64         `json:"p99_us"`
-	P999Micro int64         `json:"p999_us"`
-	MaxMicros int64         `json:"max_us"`
-	MeanMicro float64       `json:"mean_us"`
+	Scheduled int64
+	OKs       int64
+	Sheds     int64
+	Errors    int64
+	Dropped   int64 // hit MaxInflight, never fired
 }
 
-// ShedFraction is Sheds over Scheduled (0 when nothing was scheduled).
-func (s Summary) ShedFraction() float64 {
-	if s.Scheduled == 0 {
-		return 0
-	}
-	return float64(s.Sheds) / float64(s.Scheduled)
-}
-
-// Run drives opts.Fire open-loop: request i's scheduled time is
-// start + i/Rate, and the scheduler sleeps to each tick and fires
-// WITHOUT waiting for any earlier response. Latency for successful
-// requests is measured from the SCHEDULED time, so time a request
-// spent queued behind a slow server counts against the server (no
-// coordinated omission). Cancelling ctx stops scheduling and waits
-// for in-flight requests.
+// Run drives opts.Fire open-loop: it sleeps to each tick and fires
+// without waiting for any earlier response. Cancelling ctx stops the
+// schedule; Run returns once every fired request has.
 func Run(ctx context.Context, opts Options) Summary {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 4096
 	}
 	interval := time.Duration(float64(time.Second) / opts.Rate)
 	var (
-		wg        sync.WaitGroup
-		inflight  atomic.Int64
-		oks       atomic.Int64
-		sheds     atomic.Int64
-		errs      atomic.Int64
-		dropped   atomic.Int64
-		scheduled int64
-		hist      Hist
+		wg                                  sync.WaitGroup
+		inflight, oks, sheds, errs, dropped atomic.Int64
+		scheduled                           int64
 	)
 	start := time.Now()
-	deadline := time.Time{}
-	if opts.Duration > 0 {
-		deadline = start.Add(opts.Duration)
-	}
-	for i := 0; opts.Requests <= 0 || i < opts.Requests; i++ {
-		due := start.Add(time.Duration(i) * interval)
-		if !deadline.IsZero() && due.After(deadline) {
-			break
-		}
-		// Sleep to the scheduled tick. A late wakeup (previous Fire spawn,
-		// GC, scheduler noise) does not shift later ticks: every due time
-		// is computed from start, so the offered rate holds over the run.
-		if d := time.Until(due); d > 0 {
+	for i := 0; i < opts.Requests; i++ {
+		// Every due time is computed from start, so a late wakeup (GC,
+		// scheduler noise) does not shift later ticks.
+		if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
@@ -118,41 +79,25 @@ func Run(ctx context.Context, opts Options) Summary {
 		}
 		inflight.Add(1)
 		wg.Add(1)
-		go func(i int, due time.Time) {
+		go func(i int) {
 			defer wg.Done()
 			defer inflight.Add(-1)
 			switch opts.Fire(ctx, i) {
 			case OK:
 				oks.Add(1)
-				// Scheduled-time latency: includes any lag between the due
-				// tick and the server's reply.
-				hist.RecordDuration(time.Since(due))
 			case Shed:
 				sheds.Add(1)
 			default:
 				errs.Add(1)
 			}
-		}(i, due)
+		}(i)
 	}
 	wg.Wait()
-	wall := time.Since(start)
-	s := Summary{
-		Offered:   opts.Rate,
-		Wall:      wall,
-		WallSec:   wall.Seconds(),
+	return Summary{
 		Scheduled: scheduled,
 		OKs:       oks.Load(),
 		Sheds:     sheds.Load(),
 		Errors:    errs.Load(),
 		Dropped:   dropped.Load(),
-		P50Micros: hist.Quantile(0.50),
-		P99Micros: hist.Quantile(0.99),
-		P999Micro: hist.Quantile(0.999),
-		MaxMicros: hist.Max(),
-		MeanMicro: hist.Mean(),
 	}
-	if sec := wall.Seconds(); sec > 0 {
-		s.Achieved = float64(s.OKs) / sec
-	}
-	return s
 }

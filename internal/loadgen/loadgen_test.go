@@ -8,67 +8,16 @@ import (
 	"time"
 )
 
-func TestHistBucketRoundTrip(t *testing.T) {
-	// lowOf(bucketOf(v)) must never exceed v and must stay within the
-	// histogram's relative-error budget (one mantissa step, ~1.6%).
-	for _, v := range []int64{0, 1, 2, 63, 64, 65, 127, 128, 1000, 4095, 4096,
-		1 << 20, (1 << 20) + 12345, 1 << 40, math.MaxInt64} {
-		lo := lowOf(bucketOf(v))
-		if lo > v {
-			t.Errorf("lowOf(bucketOf(%d)) = %d > input", v, lo)
-		}
-		if v > 0 && float64(v-lo)/float64(v) > 1.0/64+1e-9 {
-			t.Errorf("value %d mapped to bucket low %d: relative error %.4f", v, lo, float64(v-lo)/float64(v))
-		}
-	}
-}
-
-func TestHistQuantiles(t *testing.T) {
-	var h Hist
-	// 1..10000 µs uniformly: p50 ≈ 5000, p99 ≈ 9900, max = 10000.
-	for i := int64(1); i <= 10000; i++ {
-		h.Record(i)
-	}
-	if h.Count() != 10000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	check := func(q, want, tol float64) {
-		got := float64(h.Quantile(q))
-		if math.Abs(got-want)/want > tol {
-			t.Errorf("q%.3f = %.0f, want %.0f ± %.0f%%", q, got, want, tol*100)
-		}
-	}
-	check(0.50, 5000, 0.02)
-	check(0.99, 9900, 0.02)
-	check(0.999, 9990, 0.02)
-	if h.Max() != 10000 {
-		t.Errorf("max = %d", h.Max())
-	}
-	if mean := h.Mean(); math.Abs(mean-5000.5) > 100 {
-		t.Errorf("mean = %.1f", mean)
-	}
-	// The top quantile never exceeds the recorded max.
-	if h.Quantile(1.0) > h.Max() {
-		t.Errorf("q1.0 = %d > max %d", h.Quantile(1.0), h.Max())
-	}
-}
-
-func TestHistEmpty(t *testing.T) {
-	var h Hist
-	if h.Count() != 0 || h.Quantile(0.99) != 0 || h.Max() != 0 {
-		t.Errorf("empty hist: count=%d q99=%d max=%d", h.Count(), h.Quantile(0.99), h.Max())
-	}
-}
-
-// TestOpenLoopIndependence is the defining property of the harness: a
-// stalled server must NOT slow the request schedule down. 20 requests
+// TestOpenLoopIndependence is the defining property of the scheduler:
+// a stalled server must NOT slow the request schedule down. 20 requests
 // at 100/s, each stalling 150ms. A closed loop would need 20 × 150ms =
-// 3s of wall time; an open loop needs ~190ms of schedule + one stall.
-// And because latency is charged from the SCHEDULED time, p50 must
-// reflect the stall, not the (instant) send.
+// 3s of wall time; an open loop needs ~190ms of schedule + one stall,
+// and every request has fired before the first stall ends.
 func TestOpenLoopIndependence(t *testing.T) {
 	const stall = 150 * time.Millisecond
 	var fired atomic.Int64
+	var firedAtFirstReply atomic.Int64
+	firedAtFirstReply.Store(-1)
 	start := time.Now()
 	sum := Run(context.Background(), Options{
 		Rate:     100,
@@ -79,26 +28,23 @@ func TestOpenLoopIndependence(t *testing.T) {
 			case <-time.After(stall):
 			case <-ctx.Done():
 			}
+			firedAtFirstReply.CompareAndSwap(-1, fired.Load())
 			return OK
 		},
 	})
 	wall := time.Since(start)
-	if sum.OKs != 20 || sum.Scheduled != 20 {
-		t.Fatalf("oks=%d scheduled=%d", sum.OKs, sum.Scheduled)
+	if sum.OKs != 20 || sum.Scheduled != 20 || fired.Load() != 20 {
+		t.Fatalf("oks=%d scheduled=%d fired=%d", sum.OKs, sum.Scheduled, fired.Load())
 	}
 	// Closed-loop floor would be 20 stalls = 3s; the open loop finishes
 	// in schedule length (190ms) + one stall + slack.
 	if wall > 1500*time.Millisecond {
 		t.Errorf("wall %v: schedule was serialized behind the stalls", wall)
 	}
-	// Every latency includes the stall (measured from scheduled time).
-	// The histogram reports bucket lower bounds, so allow its ≤1.6%
-	// quantization under-shoot.
-	if p50 := time.Duration(sum.P50Micros) * time.Microsecond; p50 < stall-stall/32 {
-		t.Errorf("p50 %v < stall %v: latency not charged from scheduled time", p50, stall)
-	}
-	if sum.Offered != 100 {
-		t.Errorf("offered = %.1f", sum.Offered)
+	// A closed loop has fired exactly one request when the first reply
+	// lands; the open loop has fired ~15 (150ms of a 10ms schedule).
+	if n := firedAtFirstReply.Load(); n < 5 {
+		t.Errorf("%d requests fired when the first stall ended: the schedule waited on replies", n)
 	}
 }
 
@@ -117,10 +63,10 @@ func TestRunClassesAndShedFraction(t *testing.T) {
 			}
 		},
 	})
-	if sum.OKs != 20 || sum.Sheds != 10 || sum.Errors != 10 {
-		t.Errorf("oks=%d sheds=%d errors=%d", sum.OKs, sum.Sheds, sum.Errors)
+	if sum.OKs != 20 || sum.Sheds != 10 || sum.Errors != 10 || sum.Scheduled != 40 {
+		t.Errorf("oks=%d sheds=%d errors=%d scheduled=%d", sum.OKs, sum.Sheds, sum.Errors, sum.Scheduled)
 	}
-	if got := sum.ShedFraction(); math.Abs(got-0.25) > 1e-9 {
+	if got := float64(sum.Sheds) / float64(sum.Scheduled); math.Abs(got-0.25) > 1e-9 {
 		t.Errorf("shed fraction = %v", got)
 	}
 }
@@ -160,20 +106,5 @@ func TestRunContextCancel(t *testing.T) {
 	})
 	if sum.Scheduled >= 1000 {
 		t.Errorf("cancel did not stop the schedule: %d scheduled", sum.Scheduled)
-	}
-}
-
-func TestRunDurationBound(t *testing.T) {
-	sum := Run(context.Background(), Options{
-		Rate:     1000,
-		Duration: 100 * time.Millisecond,
-		Fire:     func(ctx context.Context, i int) Class { return OK },
-	})
-	// ~100 ticks fit the window; allow generous slack for slow CI.
-	if sum.Scheduled < 50 || sum.Scheduled > 101 {
-		t.Errorf("scheduled %d requests in a 100ms window at 1000/s", sum.Scheduled)
-	}
-	if sum.OKs != sum.Scheduled {
-		t.Errorf("oks %d != scheduled %d", sum.OKs, sum.Scheduled)
 	}
 }

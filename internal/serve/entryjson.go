@@ -90,7 +90,7 @@ func (j *EntryJSON) Entry(maxPayload int) (*block.Entry, error) {
 }
 
 // NewEntryJSON converts a signed entry into its wire form — what a
-// client (cmd/seldel-load, tests) puts in a SubmitRequest.
+// client (the repo benchmark, examples, tests) puts in a SubmitRequest.
 func NewEntryJSON(e *block.Entry) EntryJSON { return entryJSON(e) }
 
 // entryJSON converts a live entry into its wire form (reads).

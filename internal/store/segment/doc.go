@@ -18,8 +18,8 @@
 //     their receipts resolve.
 //   - An in-memory offset index maps block numbers to (segment,
 //     offset), so reads are one pread.
-//   - Sealed segments' read handles live in an LRU capped by
-//     Options.MaxOpenFiles and reopen transparently on access, so a
+//   - Sealed segments' read handles live in an LRU capped at 64 open
+//     files (maxOpenFiles) and reopen transparently on access, so a
 //     long-lived store holds a bounded number of file descriptors no
 //     matter how many segments accumulate (only the active segment's
 //     handle is pinned).

@@ -25,9 +25,6 @@ const (
 	// DefaultSegmentBytes is the roll threshold used when
 	// Options.SegmentBytes is 0.
 	DefaultSegmentBytes = 1 << 20
-	// DefaultMaxOpenFiles is the sealed-segment read-handle cap used
-	// when Options.MaxOpenFiles is 0.
-	DefaultMaxOpenFiles = 64
 	// maxRecordBytes bounds a single decoded record, so a corrupt
 	// length field cannot drive allocation.
 	maxRecordBytes = 64 << 20
@@ -49,14 +46,15 @@ type Options struct {
 	// under truncation (bytes reclaim sooner); larger ones amortize
 	// per-file cost further. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// MaxOpenFiles caps how many sealed segments keep their read file
-	// handle open at once. Sealed segments are read-only; their handles
-	// live in an LRU and are reopened transparently on access, so a
-	// very long-lived store holds O(MaxOpenFiles) descriptors instead
-	// of one per segment. The active segment's handle is always open
-	// and does not count against the cap. 0 means DefaultMaxOpenFiles.
-	MaxOpenFiles int
 }
+
+// maxOpenFiles caps how many sealed segments keep their read file handle
+// open at once. Sealed segments are read-only; their handles live in an
+// LRU and are reopened transparently on access, so a very long-lived
+// store holds a bounded number of descriptors instead of one per
+// segment. The active segment's handle is always open and does not
+// count against the cap. A variable only so tests can lower it.
+var maxOpenFiles = 64
 
 // recordLoc locates one block's payload inside a segment file.
 type recordLoc struct {
@@ -137,12 +135,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	if opts.SegmentBytes == 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.MaxOpenFiles < 0 {
-		return nil, fmt.Errorf("segment: negative MaxOpenFiles")
-	}
-	if opts.MaxOpenFiles == 0 {
-		opts.MaxOpenFiles = DefaultMaxOpenFiles
 	}
 	if err := checkLayout(dir); err != nil {
 		return nil, err
@@ -424,7 +416,7 @@ func (s *Store) handleLocked(seg *segmentFile) (*os.File, error) {
 // used, closing the least recently used handles beyond the cap.
 func (s *Store) lruInsert(seg *segmentFile) {
 	s.lru = append(s.lru, seg)
-	for len(s.lru) > s.opts.MaxOpenFiles {
+	for len(s.lru) > maxOpenFiles {
 		old := s.lru[0]
 		s.lru = s.lru[1:]
 		if old.f != nil {
@@ -456,24 +448,6 @@ func (s *Store) lruDrop(seg *segmentFile) {
 			return
 		}
 	}
-}
-
-// OpenHandles reports how many segment file handles are currently open
-// (observability for the fd-cap tests; always ≥ 1 for the active
-// segment).
-func (s *Store) OpenHandles() (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, store.ErrClosed
-	}
-	open := 0
-	for _, seg := range s.segs {
-		if seg.f != nil {
-			open++
-		}
-	}
-	return open, nil
 }
 
 // PutBlock implements store.Store: append one length-prefixed record to

@@ -414,7 +414,7 @@ func AuditRenderOptions() *RenderOptions {
 func ParseSchema(src string) (*Schema, error) { return schema.Parse(src) }
 
 // Serving-layer types: the HTTP/2 (h2c) front-end of NewServer and the
-// open-loop load-generation primitives behind cmd/seldel-load. See
+// open-loop request scheduler the repo benchmark drives it with. See
 // docs/ARCHITECTURE.md §9.
 type (
 	// Server is the HTTP front-end over a chain or a node: client-signed
@@ -434,13 +434,9 @@ type (
 	AdmissionOptions = serve.AdmissionOptions
 	// LoadOptions parameterize one open-loop load run.
 	LoadOptions = loadgen.Options
-	// LoadSummary is an open-loop run's outcome: offered vs achieved
-	// rate, shed/error/drop counts, and scheduled-time latency
-	// quantiles (p50/p99/p999).
+	// LoadSummary counts an open-loop run's requests by outcome:
+	// scheduled, OK, shed, errored and dropped.
 	LoadSummary = loadgen.Summary
-	// LatencyHist is the concurrent HDR-style histogram the load
-	// generator records into.
-	LatencyHist = loadgen.Hist
 
 	// SubmitRequest is the Server's POST /v1/submit body.
 	SubmitRequest = serve.SubmitRequest
@@ -475,8 +471,8 @@ func NewServer(backend ServerBackend, opts ServerOptions) *Server {
 	return serve.New(backend, opts)
 }
 
-// RunLoad drives fire open-loop (fixed schedule, scheduled-time
-// latency; see internal/loadgen) and reports the run summary.
+// RunLoad drives opts.Fire open-loop (a fixed schedule that never waits
+// on a reply; see internal/loadgen) and counts the outcomes.
 func RunLoad(ctx context.Context, opts LoadOptions) LoadSummary {
 	return loadgen.Run(ctx, opts)
 }
