@@ -390,9 +390,11 @@ func (b *Block) CheckShape() error {
 	return nil
 }
 
-// Encode returns the full canonical block encoding (for gossip/storage).
+// Encode returns the full canonical block encoding (for gossip/storage)
+// in one allocation: the buffer is sized by EncodedSize before the
+// encode, so a summary block's megabyte is never regrown on the way.
 func (b *Block) Encode() []byte {
-	return b.AppendEncode(nil)
+	return b.AppendEncode(make([]byte, 0, b.EncodedSize()))
 }
 
 // AppendEncode appends the full canonical block encoding to dst and

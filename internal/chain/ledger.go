@@ -2,6 +2,7 @@ package chain
 
 import (
 	"container/heap"
+	"sort"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/codec"
@@ -11,13 +12,14 @@ import (
 // index: every live data entry, keyed by its stable Ref, viewed as the
 // CarriedEntry it would become in the next summary block. byRef answers
 // where an entry lives (Lookup, Confirmations, dependency rules); the
-// origin-ordered list answers what the next Σ carries. The naive planner
+// origin-ordered list, together with each live summary's held list,
+// answers what the next Σ carries. The naive planner
 // (summary_reference_test.go) rescans every merged block and every
-// previously carried entry at each summary slot; the ledger keeps that
-// list materialized and updated on append, mark, and truncate, so
-// computeSummaryLocked assembles Σ by walking a prefix — O(carried
-// output) with no per-slot rescans — and Stats() reads live/carried
-// counters in O(1).
+// previously carried entry at each summary slot; the ledger keeps both
+// materialized and updated on append, mark, and truncate, so
+// computeSummaryLocked assembles Σ from the candidates the cut blocks
+// hold and no others — O(what the cut holds), not O(everything carried)
+// — and Stats() reads live/carried counters in O(1).
 //
 // Re-carrying an entry costs no lookup and no hash. The append that
 // consumes a plan re-homes the plan's own candidates in place
@@ -32,7 +34,14 @@ import (
 // Live appends preserve it naturally (origins only grow, and entries
 // migrating into a summary keep their origin coordinates); restoring a
 // persisted chain can interleave origins, which insertBatch repairs with
-// a linear merge.
+// a linear merge. Each held list is in its summary's Carried order, which
+// is the same order.
+//
+// Cut invariant: an entry still in its origin block has origin ≥ the
+// Genesis marker, and every other entry is in the held list of the live
+// summary holding it. So the candidates a cut to newMarker merges are the
+// held lists of the summaries below newMarker plus the contiguous range
+// of `ordered` with origin in [marker, newMarker) (walkCut).
 
 // candidate is one live data entry viewed as a future summary carry.
 type candidate struct {
@@ -67,6 +76,12 @@ func (cd *candidate) location() Location {
 type carriedLedger struct {
 	ordered []*candidate
 	byRef   map[block.Ref]*candidate
+	// held maps each live summary block's number to the candidates it
+	// holds, aligned with its Carried list: an append sets it from the
+	// plan (Chain.rehomeLocked), a restore from the migrated entries, and
+	// prune drops the lists of cut summaries — the only lists whose
+	// candidates a later Σ has re-homed.
+	held map[uint64][]*candidate
 	// peak is the high-water size of byRef since its last rebuild, and
 	// rebuilds counts those rebuilds (PipelineStats gauges). Go maps never
 	// release their buckets, so after a large cut the map can pin an
@@ -83,7 +98,7 @@ type carriedLedger struct {
 }
 
 func newCarriedLedger() carriedLedger {
-	return carriedLedger{byRef: make(map[block.Ref]*candidate)}
+	return carriedLedger{byRef: make(map[block.Ref]*candidate), held: make(map[uint64][]*candidate)}
 }
 
 // add registers a fresh data entry from a normal block.
@@ -116,18 +131,22 @@ func (l *carriedLedger) index(cand *candidate) {
 // candidates directly (Chain.rehomeLocked).
 func (l *carriedLedger) migrate(summaryNum uint64, carried []block.CarriedEntry) (added, moved int) {
 	var fresh []*candidate
+	held := make([]*candidate, len(carried))
 	for i, ce := range carried {
 		if cand, ok := l.byRef[ce.Ref()]; ok {
 			if !cand.carried() {
 				moved++
 			}
 			cand.ce, cand.holder, cand.pos = ce, summaryNum, uint32(i)
+			held[i] = cand
 			continue
 		}
 		cand := &candidate{ce: ce, holder: summaryNum, pos: uint32(i)}
 		l.index(cand)
 		fresh = append(fresh, cand)
+		held[i] = cand
 	}
+	l.held[summaryNum] = held
 	if len(fresh) > 0 {
 		l.insertBatch(fresh)
 	}
@@ -185,8 +204,63 @@ func (l *carriedLedger) prune(newMarker uint64, drop func(*candidate)) {
 		l.ordered[i] = nil
 	}
 	l.ordered = kept
+	for num := range l.held {
+		if num < newMarker {
+			delete(l.held, num)
+		}
+	}
 	l.dropDeadHeapItems(&l.expireTime)
 	l.dropDeadHeapItems(&l.expireBlock)
+}
+
+// walkCut hands visit, in (OriginBlock, EntryNumber) order, every
+// candidate held by a block in [marker, newMarker) — the blocks a cut to
+// newMarker merges away — and reports how many candidates it looked at.
+// Those are the held lists of the cut summaries and the range of
+// `ordered` whose origin is a cut normal block (the cut invariant), each
+// already sorted, so the walk merges their heads: one list and the range
+// under ShrinkMinimal, at most one list per cut sequence otherwise.
+// Candidates whose holder is not the block they are listed under are
+// passed over; the cut invariant leaves none, but a restore replaying
+// cut blocks could.
+func (l *carriedLedger) walkCut(marker, newMarker uint64, visit func(*candidate)) (visited int) {
+	type run struct {
+		cands []*candidate
+		// holder is the summary the run's candidates must still be held
+		// by; own marks the normal blocks' range, whose candidates must
+		// still be in their origin block.
+		holder uint64
+		own    bool
+	}
+	var runs []run
+	for num, cands := range l.held {
+		if num < newMarker && len(cands) > 0 {
+			runs = append(runs, run{cands: cands, holder: num})
+		}
+	}
+	lo := sort.Search(len(l.ordered), func(i int) bool { return l.ordered[i].ce.OriginBlock >= marker })
+	hi := lo + sort.Search(len(l.ordered)-lo, func(i int) bool { return l.ordered[lo+i].ce.OriginBlock >= newMarker })
+	if lo < hi {
+		runs = append(runs, run{cands: l.ordered[lo:hi], own: true})
+	}
+	for {
+		best := -1
+		for i := range runs {
+			if len(runs[i].cands) > 0 && (best < 0 || candidateLess(runs[i].cands[0], runs[best].cands[0])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return visited
+		}
+		r := &runs[best]
+		cand := r.cands[0]
+		r.cands = r.cands[1:]
+		visited++
+		if r.own && !cand.carried() || !r.own && cand.holder == r.holder {
+			visit(cand)
+		}
+	}
 }
 
 // indexShrinkMinPeak is the smallest index high-water mark at which a

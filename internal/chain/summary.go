@@ -79,6 +79,9 @@ type plannedSummary struct {
 	// hashed counts the leaves this plan hashed rather than took from a
 	// candidate's memo.
 	hashed int
+	// visited counts the ledger candidates the plan looked at: those the
+	// cut blocks hold, carried or not (carriedLedger.walkCut).
+	visited int
 }
 
 // planSummaryLocked returns the plan of Σ for the current head,
@@ -108,14 +111,16 @@ func (c *Chain) isPlanned(b *block.Block) bool {
 // computeSummaryLocked computes the next summary block Σ and its
 // retention plan from the carried-entry ledger: instead of rescanning
 // every merged block (and every entry already carried inside a previous
-// summary, the dominant cost as chains grow), it walks the ledger's
-// origin-ordered prefix below the new marker — O(carried output). Only
-// entries carried for the first time have their leaf hashed, fanned out
-// across the verifier; every other leaf is its candidate's memo. The
-// result is bit-identical to planSummaryReferenceLocked, which the
-// golden tests enforce. Callers must hold the chain lock (read or
-// write) and must have verified that the next slot is a summary slot;
-// the method never mutates chain state.
+// summary, the dominant cost as chains grow), it walks only the
+// candidates the cut blocks hold — the held lists of the cut summaries
+// and the cut normal blocks' range of the origin-ordered list — so its
+// cost is what the cut holds, not everything carried. Only entries
+// carried for the first time have their leaf hashed, fanned out across
+// the verifier; every other leaf is its candidate's memo. The result is
+// bit-identical to planSummaryReferenceLocked, which the golden tests
+// enforce. Callers must hold the chain lock (read or write) and must
+// have verified that the next slot is a summary slot; the method never
+// mutates chain state.
 func (c *Chain) computeSummaryLocked() *plannedSummary {
 	head := c.head()
 	num := head.Header.Number + 1
@@ -124,21 +129,14 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 	var carried []block.CarriedEntry
 	var missing []int
 	if p.plan.newMarker > c.marker {
-		// An entry's origin never exceeds its holder, so every entry of
-		// the merged prefix sits in the ledger's origin-< newMarker
-		// prefix; entries already migrated into a summary that survives
-		// the cut (ShrinkMinimal partial merges) are skipped by holder.
 		checkExpiry := c.ledger.expiryPossible(head.Header.Time, num)
-		for _, cand := range c.ledger.ordered {
-			if cand.ce.OriginBlock >= p.plan.newMarker {
-				break
-			}
-			if cand.holder >= p.plan.newMarker || cand.marked {
-				continue
+		p.visited = c.ledger.walkCut(c.marker, p.plan.newMarker, func(cand *candidate) {
+			if cand.marked {
+				return
 			}
 			if checkExpiry && cand.ce.Entry.ExpiredAt(head.Header.Time, num) {
 				p.plan.expired++
-				continue
+				return
 			}
 			if cand.leaf.IsZero() {
 				missing = append(missing, len(carried))
@@ -146,7 +144,7 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 			carried = append(carried, cand.ce)
 			p.cands = append(p.cands, cand)
 			p.leaves = append(p.leaves, cand.leaf)
-		}
+		})
 	}
 	c.cfg.Verifier.Each(len(missing), func(k int) {
 		i := missing[k]
@@ -167,9 +165,11 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 // with its hash, so either way its carried list is p.cands position for
 // position: each candidate is re-homed in place, without a lookup, and
 // keeps its leaf from the plan. A copy's own entries replace the planned
-// ones, so what Σ replaced becomes collectable.
+// ones, so what Σ replaced becomes collectable. p.cands becomes b's held
+// list.
 func (c *Chain) rehomeLocked(b *block.Block, p *plannedSummary) {
 	num, copied := b.Header.Number, b != p.block
+	c.ledger.held[num] = p.cands
 	for i, cand := range p.cands {
 		if !cand.carried() {
 			c.carriedEntries++

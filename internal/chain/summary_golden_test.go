@@ -49,7 +49,9 @@ func (c *Chain) recountStatsForTest() (live, carried int) {
 // entry of a live block at its newest holder, by position and by entry
 // pointer; every memoized leaf must be its entry's leaf; and every live
 // summary must commit to its carried entries — the planned Σ is
-// appended without a shape check, so this is where a wrong leaf shows.
+// appended without a shape check, so this is where a wrong leaf shows —
+// and have a held list matching its carried list ref for ref, and no
+// other block may have one.
 func (c *Chain) indexDiffForTest() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -61,6 +63,7 @@ func (c *Chain) indexDiffForTest() string {
 		entry *block.Entry
 	}
 	want := make(map[block.Ref]held)
+	summaries := 0
 	for _, b := range c.blocks {
 		num := b.Header.Number
 		for i, ce := range b.Carried {
@@ -75,7 +78,20 @@ func (c *Chain) indexDiffForTest() string {
 			if got := block.CarriedRoot(b.Carried); got != b.Header.EntriesRoot {
 				return fmt.Sprintf("summary %d commits to %s, its carried entries hash to %s", num, b.Header.EntriesRoot, got)
 			}
+			list, ok := c.ledger.held[num]
+			if !ok || len(list) != len(b.Carried) {
+				return fmt.Sprintf("summary %d carries %d entries, its held list has %d (present: %v)", num, len(b.Carried), len(list), ok)
+			}
+			for i, cand := range list {
+				if cand.ce.Ref() != b.Carried[i].Ref() {
+					return fmt.Sprintf("summary %d: held list has %s at %d, the block carries %s", num, cand.ce.Ref(), i, b.Carried[i].Ref())
+				}
+			}
+			summaries++
 		}
+	}
+	if len(c.ledger.held) != summaries {
+		return fmt.Sprintf("%d held lists for %d live summaries", len(c.ledger.held), summaries)
 	}
 	for ref, h := range want {
 		cand, ok := c.ledger.byRef[ref]

@@ -1,5 +1,6 @@
 // Package segment implements the persistent store: blocks append into
-// bounded, length-prefixed segment files.
+// size-capped, length-prefixed segment files (a segment passes its cap
+// by less than one record).
 //
 // One file per block would make physical deletion just as observable,
 // but at scale it is an inode explosion, one open/rename per block on
@@ -10,12 +11,16 @@
 // while amortizing the filesystem cost:
 //
 //   - Appends go to the tail of the active segment file: the record is
-//     framed in a pooled buffer (one write syscall, no per-append heap
-//     allocation at steady state) and not fsynced per append. The store
-//     syncs on segment roll, truncation, and Close — and on demand via
-//     Sync, which is the hook the chain's group-commit durability mode
-//     uses to make many appended blocks durable with one fsync before
-//     their receipts resolve.
+//     framed in the store's one record buffer, sized from the block's
+//     exact encoding and cleared once written (one write syscall, no
+//     per-append heap allocation at steady state), and not fsynced per
+//     append. The store syncs on segment roll, truncation, and Close —
+//     and on demand via Sync, which is the hook the chain's group-commit
+//     durability mode uses to make many appended blocks durable with one
+//     fsync before their receipts resolve.
+//   - A segment rolls on the first append after it has reached
+//     SegmentBytes, so it exceeds the threshold by less than one record
+//     and a record larger than a segment costs one roll, not two.
 //   - An in-memory offset index maps block numbers to (segment,
 //     offset), so reads are one pread.
 //   - Sealed segments' read handles live in an LRU capped at 64 open

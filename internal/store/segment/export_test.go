@@ -18,3 +18,11 @@ func (s *Store) OpenHandles() (int, error) {
 	}
 	return open, nil
 }
+
+// RecordBufferForTest returns the store's record buffer up to its full
+// capacity, bytes past the last record's length included.
+func (s *Store) RecordBufferForTest() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.rec[:cap(s.rec)]
+}

@@ -3,7 +3,6 @@ package segment
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"sync"
 
 	"github.com/seldel/seldel/internal/block"
 )
@@ -16,55 +15,53 @@ import (
 // (scanSegmentFile) all go through the helpers here — a record written
 // by any of them must be recoverable by all of them.
 //
-// Records are built in pooled scratch buffers: the block encodes
-// in place after a reserved header (block.AppendEncode), the header is
-// backfilled, and the buffer returns to the pool once the bytes are on
-// disk. Steady-state appends therefore allocate nothing per record.
+// Records are built in the store's one record buffer (Store.rec), used
+// only under the store lock: it is sized once per record from the
+// block's exact encoded size, the block encodes in place after a
+// reserved header (block.AppendEncode), and the header is backfilled.
+// Once the bytes are on disk the used part is cleared, so the buffer
+// never holds a record's payloads past the call that wrote it, and a
+// buffer grown past maxKeptRecordBytes is dropped instead of kept.
+// Steady-state appends therefore allocate nothing per record, and a
+// summary block costs one sized encode rather than a run of regrowths.
 
-// recordBuf is a pooled scratch buffer for building one on-disk record.
-type recordBuf struct {
-	b []byte
-}
+// maxKeptRecordBytes is the largest record buffer the store keeps
+// between calls: a larger one, grown for one outsized block, is dropped
+// after use so it does not stay pinned for the life of the store.
+const maxKeptRecordBytes = 4 << 20
 
-// maxPooledRecordBytes caps the capacity a scratch buffer may keep when
-// returned to the pool, so one oversized block does not pin megabytes
-// for the lifetime of the process.
-const maxPooledRecordBytes = 1 << 20
-
-var recordBufPool = sync.Pool{New: func() any { return new(recordBuf) }}
-
-func getRecordBuf() *recordBuf { return recordBufPool.Get().(*recordBuf) }
-
-func putRecordBuf(rb *recordBuf) {
-	if cap(rb.b) <= maxPooledRecordBytes {
-		recordBufPool.Put(rb)
-	}
-}
-
-// sized resizes the buffer to hold a record with an n-byte payload and
-// returns the full record slice. The caller fills rec[recHeaderSize:]
-// and then stamps the header with fillRecordHeader.
-func (rb *recordBuf) sized(n int) []byte {
+// recordLocked returns the store's record buffer resized to hold a
+// record with an n-byte payload. The caller fills rec[recHeaderSize:],
+// stamps the header with fillRecordHeader, and hands the used length to
+// releaseRecordLocked once the bytes are written.
+func (s *Store) recordLocked(n int) []byte {
 	need := recHeaderSize + n
-	if cap(rb.b) < need {
-		rb.b = make([]byte, need)
+	if cap(s.rec) < need {
+		s.rec = make([]byte, need)
 	}
-	rb.b = rb.b[:need]
-	return rb.b
+	return s.rec[:need]
 }
 
-// appendBlockRecord encodes b as one complete on-disk record into rb:
-// header space is reserved up front, the block encodes directly behind
-// it, and the header is backfilled from the finished payload. Returns
-// the record (aliasing rb's buffer, valid until the next use of rb) and
-// the payload length. Size-limit enforcement stays with the caller,
-// which owns the error message.
-func appendBlockRecord(rb *recordBuf, b *block.Block) (rec []byte, payloadLen int) {
-	rb.b = rb.b[:0]
-	rb.b = append(rb.b, make([]byte, recHeaderSize)...)
-	rb.b = b.AppendEncode(rb.b)
-	fillRecordHeader(rb.b, b.Header.Number)
-	return rb.b, len(rb.b) - recHeaderSize
+// releaseRecordLocked clears the first used bytes of the record buffer
+// — a record's payloads must not outlive the write in the store's heap
+// — and drops a buffer grown past maxKeptRecordBytes.
+func (s *Store) releaseRecordLocked(used int) {
+	clear(s.rec[:used])
+	if cap(s.rec) > maxKeptRecordBytes {
+		s.rec = nil
+	}
+}
+
+// appendBlockRecord encodes b, whose canonical encoding is n bytes
+// (block.EncodedSize), as one complete on-disk record into the store's
+// record buffer: the buffer is sized once, the block encodes directly
+// behind the reserved header, and the header is backfilled from the
+// finished payload. The record aliases the buffer until
+// releaseRecordLocked.
+func (s *Store) appendBlockRecord(b *block.Block, n int) []byte {
+	rec := b.AppendEncode(s.recordLocked(n)[:recHeaderSize])
+	fillRecordHeader(rec, b.Header.Number)
+	return rec
 }
 
 // fillRecordHeader stamps the fixed header over rec's first bytes,

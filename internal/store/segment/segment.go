@@ -23,7 +23,8 @@ const (
 	// payload length (u32), payload CRC-32 (u32), little-endian.
 	recHeaderSize = 16
 	// DefaultSegmentBytes is the roll threshold used when
-	// Options.SegmentBytes is 0.
+	// Options.SegmentBytes is 0. A segment can exceed it by less than
+	// one record: the append that reaches it is not split.
 	DefaultSegmentBytes = 1 << 20
 	// maxRecordBytes bounds a single decoded record, so a corrupt
 	// length field cannot drive allocation.
@@ -42,9 +43,13 @@ const (
 // Options parameterize a segment store.
 type Options struct {
 	// SegmentBytes is the size threshold at which the active segment is
-	// sealed and a new one started. Smaller segments retire earlier
-	// under truncation (bytes reclaim sooner); larger ones amortize
-	// per-file cost further. 0 means DefaultSegmentBytes.
+	// sealed and a new one started: the first append after the active
+	// segment has reached it rolls. A segment therefore exceeds it by
+	// less than one record, and a record larger than SegmentBytes shares
+	// its predecessors' segment instead of costing a roll before and
+	// after it. Smaller segments retire earlier under truncation (bytes
+	// reclaim sooner); larger ones amortize per-file cost further. 0
+	// means DefaultSegmentBytes.
 	SegmentBytes int64
 }
 
@@ -74,7 +79,7 @@ type segmentFile struct {
 	last  uint64 // highest indexed block number
 }
 
-// Store is a file-backed store.Store keeping blocks in bounded,
+// Store is a file-backed store.Store keeping blocks in size-capped,
 // append-only segment files. All methods are safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
@@ -92,6 +97,10 @@ type Store struct {
 	// open, least recently used first. The active segment never enters
 	// it: its handle must stay open for appends.
 	lru []*segmentFile
+	// rec is the record buffer PutBlock and rewriteSegmentLocked build
+	// records in (records.go). Both run under mu, so one buffer serves
+	// the flusher's appends and the compactor's rewrites alike.
+	rec []byte
 	// fsyncs counts fsyncs issued against segment data files and the
 	// store directory (metadata marker files are excluded);
 	// TestFsyncsPerBlock divides it by blocks appended.
@@ -451,36 +460,39 @@ func (s *Store) lruDrop(seg *segmentFile) {
 }
 
 // PutBlock implements store.Store: append one length-prefixed record to
-// the active segment, rolling to a new segment at the size threshold.
-// Re-putting a block number appends a superseding record; the index
-// always resolves to the newest copy. The record is built in a pooled
-// scratch buffer (records.go), so the append path allocates nothing
-// per block in steady state.
+// the active segment, rolling to a new segment first once the active one
+// has reached the size threshold. A record larger than a segment thus
+// shares its predecessors' segment and the next append rolls: one roll
+// per oversized record, never an empty segment. Re-putting a block
+// number appends a superseding record; the index always resolves to the
+// newest copy. The record is built in the store's one record buffer,
+// sized from the block's exact encoding (records.go), so the append
+// path allocates nothing per block in steady state.
 func (s *Store) PutBlock(b *block.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return store.ErrClosed
 	}
-	rb := getRecordBuf()
-	defer putRecordBuf(rb)
-	rec, payloadLen := appendBlockRecord(rb, b)
 	// The write path must agree with the recovery scan: a record larger
 	// than maxRecordBytes would append fine today and then be treated
 	// as a torn tail by the next Open, truncating it AND every record
 	// behind it. Reject it up front instead.
+	payloadLen := b.EncodedSize()
 	if payloadLen > maxRecordBytes {
 		return fmt.Errorf("segment: block %d encodes to %d bytes, over the %d-byte record limit",
 			b.Header.Number, payloadLen, maxRecordBytes)
 	}
 
 	act := s.active()
-	if act.size+int64(len(rec)) > s.opts.SegmentBytes && act.size > int64(len(segMagic)) {
+	if act.size >= s.opts.SegmentBytes && act.size > int64(len(segMagic)) {
 		if err := s.rollLocked(); err != nil {
 			return err
 		}
 		act = s.active()
 	}
+	rec := s.appendBlockRecord(b, payloadLen)
+	defer s.releaseRecordLocked(len(rec))
 	if _, err := act.f.WriteAt(rec, act.size); err != nil {
 		return fmt.Errorf("segment: append block %d: %w", b.Header.Number, err)
 	}
@@ -736,13 +748,19 @@ func (s *Store) rewriteSegmentLocked(seg *segmentFile) error {
 	}
 	off := int64(len(segMagic))
 	newOffsets := make(map[uint64]int64, len(kept))
-	rb := getRecordBuf()
-	defer putRecordBuf(rb)
+	// Size the record buffer once for the largest kept record: it then
+	// serves the whole rewrite, and no regrowth strands a copy of a
+	// record's payload in a dropped buffer.
+	maxN := 0
+	for _, r := range kept {
+		maxN = max(maxN, r.n)
+	}
+	buf := s.recordLocked(maxN)
+	defer s.releaseRecordLocked(len(buf))
 	for _, r := range kept {
 		// Read the payload straight into the record buffer behind the
-		// reserved header, then stamp the header — one pooled buffer
-		// serves the whole rewrite.
-		rec := rb.sized(r.n)
+		// reserved header, then stamp the header.
+		rec := buf[:recHeaderSize+r.n]
 		if _, err := src.ReadAt(rec[recHeaderSize:], r.off); err != nil {
 			tmp.Close()
 			return fmt.Errorf("segment: rewrite %s: read block %d: %w", seg.path, r.num, err)
