@@ -151,10 +151,41 @@ func TestDocSymbolsExist(t *testing.T) {
 // (a channel, a timer bounding it), or the drills' simulated time would
 // be spent as wall time.
 func TestNoSleepInInternal(t *testing.T) {
+	for _, pos := range nonTestCalls(t, "internal", "time", "Sleep") {
+		t.Errorf("%s: time.Sleep", pos)
+	}
+}
+
+// TestEd25519VerifyOnlyInVerify keeps one signature path: no non-test
+// file of this module outside internal/verify calls ed25519.Verify, so
+// every check goes through a verify.Pool — its counters and its cache.
+func TestEd25519VerifyOnlyInVerify(t *testing.T) {
+	for _, pos := range nonTestCalls(t, ".", "ed25519", "Verify") {
+		if !strings.HasPrefix(pos.Filename, filepath.Join("internal", "verify")+string(filepath.Separator)) {
+			t.Errorf("%s: ed25519.Verify outside internal/verify", pos)
+		}
+	}
+}
+
+// nonTestCalls returns where the non-test Go files of this module under
+// root call pkg.name. Directories holding another module (benchmark/)
+// are not part of it.
+func nonTestCalls(t *testing.T, root, pkg, name string) []token.Position {
+	t.Helper()
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	var out []token.Position
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
@@ -165,9 +196,9 @@ func TestNoSleepInInternal(t *testing.T) {
 			if !ok {
 				return true
 			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
-					t.Errorf("%s: time.Sleep", fset.Position(call.Pos()))
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					out = append(out, fset.Position(call.Pos()))
 				}
 			}
 			return true
@@ -177,6 +208,7 @@ func TestNoSleepInInternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return out
 }
 
 // goDeclarations parses the root package and everything under internal/

@@ -241,12 +241,13 @@ func (l *Logger) Query(opts QueryOptions) ([]Result, error) {
 }
 
 // VerifyAuthenticity re-checks the signature of the login event at ref
-// against the registry — the audit property of §II ("it is mandatory
-// that the authenticity of the log files is given").
+// against the registry, through the chain's verifier — the audit
+// property of §II ("it is mandatory that the authenticity of the log
+// files is given").
 func (l *Logger) VerifyAuthenticity(ref block.Ref) error {
 	e, _, ok := l.chain.Lookup(ref)
 	if !ok {
 		return fmt.Errorf("audit: %w", chain.ErrNotFound)
 	}
-	return l.chain.Registry().Verify(e.Owner, e.SigningBytes(), e.Signature)
+	return l.chain.Verifier().VerifySigner(l.chain.Registry(), e.Owner, e.SigningBytes(), e.Signature)
 }

@@ -12,7 +12,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/codec"
@@ -94,10 +93,6 @@ type Config struct {
 	// batches are sealed once they hold at least this many entries.
 	// 0 means mempool.DefaultMaxBatch.
 	MaxBatch int
-	// BatchLinger bounds how long the pipeline waits to grow a non-full
-	// batch once the submission stream goes idle. 0 flushes immediately
-	// on idle (lowest latency; batches still fill under load).
-	BatchLinger time.Duration
 	// Durability selects when submission receipts resolve relative to
 	// the store's durability point: the zero value resolves at seal
 	// time (durability follows the store's policy), DurabilityGroup
@@ -126,7 +121,7 @@ func (c *Config) withDefaults() (Config, error) {
 	if cfg.MaxBlocks < 0 || cfg.MaxSequences < 0 || cfg.MinBlocks < 0 {
 		return cfg, fmt.Errorf("%w: negative limit", ErrConfig)
 	}
-	if cfg.MaxBatch < 0 || cfg.BatchLinger < 0 {
+	if cfg.MaxBatch < 0 {
 		return cfg, fmt.Errorf("%w: negative batch parameter", ErrConfig)
 	}
 	if cfg.MaxBlocks > 0 && cfg.MaxBlocks < cfg.SequenceLength {

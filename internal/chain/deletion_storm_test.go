@@ -125,7 +125,7 @@ func TestDeletionStormRace(t *testing.T) {
 // signature itself. A request whose attached co-signature bytes are
 // garbage still passes when the precheck vouches for the co-signer —
 // and is rejected when it does not — so a call site holding Chain.mu
-// cannot be paying Ed25519 costs (or consulting Registry.Verify) there.
+// cannot be paying Ed25519 costs there.
 func TestPrecheckedValidationSkipsSignatures(t *testing.T) {
 	env := newEnv(t, "ALPHA", "BRAVO")
 	auth := deletion.NewAuthorizer(env.registry, deletion.PolicyRoleBased)

@@ -13,9 +13,9 @@ import (
 // returns one Receipt per entry, in order. Entries from many concurrent
 // callers are coalesced into full blocks by a single flusher (flushing
 // when the batch reaches Config.MaxBatch or when the submission stream
-// goes idle for Config.BatchLinger), so Submit is the concurrency-safe
-// write path: concurrent Submits never race each other for the head
-// block.
+// goes idle, after an adaptive linger under load), so Submit is the
+// concurrency-safe write path: concurrent Submits never race each other
+// for the head block.
 //
 // Each receipt resolves once its entry's block is sealed and appended —
 // to the entry's stable Ref, block number, and block hash — or to a
@@ -95,7 +95,6 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 	}
 	opts := mempool.Options{
 		MaxBatch: c.cfg.MaxBatch,
-		Linger:   c.cfg.BatchLinger,
 		// Pre-verify submissions while their batch assembles, so the
 		// sealing commit resolves the signatures from the verified-
 		// signature cache instead of re-paying Ed25519 for each.

@@ -23,6 +23,7 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/merkle"
 	"github.com/seldel/seldel/internal/netsim"
+	"github.com/seldel/seldel/internal/verify"
 	"github.com/seldel/seldel/internal/wire"
 )
 
@@ -88,7 +89,7 @@ func (c *Client) SetTimeout(d time.Duration) {
 }
 
 func (c *Client) handle(msg netsim.Message) {
-	env, err := wire.OpenEnvelope(c.reg, msg.Payload)
+	env, err := wire.OpenEnvelope(verify.Shared(), c.reg, msg.Payload)
 	if err != nil {
 		return
 	}

@@ -36,7 +36,7 @@ func TestAutoPolicyClearsDominatedDependents(t *testing.T) {
 	// Without the auto policy this request needed bravo's co-signature;
 	// alpha's clearance (2) dominates bravo (1), so it is auto-approved.
 	req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
-	if err := a.CheckCohesion(req, targetEntry, deps); err != nil {
+	if err := cohesion(a, req, targetEntry, deps); err != nil {
 		t.Errorf("dominated dependent not auto-cleared: %v", err)
 	}
 }
@@ -52,12 +52,12 @@ func TestAutoPolicyStillRequiresCoSignUpward(t *testing.T) {
 
 	// bravo outranks alpha: the co-signature rule still applies.
 	req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
-	if err := a.CheckCohesion(req, targetEntry, deps); !errors.Is(err, ErrMissingCoSign) {
+	if err := cohesion(a, req, targetEntry, deps); !errors.Is(err, ErrMissingCoSign) {
 		t.Errorf("err = %v, want ErrMissingCoSign", err)
 	}
 	// With bravo's co-signature it passes as usual.
 	signed := block.NewDeletion("alpha", target).AddCoSignature(keys["bravo"]).Sign(keys["alpha"])
-	if err := a.CheckCohesion(signed, targetEntry, deps); err != nil {
+	if err := cohesion(a, signed, targetEntry, deps); err != nil {
 		t.Errorf("co-signed upward deletion rejected: %v", err)
 	}
 }

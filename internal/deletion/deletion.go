@@ -116,21 +116,7 @@ type CoSigCheck struct {
 // verification pool. Call it without holding any chain lock; the
 // result feeds ValidateRequestPrechecked.
 func PrecheckRequest(pool *verify.Pool, reg *identity.Registry, req *block.Entry) CoSigCheck {
-	return cosigCheckFrom(req, pool.CoSigners(reg, req))
-}
-
-// precheckSerial is the single-threaded reference precheck, used by the
-// non-pooled ValidateRequest spec path.
-func (a *Authorizer) precheckSerial(req *block.Entry) CoSigCheck {
-	verdicts := make([]bool, len(req.CoSigners))
-	msg := block.CoSigningBytes(req.Target)
-	for i, cs := range req.CoSigners {
-		verdicts[i] = a.registry.Verify(cs.Name, msg, cs.Signature) == nil
-	}
-	return cosigCheckFrom(req, verdicts)
-}
-
-func cosigCheckFrom(req *block.Entry, verdicts []bool) CoSigCheck {
+	verdicts := pool.CoSigners(reg, req)
 	check := CoSigCheck{}
 	if len(verdicts) > 0 {
 		check.Approved = make(map[string]bool, len(verdicts))
@@ -148,20 +134,13 @@ func cosigCheckFrom(req *block.Entry, verdicts []bool) CoSigCheck {
 	return check
 }
 
-// CheckCohesion verifies the semantic-cohesion rule for a deletion
-// request req targeting target: every live dependent's owner must have
-// provided a valid co-signature over the target reference. Dependents
-// owned by the requester itself are implicitly approved (the requester
-// already signed the request). Co-signatures are verified inline and
-// serially; hot paths precheck through the pool instead
-// (PrecheckRequest, then ValidateRequestPrechecked).
-func (a *Authorizer) CheckCohesion(req *block.Entry, target *block.Entry, dependents []Dependent) error {
-	return a.checkCohesion(req, target, dependents, a.precheckSerial(req))
-}
-
-// checkCohesion applies the cohesion rule over precomputed co-signature
-// verdicts. It performs no signature verification, so it is safe to
-// run while holding the chain lock.
+// checkCohesion applies the semantic-cohesion rule for a deletion
+// request req targeting target over precomputed co-signature verdicts:
+// every live dependent's owner must have provided a valid co-signature
+// over the target reference. Dependents owned by the requester itself
+// are implicitly approved (the requester already signed the request).
+// It performs no signature verification, so it is safe to run while
+// holding the chain lock.
 func (a *Authorizer) checkCohesion(req *block.Entry, target *block.Entry, dependents []Dependent, pre CoSigCheck) error {
 	if target.Kind != block.KindData {
 		return ErrTargetNotData
@@ -194,18 +173,10 @@ func (a *Authorizer) checkCohesion(req *block.Entry, target *block.Entry, depend
 	return nil
 }
 
-// ValidateRequest runs the full §IV-D pipeline for one deletion request:
-// requester authorization, then semantic cohesion over the live
-// dependents of the target. Signatures verify serially on the calling
-// goroutine — this is the executable spec; concurrent call sites use
-// the precheck/validate split.
-func (a *Authorizer) ValidateRequest(req *block.Entry, target *block.Entry, dependents []Dependent) error {
-	return a.ValidateRequestPrechecked(req, target, dependents, a.precheckSerial(req))
-}
-
-// ValidateRequestPrechecked runs the stateful half of the §IV-D
-// pipeline — requester authorization and semantic cohesion — against
-// co-signature verdicts precomputed by PrecheckRequest. It verifies no
+// ValidateRequestPrechecked runs the full §IV-D pipeline for one
+// deletion request — requester authorization, then semantic cohesion
+// over the live dependents of the target — against co-signature
+// verdicts precomputed by PrecheckRequest. It verifies no
 // signatures itself, which is what lets the chain call it while
 // holding its lock.
 func (a *Authorizer) ValidateRequestPrechecked(req *block.Entry, target *block.Entry, dependents []Dependent, pre CoSigCheck) error {

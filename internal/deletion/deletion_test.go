@@ -6,6 +6,7 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 func setup(t *testing.T) (*identity.Registry, map[string]*identity.KeyPair) {
@@ -24,6 +25,18 @@ func setup(t *testing.T) (*identity.Registry, map[string]*identity.KeyPair) {
 		keys[name] = kp
 	}
 	return reg, keys
+}
+
+// cohesion applies the cohesion rule to req over the verdicts the chain
+// would hand it: its co-signatures checked through a verification pool.
+func cohesion(a *Authorizer, req, target *block.Entry, deps []Dependent) error {
+	return a.checkCohesion(req, target, deps, PrecheckRequest(verify.New(verify.Options{}), a.registry, req))
+}
+
+// validate runs the full request pipeline as the chain does: precheck
+// through a pool, then ValidateRequestPrechecked.
+func validate(a *Authorizer, req, target *block.Entry, deps []Dependent) error {
+	return a.ValidateRequestPrechecked(req, target, deps, PrecheckRequest(verify.New(verify.Options{}), a.registry, req))
 }
 
 func TestAuthorizeRequesterRoleBased(t *testing.T) {
@@ -80,29 +93,29 @@ func TestCheckCohesion(t *testing.T) {
 
 	t.Run("no dependents", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
-		if err := a.CheckCohesion(req, targetEntry, nil); err != nil {
-			t.Errorf("CheckCohesion: %v", err)
+		if err := cohesion(a, req, targetEntry, nil); err != nil {
+			t.Errorf("cohesion: %v", err)
 		}
 	})
 	t.Run("missing co-signature", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "bravo"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); !errors.Is(err, ErrMissingCoSign) {
+		if err := cohesion(a, req, targetEntry, deps); !errors.Is(err, ErrMissingCoSign) {
 			t.Errorf("err = %v, want ErrMissingCoSign", err)
 		}
 	})
 	t.Run("valid co-signature", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).AddCoSignature(keys["bravo"]).Sign(keys["alpha"])
 		deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "bravo"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); err != nil {
-			t.Errorf("CheckCohesion: %v", err)
+		if err := cohesion(a, req, targetEntry, deps); err != nil {
+			t.Errorf("cohesion: %v", err)
 		}
 	})
 	t.Run("own dependents implicitly approved", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "alpha"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); err != nil {
-			t.Errorf("CheckCohesion: %v", err)
+		if err := cohesion(a, req, targetEntry, deps); err != nil {
+			t.Errorf("cohesion: %v", err)
 		}
 	})
 	t.Run("multiple dependents one missing", func(t *testing.T) {
@@ -111,7 +124,7 @@ func TestCheckCohesion(t *testing.T) {
 			{Ref: block.Ref{Block: 5}, Owner: "bravo"},
 			{Ref: block.Ref{Block: 6}, Owner: "carol"},
 		}
-		err := a.CheckCohesion(req, targetEntry, deps)
+		err := cohesion(a, req, targetEntry, deps)
 		if !errors.Is(err, ErrMissingCoSign) {
 			t.Errorf("err = %v, want ErrMissingCoSign", err)
 		}
@@ -120,7 +133,7 @@ func TestCheckCohesion(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		req.CoSigners = []block.CoSignature{{Name: "bravo", Signature: []byte("junk")}}
 		deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "bravo"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); !errors.Is(err, ErrBadCoSignature) {
+		if err := cohesion(a, req, targetEntry, deps); !errors.Is(err, ErrBadCoSignature) {
 			t.Errorf("err = %v, want ErrBadCoSignature", err)
 		}
 	})
@@ -129,21 +142,21 @@ func TestCheckCohesion(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		req.CoSigners = other.CoSigners // signed for 9/9, not 3/1
 		deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "bravo"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); !errors.Is(err, ErrBadCoSignature) {
+		if err := cohesion(a, req, targetEntry, deps); !errors.Is(err, ErrBadCoSignature) {
 			t.Errorf("err = %v, want ErrBadCoSignature", err)
 		}
 	})
 	t.Run("self dependent rejected", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		deps := []Dependent{{Ref: target, Owner: "alpha"}}
-		if err := a.CheckCohesion(req, targetEntry, deps); !errors.Is(err, ErrSelfDependent) {
+		if err := cohesion(a, req, targetEntry, deps); !errors.Is(err, ErrSelfDependent) {
 			t.Errorf("err = %v, want ErrSelfDependent", err)
 		}
 	})
 	t.Run("deletion target must be data", func(t *testing.T) {
 		req := block.NewDeletion("alpha", target).Sign(keys["alpha"])
 		notData := block.NewDeletion("alpha", block.Ref{Block: 1}).Sign(keys["alpha"])
-		if err := a.CheckCohesion(req, notData, nil); !errors.Is(err, ErrTargetNotData) {
+		if err := cohesion(a, req, notData, nil); !errors.Is(err, ErrTargetNotData) {
 			t.Errorf("err = %v, want ErrTargetNotData", err)
 		}
 	})
@@ -157,18 +170,18 @@ func TestValidateRequestPipeline(t *testing.T) {
 
 	// Wrong kind.
 	notReq := block.NewData("alpha", []byte("x")).Sign(keys["alpha"])
-	if err := a.ValidateRequest(notReq, targetEntry, nil); err == nil {
+	if err := validate(a, notReq, targetEntry, nil); err == nil {
 		t.Error("data entry accepted as deletion request")
 	}
 	// Unauthorized requester fails before cohesion.
 	req := block.NewDeletion("bravo", target).Sign(keys["bravo"])
-	if err := a.ValidateRequest(req, targetEntry, nil); !errors.Is(err, ErrUnauthorized) {
+	if err := validate(a, req, targetEntry, nil); !errors.Is(err, ErrUnauthorized) {
 		t.Errorf("err = %v, want ErrUnauthorized", err)
 	}
 	// Full pass.
 	ok := block.NewDeletion("alpha", target).AddCoSignature(keys["bravo"]).Sign(keys["alpha"])
 	deps := []Dependent{{Ref: block.Ref{Block: 5}, Owner: "bravo"}}
-	if err := a.ValidateRequest(ok, targetEntry, deps); err != nil {
-		t.Errorf("ValidateRequest: %v", err)
+	if err := validate(a, ok, targetEntry, deps); err != nil {
+		t.Errorf("validate: %v", err)
 	}
 }

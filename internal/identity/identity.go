@@ -1,4 +1,4 @@
-// Package identity implements key management, signatures, and the
+// Package identity implements key management, signing, and the
 // role-based authorization model of §IV-D.1.
 //
 // Every data entry and every deletion request is signed by its submitter
@@ -7,6 +7,10 @@
 // entries. The paper's prototype used simplified string signatures; this
 // implementation uses real asymmetric signatures, which is strictly
 // stronger while preserving the same authorization semantics.
+//
+// A Registry maps names to public keys and roles; it checks no
+// signature itself. Signatures are checked by the verify package, whose
+// Pool looks the signer up here (verify.Pool.VerifySigner).
 package identity
 
 import (
@@ -93,7 +97,9 @@ func (k *KeyPair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.private, msg)
 }
 
-// Errors returned by the registry.
+// Errors returned by the registry; ErrUnknownIdentity and
+// ErrBadSignature are also what a signer check (verify.Pool.VerifySigner)
+// returns.
 var (
 	ErrUnknownIdentity  = errors.New("identity: unknown identity")
 	ErrDuplicateName    = errors.New("identity: name already registered")
@@ -115,15 +121,6 @@ type Info struct {
 type Registry struct {
 	mu     sync.RWMutex
 	byName map[string]Info
-
-	// Verified-signature cache, enabled by EnableVerifyCache. In
-	// broadcast-heavy simulations many nodes share one registry and each
-	// envelope is verified once per receiver; remembering (public key,
-	// msg, sig) triples already proven valid turns n-1 of those n Ed25519
-	// verifications into a hash lookup.
-	cacheMu  sync.Mutex
-	cache    map[[sha256.Size]byte]struct{}
-	cacheCap int
 }
 
 // NewRegistry returns an empty registry.
@@ -167,78 +164,6 @@ func (r *Registry) Lookup(name string) (Info, bool) {
 func (r *Registry) RoleOf(name string) (Role, bool) {
 	info, ok := r.Lookup(name)
 	return info.Role, ok
-}
-
-// EnableVerifyCache turns on a bounded cache of signatures this registry
-// has already verified successfully. capacity bounds remembered entries;
-// when full, the cache resets wholesale (the working set of a live
-// cluster is recent traffic, so a periodic cold start is cheap).
-// capacity <= 0 disables the cache again. Only successes are cached:
-// a forged signature is re-checked — and re-rejected — every time.
-func (r *Registry) EnableVerifyCache(capacity int) {
-	r.cacheMu.Lock()
-	defer r.cacheMu.Unlock()
-	if capacity <= 0 {
-		r.cache = nil
-		r.cacheCap = 0
-		return
-	}
-	r.cache = make(map[[sha256.Size]byte]struct{}, capacity)
-	r.cacheCap = capacity
-}
-
-// verifyCacheKey binds signer key, signature, and message into one
-// digest. The key and the signature have fixed sizes (Verify rejects any
-// other signature size before it gets here), so the one variable-length
-// part comes last and no two triples hash the same bytes. Keying on the
-// public key rather than the name leaves a participant no say over the
-// prefix.
-func verifyCacheKey(pub ed25519.PublicKey, msg, sig []byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(pub)
-	h.Write(sig)
-	h.Write(msg)
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
-}
-
-// Verify checks that sig is a valid signature by name over msg.
-func (r *Registry) Verify(name string, msg, sig []byte) error {
-	info, ok := r.Lookup(name)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownIdentity, name)
-	}
-	if len(sig) != ed25519.SignatureSize {
-		return fmt.Errorf("%w: signer %q: %d-byte signature", ErrBadSignature, name, len(sig))
-	}
-	r.cacheMu.Lock()
-	enabled := r.cache != nil
-	r.cacheMu.Unlock()
-	var key [sha256.Size]byte
-	if enabled {
-		key = verifyCacheKey(info.Public, msg, sig)
-		r.cacheMu.Lock()
-		_, hit := r.cache[key]
-		r.cacheMu.Unlock()
-		if hit {
-			return nil
-		}
-	}
-	if !ed25519.Verify(info.Public, msg, sig) {
-		return fmt.Errorf("%w: signer %q", ErrBadSignature, name)
-	}
-	if enabled {
-		r.cacheMu.Lock()
-		if r.cache != nil {
-			if len(r.cache) >= r.cacheCap {
-				r.cache = make(map[[sha256.Size]byte]struct{}, r.cacheCap)
-			}
-			r.cache[key] = struct{}{}
-		}
-		r.cacheMu.Unlock()
-	}
-	return nil
 }
 
 // Names returns all registered names in sorted order.

@@ -31,14 +31,6 @@ type Options struct {
 	// stay together, so a single oversized call may exceed it.
 	// 0 means DefaultMaxBatch.
 	MaxBatch int
-	// Linger bounds how long the flusher waits for more submissions once
-	// it holds a non-full batch. 0 selects adaptive lingering: while the
-	// stream is idle the flusher seals immediately (lowest latency), but
-	// once concurrent producers actually coalesce, the linger is derived
-	// from the observed flush latency — waiting about one flush worth of
-	// time costs little and stops per-entry waiters on a loaded chain
-	// from sealing near-empty blocks.
-	Linger time.Duration
 	// Warm, when set, is called with each submitted group's entries so
 	// their signatures pre-verify (and populate the verified-signature
 	// cache) while the batch is still being assembled. It may go on
@@ -92,8 +84,10 @@ type Stats struct {
 	QueueDepth int
 	// QueueCap is the intake queue capacity.
 	QueueCap int
-	// AutoLinger is the linger the adaptive tuner is currently applying
-	// (zero while idle, when disabled, or when a fixed Linger is set).
+	// AutoLinger is the linger the flusher is currently applying: about
+	// one observed flush latency (at most 5 ms) while producers coalesce,
+	// zero while the stream is idle or a lone producer waits on each
+	// receipt.
 	AutoLinger time.Duration
 	// Verify is the verification pool's activity snapshot — curve work
 	// and cache effectiveness. Filled by Chain.PipelineStats; zero for a
@@ -142,7 +136,6 @@ type IndexStats struct {
 type Batcher struct {
 	ledger   Ledger
 	maxBatch int
-	linger   time.Duration
 	warm     func([]*block.Entry) <-chan struct{}
 	durable  func(func(error))
 
@@ -184,7 +177,6 @@ func NewBatcher(ledger Ledger, opts Options) *Batcher {
 	b := &Batcher{
 		ledger:   ledger,
 		maxBatch: maxBatch,
-		linger:   opts.Linger,
 		warm:     opts.Warm,
 		durable:  opts.Durable,
 		ch:       make(chan group, depth),
@@ -304,15 +296,12 @@ func (b *Batcher) run() {
 	}
 }
 
-// effectiveLinger returns the linger to apply to the next batch: the
-// fixed configuration when set, otherwise the adaptive value — one
-// observed flush latency, but only while producers demonstrably
-// coalesce. A lone producer that waits for each receipt never trips the
-// load detector, so light traffic keeps its immediate-flush latency.
+// effectiveLinger returns the linger to apply to the next batch: one
+// observed flush latency (capped at maxAutoLinger), but only while
+// producers demonstrably coalesce. A lone producer that waits for each
+// receipt never trips the load detector, so light traffic keeps its
+// immediate-flush latency.
 func (b *Batcher) effectiveLinger() time.Duration {
-	if b.linger > 0 {
-		return b.linger
-	}
 	if !b.loaded {
 		b.autoLinger.Store(0)
 		return 0

@@ -9,10 +9,10 @@
 // one block per batch through the Ledger, and resolves a Receipt per
 // entry with the final reference, block number, and block hash. A batch
 // is flushed when it reaches the configured size or as soon as the
-// submission stream goes idle (optionally after a short linger that
-// trades latency for larger batches). A single chain and an anchor node
-// each write through one Batcher; they differ only in the Ledger behind
-// it.
+// submission stream goes idle (after a short adaptive linger, once
+// concurrent producers coalesce, that trades latency for larger
+// batches). A single chain and an anchor node each write through one
+// Batcher; they differ only in the Ledger behind it.
 //
 // Entries submitted in one Submit call are kept in the same sealed block,
 // so multi-entry invariants ("these records appear together") survive

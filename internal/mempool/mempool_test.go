@@ -218,31 +218,6 @@ func TestBatcherSubmitContextCancelled(t *testing.T) {
 	}
 }
 
-func TestBatcherLingerCoalesces(t *testing.T) {
-	led := &fakeLedger{}
-	b := NewBatcher(led, Options{MaxBatch: 1024, Linger: 50 * time.Millisecond})
-	defer b.Close()
-	var rs []Receipt
-	for i := 0; i < 5; i++ {
-		r, err := b.Submit(context.Background(), entry(fmt.Sprintf("l%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs = append(rs, r...)
-		time.Sleep(time.Millisecond)
-	}
-	for _, r := range rs {
-		if _, err := r.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	led.mu.Lock()
-	defer led.mu.Unlock()
-	if len(led.batches) > 2 {
-		t.Errorf("linger did not coalesce: %d batches for 5 trickled entries", len(led.batches))
-	}
-}
-
 func TestBatcherEmptySubmit(t *testing.T) {
 	b := NewBatcher(&fakeLedger{}, Options{})
 	defer b.Close()

@@ -275,7 +275,8 @@ func (n *Node) ProveDeleted(ref block.Ref) (*chain.DeletedProof, error) {
 // handle dispatches incoming network messages. It runs on the endpoint's
 // delivery goroutine.
 func (n *Node) handle(msg netsim.Message) {
-	env, err := wire.OpenEnvelope(n.Chain().Registry(), msg.Payload)
+	c := n.Chain()
+	env, err := wire.OpenEnvelope(c.Verifier(), c.Registry(), msg.Payload)
 	if err != nil {
 		return // unauthenticated message: drop
 	}

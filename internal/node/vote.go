@@ -196,7 +196,8 @@ func (n *Node) handleVote(env wire.Envelope) {
 // which is how conflicting votes shown to different halves of the quorum
 // end up side by side at every member.
 func (n *Node) handleVoteEvidence(env wire.Envelope) {
-	inner, err := wire.OpenEnvelope(n.Chain().Registry(), env.Body)
+	c := n.Chain()
+	inner, err := wire.OpenEnvelope(c.Verifier(), c.Registry(), env.Body)
 	if err != nil || inner.Kind != wire.KindVote {
 		return
 	}

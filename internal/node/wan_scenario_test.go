@@ -40,9 +40,10 @@ func wanNodeCount(t *testing.T) int {
 
 // newWANCluster builds n anchor nodes spread round-robin across the
 // given geo topology, with deterministic link decisions from seed. The
-// shared registry's verify cache collapses the n-fold re-verification
-// of every broadcast envelope into one Ed25519 check cluster-wide,
-// which is what makes 50-node vote rounds cheap enough to drill.
+// nodes' chains share the process-wide verification pool, whose cache
+// collapses the n-fold re-verification of every broadcast envelope into
+// one Ed25519 check cluster-wide, which is what makes 50-node vote
+// rounds cheap enough to drill.
 func newWANCluster(t *testing.T, n int, geo *netsim.Geo, seed int64, faults map[int]attack.Behavior) *cluster {
 	t.Helper()
 	cl := &cluster{
@@ -51,7 +52,6 @@ func newWANCluster(t *testing.T, n int, geo *netsim.Geo, seed int64, faults map[
 		keys:     make(map[string]*identity.KeyPair),
 	}
 	t.Cleanup(cl.net.Close)
-	cl.registry.EnableVerifyCache(1 << 16)
 
 	var anchorNames []string
 	for i := 0; i < n; i++ {

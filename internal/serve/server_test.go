@@ -238,11 +238,14 @@ func TestSubmitAsyncReleasesBudget(t *testing.T) {
 // Run with -race (CI does): the sampler races the handlers by design.
 func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 	e := newTestEnv(t, "alpha")
-	// A lingering, small-batch pipeline: receipts resolve slowly enough
-	// for pending submissions to pile onto the admission budget.
+	// A slow sealer, as under proof of work: receipts resolve slowly
+	// enough for pending submissions to pile onto the admission budget.
 	c := boundedChain(t, e, func(cfg *chain.Config) {
 		cfg.MaxSequences = 0 // no truncation churn in this test
-		cfg.BatchLinger = 5 * time.Millisecond
+		cfg.Seal = func(*block.Block) error {
+			time.Sleep(5 * time.Millisecond)
+			return nil
+		}
 	})
 	s, hs := testServer(t, c, Options{Admission: AdmissionOptions{MaxPending: 12}})
 

@@ -4,20 +4,6 @@ import (
 	"crypto/ed25519"
 )
 
-// batchChunk is the largest aggregate-verify unit: pending signatures
-// are verified in all-or-nothing chunks of at most this size, so one bad
-// signature costs a bisection over its own chunk instead of degrading
-// the whole batch, and Each fans out whole chunks, not single
-// signatures. A batch too small to give every worker a full chunk is
-// cut into one smaller chunk per worker instead (chunkSize).
-const batchChunk = 16
-
-// chunkSize is the chunk length for n pending signatures on workers
-// goroutines: min(batchChunk, ⌈n/workers⌉), at least 1.
-func chunkSize(n, workers int) int {
-	return max(1, min(batchChunk, (n+workers-1)/workers))
-}
-
 // batchItem is one accumulated signature check.
 type batchItem struct {
 	pub ed25519.PublicKey
@@ -29,16 +15,13 @@ type batchItem struct {
 
 // Batch accumulates signature checks and verifies them together — the
 // accumulate-then-verify shape of ed25519consensus's BatchVerifier.
-// The batch path layers three wins in front of the per-signature
-// Ed25519 cost: the verified-signature cache screens the whole batch
-// in one pass, identical (key, message, signature) tuples within the
-// batch are verified once (gossip re-delivery, co-signature storms),
-// and the remainder is verified in all-or-nothing chunks, with
-// bisection isolating failures so a single bad signature cannot force
-// per-signature fallback for everyone.
-// The chunk primitive is pass/fail only, so a curve-level multiscalar
-// backend can replace its internals without touching the bisection or
-// the callers.
+// The batch path layers two wins in front of the per-signature Ed25519
+// cost: the verified-signature cache screens the whole batch in one
+// pass, and identical (key, message, signature) tuples within the batch
+// are verified once (gossip re-delivery, co-signature storms). Every
+// remaining signature is verified once, on its own, fanned out by Each:
+// n distinct uncached signatures cost exactly n curve checks, however
+// many of them are bad.
 //
 // A Batch is single-goroutine: Add everything, then call Verify
 // exactly once. Message and signature slices are retained until then.
@@ -80,8 +63,7 @@ func (b *Batch) Verify() []bool {
 	}
 	verdicts := make([]bool, n)
 	// Pass 1 — screen: resolve cache hits and collapse duplicate
-	// tuples, leaving only distinct unverified signatures for the
-	// chunked crypto pass.
+	// tuples, leaving only distinct unverified signatures for the curve.
 	uniq := make([]pending, 0, n)
 	var seen map[cacheKey]int
 	if b.p.cache != nil {
@@ -110,13 +92,11 @@ func (b *Batch) Verify() []bool {
 		seen[it.key] = len(uniq)
 		uniq = append(uniq, pending{item: i})
 	}
-	// Pass 2 — chunked aggregate verify with bisection on failure.
+	// Pass 2 — one curve check per distinct uncached signature.
 	b.p.batched.Add(uint64(len(uniq)))
-	size := chunkSize(len(uniq), b.p.workers)
-	b.p.Each((len(uniq)+size-1)/size, func(ci int) {
-		lo := ci * size
-		hi := min(lo+size, len(uniq))
-		b.resolveChunk(uniq[lo:hi], verdicts)
+	b.p.Each(len(uniq), func(k int) {
+		it := &b.items[uniq[k].item]
+		verdicts[uniq[k].item] = b.p.curve(it.pub, it.msg, it.sig, it.key)
 	})
 	// Pass 3 — propagate representative verdicts to their duplicates.
 	for _, u := range uniq {
@@ -125,61 +105,4 @@ func (b *Batch) Verify() []bool {
 		}
 	}
 	return verdicts
-}
-
-// resolveChunk settles one chunk: aggregate-verify it whole, and on
-// failure bisect until the bad signatures are pinpointed.
-func (b *Batch) resolveChunk(chunk []pending, verdicts []bool) {
-	if b.aggregateOK(chunk) {
-		b.markValid(chunk, verdicts)
-		return
-	}
-	b.bisect(chunk, verdicts)
-}
-
-// aggregateOK is the all-or-nothing chunk primitive: it reports only
-// whether EVERY signature in the chunk verifies. The stdlib backend
-// checks sequentially and aborts at the first failure; a multiscalar
-// batch equation can replace this body wholesale because callers never
-// learn which element failed — bisection recovers that.
-func (b *Batch) aggregateOK(chunk []pending) bool {
-	for _, u := range chunk {
-		it := &b.items[u.item]
-		b.p.verified.Add(1)
-		if !ed25519.Verify(it.pub, it.msg, it.sig) {
-			return false
-		}
-	}
-	return true
-}
-
-// bisect splits a failed chunk and re-verifies the halves, recursing
-// into whichever still fails; a single-element chunk's failure is
-// final. Cost is logarithmic per bad signature while good signatures
-// settle in their surviving half's single aggregate call.
-func (b *Batch) bisect(chunk []pending, verdicts []bool) {
-	if len(chunk) == 1 {
-		// aggregateOK already failed this element; its verdict stays
-		// false.
-		return
-	}
-	mid := len(chunk) / 2
-	for _, half := range [2][]pending{chunk[:mid], chunk[mid:]} {
-		if b.aggregateOK(half) {
-			b.markValid(half, verdicts)
-			continue
-		}
-		b.bisect(half, verdicts)
-	}
-}
-
-// markValid records a fully verified chunk: verdicts flip true and the
-// cache learns every tuple.
-func (b *Batch) markValid(chunk []pending, verdicts []bool) {
-	for _, u := range chunk {
-		verdicts[u.item] = true
-		if b.p.cache != nil {
-			b.p.cache.add(b.items[u.item].key)
-		}
-	}
 }

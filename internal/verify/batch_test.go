@@ -40,31 +40,37 @@ func TestBatchVerifyAllValid(t *testing.T) {
 	}
 }
 
-// TestBatchBisectionPinpointsSingleBadSignature is the acceptance
-// check for bisection: in a 64-signature batch with exactly one
-// corrupted signature, the verdicts must reject that signature alone,
-// and the bisection must keep the curve work near one-pass — not
-// degrade to a second full per-signature sweep.
-func TestBatchBisectionPinpointsSingleBadSignature(t *testing.T) {
-	for _, badIdx := range []int{0, 17, 40, 63} {
+// TestBatchVerifiesEachSignatureOnce: bad signatures are found without
+// checking any signature twice — a 64-signature batch with one
+// corrupted signature, wherever it sits, costs exactly 64 curve checks,
+// and a 30-signature batch with four bad ones costs exactly 30.
+func TestBatchVerifiesEachSignatureOnce(t *testing.T) {
+	for _, tc := range []struct {
+		n   int
+		bad []int
+	}{
+		{64, []int{0}}, {64, []int{17}}, {64, []int{40}}, {64, []int{63}},
+		{30, []int{1, 2, 15, 29}},
+	} {
 		p := New(Options{Workers: 4})
-		pubs, msgs, sigs := batchFixture(64)
-		sigs[badIdx] = append([]byte(nil), sigs[badIdx]...)
-		sigs[badIdx][3] ^= 0xff
-		b := p.NewBatch(64)
+		pubs, msgs, sigs := batchFixture(tc.n)
+		bad := make(map[int]bool)
+		for _, i := range tc.bad {
+			bad[i] = true
+			sigs[i] = append([]byte(nil), sigs[i]...)
+			sigs[i][3] ^= 0xff
+		}
+		b := p.NewBatch(tc.n)
 		for i := range pubs {
 			b.Add(pubs[i], msgs[i], sigs[i])
 		}
 		for i, ok := range b.Verify() {
-			if ok == (i == badIdx) {
-				t.Fatalf("bad=%d: verdict[%d] = %v", badIdx, i, ok)
+			if ok == bad[i] {
+				t.Fatalf("bad=%v: verdict[%d] = %v", tc.bad, i, ok)
 			}
 		}
-		// 64 signatures = 4 chunks of 16. The three clean chunks cost 16
-		// verifications each; the poisoned chunk's bisection re-checks
-		// log-depth halves. Well under a second full sweep.
-		if v := p.Stats().Verified; v >= 128 {
-			t.Fatalf("bad=%d: %d verifications — bisection degraded to per-signature fallback", badIdx, v)
+		if v := p.Stats().Verified; v != uint64(tc.n) {
+			t.Fatalf("bad=%v: %d verifications for %d signatures, want one each", tc.bad, v, tc.n)
 		}
 	}
 }
@@ -209,19 +215,6 @@ func TestBatchVerifyInlineMatchesVerify(t *testing.T) {
 		}
 		if want := i != 10 && i != 34; serial[i] != want {
 			t.Fatalf("verdict[%d] = %v, want %v", i, serial[i], want)
-		}
-	}
-}
-
-// TestChunkSizeSpreadsSmallBatches: a batch too small for 16-signature
-// chunks on every worker is cut so each worker gets one; larger batches
-// keep 16.
-func TestChunkSizeSpreadsSmallBatches(t *testing.T) {
-	for _, tc := range []struct{ n, workers, want int }{
-		{16, 2, 8}, {16, 1, 16}, {17, 2, 9}, {100, 2, 16}, {3, 4, 1}, {1, 1, 1}, {0, 2, 1},
-	} {
-		if got := chunkSize(tc.n, tc.workers); got != tc.want {
-			t.Errorf("chunkSize(%d, %d) = %d, want %d", tc.n, tc.workers, got, tc.want)
 		}
 	}
 }

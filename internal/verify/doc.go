@@ -13,9 +13,13 @@
 //     pipeline — and identical entries arriving via gossip — cost one
 //     hash instead of one scalar multiplication;
 //   - a Batch screens many signatures against that cache in one pass,
-//     verifies identical tuples once, and settles the rest in
-//     all-or-nothing chunks that Each forks across at most Workers
-//     goroutines and joins, outside any chain lock.
+//     verifies identical tuples once, and checks each remaining
+//     signature once, with Each forking the checks across at most
+//     Workers goroutines and joining, outside any chain lock.
+//
+// It is the module's one signature path: entries, deletion
+// co-signatures, message envelopes (VerifySigner) and audits all reach
+// Ed25519 through a Pool, and so through its cache.
 //
 // Only successful verifications are cached, and the key binds the public
 // key itself (not the owner name), so registries that map the same name

@@ -37,9 +37,9 @@ type Stats struct {
 	// Verified counts Ed25519 verifications actually performed.
 	Verified uint64
 	// Batched counts signatures that reached the curve through the
-	// batch path (chunked aggregate verification) rather than a
-	// standalone VerifySig call. Batched ≤ Verified; the gap is the
-	// single-signature traffic.
+	// batch path rather than a standalone VerifySig or VerifySigner
+	// call. Batched ≤ Verified; the gap is the single-signature
+	// traffic (lone entries, envelopes, audits).
 	Batched uint64
 	// CacheHits counts verifications answered from the cache.
 	CacheHits uint64
@@ -113,7 +113,7 @@ func (p *Pool) Close() {}
 // Each runs fn(i) for every i in [0, n) and waits for all of them: on
 // the caller alone when Workers or n is 1, otherwise on the caller plus
 // min(Workers, n)-1 goroutines that pull indices from one counter and
-// exit. It is the generic fan-out primitive — signature chunks and
+// exit. It is the generic fan-out primitive — batch signature checks and
 // Merkle leaf hashing route through it (it satisfies merkle.Runner).
 func (p *Pool) Each(n int, fn func(int)) {
 	width := min(p.workers, n)
@@ -187,6 +187,12 @@ func (p *Pool) VerifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 		}
 		p.misses.Add(1)
 	}
+	return p.curve(pub, msg, sig, key)
+}
+
+// curve is the one Ed25519 check of the module: it counts the
+// verification and, when the signature holds, caches key.
+func (p *Pool) curve(pub ed25519.PublicKey, msg, sig []byte, key cacheKey) bool {
 	p.verified.Add(1)
 	if !ed25519.Verify(pub, msg, sig) {
 		return false
@@ -195,6 +201,22 @@ func (p *Pool) VerifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 		p.cache.add(key)
 	}
 	return true
+}
+
+// VerifySigner checks that sig is the signature of the identity name,
+// as registered in reg, over msg — through VerifySig, so through the
+// cache. Envelopes and audits check their signer with it. An unknown
+// name is identity.ErrUnknownIdentity; a signature that is malformed or
+// does not verify is identity.ErrBadSignature.
+func (p *Pool) VerifySigner(reg *identity.Registry, name string, msg, sig []byte) error {
+	info, ok := reg.Lookup(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", identity.ErrUnknownIdentity, name)
+	}
+	if !p.VerifySig(info.Public, msg, sig) {
+		return fmt.Errorf("%w: signer %q", identity.ErrBadSignature, name)
+	}
+	return nil
 }
 
 // screen runs the checks on e that need no curve math — structural
@@ -214,8 +236,8 @@ func screen(reg *identity.Registry, e *block.Entry) (ed25519.PublicKey, error) {
 // the first failure by position, nil when all pass. Screening runs
 // inline (nanoseconds against the microseconds of curve math); the
 // surviving signatures resolve together through one Batch — cache
-// screen, duplicate collapse, chunked aggregate verify fanned out by
-// Each. A lone entry, the common submit shape, skips the batch.
+// screen, duplicate collapse, one curve check each fanned out by Each.
+// A lone entry, the common submit shape, skips the batch.
 func (p *Pool) firstBad(reg *identity.Registry, entries []*block.Entry) *EntryError {
 	badSig := func(e *block.Entry) error {
 		return fmt.Errorf("%w: signer %q", identity.ErrBadSignature, e.Owner)

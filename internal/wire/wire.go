@@ -9,6 +9,7 @@ import (
 
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 // Message kinds exchanged between nodes and clients.
@@ -72,12 +73,14 @@ func SealEnvelope(key *identity.KeyPair, kind string, body []byte) []byte {
 	return e.Data()
 }
 
-// OpenEnvelope decodes and verifies an envelope against the registry.
+// OpenEnvelope decodes an envelope and verifies its sender's signature
+// against the registry through pool, so every receiver of one broadcast
+// that shares pool pays for a single Ed25519 check.
 // Body and Sig are views into raw (no copy): the transport hands off
 // message buffers and never reuses them, and every payload decoder
 // copies what it retains, so the envelope's fields stay valid for as
 // long as raw does.
-func OpenEnvelope(reg *identity.Registry, raw []byte) (Envelope, error) {
+func OpenEnvelope(pool *verify.Pool, reg *identity.Registry, raw []byte) (Envelope, error) {
 	d := codec.NewDecoder(raw)
 	var env Envelope
 	env.Sender = d.ReadString()
@@ -87,7 +90,7 @@ func OpenEnvelope(reg *identity.Registry, raw []byte) (Envelope, error) {
 	if err := d.Finish(); err != nil {
 		return env, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
 	}
-	if err := reg.Verify(env.Sender, envelopeSigningBytes(env.Sender, env.Kind, env.Body), env.Sig); err != nil {
+	if err := pool.VerifySigner(reg, env.Sender, envelopeSigningBytes(env.Sender, env.Kind, env.Body), env.Sig); err != nil {
 		return env, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
 	}
 	return env, nil

@@ -2,12 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"testing"
 	"testing/quick"
 
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 func testRegistry(t *testing.T) (*identity.Registry, *identity.KeyPair) {
@@ -22,9 +24,10 @@ func testRegistry(t *testing.T) (*identity.Registry, *identity.KeyPair) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	reg, kp := testRegistry(t)
+	pool := verify.New(verify.Options{})
 	body := []byte("payload bytes")
 	raw := SealEnvelope(kp, KindBlock, body)
-	env, err := OpenEnvelope(reg, raw)
+	env, err := OpenEnvelope(pool, reg, raw)
 	if err != nil {
 		t.Fatalf("OpenEnvelope: %v", err)
 	}
@@ -35,30 +38,31 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 
 func TestEnvelopeRejectsTampering(t *testing.T) {
 	reg, kp := testRegistry(t)
+	pool := verify.New(verify.Options{})
 	raw := SealEnvelope(kp, KindVote, []byte("vote"))
 
 	t.Run("garbage", func(t *testing.T) {
-		if _, err := OpenEnvelope(reg, []byte{1, 2, 3}); !errors.Is(err, ErrBadEnvelope) {
+		if _, err := OpenEnvelope(pool, reg, []byte{1, 2, 3}); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("flipped body byte", func(t *testing.T) {
 		bad := append([]byte(nil), raw...)
 		bad[len(bad)/2] ^= 0xFF
-		if _, err := OpenEnvelope(reg, bad); !errors.Is(err, ErrBadEnvelope) {
+		if _, err := OpenEnvelope(pool, reg, bad); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("unknown sender", func(t *testing.T) {
 		stranger := identity.Deterministic("stranger", "wire-test")
 		raw := SealEnvelope(stranger, KindVote, []byte("vote"))
-		if _, err := OpenEnvelope(reg, raw); !errors.Is(err, ErrBadEnvelope) {
+		if _, err := OpenEnvelope(pool, reg, raw); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("kind swap breaks signature", func(t *testing.T) {
 		// Re-encode the same body+sig under a different kind.
-		env, err := OpenEnvelope(reg, raw)
+		env, err := OpenEnvelope(pool, reg, raw)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +71,38 @@ func TestEnvelopeRejectsTampering(t *testing.T) {
 		e.String(KindBlock) // was KindVote
 		e.Bytes(env.Body)
 		e.Bytes(env.Sig)
-		if _, err := OpenEnvelope(reg, e.Data()); !errors.Is(err, ErrBadEnvelope) {
+		if _, err := OpenEnvelope(pool, reg, e.Data()); !errors.Is(err, ErrBadEnvelope) {
 			t.Errorf("err = %v", err)
 		}
 	})
+}
+
+// TestEnvelopeChecksThroughThePoolCache: the receivers of one broadcast
+// share a pool, so only the first open of an envelope reaches the curve;
+// a forged envelope is never cached and is rejected — with one curve
+// check — on every open.
+func TestEnvelopeChecksThroughThePoolCache(t *testing.T) {
+	reg, kp := testRegistry(t)
+	pool := verify.New(verify.Options{})
+	raw := SealEnvelope(kp, KindVote, []byte("vote"))
+	for i := 0; i < 3; i++ {
+		if _, err := OpenEnvelope(pool, reg, raw); err != nil {
+			t.Fatal(err)
+		}
+		if v := pool.Stats().Verified; v != 1 {
+			t.Fatalf("open %d: Verified = %d, want 1", i+1, v)
+		}
+	}
+	forged := append([]byte(nil), raw...)
+	forged[len(forged)-ed25519.SignatureSize] ^= 0xFF // first signature byte
+	for i := 1; i <= 3; i++ {
+		if _, err := OpenEnvelope(pool, reg, forged); !errors.Is(err, ErrBadEnvelope) {
+			t.Fatalf("forged open %d: err = %v, want ErrBadEnvelope", i, err)
+		}
+		if v := pool.Stats().Verified; v != uint64(1+i) {
+			t.Fatalf("forged open %d: Verified = %d, want %d", i, v, 1+i)
+		}
+	}
 }
 
 func TestVotePayloadRoundTrip(t *testing.T) {
@@ -216,9 +248,10 @@ func TestSnapshotPayloadRoundTrip(t *testing.T) {
 // Property: envelopes round-trip for arbitrary kinds and bodies.
 func TestQuickEnvelopeRoundTrip(t *testing.T) {
 	reg, kp := testRegistry(t)
+	pool := verify.New(verify.Options{})
 	f := func(kind string, body []byte) bool {
 		raw := SealEnvelope(kp, kind, body)
-		env, err := OpenEnvelope(reg, raw)
+		env, err := OpenEnvelope(pool, reg, raw)
 		if err != nil {
 			return false
 		}

@@ -296,18 +296,6 @@ func WithMaxBatch(n int) Option {
 	}
 }
 
-// WithBatchLinger lets the submission pipeline wait up to d for more
-// entries before sealing a non-full batch. The default (0) is adaptive:
-// idle streams seal immediately, but once concurrent producers coalesce,
-// the pipeline lingers for about one observed flush latency so loaded
-// chains stop sealing near-empty blocks.
-func WithBatchLinger(d time.Duration) Option {
-	return func(b *builder) error {
-		b.cfg.BatchLinger = d
-		return nil
-	}
-}
-
 // WithVerifier routes all signature verification of the new chain
 // through p instead of the process-wide shared verifier — e.g. one
 // whose counters describe this chain alone, or with the

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestPublicAPIQuickstart exercises the doc-comment quickstart end to end
@@ -229,7 +228,6 @@ func TestPublicAPIEngines(t *testing.T) {
 		WithSequenceLength(3),
 		WithClock(NewLogicalClock(0)),
 		WithEngine(NewPoW(6)),
-		WithBatchLinger(time.Millisecond),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -316,7 +316,8 @@ func TestManifestOpenCostPerTombstone(t *testing.T) {
 // Ed25519 verifications, which no machine changes: 60 SubmitWaits of
 // 16 entries verify exactly one signature per entry — the warm-up's —
 // and every later check (build, append, and on a cluster each peer's
-// append of the gossiped block) is a cache hit. The flusher joins the
+// append of the gossiped block) is a cache hit. A cluster's envelopes
+// go through the same verifier, at most one check per delivery. The flusher joins the
 // warm-up before it seals; racing it on a cold cache instead read
 // 1.89–2.00 verifications per entry on 2 CPUs.
 func TestSubmitVerifiesEachSignatureOnce(t *testing.T) {
@@ -393,8 +394,16 @@ func TestSubmitVerifiesEachSignatureOnce(t *testing.T) {
 			}
 		}
 	}
-	if got := ver.Stats().Verified; got != rounds*per {
-		t.Errorf("3-node cluster: %d verifications for %d entries, want one each", got, rounds*per)
+	// On a cluster the verifier also opens every message envelope, and
+	// the receivers of one broadcast race to its first check, so only the
+	// entries' share is exact: every block here carries 16 entries, whose
+	// signatures reach the curve through the batch path, once each.
+	st := ver.Stats()
+	if st.Batched != rounds*per {
+		t.Errorf("3-node cluster: %d batch verifications for %d entries, want one each", st.Batched, rounds*per)
+	}
+	if env, delivered := st.Verified-st.Batched, net.Stats().Delivered; env == 0 || env > delivered {
+		t.Errorf("3-node cluster: %d envelope verifications for %d delivered messages, want more than none and at most one each", env, delivered)
 	}
 }
 
