@@ -212,9 +212,9 @@ func EntriesRoot(entries []*Entry) codec.Hash { return EntriesRootWith(nil, entr
 // hashing fanned out across r (nil runs serially). The root is
 // identical to EntriesRoot's.
 func EntriesRootWith(r merkle.Runner, entries []*Entry) codec.Hash {
-	return merkle.BuildFromHashes(leafHashes(r, len(entries), func(i int, buf []byte) []byte {
+	return merkle.RootFromHashes(leafHashes(r, len(entries), func(i int, buf []byte) []byte {
 		return entries[i].AppendEncode(buf)
-	})).Root()
+	}))
 }
 
 // leafHashes hashes n commitment leaves, fanned out across r when the
@@ -274,7 +274,7 @@ func carriedLeaves(carried []CarriedEntry) []codec.Hash {
 // CarriedRoot computes the Merkle root over the canonical encodings of a
 // summary block's carried entries.
 func CarriedRoot(carried []CarriedEntry) codec.Hash {
-	return merkle.BuildFromHashes(carriedLeaves(carried)).Root()
+	return merkle.RootFromHashes(carriedLeaves(carried))
 }
 
 // NewNormal assembles an unmined normal block on top of the given
@@ -318,7 +318,7 @@ func NewSummaryFromLeaves(number, prevTime uint64, prevHash codec.Hash, carried 
 			Number:      number,
 			Time:        prevTime,
 			PrevHash:    prevHash,
-			EntriesRoot: merkle.BuildFromHashes(leaves).Root(),
+			EntriesRoot: merkle.RootFromHashes(leaves),
 		},
 		Carried: carried,
 		SeqRef:  seqRef,
@@ -455,7 +455,9 @@ func DecodeBlock(data []byte) (*Block, error) {
 // RestoreOwnStream), so each block pays for CheckShape once. The nested
 // structures are decoded through views into data — each inner decoder
 // copies what it retains, so the returned block never aliases data and
-// the input buffer may be pooled.
+// the caller may reuse the input buffer (the segment store reads every
+// block into its one record buffer). Entries and Carried are sized once
+// from their count prefixes, capped by the input left (capFor).
 func Decode(data []byte) (*Block, error) {
 	d := codec.NewDecoder(data)
 	rawHeader := d.View()
@@ -474,6 +476,9 @@ func Decode(data []byte) (*Block, error) {
 	if nEntries > maxSliceLen {
 		return nil, fmt.Errorf("%w: %d entries", ErrDecode, nEntries)
 	}
+	if nEntries > 0 {
+		b.Entries = make([]*Entry, 0, capFor(d, nEntries))
+	}
 	for i := uint32(0); i < nEntries; i++ {
 		raw := d.View()
 		if err := d.Err(); err != nil {
@@ -491,6 +496,9 @@ func Decode(data []byte) (*Block, error) {
 	}
 	if nCarried > maxSliceLen {
 		return nil, fmt.Errorf("%w: %d carried entries", ErrDecode, nCarried)
+	}
+	if nCarried > 0 {
+		b.Carried = make([]CarriedEntry, 0, capFor(d, nCarried))
 	}
 	for i := uint32(0); i < nCarried; i++ {
 		raw := d.View()
@@ -519,6 +527,12 @@ func Decode(data []byte) (*Block, error) {
 	}
 	return b, nil
 }
+
+// capFor is the capacity to presize a list whose count prefix claims n
+// elements: n, capped at what the rest of d can hold. Every element is
+// length-prefixed (4 bytes at least), so a lying count costs no more
+// than the bytes that carry it.
+func capFor(d *codec.Decoder, n uint32) int { return min(int(n), d.Remaining()/4) }
 
 func decodeHeader(data []byte) (Header, error) {
 	var h Header

@@ -2,7 +2,9 @@ package block
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -379,6 +381,37 @@ func TestBlockEncodeAllocatesOnce(t *testing.T) {
 	}
 	if got := len(sigma.Encode()); got != sigma.EncodedSize() {
 		t.Fatalf("len(Encode()) %d, EncodedSize %d", got, sigma.EncodedSize())
+	}
+}
+
+// TestDecodeHostileCountAllocatesNoCount checks that Decode presizes its
+// lists from what the input can hold, not from what a count prefix
+// claims: a summary of three carried entries whose count is patched to
+// 2^20 (the largest count the decoder admits, 32 MiB of CarriedEntry)
+// is rejected having allocated a few kilobytes.
+func TestDecodeHostileCountAllocatesNoCount(t *testing.T) {
+	kp := identity.Deterministic("alpha", "block-test")
+	carried := make([]CarriedEntry, 3)
+	for i := range carried {
+		carried[i] = CarriedEntry{OriginBlock: 1, OriginTime: 1, EntryNumber: uint32(i), Entry: NewData("alpha", []byte("c")).Sign(kp)}
+	}
+	sigma := NewSummary(4, 3, GenesisPrevHash, carried, nil)
+	raw := sigma.Encode()
+	// Layout: header (length-prefixed), entry count, carried count.
+	at := 4 + len(sigma.Header.Encode()) + 4
+	if got := binary.BigEndian.Uint32(raw[at:]); got != uint32(len(carried)) {
+		t.Fatalf("carried count at offset %d reads %d, want %d", at, got, len(carried))
+	}
+	binary.BigEndian.PutUint32(raw[at:], maxSliceLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(raw)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrDecode) {
+		t.Fatalf("Decode of a %d-byte block claiming %d carried entries: %v, want ErrDecode", len(raw), maxSliceLen, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("rejecting a %d-byte block allocated %d bytes", len(raw), got)
 	}
 }
 

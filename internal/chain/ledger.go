@@ -222,8 +222,10 @@ func (l *carriedLedger) prune(newMarker uint64, drop func(*candidate)) {
 // under ShrinkMinimal, at most one list per cut sequence otherwise.
 // Candidates whose holder is not the block they are listed under are
 // passed over; the cut invariant leaves none, but a restore replaying
-// cut blocks could.
-func (l *carriedLedger) walkCut(marker, newMarker uint64, visit func(*candidate)) (visited int) {
+// cut blocks could. Before the first visit it calls size with the number
+// it will look at, the bound on what visit can collect, so the caller
+// sizes its lists once.
+func (l *carriedLedger) walkCut(marker, newMarker uint64, size func(n int), visit func(*candidate)) (visited int) {
 	type run struct {
 		cands []*candidate
 		// holder is the summary the run's candidates must still be held
@@ -233,16 +235,20 @@ func (l *carriedLedger) walkCut(marker, newMarker uint64, visit func(*candidate)
 		own    bool
 	}
 	var runs []run
+	total := 0
 	for num, cands := range l.held {
 		if num < newMarker && len(cands) > 0 {
 			runs = append(runs, run{cands: cands, holder: num})
+			total += len(cands)
 		}
 	}
 	lo := sort.Search(len(l.ordered), func(i int) bool { return l.ordered[i].ce.OriginBlock >= marker })
 	hi := lo + sort.Search(len(l.ordered)-lo, func(i int) bool { return l.ordered[lo+i].ce.OriginBlock >= newMarker })
 	if lo < hi {
 		runs = append(runs, run{cands: l.ordered[lo:hi], own: true})
+		total += hi - lo
 	}
+	size(total)
 	for {
 		best := -1
 		for i := range runs {

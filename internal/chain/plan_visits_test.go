@@ -128,3 +128,71 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 	t.Logf("%d cuts: plans visited %d candidates for %d carried (%.2f per carried); an origin-ordered walk to the new marker visits %d (%.2f)",
 		cuts, visitedAll, carriedAll, float64(visitedAll)/float64(carriedAll), prefixAll, float64(prefixAll)/float64(carriedAll))
 }
+
+// TestSummaryPlanSizesItsListsOnce pins how the planner collects Σ: its
+// carried entries, their ledger candidates and their leaves are each
+// allocated once, at the number of candidates the cut blocks hold, which
+// the ledger knows before the walk. Appending would regrow each list
+// about twenty times on the way to a Σ of 3 000 entries and leave a
+// capacity other than that bound. Marked entries make the bound exceed
+// what Σ carries.
+func TestSummaryPlanSizesItsListsOnce(t *testing.T) {
+	reg := identity.NewRegistry()
+	kp := identity.Deterministic("alpha", "plan-lists")
+	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
+		t.Fatal(err)
+	}
+	c, err := chain.New(chain.Config{
+		SequenceLength: 4, MaxSequences: 2, Shrink: chain.ShrinkMinimal,
+		Registry: reg, Clock: simclock.NewLogical(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const perBlock = 120
+	var first block.Ref
+	for r := 0; ; r++ {
+		if r == 60 {
+			t.Fatal("no summary of 3 000 entries within 60 blocks")
+		}
+		entries := make([]*block.Entry, 0, perBlock+1)
+		for i := 0; i < perBlock; i++ {
+			entries = append(entries, block.NewData("alpha", []byte(fmt.Sprintf("d-%03d-%03d", r, i))).Sign(kp))
+		}
+		if r > 0 {
+			entries = append(entries, block.NewDeletion("alpha", block.Ref{Block: first.Block, Entry: uint32(r)}).Sign(kp))
+		}
+		normal, err := c.BuildNormal(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AppendBlock(normal); err != nil {
+			t.Fatal(err)
+		}
+		if r == 0 {
+			first = block.Ref{Block: normal.Header.Number}
+		}
+		for c.NextIsSummary() {
+			visited, carried, caps := c.PlanListsForTest()
+			for i, name := range []string{"carried entries", "candidates", "leaves"} {
+				if caps[i] != visited {
+					t.Fatalf("summary %d: the plan's %s have capacity %d for %d candidates looked at", c.Head().Number+1, name, caps[i], visited)
+				}
+			}
+			if carried >= 3000 {
+				if visited == carried {
+					t.Fatalf("summary %d looked at %d candidates and carries them all: no mark made the bound differ", c.Head().Number+1, visited)
+				}
+				return
+			}
+			sigma, err := c.BuildSummary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AppendBlock(sigma); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

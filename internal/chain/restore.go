@@ -137,8 +137,11 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 // There is deliberately no stage running the stateless checks ahead of
 // registration: one block's signature batch already fans out across the
 // verification pool, registration is a twentieth of it, and a four-block
-// window measured no gain with owner signatures on or off (numbers in
-// docs/ARCHITECTURE.md §4).
+// window measured no gain with owner signatures on or off. Nor does
+// CheckShape fan its leaf hashing out across the verifier: on a restore
+// of the node's own store, where it is the largest check left, that too
+// measured no consistent gain (numbers for both in docs/ARCHITECTURE.md
+// §4).
 //
 // Deletion marks are reconstructed by re-processing the deletion entries
 // present in the live blocks; marks whose targets were already physically

@@ -114,7 +114,9 @@ func (c *Chain) isPlanned(b *block.Block) bool {
 // summary, the dominant cost as chains grow), it walks only the
 // candidates the cut blocks hold — the held lists of the cut summaries
 // and the cut normal blocks' range of the origin-ordered list — so its
-// cost is what the cut holds, not everything carried. Only entries
+// cost is what the cut holds, not everything carried. Σ's carried list,
+// its candidates and its leaves are each allocated once, sized by what
+// the cut holds before the walk visits any of it. Only entries
 // carried for the first time have their leaf hashed, fanned out across
 // the verifier; every other leaf is its candidate's memo. The result is
 // bit-identical to planSummaryReferenceLocked, which the golden tests
@@ -130,7 +132,11 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 	var missing []int
 	if p.plan.newMarker > c.marker {
 		checkExpiry := c.ledger.expiryPossible(head.Header.Time, num)
-		p.visited = c.ledger.walkCut(c.marker, p.plan.newMarker, func(cand *candidate) {
+		p.visited = c.ledger.walkCut(c.marker, p.plan.newMarker, func(n int) {
+			carried = make([]block.CarriedEntry, 0, n)
+			p.cands = make([]*candidate, 0, n)
+			p.leaves = make([]codec.Hash, 0, n)
+		}, func(cand *candidate) {
 			if cand.marked {
 				return
 			}
@@ -239,7 +245,7 @@ func (c *Chain) middleSequenceRef(firstLiveSeq, currentSeq uint64) *block.Sequen
 	return &block.SequenceRef{
 		FirstBlock: start,
 		LastBlock:  end,
-		Root:       merkle.BuildFromHashes(hashes).Root(),
+		Root:       merkle.RootFromHashes(hashes),
 	}
 }
 

@@ -113,20 +113,48 @@ func BuildFromHashes(hashes []codec.Hash) *Tree {
 	return grow(level)
 }
 
+// RootFromHashes returns BuildFromHashes(hashes).Root() without building
+// the tree, for callers that read only the root: the levels are reduced
+// one after another in a single scratch slice of ⌈n/2⌉ hashes, so it
+// never copies the leaves and allocates at most once.
+func RootFromHashes(hashes []codec.Hash) codec.Hash {
+	switch len(hashes) {
+	case 0:
+		return emptyRoot()
+	case 1:
+		return hashes[0]
+	}
+	// Node i/2 of the next level is written only after nodes i and i+1
+	// of this one were read, so every level after the first is reduced in
+	// place.
+	level := reduce(make([]codec.Hash, (len(hashes)+1)/2), hashes)
+	for len(level) > 1 {
+		level = reduce(level, level)
+	}
+	return level[0]
+}
+
+// reduce writes the level above level into next, which must have room
+// for ⌈len(level)/2⌉ hashes, and returns it: adjacent pairs are combined,
+// and an odd node at the end is promoted unchanged.
+func reduce(next, level []codec.Hash) []codec.Hash {
+	next = next[:(len(level)+1)/2]
+	for i := range next {
+		if 2*i+1 < len(level) {
+			next[i] = hashInterior(level[2*i], level[2*i+1])
+		} else {
+			next[i] = level[2*i]
+		}
+	}
+	return next
+}
+
 // grow reduces a leaf level to the root, recording every level.
 func grow(level []codec.Hash) *Tree {
 	t := &Tree{levels: [][]codec.Hash{level}}
 	for len(level) > 1 {
-		next := make([]codec.Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, hashInterior(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i])
-			}
-		}
-		t.levels = append(t.levels, next)
-		level = next
+		level = reduce(make([]codec.Hash, (len(level)+1)/2), level)
+		t.levels = append(t.levels, level)
 	}
 	return t
 }

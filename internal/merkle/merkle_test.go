@@ -3,6 +3,7 @@ package merkle
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -226,5 +227,29 @@ func BenchmarkProofVerify1024(b *testing.B) {
 		if !Verify(root, ls[511], p) {
 			b.Fatal("proof rejected")
 		}
+	}
+}
+
+// TestRootFromHashesMatchesTree pins RootFromHashes to the tree it does
+// not build: for every leaf count up to 300, odd promotions at any level
+// included, the root equals BuildFromHashes' and the reduction allocates
+// at most its one scratch slice.
+func TestRootFromHashesMatchesTree(t *testing.T) {
+	hs := make([]codec.Hash, 300)
+	for i := range hs {
+		hs[i] = HashLeaf([]byte(fmt.Sprintf("leaf-%d", i)))
+	}
+	orig := slices.Clone(hs)
+	for n := 0; n <= len(hs); n++ {
+		in := hs[:n]
+		if got, want := RootFromHashes(in), BuildFromHashes(in).Root(); got != want {
+			t.Fatalf("n=%d: RootFromHashes %s, tree root %s", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { RootFromHashes(in) }); allocs > 1 {
+			t.Fatalf("n=%d: %.0f allocations, want at most 1", n, allocs)
+		}
+	}
+	if !slices.Equal(hs, orig) {
+		t.Fatal("RootFromHashes wrote into its input")
 	}
 }

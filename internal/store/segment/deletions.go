@@ -2,7 +2,6 @@ package segment
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -101,6 +100,12 @@ func Inspect(dir string) (*DirInfo, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: inspect: %w", err)
 	}
+	// One read buffer for every segment file, grown to the largest.
+	var buf []byte
+	sizedBuf := func(n int) []byte {
+		buf = sized(buf, n)
+		return buf
+	}
 	for _, e := range names {
 		if e.Name() == retiredSnapshotName {
 			info.RetiredSnapshot = true
@@ -109,7 +114,7 @@ func Inspect(dir string) (*DirInfo, error) {
 		if !ok {
 			continue
 		}
-		si, err := scanSegmentFile(id, filepath.Join(dir, e.Name()))
+		si, err := scanSegmentFile(id, filepath.Join(dir, e.Name()), sizedBuf)
 		if err != nil {
 			return nil, err
 		}
@@ -128,30 +133,18 @@ func Inspect(dir string) (*DirInfo, error) {
 	return info, nil
 }
 
-// scanSegmentFile walks one segment's records read-only, using the
-// same framing as openSegment but repairing nothing.
-func scanSegmentFile(id uint64, path string) (SegmentInfo, error) {
+// scanSegmentFile walks one segment's records read-only, through the
+// same scan as openSegment (scanSegment) but repairing nothing. The file
+// is read into buf, which Inspect passes from one file to the next, and
+// the bytes read are cleared before it returns.
+func scanSegmentFile(id uint64, path string, buf func(n int) []byte) (SegmentInfo, error) {
 	si := SegmentInfo{ID: id, Path: path}
 	f, err := os.Open(path)
 	if err != nil {
 		return si, fmt.Errorf("segment: inspect %s: %w", path, err)
 	}
 	defer f.Close()
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return si, fmt.Errorf("segment: inspect %s: %w", path, err)
-	}
-	si.SizeBytes = int64(len(raw))
-	if len(raw) < len(segMagic) || string(raw[:len(segMagic)]) != segMagic {
-		si.Torn = len(raw) > 0
-		return si, nil
-	}
-	good := int64(len(segMagic))
-	for {
-		num, _, span, ok := parseRecord(raw[good:])
-		if !ok {
-			break
-		}
+	raw, good, err := scanSegment(f, buf, func(num uint64, _ int64, _ int) {
 		if si.Records == 0 || num < si.First {
 			si.First = num
 		}
@@ -159,8 +152,12 @@ func scanSegmentFile(id uint64, path string) (SegmentInfo, error) {
 			si.Last = num
 		}
 		si.Records++
-		good += int64(span)
+	})
+	clear(raw)
+	if err != nil {
+		return si, fmt.Errorf("segment: inspect %s: %w", path, err)
 	}
-	si.Torn = good < int64(len(raw))
+	si.SizeBytes = int64(len(raw))
+	si.Torn = good < si.SizeBytes
 	return si, nil
 }

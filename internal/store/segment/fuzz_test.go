@@ -143,7 +143,7 @@ func FuzzScanSegmentFile(f *testing.F) {
 		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		si, err := scanSegmentFile(0, path)
+		si, err := scanSegmentFile(0, path, func(n int) []byte { return make([]byte, n) })
 		if err != nil {
 			t.Fatalf("scan of a readable file errored: %v", err)
 		}

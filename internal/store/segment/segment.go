@@ -3,7 +3,6 @@ package segment
 import (
 	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"os"
 	"path/filepath"
@@ -97,9 +96,11 @@ type Store struct {
 	// open, least recently used first. The active segment never enters
 	// it: its handle must stay open for appends.
 	lru []*segmentFile
-	// rec is the record buffer PutBlock and rewriteSegmentLocked build
-	// records in (records.go). Both run under mu, so one buffer serves
-	// the flusher's appends and the compactor's rewrites alike.
+	// rec is the record buffer every segment read and write goes through
+	// (records.go): PutBlock and rewriteSegmentLocked build records in
+	// it, GetBlock reads payloads into it, and Open scans segment files
+	// into it. All run under mu, so one buffer serves the flusher's
+	// appends, the compactor's rewrites, reads and recovery alike.
 	rec []byte
 	// fsyncs counts fsyncs issued against segment data files and the
 	// store directory (metadata marker files are excluded);
@@ -296,33 +297,28 @@ func (s *Store) recover(man *manifest) error {
 // index (higher segments win on duplicate numbers, so re-puts resolve to
 // the newest copy). In the newest segment a tail that fails its length
 // or checksum is what a crash mid-append leaves: it is truncated back to
-// the last record that verifies. In a sealed one it is ErrCorrupt.
+// the last record that verifies. In a sealed one it is ErrCorrupt. The
+// file is read into the store's record buffer (scanSegment), which is
+// cleared before the call returns.
 func (s *Store) openSegment(id uint64, path string, newest bool) (*segmentFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("segment: open %s: %w", path, err)
 	}
 	seg := &segmentFile{id: id, path: path, f: f}
-	raw, err := io.ReadAll(f)
+	raw, good, err := scanSegment(f, s.recordLocked, func(num uint64, off int64, n int) {
+		s.indexRecord(seg, num, off, n)
+	})
+	s.releaseRecordLocked(len(raw))
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("segment: read %s: %w", path, err)
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
-	good := int64(0)
-	if len(raw) >= len(segMagic) && string(raw[:len(segMagic)]) == segMagic {
-		good = int64(len(segMagic))
-		for {
-			num, payload, span, ok := parseRecord(raw[good:])
-			if !ok {
-				break // torn or corrupt tail
-			}
-			s.indexRecord(seg, num, good+recHeaderSize, len(payload))
-			good += int64(span)
+	if good == 0 {
+		if len(raw) > 0 {
+			f.Close()
+			return nil, fmt.Errorf("segment: %s: bad magic", path)
 		}
-	} else if len(raw) > 0 {
-		f.Close()
-		return nil, fmt.Errorf("segment: %s: bad magic", path)
-	} else {
 		// Zero-length file: a segment created right before a crash.
 		// Stamp the magic so appends can proceed.
 		if _, err := f.Write([]byte(segMagic)); err != nil {
@@ -541,7 +537,10 @@ func (s *Store) getBlockLocked(num uint64) (*block.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, loc.n)
+	// Decode copies what it keeps, so the payload is read into the
+	// record buffer and cleared as soon as the block is decoded.
+	payload := s.recordLocked(loc.n)
+	defer s.releaseRecordLocked(loc.n)
 	if _, err := f.ReadAt(payload, loc.off); err != nil {
 		return nil, fmt.Errorf("segment: read block %d: %w", num, err)
 	}
@@ -755,7 +754,7 @@ func (s *Store) rewriteSegmentLocked(seg *segmentFile) error {
 	for _, r := range kept {
 		maxN = max(maxN, r.n)
 	}
-	buf := s.recordLocked(maxN)
+	buf := s.recordLocked(recHeaderSize + maxN)
 	defer s.releaseRecordLocked(len(buf))
 	for _, r := range kept {
 		// Read the payload straight into the record buffer behind the

@@ -688,3 +688,46 @@ func TestOwnStoreTamperMatrix(t *testing.T) {
 		})
 	}
 }
+
+// TestReopenCostPerStoredByte prices a restart in bytes allocated, which
+// no machine changes: reopening newOwnStore's directory through the
+// façade allocates at most reopenAllocCeiling times the bytes the
+// directory holds. The fixture's store is small (1 KiB segments), so the
+// fixed cost of a chain counts for much of it. The ceiling sits between
+// what a reopen allocated when every segment file was read with
+// io.ReadAll and every block into a fresh payload (9.6 bytes per stored
+// byte) and what it allocates since both go through the store's one
+// record buffer and every Merkle check computes only its root (7.5; 8.1
+// under -race, whose sync.Pool drops a share of its Puts).
+func TestReopenCostPerStoredByte(t *testing.T) {
+	const reopenAllocCeiling = 8.8
+	o := newOwnStore(t, false)
+	entries, err := os.ReadDir(o.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += fi.Size()
+	}
+	ver := NewVerifier(0, 0)
+	defer ver.Close()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := o.open(t, ver)
+	runtime.ReadMemStats(&after)
+	defer c.Close()
+	if c.HeadHash() != o.head {
+		t.Fatal("reopened head differs")
+	}
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(stored)
+	if perByte > reopenAllocCeiling {
+		t.Errorf("reopening a %d-byte store directory allocated %.1f bytes per stored byte, ceiling %.1f", stored, perByte, reopenAllocCeiling)
+	}
+	t.Logf("reopening a %d-byte store directory (%d files) allocated %.1f bytes per stored byte", stored, len(entries), perByte)
+}
