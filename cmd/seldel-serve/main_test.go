@@ -37,6 +37,13 @@ func startServe(t *testing.T, extraArgs ...string) (string, func()) {
 		var once sync.Once
 		stop := func() {
 			once.Do(func() {
+				// A connection the client's transport dialed for a
+				// request another connection then served sits idle on
+				// the client's side, never having sent a request. The
+				// server counts it idle only once it is 5 s old, so a
+				// graceful shutdown with a 5 s budget could time out on
+				// it. Close such connections first.
+				http.DefaultClient.CloseIdleConnections()
 				cancel()
 				select {
 				case err := <-errCh:

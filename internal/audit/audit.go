@@ -15,7 +15,6 @@ import (
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/identity"
-	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/schema"
 )
 
@@ -132,22 +131,6 @@ func (l *Logger) LogContext(ctx context.Context, key *identity.KeyPair, ev Login
 		return block.Ref{}, err
 	}
 	return sealed[0].Ref, nil
-}
-
-// Submit enqueues a login event without waiting for it to seal; the
-// receipt resolves to the event's stable reference once its block is
-// sealed. High-throughput audit sources submit many events and wait on
-// the receipts afterwards.
-func (l *Logger) Submit(ctx context.Context, key *identity.KeyPair, ev LoginEvent) (mempool.Receipt, error) {
-	entry, err := l.EntryFor(key, ev)
-	if err != nil {
-		return mempool.Receipt{}, err
-	}
-	receipts, err := l.chain.Submit(ctx, entry)
-	if err != nil {
-		return mempool.Receipt{}, err
-	}
-	return receipts[0], nil
 }
 
 // Decode parses a chain entry back into a login event.

@@ -164,9 +164,6 @@ func (c *ChameleonChain) Append(content []byte) (*ChameleonBlock, error) {
 	return b, nil
 }
 
-// Len returns the chain length.
-func (c *ChameleonChain) Len() int { return len(c.blocks) }
-
 // Redact rewrites the content of block num in place, finding a hash
 // collision with the trapdoor so every subsequent link stays valid. This
 // is O(1) in chain length — but only the trapdoor holder can do it, for
@@ -205,12 +202,4 @@ func (c *ChameleonChain) Verify() error {
 		}
 	}
 	return nil
-}
-
-// Content returns the current content of block num.
-func (c *ChameleonChain) Content(num uint64) ([]byte, error) {
-	if num >= uint64(len(c.blocks)) {
-		return nil, fmt.Errorf("%w: block %d", ErrOutOfRange, num)
-	}
-	return c.blocks[num].Content, nil
 }

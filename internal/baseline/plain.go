@@ -54,28 +54,6 @@ func (p *PlainChain) Len() int { return len(p.blocks) }
 // Bytes returns the total encoded size.
 func (p *PlainChain) Bytes() int64 { return p.bytes }
 
-// Lookup fetches an entry by (block, entry) coordinates.
-func (p *PlainChain) Lookup(ref block.Ref) (*block.Entry, error) {
-	if ref.Block >= uint64(len(p.blocks)) {
-		return nil, fmt.Errorf("%w: block %d", ErrOutOfRange, ref.Block)
-	}
-	b := p.blocks[ref.Block]
-	if int(ref.Entry) >= len(b.Entries) {
-		return nil, fmt.Errorf("%w: %s", ErrNoEntry, ref)
-	}
-	return b.Entries[ref.Entry], nil
-}
-
-// Verify walks the hash links.
-func (p *PlainChain) Verify() error {
-	for i := 1; i < len(p.blocks); i++ {
-		if p.blocks[i].Header.PrevHash != p.blocks[i-1].Hash() {
-			return fmt.Errorf("plain chain: broken link at %d", i)
-		}
-	}
-	return nil
-}
-
 // LocalPrune models pruning as deployed by existing nodes (paper §III:
 // "the simple solution of pruning locally stored parts does not solve the
 // problem for the global, distributed blockchain"): a node discards old
@@ -122,14 +100,6 @@ func (l *LocalPrune) LocalBytes() int64 {
 	return bodies + l.headerBytes
 }
 
-// GloballyDeleted reports whether an entry is gone from the network.
-// For local pruning the answer is always false: any full node still
-// serves it (§III).
-func (l *LocalPrune) GloballyDeleted(block.Ref) bool { return false }
-
-// Len returns the global chain length.
-func (l *LocalPrune) Len() int { return l.chain.Len() }
-
 // HardFork models deletion by forking: to remove content, the whole
 // history from the offending block onward is rebuilt and the network
 // migrates to the new chain (§III: "very time inefficient as it can take
@@ -153,9 +123,6 @@ func (h *HardFork) Append(entries []*block.Entry) *block.Block {
 
 // Len returns the chain length.
 func (h *HardFork) Len() int { return h.chain.Len() }
-
-// Bytes returns the chain size.
-func (h *HardFork) Bytes() int64 { return h.chain.Bytes() }
 
 // Delete removes the entry at ref by rebuilding every block from ref
 // onward (new hashes, new links) — the hard fork. Returns the number of
@@ -195,9 +162,6 @@ func (h *HardFork) Delete(ref block.Ref) (int, error) {
 	h.RebuiltBlocks += uint64(rebuilt)
 	return rebuilt, nil
 }
-
-// Verify walks the hash links of the (possibly rebuilt) chain.
-func (h *HardFork) Verify() error { return h.chain.Verify() }
 
 // HeadHash returns the current head hash — every hard fork changes it,
 // which is exactly why all participants must migrate.

@@ -89,10 +89,6 @@ type Config struct {
 	// Nil means the process-wide shared pool (verify.Shared()), so
 	// chains in one process share the verified-signature cache.
 	Verifier *verify.Pool
-	// MaxBatch is the submission pipeline's soft flush threshold: Submit
-	// batches are sealed once they hold at least this many entries.
-	// 0 means mempool.DefaultMaxBatch.
-	MaxBatch int
 	// Durability selects when submission receipts resolve relative to
 	// the store's durability point: the zero value resolves at seal
 	// time (durability follows the store's policy), DurabilityGroup
@@ -120,9 +116,6 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if cfg.MaxBlocks < 0 || cfg.MaxSequences < 0 || cfg.MinBlocks < 0 {
 		return cfg, fmt.Errorf("%w: negative limit", ErrConfig)
-	}
-	if cfg.MaxBatch < 0 {
-		return cfg, fmt.Errorf("%w: negative batch parameter", ErrConfig)
 	}
 	if cfg.MaxBlocks > 0 && cfg.MaxBlocks < cfg.SequenceLength {
 		return cfg, fmt.Errorf("%w: MaxBlocks %d < SequenceLength %d", ErrConfig, cfg.MaxBlocks, cfg.SequenceLength)
@@ -375,9 +368,6 @@ func (c *Chain) Registry() *identity.Registry { return c.cfg.Registry }
 // share its verified-signature cache.
 func (c *Chain) Verifier() *verify.Pool { return c.cfg.Verifier }
 
-// SequenceLength returns the configured summary distance l.
-func (c *Chain) SequenceLength() int { return c.cfg.SequenceLength }
-
 // Marker returns the current Genesis marker m.
 func (c *Chain) Marker() uint64 {
 	c.mu.RLock()
@@ -480,18 +470,6 @@ func (c *Chain) Marks() []Mark {
 		out = append(out, m)
 	}
 	return out
-}
-
-// Confirmations returns how many blocks confirm the entry at ref: the
-// distance from the block currently holding the entry to the head.
-func (c *Chain) Confirmations(ref block.Ref) (uint64, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	cand, ok := c.ledger.byRef[ref]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, ref)
-	}
-	return c.head().Header.Number - cand.holder, nil
 }
 
 // Stats returns a snapshot of the chain's size and deletion counters.

@@ -145,24 +145,3 @@ func (c *Chain) renderBlock(w io.Writer, b *block.Block, o *RenderOptions) error
 	}
 	return nil
 }
-
-// RenderString returns Render output as a string (convenience for tests
-// and examples).
-func (c *Chain) RenderString(opts *RenderOptions) string {
-	var sb writerBuilder
-	_ = c.Render(&sb, opts)
-	return sb.String()
-}
-
-// writerBuilder is a minimal strings.Builder alias avoiding an extra
-// import in callers; it implements io.Writer.
-type writerBuilder struct {
-	buf []byte
-}
-
-func (w *writerBuilder) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-func (w *writerBuilder) String() string { return string(w.buf) }

@@ -9,6 +9,13 @@ import (
 	"github.com/seldel/seldel/internal/simclock"
 )
 
+// renderString returns c's Render output as a string.
+func renderString(c *Chain, opts *RenderOptions) string {
+	var sb strings.Builder
+	_ = c.Render(&sb, opts)
+	return sb.String()
+}
+
 func TestRenderPayloadHeuristics(t *testing.T) {
 	env := newEnv(t, "alpha")
 	c := newChain(t, defaultConfig(env))
@@ -17,7 +24,7 @@ func TestRenderPayloadHeuristics(t *testing.T) {
 		block.NewData("alpha", []byte{0x00, 0x01, 0xFF}).Sign(env.keys["alpha"]),
 		block.NewData("alpha", nil).Sign(env.keys["alpha"]),
 	)
-	out := c.RenderString(nil)
+	out := renderString(c, nil)
 	if !strings.Contains(out, "printable text") {
 		t.Errorf("printable payload not shown as text:\n%s", out)
 	}
@@ -33,7 +40,7 @@ func TestRenderHideMarkerAndCustomPayload(t *testing.T) {
 	env := newEnv(t, "alpha")
 	c := newChain(t, defaultConfig(env))
 	mustSeal(t, c, env.data("alpha", "x"))
-	out := c.RenderString(&RenderOptions{
+	out := renderString(c, &RenderOptions{
 		HideMarker:  true,
 		PayloadText: func([]byte) string { return "<redacted>" },
 	})
@@ -54,7 +61,7 @@ func TestRenderSequenceReference(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		mustSeal(t, c, env.data("alpha", "x"))
 	}
-	out := c.RenderString(nil)
+	out := renderString(c, nil)
 	if !strings.Contains(out, "ref w[") {
 		t.Errorf("Fig. 9 reference line missing:\n%s", out)
 	}
@@ -84,7 +91,7 @@ func TestConcurrentReadersDuringSeals(t *testing.T) {
 				_ = c.Stats()
 				_, _, _ = c.Lookup(block.Ref{Block: 1, Entry: 0})
 				_ = c.Blocks()
-				_ = c.RenderString(nil)
+				_ = renderString(c, nil)
 				_ = c.VerifyIntegrity()
 			}
 		}()

@@ -11,7 +11,7 @@ import (
 // This file maintains the carried-entry ledger, the chain's one entry
 // index: every live data entry, keyed by its stable Ref, viewed as the
 // CarriedEntry it would become in the next summary block. byRef answers
-// where an entry lives (Lookup, Confirmations, dependency rules); the
+// where an entry lives (Lookup, dependency rules); the
 // origin-ordered list, together with each live summary's held list,
 // answers what the next Σ carries. The naive planner
 // (summary_reference_test.go) rescans every merged block and every

@@ -63,7 +63,7 @@ func TestFigure6StateAfterThreeLogins(t *testing.T) {
 				num, len(blocks[num].Carried))
 		}
 	}
-	out := c.RenderString(nil)
+	out := renderString(c, nil)
 	for _, want := range []string{"m -> 0", "DEADB", "S2;", "S5;", "login BRAVO tty1", "K CHARLIE"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render output missing %q:\n%s", want, out)
@@ -549,7 +549,7 @@ func TestRenderMarksAndDeletionEntries(t *testing.T) {
 	c, env := paperScenario(t)
 	mustSeal(t, c, env.data("ALPHA", "visible"))
 	mustSeal(t, c, env.del("ALPHA", block.Ref{Block: 1, Entry: 0}))
-	out := c.RenderString(&RenderOptions{ShowMarks: true})
+	out := renderString(c, &RenderOptions{ShowMarks: true})
 	if !strings.Contains(out, "DEL 1/0 K ALPHA") {
 		t.Errorf("deletion entry not rendered:\n%s", out)
 	}
@@ -558,7 +558,7 @@ func TestRenderMarksAndDeletionEntries(t *testing.T) {
 	}
 	// TTL annotation.
 	mustSeal(t, c, env.temp("ALPHA", "short", 99, 0))
-	out = c.RenderString(nil)
+	out = renderString(c, nil)
 	if !strings.Contains(out, "T t99") {
 		t.Errorf("TTL annotation missing:\n%s", out)
 	}

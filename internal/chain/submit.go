@@ -12,8 +12,8 @@ import (
 // Submit enqueues entries into the chain's submission pipeline and
 // returns one Receipt per entry, in order. Entries from many concurrent
 // callers are coalesced into full blocks by a single flusher (flushing
-// when the batch reaches Config.MaxBatch or when the submission stream
-// goes idle, after an adaptive linger under load), so Submit is the
+// when the batch reaches 256 entries or when the submission stream goes
+// idle, after an adaptive linger under load), so Submit is the
 // concurrency-safe write path: concurrent Submits never race each other
 // for the head block.
 //
@@ -94,7 +94,6 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 		return nil, mempool.ErrClosed
 	}
 	opts := mempool.Options{
-		MaxBatch: c.cfg.MaxBatch,
 		// Pre-verify submissions while their batch assembles, so the
 		// sealing commit resolves the signatures from the verified-
 		// signature cache instead of re-paying Ed25519 for each.

@@ -14,6 +14,11 @@ import (
 // deleteAndTruncate seals one data entry, deletes it, and drives the
 // chain until the truncation that physically erases it has executed,
 // returning the victim's ref and its entry digest.
+// covers reports whether block n falls inside r's deleted range.
+func covers(r manifest.Record, n uint64) bool {
+	return n >= r.OldMarker && n < r.NewMarker
+}
+
 func deleteAndTruncate(t *testing.T, c *Chain, env *testEnv, tag string) (block.Ref, codec.Hash) {
 	t.Helper()
 	ctx := context.Background()
@@ -79,7 +84,7 @@ func TestTruncationSealsDeletionRecord(t *testing.T) {
 	// requester identity and the erased entry's content digest.
 	var tomb *manifest.Tombstone
 	for _, r := range recs {
-		if r.Covers(victim.Block) {
+		if covers(r, victim.Block) {
 			if tb, ok := r.FindTombstone(victim); ok {
 				tomb = &tb
 				// The summary block the record points at is still live
@@ -124,7 +129,7 @@ func TestProveDeletedAndVerify(t *testing.T) {
 	if err := p.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if !p.Record.Covers(victim.Block) {
+	if !covers(p.Record, victim.Block) {
 		t.Error("proof record does not cover the victim")
 	}
 
@@ -225,7 +230,7 @@ func TestProveDeletedCarriedVictim(t *testing.T) {
 			break
 		}
 	}
-	if proof.Record.Covers(victim.Block) {
+	if covers(proof.Record, victim.Block) {
 		t.Log("record covers the origin; carried shape not exercised this run")
 	}
 	if err := proof.Verify(); err != nil {

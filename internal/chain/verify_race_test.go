@@ -36,7 +36,6 @@ func TestParallelVerifier16Producers(t *testing.T) {
 		Registry:       reg,
 		Clock:          simclock.NewLogical(0),
 		Verifier:       pool,
-		MaxBatch:       64,
 	})
 	if err != nil {
 		t.Fatal(err)

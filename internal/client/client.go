@@ -14,7 +14,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -56,8 +55,13 @@ type Client struct {
 	nextReq uint64
 	status  map[uint64]chan wire.StatusPayload
 	lookups map[uint64]chan wire.LookupRespPayload
+	// timeout bounds each request's wait for anchor replies
+	// (requestTimeout; the package's tests shorten it).
 	timeout time.Duration
 }
+
+// requestTimeout is how long a request waits for anchor replies.
+const requestTimeout = 2 * time.Second
 
 // New joins a client to the network. The registry is used to verify
 // anchor responses; anchors lists the anchor-node names to query.
@@ -68,7 +72,7 @@ func New(key *identity.KeyPair, reg *identity.Registry, net *netsim.Network, anc
 		anchors: append([]string(nil), anchors...),
 		status:  make(map[uint64]chan wire.StatusPayload),
 		lookups: make(map[uint64]chan wire.LookupRespPayload),
-		timeout: 2 * time.Second,
+		timeout: requestTimeout,
 	}
 	ep, err := net.Join(key.Name(), c.handle)
 	if err != nil {
@@ -76,16 +80,6 @@ func New(key *identity.KeyPair, reg *identity.Registry, net *netsim.Network, anc
 	}
 	c.ep = ep
 	return c, nil
-}
-
-// Name returns the client's participant name.
-func (c *Client) Name() string { return c.key.Name() }
-
-// SetTimeout adjusts the per-request timeout (tests shorten it).
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timeout = d
 }
 
 func (c *Client) handle(msg netsim.Message) {
@@ -125,21 +119,6 @@ func (c *Client) handle(msg netsim.Message) {
 	}
 }
 
-// NewDataEntry builds and signs a data entry owned by this client.
-func (c *Client) NewDataEntry(payload []byte) *block.Entry {
-	return block.NewData(c.Name(), payload).Sign(c.key)
-}
-
-// NewTemporaryEntry builds and signs a temporary entry (§IV-D.4).
-func (c *Client) NewTemporaryEntry(payload []byte, expireTime, expireBlock uint64) *block.Entry {
-	return block.NewTemporary(c.Name(), payload, expireTime, expireBlock).Sign(c.key)
-}
-
-// NewDeletionRequest builds and signs a deletion request (§IV-D).
-func (c *Client) NewDeletionRequest(target block.Ref) *block.Entry {
-	return block.NewDeletion(c.Name(), target).Sign(c.key)
-}
-
 // QueryStatus asks all anchors for the current status quo and returns
 // the majority answer (anti-eclipse, §V-B.4). Anchors reporting
 // themselves forked are ignored.
@@ -151,7 +130,7 @@ func (c *Client) QueryStatus() (Status, error) {
 	for _, anchor := range c.anchors {
 		_ = c.ep.Send(anchor, wire.KindStatusReq, wire.SealEnvelope(c.key, wire.KindStatusReq, body.Data()))
 	}
-	deadline := time.After(c.timeoutDur())
+	deadline := time.After(c.timeout)
 	type key struct {
 		num    uint64
 		hash   codec.Hash
@@ -190,12 +169,6 @@ func (c *Client) QueryStatus() (Status, error) {
 		Agreeing:   bestCount,
 		Queried:    len(c.anchors),
 	}, nil
-}
-
-func (c *Client) timeoutDur() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeout
 }
 
 func (c *Client) newStatusWaiter() (uint64, chan wire.StatusPayload) {
@@ -237,7 +210,7 @@ func (c *Client) Lookup(anchor string, ref block.Ref) (*VerifiedEntry, error) {
 	select {
 	case resp := <-ch:
 		return c.verifyLookup(resp)
-	case <-time.After(c.timeoutDur()):
+	case <-time.After(c.timeout):
 		return nil, ErrTimeout
 	}
 }
@@ -295,11 +268,4 @@ func (c *Client) verifyLookup(resp wire.LookupRespPayload) (*VerifiedEntry, erro
 		return nil, ErrBadProof
 	}
 	return &VerifiedEntry{Entry: entry, Holder: header, Carried: resp.Carried}, nil
-}
-
-// Anchors returns the anchor set, sorted.
-func (c *Client) Anchors() []string {
-	out := append([]string(nil), c.anchors...)
-	sort.Strings(out)
-	return out
 }

@@ -31,21 +31,6 @@ func HashBytes(b []byte) Hash {
 	return sha256.Sum256(b)
 }
 
-// HashConcat hashes the concatenation of the given parts with a
-// length-prefix per part, so that ("ab","c") and ("a","bc") differ.
-func HashConcat(parts ...[]byte) Hash {
-	h := sha256.New()
-	var lenBuf [4]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
-	}
-	var out Hash
-	h.Sum(out[:0])
-	return out
-}
-
 // Hex returns the full lowercase hex encoding of the hash.
 func (h Hash) Hex() string { return hex.EncodeToString(h[:]) }
 
@@ -86,13 +71,6 @@ func (h *Hash) UnmarshalText(text []byte) error {
 	}
 	copy(h[:], b)
 	return nil
-}
-
-// ParseHash parses a full hex hash string.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	err := h.UnmarshalText([]byte(s))
-	return h, err
 }
 
 // Encoder accumulates a canonical binary encoding.
@@ -224,16 +202,9 @@ func (e *Encoder) Hash(h Hash) {
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) + e.n }
 
-// Reset discards the encoded bytes, keeping the buffer's capacity for
-// reuse. Any slice previously returned by Data is invalidated.
-func (e *Encoder) Reset() { e.buf, e.n = e.buf[:0], 0 }
-
 // Data returns the encoded bytes. The returned slice aliases the
 // encoder's internal buffer; callers must not mutate it.
 func (e *Encoder) Data() []byte { return e.buf }
-
-// Sum returns the SHA-256 hash of the encoded bytes.
-func (e *Encoder) Sum() Hash { return HashBytes(e.buf) }
 
 // ErrTruncated is returned by Decoder methods when the input is shorter
 // than the requested field.

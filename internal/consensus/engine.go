@@ -82,11 +82,6 @@ func NewAuthority(authorities []string, self string) (*Authority, error) {
 // Name implements Engine.
 func (a *Authority) Name() string { return "poa" }
 
-// LeaderOf returns the authority responsible for sealing block num.
-func (a *Authority) LeaderOf(num uint64) string {
-	return a.authorities[int(num%uint64(len(a.authorities)))]
-}
-
 // Seal implements Engine. It fails when self is not the slot leader.
 func (a *Authority) Seal(b *block.Block) error {
 	leaderIdx := int(b.Header.Number % uint64(len(a.authorities)))

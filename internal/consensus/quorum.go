@@ -2,23 +2,18 @@ package consensus
 
 import (
 	"errors"
-	"fmt"
 	"sort"
-	"sync"
 )
 
 // This file implements the majority-vote primitive of §IV-C: "the quorum
 // build a consensus about redefining the Genesis Block … By a majority
 // vote, the quorum determines the new first Block and the time of the
-// changeover." The same primitive backs deletion-request approval by the
-// anchor nodes (§IV-D.1).
+// changeover." The anchor nodes count their votes on each summary block
+// Σ, which carries that changeover, against this membership and
+// threshold in internal/node/vote.go.
 
-// Errors returned by quorum tallies.
-var (
-	ErrNotMember   = errors.New("consensus: voter is not a quorum member")
-	ErrDoubleVote  = errors.New("consensus: member already voted")
-	ErrEmptyQuorum = errors.New("consensus: quorum has no members")
-)
+// ErrEmptyQuorum is returned by NewQuorum for an empty member list.
+var ErrEmptyQuorum = errors.New("consensus: quorum has no members")
 
 // Quorum is a fixed set of anchor-node identities with majority rule.
 type Quorum struct {
@@ -57,61 +52,3 @@ func (q *Quorum) Threshold() int { return len(q.ordered)/2 + 1 }
 
 // Contains reports membership.
 func (q *Quorum) Contains(name string) bool { return q.members[name] }
-
-// Tally collects votes on one proposal (identified by the caller, e.g.
-// "shift marker to block 6 at summary 8"). Safe for concurrent use.
-type Tally struct {
-	mu      sync.Mutex
-	quorum  *Quorum
-	yes, no int
-	voted   map[string]bool
-}
-
-// NewTally starts an empty tally for the quorum.
-func (q *Quorum) NewTally() *Tally {
-	return &Tally{quorum: q, voted: make(map[string]bool)}
-}
-
-// Add records one member's vote. Double votes and non-members fail.
-func (t *Tally) Add(member string, approve bool) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.quorum.Contains(member) {
-		return fmt.Errorf("%w: %q", ErrNotMember, member)
-	}
-	if t.voted[member] {
-		return fmt.Errorf("%w: %q", ErrDoubleVote, member)
-	}
-	t.voted[member] = true
-	if approve {
-		t.yes++
-	} else {
-		t.no++
-	}
-	return nil
-}
-
-// Outcome reports the decision state: approved is meaningful only when
-// decided is true. A proposal is approved once yes votes reach the
-// threshold, and rejected once enough members voted no that approval has
-// become impossible.
-func (t *Tally) Outcome() (approved, decided bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	threshold := t.quorum.Threshold()
-	switch {
-	case t.yes >= threshold:
-		return true, true
-	case t.quorum.Size()-t.no < threshold:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
-// Votes returns the current yes/no counts.
-func (t *Tally) Votes() (yes, no int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.yes, t.no
-}

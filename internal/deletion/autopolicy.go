@@ -32,9 +32,6 @@ func NewAutoPolicy(levels map[string]int) *AutoPolicy {
 	return &AutoPolicy{levels: cp}
 }
 
-// Level returns the clearance of name (0 when unlisted).
-func (p *AutoPolicy) Level(name string) int { return p.levels[name] }
-
 // Covers reports whether requester's clearance dominates owner's.
 func (p *AutoPolicy) Covers(requester, owner string) bool {
 	return p.levels[requester] >= p.levels[owner]

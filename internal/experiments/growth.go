@@ -7,7 +7,6 @@ import (
 	"github.com/seldel/seldel/internal/baseline"
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
-	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
 )
 
@@ -97,65 +96,4 @@ func runGrowth(w io.Writer) error {
 	fmt.Fprintln(w, "data accumulates in Σ blocks (§V-B.2) yet stays below the plain chain;")
 	fmt.Fprintln(w, "with retention TTLs bytes are fully bounded; plain & prune-global linear.")
 	return nil
-}
-
-// GrowthSummary is the machine-readable result used by tests.
-type GrowthSummary struct {
-	SeldelLiveBlocks  int
-	SeldelDurableByte int64
-	SeldelTTLBytes    int64
-	PlainBytes        int64
-	PruneLocalBytes   int64
-	PruneGlobalBytes  int64
-}
-
-// MeasureGrowth runs a compact version of E4 and returns the end state
-// (used by tests and the benchmark harness).
-func MeasureGrowth(totalBlocks int) (GrowthSummary, error) {
-	var out GrowthSummary
-	reg := identity.NewRegistry()
-	kp := identity.Deterministic("writer", "seldel-experiments")
-	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
-		return out, err
-	}
-	mkChain := func() (*chain.Chain, error) {
-		return chain.New(chain.Config{
-			SequenceLength: 6,
-			MaxBlocks:      60,
-			Shrink:         chain.ShrinkMinimal,
-			Registry:       reg,
-			Clock:          simclock.NewLogical(0),
-		})
-	}
-	selDurable, err := mkChain()
-	if err != nil {
-		return out, err
-	}
-	defer selDurable.Close()
-	selTTL, err := mkChain()
-	if err != nil {
-		return out, err
-	}
-	defer selTTL.Close()
-	plain := baseline.NewPlain()
-	pruned := baseline.NewLocalPrune(60)
-	for i := 0; i < totalBlocks; i++ {
-		durable := block.NewData("writer", []byte(fmt.Sprintf("payload-%d", i))).Sign(kp)
-		if _, err := sealBlocks(selDurable, durable); err != nil {
-			return out, err
-		}
-		ttlEntry := block.NewTemporary("writer", []byte(fmt.Sprintf("payload-%d", i)), 0, selTTL.NextNumber()+120).Sign(kp)
-		if _, err := sealBlocks(selTTL, ttlEntry); err != nil {
-			return out, err
-		}
-		plain.Append([]*block.Entry{durable})
-		pruned.Append([]*block.Entry{durable})
-	}
-	out.SeldelLiveBlocks = selDurable.Stats().LiveBlocks
-	out.SeldelDurableByte = selDurable.Stats().LiveBytes
-	out.SeldelTTLBytes = selTTL.Stats().LiveBytes
-	out.PlainBytes = plain.Bytes()
-	out.PruneLocalBytes = pruned.LocalBytes()
-	out.PruneGlobalBytes = pruned.GlobalBytes()
-	return out, nil
 }

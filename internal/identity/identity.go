@@ -19,7 +19,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -158,31 +157,6 @@ func (r *Registry) Lookup(name string) (Info, bool) {
 	defer r.mu.RUnlock()
 	info, ok := r.byName[name]
 	return info, ok
-}
-
-// RoleOf returns the role of name, or false if unregistered.
-func (r *Registry) RoleOf(name string) (Role, bool) {
-	info, ok := r.Lookup(name)
-	return info.Role, ok
-}
-
-// Names returns all registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of registered participants.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.byName)
 }
 
 // CanActFor implements the paper's authorization rule (§IV-D.1): a

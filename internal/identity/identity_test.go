@@ -3,6 +3,7 @@ package identity
 import (
 	"crypto/ed25519"
 	"errors"
+	"sort"
 	"testing"
 )
 
@@ -163,15 +164,30 @@ func TestRoleOfAndLookup(t *testing.T) {
 	if err := reg.RegisterKey(Deterministic("alpha", "t"), RoleAdmin); err != nil {
 		t.Fatal(err)
 	}
-	role, ok := reg.RoleOf("alpha")
-	if !ok || role != RoleAdmin {
-		t.Errorf("RoleOf = %v, %v", role, ok)
-	}
-	if _, ok := reg.RoleOf("missing"); ok {
-		t.Error("RoleOf(missing) reported ok")
+	if _, ok := reg.Lookup("missing"); ok {
+		t.Error("Lookup(missing) reported ok")
 	}
 	info, ok := reg.Lookup("alpha")
 	if !ok || info.Name != "alpha" || info.Role != RoleAdmin {
 		t.Errorf("Lookup = %+v, %v", info, ok)
 	}
+}
+
+// Names returns all registered names in sorted order.
+func (r *Registry) Names() []string {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	names := make([]string, 0, len(r.byName))
+	for n := range r.byName {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// Len returns the number of registered participants.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.byName)
 }

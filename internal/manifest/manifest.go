@@ -92,20 +92,11 @@ func EncodeLine(r *Record) []byte {
 	return line
 }
 
-// DecodeLine parses one line (without requiring the trailing newline)
+// decodeLine parses one line (without requiring the trailing newline)
 // back into a record, verifying the CRC. Only EncodeLine's exact bytes
-// decode: re-encoding a decoded line reproduces it.
-func DecodeLine(line []byte) (*Record, error) {
-	var buf []byte
-	r, err := decodeLine(line, &buf)
-	if err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// decodeLine is DecodeLine decoding the base64 body into *buf, grown as
-// needed and kept for the next line; nothing decoded aliases it.
+// decode: re-encoding a decoded line reproduces it. The base64 body is
+// decoded into *buf, grown as needed and kept for the next line; nothing
+// decoded aliases it.
 func decodeLine(line []byte, buf *[]byte) (Record, error) {
 	line = bytes.TrimSuffix(line, []byte("\n"))
 	if len(line) < 10 || line[8] != ' ' {
@@ -315,13 +306,6 @@ func (l *Log) Head() (Record, bool) {
 		return Record{}, false
 	}
 	return l.recs[len(l.recs)-1].clone(), true
-}
-
-// Len returns the number of readable records.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.recs)
 }
 
 // Warnings returns recovery diagnostics accumulated by Open (corrupt

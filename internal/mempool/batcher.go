@@ -12,8 +12,10 @@ import (
 	"github.com/seldel/seldel/internal/verify"
 )
 
-// DefaultMaxBatch is the flush threshold used when Options.MaxBatch is 0.
-const DefaultMaxBatch = 256
+// maxBatch is the soft flush threshold: a batch is sealed once it holds
+// at least this many entries. One Submit call's entries always stay
+// together, so a single oversized call may exceed it.
+const maxBatch = 256
 
 // maxAutoLinger caps the adaptive linger so a mis-measured flush (a cold
 // proof-of-work seal, a disk stall) never turns into a visible stall of
@@ -26,11 +28,6 @@ var errLedgerContract = errors.New("mempool: ledger returned no blocks and no er
 
 // Options parameterize a Batcher.
 type Options struct {
-	// MaxBatch is the soft flush threshold: a batch is sealed once it
-	// holds at least this many entries. One Submit call's entries always
-	// stay together, so a single oversized call may exceed it.
-	// 0 means DefaultMaxBatch.
-	MaxBatch int
 	// Warm, when set, is called with each submitted group's entries so
 	// their signatures pre-verify (and populate the verified-signature
 	// cache) while the batch is still being assembled. It may go on
@@ -134,10 +131,9 @@ type IndexStats struct {
 // contend on the chain lock and blocks are packed as full as the offered
 // load allows.
 type Batcher struct {
-	ledger   Ledger
-	maxBatch int
-	warm     func([]*block.Entry) <-chan struct{}
-	durable  func(func(error))
+	ledger  Ledger
+	warm    func([]*block.Entry) <-chan struct{}
+	durable func(func(error))
 
 	// mu guards closed; Submit holds it shared for the duration of its
 	// channel sends so Close (exclusive) cannot observe closed=true while
@@ -163,25 +159,16 @@ type Batcher struct {
 
 // NewBatcher starts a pipeline sealing through ledger.
 func NewBatcher(ledger Ledger, opts Options) *Batcher {
-	maxBatch := opts.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	// The intake buffer holds at least one full batch of single-entry
-	// groups, so a sealed batch can reach MaxBatch even when every
-	// producer submits one entry at a time.
-	depth := maxBatch
-	if depth < 64 {
-		depth = 64
-	}
+	// The intake buffer holds one full batch of single-entry groups, so
+	// a sealed batch can reach maxBatch even when every producer submits
+	// one entry at a time.
 	b := &Batcher{
-		ledger:   ledger,
-		maxBatch: maxBatch,
-		warm:     opts.Warm,
-		durable:  opts.Durable,
-		ch:       make(chan group, depth),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
+		ledger:  ledger,
+		warm:    opts.Warm,
+		durable: opts.Durable,
+		ch:      make(chan group, maxBatch),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go b.run()
 	return b
@@ -325,7 +312,7 @@ func (b *Batcher) collect(first group) []group {
 		defer timer.Stop()
 		lingerC = timer.C
 	}
-	for size < b.maxBatch {
+	for size < maxBatch {
 		select {
 		case g := <-b.ch:
 			batch = append(batch, g)

@@ -104,8 +104,11 @@ func TestBatcherResolvesReceipts(t *testing.T) {
 
 func TestBatcherGroupsStayTogether(t *testing.T) {
 	led := &fakeLedger{}
-	b := NewBatcher(led, Options{MaxBatch: 4})
+	b := NewBatcher(led, Options{})
 	defer b.Close()
+	// Three groups overshoot the flush threshold, so a batch boundary
+	// falls where a group could have been split.
+	per := maxBatch/3 + 1
 	var wg sync.WaitGroup
 	var allReceipts [][]Receipt
 	var mu sync.Mutex
@@ -113,8 +116,11 @@ func TestBatcherGroupsStayTogether(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			rs, err := b.Submit(context.Background(),
-				entry(fmt.Sprintf("g%d-0", g)), entry(fmt.Sprintf("g%d-1", g)), entry(fmt.Sprintf("g%d-2", g)))
+			es := make([]*block.Entry, per)
+			for i := range es {
+				es[i] = entry(fmt.Sprintf("g%d-%d", g, i))
+			}
+			rs, err := b.Submit(context.Background(), es...)
 			if err != nil {
 				t.Error(err)
 				return
@@ -229,14 +235,13 @@ func TestBatcherEmptySubmit(t *testing.T) {
 
 func TestZeroReceipt(t *testing.T) {
 	var r Receipt
-	if err := r.Err(); err == nil {
-		t.Error("zero receipt Err() = nil")
-	}
 	if _, err := r.Wait(context.Background()); err == nil {
 		t.Error("zero receipt Wait() = nil error")
 	}
-	if r.Resolved() {
-		t.Error("zero receipt reports resolved")
+	select {
+	case <-r.Done():
+	default:
+		t.Error("zero receipt's Done is open")
 	}
 }
 
@@ -274,7 +279,13 @@ func TestBatcherSealsOnlyAfterWarm(t *testing.T) {
 	led.mu.Lock()
 	sealed := len(led.batches)
 	led.mu.Unlock()
-	if sealed != 0 || receipts[0].Resolved() {
+	resolved := false
+	select {
+	case <-receipts[0].Done():
+		resolved = true
+	default:
+	}
+	if sealed != 0 || resolved {
 		t.Fatalf("%d batches sealed while the warm-up was still running", sealed)
 	}
 	close(warmed)

@@ -97,33 +97,6 @@ func (r Receipt) Done() <-chan struct{} {
 	return r.t.done
 }
 
-// Resolved reports whether the receipt has already resolved.
-func (r Receipt) Resolved() bool {
-	if r.t == nil {
-		return false
-	}
-	select {
-	case <-r.t.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Err returns the per-entry failure, nil on success, and nil while the
-// receipt is still pending (check Resolved or Done to distinguish).
-func (r Receipt) Err() error {
-	if r.t == nil {
-		return errNoTicket
-	}
-	select {
-	case <-r.t.done:
-		return r.t.err
-	default:
-		return nil
-	}
-}
-
 // Wait blocks until the receipt resolves or ctx is done, returning the
 // sealed result or the first error.
 func (r Receipt) Wait(ctx context.Context) (Sealed, error) {

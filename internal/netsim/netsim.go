@@ -44,15 +44,10 @@ type Config struct {
 	// not by global draw order, so they do not depend on goroutine
 	// interleaving.
 	Seed int64
-	// QueueSize bounds each endpoint's inbox (default 1024).
-	QueueSize int
-	// Clock is the virtual timebase, in nanoseconds. All latency, lag,
-	// and link delays are simulated by advancing this clock during
-	// Flush — the harness never sleeps for simulated time, so a
-	// 100-node WAN drill with 80ms links runs as fast as the handlers
-	// can go. Nil gets a private clock starting at zero.
-	Clock *simclock.Logical
 }
+
+// inboxSize bounds each endpoint's inbox.
+const inboxSize = 1024
 
 // LinkProfile shapes one directed link of the simulated WAN.
 type LinkProfile struct {
@@ -118,10 +113,14 @@ type Network struct {
 	geo       *Geo
 	pending   delayHeap
 	pendSeq   uint64
-	clock     *simclock.Logical
-	stats     Stats
-	closed    bool
-	wg        sync.WaitGroup
+	// clock is the virtual timebase, in nanoseconds from zero. All
+	// latency, lag and link delays are simulated by advancing it during
+	// Flush — the harness never sleeps for simulated time, so a 100-node
+	// WAN drill with 80ms links runs as fast as the handlers can go.
+	clock  *simclock.Logical
+	stats  Stats
+	closed bool
+	wg     sync.WaitGroup
 	// inFlight counts messages from the moment they are accepted for
 	// immediate delivery until their handler returns (covering inbox
 	// residence and handler execution); Flush waits for it to hit zero
@@ -138,13 +137,6 @@ type Network struct {
 
 // New creates a network.
 func New(cfg Config) *Network {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 1024
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.NewLogical(0)
-	}
 	n := &Network{
 		cfg:       cfg,
 		endpoints: make(map[string]*Endpoint),
@@ -152,7 +144,7 @@ func New(cfg Config) *Network {
 		lag:       make(map[string]time.Duration),
 		links:     make(map[linkKey]LinkProfile),
 		linkSeq:   make(map[linkKey]uint64),
-		clock:     clock,
+		clock:     simclock.NewLogical(0),
 	}
 	n.flightCond = sync.NewCond(&n.flightMu)
 	return n
@@ -174,9 +166,6 @@ func (n *Network) flightZero() bool {
 	defer n.flightMu.Unlock()
 	return n.inFlight == 0
 }
-
-// Clock returns the network's virtual timebase (nanosecond units).
-func (n *Network) Clock() *simclock.Logical { return n.clock }
 
 // Now returns the elapsed virtual time since the clock's zero point.
 func (n *Network) Now() time.Duration { return time.Duration(n.clock.Now()) }
@@ -222,7 +211,7 @@ func (n *Network) Join(name string, handler Handler) (*Endpoint, error) {
 	ep := &Endpoint{
 		name:    name,
 		net:     n,
-		inbox:   make(chan Message, n.cfg.QueueSize),
+		inbox:   make(chan Message, inboxSize),
 		handler: handler,
 		done:    make(chan struct{}),
 	}
@@ -256,9 +245,6 @@ func (ep *Endpoint) run(wg *sync.WaitGroup) {
 		}
 	}
 }
-
-// Name returns the endpoint name.
-func (ep *Endpoint) Name() string { return ep.name }
 
 // Send sends a unicast message from this endpoint.
 func (ep *Endpoint) Send(to, kind string, payload []byte) error {
@@ -507,17 +493,6 @@ func (n *Network) Stats() Stats {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats
-}
-
-// Names returns the attached endpoint names.
-func (n *Network) Names() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.endpoints))
-	for name := range n.endpoints {
-		out = append(out, name)
-	}
-	return out
 }
 
 // Close shuts the network down and waits for all deliveries to finish.

@@ -299,6 +299,20 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// Names returns the attached endpoint names.
+func (n *Network) Names() []string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]string, 0, len(n.endpoints))
+	for name := range n.endpoints {
+		out = append(out, name)
+	}
+	return out
+}
+
+// Name returns the endpoint name.
+func (ep *Endpoint) Name() string { return ep.name }
+
 func TestNamesAndEndpointName(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()

@@ -376,13 +376,8 @@ func TestVoteRetrySelfDrivingOnLossyNetwork(t *testing.T) {
 	// summary vote on its own timer: concurrent writers just call
 	// SubmitWait and never see ErrSummaryPending, even while the network
 	// is dropping a quarter of all messages.
-	cl := newCluster(t, 3, "alpha")
+	cl := newClusterWith(t, 3, func(_ int, cfg *Config) { cfg.VoteRetryInterval = time.Millisecond }, "alpha")
 	alpha := cl.keys["alpha"]
-	for _, nd := range cl.nodes {
-		nd.mu.Lock()
-		nd.voteRetry = time.Millisecond
-		nd.mu.Unlock()
-	}
 	cl.net.SetDropRate(0.25)
 	ctx := context.Background()
 	for i := 0; i < 8; i++ {

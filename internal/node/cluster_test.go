@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/seldel/seldel/internal/attack"
 	"github.com/seldel/seldel/internal/block"
@@ -255,7 +254,6 @@ func TestClientStatusMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.SetTimeout(500 * time.Millisecond)
 
 	cl.rounds(t, 0, 4, "p")
 	status, err := cli.QueryStatus()
@@ -279,10 +277,9 @@ func TestClientSubmitAndVerifiedLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.SetTimeout(500 * time.Millisecond)
 
-	// The client builds and signs; one anchor seals the write.
-	ref := cl.write(t, 0, cli.NewDataEntry([]byte("hello chain")))[0].Ref
+	// One anchor seals the write.
+	ref := cl.write(t, 0, cl.data("user", "hello chain"))[0].Ref
 	if b, _ := cl.nodes[0].Chain().Block(ref.Block); len(b.Entries) != 1 {
 		t.Fatalf("sealed block has %d entries", len(b.Entries))
 	}
@@ -320,10 +317,9 @@ func TestClientLookupDeletedEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.SetTimeout(500 * time.Millisecond)
 
-	ref := cl.write(t, 0, cli.NewDataEntry([]byte("to be forgotten")))[0].Ref
-	cl.write(t, 0, cli.NewDeletionRequest(ref))
+	ref := cl.write(t, 0, cl.data("user", "to be forgotten"))[0].Ref
+	cl.write(t, 0, block.NewDeletion("user", ref).Sign(cl.keys["user"]))
 	// Drive until physically forgotten everywhere.
 	for i := 0; i < 10; i++ {
 		cl.write(t, 0, cl.data("user", fmt.Sprintf("n%d", i)))
@@ -347,7 +343,6 @@ func TestPartitionIsolatesNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli.SetTimeout(200 * time.Millisecond)
 
 	cl.write(t, 0, cl.data("alpha", "before"))
 

@@ -177,26 +177,11 @@ func Parse(src string) (*Schema, error) {
 	return s, nil
 }
 
-// Name returns the schema name.
-func (s *Schema) Name() string { return s.name }
-
-// Doc returns the optional schema description.
-func (s *Schema) Doc() string { return s.doc }
-
 // Fields returns a copy of the declared fields in declaration order.
 func (s *Schema) Fields() []Field {
 	out := make([]Field, len(s.fields))
 	copy(out, s.fields)
 	return out
-}
-
-// Field returns the declaration of the named field.
-func (s *Schema) Field(name string) (Field, bool) {
-	i, ok := s.byName[name]
-	if !ok {
-		return Field{}, false
-	}
-	return s.fields[i], true
 }
 
 // Validate checks r against the schema: all required fields present, no
@@ -247,38 +232,11 @@ type Value struct {
 // String constructs a string value.
 func String(s string) Value { return Value{Type: TypeString, Str: s} }
 
-// Int constructs an int value.
-func Int(v int64) Value { return Value{Type: TypeInt, I64: v} }
-
-// Uint constructs a uint value.
-func Uint(v uint64) Value { return Value{Type: TypeUint, U64: v} }
-
-// Bytes constructs a bytes value (the slice is not copied).
-func Bytes(b []byte) Value { return Value{Type: TypeBytes, Blob: b} }
-
 // Bool constructs a bool value.
 func Bool(v bool) Value { return Value{Type: TypeBool, Flag: v} }
 
 // Timestamp constructs a logical-timestamp value.
 func Timestamp(t uint64) Value { return Value{Type: TypeTimestamp, U64: t} }
-
-// Display renders the value for console output (Figs. 6–8 style).
-func (v Value) Display() string {
-	switch v.Type {
-	case TypeString:
-		return v.Str
-	case TypeInt:
-		return strconv.FormatInt(v.I64, 10)
-	case TypeUint, TypeTimestamp:
-		return strconv.FormatUint(v.U64, 10)
-	case TypeBytes:
-		return fmt.Sprintf("0x%x", v.Blob)
-	case TypeBool:
-		return strconv.FormatBool(v.Flag)
-	default:
-		return fmt.Sprintf("?%d", v.Type)
-	}
-}
 
 // Record is a set of named field values.
 type Record map[string]Value
@@ -362,40 +320,4 @@ func DecodeRecord(data []byte) (Record, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// Equal reports deep equality of two records.
-func (r Record) Equal(other Record) bool {
-	if len(r) != len(other) {
-		return false
-	}
-	for k, v := range r {
-		w, ok := other[k]
-		if !ok || v.Type != w.Type {
-			return false
-		}
-		switch v.Type {
-		case TypeString:
-			if v.Str != w.Str {
-				return false
-			}
-		case TypeInt:
-			if v.I64 != w.I64 {
-				return false
-			}
-		case TypeUint, TypeTimestamp:
-			if v.U64 != w.U64 {
-				return false
-			}
-		case TypeBytes:
-			if string(v.Blob) != string(w.Blob) {
-				return false
-			}
-		case TypeBool:
-			if v.Flag != w.Flag {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -3,6 +3,8 @@ package schema
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -333,5 +335,85 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Test-only constructors and accessors.
+
+// Name returns the schema name.
+func (s *Schema) Name() string { return s.name }
+
+// Doc returns the optional schema description.
+func (s *Schema) Doc() string { return s.doc }
+
+// Field returns the declaration of the named field.
+func (s *Schema) Field(name string) (Field, bool) {
+	i, ok := s.byName[name]
+	if !ok {
+		return Field{}, false
+	}
+	return s.fields[i], true
+}
+
+// Int constructs an int value.
+func Int(v int64) Value { return Value{Type: TypeInt, I64: v} }
+
+// Uint constructs a uint value.
+func Uint(v uint64) Value { return Value{Type: TypeUint, U64: v} }
+
+// Bytes constructs a bytes value (the slice is not copied).
+func Bytes(b []byte) Value { return Value{Type: TypeBytes, Blob: b} }
+
+// Equal reports deep equality of two records.
+func (r Record) Equal(other Record) bool {
+	if len(r) != len(other) {
+		return false
+	}
+	for k, v := range r {
+		w, ok := other[k]
+		if !ok || v.Type != w.Type {
+			return false
+		}
+		switch v.Type {
+		case TypeString:
+			if v.Str != w.Str {
+				return false
+			}
+		case TypeInt:
+			if v.I64 != w.I64 {
+				return false
+			}
+		case TypeUint, TypeTimestamp:
+			if v.U64 != w.U64 {
+				return false
+			}
+		case TypeBytes:
+			if string(v.Blob) != string(w.Blob) {
+				return false
+			}
+		case TypeBool:
+			if v.Flag != w.Flag {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Display renders the value for console output (Figs. 6–8 style).
+func (v Value) Display() string {
+	switch v.Type {
+	case TypeString:
+		return v.Str
+	case TypeInt:
+		return strconv.FormatInt(v.I64, 10)
+	case TypeUint, TypeTimestamp:
+		return strconv.FormatUint(v.U64, 10)
+	case TypeBytes:
+		return fmt.Sprintf("0x%x", v.Blob)
+	case TypeBool:
+		return strconv.FormatBool(v.Flag)
+	default:
+		return fmt.Sprintf("?%d", v.Type)
 	}
 }

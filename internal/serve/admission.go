@@ -19,26 +19,22 @@ type AdmissionOptions struct {
 	// 0 derives it from the backend's intake capacity at startup
 	// (ShedFraction × QueueCap, floor 64); negative disables the cap.
 	MaxPending int
-	// Poll is the backpressure-gauge sampling interval. The pending
-	// budget is exact and per-request; the sampled queue gauge covers
-	// OTHER producers feeding the same pipeline (in-process writers),
-	// for which a short staleness window is fine.
-	// Default 2ms.
-	Poll time.Duration
-	// RetryAfter is the client backoff hint on 429 responses.
-	// Default 1s.
-	RetryAfter time.Duration
 }
+
+const (
+	// admissionPoll is the backpressure-gauge sampling interval. The
+	// pending budget is exact and per-request; the sampled queue gauge
+	// covers OTHER producers feeding the same pipeline (in-process
+	// writers), for which a short staleness window is fine.
+	admissionPoll = 2 * time.Millisecond
+	// retryAfterSec is the client backoff hint on 429 responses, in
+	// whole seconds (the Retry-After header value).
+	retryAfterSec = 1
+)
 
 func (o AdmissionOptions) withDefaults() AdmissionOptions {
 	if o.ShedFraction <= 0 || o.ShedFraction > 1 {
 		o.ShedFraction = 0.75
-	}
-	if o.Poll <= 0 {
-		o.Poll = 2 * time.Millisecond
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }
@@ -101,7 +97,7 @@ func newAdmission(opts AdmissionOptions, queueCap int, poll func() float64) *adm
 
 func (a *admission) run() {
 	defer a.done.Done()
-	t := time.NewTicker(a.opts.Poll)
+	t := time.NewTicker(admissionPoll)
 	defer t.Stop()
 	for {
 		select {
@@ -136,12 +132,3 @@ func (a *admission) admit(n int) bool {
 }
 
 func (a *admission) release(n int) { a.pending.Add(int64(-n)) }
-
-// retryAfterSec is the Retry-After header value in whole seconds (≥ 1).
-func (a *admission) retryAfterSec() int {
-	s := int(a.opts.RetryAfter / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
-}

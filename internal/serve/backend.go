@@ -18,8 +18,6 @@ type Backend interface {
 	// Submit enqueues signed entries into the submission pipeline,
 	// returning one receipt per entry.
 	Submit(ctx context.Context, entries ...*block.Entry) ([]mempool.Receipt, error)
-	// SubmitWait submits and blocks until every receipt resolves.
-	SubmitWait(ctx context.Context, entries ...*block.Entry) ([]mempool.Sealed, error)
 	// EntriesAfter is the ordered seek behind GET /v1/entries: at most
 	// limit live entries, ascending by reference, strictly after the
 	// cursor (from the smallest live reference without one), leaving out

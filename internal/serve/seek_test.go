@@ -14,6 +14,7 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
 	"github.com/seldel/seldel/internal/simclock"
@@ -28,6 +29,12 @@ func refAfter(r, cursor block.Ref) bool {
 		return r.Block > cursor.Block
 	}
 	return r.Entry > cursor.Entry
+}
+
+// waitBackend is a Backend the tests also write through synchronously.
+type waitBackend interface {
+	Backend
+	SubmitWait(ctx context.Context, entries ...*block.Entry) ([]mempool.Sealed, error)
 }
 
 // liveAfter is how the server built a page before the backends had an
@@ -51,7 +58,7 @@ func liveAfter(b Backend, cursor block.Ref, haveCursor bool) []chain.RefEntry {
 // chain-level probes the tests need beside it.
 type backendKit struct {
 	name string
-	b    Backend
+	b    waitBackend
 	// holder returns the chain that holds (or held) ref.
 	holder func(block.Ref) *chain.Chain
 	// settle waits out pending compactions.
@@ -101,7 +108,7 @@ func testBackends(t *testing.T, e *env) []backendKit {
 var seekUsers = []string{"alpha", "beta", "gamma", "delta"}
 
 // churn writes n rounds of one entry per user.
-func churn(ctx context.Context, e *env, b Backend, tag string, n int) error {
+func churn(ctx context.Context, e *env, b waitBackend, tag string, n int) error {
 	for i := 0; i < n; i++ {
 		for _, u := range seekUsers {
 			if _, err := b.SubmitWait(ctx, block.NewData(u, fmt.Appendf(nil, "%s-%s-%04d", tag, u, i)).Sign(e.keys[u])); err != nil {
@@ -404,7 +411,7 @@ func BenchmarkEntriesPage(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := discardResponse{header: http.Header{}}
-				s.Handler().ServeHTTP(&w, req)
+				s.mux.ServeHTTP(&w, req)
 				if w.status != http.StatusOK {
 					b.Fatalf("HTTP %d", w.status)
 				}

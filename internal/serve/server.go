@@ -20,32 +20,21 @@ import (
 type Options struct {
 	// Admission tunes load shedding; see AdmissionOptions.
 	Admission AdmissionOptions
-	// MaxEntriesPerRequest caps one submit body (default 512).
-	MaxEntriesPerRequest int
-	// MaxPayloadBytes caps one entry's payload (default 1 MiB).
-	MaxPayloadBytes int
-	// MaxBodyBytes caps a request body (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxPageEntries caps (and defaults) the /v1/entries page size
-	// (default cap 1000, default page 256).
-	MaxPageEntries int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MaxEntriesPerRequest <= 0 {
-		o.MaxEntriesPerRequest = 512
-	}
-	if o.MaxPayloadBytes <= 0 {
-		o.MaxPayloadBytes = 1 << 20
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 8 << 20
-	}
-	if o.MaxPageEntries <= 0 {
-		o.MaxPageEntries = 1000
-	}
-	return o
-}
+// Request limits.
+const (
+	// maxEntriesPerRequest caps one submit body's entries (413 above).
+	maxEntriesPerRequest = 512
+	// maxPayloadBytes caps one entry's payload (400 above).
+	maxPayloadBytes = 1 << 20
+	// maxBodyBytes caps a submit request body (413 above).
+	maxBodyBytes = 8 << 20
+	// maxPageEntries caps the /v1/entries page size a client may ask
+	// for; defaultPageEntries is the page size when it asks for none.
+	maxPageEntries     = 1000
+	defaultPageEntries = 256
+)
 
 // ServerStats are the front-end's own counters, reported next to the
 // chain and pipeline snapshots under /v1/stats.
@@ -82,14 +71,13 @@ type StatsResponse struct {
 	Server        ServerStats `json:"server"`
 }
 
-// Server is the HTTP front-end over a Backend. Create with New, expose
-// via Handler (or HTTPServer for an h2c-enabled http.Server), and Close
-// when done to stop the admission sampler.
+// Server is the HTTP front-end over a Backend. Create with New, serve
+// through HTTPServer (an h2c-enabled http.Server), and Close when done
+// to stop the admission sampler.
 type Server struct {
-	b    Backend
-	opts Options
-	adm  *admission
-	mux  *http.ServeMux
+	b   Backend
+	adm *admission
+	mux *http.ServeMux
 
 	sealed    atomic.Uint64
 	rejected  atomic.Uint64
@@ -100,8 +88,7 @@ type Server struct {
 
 // New builds a Server fronting b.
 func New(b Backend, opts Options) *Server {
-	opts = opts.withDefaults()
-	s := &Server{b: b, opts: opts}
+	s := &Server{b: b}
 	s.adm = newAdmission(opts.Admission, b.PipelineStats().QueueCap,
 		func() float64 { return b.PipelineStats().QueueFraction() })
 	mux := http.NewServeMux()
@@ -117,9 +104,6 @@ func New(b Backend, opts Options) *Server {
 	s.mux = mux
 	return s
 }
-
-// Handler returns the route set as an http.Handler.
-func (s *Server) Handler() http.Handler { return s.mux }
 
 // HTTPServer wraps the handler in an http.Server listening on addr,
 // speaking HTTP/2 over cleartext TCP (h2c) next to HTTP/1.1. h2c lets a
@@ -162,23 +146,27 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // immediately or wait out the receipts with ?wait=1.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decode submit body: %v", err)
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "decode submit body: %v", err)
 		return
 	}
 	if len(req.Entries) == 0 {
 		writeError(w, http.StatusBadRequest, "no entries")
 		return
 	}
-	if len(req.Entries) > s.opts.MaxEntriesPerRequest {
+	if len(req.Entries) > maxEntriesPerRequest {
 		writeError(w, http.StatusRequestEntityTooLarge, "%d entries exceeds per-request limit %d",
-			len(req.Entries), s.opts.MaxEntriesPerRequest)
+			len(req.Entries), maxEntriesPerRequest)
 		return
 	}
 	entries := make([]*block.Entry, len(req.Entries))
 	for i := range req.Entries {
-		e, err := req.Entries[i].Entry(s.opts.MaxPayloadBytes)
+		e, err := req.Entries[i].Entry(maxPayloadBytes)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "entry %d: %v", i, err)
 			return
@@ -190,11 +178,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// and the sampled queue gauge both sit below saturation, so the
 	// Submit below never blocks on a full intake.
 	if !s.adm.admit(len(entries)) {
-		sec := s.adm.retryAfterSec()
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:         "overloaded: submission pipeline is saturated",
-			RetryAfterSec: sec,
+			RetryAfterSec: retryAfterSec,
 		})
 		return
 	}
@@ -310,17 +297,14 @@ func (s *Server) handleEntries(w http.ResponseWriter, r *http.Request) {
 		s.streamEntries(w, cursor, haveCursor)
 		return
 	}
-	limit := s.opts.MaxPageEntries
-	if limit > 256 {
-		limit = 256
-	}
+	limit := defaultPageEntries
 	if raw := q.Get("limit"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil || n < 1 {
 			writeError(w, http.StatusBadRequest, "bad limit %q", raw)
 			return
 		}
-		limit = min(n, s.opts.MaxPageEntries)
+		limit = min(n, maxPageEntries)
 	}
 	page := EntryPage{CutBlocks: s.b.Stats().CutBlocks}
 	items := s.seek(cursor, haveCursor, limit+1)

@@ -76,7 +76,7 @@ func testServer(t *testing.T, backend Backend, opts Options) (*Server, *httptest
 	t.Helper()
 	s := New(backend, opts)
 	t.Cleanup(func() { s.Close() })
-	hs := httptest.NewServer(s.Handler())
+	hs := httptest.NewServer(s.mux)
 	t.Cleanup(hs.Close)
 	return s, hs
 }
@@ -173,7 +173,7 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 func TestSubmitRejectsBadRequests(t *testing.T) {
 	e := newTestEnv(t, "alpha")
 	c := boundedChain(t, e)
-	_, hs := testServer(t, c, Options{MaxEntriesPerRequest: 2, MaxPayloadBytes: 16})
+	_, hs := testServer(t, c, Options{})
 
 	// Unknown kind.
 	bad := e.data("alpha", "x")
@@ -183,12 +183,16 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		t.Errorf("unknown kind: HTTP %d", resp.StatusCode)
 	}
 	// Payload over the per-entry cap.
-	resp, _ = postSubmit(t, hs.URL, true, e.data("alpha", strings.Repeat("x", 64)))
+	resp, _ = postSubmit(t, hs.URL, true, e.data("alpha", strings.Repeat("x", maxPayloadBytes+1)))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized payload: HTTP %d", resp.StatusCode)
 	}
 	// Too many entries in one request.
-	resp, _ = postSubmit(t, hs.URL, true, e.data("alpha", "a"), e.data("alpha", "b"), e.data("alpha", "c"))
+	many := make([]EntryJSON, maxEntriesPerRequest+1)
+	for i := range many {
+		many[i] = e.data("alpha", fmt.Sprint(i))
+	}
+	resp, _ = postSubmit(t, hs.URL, true, many...)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized request: HTTP %d", resp.StatusCode)
 	}
@@ -204,6 +208,22 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	resp, sr := postSubmit(t, hs.URL, true, forged)
 	if resp.StatusCode != http.StatusOK || len(sr.Sealed) != 1 || sr.Sealed[0].Error == "" {
 		t.Errorf("tampered entry: HTTP %d sealed=%+v", resp.StatusCode, sr.Sealed)
+	}
+}
+
+// TestSubmitBodyOverCapIs413: a body one byte over the cap is refused
+// as too large, like too many entries are — not as malformed JSON.
+func TestSubmitBodyOverCapIs413(t *testing.T) {
+	e := newTestEnv(t, "alpha")
+	_, hs := testServer(t, boundedChain(t, e), Options{})
+	body := append([]byte("["), bytes.Repeat([]byte(" "), maxBodyBytes)...)
+	resp, err := http.Post(hs.URL+"/v1/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("body of %d bytes: HTTP %d, want 413", len(body), resp.StatusCode)
 	}
 }
 
@@ -636,7 +656,7 @@ func TestAdmissionBudgetDerivation(t *testing.T) {
 	// The sampled gauge sheds on its own once it crosses ShedFraction,
 	// even with the pending budget idle.
 	frac := atomic.Uint64{}
-	c := newAdmission(AdmissionOptions{Poll: time.Millisecond}, 1000,
+	c := newAdmission(AdmissionOptions{}, 1000,
 		func() float64 { return float64(frac.Load()) })
 	defer c.close()
 	if !c.admit(1) {

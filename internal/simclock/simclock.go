@@ -14,8 +14,6 @@ import (
 
 // Clock yields monotonically non-decreasing logical timestamps.
 type Clock interface {
-	// Now returns the current timestamp without advancing the clock.
-	Now() uint64
 	// Tick advances the clock by one and returns the new timestamp.
 	Tick() uint64
 }
@@ -47,14 +45,6 @@ func (c *Logical) Tick() uint64 {
 	return c.now
 }
 
-// Advance moves the clock forward by d steps and returns the new time.
-func (c *Logical) Advance(d uint64) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	return c.now
-}
-
 // Set moves the clock to t if t is ahead of the current time, mirroring
 // how nodes adopt the maximum timestamp they observe.
 func (c *Logical) Set(t uint64) {
@@ -66,8 +56,8 @@ func (c *Logical) Set(t uint64) {
 }
 
 // Wall adapts the system wall clock (Unix seconds) to the Clock interface.
-// Tick and Now both return the current wall time; the clock still never
-// runs backwards even if the system time does.
+// Tick returns the current wall time; the clock still never runs
+// backwards even if the system time does.
 type Wall struct {
 	mu   sync.Mutex
 	last uint64
@@ -76,7 +66,8 @@ type Wall struct {
 // NewWall returns a wall-clock adapter.
 func NewWall() *Wall { return &Wall{} }
 
-func (c *Wall) read() uint64 {
+// Tick returns the current wall time in Unix seconds.
+func (c *Wall) Tick() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t := uint64(time.Now().Unix())
@@ -86,9 +77,3 @@ func (c *Wall) read() uint64 {
 	c.last = t
 	return t
 }
-
-// Now returns the current wall time in Unix seconds.
-func (c *Wall) Now() uint64 { return c.read() }
-
-// Tick returns the current wall time in Unix seconds.
-func (c *Wall) Tick() uint64 { return c.read() }

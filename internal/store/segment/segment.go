@@ -193,9 +193,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Marker returns the persisted Genesis marker (0 when never truncated).
 func (s *Store) Marker() (uint64, error) {
 	s.mu.Lock()
@@ -804,9 +801,9 @@ func (s *Store) rewriteSegmentLocked(seg *segmentFile) error {
 	return nil
 }
 
-// SizeBytes implements store.Store: the physical size of every segment
-// file — the number that visibly shrinks when deletion retires
-// segments, which is the whole point (E4 measures it).
+// SizeBytes returns the physical size of every segment file — the
+// number that visibly shrinks when deletion retires segments, which is
+// the whole point (E4 measures it).
 func (s *Store) SizeBytes() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -853,8 +850,8 @@ func (s *Store) SegmentCount() (int, error) {
 	return len(s.segs), nil
 }
 
-// Close implements store.Store: sync the active segment, persist the
-// manifest, and release every file handle.
+// Close syncs the active segment, persists the manifest, and releases
+// every file handle.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -41,10 +41,6 @@ type Store interface {
 	// (block.Decode): the consumer, Open's RestoreOwnStream, checks
 	// every block's shape, so each is checked once.
 	Stream() iter.Seq2[*block.Block, error]
-	// SizeBytes returns the total persisted payload size.
-	SizeBytes() (int64, error)
-	// Close releases resources.
-	Close() error
 }
 
 // Mem is an in-memory Store, used by simulations and tests.
@@ -139,20 +135,6 @@ func (m *Mem) Stream() iter.Seq2[*block.Block, error] {
 			}
 		}
 	}
-}
-
-// SizeBytes implements Store.
-func (m *Mem) SizeBytes() (int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
-	var total int64
-	for _, raw := range m.blocks {
-		total += int64(len(raw))
-	}
-	return total, nil
 }
 
 // Close implements Store.

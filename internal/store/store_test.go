@@ -40,8 +40,22 @@ func testBlock(t *testing.T, num uint64, prev *block.Block) *block.Block {
 	return block.NewNormal(num, prevTime+1, prevHash, []*block.Entry{e})
 }
 
+// SizeBytes returns the total stored block bytes.
+func (m *Mem) SizeBytes() (int64, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if m.closed {
+		return 0, ErrClosed
+	}
+	var total int64
+	for _, raw := range m.blocks {
+		total += int64(len(raw))
+	}
+	return total, nil
+}
+
 func TestMemStoreContract(t *testing.T) {
-	var s Store = NewMem()
+	s := NewMem()
 	if _, _, ok, err := s.Range(); err != nil || ok {
 		t.Fatalf("fresh store Range = ok=%v err=%v", ok, err)
 	}

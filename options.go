@@ -287,15 +287,6 @@ func WithListener(l Listener) Option {
 	}
 }
 
-// WithMaxBatch sets the submission pipeline's soft flush threshold: a
-// Submit batch is sealed once it holds at least n entries (default 256).
-func WithMaxBatch(n int) Option {
-	return func(b *builder) error {
-		b.cfg.MaxBatch = n
-		return nil
-	}
-}
-
 // WithVerifier routes all signature verification of the new chain
 // through p instead of the process-wide shared verifier — e.g. one
 // whose counters describe this chain alone, or with the

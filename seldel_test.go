@@ -163,9 +163,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(reg, WithStore(nil)); !errors.Is(err, ErrConfig) {
 		t.Errorf("nil store: %v", err)
 	}
-	if _, err := New(reg, WithMaxBatch(-1)); !errors.Is(err, ErrConfig) {
-		t.Errorf("negative batch: %v", err)
-	}
 }
 
 func TestPublicAPIStoreRoundTrip(t *testing.T) {
@@ -315,9 +312,12 @@ func TestPublicAPIAuditAndSchema(t *testing.T) {
 	if err != nil || ev.User != "ALPHA" {
 		t.Errorf("decoded %+v, %v", ev, err)
 	}
-	out := c.RenderString(AuditRenderOptions())
-	if !strings.Contains(out, "login ALPHA tty1 ok") {
-		t.Errorf("audit rendering missing decoded login:\n%s", out)
+	var out strings.Builder
+	if err := c.Render(&out, AuditRenderOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "login ALPHA tty1 ok") {
+		t.Errorf("audit rendering missing decoded login:\n%s", out.String())
 	}
 	if _, err := ParseSchema("name: x\nfields:\n  - name: a\n    type: int\n"); err != nil {
 		t.Errorf("ParseSchema: %v", err)
@@ -327,5 +327,99 @@ func TestPublicAPIAuditAndSchema(t *testing.T) {
 func TestGenesisPrevHashConstant(t *testing.T) {
 	if GenesisPrevHash.Short() != "DEADB" {
 		t.Errorf("GenesisPrevHash.Short() = %q", GenesisPrevHash.Short())
+	}
+}
+
+// TestPaperOptionsReachTheChain shows through the chain's behaviour that
+// each of the façade's §IV-D options takes effect: every case's paper
+// property holds on a chain built with the option, and fails on the
+// same chain built without it.
+func TestPaperOptionsReachTheChain(t *testing.T) {
+	reg := NewRegistry()
+	keys := make(map[string]*KeyPair)
+	for name, role := range map[string]Role{"ALPHA": RoleUser, "BRAVO": RoleUser, "admin": RoleAdmin} {
+		keys[name] = DeterministicKey(name, "paper-options")
+		if err := reg.RegisterKey(keys[name], role); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	submit := func(t *testing.T, c *Chain, e *Entry) Sealed {
+		t.Helper()
+		sealed, err := c.SubmitWait(ctx, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sealed[0]
+	}
+	// afterEachCut seals n data blocks and reports whether holds is true
+	// of the live chain right after every marker shift, at least one
+	// of which must happen.
+	afterEachCut := func(t *testing.T, c *Chain, n int, holds func() bool) bool {
+		t.Helper()
+		cuts, ok := 0, true
+		for i := 0; i < n; i++ {
+			before := c.Marker()
+			submit(t, c, NewData("ALPHA", fmt.Appendf(nil, "e%d", i)).Sign(keys["ALPHA"]))
+			if c.Marker() != before {
+				cuts++
+				ok = ok && holds()
+			}
+		}
+		if cuts == 0 {
+			t.Fatal("no cut happened: the floor was never tested")
+		}
+		return ok
+	}
+	bounded := []Option{WithMaxBlocks(3), WithShrink(ShrinkMinimal)}
+	cases := []struct {
+		name string
+		base []Option
+		opt  Option
+		// holds reports whether the option's paper property holds on c.
+		holds func(t *testing.T, c *Chain) bool
+	}{
+		{"MinBlocks §IV-D.3", bounded, WithMinBlocks(9), func(t *testing.T, c *Chain) bool {
+			return afterEachCut(t, c, 16, func() bool { return c.Len() >= 9 })
+		}},
+		{"MinTimeSpan §IV-D.3", bounded, WithMinTimeSpan(8), func(t *testing.T, c *Chain) bool {
+			return afterEachCut(t, c, 24, func() bool {
+				live := c.Blocks()
+				return live[len(live)-1].Header.Time-live[0].Header.Time >= 8
+			})
+		}},
+		{"DeletionPolicy §IV-D.1", nil, WithDeletionPolicy(PolicyOwnerOnly), func(t *testing.T, c *Chain) bool {
+			// An admin's request for ALPHA's entry is what the
+			// role-based default allows and owner-only refuses.
+			victim := submit(t, c, NewData("ALPHA", []byte("private")).Sign(keys["ALPHA"])).Ref
+			submit(t, c, NewDeletion("admin", victim).Sign(keys["admin"]))
+			return !c.IsMarked(victim)
+		}},
+		{"AutoCohesion §IV-D.2", nil, WithAutoCohesion(NewAutoCohesionPolicy(map[string]int{"ALPHA": 2, "BRAVO": 1})), func(t *testing.T, c *Chain) bool {
+			// ALPHA's clearance covers BRAVO's dependent, so the
+			// request needs no co-signature from BRAVO.
+			base := submit(t, c, NewData("ALPHA", []byte("base")).Sign(keys["ALPHA"])).Ref
+			submit(t, c, NewData("BRAVO", []byte("downstream")).WithDependsOn(base).Sign(keys["BRAVO"]))
+			submit(t, c, NewDeletion("ALPHA", base).Sign(keys["ALPHA"]))
+			return c.IsMarked(base)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, with := range []bool{true, false} {
+				opts := append([]Option{WithSequenceLength(3), WithClock(NewLogicalClock(0))}, tc.base...)
+				if with {
+					opts = append(opts, tc.opt)
+				}
+				c, err := New(reg, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := tc.holds(t, c); got != with {
+					t.Errorf("with the option: %v; the property holds: %v", with, got)
+				}
+				c.Close()
+			}
+		})
 	}
 }
