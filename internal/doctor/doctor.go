@@ -33,7 +33,8 @@ const (
 	// repair) resolves.
 	Warn
 	// Error findings mean durable state the recovery path cannot fix
-	// by itself (corrupt metadata files, unreadable directories).
+	// by itself (corrupt metadata files, unreadable directories, a
+	// segment across the marker).
 	Error
 )
 
@@ -124,10 +125,11 @@ func (r *Report) add(code string, sev Severity, repairable bool, format string, 
 
 // Run cross-validates dir and, when requested, repairs it. An error is
 // returned only when the directory itself cannot be examined, it is in a
-// retired layout (segment.ErrRetiredLayout), its deletion manifest or
-// archive is in the retired format (manifest.ErrRetiredFormat), or a
-// repair failed; drift and corruption inside it are reported as
-// findings.
+// retired layout (segment.ErrRetiredLayout: a partitioned root, or a
+// MANIFEST from before segments ended at sequence starts), its deletion
+// manifest or archive is in the retired format
+// (manifest.ErrRetiredFormat), or a repair failed; drift and corruption
+// inside it are reported as findings.
 func Run(dir string, opts Options) (*Report, error) {
 	if opts.Repair || opts.Archive {
 		actions, err := repair(dir, opts)
@@ -200,15 +202,28 @@ func check(dir string) (*Report, error) {
 }
 
 // checkSegments validates the segment files against the effective
-// marker.
+// marker. A segment wholly below it is what an interrupted truncation
+// leaves, and the store's recovery unlinks it. A segment with records on
+// both sides of it is not: segments end where sequences start, where
+// every marker lies, so no crash leaves one, and Open refuses it.
 func checkSegments(rep *Report, info *segment.DirInfo) {
+	stale := false
 	for _, seg := range info.Segments {
 		if seg.Torn {
 			rep.add("segment-torn", Warn, true,
 				"segment %d has undecodable bytes after its last good record (crash mid-append)", seg.ID)
 		}
+		switch {
+		case seg.Records == 0 || seg.First >= rep.Marker:
+		case seg.Last < rep.Marker:
+			stale = true
+		default:
+			rep.add("segment-straddles-marker", Error, false,
+				"segment %d holds blocks %d..%d, on both sides of marker %d: no cut can unlink it, and the store refuses to open",
+				seg.ID, seg.First, seg.Last, rep.Marker)
+		}
 	}
-	if info.HasBlocks && info.First < rep.Marker {
+	if stale {
 		rep.add("stale-blocks", Warn, true,
 			"segment files still hold blocks %d..%d below marker %d (interrupted truncation)",
 			info.First, min(info.Last, rep.Marker-1), rep.Marker)

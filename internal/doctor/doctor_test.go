@@ -276,10 +276,83 @@ func TestDoctorRefusesPartitionedRoot(t *testing.T) {
 	}
 }
 
+// TestDoctorRefusesV1SegmentManifest: a store whose MANIFEST says v1 was
+// written while segments rolled by size alone, so its segments can
+// straddle a future marker. It is a retired layout: the store's open, the
+// doctor's check, its repair and its archive all fail with the named
+// error, and none of them touches the directory.
+func TestDoctorRefusesV1SegmentManifest(t *testing.T) {
+	dir, _, _ := buildDir(t, 12)
+	path := filepath.Join(dir, "MANIFEST")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := bytes.Cut(raw, []byte("\n"))
+	if string(header) != "seldel-segment-manifest v2" {
+		t.Fatalf("MANIFEST header %q, want v2", header)
+	}
+	v1 := append([]byte("seldel-segment-manifest v1\n"), rest...)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirDigest(t, dir)
+	if s, err := segment.Open(dir, segment.Options{}); !errors.Is(err, segment.ErrRetiredLayout) {
+		if err == nil {
+			s.Close()
+		}
+		t.Fatalf("segment.Open: err=%v, want ErrRetiredLayout", err)
+	}
+	for _, opts := range []Options{{}, {Repair: true}, {Archive: true}} {
+		if rep, err := Run(dir, opts); !errors.Is(err, segment.ErrRetiredLayout) {
+			t.Fatalf("Run(%+v): report %+v, err=%v, want ErrRetiredLayout", opts, rep, err)
+		}
+	}
+	if after := dirDigest(t, dir); after != before {
+		t.Error("a refused directory was modified")
+	}
+}
+
+// TestDoctorStraddleIsNotRepairable: a deletion record whose marker lies
+// inside a sequence, where no chain cuts, leaves a segment with blocks on
+// both sides of the effective marker. That is not an interrupted cut:
+// the check reports it as a non-repairable error, not as repairable
+// stale blocks, and a repair fails with the store's ErrCorrupt.
+func TestDoctorStraddleIsNotRepairable(t *testing.T) {
+	dir, marker, head := buildDir(t, 12)
+	if head <= marker+1 {
+		t.Fatal("no live block past the staged marker")
+	}
+	log, err := manifest.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.Append(manifest.Record{OldMarker: marker, NewMarker: marker + 1}); err != nil {
+		t.Fatal(err)
+	}
+	log.Close()
+	rep, err := Run(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn := findCode(rep, "segment-straddles-marker"); fn == nil || fn.Severity != Error || fn.Repairable {
+		t.Errorf("want a non-repairable segment-straddles-marker error: %+v", rep.Findings)
+	}
+	if fn := findCode(rep, "stale-blocks"); fn != nil {
+		t.Errorf("a straddle reported as repairable stale blocks: %+v", fn)
+	}
+	if _, err := Run(dir, Options{Repair: true}); !errors.Is(err, segment.ErrCorrupt) {
+		t.Errorf("repair of a straddling segment: %v, want ErrCorrupt", err)
+	}
+}
+
 func TestDoctorInterruptedTruncation(t *testing.T) {
 	dir, marker, head := buildDir(t, 12)
-	if head <= marker {
-		t.Fatal("no live suffix above the marker; cannot stage an interrupted truncation")
+	// The chain cuts only at sequence starts (SequenceLength 3), so the
+	// staged marker is the next one, and a block must live past it.
+	next := marker + 3
+	if head < next {
+		t.Fatal("no live sequence above the marker's; cannot stage an interrupted truncation")
 	}
 	// Simulate a crash between the DELETIONS append and the marker
 	// shift: the manifest records a further deletion the other durable
@@ -288,7 +361,6 @@ func TestDoctorInterruptedTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := marker + 1
 	if _, err := log.Append(manifest.Record{OldMarker: marker, NewMarker: next}); err != nil {
 		t.Fatal(err)
 	}

@@ -437,8 +437,14 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Wait on the store, not the chain: the head advances under the
+	// chain lock, and the block reaches the store only after it, when
+	// the append's listeners run.
 	deadline := time.Now().Add(5 * time.Second)
-	for c.Head().Number == headDurable {
+	for {
+		if _, err := ss.GetBlock(headDurable + 1); err == nil {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("block never sealed while the sync was held")
 		}

@@ -100,8 +100,14 @@ func TestStoreDirHoldsOnlyItsFiles(t *testing.T) {
 	var blocks []*block.Block
 	prevHash := block.GenesisPrevHash
 	for num := uint64(0); num < 24; num++ {
+		// A summary block Σ ends every third slot, as a chain with
+		// SequenceLength 3 seals it: markers 6, 12 and 15 are sequence
+		// starts.
 		e := block.NewData("alpha", []byte(fmt.Sprintf("payload-%d", num))).Sign(kp)
 		b := block.NewNormal(num, num+1, prevHash, []*block.Entry{e})
+		if (num+1)%3 == 0 {
+			b = block.NewSummary(num, num, prevHash, nil, nil)
+		}
 		if err := s.PutBlock(b); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Package segment implements the persistent store: blocks append into
-// size-capped, length-prefixed segment files (a segment passes its cap
-// by less than one record).
+// length-prefixed segment files, each holding a run of consecutive
+// blocks inside one sequence and capped in size (a segment passes its
+// cap by less than one record).
 //
 // One file per block would make physical deletion just as observable,
 // but at scale it is an inode explosion, one open/rename per block on
@@ -18,9 +19,16 @@
 //     and on demand via Sync, which is the hook the chain's group-commit
 //     durability mode uses to make many appended blocks durable with one
 //     fsync before their receipts resolve.
-//   - A segment rolls on the first append after it has reached
-//     SegmentBytes, so it exceeds the threshold by less than one record
-//     and a record larger than a segment costs one roll, not two.
+//   - A segment rolls before the block after a summary block Σ (a Σ ends
+//     its sequence), before a block that does not follow its last number,
+//     and on the first append after Open, so a segment never spans a
+//     sequence start. Within a sequence it also rolls on the first append
+//     after it has reached SegmentBytes, so it exceeds the threshold by
+//     less than one record and a record larger than a segment costs one
+//     roll, not two. Live segments are therefore at least live sequences:
+//     about nine at 8 sequences of 8, plus size rolls, under the
+//     64-handle LRU below; one per two blocks at the minimum
+//     SequenceLength of 2.
 //   - An in-memory offset index maps block numbers to (segment,
 //     offset), so reads are one pread.
 //   - Sealed segments' read handles live in an LRU capped at 64 open
@@ -28,16 +36,20 @@
 //     long-lived store holds a bounded number of file descriptors no
 //     matter how many segments accumulate (only the active segment's
 //     handle is pinned).
-//   - Truncation retires whole segments with a single unlink each and
-//     rewrites only the boundary segment that straddles the marker, so
-//     reclaimed disk space stays directly observable via SizeBytes.
+//   - The chain sets every Genesis marker at a sequence start, so a
+//     truncation only unlinks whole segments, one syscall each, and
+//     never copies or rewrites a kept byte; reclaimed disk space stays
+//     directly observable via SizeBytes. A segment holding records on
+//     both sides of the marker is refused: by the cut, and by Open as
+//     ErrCorrupt. A MANIFEST older than this rule fails Open with
+//     ErrRetiredLayout.
 //   - A crash-safe manifest (MANIFEST, written atomically) records the
 //     Genesis marker and the expected segment set; Open reconciles it
 //     against the directory, truncating torn record tails and
 //     completing interrupted truncations.
 //   - The Genesis marker has two durable homes: the DELETIONS head,
 //     appended first, rolls an interrupted truncation forward; MANIFEST,
-//     rewritten before any file surgery, is the only home of a
+//     rewritten before any unlink, is the only home of a
 //     record-less DeleteBelow. Open takes the larger of the two.
 //   - The marker block itself — the paper's trusted anchor for the cut
 //     part (§IV-C) — is stored once, as the first live record. Stream

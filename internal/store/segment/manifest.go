@@ -14,7 +14,12 @@ import (
 const manifestName = "MANIFEST"
 
 // manifestHeader is the first line of every manifest.
-const manifestHeader = "seldel-segment-manifest v1"
+const manifestHeader = "seldel-segment-manifest v2"
+
+// retiredManifestHeader heads the MANIFEST of a store written while
+// segments rolled by size alone, whose segments can straddle a marker;
+// checkLayout refuses it (ErrRetiredLayout).
+const retiredManifestHeader = "seldel-segment-manifest v1"
 
 // manifestSeg is one segment as the manifest expects it.
 type manifestSeg struct {

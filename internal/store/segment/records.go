@@ -13,10 +13,9 @@ import (
 // This file is the single definition of the on-disk record format: a
 // fixed little-endian header (block number u64, payload length u32,
 // payload CRC-32 u32) followed by the canonical block encoding. The
-// append path (PutBlock), the compaction rewrite (rewriteSegmentLocked),
-// the recovery scan (openSegment), and the read-only inspector
-// (scanSegmentFile) all go through the helpers here — a record written
-// by any of them must be recoverable by all of them.
+// append path (PutBlock), the recovery scan (openSegment), and the
+// read-only inspector (scanSegmentFile) all go through the helpers here
+// — a record the first writes must be recoverable by the other two.
 //
 // Every byte the store writes or reads goes through its one record
 // buffer (Store.rec), used only under the store lock, and is sized once
@@ -72,17 +71,11 @@ func (s *Store) releaseRecordLocked(used int) {
 // releaseRecordLocked.
 func (s *Store) appendBlockRecord(b *block.Block, n int) []byte {
 	rec := b.AppendEncode(s.recordLocked(recHeaderSize + n)[:recHeaderSize])
-	fillRecordHeader(rec, b.Header.Number)
-	return rec
-}
-
-// fillRecordHeader stamps the fixed header over rec's first bytes,
-// deriving length and checksum from the payload that follows it.
-func fillRecordHeader(rec []byte, num uint64) {
 	payload := rec[recHeaderSize:]
-	binary.LittleEndian.PutUint64(rec[0:8], num)
+	binary.LittleEndian.PutUint64(rec[0:8], b.Header.Number)
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[12:16], crc32.ChecksumIEEE(payload))
+	return rec
 }
 
 // parseRecord reads the record at the head of rest. The returned

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -41,14 +42,14 @@ const (
 
 // Options parameterize a segment store.
 type Options struct {
-	// SegmentBytes is the size threshold at which the active segment is
-	// sealed and a new one started: the first append after the active
-	// segment has reached it rolls. A segment therefore exceeds it by
-	// less than one record, and a record larger than SegmentBytes shares
-	// its predecessors' segment instead of costing a roll before and
-	// after it. Smaller segments retire earlier under truncation (bytes
-	// reclaim sooner); larger ones amortize per-file cost further. 0
-	// means DefaultSegmentBytes.
+	// SegmentBytes bounds a segment within one sequence: the first
+	// append after the active segment has reached it rolls. A segment
+	// therefore exceeds it by less than one record, and a record larger
+	// than SegmentBytes shares its predecessors' segment instead of
+	// costing a roll before and after it. Segments retire per sequence
+	// whatever their size (PutBlock rolls after every summary block), so
+	// SegmentBytes sets how many files a long sequence spreads over, not
+	// when bytes are reclaimed. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
 }
 
@@ -97,11 +98,16 @@ type Store struct {
 	// it: its handle must stay open for appends.
 	lru []*segmentFile
 	// rec is the record buffer every segment read and write goes through
-	// (records.go): PutBlock and rewriteSegmentLocked build records in
-	// it, GetBlock reads payloads into it, and Open scans segment files
-	// into it. All run under mu, so one buffer serves the flusher's
-	// appends, the compactor's rewrites, reads and recovery alike.
+	// (records.go): PutBlock builds records in it, GetBlock reads
+	// payloads into it, and Open scans segment files into it. All run
+	// under mu, so one buffer serves the flusher's appends, reads and
+	// recovery alike.
 	rec []byte
+	// rollNext makes the next PutBlock start a new segment: the last
+	// record appended was a summary block Σ, which ends its sequence, or
+	// the store was just opened and does not know whether its active
+	// segment ended on one.
+	rollNext bool
 	// fsyncs counts fsyncs issued against segment data files and the
 	// store directory (metadata marker files are excluded);
 	// TestFsyncsPerBlock divides it by blocks appended.
@@ -111,22 +117,30 @@ type Store struct {
 var _ store.Store = (*Store)(nil)
 
 // ErrCorrupt reports a record of a sealed segment that fails its length
-// or checksum. Only the newest segment is ever appended to — the one
-// before it is fsynced before its successor is created — so a crash can
-// tear no other: a bad record anywhere else is damage or tampering, and
-// Open refuses the directory instead of truncating evidence away.
+// or checksum, or a segment holding records on both sides of the Genesis
+// marker. Only the newest segment is ever appended to — the one before
+// it is fsynced before its successor is created — so a crash can tear
+// no other, and a segment never spans a sequence start, where every
+// marker lies: either finding is damage or tampering, and Open refuses
+// the directory instead of truncating evidence away.
 var ErrCorrupt = errors.New("segment: corrupt record in a sealed segment")
 
-// ErrRetiredLayout reports a directory that is a partitioned store root
-// (a PARTITIONS file over p000/, p001/, ...), a layout no reader remains
-// for. Open and Inspect refuse it before touching a byte: opened as a
-// store it would look empty, and a doctor would call it clean.
-var ErrRetiredLayout = errors.New("segment: partitioned store root, a retired layout")
+// ErrRetiredLayout reports a directory in a layout no reader remains
+// for: a partitioned store root (a PARTITIONS file over p000/, p001/,
+// ...), or a store whose MANIFEST is retiredManifestHeader's, written
+// before segments ended at sequence starts, so its segments can straddle
+// a future marker. Open and Inspect refuse it before touching a byte:
+// opened as a store the first would look empty, and a cut through the
+// second would have to rewrite a file to erase what it cut.
+var ErrRetiredLayout = errors.New("segment: retired store layout")
 
 // checkLayout refuses a directory in a retired layout.
 func checkLayout(dir string) error {
 	if _, err := os.Stat(filepath.Join(dir, retiredPartitionsMeta)); err == nil {
 		return fmt.Errorf("%w: %s has %s", ErrRetiredLayout, dir, retiredPartitionsMeta)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil && strings.HasPrefix(string(raw), retiredManifestHeader+"\n") {
+		return fmt.Errorf("%w: %s has a %q %s", ErrRetiredLayout, dir, retiredManifestHeader, manifestName)
 	}
 	return nil
 }
@@ -135,10 +149,10 @@ func checkLayout(dir string) error {
 // the manifest against the segment files actually present: torn tails
 // are truncated to the last durable record, segments created but not
 // yet recorded are adopted, and truncations interrupted mid-flight
-// (manifest advanced, files not yet deleted or rewritten) are
-// completed. The reconciled state is re-persisted before Open returns,
-// and a leftover SNAPSHOT file (retiredSnapshotName) is removed. A
-// directory in a retired layout fails with ErrRetiredLayout.
+// (manifest advanced, files not yet unlinked) are completed. The
+// reconciled state is re-persisted before Open returns, and a leftover
+// SNAPSHOT file (retiredSnapshotName) is removed. A directory in a
+// retired layout fails with ErrRetiredLayout.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.SegmentBytes < 0 {
 		return nil, fmt.Errorf("segment: negative SegmentBytes")
@@ -180,6 +194,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.closeFiles()
 		return nil, err
 	}
+	s.rollNext = true
 	// The MANIFEST rewrite below fsyncs the directory, which makes this
 	// removal durable too.
 	if err := os.Remove(filepath.Join(dir, retiredSnapshotName)); err != nil && !os.IsNotExist(err) {
@@ -242,6 +257,10 @@ func (s *Store) recover(man *manifest) error {
 		if err != nil {
 			return err
 		}
+		if seg.straddles(s.marker) {
+			seg.f.Close()
+			return fmt.Errorf("%w: %s holds blocks %d-%d, across marker %d", ErrCorrupt, seg.path, seg.first, seg.last, s.marker)
+		}
 		// Interrupted truncation: every indexed block is already below
 		// the marker, so the segment was due to be unlinked. Finish.
 		if seg.count > 0 && seg.last < s.marker {
@@ -258,21 +277,6 @@ func (s *Store) recover(man *manifest) error {
 		}
 		s.segs = append(s.segs, seg)
 	}
-	// Drop index entries below the marker (the boundary segment may
-	// still hold pre-marker records after a crash); rewrite boundary
-	// segments so the stale bytes are physically reclaimed too.
-	for num := range s.index {
-		if num < s.marker {
-			delete(s.index, num)
-		}
-	}
-	for _, seg := range s.segs {
-		if seg.count > 0 && seg.first < s.marker {
-			if err := s.rewriteSegmentLocked(seg); err != nil {
-				return err
-			}
-		}
-	}
 	if len(s.segs) == 0 {
 		if err := s.startSegmentLocked(0); err != nil {
 			return err
@@ -280,12 +284,9 @@ func (s *Store) recover(man *manifest) error {
 	}
 	// Recovery opened every segment to scan its records; hand the
 	// sealed ones to the read-handle LRU so the cap holds from the
-	// first moment (lruTouch deduplicates segments a boundary rewrite
-	// already registered).
+	// first moment.
 	for _, seg := range s.segs[:len(s.segs)-1] {
-		if seg.f != nil {
-			s.lruTouch(seg)
-		}
+		s.lruInsert(seg)
 	}
 	return nil
 }
@@ -353,6 +354,13 @@ func (s *Store) indexRecord(seg *segmentFile, num uint64, off int64, n int) {
 		seg.last = num
 	}
 	seg.count++
+}
+
+// straddles reports whether seg holds records on both sides of marker:
+// blocks a cut to marker must erase and blocks it must keep, which no
+// unlink of the whole file can separate.
+func (seg *segmentFile) straddles(marker uint64) bool {
+	return seg.size > int64(len(segMagic)) && seg.first < marker && marker <= seg.last
 }
 
 func segmentName(id uint64) string { return fmt.Sprintf("seg-%08d.seg", id) }
@@ -453,14 +461,20 @@ func (s *Store) lruDrop(seg *segmentFile) {
 }
 
 // PutBlock implements store.Store: append one length-prefixed record to
-// the active segment, rolling to a new segment first once the active one
-// has reached the size threshold. A record larger than a segment thus
-// shares its predecessors' segment and the next append rolls: one roll
-// per oversized record, never an empty segment. Re-putting a block
-// number appends a superseding record; the index always resolves to the
-// newest copy. The record is built in the store's one record buffer,
-// sized from the block's exact encoding (records.go), so the append
-// path allocates nothing per block in steady state.
+// the active segment. A non-empty active segment is sealed and a new one
+// started first when the block begins a sequence or may: the previous
+// record was a summary block Σ, which ends its sequence; the block does
+// not follow the segment's last number (a re-put, or store.Attach's
+// backfill of an adopted chain); or this is the first append since Open.
+// So a segment never spans a sequence start, where the chain sets every
+// Genesis marker, and a cut retires whole files. The active segment also
+// rolls once it has reached the size threshold, so a record larger than
+// a segment shares its predecessors' segment and the next append rolls:
+// one roll per oversized record, never an empty segment. Re-putting a
+// block number appends a superseding record; the index always resolves
+// to the newest copy. The record is built in the store's one record
+// buffer, sized from the block's exact encoding (records.go), so the
+// append path allocates nothing per block in steady state.
 func (s *Store) PutBlock(b *block.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -478,7 +492,8 @@ func (s *Store) PutBlock(b *block.Block) error {
 	}
 
 	act := s.active()
-	if act.size >= s.opts.SegmentBytes && act.size > int64(len(segMagic)) {
+	if act.size > int64(len(segMagic)) &&
+		(s.rollNext || b.Header.Number != act.last+1 || act.size >= s.opts.SegmentBytes) {
 		if err := s.rollLocked(); err != nil {
 			return err
 		}
@@ -491,6 +506,7 @@ func (s *Store) PutBlock(b *block.Block) error {
 	}
 	s.indexRecord(act, b.Header.Number, act.size+recHeaderSize, payloadLen)
 	act.size += int64(len(rec))
+	s.rollNext = b.IsSummary()
 	return nil
 }
 
@@ -566,15 +582,13 @@ func (s *Store) Range() (uint64, uint64, bool, error) {
 	return first, last, true, nil
 }
 
-// sortedNumbersLocked returns the indexed block numbers ≥ marker in
-// ascending order. Stale pre-marker records (possible only transiently
-// after a crash, before Open's rewrite) are never served.
+// sortedNumbersLocked returns the indexed block numbers in ascending
+// order. None is below the marker: a cut drops them from the index, and
+// Open unlinks or refuses every segment holding one.
 func (s *Store) sortedNumbersLocked() []uint64 {
 	nums := make([]uint64, 0, len(s.index))
 	for num := range s.index {
-		if num >= s.marker {
-			nums = append(nums, num)
-		}
+		nums = append(nums, num)
 	}
 	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	return nums
@@ -610,13 +624,15 @@ func (s *Store) Stream() iter.Seq2[*block.Block, error] {
 }
 
 // DeleteBelow implements store.Store: persist the marker in MANIFEST,
-// then physically retire the cut prefix — whole segments below the
-// marker are unlinked (one syscall each, however many blocks they held)
-// and the boundary segment straddling the marker is rewritten without
-// its dead prefix. The durable ordering (marker first, file surgery
-// second) makes an interrupted truncation recoverable: Open completes
-// the deletion instead of resurrecting cut blocks. Without a record,
-// MANIFEST is the marker's only durable home (the store.Attach path).
+// then physically retire the cut prefix by unlinking the segments below
+// the marker — one syscall each, however many blocks they held. A
+// segment never spans a sequence start (PutBlock), so at a marker the
+// chain sets every segment lies wholly on one side; a marker inside a
+// segment is refused before anything is made durable. The durable
+// ordering (marker first, unlinks second) makes an interrupted
+// truncation recoverable: Open completes the deletion instead of
+// resurrecting cut blocks. Without a record, MANIFEST is the marker's
+// only durable home (the store.Attach path).
 func (s *Store) DeleteBelow(marker uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -642,6 +658,11 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 	if marker < s.marker {
 		return fmt.Errorf("segment: marker moving backwards: %d < %d", marker, s.marker)
 	}
+	for _, seg := range s.segs {
+		if seg.straddles(marker) {
+			return fmt.Errorf("segment: marker %d is not a segment boundary: segment %d holds blocks %d-%d", marker, seg.id, seg.first, seg.last)
+		}
+	}
 	if err := s.active().f.Sync(); err != nil {
 		return fmt.Errorf("segment: sync before truncate: %w", err)
 	}
@@ -657,44 +678,37 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 	if err := s.writeManifestLocked(); err != nil {
 		return err
 	}
-	for num := range s.index {
+	for num, loc := range s.index {
 		if num < marker {
-			loc := s.index[num]
 			loc.seg.count--
 			delete(s.index, num)
 		}
 	}
-	// Build the surviving set in a fresh slice: a mid-loop failure
-	// (ENOSPC during a rewrite, an unlink error) must leave s.segs
-	// consistent — already-retired segments gone, everything else
-	// intact — so Close/SizeBytes/the manifest never see duplicates.
+	// Build the surviving set in a fresh slice: a mid-loop failure (an
+	// unlink error) must leave s.segs consistent — already-retired
+	// segments gone, everything else intact — so Close/SizeBytes/the
+	// manifest never see duplicates. The active segment goes too when
+	// every record it holds was cut; an empty one stays.
+	act := s.active()
 	kept := make([]*segmentFile, 0, len(s.segs))
 	for i, seg := range s.segs {
-		active := i == len(s.segs)-1
-		switch {
-		case seg.count == 0 && !active:
-			if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
-				s.segs = append(kept, s.segs[i:]...)
-				return fmt.Errorf("segment: retire segment %d: %w", seg.id, err)
-			}
-			s.lruDrop(seg)
-			if seg.f != nil {
-				seg.f.Close()
-				seg.f = nil
-			}
-		case seg.count > 0 && seg.first < marker:
-			if err := s.rewriteSegmentLocked(seg); err != nil {
-				s.segs = append(kept, s.segs[i:]...)
-				return err
-			}
+		if seg.count > 0 || seg == act && seg.size == int64(len(segMagic)) {
 			kept = append(kept, seg)
-		default:
-			kept = append(kept, seg)
+			continue
+		}
+		if err := os.Remove(seg.path); err != nil && !os.IsNotExist(err) {
+			s.segs = append(kept, s.segs[i:]...)
+			return fmt.Errorf("segment: retire segment %d: %w", seg.id, err)
+		}
+		s.lruDrop(seg)
+		if seg.f != nil {
+			seg.f.Close()
+			seg.f = nil
 		}
 	}
 	s.segs = kept
-	if len(s.segs) == 0 {
-		if err := s.startSegmentLocked(0); err != nil {
+	if len(s.segs) == 0 || s.active() != act {
+		if err := s.startSegmentLocked(act.id + 1); err != nil {
 			return err
 		}
 	}
@@ -708,97 +722,6 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 	}
 	s.fsyncs.Add(1)
 	return s.writeManifestLocked()
-}
-
-// rewriteSegmentLocked compacts one segment down to its records that
-// are still indexed and at-or-above the marker, atomically (write to a
-// temp file, fsync, rename over). The segment's open handle and the
-// index offsets are refreshed to the rewritten file.
-func (s *Store) rewriteSegmentLocked(seg *segmentFile) error {
-	type keptRec struct {
-		num uint64
-		off int64
-		n   int
-	}
-	var kept []keptRec
-	for num, loc := range s.index {
-		if loc.seg == seg && num >= s.marker {
-			kept = append(kept, keptRec{num: num, off: loc.off, n: loc.n})
-		}
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].off < kept[j].off })
-
-	src, err := s.handleLocked(seg)
-	if err != nil {
-		return err
-	}
-	tmpPath := seg.path + ".tmp"
-	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segment: rewrite %s: %w", seg.path, err)
-	}
-	defer os.Remove(tmpPath) // no-op after the rename succeeds
-	if _, err := tmp.Write([]byte(segMagic)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("segment: rewrite %s: %w", seg.path, err)
-	}
-	off := int64(len(segMagic))
-	newOffsets := make(map[uint64]int64, len(kept))
-	// Size the record buffer once for the largest kept record: it then
-	// serves the whole rewrite, and no regrowth strands a copy of a
-	// record's payload in a dropped buffer.
-	maxN := 0
-	for _, r := range kept {
-		maxN = max(maxN, r.n)
-	}
-	buf := s.recordLocked(recHeaderSize + maxN)
-	defer s.releaseRecordLocked(len(buf))
-	for _, r := range kept {
-		// Read the payload straight into the record buffer behind the
-		// reserved header, then stamp the header.
-		rec := buf[:recHeaderSize+r.n]
-		if _, err := src.ReadAt(rec[recHeaderSize:], r.off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("segment: rewrite %s: read block %d: %w", seg.path, r.num, err)
-		}
-		fillRecordHeader(rec, r.num)
-		if _, err := tmp.WriteAt(rec, off); err != nil {
-			tmp.Close()
-			return fmt.Errorf("segment: rewrite %s: %w", seg.path, err)
-		}
-		newOffsets[r.num] = off + recHeaderSize
-		off += int64(len(rec))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("segment: rewrite %s: sync: %w", seg.path, err)
-	}
-	s.fsyncs.Add(1)
-	if err := os.Rename(tmpPath, seg.path); err != nil {
-		tmp.Close()
-		return fmt.Errorf("segment: rewrite %s: rename: %w", seg.path, err)
-	}
-	s.lruDrop(seg)
-	if seg.f != nil {
-		seg.f.Close()
-	}
-	seg.f = tmp
-	if seg != s.active() {
-		s.lruInsert(seg)
-	}
-	seg.size = off
-	seg.count = 0
-	for _, r := range kept {
-		s.index[r.num] = recordLoc{seg: seg, off: newOffsets[r.num], n: r.n}
-		if seg.count == 0 || r.num < seg.first {
-			seg.first = r.num
-		}
-		if seg.count == 0 || r.num > seg.last {
-			seg.last = r.num
-		}
-		seg.count++
-	}
-	return nil
 }
 
 // SizeBytes returns the physical size of every segment file — the

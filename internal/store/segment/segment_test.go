@@ -13,17 +13,28 @@ import (
 	"github.com/seldel/seldel/internal/store"
 )
 
-// testBlock builds a hash-linked normal block for store-level tests.
+// testSequenceLength is the sequence length store-level fixtures write
+// as: every third block is a summary block Σ, as a chain with
+// SequenceLength 3 seals it, so markers at multiples of 3 are sequence
+// starts.
+const testSequenceLength = 3
+
+// testBlock builds a hash-linked block for store-level tests: a summary
+// block Σ carrying nothing in every testSequenceLength-th slot, a normal
+// block with one entry elsewhere.
 func testBlock(t *testing.T, num uint64, prev *block.Block) *block.Block {
 	t.Helper()
 	kp := identity.Deterministic("alpha", "segment-test")
-	e := block.NewData("alpha", []byte(fmt.Sprintf("payload-%d", num))).Sign(kp)
 	prevHash := block.GenesisPrevHash
 	var prevTime uint64
 	if prev != nil {
 		prevHash = prev.Hash()
 		prevTime = prev.Header.Time
 	}
+	if (num+1)%testSequenceLength == 0 {
+		return block.NewSummary(num, prevTime, prevHash, nil, nil)
+	}
+	e := block.NewData("alpha", []byte(fmt.Sprintf("payload-%d", num))).Sign(kp)
 	return block.NewNormal(num, prevTime+1, prevHash, []*block.Entry{e})
 }
 
@@ -141,10 +152,10 @@ func TestSegmentRollAndPhysicalRetirement(t *testing.T) {
 	if sizeAfter >= sizeBefore {
 		t.Errorf("no bytes reclaimed: %d -> %d", sizeBefore, sizeAfter)
 	}
-	// The boundary segment was rewritten: everything >= 18 survives.
+	// Everything >= 18 survives.
 	for num := uint64(18); num < 24; num++ {
 		if _, err := s.GetBlock(num); err != nil {
-			t.Errorf("GetBlock(%d) after boundary rewrite: %v", num, err)
+			t.Errorf("GetBlock(%d) after truncation: %v", num, err)
 		}
 	}
 }
@@ -340,8 +351,7 @@ func TestReadHandleLRUCapsOpenFiles(t *testing.T) {
 	}
 	checkCap("after Stream")
 
-	// Truncation (snapshot write reads the checkpoint block) and the
-	// boundary rewrite work with evicted handles too.
+	// Truncation works with evicted handles too.
 	if err := s.DeleteBelow(21); err != nil {
 		t.Fatalf("DeleteBelow: %v", err)
 	}
