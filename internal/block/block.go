@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/merkle"
@@ -192,6 +193,8 @@ type Block struct {
 	Entries []*Entry
 	Carried []CarriedEntry
 	SeqRef  *SequenceRef
+	// size memoizes EncodedSize; 0 until the block is first sized.
+	size atomic.Int64
 }
 
 // Errors returned by block validation.
@@ -578,12 +581,20 @@ func decodeSeqRef(data []byte) (*SequenceRef, error) {
 }
 
 // EncodedSize returns the byte size of the canonical encoding — the
-// chain's LiveBytes accounting and the growth experiments (E4). It runs
-// the encode pass itself over a counting encoder, so it equals
-// len(Encode()) by construction and builds no buffer.
+// chain's LiveBytes accounting, the store's record sizing and the growth
+// experiments (E4). It runs the encode pass itself over a counting
+// encoder, so it equals len(Encode()) by construction and builds no
+// buffer, and it runs once per block: the result is kept, so a summary
+// block of a megabyte is counted once however many layers size it. A
+// block is immutable once built (a Seal sets its nonce before anything
+// sizes it).
 func (b *Block) EncodedSize() int {
+	if n := b.size.Load(); n > 0 {
+		return int(n)
+	}
 	e := codec.NewCounter()
 	b.encodeTo(e)
+	b.size.Store(int64(e.Len()))
 	return e.Len()
 }
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -284,6 +285,11 @@ type Chain struct {
 	// with the pipeline and closed strictly after it so every sealed
 	// batch's resolution reaches its final sync.
 	gc *groupCommitter
+	// summaryStep, created by a SealBlocks waiting for a summary block,
+	// is closed when the pipeline's flusher next finishes its summary
+	// step (sealer.AfterResolve); stepMu guards it.
+	stepMu      sync.Mutex
+	summaryStep chan struct{}
 
 	// comp is the lazily started background compactor executing the
 	// physical side of truncation; same lifecycle discipline as pipe.
@@ -932,20 +938,16 @@ func (c *Chain) CheckDeletionRequest(e *block.Entry) error {
 	return c.auth.ValidateRequestPrechecked(e, target, c.liveDependents(e.Target), pre)
 }
 
-// commit builds, seals, and appends a normal block holding entries, then
-// automatically creates and appends the summary block if the following
-// slot is a summary slot (the consensus-extension behaviour of §IV-B).
-// It returns every block appended (one or two).
+// commitNormal builds, seals, and appends a normal block holding
+// entries, returning it with its deletion-mark verdicts (aligned with
+// entries).
 //
-// commit is the single-writer sealing primitive behind the submission
-// pipeline: concurrent calls do not corrupt the chain, but they can fail
-// with ErrNotNext when they race for the same head slot. The pipeline's
-// single flusher serializes them; everything else writes through Submit.
-// (The exported Chain.Commit facade was removed at the end of its
-// deprecation window — use Submit/SubmitWait, or AppendEmpty for filler
-// blocks.) The returned outcomes are the normal block's deletion-mark
-// verdicts, aligned with entries.
-func (c *Chain) commit(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
+// commitNormal is the single-writer sealing primitive behind the
+// submission pipeline: concurrent calls do not corrupt the chain, but
+// they can fail with ErrNotNext when they race for the same head slot.
+// The pipeline's single flusher serializes them; everything else writes
+// through Submit.
+func (c *Chain) commitNormal(entries []*block.Entry) (*block.Block, []mempool.MarkOutcome, error) {
 	normal, err := c.BuildNormal(entries)
 	if err != nil {
 		return nil, nil, err
@@ -959,21 +961,46 @@ func (c *Chain) commit(entries []*block.Entry) ([]*block.Block, []mempool.MarkOu
 	if err != nil {
 		return nil, nil, err
 	}
-	appended := []*block.Block{normal}
+	return normal, outcomes, nil
+}
+
+// sealSummaries builds and appends the summary block Σ while the next
+// slot is a summary slot (the consensus-extension behaviour of §IV-B),
+// returning what it appended.
+func (c *Chain) sealSummaries() ([]*block.Block, error) {
+	var appended []*block.Block
 	for c.NextIsSummary() {
 		summary, err := c.BuildSummary()
 		if err != nil {
-			return appended, outcomes, err
+			return appended, err
 		}
 		if err := c.AppendBlock(summary); err != nil {
-			return appended, outcomes, err
+			return appended, err
 		}
 		appended = append(appended, summary)
 	}
-	return appended, outcomes, nil
+	return appended, nil
 }
 
-// AppendEmpty appends an empty filler block (and any due summary block).
+// commit appends a normal block holding entries with the summary blocks
+// due around it, returning every block appended, in chain order, and the
+// normal block's deletion-mark verdicts. A Σ can be due before the block:
+// the submission pipeline seals the Σ a batch leaves due only after the
+// batch's receipts resolved (sealer.AfterResolve).
+func (c *Chain) commit(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
+	// A lost race leaves a due Σ to its winner; any other failure leaves
+	// the slot due, and BuildNormal reports it.
+	appended, _ := c.sealSummaries()
+	normal, outcomes, err := c.commitNormal(entries)
+	if err != nil {
+		return appended, nil, err
+	}
+	after, err := c.sealSummaries()
+	return append(append(appended, normal), after...), outcomes, err
+}
+
+// AppendEmpty appends an empty filler block and the summary blocks due
+// around it, returning every block appended in chain order.
 // Deployed "to prevent a long delay in deletion … by regularly adding
 // empty blocks … if no transaction has occurred" (§IV-D.3). Like Submit
 // it can lose a head race against concurrent writers (ErrNotNext);
@@ -1112,10 +1139,17 @@ func (c *Chain) runCompaction(ev compact.Event) {
 			c.dependents[target] = kept
 		}
 	}
-	// Large cuts leave the entry index mostly dead buckets; rebuild it
-	// right-sized while we are already off the append path.
+	// Drop the candidates truncations pruned from the ordered list once
+	// they are a share of it, and, when large cuts left the entry index
+	// mostly dead buckets, rebuild it right-sized, while we are already
+	// off the append path.
+	c.ledger.compact(c.marker)
 	c.ledger.maybeShrink()
 	c.mu.Unlock()
+	// The store's disk work below blocks in fsync. Yield first, so the
+	// goroutine that resolved the truncating batch's receipts — an HTTP
+	// reply, say — runs before the compactor holds the processor.
+	runtime.Gosched()
 	for _, l := range c.listenersSnapshot() {
 		if tl, ok := l.(TruncateEventListener); ok {
 			tl.OnTruncateEvent(ev)

@@ -12,6 +12,9 @@ func (c *Chain) PlanVisitsForTest() (visited, cutHolds, prefix, carried int) {
 		return p.visited, 0, 0, len(p.block.Carried)
 	}
 	for _, cand := range c.ledger.ordered {
+		if cand.holder < c.marker {
+			continue // pruned by an earlier cut, not yet compacted away
+		}
 		if cand.holder < p.plan.newMarker {
 			cutHolds++
 		}

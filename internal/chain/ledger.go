@@ -88,6 +88,9 @@ type carriedLedger struct {
 	// arbitrary multiple of its live size; see maybeShrink.
 	peak     int
 	rebuilds uint64
+	// dead counts the candidates prune dropped that ordered still holds,
+	// until compact removes them.
+	dead int
 	// expireTime / expireBlock are min-heaps over the pending expiry
 	// deadlines of temporary entries (§IV-D.4). Planning peeks them to
 	// skip per-entry expiry checks entirely when no deadline has passed
@@ -185,25 +188,23 @@ func candidateLess(a, b *candidate) bool {
 	return a.ce.EntryNumber < b.ce.EntryNumber
 }
 
-// prune drops every candidate whose holder block was cut by a marker
-// shift, handing each to drop first (a marked entry is now physically
-// forgotten, any other is an expired temporary the merge left behind),
-// and lazily clears dead expiry-heap items.
-func (l *carriedLedger) prune(newMarker uint64, drop func(*candidate)) {
-	kept := l.ordered[:0]
-	for _, cand := range l.ordered {
-		if cand.holder < newMarker {
-			delete(l.byRef, cand.ce.Ref())
-			drop(cand)
-			continue
-		}
-		kept = append(kept, cand)
-	}
-	// Release the tail so dropped candidates become collectable.
-	for i := len(kept); i < len(l.ordered); i++ {
-		l.ordered[i] = nil
-	}
-	l.ordered = kept
+// prune drops every candidate whose holder block a marker shift from
+// marker to newMarker cut: those the cut blocks still hold once the Σ
+// that closed the cut has re-homed what it carries (walkCut). Each is
+// handed to drop first (a marked entry is now physically forgotten, any
+// other is an expired temporary the merge left behind) and leaves the
+// index; the cut summaries' held lists and dead expiry-heap items go
+// too. So a prune costs what the cut held, not everything live. The
+// dropped candidates stay in ordered, held below the new marker, until
+// the compactor's compact removes them; each lets go of its entry at
+// once, so an erased entry's bytes are not kept alive meanwhile.
+func (l *carriedLedger) prune(marker, newMarker uint64, drop func(*candidate)) {
+	l.walkCut(marker, newMarker, func(int) {}, func(cand *candidate) {
+		delete(l.byRef, cand.ce.Ref())
+		drop(cand)
+		cand.ce.Entry = nil
+		l.dead++
+	})
 	for num := range l.held {
 		if num < newMarker {
 			delete(l.held, num)
@@ -211,6 +212,33 @@ func (l *carriedLedger) prune(newMarker uint64, drop func(*candidate)) {
 	}
 	l.dropDeadHeapItems(&l.expireTime)
 	l.dropDeadHeapItems(&l.expireBlock)
+}
+
+// deadShare is the share of ordered that pruned candidates reach before
+// compact removes them: each compaction walks the whole list under the
+// chain lock, so it waits until it has about one candidate in
+// deadShare to remove, and costs a few steps per candidate pruned.
+const deadShare = 8
+
+// compact removes from ordered the candidates prune dropped, once they
+// are a deadShare-th of it: every one held below marker, since a live
+// entry is held by a live block. Until then they sit in the origin
+// range below the marker, which walkCut never visits and EntriesAfter
+// filters by holder.
+func (l *carriedLedger) compact(marker uint64) {
+	if l.dead*deadShare < len(l.ordered) {
+		return
+	}
+	l.dead = 0
+	kept := l.ordered[:0]
+	for _, cand := range l.ordered {
+		if cand.holder >= marker {
+			kept = append(kept, cand)
+		}
+	}
+	// Release the tail so dropped candidates become collectable.
+	clear(l.ordered[len(kept):])
+	l.ordered = kept
 }
 
 // walkCut hands visit, in (OriginBlock, EntryNumber) order, every
@@ -286,9 +314,9 @@ func (l *carriedLedger) maybeShrink() {
 	if l.peak < indexShrinkMinPeak || len(l.byRef)*indexShrinkFactor >= l.peak {
 		return
 	}
-	fresh := make(map[block.Ref]*candidate, len(l.ordered))
-	for _, cand := range l.ordered {
-		fresh[cand.ce.Ref()] = cand
+	fresh := make(map[block.Ref]*candidate, len(l.byRef))
+	for ref, cand := range l.byRef {
+		fresh[ref] = cand
 	}
 	l.byRef = fresh
 	l.peak = len(fresh)

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -100,5 +101,56 @@ func TestCarriedLeafHashedOncePerLife(t *testing.T) {
 	}
 	if diff := restored.indexDiffForTest(); diff != "" {
 		t.Fatal(diff)
+	}
+}
+
+// TestPruneLeavesOrderedToTheCompactor: a cut drops from the index what
+// the cut blocks held and lets go of each dropped entry at once; the
+// ordered list keeps the dropped candidates, below the marker, until
+// the compactor finds them a deadShare-th of it, so a compaction costs a
+// few steps per dropped candidate, however many entries stay live.
+func TestPruneLeavesOrderedToTheCompactor(t *testing.T) {
+	env := newEnv(t, "alpha")
+	cfg := Config{
+		SequenceLength: 3, MaxSequences: 4, Shrink: ShrinkMinimal,
+		Registry: env.registry, Clock: simclock.NewLogical(0),
+	}
+	c := newChain(t, cfg)
+	defer c.Close()
+	compactions, prevDead := 0, 0
+	var prev block.Ref
+	for round := 0; round < 120; round++ {
+		// Each block writes an entry, a temporary that lives for a block,
+		// and erases the entry before it.
+		entries := []*block.Entry{
+			env.data("alpha", fmt.Sprintf("e%03d", round)),
+			env.temp("alpha", fmt.Sprintf("t%03d", round), 0, c.NextNumber()+1),
+		}
+		if round > 0 {
+			entries = append(entries, env.del("alpha", prev))
+		}
+		prev = block.Ref{Block: mustSeal(t, c, entries...)[0].Header.Number}
+		if err := c.CompactWait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if diff := c.indexDiffForTest(); diff != "" {
+			t.Fatalf("round %d: %s", round, diff)
+		}
+		c.mu.RLock()
+		ordered, live, dead := len(c.ledger.ordered), len(c.ledger.byRef), c.ledger.dead
+		c.mu.RUnlock()
+		if ordered != live+dead {
+			t.Fatalf("round %d: ordered holds %d, live %d + pruned %d", round, ordered, live, dead)
+		}
+		if dead*deadShare >= ordered {
+			t.Fatalf("round %d: %d pruned candidates left in an ordered list of %d", round, dead, ordered)
+		}
+		if dead < prevDead {
+			compactions++
+		}
+		prevDead = dead
+	}
+	if compactions == 0 {
+		t.Fatal("the ordered list was never compacted: the fixture prunes too little")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/mempool"
@@ -38,7 +39,10 @@ func (c *Chain) Submit(ctx context.Context, entries ...*block.Entry) ([]mempool.
 
 // SubmitWait submits entries and blocks until every receipt resolves,
 // returning the sealed results in submission order. It fails fast on the
-// first per-entry error.
+// first per-entry error. Receipts resolve before the flusher seals the
+// summary block their block left due, so when that slot is due
+// SubmitWait waits for it too: when it returns, the chain is where the
+// flush left it, which is what synchronous callers read next.
 func (c *Chain) SubmitWait(ctx context.Context, entries ...*block.Entry) ([]mempool.Sealed, error) {
 	receipts, err := c.Submit(ctx, entries...)
 	if err != nil {
@@ -52,18 +56,23 @@ func (c *Chain) SubmitWait(ctx context.Context, entries ...*block.Entry) ([]memp
 		}
 		out[i] = s
 	}
+	if len(out) > 0 && c.isSummarySlot(out[0].Block+1) {
+		if err := c.awaitSummary(ctx, out[0].Block+1); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
 }
 
 // SealBlocks is the deterministic drivers' synchronous write: it seals
-// entries through the submission pipeline (SubmitWait) and returns the
-// blocks that flush appended — the normal block holding the entries
-// plus the directly following summary block, if that slot was due.
-// Single-threaded callers (experiments, scenario tests, examples) get
-// one block per call with exactly their entries; with concurrent
-// writers only the block actually holding the entries is guaranteed to
-// be theirs. Not part of the public façade — applications use
-// Submit/SubmitWait and receipts.
+// entries through the submission pipeline (SubmitWait, which waits for
+// a due summary block too) and returns the blocks that flush appended —
+// the normal block holding the entries plus the directly following
+// summary block, if that slot was due. Single-threaded callers
+// (experiments, scenario tests, examples) get one block per call with
+// exactly their entries; with concurrent writers only the block
+// actually holding the entries is guaranteed to be theirs. Not part of
+// the public façade — applications use Submit/SubmitWait and receipts.
 func SealBlocks(ctx context.Context, c *Chain, entries ...*block.Entry) ([]*block.Block, error) {
 	sealed, err := c.SubmitWait(ctx, entries...)
 	if err != nil {
@@ -81,6 +90,29 @@ func SealBlocks(ctx context.Context, c *Chain, entries ...*block.Entry) ([]*bloc
 		out = append(out, summary)
 	}
 	return out, nil
+}
+
+// awaitSummary waits until block num, the summary slot after a batch
+// whose receipts resolved, is appended, or the flusher has finished the
+// summary step after that batch, which appends it.
+func (c *Chain) awaitSummary(ctx context.Context, num uint64) error {
+	c.stepMu.Lock()
+	if c.summaryStep == nil {
+		c.summaryStep = make(chan struct{})
+	}
+	step := c.summaryStep
+	c.stepMu.Unlock()
+	// Checked after the channel is taken: a step that ends from here on
+	// closes it.
+	if c.NextNumber() > num {
+		return nil
+	}
+	select {
+	case <-step:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // pipeline lazily starts the batcher on first use.
@@ -129,14 +161,54 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 // on Chain itself.
 type sealer struct{ c *Chain }
 
-// Seal implements mempool.Ledger. After a store failure nothing more is
-// sealed: the pipeline then asks ValidateEntries which entries to
-// reject, and that answers with the same error for every one.
+// Seal implements mempool.Ledger: it appends the batch's normal block
+// only, and AfterResolve the summary block it leaves due. After a store
+// failure nothing more is sealed: the pipeline then asks
+// ValidateEntries which entries to reject, and that answers with the
+// same error for every one.
 func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
 	if err := s.c.StoreErr(); err != nil {
 		return nil, nil, err
 	}
-	return s.c.commit(entries)
+	normal, outcomes, err := s.c.commitNormal(entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []*block.Block{normal}, outcomes, nil
+}
+
+// AfterResolve implements mempool.PostResolver: once the batch's
+// receipts resolved — its block appended and, through the listeners,
+// stored — the summary block it left due is sealed, before the flusher
+// collects the next batch. So the write that closes a sequence does not
+// wait for Σ's build, its store record or the truncation it stages.
+// Then a SubmitWait waiting for that Σ is woken.
+func (s sealer) AfterResolve() {
+	defer s.c.endSummaryStep()
+	if s.c.StoreErr() != nil {
+		// After a store failure nothing more is sealed (Seal).
+		return
+	}
+	if s.c.NextIsSummary() {
+		// The receipts just woke their waiters onto this processor:
+		// let them reply before Σ's build takes it.
+		runtime.Gosched()
+	}
+	// A lost race leaves Σ to its winner (AppendEmpty beside the
+	// pipeline), and a store failure is latched by the store's recorder:
+	// neither is this batch's to report.
+	_, _ = s.c.sealSummaries()
+}
+
+// endSummaryStep wakes the callers awaitSummary has waiting on the
+// flusher's summary step.
+func (c *Chain) endSummaryStep() {
+	c.stepMu.Lock()
+	if c.summaryStep != nil {
+		close(c.summaryStep)
+		c.summaryStep = nil
+	}
+	c.stepMu.Unlock()
 }
 
 // ValidateEntries implements mempool.Ledger.

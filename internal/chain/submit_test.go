@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/mempool"
@@ -241,5 +242,92 @@ func TestPipelineStatsSurviveClose(t *testing.T) {
 	}
 	if after := c.PipelineStats(); after != before {
 		t.Errorf("stats lost on Close: %+v != %+v", after, before)
+	}
+}
+
+// holdSummaries is a listener that holds every summary block's append
+// until release is closed, reporting each one it holds on held.
+type holdSummaries struct {
+	held    chan uint64
+	release chan struct{}
+}
+
+func (h holdSummaries) OnAppend(b *block.Block) {
+	if b.IsSummary() {
+		h.held <- b.Header.Number
+		<-h.release
+	}
+}
+
+func (holdSummaries) OnTruncate(_, _ uint64) {}
+
+// TestReceiptsDoNotWaitForTheSummary: the batch whose block closes a
+// sequence resolves its receipts once that block is appended; the
+// summary block Σ it leaves due is sealed after them, so a receipt
+// resolves while Σ's append is still held. SubmitWait waits for Σ.
+func TestReceiptsDoNotWaitForTheSummary(t *testing.T) {
+	env := newEnv(t, "alice")
+	c := newChain(t, defaultConfig(env))
+	defer c.Close()
+	h := holdSummaries{held: make(chan uint64, 1), release: make(chan struct{})}
+	c.AddListener(h)
+	var release sync.Once
+	defer release.Do(func() { close(h.release) }) // before Close, which drains the flusher
+	ctx := context.Background()
+	// Genesis is block 0; block 1 closes the sequence and Σ is block 2.
+	receipts, err := c.Submit(ctx, env.data("alice", "closes"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	sealed, err := receipts[0].Wait(waitCtx)
+	if err != nil {
+		t.Fatalf("receipt of the closing write while Σ's append is held: %v", err)
+	}
+	if sealed.Block != 1 {
+		t.Fatalf("sealed in block %d, want 1", sealed.Block)
+	}
+	if num := <-h.held; num != 2 {
+		t.Fatalf("held summary %d, want 2", num)
+	}
+	release.Do(func() { close(h.release) })
+	if _, err := c.SubmitWait(ctx, env.data("alice", "next")); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok := c.Block(2); !ok || !b.IsSummary() {
+		t.Fatal("summary block 2 missing after the next write")
+	}
+}
+
+// TestSealBlocksReturnsTheDueSummary: a SealBlocks whose block leaves
+// the summary slot due returns Σ with it, and returns once Σ is
+// appended — the same blocks, and the same marker after each call, as a
+// chain sealing synchronously through commit.
+func TestSealBlocksReturnsTheDueSummary(t *testing.T) {
+	env := newEnv(t, "alice")
+	c := newChain(t, defaultConfig(env))
+	defer c.Close()
+	ref := newChain(t, defaultConfig(env))
+	ctx := context.Background()
+	for i := 0; i < 12; i++ {
+		e := env.data("alice", fmt.Sprintf("e%02d", i))
+		got, err := SealBlocks(ctx, c, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mustSeal(t, ref, e)
+		if len(got) != len(want) {
+			t.Fatalf("call %d: SealBlocks returned %d blocks, commit appended %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].Hash() != want[j].Hash() {
+				t.Fatalf("call %d: block %d differs from the synchronous chain's", i, got[j].Header.Number)
+			}
+		}
+		if c.Head().Number != got[len(got)-1].Header.Number || c.Marker() != ref.Marker() {
+			t.Fatalf("call %d: head %d marker %d, want %d and %d", i,
+				c.Head().Number, c.Marker(), got[len(got)-1].Header.Number, ref.Marker())
+		}
 	}
 }

@@ -305,7 +305,7 @@ func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
 	// ones are decremented here.) The sweep must stay logical and
 	// synchronous: a deferred one would let the NEXT summary plan carry
 	// entries whose holder blocks were already cut.
-	c.ledger.prune(c.marker, func(cand *candidate) {
+	c.ledger.prune(old, c.marker, func(cand *candidate) {
 		if cand.marked {
 			ref := cand.ce.Ref()
 			c.tombstoneLocked(c.marks[ref], cand.ce.Entry, cutBlocks, old)

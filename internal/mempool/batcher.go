@@ -134,6 +134,8 @@ type Batcher struct {
 	ledger  Ledger
 	warm    func([]*block.Entry) <-chan struct{}
 	durable func(func(error))
+	// after is the ledger's AfterResolve, nil when it is no PostResolver.
+	after func()
 
 	// mu guards closed; Submit holds it shared for the duration of its
 	// channel sends so Close (exclusive) cannot observe closed=true while
@@ -169,6 +171,9 @@ func NewBatcher(ledger Ledger, opts Options) *Batcher {
 		ch:      make(chan group, maxBatch),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	if pr, ok := ledger.(PostResolver); ok {
+		b.after = pr.AfterResolve
 	}
 	go b.run()
 	return b
@@ -420,6 +425,9 @@ func (b *Batcher) flush(batch []group) {
 				b.durable(resolve)
 			} else {
 				resolve(nil)
+			}
+			if b.after != nil {
+				b.after()
 			}
 			return
 		}

@@ -33,11 +33,21 @@ var ErrClosed = errors.New("mempool: pipeline closed")
 // sealing primitive.
 type Ledger interface {
 	// Seal builds, seals, and appends one normal block holding entries
-	// (plus any due summary block), returning the appended blocks and,
+	// (plus any due summary block, unless the ledger is a PostResolver),
+	// returning the appended blocks, the batch's block first, and,
 	// aligned with entries, the mark outcome of each deletion request
 	// processed during the append (nil when the batch held none).
 	Seal(entries []*block.Entry) ([]*block.Block, []MarkOutcome, error)
 	// ValidateEntries checks candidate entries against the live chain
 	// state without building a block.
 	ValidateEntries(entries []*block.Entry) error
+}
+
+// PostResolver is an optional Ledger extension. The flusher calls
+// AfterResolve once a sealed batch's receipts were resolved, or handed
+// to Options.Durable, and before it collects the next batch. A chain
+// seals the summary block its batch left due there, so the receipts of
+// the batch that closes a sequence do not wait for the summary.
+type PostResolver interface {
+	AfterResolve()
 }

@@ -48,15 +48,14 @@ func HashLeaf(data []byte) codec.Hash {
 	return out
 }
 
-// hashInterior combines two child hashes.
+// hashInterior combines two child hashes: one sha256.Sum256 over a
+// stack buffer.
 func hashInterior(left, right codec.Hash) codec.Hash {
-	h := sha256.New()
-	h.Write([]byte{interiorPrefix})
-	h.Write(left[:])
-	h.Write(right[:])
-	var out codec.Hash
-	h.Sum(out[:0])
-	return out
+	var buf [1 + 2*codec.HashSize]byte
+	buf[0] = interiorPrefix
+	copy(buf[1:], left[:])
+	copy(buf[1+codec.HashSize:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // Tree is an immutable Merkle tree over a list of leaf payloads.

@@ -1,6 +1,8 @@
 package merkle
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -251,5 +253,29 @@ func TestRootFromHashesMatchesTree(t *testing.T) {
 	}
 	if !slices.Equal(hs, orig) {
 		t.Fatal("RootFromHashes wrote into its input")
+	}
+}
+
+// TestHashingAllocatesNothing pins the hashing at the bottom of every
+// commitment to zero heap allocations: a leaf of an entry's size, and an
+// interior node, which hashes one stack buffer and must equal the
+// streamed domain-separated construction.
+func TestHashingAllocatesNothing(t *testing.T) {
+	leaf := bytes.Repeat([]byte{'e'}, 400)
+	l, r := HashLeaf(leaf), HashLeaf([]byte("right"))
+	if allocs := testing.AllocsPerRun(100, func() { HashLeaf(leaf) }); allocs != 0 {
+		t.Errorf("HashLeaf of %d bytes: %v allocations, want 0", len(leaf), allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { hashInterior(l, r) }); allocs != 0 {
+		t.Errorf("hashInterior: %v allocations, want 0", allocs)
+	}
+	h := sha256.New()
+	h.Write([]byte{interiorPrefix})
+	h.Write(l[:])
+	h.Write(r[:])
+	var want codec.Hash
+	h.Sum(want[:0])
+	if got := hashInterior(l, r); got != want {
+		t.Errorf("hashInterior = %s, want %s", got, want)
 	}
 }

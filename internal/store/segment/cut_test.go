@@ -2,6 +2,7 @@ package segment
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,4 +175,103 @@ func TestCutInsideASegmentIsRefused(t *testing.T) {
 	s = open(t, dir, Options{})
 	defer s.Close()
 	check(s, "after a reopen")
+}
+
+// TestSequenceBoundaryFsyncs pins what a sequence boundary costs in
+// fsyncs, counted at each place the store issues one: Σ's append, its
+// cut and the append after it issue four in all — the segment holding
+// Σ, the DELETIONS record, and one MANIFEST rewrite (its temporary file
+// and the directory) — and both appends issue none. The cut starts the
+// next segment itself, so the append after Σ rolls nothing.
+func TestSequenceBoundaryFsyncs(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	defer s.Close()
+	blocks := fill(t, s, 5)
+	sigma := testBlock(t, 5, blocks[4])
+	next := testBlock(t, 6, sigma)
+	if !sigma.IsSummary() {
+		t.Fatal("block 5 is not a summary block; the fixture changed")
+	}
+	steps := []struct {
+		name string
+		run  func() error
+		want fsyncSites
+	}{
+		{"Σ's PutBlock", func() error { return s.PutBlock(sigma) }, fsyncSites{}},
+		{"the cut", func() error {
+			return s.DeleteBelowRecord(3, &manifestlog.Record{NewMarker: 3})
+		}, fsyncSites{segment: 1, deletions: 1, manifest: 2}},
+		{"the next PutBlock", func() error { return s.PutBlock(next) }, fsyncSites{}},
+	}
+	var total uint64
+	for _, st := range steps {
+		before := s.fsyncSites()
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		got := s.fsyncSites().since(before)
+		total += got.total()
+		if got != st.want {
+			t.Errorf("%s: fsyncs %+v, want %+v", st.name, got, st.want)
+		}
+	}
+	if total != 4 {
+		t.Errorf("one sequence boundary issued %d fsyncs, want 4", total)
+	}
+	s.mu.Lock()
+	sigmaSeg, nextSeg := s.index[5].seg, s.index[6].seg
+	s.mu.Unlock()
+	if sigmaSeg == nextSeg {
+		t.Errorf("block 6 shares segment %d with Σ: a segment spans the sequence start", sigmaSeg.id)
+	}
+}
+
+// TestSyncCoversANewSegmentsEntry: a record is durable only once the
+// segment file holding it is reachable, so a Sync that covers records in
+// a segment created since the directory was last fsynced syncs the
+// directory too. A cut starts the next segment before its DELETIONS
+// append; when that append fails, no MANIFEST rewrite makes the new
+// segment's entry durable, and the next Sync must.
+func TestSyncCoversANewSegmentsEntry(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	defer s.Close()
+	blocks := fill(t, s, 6)
+	if err := s.DeleteBelowRecord(3, &manifestlog.Record{Seq: 5, NewMarker: 3}); err != nil {
+		t.Fatal(err)
+	}
+	prev := blocks[5]
+	for num := uint64(6); num < 9; num++ {
+		prev = testBlock(t, num, prev)
+		if err := s.PutBlock(prev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sequence number 1 is behind the log's next: the append fails after
+	// the cut started the segment after Σ (block 8).
+	if err := s.DeleteBelowRecord(6, &manifestlog.Record{Seq: 1, NewMarker: 6}); !errors.Is(err, manifestlog.ErrSeqOrder) {
+		t.Fatalf("cut with a stale sequence number: %v, want ErrSeqOrder", err)
+	}
+	if err := s.PutBlock(testBlock(t, 9, prev)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	fresh := s.index[9].seg != s.index[8].seg
+	s.mu.Unlock()
+	if !fresh {
+		t.Fatal("block 9 shares Σ's segment: the failed cut started none")
+	}
+	before := s.fsyncSites()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.fsyncSites().since(before), (fsyncSites{segment: 1, dir: 1}); got != want {
+		t.Errorf("Sync over a new segment: fsyncs %+v, want %+v", got, want)
+	}
+	before = s.fsyncSites()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.fsyncSites().since(before), (fsyncSites{segment: 1}); got != want {
+		t.Errorf("Sync once the directory is synced: fsyncs %+v, want %+v", got, want)
+	}
 }

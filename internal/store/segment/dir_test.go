@@ -15,6 +15,7 @@ import (
 	"github.com/seldel/seldel/internal/doctor"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
+	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -85,24 +86,15 @@ func plantRetiredSnapshot(t *testing.T, dir string, marker *block.Block, head ui
 	}
 }
 
-// TestStoreDirHoldsOnlyItsFiles: after truncations, a reopen and an
-// archive, a store directory holds segment files, MANIFEST, DELETIONS and
-// DELETIONS.archive and nothing else, so the marker block is stored once.
-// A SNAPSHOT left by an older store is flagged by the doctor's check and
-// removed by Open, with the marker and head hash unchanged.
-func TestStoreDirHoldsOnlyItsFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := segment.Open(dir, segment.Options{SegmentBytes: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
+// putSequences puts blocks 0..n-1 into s and returns them: a summary
+// block Σ ends every third slot, as a chain with SequenceLength 3 seals
+// it, so markers at multiples of 3 are sequence starts.
+func putSequences(t *testing.T, s *segment.Store, n uint64) []*block.Block {
+	t.Helper()
 	kp := identity.Deterministic("alpha", "segment-dir-test")
 	var blocks []*block.Block
 	prevHash := block.GenesisPrevHash
-	for num := uint64(0); num < 24; num++ {
-		// A summary block Σ ends every third slot, as a chain with
-		// SequenceLength 3 seals it: markers 6, 12 and 15 are sequence
-		// starts.
+	for num := uint64(0); num < n; num++ {
 		e := block.NewData("alpha", []byte(fmt.Sprintf("payload-%d", num))).Sign(kp)
 		b := block.NewNormal(num, num+1, prevHash, []*block.Entry{e})
 		if (num+1)%3 == 0 {
@@ -114,6 +106,22 @@ func TestStoreDirHoldsOnlyItsFiles(t *testing.T) {
 		blocks = append(blocks, b)
 		prevHash = b.Hash()
 	}
+	return blocks
+}
+
+// TestStoreDirHoldsOnlyItsFiles: after truncations, a reopen and an
+// archive, a store directory holds segment files, MANIFEST, DELETIONS and
+// DELETIONS.archive and nothing else, so the marker block is stored once.
+// A SNAPSHOT left by an older store is flagged by the doctor's check and
+// removed by Open, with the marker and head hash unchanged.
+func TestStoreDirHoldsOnlyItsFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := segment.Open(dir, segment.Options{SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Markers 6, 12 and 15 are sequence starts.
+	blocks := putSequences(t, s, 24)
 	var old uint64
 	for _, m := range []uint64{6, 12, 15} {
 		if err := s.DeleteBelowRecord(m, &manifest.Record{OldMarker: old, NewMarker: m}); err != nil {
@@ -163,5 +171,178 @@ func TestStoreDirHoldsOnlyItsFiles(t *testing.T) {
 	}
 	if !rep.Clean() {
 		t.Errorf("check after Open: %+v, want clean", rep.Findings)
+	}
+}
+
+// dirFiles reads every file in dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = raw
+	}
+	return files
+}
+
+// TestRecoverInterruptedBoundaryCut is TestRecoverInterruptedTruncation
+// for the order a sequence boundary's cut now runs in: sync Σ's segment
+// and start the next one, append the DELETIONS record, unlink the cut
+// segments, rewrite MANIFEST once. It stages the directory a crash
+// leaves after each step that is not the last — and, for a record-less
+// DeleteBelow, which rewrites MANIFEST before its unlinks, a crash
+// between two unlinks. The doctor reports only findings its repair
+// resolves, and the repair leaves the directory clean and holding only
+// the store's files; a plain Open recovers to the durable marker, serves
+// no cut block and every live one.
+func TestRecoverInterruptedBoundaryCut(t *testing.T) {
+	const from, marker = 3, 9
+	for _, tc := range []struct {
+		name string
+		// stage turns the directory after the cut into the crash state,
+		// given its files before the cut and after it.
+		stage    func(t *testing.T, dir string, before, after map[string][]byte)
+		recorded bool
+	}{
+		{"after the DELETIONS append", func(t *testing.T, dir string, before, _ map[string][]byte) {
+			restore(t, dir, before, func(name string) bool { return true })
+		}, true},
+		{"after the unlinks, before the MANIFEST rename", func(t *testing.T, dir string, before, _ map[string][]byte) {
+			restore(t, dir, before, func(name string) bool { return name == "MANIFEST" })
+		}, true},
+		{"with MANIFEST.tmp left behind", func(t *testing.T, dir string, before, after map[string][]byte) {
+			restore(t, dir, before, func(name string) bool { return name == "MANIFEST" })
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST.tmp"), after["MANIFEST"], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, true},
+		{"record-less, after one of its unlinks", func(t *testing.T, dir string, before, after map[string][]byte) {
+			unlinked := 0
+			restore(t, dir, before, func(name string) bool {
+				if _, kept := after[name]; kept || name == "MANIFEST" || unlinked > 0 {
+					return false
+				}
+				unlinked++
+				return true
+			})
+			if unlinked == 0 {
+				t.Fatal("the cut unlinked no segment; nothing to stage")
+			}
+			// The MANIFEST the cut wrote before its unlinks, which still
+			// lists the segments they removed; Close rewrote it since.
+			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), after["MANIFEST"], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			staged := make([]string, 2)
+			var blocks []*block.Block
+			for i := range staged {
+				dir := t.TempDir()
+				s, err := segment.Open(dir, segment.Options{SegmentBytes: 512})
+				if err != nil {
+					t.Fatal(err)
+				}
+				blocks = putSequences(t, s, 12)
+				if err := s.DeleteBelowRecord(from, &manifest.Record{NewMarker: from}); err != nil {
+					t.Fatal(err)
+				}
+				before := dirFiles(t, dir)
+				if tc.recorded {
+					err = s.DeleteBelowRecord(marker, &manifest.Record{OldMarker: from, NewMarker: marker})
+				} else {
+					err = s.DeleteBelow(marker)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := dirFiles(t, dir)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				tc.stage(t, dir, before, after)
+				staged[i] = dir
+			}
+
+			// The doctor, on the first copy.
+			rep, err := doctor.Run(staged[0], doctor.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range rep.Findings {
+				if !f.Repairable {
+					t.Errorf("finding %s (%s) is not repairable: %s", f.Code, f.Severity, f.Detail)
+				}
+			}
+			if rep.Marker != marker {
+				t.Errorf("doctor's effective marker %d, want %d", rep.Marker, marker)
+			}
+			rep, err = doctor.Run(staged[0], doctor.Options{Repair: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() {
+				t.Errorf("after repair: %+v, want clean", rep.Findings)
+			}
+			storeFiles(t, staged[0])
+
+			// A plain Open, on the second.
+			s, err := segment.Open(staged[1], segment.Options{SegmentBytes: 512})
+			if err != nil {
+				t.Fatalf("Open after the crash: %v", err)
+			}
+			defer s.Close()
+			if m, err := s.Marker(); err != nil || m != marker {
+				t.Errorf("marker %d (%v), want %d", m, err, marker)
+			}
+			for _, want := range blocks {
+				got, err := s.GetBlock(want.Header.Number)
+				switch {
+				case want.Header.Number < marker:
+					if !errors.Is(err, store.ErrNotFound) {
+						t.Errorf("cut block %d readable: %v", want.Header.Number, err)
+					}
+				case err != nil || got.Hash() != want.Hash():
+					t.Errorf("live block %d: %v", want.Header.Number, err)
+				}
+			}
+			var streamed []uint64
+			for b, err := range s.Stream() {
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, b.Header.Number)
+			}
+			if want := []uint64{9, 10, 11}; !slices.Equal(streamed, want) {
+				t.Errorf("streamed %v, want %v", streamed, want)
+			}
+		})
+	}
+}
+
+// restore writes back, as they were before the cut, the files pick
+// names; DELETIONS keeps the record the cut appended.
+func restore(t *testing.T, dir string, before map[string][]byte, pick func(name string) bool) {
+	t.Helper()
+	names := make([]string, 0, len(before))
+	for name := range before {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		if name == manifest.FileName || !pick(name) {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), before[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -18,11 +18,15 @@
 //     append. The store syncs on segment roll, truncation, and Close —
 //     and on demand via Sync, which is the hook the chain's group-commit
 //     durability mode uses to make many appended blocks durable with one
-//     fsync before their receipts resolve.
+//     fsync before their receipts resolve. A Sync over a segment created
+//     since the directory was last fsynced fsyncs the directory too, so
+//     the records it covers are reachable after a crash.
 //   - A segment rolls before the block after a summary block Σ (a Σ ends
 //     its sequence), before a block that does not follow its last number,
 //     and on the first append after Open, so a segment never spans a
-//     sequence start. Within a sequence it also rolls on the first append
+//     sequence start. At a sequence boundary the cut that follows Σ
+//     (DeleteBelowRecord) starts the next segment itself, so the append
+//     after Σ rolls nothing and issues no fsync. Within a sequence it also rolls on the first append
 //     after it has reached SegmentBytes, so it exceeds the threshold by
 //     less than one record and a record larger than a segment costs one
 //     roll, not two. Live segments are therefore at least live sequences:
@@ -47,10 +51,15 @@
 //     Genesis marker and the expected segment set; Open reconciles it
 //     against the directory, truncating torn record tails and
 //     completing interrupted truncations.
-//   - The Genesis marker has two durable homes: the DELETIONS head,
-//     appended first, rolls an interrupted truncation forward; MANIFEST,
-//     rewritten before any unlink, is the only home of a
-//     record-less DeleteBelow. Open takes the larger of the two.
+//   - The Genesis marker has two durable homes. A cut pays for both in
+//     four fsyncs, in this order: the segment holding Σ; the DELETIONS
+//     record, which from then on rolls an interrupted truncation
+//     forward; and one MANIFEST rewrite after the unlinks (its temporary
+//     file and the directory, whose fsync makes the unlinks and the new
+//     segment's entry durable). A record-less DeleteBelow has MANIFEST
+//     alone, so it rewrites MANIFEST before its unlinks. Open takes the
+//     larger of the two markers, and a segment MANIFEST lists but the
+//     directory lacks is data loss only at or above it.
 //   - The marker block itself — the paper's trusted anchor for the cut
 //     part (§IV-C) — is stored once, as the first live record. Stream
 //     starts at it, so a restore replays only the live suffix even when

@@ -26,3 +26,29 @@ func (s *Store) RecordBufferForTest() []byte {
 	defer s.mu.Unlock()
 	return s.rec[:cap(s.rec)]
 }
+
+// fsyncSites counts the fsyncs a store issued at each place it issues
+// them: segment data files, the directory on its own, DELETIONS appends
+// and MANIFEST rewrites (two each).
+type fsyncSites struct{ segment, dir, deletions, manifest uint64 }
+
+func (s *Store) fsyncSites() fsyncSites {
+	return fsyncSites{
+		segment:   s.fsyncs[syncSegment].Load(),
+		dir:       s.fsyncs[syncDir].Load(),
+		deletions: s.fsyncs[syncDeletions].Load(),
+		manifest:  s.fsyncs[syncManifest].Load(),
+	}
+}
+
+// since returns the fsyncs issued between before and f.
+func (f fsyncSites) since(before fsyncSites) fsyncSites {
+	return fsyncSites{
+		segment:   f.segment - before.segment,
+		dir:       f.dir - before.dir,
+		deletions: f.deletions - before.deletions,
+		manifest:  f.manifest - before.manifest,
+	}
+}
+
+func (f fsyncSites) total() uint64 { return f.segment + f.dir + f.deletions + f.manifest }

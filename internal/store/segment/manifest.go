@@ -90,7 +90,9 @@ func readManifest(dir string) (*manifest, error) {
 
 // writeManifestLocked persists the current marker and segment set
 // atomically (temp file + fsync + rename + directory fsync), so a crash
-// leaves either the old or the new manifest, never a torn one.
+// leaves either the old or the new manifest, never a torn one. Its
+// directory fsync also makes every earlier unlink and segment creation
+// in the directory durable.
 func (s *Store) writeManifestLocked() error {
 	var b strings.Builder
 	fmt.Fprintln(&b, manifestHeader)
@@ -101,5 +103,7 @@ func (s *Store) writeManifestLocked() error {
 	if err := manifestlog.WriteFileAtomic(filepath.Join(s.dir, manifestName), []byte(b.String())); err != nil {
 		return fmt.Errorf("segment: manifest: %w", err)
 	}
+	s.fsyncs[syncManifest].Add(2)
+	s.dirDirty = false
 	return nil
 }

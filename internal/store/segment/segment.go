@@ -106,13 +106,33 @@ type Store struct {
 	// rollNext makes the next PutBlock start a new segment: the last
 	// record appended was a summary block Σ, which ends its sequence, or
 	// the store was just opened and does not know whether its active
-	// segment ended on one.
+	// segment ended on one. A cut that finds it set starts that segment
+	// itself, so the append after a sequence boundary rolls nothing.
 	rollNext bool
-	// fsyncs counts fsyncs issued against segment data files and the
-	// store directory (metadata marker files are excluded);
-	// TestFsyncsPerBlock divides it by blocks appended.
-	fsyncs atomic.Uint64
+	// dirDirty reports a segment file created since the store directory
+	// was last fsynced: its directory entry, and so every record in it,
+	// is not durable until the next MANIFEST rewrite or directory sync.
+	dirDirty bool
+	// fsyncs counts the fsyncs the store issues, by what they make
+	// durable (the sync* sites below). FsyncCount reports the segment
+	// data and bare directory fsyncs; TestSequenceBoundaryFsyncs reads
+	// every site.
+	fsyncs [syncSites]atomic.Uint64
 }
+
+// The places a store issues fsyncs, indexing Store.fsyncs.
+const (
+	// syncSegment is one fsync of a segment data file.
+	syncSegment = iota
+	// syncDir is one fsync of the store directory on its own.
+	syncDir
+	// syncDeletions is the fsync of one DELETIONS append.
+	syncDeletions
+	// syncManifest counts a MANIFEST rewrite's two fsyncs: its temporary
+	// file, and the directory after the rename.
+	syncManifest
+	syncSites
+)
 
 var _ store.Store = (*Store)(nil)
 
@@ -149,7 +169,8 @@ func checkLayout(dir string) error {
 // the manifest against the segment files actually present: torn tails
 // are truncated to the last durable record, segments created but not
 // yet recorded are adopted, and truncations interrupted mid-flight
-// (manifest advanced, files not yet unlinked) are completed. The
+// (DELETIONS or MANIFEST advanced, files not yet unlinked or MANIFEST
+// not yet rewritten) are completed. The
 // reconciled state is re-persisted before Open returns, and a leftover
 // SNAPSHOT file (retiredSnapshotName) is removed. A directory in a
 // retired layout fails with ErrRetiredLayout.
@@ -234,15 +255,16 @@ func (s *Store) recover(man *manifest) error {
 		onDisk[id] = filepath.Join(s.dir, e.Name())
 	}
 	// A segment the manifest expects but the directory lacks is fine
-	// only when the whole segment was already logically cut: then the
-	// crash hit between the manifest update and the unlink's sibling
-	// operations, and the deletion simply completed. Anything else is
-	// real data loss and must fail loudly.
+	// only when the whole segment was already logically cut, below the
+	// effective marker: a cut unlinks after its DELETIONS append and
+	// before the MANIFEST rewrite, so a crash in between leaves MANIFEST
+	// listing what the unlinks removed. Anything else is real data loss
+	// and must fail loudly.
 	for _, ms := range man.segments {
 		if _, ok := onDisk[ms.id]; ok {
 			continue
 		}
-		if ms.count == 0 || ms.last < man.marker {
+		if ms.count == 0 || ms.last < s.marker {
 			continue
 		}
 		return fmt.Errorf("segment: segment %d (blocks %d-%d) listed in manifest but missing on disk", ms.id, ms.first, ms.last)
@@ -393,6 +415,7 @@ func (s *Store) startSegmentLocked(id uint64) error {
 		f:    f,
 		size: int64(len(segMagic)),
 	})
+	s.dirDirty = true
 	return nil
 }
 
@@ -518,14 +541,44 @@ func (s *Store) rollLocked() error {
 	if err := act.f.Sync(); err != nil {
 		return fmt.Errorf("segment: seal segment %d: %w", act.id, err)
 	}
-	s.fsyncs.Add(1)
+	s.fsyncs[syncSegment].Add(1)
+	if err := s.startNextLocked(); err != nil {
+		return err
+	}
+	return s.writeManifestLocked()
+}
+
+// startNextLocked seals the active segment, whose records the caller
+// has fsynced, and starts its successor. The sealed segment's handle
+// becomes a read handle: it joins the LRU so long-lived stores stop
+// accumulating descriptors.
+func (s *Store) startNextLocked() error {
+	act := s.active()
 	if err := s.startSegmentLocked(act.id + 1); err != nil {
 		return err
 	}
-	// The sealed segment's handle becomes a read handle: track it in
-	// the LRU so long-lived stores stop accumulating descriptors.
 	s.lruInsert(act)
-	return s.writeManifestLocked()
+	s.rollNext = false
+	return nil
+}
+
+// syncActiveLocked fsyncs the active segment and, when a segment was
+// created since the directory was last synced, the directory too:
+// records are durable only once the file that holds them is reachable.
+func (s *Store) syncActiveLocked() error {
+	if err := s.active().f.Sync(); err != nil {
+		return err
+	}
+	s.fsyncs[syncSegment].Add(1)
+	if !s.dirDirty {
+		return nil
+	}
+	if err := manifestlog.SyncDir(s.dir); err != nil {
+		return err
+	}
+	s.fsyncs[syncDir].Add(1)
+	s.dirDirty = false
+	return nil
 }
 
 // GetBlock loads one block: one pread via the offset index. The block
@@ -623,28 +676,35 @@ func (s *Store) Stream() iter.Seq2[*block.Block, error] {
 	}
 }
 
-// DeleteBelow implements store.Store: persist the marker in MANIFEST,
-// then physically retire the cut prefix by unlinking the segments below
-// the marker — one syscall each, however many blocks they held. A
-// segment never spans a sequence start (PutBlock), so at a marker the
-// chain sets every segment lies wholly on one side; a marker inside a
-// segment is refused before anything is made durable. The durable
-// ordering (marker first, unlinks second) makes an interrupted
-// truncation recoverable: Open completes the deletion instead of
-// resurrecting cut blocks. Without a record, MANIFEST is the marker's
-// only durable home (the store.Attach path).
+// DeleteBelow implements store.Store: retire the cut prefix by
+// unlinking the segments below the marker — one syscall each, however
+// many blocks they held. A segment never spans a sequence start
+// (PutBlock), so at a marker the chain sets every segment lies wholly on
+// one side; a marker inside a segment is refused before anything is made
+// durable. Without a record, MANIFEST is the marker's only durable home
+// (the store.Attach path), so it is rewritten before the unlinks: Open
+// then completes an interrupted truncation instead of resurrecting cut
+// blocks.
 func (s *Store) DeleteBelow(marker uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.deleteBelowLocked(marker, nil)
 }
 
-// DeleteBelowRecord is DeleteBelow with a deletion-manifest record:
-// rec is appended durably to the DELETIONS log after the active
-// segment syncs and before MANIFEST shifts, so the audit trail exists
-// from the first moment the deletion can become visible, and a crash
-// before the MANIFEST rewrite rolls forward to rec's marker. The
-// assigned manifest sequence number is written back into rec.
+// DeleteBelowRecord is DeleteBelow with a deletion-manifest record, and
+// the one place a sequence boundary pays for durability:
+//
+//  1. fsync the active segment, which holds the summary block Σ;
+//  2. if Σ ended it (rollNext), start the next segment, so the append
+//     after the boundary rolls nothing;
+//  3. append rec to DELETIONS and fsync it: from here the marker is
+//     durable, and a crash rolls forward to rec's marker;
+//  4. unlink the cut segments;
+//  5. rewrite MANIFEST once, whose directory fsync makes the unlinks and
+//     the new segment's entry durable.
+//
+// Four fsyncs in all. The assigned manifest sequence number is written
+// back into rec.
 func (s *Store) DeleteBelowRecord(marker uint64, rec *manifestlog.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -663,20 +723,27 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 			return fmt.Errorf("segment: marker %d is not a segment boundary: segment %d holds blocks %d-%d", marker, seg.id, seg.first, seg.last)
 		}
 	}
-	if err := s.active().f.Sync(); err != nil {
+	if err := s.syncActiveLocked(); err != nil {
 		return fmt.Errorf("segment: sync before truncate: %w", err)
 	}
-	s.fsyncs.Add(1)
+	if s.rollNext && s.active().size > int64(len(segMagic)) {
+		if err := s.startNextLocked(); err != nil {
+			return err
+		}
+	}
 	if rec != nil {
 		stored, err := s.del.Append(*rec)
 		if err != nil {
 			return err
 		}
+		s.fsyncs[syncDeletions].Add(1)
 		rec.Seq = stored.Seq
 	}
 	s.marker = marker
-	if err := s.writeManifestLocked(); err != nil {
-		return err
+	if rec == nil {
+		if err := s.writeManifestLocked(); err != nil {
+			return err
+		}
 	}
 	for num, loc := range s.index {
 		if num < marker {
@@ -712,15 +779,12 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 			return err
 		}
 	}
-	// Make the unlinks durable before the manifest stops listing the
-	// retired segments, so a power loss cannot surface a manifest that
-	// expects files whose deletion already reached the disk (or vice
-	// versa leave both — either ordering is recoverable, torn metadata
-	// is not).
-	if err := manifestlog.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("segment: %w", err)
+	if rec == nil {
+		// The unlinks become durable with the next directory sync; a
+		// crash before it leaves segments wholly below the MANIFEST
+		// marker, which Open unlinks again.
+		return nil
 	}
-	s.fsyncs.Add(1)
 	return s.writeManifestLocked()
 }
 
@@ -748,19 +812,23 @@ func (s *Store) Sync() error {
 	if s.closed {
 		return store.ErrClosed
 	}
-	if err := s.active().f.Sync(); err != nil {
+	if err := s.syncActiveLocked(); err != nil {
 		return fmt.Errorf("segment: sync: %w", err)
 	}
-	s.fsyncs.Add(1)
 	return nil
 }
 
 // FsyncCount reports the number of fsyncs issued so far against
-// segment data files and the store directory. Marker metadata writes
-// (MANIFEST, DELETIONS) are excluded: the counter exists
-// to measure append-path durability cost, where the segment data sync
-// is the unit of work group commit amortizes.
-func (s *Store) FsyncCount() uint64 { return s.fsyncs.Load() }
+// segment data files, and against the store directory on its own (Sync
+// after a segment was created). Marker metadata writes — a DELETIONS
+// append, a MANIFEST rewrite and the directory fsync inside it — are
+// excluded: the counter exists to measure append-path durability cost,
+// where the segment data sync is the unit of work group commit
+// amortizes. A sequence boundary's cut issues one of these and three
+// metadata fsyncs; the append after it issues none.
+func (s *Store) FsyncCount() uint64 {
+	return s.fsyncs[syncSegment].Load() + s.fsyncs[syncDir].Load()
+}
 
 // SegmentCount returns the number of live segment files (observability
 // for tests, examples and the repo benchmark).
@@ -783,7 +851,7 @@ func (s *Store) Close() error {
 	}
 	err := s.active().f.Sync()
 	if err == nil {
-		s.fsyncs.Add(1)
+		s.fsyncs[syncSegment].Add(1)
 	}
 	if merr := s.writeManifestLocked(); err == nil {
 		err = merr
