@@ -12,9 +12,9 @@ import (
 
 // Submit enqueues entries into the chain's submission pipeline and
 // returns one Receipt per entry, in order. Entries from many concurrent
-// callers are coalesced into full blocks by a single flusher (flushing
-// when the batch reaches 256 entries or when the submission stream goes
-// idle, after an adaptive linger under load), so Submit is the
+// callers are coalesced into blocks by a single flusher: a block holds
+// the oldest queued submission and those queued behind it whose
+// signatures have already verified, up to 256 entries. So Submit is the
 // concurrency-safe write path: concurrent Submits never race each other
 // for the head block.
 //
@@ -183,21 +183,32 @@ func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutc
 // collects the next batch. So the write that closes a sequence does not
 // wait for Σ's build, its store record or the truncation it stages.
 // Then a SubmitWait waiting for that Σ is woken.
+//
+// When Σ cut the chain, the flusher seals nothing more until the
+// compactor has executed that cut. A store ends a segment with every
+// Σ, and the cut starts the next one together with the fsyncs it
+// pays anyway; the block after Σ, stored first, would pay a roll of
+// its own on the writer's path.
 func (s sealer) AfterResolve() {
 	defer s.c.endSummaryStep()
 	if s.c.StoreErr() != nil {
 		// After a store failure nothing more is sealed (Seal).
 		return
 	}
-	if s.c.NextIsSummary() {
-		// The receipts just woke their waiters onto this processor:
-		// let them reply before Σ's build takes it.
-		runtime.Gosched()
+	if !s.c.NextIsSummary() {
+		return
 	}
+	// The receipts just woke their waiters onto this processor: let
+	// them reply before Σ's build takes it.
+	runtime.Gosched()
+	marker := s.c.Marker()
 	// A lost race leaves Σ to its winner (AppendEmpty beside the
 	// pipeline), and a store failure is latched by the store's recorder:
 	// neither is this batch's to report.
 	_, _ = s.c.sealSummaries()
+	if s.c.Marker() != marker {
+		_ = s.c.CompactWait(context.Background())
+	}
 }
 
 // endSummaryStep wakes the callers awaitSummary has waiting on the
@@ -220,10 +231,9 @@ func (s sealer) ValidateEntries(entries []*block.Entry) error {
 }
 
 // PipelineStats returns the submission pipeline's cumulative counters
-// and backpressure gauges: intake-queue depth/capacity, the adaptive
-// linger currently applied, the verifier's curve work and cache
-// effectiveness, and the background compactor's progress
-// (pending truncations, blocks/bytes physically reclaimed). The
+// and backpressure gauges: intake-queue depth/capacity, the verifier's
+// curve work and cache effectiveness, and the background compactor's
+// progress (pending truncations, blocks/bytes physically reclaimed). The
 // counters survive Close, so shutdown reports see the final totals;
 // the verify and compaction snapshots are filled even before the first
 // Submit. Note the verify gauges describe the chain's POOL: when

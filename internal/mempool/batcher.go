@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/compact"
@@ -16,11 +15,6 @@ import (
 // at least this many entries. One Submit call's entries always stay
 // together, so a single oversized call may exceed it.
 const maxBatch = 256
-
-// maxAutoLinger caps the adaptive linger so a mis-measured flush (a cold
-// proof-of-work seal, a disk stall) never turns into a visible stall of
-// the pipeline.
-const maxAutoLinger = 5 * time.Millisecond
 
 // errLedgerContract flags a Ledger.Seal that returned neither blocks
 // nor an error.
@@ -75,17 +69,13 @@ type Stats struct {
 	Entries uint64
 	// Rejected counts entries whose receipts resolved with an error.
 	Rejected uint64
-	// QueueDepth is the number of submission groups waiting in the
-	// intake queue right now; QueueDepth near QueueCap means producers
-	// are about to block (backpressure).
+	// QueueDepth is the number of submission groups waiting right now:
+	// those in the intake queue, plus the one the flusher holds back
+	// for the next block while its warm-up runs. QueueDepth near
+	// QueueCap means producers are about to block (backpressure).
 	QueueDepth int
 	// QueueCap is the intake queue capacity.
 	QueueCap int
-	// AutoLinger is the linger the flusher is currently applying: about
-	// one observed flush latency (at most 5 ms) while producers coalesce,
-	// zero while the stream is idle or a lone producer waits on each
-	// receipt.
-	AutoLinger time.Duration
 	// Verify is the verification pool's activity snapshot — curve work
 	// and cache effectiveness. Filled by Chain.PipelineStats; zero for a
 	// bare Batcher, which does not own a pool.
@@ -147,16 +137,13 @@ type Batcher struct {
 	quit chan struct{}
 	done chan struct{}
 
-	// Adaptive-linger state, owned by the flusher goroutine: an EMA of
-	// flush latency and whether the last batch showed actual coalescing
-	// (≥2 groups sealed together, or groups already queued behind it).
-	flushEMA time.Duration
-	loaded   bool
+	// holding is set while the flusher holds a group taken off the
+	// intake back for the next block (gather), so QueueDepth counts it.
+	holding atomic.Bool
 
-	batches    atomic.Uint64
-	entries    atomic.Uint64
-	rejected   atomic.Uint64
-	autoLinger atomic.Int64
+	batches  atomic.Uint64
+	entries  atomic.Uint64
+	rejected atomic.Uint64
 }
 
 // NewBatcher starts a pipeline sealing through ledger.
@@ -254,88 +241,87 @@ func (b *Batcher) Close() error {
 
 // Stats returns the pipeline counters and backpressure gauges.
 func (b *Batcher) Stats() Stats {
+	depth := len(b.ch)
+	if b.holding.Load() {
+		depth++
+	}
 	return Stats{
 		Batches:    b.batches.Load(),
 		Entries:    b.entries.Load(),
 		Rejected:   b.rejected.Load(),
-		QueueDepth: len(b.ch),
+		QueueDepth: depth,
 		QueueCap:   cap(b.ch),
-		AutoLinger: time.Duration(b.autoLinger.Load()),
 	}
 }
 
-// run is the flusher goroutine: it blocks for the first group, greedily
-// drains everything else that is already queued (up to the batch
-// threshold), and seals the batch as one block.
+// run is the flusher goroutine: it takes the oldest queued group, or
+// the one the last gather held back, and seals it with the groups
+// queued behind it whose warm-ups have ended.
 func (b *Batcher) run() {
 	defer close(b.done)
+	var head group
+	held := false
 	for {
-		select {
-		case g := <-b.ch:
-			b.flush(b.collect(g))
-		case <-b.quit:
-			// Drain the intake: Close set closed under the exclusive
-			// lock, so no Submit is or will be sending anymore.
-			for {
+		if !held {
+			select {
+			case head = <-b.ch:
+			case <-b.quit:
+				// Drain the intake: Close set closed under the exclusive
+				// lock, so no Submit is or will be sending anymore.
 				select {
-				case g := <-b.ch:
-					b.flush(b.collect(g))
+				case head = <-b.ch:
 				default:
 					return
 				}
 			}
 		}
+		var batch []group
+		batch, head, held = b.gather(head)
+		b.flush(batch)
 	}
 }
 
-// effectiveLinger returns the linger to apply to the next batch: one
-// observed flush latency (capped at maxAutoLinger), but only while
-// producers demonstrably coalesce. A lone producer that waits for each
-// receipt never trips the load detector, so light traffic keeps its
-// immediate-flush latency.
-func (b *Batcher) effectiveLinger() time.Duration {
-	if !b.loaded {
-		b.autoLinger.Store(0)
-		return 0
+// gather waits for head's warm-up, then takes the groups queued behind
+// it, in order, while each one's warm-up has already ended, up to the
+// batch threshold. So a block holds what is verified, not what is in
+// flight. The first group still warming is returned as next (held
+// true): it heads the following block, whose verification then
+// overlaps this block's seal. Nothing reads a group's entries while
+// its warm-up may still be reading them.
+func (b *Batcher) gather(head group) (batch []group, next group, held bool) {
+	if head.warmed != nil {
+		<-head.warmed
 	}
-	linger := b.flushEMA
-	if linger > maxAutoLinger {
-		linger = maxAutoLinger
-	}
-	b.autoLinger.Store(int64(linger))
-	return linger
-}
-
-// collect grows a batch from the first group until the threshold is
-// reached or the intake goes idle (after at most one linger period).
-func (b *Batcher) collect(first group) []group {
-	batch := []group{first}
-	size := len(first.entries)
-	var lingerC <-chan time.Time
-	if linger := b.effectiveLinger(); linger > 0 {
-		timer := time.NewTimer(linger)
-		defer timer.Stop()
-		lingerC = timer.C
-	}
+	b.holding.Store(false)
+	batch = []group{head}
+	size := len(head.entries)
 	for size < maxBatch {
 		select {
 		case g := <-b.ch:
+			if !g.isWarm() {
+				b.holding.Store(true)
+				return batch, g, true
+			}
 			batch = append(batch, g)
 			size += len(g.entries)
 		default:
-			if lingerC == nil {
-				return batch
-			}
-			select {
-			case g := <-b.ch:
-				batch = append(batch, g)
-				size += len(g.entries)
-			case <-lingerC:
-				return batch
-			}
+			return batch, group{}, false
 		}
 	}
-	return batch
+	return batch, group{}, false
+}
+
+// isWarm reports whether g's warm-up has ended, without waiting.
+func (g group) isWarm() bool {
+	if g.warmed == nil {
+		return true
+	}
+	select {
+	case <-g.warmed:
+		return true
+	default:
+		return false
+	}
 }
 
 // maxFlushRetries bounds re-seals of a batch whose entries all still
@@ -355,28 +341,6 @@ const maxFlushRetries = 3
 // sealing primitive can lose a head race against concurrent direct
 // appenders and succeed verbatim on retry) before failing the batch.
 func (b *Batcher) flush(batch []group) {
-	// Join the warm-ups first: the seal then resolves every signature of
-	// the batch from the cache, and nothing reads g.entries but us.
-	for _, g := range batch {
-		if g.warmed != nil {
-			<-g.warmed
-		}
-	}
-	// Feed the adaptive linger: remember how long sealing takes (EMA,
-	// weighted 3:1 toward history) and whether this batch showed real
-	// coalescing — more than one group sealed together, or groups
-	// already queued behind it.
-	start := time.Now()
-	groupsIn := len(batch)
-	defer func() {
-		d := time.Since(start)
-		if b.flushEMA == 0 {
-			b.flushEMA = d
-		} else {
-			b.flushEMA = (3*b.flushEMA + d) / 4
-		}
-		b.loaded = groupsIn > 1 || len(b.ch) > 0
-	}()
 	retries := 0
 	for len(batch) > 0 {
 		var entries []*block.Entry
@@ -441,7 +405,7 @@ func (b *Batcher) flush(batch []group) {
 		kept := batch[:0]
 		rejected := false
 		for _, g := range batch {
-			// Compacted in place: the warm hook was joined above.
+			// Compacted in place: gather joined every warm-up.
 			okEntries := g.entries[:0]
 			okTickets := g.tickets[:0]
 			for i, e := range g.entries {

@@ -5,13 +5,16 @@
 // writes and deletion requests as operations flowing through a pool of
 // pending operations rather than as caller-assembled blocks. Batcher is
 // that flow: it coalesces entries from many concurrent producers into
-// full blocks — a dedicated flusher goroutine drains submissions, seals
-// one block per batch through the Ledger, and resolves a Receipt per
-// entry with the final reference, block number, and block hash. A batch
-// is flushed when it reaches the configured size or as soon as the
-// submission stream goes idle (after a short adaptive linger, once
-// concurrent producers coalesce, that trades latency for larger
-// batches). A single chain and an anchor node each write through one
+// blocks — a dedicated flusher goroutine drains submissions, seals one
+// block per batch through the Ledger, and resolves a Receipt per entry
+// with the final reference, block number, and block hash. Each group's
+// signatures pre-verify on a goroutine of their own from the moment it
+// is submitted; a block holds the oldest queued group and the groups
+// queued behind it whose verification has already ended, up to 256
+// entries. The first group still verifying heads the next block, so
+// verifying it overlaps this block's seal, and a block is as large as
+// what is verified, not as what is in flight. There is no timer and no
+// linger. A single chain and an anchor node each write through one
 // Batcher; they differ only in the Ledger behind it.
 //
 // Entries submitted in one Submit call are kept in the same sealed block,

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,5 +322,204 @@ func TestBatcherPartialCommitDoesNotDoubleSeal(t *testing.T) {
 	}
 	if sealed.Block != 1 {
 		t.Errorf("sealed block = %d, want the appended block 1", sealed.Block)
+	}
+}
+
+// gatedWarm is a Warm hook whose warm-ups end when a test says so: a
+// group whose first payload has a gate warms until the gate is closed;
+// any other group is warm at once.
+type gatedWarm map[string]chan struct{}
+
+func (g gatedWarm) hook(entries []*block.Entry) <-chan struct{} {
+	if gate, ok := g[string(entries[0].Payload)]; ok {
+		return gate
+	}
+	return nil
+}
+
+// gatedBatcher starts a batcher over a fake ledger whose groups warm
+// until the gate named after their first payload is closed.
+func gatedBatcher(t *testing.T, names ...string) (*Batcher, *fakeLedger, gatedWarm) {
+	t.Helper()
+	gates := gatedWarm{}
+	for _, n := range names {
+		gates[n] = make(chan struct{})
+	}
+	led := &fakeLedger{}
+	b := NewBatcher(led, Options{Warm: gates.hook})
+	t.Cleanup(func() {
+		// A test that failed early leaves a gate open, and Close would
+		// wait for that warm-up forever.
+		for _, gate := range gates {
+			select {
+			case <-gate:
+			default:
+				close(gate)
+			}
+		}
+		b.Close()
+	})
+	return b, led, gates
+}
+
+// submitOne submits a group of the given payloads and returns its
+// receipts.
+func submitOne(t *testing.T, b *Batcher, payloads ...string) []Receipt {
+	t.Helper()
+	es := make([]*block.Entry, len(payloads))
+	for i, p := range payloads {
+		es[i] = entry(p)
+	}
+	rs, err := b.Submit(context.Background(), es...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// sealedWithin waits for r, failing the test after five seconds.
+func sealedWithin(t *testing.T, r Receipt) Sealed {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s, err := r.Wait(ctx)
+	if err != nil {
+		t.Fatalf("receipt: %v", err)
+	}
+	return s
+}
+
+// heldBack queues group a and then group b, both warming, and ends a's
+// warm-up: the flusher seals a and holds b back for the next block.
+// It returns once a's receipt resolved.
+func heldBack(t *testing.T) (*Batcher, gatedWarm, Sealed, []Receipt) {
+	t.Helper()
+	b, _, gates := gatedBatcher(t, "a", "b")
+	ra := submitOne(t, b, "a")
+	rb := submitOne(t, b, "b")
+	close(gates["a"])
+	return b, gates, sealedWithin(t, ra[0]), rb
+}
+
+// TestBatcherHeldWarmUpDoesNotDelayEarlierGroups: a group whose
+// warm-up still runs stays out of the block of the warm groups queued
+// ahead of it, and seals in a later one once it is warm.
+func TestBatcherHeldWarmUpDoesNotDelayEarlierGroups(t *testing.T) {
+	_, gates, sa, rb := heldBack(t)
+	select {
+	case <-rb[0].Done():
+		t.Fatal("a group sealed while its warm-up was running")
+	default:
+	}
+	close(gates["b"])
+	if sb := sealedWithin(t, rb[0]); sb.Block <= sa.Block {
+		t.Errorf("held group sealed in block %d, not after block %d", sb.Block, sa.Block)
+	}
+}
+
+// TestBatcherKeepsFIFOOrder: groups seal in the order they were
+// submitted, however their warm-ups end.
+func TestBatcherKeepsFIFOOrder(t *testing.T) {
+	const n = 200
+	var order []string
+	for i := 0; i < n; i++ {
+		order = append(order, fmt.Sprintf("g%03d", i))
+	}
+	b, led, gates := gatedBatcher(t, order...)
+	perm := rand.Perm(n)
+	go func() {
+		for _, i := range perm {
+			close(gates[order[i]])
+			runtime.Gosched()
+		}
+	}()
+	var receipts []Receipt
+	for i, p := range order {
+		// Every fifth group holds three entries.
+		ps := []string{p}
+		if i%5 == 0 {
+			ps = append(ps, p+"-1", p+"-2")
+		}
+		receipts = append(receipts, submitOne(t, b, ps...)...)
+	}
+	last := uint64(0)
+	for _, r := range receipts {
+		s := sealedWithin(t, r)
+		if s.Block < last {
+			t.Fatalf("block %d sealed after block %d", s.Block, last)
+		}
+		last = s.Block
+	}
+	led.mu.Lock()
+	defer led.mu.Unlock()
+	var sealed []string
+	for _, batch := range led.batches {
+		for _, e := range batch {
+			if p := string(e.Payload); len(p) == 4 {
+				sealed = append(sealed, p)
+			}
+		}
+	}
+	if fmt.Sprint(sealed) != fmt.Sprint(order) {
+		t.Errorf("groups sealed out of submission order: %v", sealed)
+	}
+}
+
+// TestBatcherHeldGroupStaysTogether: the entries of one Submit call
+// seal in one block when their group was held back.
+func TestBatcherHeldGroupStaysTogether(t *testing.T) {
+	b, _, gates := gatedBatcher(t, "x", "y0")
+	rx := submitOne(t, b, "x")
+	ry := submitOne(t, b, "y0", "y1", "y2", "y3")
+	close(gates["x"])
+	sx := sealedWithin(t, rx[0])
+	close(gates["y0"])
+	first := sealedWithin(t, ry[0])
+	if first.Block <= sx.Block {
+		t.Errorf("held group sealed in block %d, not after block %d", first.Block, sx.Block)
+	}
+	for i, r := range ry[1:] {
+		if s := sealedWithin(t, r); s.Block != first.Block {
+			t.Errorf("entry %d sealed in block %d, entry 0 in block %d", i+1, s.Block, first.Block)
+		}
+	}
+}
+
+// TestBatcherCloseDrainsHeldGroup: Close seals the group the flusher
+// holds back, once its warm-up ends, before it returns.
+func TestBatcherCloseDrainsHeldGroup(t *testing.T) {
+	b, gates, _, rb := heldBack(t)
+	closed := make(chan struct{})
+	go func() {
+		b.Close()
+		close(closed)
+	}()
+	close(gates["b"])
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	select {
+	case <-rb[0].Done():
+	default:
+		t.Fatal("Close returned before the held group sealed")
+	}
+	if _, err := rb[0].Wait(context.Background()); err != nil {
+		t.Errorf("held group: %v", err)
+	}
+}
+
+// TestBatcherQueueDepthCountsHeldGroup: the group the flusher holds
+// back is waiting like any queued group, so admission control sees it.
+func TestBatcherQueueDepthCountsHeldGroup(t *testing.T) {
+	b, gates, _, rb := heldBack(t)
+	if st := b.Stats(); st.QueueDepth != 1 || st.QueueFraction() != 1/float64(st.QueueCap) {
+		t.Errorf("one group held back: QueueDepth %d, QueueFraction %v", st.QueueDepth, st.QueueFraction())
+	}
+	close(gates["b"])
+	sealedWithin(t, rb[0])
+	if st := b.Stats(); st.QueueDepth != 0 {
+		t.Errorf("nothing waiting: QueueDepth %d", st.QueueDepth)
 	}
 }

@@ -119,8 +119,8 @@ type (
 	// number, and block hash.
 	Sealed = mempool.Sealed
 	// PipelineStats are the submission pipeline's cumulative counters
-	// and backpressure gauges (intake-queue depth, adaptive linger,
-	// verifier counters, compaction progress).
+	// and backpressure gauges (intake-queue depth, verifier counters,
+	// compaction progress).
 	PipelineStats = mempool.Stats
 	// Verifier is the signature verifier: the verified-signature cache,
 	// batch verification forked across a bounded number of goroutines,

@@ -408,24 +408,108 @@ func TestSubmitVerifiesEachSignatureOnce(t *testing.T) {
 }
 
 // TestFsyncsPerBlock is the durability modes' cost in fsyncs, 16
-// producers over 600 entries: none while appending when the store syncs
-// on roll only, and under group commit more than none — receipts
-// resolve at durability — but fewer than one per block, which is the
-// whole point of sharing them.
+// producers over 600 entries. When the store syncs on roll only, an
+// append fsyncs only to roll at a sequence boundary: a Σ ends its
+// segment, and this chain keeps every sequence, so no cut starts the
+// next segment first. That is at most one fsync per Σ a block follows,
+// however the entries pack into blocks. Under group commit there are
+// more than none — receipts resolve at durability — but fewer than one
+// per block, which is the whole point of sharing them.
 func TestFsyncsPerBlock(t *testing.T) {
-	measure := func(seg SegmentOptions, opts ...Option) (fsyncs, blocks uint64) {
+	measure := func(seg SegmentOptions, opts ...Option) (fsyncs, blocks, rolls uint64) {
 		c, ss, entries := costChain(t, 600, seg, opts...)
 		// Attaching the store and closing it sync too; neither is the
 		// append path.
 		f0, b0 := ss.FsyncCount(), c.Stats().AppendedBlocks
 		submitAll(t, c, entries, 16)
-		return ss.FsyncCount() - f0, c.Stats().AppendedBlocks - b0
+		fsyncs, blocks = ss.FsyncCount()-f0, c.Stats().AppendedBlocks-b0
+		live := c.Blocks()
+		for _, b := range live[:len(live)-1] {
+			if b.IsSummary() {
+				rolls++
+			}
+		}
+		return fsyncs, blocks, rolls
 	}
-	if fsyncs, blocks := measure(SegmentOptions{}); fsyncs != 0 || blocks == 0 {
-		t.Errorf("roll-only: %d fsyncs over %d blocks, want none", fsyncs, blocks)
+	if fsyncs, blocks, rolls := measure(SegmentOptions{}); fsyncs > rolls || blocks == 0 {
+		t.Errorf("roll-only: %d fsyncs over %d blocks, want at most one per Σ a block follows (%d)", fsyncs, blocks, rolls)
 	}
-	if fsyncs, blocks := measure(SegmentOptions{}, WithDurability(DurabilityGroup, 50*time.Millisecond)); fsyncs == 0 || fsyncs >= blocks {
+	if fsyncs, blocks, _ := measure(SegmentOptions{}, WithDurability(DurabilityGroup, 50*time.Millisecond)); fsyncs == 0 || fsyncs >= blocks {
 		t.Errorf("group commit: %d fsyncs over %d blocks, want more than none and fewer than one each", fsyncs, blocks)
+	}
+}
+
+// boundaryWatch is a segment store that notes the normal blocks stored
+// right after a Σ that cut the chain, and which of their PutBlocks
+// issued an fsync.
+type boundaryWatch struct {
+	*SegmentStore
+	chain *Chain // set once New returned; genesis is stored before
+
+	marker   uint64 // the chain's marker when the last Σ was stored
+	afterCut bool   // the last block stored was a Σ that cut
+	followed int    // normal blocks stored after a cutting Σ
+	synced   []uint64
+}
+
+func (w *boundaryWatch) PutBlock(b *Block) error {
+	f0 := w.FsyncCount()
+	err := w.SegmentStore.PutBlock(b)
+	switch {
+	case w.chain == nil:
+	case b.IsSummary():
+		// The marker moves under the chain lock, before the listeners
+		// store the Σ that moved it.
+		m := w.chain.Marker()
+		w.afterCut, w.marker = m != w.marker, m
+	case w.afterCut:
+		w.afterCut = false
+		w.followed++
+		if w.FsyncCount() != f0 {
+			w.synced = append(w.synced, b.Header.Number)
+		}
+	}
+	return err
+}
+
+// TestBoundaryCutPrecedesNextBlock: at a sequence boundary the
+// compactor's cut starts the next segment, and the flusher seals the
+// block after a cutting Σ only once the cut ran, so under a pipelined
+// writer that block's PutBlock never rolls the segment (one fsync) on
+// the writer's path.
+func TestBoundaryCutPrecedesNextBlock(t *testing.T) {
+	const minBoundaries = 8
+	reg := NewRegistry()
+	kp := DeterministicKey("writer", "boundary-order-test")
+	if err := reg.RegisterKey(kp, RoleUser); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSegmentStore(t.TempDir(), SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ss.Close() })
+	w := &boundaryWatch{SegmentStore: ss}
+	c, err := New(reg, WithSequenceLength(4), WithMaxSequences(2), WithShrink(ShrinkMinimal),
+		WithClock(NewLogicalClock(0)), WithStore(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	w.chain = c
+	for round := 0; w.followed < minBoundaries && round < 20; round++ {
+		entries := make([]*Entry, 256)
+		for i := range entries {
+			entries[i] = NewData("writer", []byte(fmt.Sprintf("load-%02d-%03d", round, i))).Sign(kp)
+		}
+		submitAll(t, c, entries, 8)
+	}
+	if w.followed < minBoundaries {
+		t.Fatalf("%d blocks followed a cutting Σ, want at least %d", w.followed, minBoundaries)
+	}
+	if len(w.synced) > 0 {
+		t.Errorf("%d of %d blocks after a cutting Σ fsynced in PutBlock (blocks %v), want none",
+			len(w.synced), w.followed, w.synced)
 	}
 }
 
