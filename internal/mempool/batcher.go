@@ -22,8 +22,9 @@ var errLedgerContract = errors.New("mempool: ledger returned no blocks and no er
 
 // Options parameterize a Batcher.
 type Options struct {
-	// Warm, when set, is called with each submitted group's entries so
-	// their signatures pre-verify (and populate the verified-signature
+	// Warm, when set, is called with each submitted group's entries,
+	// one call at a time and in the order the groups enter the intake,
+	// so their signatures pre-verify (and populate the verified-signature
 	// cache) while the batch is still being assembled. It may go on
 	// reading the slice until the channel it returns is closed, and the
 	// flusher waits for that before sealing the group, so the seal
@@ -133,7 +134,10 @@ type Batcher struct {
 	mu     sync.RWMutex
 	closed bool
 
-	ch   chan group
+	ch chan group
+	// turn is held (one slot) from a Submit's warm-up to its send on
+	// ch, so warm-ups queue in intake order.
+	turn chan struct{}
 	quit chan struct{}
 	done chan struct{}
 
@@ -156,6 +160,7 @@ func NewBatcher(ledger Ledger, opts Options) *Batcher {
 		warm:    opts.Warm,
 		durable: opts.Durable,
 		ch:      make(chan group, maxBatch),
+		turn:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -175,7 +180,8 @@ func NewBatcher(ledger Ledger, opts Options) *Batcher {
 // batch).
 //
 // On ctx cancellation nothing has been enqueued and the error is
-// ctx.Err(); after Close it is ErrClosed.
+// ctx.Err() (a warm-up already queued still runs); after Close it is
+// ErrClosed.
 func (b *Batcher) Submit(ctx context.Context, entries ...*block.Entry) ([]Receipt, error) {
 	if len(entries) == 0 {
 		return nil, nil
@@ -210,10 +216,18 @@ func (b *Batcher) Submit(ctx context.Context, entries ...*block.Entry) ([]Receip
 			receipts[i] = Receipt{t: t}
 		}
 	}
+	// The turn keeps warm-ups queued in the order the flusher takes the
+	// groups, so the group it waits on is the one verified first.
+	select {
+	case b.turn <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-b.turn }()
 	if b.warm != nil {
 		// Pre-verify while the group waits for its batch: the warm hook
-		// returns immediately and verifies on a goroutine of its own, so
-		// the sealing flush later resolves the same signatures from cache.
+		// queues the group and returns, so the sealing flush later
+		// resolves the same signatures from cache.
 		g.warmed = b.warm(g.entries)
 	}
 	select {

@@ -8,10 +8,11 @@
 // blocks — a dedicated flusher goroutine drains submissions, seals one
 // block per batch through the Ledger, and resolves a Receipt per entry
 // with the final reference, block number, and block hash. Each group's
-// signatures pre-verify on a goroutine of their own from the moment it
-// is submitted; a block holds the oldest queued group and the groups
-// queued behind it whose verification has already ended, up to 256
-// entries. The first group still verifying heads the next block, so
+// signatures queue for verification the moment it is submitted, in the
+// order the flusher will take the groups, and the verifier works the
+// oldest group first; a block holds the oldest queued group and the
+// groups queued behind it whose verification has already ended, up to
+// 256 entries. The first group still verifying heads the next block, so
 // verifying it overlaps this block's seal, and a block is as large as
 // what is verified, not as what is in flight. There is no timer and no
 // linger. A single chain and an anchor node each write through one

@@ -99,7 +99,7 @@ func TestEquivocationBeyondToleranceBound(t *testing.T) {
 		}
 	}
 	if cl.nodes[0].Chain().HeadHash() != cl.nodes[1].Chain().HeadHash() {
-		t.Error("honest nodes diverged from each other")
+		t.Errorf("honest nodes diverged from each other:\n%s\n%s", honestView(cl.nodes[0]), honestView(cl.nodes[1]))
 	}
 
 	// Cut the equivocators off: the honest remainder stalls at the next
@@ -123,6 +123,14 @@ func TestEquivocationBeyondToleranceBound(t *testing.T) {
 	if cl.nodes[0].Chain().Marker() != marker {
 		t.Error("marker shifted without an honest majority")
 	}
+}
+
+// honestView is what a divergence report needs of one node: its head,
+// marker, fork latch and the members it flagged.
+func honestView(nd *Node) string {
+	c := nd.Chain()
+	return fmt.Sprintf("%s: head %d %x, marker %d, forked %v, equivocators %v",
+		nd.Name(), c.Head().Number, c.HeadHash(), c.Marker(), nd.Forked(), nd.Equivocators())
 }
 
 func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {

@@ -143,10 +143,18 @@ func (n *Node) handleSyncReq(env wire.Envelope) {
 	if err != nil {
 		return
 	}
+	n.serveSync(env.Sender, req.HeadNumber+1)
+}
+
+// serveSync sends peer our blocks from number from on: the incremental
+// suffix while from is inside our live window, else a snapshot offer.
+func (n *Node) serveSync(peer string, from uint64) {
+	if n.ep == nil {
+		return
+	}
 	c := n.Chain()
-	from := req.HeadNumber + 1
 	if from < c.Marker() {
-		n.sendSnapshot(env.Sender, c)
+		n.sendSnapshot(peer, c)
 		return
 	}
 	resp := wire.SyncRespPayload{}
@@ -169,7 +177,7 @@ func (n *Node) handleSyncReq(env wire.Envelope) {
 	if len(resp.Blocks) == 0 {
 		return
 	}
-	_ = n.ep.Send(env.Sender, wire.KindSyncResp,
+	_ = n.ep.Send(peer, wire.KindSyncResp,
 		wire.SealEnvelope(n.key, wire.KindSyncResp, wire.EncodeSyncResp(resp)))
 }
 

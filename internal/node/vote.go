@@ -22,6 +22,10 @@ type voteState struct {
 	localHash codec.Hash
 	localSet  bool
 	applied   bool
+	// retracted is set when a vote counted toward the applied round is
+	// later retracted as an equivocator's: peers that discarded it first
+	// may be stuck on the round.
+	retracted bool
 	// decided is closed once the round is decided (maybeApplySummary):
 	// the summary is appended or the node found itself forked.
 	decided chan struct{}
@@ -174,7 +178,14 @@ func (n *Node) handleVote(env wire.Envelope) {
 	if n.observeVote(env, v) {
 		return // flagged equivocator (previously or just now): not counted
 	}
-	n.recordVote(env.Sender, v)
+	if !n.recordVote(env.Sender, v) && !v.Repair && n.decidedOnRetracted(v.Number) {
+		// The sender announces again a round we decided on votes since
+		// retracted: it discarded them before they could count and is
+		// still a summary behind. Serve it the blocks from that round on;
+		// it appends the summary only if it equals its own.
+		n.serveSync(env.Sender, v.Number)
+		return
+	}
 	// A vote for a round beyond our head means we missed blocks: sync.
 	if v.Number > n.Chain().Head().Number+1 {
 		n.requestSync(env.Sender)
@@ -274,9 +285,13 @@ func (n *Node) observeVote(env wire.Envelope, v wire.VotePayload) bool {
 
 // markEquivocatorLocked flags sender and retracts any votes of theirs
 // already counted in open tallies. Caller holds mu. Applied rounds stay
-// applied — the retraction protects undecided rounds; a decided one was
-// reached by honest votes alone or not at all (conflicting minority
-// hashes can never reach the majority threshold).
+// applied — the retraction protects undecided rounds. Conflicting
+// minority hashes can never reach the majority threshold, so a decided
+// round holds the summary every honest member built; but when it was
+// decided with a vote now retracted, an honest peer that flagged the
+// sender first may never decide it, and the round is marked retracted
+// so that peer's next announcement of it is answered with the blocks
+// (handleVote).
 func (n *Node) markEquivocatorLocked(sender string) {
 	if n.equivocators[sender] {
 		return
@@ -284,6 +299,9 @@ func (n *Node) markEquivocatorLocked(sender string) {
 	n.equivocators[sender] = true
 	for _, st := range n.tallies {
 		if h, ok := st.voted[sender]; ok {
+			if st.applied {
+				st.retracted = true
+			}
 			st.counts[h]--
 			if st.counts[h] <= 0 {
 				delete(st.counts, h)
@@ -317,17 +335,30 @@ func (n *Node) answerVote(peer string, num uint64) {
 	_ = n.ep.Send(peer, wire.KindVote, wire.SealEnvelope(n.key, wire.KindVote, wire.EncodeVote(vote)))
 }
 
-func (n *Node) recordVote(sender string, v wire.VotePayload) {
+// recordVote counts sender's vote and applies the summary once it
+// decides the round. It reports false, counting nothing, when sender
+// has already voted in that round.
+func (n *Node) recordVote(sender string, v wire.VotePayload) bool {
 	n.mu.Lock()
 	st := n.talliesFor(v.Number)
 	if _, ok := st.voted[sender]; ok {
 		n.mu.Unlock()
-		return
+		return false
 	}
 	st.voted[sender] = v.Hash
 	st.counts[v.Hash]++
 	n.mu.Unlock()
 	n.maybeApplySummary(v.Number)
+	return true
+}
+
+// decidedOnRetracted reports whether round num was applied here with a
+// vote since retracted as an equivocator's.
+func (n *Node) decidedOnRetracted(num uint64) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := n.tallies[num]
+	return st != nil && st.applied && st.retracted
 }
 
 // maybeApplySummary appends the locally built summary once a quorum

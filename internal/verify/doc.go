@@ -15,7 +15,12 @@
 //   - a Batch screens many signatures against that cache in one pass,
 //     verifies identical tuples once, and checks each remaining
 //     signature once, with Each forking the checks across at most
-//     Workers goroutines and joining, outside any chain lock.
+//     Workers goroutines and joining, outside any chain lock;
+//   - a warm-up queue (Warm) checks submitted groups ahead of their
+//     seal: one FIFO per pool, worked oldest group first by at most
+//     Workers goroutines that exist only while it holds work, so groups
+//     finish in the order they were queued, and a worker waits for a
+//     signature another worker is checking instead of checking it too.
 //
 // It is the module's one signature path: entries, deletion
 // co-signatures, message envelopes (VerifySigner) and audits all reach

@@ -20,8 +20,9 @@ const DefaultCacheSize = 1 << 14
 // Options parameterize a Pool.
 type Options struct {
 	// Workers bounds how many goroutines one Each call runs fn on,
-	// the caller included. 0 means runtime.GOMAXPROCS(0); 1 keeps
-	// every call on the caller's goroutine.
+	// the caller included, and how many run the warm-up queue at once.
+	// 0 means runtime.GOMAXPROCS(0); 1 keeps every Each call on the
+	// caller's goroutine and the warm-up queue on one worker.
 	Workers int
 	// CacheSize is the verified-signature cache capacity. 0 means
 	// DefaultCacheSize; negative disables the cache entirely (every
@@ -61,12 +62,28 @@ func (e *EntryError) Error() string { return fmt.Sprintf("entry %d: %v", e.Index
 func (e *EntryError) Unwrap() error { return e.Err }
 
 // Pool is a signature verifier: a verified-signature cache, activity
-// counters, and a bound on fork-join fan-out. It holds no goroutines.
-// Safe for concurrent use; the zero value is not usable, call New (or
-// use Shared).
+// counters, a bound on fork-join fan-out, and the warm-up queue (Warm).
+// An idle pool holds no goroutines: the queue's workers exist only
+// while it holds unclaimed work. Safe for concurrent use; the zero
+// value is not usable, call New (or use Shared).
 type Pool struct {
 	workers int
 	cache   *cache
+
+	// mu guards the warm-up queue: warming holds the groups not yet
+	// closed, oldest first, popped counts the groups closed before them,
+	// and claimAt indexes the first that may have unclaimed entries;
+	// unclaimed counts those entries over all groups, and workersUp the
+	// workers running. inflight holds the signatures a worker is
+	// checking right now; landed is broadcast when one lands.
+	mu        sync.Mutex
+	warming   []warmGroup
+	popped    int
+	claimAt   int
+	unclaimed int
+	workersUp int
+	inflight  map[cacheKey]bool
+	landed    sync.Cond
 
 	verified atomic.Uint64
 	batched  atomic.Uint64
@@ -77,6 +94,7 @@ type Pool struct {
 // New returns a verifier.
 func New(opts Options) *Pool {
 	p := &Pool{workers: opts.Workers}
+	p.landed.L = &p.mu
 	if p.workers <= 0 {
 		p.workers = runtime.GOMAXPROCS(0)
 	}
@@ -107,7 +125,7 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Close does nothing — a Pool owns nothing to stop — and goes once benchmark/ stops calling it.
+// Close does nothing — an idle Pool owns nothing to stop — and goes once benchmark/ stops calling it.
 func (p *Pool) Close() {}
 
 // Each runs fn(i) for every i in [0, n) and waits for all of them: on
@@ -308,31 +326,6 @@ func (p *Pool) CoSigners(reg *identity.Registry, e *block.Entry) []bool {
 		b.Add(info.Public, msg, cs.Signature)
 	}
 	return b.Verify()
-}
-
-// Warm pre-verifies entries on a goroutine of its own, populating the
-// cache so a later Entries call over the same batch — and, for deletion
-// entries, the CoSigners call of request authorization at sealing time
-// — resolves from hits. The returned channel is closed when the
-// goroutine ends; until then the slice is read, so the caller must not
-// modify it, and a check of the same signatures would race the warm one
-// to the curve. Failures are ignored: the authoritative check happens
-// at validation time. Without a cache it does nothing and returns nil.
-func (p *Pool) Warm(reg *identity.Registry, entries []*block.Entry) <-chan struct{} {
-	if p.cache == nil {
-		return nil
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = p.Entries(reg, entries)
-		for _, e := range entries {
-			if e.Kind == block.KindDeletion {
-				p.CoSigners(reg, e)
-			}
-		}
-	}()
-	return done
 }
 
 // Blocks verifies the entries of many blocks as one batch — the restore
