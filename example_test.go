@@ -159,7 +159,7 @@ func ExampleNewAuditLogger() {
 		seldel.WithClock(seldel.NewLogicalClock(0)),
 	)
 	defer chain.Close()
-	logger, _ := seldel.NewAuditLogger(chain)
+	logger := seldel.NewAuditLogger(chain)
 
 	ref, _ := logger.Log(alpha, seldel.LoginEvent{
 		User: "ALPHA", Terminal: "tty1", Success: true, At: 7,

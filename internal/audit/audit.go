@@ -5,6 +5,11 @@
 // "All logins to a terminal are logged to the blockchain. Therefore, the
 // signature of each specific user login is stored in a block. In this
 // way, the authentication of the user can be monitored and audited."
+//
+// The paper's prototype declared the entry structure "beforehand by a
+// YAML schema" (§V): its application layer, since the deletion
+// mechanism is "independent of a specific block structure". Here the
+// login event has one fixed encoding (encodeLogin, decodeLogin).
 package audit
 
 import (
@@ -14,36 +19,18 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
+	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/identity"
-	"github.com/seldel/seldel/internal/schema"
 )
-
-// LoginSchemaYAML is the YAML schema declaring the login-event entry
-// structure ("the structure of a data entry is specified beforehand by a
-// YAML schema", §V).
-const LoginSchemaYAML = `
-name: login_event
-doc: "terminal login audit record"
-fields:
-  - name: user
-    type: string
-    required: true
-    max_length: 64
-  - name: terminal
-    type: string
-    required: true
-    max_length: 64
-  - name: success
-    type: bool
-  - name: at
-    type: timestamp
-`
 
 // Errors returned by the audit logger.
 var (
-	ErrSchema   = errors.New("audit: record does not match login schema")
+	ErrSchema   = errors.New("audit: login event exceeds its field bounds")
 	ErrNotLogin = errors.New("audit: entry is not a login event")
 )
+
+// maxNameLen bounds the user and terminal fields, in bytes.
+const maxNameLen = 64
 
 // LoginEvent is one audited terminal login.
 type LoginEvent struct {
@@ -53,14 +40,77 @@ type LoginEvent struct {
 	At       uint64
 }
 
-// Record converts the event to a schema record.
-func (ev LoginEvent) Record() schema.Record {
-	return schema.Record{
-		"user":     schema.String(ev.User),
-		"terminal": schema.String(ev.Terminal),
-		"success":  schema.Bool(ev.Success),
-		"at":       schema.Timestamp(ev.At),
+// The login payload is a uint32 field count (4), then each field in
+// name order as its name, a type tag and its value, in internal/codec's
+// primitives. The tags are string 1, bool 5 and timestamp 6.
+const (
+	tagString    = 1
+	tagBool      = 5
+	tagTimestamp = 6
+	loginFields  = 4
+	// loginFixedLen is the payload's length less the user and terminal.
+	loginFixedLen = 4 + (4 + len("at") + 1 + 8) + (4 + len("success") + 1 + 1) +
+		(4 + len("terminal") + 1 + 4) + (4 + len("user") + 1 + 4)
+)
+
+// encodeLogin writes ev's payload.
+func encodeLogin(ev LoginEvent) []byte {
+	e := codec.NewEncoder(loginFixedLen + len(ev.Terminal) + len(ev.User))
+	e.Uint32(loginFields)
+	e.String("at")
+	e.Byte(tagTimestamp)
+	e.Uint64(ev.At)
+	e.String("success")
+	e.Byte(tagBool)
+	e.Bool(ev.Success)
+	e.String("terminal")
+	e.Byte(tagString)
+	e.String(ev.Terminal)
+	e.String("user")
+	e.Byte(tagString)
+	e.String(ev.User)
+	return e.Data()
+}
+
+// decodeLogin reads the payload encodeLogin writes, and nothing else.
+func decodeLogin(p []byte) (LoginEvent, error) {
+	var ev LoginEvent
+	d := codec.NewDecoder(p)
+	if d.Uint32() != loginFields || !readField(d, "at", tagTimestamp) {
+		return LoginEvent{}, ErrNotLogin
 	}
+	ev.At = d.Uint64()
+	if !readField(d, "success", tagBool) {
+		return LoginEvent{}, ErrNotLogin
+	}
+	ev.Success = d.Bool()
+	if !readField(d, "terminal", tagString) {
+		return LoginEvent{}, ErrNotLogin
+	}
+	ev.Terminal = d.ReadString()
+	if !readField(d, "user", tagString) {
+		return LoginEvent{}, ErrNotLogin
+	}
+	ev.User = d.ReadString()
+	if d.Finish() != nil {
+		return LoginEvent{}, ErrNotLogin
+	}
+	return ev, nil
+}
+
+// readField reads a field's name and type tag and reports whether they
+// are name and tag.
+func readField(d *codec.Decoder, name string, tag byte) bool {
+	return string(d.View()) == name && d.Byte() == tag
+}
+
+// checkBounds is the input check of EntryFor and TemporaryEntryFor.
+func checkBounds(ev LoginEvent) error {
+	if len(ev.User) > maxNameLen || len(ev.Terminal) > maxNameLen {
+		return fmt.Errorf("%w: user %d and terminal %d bytes, at most %d each",
+			ErrSchema, len(ev.User), len(ev.Terminal), maxNameLen)
+	}
+	return nil
 }
 
 // String renders the event in the console style of Figs. 6–8.
@@ -75,30 +125,19 @@ func (ev LoginEvent) String() string {
 // Logger writes signed login events into a selective-deletion chain and
 // answers audit queries.
 type Logger struct {
-	chain  *chain.Chain
-	schema *schema.Schema
+	chain *chain.Chain
 }
 
 // NewLogger builds a logger over an existing chain.
-func NewLogger(c *chain.Chain) (*Logger, error) {
-	s, err := schema.Parse(LoginSchemaYAML)
-	if err != nil {
-		return nil, fmt.Errorf("audit: parse login schema: %w", err)
-	}
-	return &Logger{chain: c, schema: s}, nil
-}
+func NewLogger(c *chain.Chain) *Logger { return &Logger{chain: c} }
 
-// Schema returns the compiled login-event schema.
-func (l *Logger) Schema() *schema.Schema { return l.schema }
-
-// EntryFor builds and signs a login-event entry for the given key. The
-// record is validated against the schema before signing.
+// EntryFor builds and signs a login-event entry for the given key. A
+// user or terminal longer than 64 bytes is refused with ErrSchema.
 func (l *Logger) EntryFor(key *identity.KeyPair, ev LoginEvent) (*block.Entry, error) {
-	rec := ev.Record()
-	if err := l.schema.Validate(rec); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSchema, err)
+	if err := checkBounds(ev); err != nil {
+		return nil, err
 	}
-	return block.NewData(key.Name(), rec.Encode()).Sign(key), nil
+	return block.NewData(key.Name(), encodeLogin(ev)).Sign(key), nil
 }
 
 // TemporaryEntryFor builds a login entry with a retention deadline: the
@@ -106,11 +145,10 @@ func (l *Logger) EntryFor(key *identity.KeyPair, ev LoginEvent) (*block.Entry, e
 // expireBlock (§IV-D.4, "use cases … include log files of operating
 // systems").
 func (l *Logger) TemporaryEntryFor(key *identity.KeyPair, ev LoginEvent, expireTime, expireBlock uint64) (*block.Entry, error) {
-	rec := ev.Record()
-	if err := l.schema.Validate(rec); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrSchema, err)
+	if err := checkBounds(ev); err != nil {
+		return nil, err
 	}
-	return block.NewTemporary(key.Name(), rec.Encode(), expireTime, expireBlock).Sign(key), nil
+	return block.NewTemporary(key.Name(), encodeLogin(ev), expireTime, expireBlock).Sign(key), nil
 }
 
 // Log submits a login event through the chain's submission pipeline,
@@ -133,33 +171,13 @@ func (l *Logger) LogContext(ctx context.Context, key *identity.KeyPair, ev Login
 	return sealed[0].Ref, nil
 }
 
-// Decode parses a chain entry back into a login event.
+// Decode parses a chain entry back into a login event. Any payload but
+// the one EntryFor writes is ErrNotLogin.
 func Decode(e *block.Entry) (LoginEvent, error) {
-	var ev LoginEvent
 	if e.Kind != block.KindData {
-		return ev, ErrNotLogin
+		return LoginEvent{}, ErrNotLogin
 	}
-	rec, err := schema.DecodeRecord(e.Payload)
-	if err != nil {
-		return ev, fmt.Errorf("%w: %v", ErrNotLogin, err)
-	}
-	user, ok := rec["user"]
-	if !ok || user.Type != schema.TypeString {
-		return ev, ErrNotLogin
-	}
-	terminal, ok := rec["terminal"]
-	if !ok || terminal.Type != schema.TypeString {
-		return ev, ErrNotLogin
-	}
-	ev.User = user.Str
-	ev.Terminal = terminal.Str
-	if v, ok := rec["success"]; ok && v.Type == schema.TypeBool {
-		ev.Success = v.Flag
-	}
-	if v, ok := rec["at"]; ok && v.Type == schema.TypeTimestamp {
-		ev.At = v.U64
-	}
-	return ev, nil
+	return decodeLogin(e.Payload)
 }
 
 // QueryOptions filter audit queries.

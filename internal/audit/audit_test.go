@@ -1,13 +1,16 @@
 package audit
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
+	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
 )
@@ -32,11 +35,7 @@ func setup(t *testing.T) (*chain.Chain, *Logger, map[string]*identity.KeyPair) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logger, err := NewLogger(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, logger, keys
+	return c, NewLogger(c), keys
 }
 
 func TestLogAndDecode(t *testing.T) {
@@ -193,16 +192,97 @@ func TestTemporaryEntryExpires(t *testing.T) {
 	}
 }
 
+// pinnedLogin is the payload of pinnedEvent, as the YAML schema of
+// earlier versions encoded it: Figs. 6–8 and every chain written before
+// the fixed encoding hold these bytes.
+const pinnedLogin = "00000004" +
+	"00000002" + "6174" + "06" + "000000000000002a" + // at: timestamp 42
+	"00000007" + "73756363657373" + "05" + "01" + // success: bool true
+	"00000008" + "7465726d696e616c" + "01" + "00000004" + "74747931" + // terminal: "tty1"
+	"00000004" + "75736572" + "01" + "00000005" + "414c504841" // user: "ALPHA"
+
+var pinnedEvent = LoginEvent{User: "ALPHA", Terminal: "tty1", Success: true, At: 42}
+
+func TestLoginEncodingIsPinned(t *testing.T) {
+	kp := identity.Deterministic("ALPHA", "audit-test")
+	e, err := NewLogger(nil).EntryFor(kp, pinnedEvent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(e.Payload); got != pinnedLogin {
+		t.Fatalf("payload\n got %s\nwant %s", got, pinnedLogin)
+	}
+	if again := encodeLogin(pinnedEvent); !bytes.Equal(again, e.Payload) {
+		t.Error("a second encoding differs from the first")
+	}
+	ev, err := Decode(e)
+	if err != nil || ev != pinnedEvent {
+		t.Errorf("Decode = %+v, %v; want %+v", ev, err, pinnedEvent)
+	}
+	if n := len(encodeLogin(LoginEvent{})); n != loginFixedLen {
+		t.Errorf("an empty event encodes to %d bytes, want %d", n, loginFixedLen)
+	}
+}
+
+// loginWith encodes a login-like payload: count, then each field's
+// name, type tag and value as given.
+func loginWith(count uint32, fields ...func(*codec.Encoder)) []byte {
+	e := codec.NewEncoder(0)
+	e.Uint32(count)
+	for _, f := range fields {
+		f(e)
+	}
+	return e.Data()
+}
+
+func strField(name, v string) func(*codec.Encoder) {
+	return func(e *codec.Encoder) { e.String(name); e.Byte(tagString); e.String(v) }
+}
+
+func boolField(name string, v bool) func(*codec.Encoder) {
+	return func(e *codec.Encoder) { e.String(name); e.Byte(tagBool); e.Bool(v) }
+}
+
+func u64Field(name string, tag byte, v uint64) func(*codec.Encoder) {
+	return func(e *codec.Encoder) { e.String(name); e.Byte(tag); e.Uint64(v) }
+}
+
 func TestDecodeRejectsNonLogin(t *testing.T) {
 	kp := identity.Deterministic("x", "audit-test")
-	cases := []*block.Entry{
-		block.NewDeletion("x", block.Ref{Block: 1}).Sign(kp),
-		block.NewData("x", []byte("not a record")).Sign(kp),
+	valid := encodeLogin(pinnedEvent)
+	at, success := u64Field("at", tagTimestamp, 42), boolField("success", true)
+	terminal, user := strField("terminal", "tty1"), strField("user", "ALPHA")
+	payloads := map[string][]byte{
+		"garbage":          []byte("not a record"),
+		"empty":            nil,
+		"trailing byte":    append(append([]byte(nil), valid...), 0),
+		"three fields":     loginWith(3, at, success, terminal),
+		"no user":          loginWith(4, at, success, terminal),
+		"extra field":      loginWith(5, at, success, terminal, user, strField("zone", "eu")),
+		"fields reordered": loginWith(4, at, terminal, success, user),
+		"user first":       loginWith(4, user, at, success, terminal),
+		"renamed field":    loginWith(4, u64Field("At", tagTimestamp, 42), success, terminal, user),
+		"at as uint":       loginWith(4, u64Field("at", 3, 42), success, terminal, user),
+		"success as bytes": loginWith(4, at, strField("success", "\x01"), terminal, user),
+		"bool byte 2": loginWith(4, at, func(e *codec.Encoder) {
+			e.String("success")
+			e.Byte(tagBool)
+			e.Byte(2)
+		}, terminal, user),
 	}
-	for i, e := range cases {
-		if _, err := Decode(e); !errors.Is(err, ErrNotLogin) {
-			t.Errorf("case %d: err = %v, want ErrNotLogin", i, err)
+	for i := range valid {
+		payloads[fmt.Sprintf("truncated to %d", i)] = valid[:i]
+	}
+	for name, p := range payloads {
+		if _, err := Decode(block.NewData("x", p).Sign(kp)); !errors.Is(err, ErrNotLogin) {
+			t.Errorf("%s: err = %v, want ErrNotLogin", name, err)
 		}
+	}
+	if _, err := Decode(block.NewDeletion("x", block.Ref{Block: 1}).Sign(kp)); !errors.Is(err, ErrNotLogin) {
+		t.Errorf("deletion entry: err = %v, want ErrNotLogin", err)
+	}
+	if _, err := Decode(block.NewData("x", valid).Sign(kp)); err != nil {
+		t.Errorf("the valid payload: %v", err)
 	}
 }
 

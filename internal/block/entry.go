@@ -67,8 +67,8 @@ type CoSignature struct {
 type Entry struct {
 	Kind Kind
 
-	// Payload is the data record (canonical schema.Record encoding or
-	// opaque application bytes). Data entries only.
+	// Payload is the data record: opaque application bytes, such as an
+	// audit login event's fixed encoding. Data entries only.
 	Payload []byte
 	// Owner is the submitting participant (K), or the requester for a
 	// deletion entry.

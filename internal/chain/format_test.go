@@ -127,7 +127,7 @@ func TestRestoreReconstructsMarks(t *testing.T) {
 
 	cfg2 := cfg
 	cfg2.Clock = simclock.NewLogical(0)
-	restored, err := Restore(cfg2, c.Blocks())
+	restored, err := restoreBlocks(cfg2, c.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRestorePreservesDependencyGraph(t *testing.T) {
 	mustSeal(t, c, dep)
 
 	cfg2 := defaultConfig(env)
-	restored, err := Restore(cfg2, c.Blocks())
+	restored, err := restoreBlocks(cfg2, c.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestCarriedLeafHashedOncePerLife(t *testing.T) {
 	// before the memo, costs what the summaries carried in all.
 	t.Logf("leaves hashed: %d (one per distinct entry); re-hashing each carry: %d", hashed, carried)
 
-	restored, err := Restore(cfg, c.Blocks())
+	restored, err := restoreBlocks(cfg, c.Blocks())
 	if err != nil {
 		t.Fatal(err)
 	}

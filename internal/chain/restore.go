@@ -8,19 +8,6 @@ import (
 	"github.com/seldel/seldel/internal/deletion"
 )
 
-// Restore rebuilds a chain from live blocks held in memory — somebody
-// else's: a test fixture, blocks a caller hands to the façade. It is a
-// Restorer fed from a slice.
-func Restore(cfg Config, blocks []*block.Block) (*Chain, error) {
-	return restoreStream(cfg, func(yield func(*block.Block, error) bool) {
-		for _, b := range blocks {
-			if !yield(b, nil) {
-				return
-			}
-		}
-	}, true)
-}
-
 // Restorer rebuilds a chain from live blocks pushed to it one at a time
 // — blocks that crossed a trust boundary on their way here, such as the
 // chunks of a peer's snapshot offer. The blocks must be the exact live

@@ -88,6 +88,11 @@ var origins = map[string]func(Config, iter.Seq2[*block.Block, error]) (*Chain, e
 	"own": RestoreOwnStream,
 }
 
+// restoreBlocks restores somebody else's blocks held in memory.
+func restoreBlocks(cfg Config, blocks []*block.Block) (*Chain, error) {
+	return origins["foreign"](cfg, seqOf(blocks))
+}
+
 // TestRestoreReproducesLiveState pins that a restore from either origin
 // reproduces the live chain's state — head hash, marker, marks, entry
 // index — and that the restored chain passes both audits.

@@ -157,7 +157,7 @@ func TestEntriesAfterMatchesSortedScan(t *testing.T) {
 
 				restoreCfg := cfg
 				restoreCfg.Clock = simclock.NewLogical(0)
-				restored, err := Restore(restoreCfg, c.Blocks())
+				restored, err := restoreBlocks(restoreCfg, c.Blocks())
 				if err != nil {
 					t.Fatal(err)
 				}

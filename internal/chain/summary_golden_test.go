@@ -385,7 +385,7 @@ func TestSummaryPlannerGoldenAfterRestore(t *testing.T) {
 			}
 			driveGolden(t, c, env, 25)
 
-			restored, err := Restore(cfg, c.Blocks())
+			restored, err := restoreBlocks(cfg, c.Blocks())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -121,11 +121,6 @@ func (e *Encoder) Uint32(v uint32) {
 	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
-// Int64 appends v as 8 big-endian bytes (two's complement).
-func (e *Encoder) Int64(v int64) {
-	e.Uint64(uint64(v))
-}
-
 // Byte appends a single raw byte.
 func (e *Encoder) Byte(b byte) {
 	if e.counting {
@@ -261,9 +256,6 @@ func (d *Decoder) Uint32() uint32 {
 	}
 	return binary.BigEndian.Uint32(b)
 }
-
-// Int64 reads 8 big-endian bytes as a signed integer.
-func (d *Decoder) Int64() int64 { return int64(d.Uint64()) }
 
 // Byte reads a single raw byte.
 func (d *Decoder) Byte() byte {

@@ -14,7 +14,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e := NewEncoder(64)
 	e.Uint64(42)
 	e.Uint32(7)
-	e.Int64(-13)
 	e.Bool(true)
 	e.Bool(false)
 	e.Byte(0xAB)
@@ -30,9 +29,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got := d.Uint32(); got != 7 {
 		t.Errorf("Uint32 = %d, want 7", got)
-	}
-	if got := d.Int64(); got != -13 {
-		t.Errorf("Int64 = %d, want -13", got)
 	}
 	if got := d.Bool(); !got {
 		t.Error("Bool #1 = false, want true")
@@ -181,23 +177,21 @@ func TestZeroHash(t *testing.T) {
 
 // Property: every (uint64, bytes, string, bool) tuple round-trips.
 func TestQuickRoundTrip(t *testing.T) {
-	f := func(u uint64, b []byte, s string, v bool, i int64) bool {
+	f := func(u uint64, b []byte, s string, v bool) bool {
 		e := NewEncoder(0)
 		e.Uint64(u)
 		e.Bytes(b)
 		e.String(s)
 		e.Bool(v)
-		e.Int64(i)
 		d := NewDecoder(e.Data())
 		gu := d.Uint64()
 		gb := d.Bytes()
 		gs := d.ReadString()
 		gv := d.Bool()
-		gi := d.Int64()
 		if err := d.Finish(); err != nil {
 			return false
 		}
-		return gu == u && bytes.Equal(gb, b) && gs == s && gv == v && gi == i
+		return gu == u && bytes.Equal(gb, b) && gs == s && gv == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -252,7 +246,6 @@ func TestCounterMatchesEncoder(t *testing.T) {
 	steps := []func(*Encoder){
 		func(e *Encoder) { e.Uint64(1 << 40) },
 		func(e *Encoder) { e.Uint32(7) },
-		func(e *Encoder) { e.Int64(-1) },
 		func(e *Encoder) { e.Byte(9) },
 		func(e *Encoder) { e.Bool(true) },
 		func(e *Encoder) { e.Bytes([]byte("payload")) },

@@ -33,10 +33,7 @@ func figureScenario(stage int) (*chain.Chain, *env, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	logger, err := audit.NewLogger(c)
-	if err != nil {
-		return nil, nil, err
-	}
+	logger := audit.NewLogger(c)
 	login := func(user, terminal string) (*block.Entry, error) {
 		return logger.EntryFor(e.keys[user], audit.LoginEvent{
 			User: user, Terminal: terminal, Success: true,

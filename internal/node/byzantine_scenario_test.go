@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +15,10 @@ import (
 	"github.com/seldel/seldel/internal/attack"
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
+	"github.com/seldel/seldel/internal/codec"
+	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
@@ -69,6 +73,145 @@ func TestEquivocationAtToleranceBound(t *testing.T) {
 			t.Errorf("honest %s reports forked", nd.Name())
 		}
 		assertFlagged(t, nd, want)
+	}
+}
+
+// TestRetractedRoundIsServedToARepeatedAnnouncement drives one node's
+// vote handling by hand. The node applies a summary round on the votes
+// of two members, one of whom later equivocates and is flagged, which
+// retracts its counted vote. An honest peer that flagged the equivocator
+// first never decides that round and keeps announcing it: its repeated
+// non-repair announcement must be answered with the node's blocks from
+// that round on, and was not while the round's votes all stood.
+func TestRetractedRoundIsServedToARepeatedAnnouncement(t *testing.T) {
+	net := netsim.New(netsim.Config{})
+	t.Cleanup(net.Close)
+	reg := identity.NewRegistry()
+	names := []string{"anchor-0", "anchor-1", "anchor-2", "anchor-3", "anchor-4"}
+	keys := make(map[string]*identity.KeyPair)
+	for _, name := range names {
+		keys[name] = identity.Deterministic(name, "retracted-round")
+		if err := reg.RegisterKey(keys[name], identity.RoleMaster); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quorum, err := consensus.NewQuorum(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, err := New(Config{
+		Key: keys["anchor-0"],
+		Chain: chain.Config{
+			SequenceLength: 3,
+			Registry:       reg,
+			Clock:          simclock.NewLogical(0),
+		},
+		Quorum:  quorum,
+		Network: net,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nd.Close() })
+
+	// The other members are bare endpoints; the peer records what the
+	// node sends it.
+	var mu sync.Mutex
+	var toPeer []wire.Envelope
+	eps := make(map[string]*netsim.Endpoint)
+	for _, name := range names[1:] {
+		handler := func(netsim.Message) {}
+		if name == "anchor-1" {
+			handler = func(msg netsim.Message) {
+				env, err := wire.OpenEnvelope(nd.Chain().Verifier(), reg, msg.Payload)
+				if err != nil {
+					t.Errorf("peer received an unopenable message: %v", err)
+					return
+				}
+				mu.Lock()
+				toPeer = append(toPeer, env)
+				mu.Unlock()
+			}
+		}
+		if eps[name], err = net.Join(name, handler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncResps := func() []wire.SyncRespPayload {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []wire.SyncRespPayload
+		for _, env := range toPeer {
+			if env.Kind == wire.KindSyncResp {
+				p, err := wire.DecodeSyncResp(env.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+
+	// Fill the sequence up to its summary slot: the node announces Σ.
+	for !nd.Chain().NextIsSummary() {
+		if _, err := nd.AppendEmpty(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.Flush()
+	sigma, err := nd.Chain().BuildSummary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vote := wire.VotePayload{
+		Number: sigma.Header.Number, Hash: sigma.Hash(),
+		Marker: nd.Chain().Marker(), Approve: true,
+	}
+	send := func(from string, v wire.VotePayload) {
+		t.Helper()
+		raw := wire.SealEnvelope(keys[from], wire.KindVote, wire.EncodeVote(v))
+		if err := eps[from].Send("anchor-0", wire.KindVote, raw); err != nil {
+			t.Fatal(err)
+		}
+		net.Flush()
+	}
+
+	// Two members' votes and the node's own decide the round.
+	send("anchor-2", vote)
+	send("anchor-3", vote)
+	if head := nd.Chain().Head(); head.Number != vote.Number || nd.Chain().HeadHash() != vote.Hash {
+		t.Fatalf("head is block %d, want Σ %d applied", head.Number, vote.Number)
+	}
+	// The peer announces the round, then announces it again: while the
+	// round's votes stand, a repeat is answered with a vote, not blocks.
+	send("anchor-1", vote)
+	send("anchor-1", vote)
+	if got := syncResps(); len(got) != 0 {
+		t.Fatalf("a repeated announcement of a round decided on standing votes drew %d sync responses", len(got))
+	}
+
+	// anchor-2 equivocates: flagged, its counted vote is retracted.
+	other := vote
+	other.Hash = codec.HashBytes([]byte("another summary"))
+	send("anchor-2", other)
+	if eq := nd.Equivocators(); len(eq) != 1 || eq[0] != "anchor-2" {
+		t.Fatalf("equivocators = %v, want [anchor-2]", eq)
+	}
+
+	// The peer repeats its announcement: the node serves it the blocks
+	// from the round on.
+	send("anchor-1", vote)
+	got := syncResps()
+	if len(got) != 1 || len(got[0].Blocks) == 0 {
+		t.Fatalf("after the retraction, the repeated announcement drew %d sync responses, want one with blocks", len(got))
+	}
+	first, err := block.Decode(got[0].Blocks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Header.Number != vote.Number || first.Hash() != vote.Hash {
+		t.Errorf("served blocks start at block %d (%v), want Σ %d (%v)", first.Header.Number, first.Hash(), vote.Number, vote.Hash)
 	}
 }
 

@@ -178,16 +178,28 @@ func TestRestoreRejectsCorruptSuffix(t *testing.T) {
 		sealOne(t, c, e)
 	}
 	blocks := c.Blocks()
-	if _, err := chain.Restore(cfg, nil); err == nil {
+	if _, err := restoreBlocks(cfg, nil); err == nil {
 		t.Error("empty restore accepted")
 	}
 	// Drop a middle block: hash link broken.
 	gap := append(append([]*block.Block{}, blocks[:2]...), blocks[3:]...)
-	if _, err := chain.Restore(cfg, gap); err == nil {
+	if _, err := restoreBlocks(cfg, gap); err == nil {
 		t.Error("gapped restore accepted")
 	}
 	// Misaligned start (not at a sequence boundary).
-	if _, err := chain.Restore(cfg, blocks[1:]); err == nil {
+	if _, err := restoreBlocks(cfg, blocks[1:]); err == nil {
 		t.Error("misaligned restore accepted")
 	}
+}
+
+// restoreBlocks restores somebody else's blocks held in memory, as a
+// node adopting a peer's offer does.
+func restoreBlocks(cfg chain.Config, blocks []*block.Block) (*chain.Chain, error) {
+	r := chain.NewRestorer(cfg)
+	for _, b := range blocks {
+		if err := r.Add(b); err != nil {
+			return nil, err
+		}
+	}
+	return r.Finish()
 }

@@ -51,7 +51,6 @@ func (b *builder) closeOwned() {
 //	chain, err := seldel.New(reg,
 //		seldel.WithSequenceLength(3),
 //		seldel.WithMaxSequences(2),
-//		seldel.WithEngine(seldel.NewPoW(8)),
 //		seldel.WithStore(fs),
 //	)
 //
@@ -172,8 +171,8 @@ func WithRedundancyReference() Option {
 }
 
 // WithClock supplies the chain's logical clock (default: a fresh Logical
-// clock starting at 0). Experiments pass deterministic clocks; servers
-// pass NewWallClock().
+// clock starting at 0). Experiments pass deterministic clocks;
+// seldel-serve passes a wall clock (Unix seconds).
 func WithClock(c Clock) Option {
 	return func(b *builder) error {
 		b.cfg.Clock = c

@@ -69,7 +69,6 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/client"
 	"github.com/seldel/seldel/internal/codec"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/doctor"
@@ -79,7 +78,6 @@ import (
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
-	"github.com/seldel/seldel/internal/schema"
 	"github.com/seldel/seldel/internal/serve"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store"
@@ -128,10 +126,6 @@ type (
 	Verifier = verify.Pool
 	// VerifyStats is a snapshot of a Verifier's activity.
 	VerifyStats = verify.Stats
-	// CompactionStats is a snapshot of the compactor's progress:
-	// pending truncations and blocks/bytes physically reclaimed. Use
-	// Chain.CompactWait to barrier on it.
-	CompactionStats = compact.Stats
 )
 
 // Block and entry types.
@@ -144,10 +138,6 @@ type (
 	Entry = block.Entry
 	// Ref addresses an entry by (block number, entry number).
 	Ref = block.Ref
-	// CarriedEntry is an entry migrated into a summary block.
-	CarriedEntry = block.CarriedEntry
-	// SequenceRef is the Fig. 9 redundancy reference.
-	SequenceRef = block.SequenceRef
 	// Hash is a SHA-256 content hash.
 	Hash = codec.Hash
 )
@@ -173,10 +163,6 @@ type (
 	Engine = consensus.Engine
 	// Quorum is the anchor-node voting set.
 	Quorum = consensus.Quorum
-	// PoW is the proof-of-work engine.
-	PoW = consensus.PoW
-	// Authority is the round-robin proof-of-authority engine.
-	Authority = consensus.Authority
 	// NoOpEngine accepts blocks as built.
 	NoOpEngine = consensus.NoOp
 )
@@ -201,8 +187,6 @@ type (
 type (
 	// Store persists live blocks.
 	Store = store.Store
-	// MemStore is the in-memory store.
-	MemStore = store.Mem
 	// SegmentStore is the segmented store: blocks append into bounded,
 	// length-prefixed segment files; truncation physically retires
 	// whole segments; restores start at the durable Genesis marker. See
@@ -226,8 +210,6 @@ type (
 	// target reference, requester, request reference, entry digest, and
 	// the co-signer set that authorized the deletion.
 	Tombstone = manifest.Tombstone
-	// TombstoneCoSigner is one co-signature captured in a Tombstone.
-	TombstoneCoSigner = manifest.CoSigner
 	// DeletedProof is Chain.ProveDeleted's result: the manifest record
 	// covering the erased entry plus, while the summary block is live, a
 	// Merkle non-inclusion bracket proving the entry is NOT among the
@@ -237,8 +219,6 @@ type (
 	DoctorOptions = doctor.Options
 	// DoctorReport is Doctor's cross-validation result.
 	DoctorReport = doctor.Report
-	// DoctorFinding is one issue found by Doctor.
-	DoctorFinding = doctor.Finding
 )
 
 // Audit use-case types (the paper's evaluation scenario).
@@ -249,10 +229,6 @@ type (
 	LoginEvent = audit.LoginEvent
 	// AuditQuery filters audit queries.
 	AuditQuery = audit.QueryOptions
-	// Schema validates entry structure (YAML-declared, §V).
-	Schema = schema.Schema
-	// Record is a typed entry payload.
-	Record = schema.Record
 )
 
 // Clock types.
@@ -297,19 +273,6 @@ const (
 	PolicyRoleBased = deletion.PolicyRoleBased
 )
 
-// GenesisPrevHash is the previous-hash sentinel of block 0; its short
-// form renders as "DEADB" exactly as in the paper's Fig. 6.
-var GenesisPrevHash = block.GenesisPrevHash
-
-// RestoreChain rebuilds a chain from live blocks already in memory —
-// adopted status-quo offers, test fixtures. They are somebody else's
-// bytes: every owner signature is verified, which a chain reopening its
-// own store (WithStore / WithSegmentStore) leaves to
-// Chain.VerifySignatures.
-func RestoreChain(cfg Config, blocks []*Block) (*Chain, error) {
-	return chain.Restore(cfg, blocks)
-}
-
 // NewRegistry returns an empty identity registry.
 func NewRegistry() *Registry { return identity.NewRegistry() }
 
@@ -337,17 +300,6 @@ func NewDeletion(requester string, target Ref) *Entry {
 // NewLogicalClock returns a deterministic clock starting at start.
 func NewLogicalClock(start uint64) *LogicalClock { return simclock.NewLogical(start) }
 
-// NewWallClock returns a wall-clock adapter (Unix seconds).
-func NewWallClock() Clock { return simclock.NewWall() }
-
-// NewPoW returns a proof-of-work engine with the given difficulty bits.
-func NewPoW(bits int) *PoW { return consensus.NewPoW(bits) }
-
-// NewAuthority returns a round-robin proof-of-authority engine.
-func NewAuthority(authorities []string, self string) (*Authority, error) {
-	return consensus.NewAuthority(authorities, self)
-}
-
 // NewQuorum creates a majority-vote quorum over the given members.
 func NewQuorum(members []string) (*Quorum, error) { return consensus.NewQuorum(members) }
 
@@ -368,9 +320,6 @@ func NewClient(key *KeyPair, reg *Registry, net *Network, anchors []string) (*Cl
 	return client.New(key, reg, net, anchors)
 }
 
-// NewMemStore returns an in-memory block store.
-func NewMemStore() *MemStore { return store.NewMem() }
-
 // NewSegmentStore opens (or creates) a segmented block store rooted at
 // dir, recovering torn tails and interrupted truncations from a crash.
 // The zero Options selects 1 MiB segments synced on roll/truncate/close.
@@ -389,10 +338,7 @@ func Doctor(dir string, opts DoctorOptions) (*DoctorReport, error) {
 
 // NewAuditLogger builds the login-audit logger of the paper's evaluation
 // scenario over an existing chain.
-func NewAuditLogger(c *Chain) (*AuditLogger, error) { return audit.NewLogger(c) }
-
-// DecodeLoginEvent parses a chain entry back into a login event.
-func DecodeLoginEvent(e *Entry) (LoginEvent, error) { return audit.Decode(e) }
+func NewAuditLogger(c *Chain) *AuditLogger { return audit.NewLogger(c) }
 
 // AuditRenderOptions returns console-render options that decode
 // login-event payloads into the "login USER tty ok" style of the paper's
@@ -409,9 +355,6 @@ func AuditRenderOptions() *RenderOptions {
 		},
 	}
 }
-
-// ParseSchema compiles a YAML-subset schema document.
-func ParseSchema(src string) (*Schema, error) { return schema.Parse(src) }
 
 // Serving-layer types: the HTTP/2 (h2c) front-end of NewServer and the
 // open-loop request scheduler the repo benchmark drives it with. See
@@ -430,8 +373,6 @@ type (
 	// ServerBackend is what a Server fronts; *Chain and *Node both
 	// satisfy it.
 	ServerBackend = serve.Backend
-	// AdmissionOptions tune the Server's load shedding.
-	AdmissionOptions = serve.AdmissionOptions
 	// LoadOptions parameterize one open-loop load run.
 	LoadOptions = loadgen.Options
 	// LoadSummary counts an open-loop run's requests by outcome:

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/seldel/seldel/internal/consensus"
 )
 
 // TestPublicAPIQuickstart exercises the doc-comment quickstart end to end
@@ -224,7 +226,7 @@ func TestPublicAPIEngines(t *testing.T) {
 	c, err := New(reg,
 		WithSequenceLength(3),
 		WithClock(NewLogicalClock(0)),
-		WithEngine(NewPoW(6)),
+		WithEngine(consensus.NewPoW(6)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -240,9 +242,6 @@ func TestPublicAPIEngines(t *testing.T) {
 	}
 	if b.Hash() != sealed[0].BlockHash {
 		t.Error("sealed hash mismatch")
-	}
-	if _, err := NewAuthority([]string{"a", "b"}, "a"); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := NewQuorum([]string{"a", "b", "c"}); err != nil {
 		t.Fatal(err)
@@ -296,21 +295,15 @@ func TestPublicAPIAuditAndSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	logger, err := NewAuditLogger(c)
+	logger := NewAuditLogger(c)
+	ev := LoginEvent{User: "ALPHA", Terminal: "tty1", Success: true, At: 1}
+	ref, err := logger.Log(alice, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := logger.Log(alice, LoginEvent{User: "ALPHA", Terminal: "tty1", Success: true, At: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _, ok := c.Lookup(ref)
-	if !ok {
-		t.Fatal("login not found")
-	}
-	ev, err := DecodeLoginEvent(e)
-	if err != nil || ev.User != "ALPHA" {
-		t.Errorf("decoded %+v, %v", ev, err)
+	hits, err := logger.Query(AuditQuery{})
+	if err != nil || len(hits) != 1 || hits[0].Ref != ref || hits[0].Event != ev {
+		t.Errorf("query = %+v, %v; want %+v at %s", hits, err, ev, ref)
 	}
 	var out strings.Builder
 	if err := c.Render(&out, AuditRenderOptions()); err != nil {
@@ -319,14 +312,18 @@ func TestPublicAPIAuditAndSchema(t *testing.T) {
 	if !strings.Contains(out.String(), "login ALPHA tty1 ok") {
 		t.Errorf("audit rendering missing decoded login:\n%s", out.String())
 	}
-	if _, err := ParseSchema("name: x\nfields:\n  - name: a\n    type: int\n"); err != nil {
-		t.Errorf("ParseSchema: %v", err)
-	}
 }
 
+// TestGenesisPrevHashConstant: a new chain's block 0 links to the
+// sentinel that renders as "DEADB", as in the paper's Fig. 6.
 func TestGenesisPrevHashConstant(t *testing.T) {
-	if GenesisPrevHash.Short() != "DEADB" {
-		t.Errorf("GenesisPrevHash.Short() = %q", GenesisPrevHash.Short())
+	c, err := New(NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if g, ok := c.Block(0); !ok || g.Header.PrevHash.Short() != "DEADB" {
+		t.Errorf("block 0 (present: %v) does not link to DEADB", ok)
 	}
 }
 

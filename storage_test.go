@@ -15,6 +15,7 @@ import (
 
 	"github.com/seldel/seldel/internal/attack"
 	"github.com/seldel/seldel/internal/block"
+	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/codec"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
@@ -519,7 +520,7 @@ type ownStore struct {
 	dir    string
 	reg    *Registry
 	opts   []Option // everything but the store and the verifier
-	cfg    Config   // the same geometry, for RestoreChain
+	cfg    Config   // the same geometry, for a Restorer
 	head   Hash
 	marks  int
 	blocks []*Block
@@ -624,7 +625,7 @@ func liveSignatures(blocks []*Block) (owners, coSigs uint64) {
 // origins in signatures verified, which no machine changes: a chain
 // reopening its own store pays for the co-signatures of the deletion
 // requests it holds — their verdicts re-create the marks — and for no
-// owner signature; the same blocks handed over in memory (RestoreChain,
+// owner signature; the same blocks handed over in memory (a Restorer,
 // as a peer's offer is) pay for every live entry.
 func TestReopenVerifiesBytesNotSignatures(t *testing.T) {
 	for _, coSigned := range []bool{false, true} {
@@ -659,12 +660,18 @@ func TestReopenVerifiesBytesNotSignatures(t *testing.T) {
 		ver = NewVerifier(0, 0)
 		cfg := o.cfg
 		cfg.Clock, cfg.Verifier = NewLogicalClock(0), ver
-		foreign, err := RestoreChain(cfg, o.blocks)
+		r := chain.NewRestorer(cfg)
+		for _, b := range o.blocks {
+			if err := r.Add(b); err != nil {
+				t.Fatalf("Restorer.Add: %v", err)
+			}
+		}
+		foreign, err := r.Finish()
 		if err != nil {
-			t.Fatalf("RestoreChain: %v", err)
+			t.Fatalf("Restorer.Finish: %v", err)
 		}
 		if got := ver.Stats().Verified; got < owners {
-			t.Errorf("coSigned=%v: RestoreChain verified %d signatures for %d live entries", coSigned, got, owners)
+			t.Errorf("coSigned=%v: the Restorer verified %d signatures for %d live entries", coSigned, got, owners)
 		}
 		foreign.Close()
 		ver.Close()

@@ -35,16 +35,23 @@ var (
 	itemRef   = regexp.MustCompile(`^item \d+$`)
 )
 
-// TestEveryExportHasACaller pins the exported surface of internal/ to
-// its callers. Every exported package-level name and every exported
-// method declared in a non-test file under internal/ must be referenced
-// by a non-test file of this module or of benchmark/, outside its own
-// declaration. A method also counts as referenced when it implements a
-// called method of an interface — declared on the implementing type or
-// promoted into it — or a method of a standard interface the standard
-// library calls (String, Error, Unwrap, MarshalText, …). Struct fields
-// are out of scope: JSON and the stats code read them by reflection,
-// and the settable ones are TestSettableValuesEarnTheirKeep's.
+// TestEveryExportHasACaller pins the exported surface of internal/ and
+// of the façade to their callers. Every exported package-level name and
+// every exported method declared in a non-test file under internal/
+// must be referenced by a non-test file of this module or of benchmark/,
+// outside its own declaration. A method also counts as referenced when
+// it implements a called method of an interface — declared on the
+// implementing type or promoted into it — or a method of a standard
+// interface the standard library calls (String, Error, Unwrap,
+// MarshalText, …). Struct fields are out of scope: JSON and the stats
+// code read them by reflection, and the settable ones are
+// TestSettableValuesEarnTheirKeep's.
+//
+// A name of package seldel must be reached the way a user reaches it:
+// referenced by a non-test file under examples/, cmd/ or benchmark/, a
+// type in the signature of one of the façade's exported functions or of
+// an exported method of a type it exports, or an Err… value (users match
+// those with errors.Is).
 //
 // testdata/exports.golden lists the exceptions, one per line: the name
 // as the scan prints it, a tab and its tag (exportTag). A golden line
@@ -270,15 +277,19 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // unusedExports returns, sorted, the exports under internal/ that have
-// no caller, and the set of every export it judged. An export is named
-// "dir.Name" or "dir.Type.Method", dir being its package's directory
-// (internal/store/segment.Store.SizeBytes).
+// no caller and the façade's names no user reaches, and the set of
+// every export it judged. An export is named "dir.Name" or
+// "dir.Type.Method", dir being its package's directory
+// (internal/store/segment.Store.SizeBytes), or "seldel" for the façade.
 func unusedExports(m *module) (unused []string, declared map[string]bool) {
 	// A reference counts only outside the declaration it names, and a
 	// type is not referenced by its own methods' receivers.
 	type span struct{ pos, end token.Pos }
 	own := make(map[types.Object][]span)
 	used := make(map[types.Object]bool)
+	// byUser holds what examples/, cmd/ and benchmark/ reference.
+	byUser := make(map[types.Object]bool)
+	var facade *types.Package
 	// called maps each interface with a called method to the names of
 	// its called methods.
 	called := make(map[*types.Interface][]string)
@@ -308,6 +319,12 @@ func unusedExports(m *module) (unused []string, declared map[string]bool) {
 		}
 	}
 	for _, c := range m.pkgs {
+		dir := strings.TrimPrefix(c.pkg.Path(), modulePath+"/")
+		if c.pkg.Path() == modulePath {
+			facade = c.pkg
+		}
+		user := strings.HasPrefix(dir, "examples/") || strings.HasPrefix(dir, "cmd/") ||
+			dir == "benchmark" || strings.HasPrefix(dir, "benchmark/")
 	uses:
 		for id, obj := range c.info.Uses {
 			obj = origin(obj)
@@ -315,6 +332,9 @@ func unusedExports(m *module) (unused []string, declared map[string]bool) {
 				if sp.pos <= id.Pos() && id.Pos() < sp.end {
 					continue uses
 				}
+			}
+			if user {
+				byUser[obj] = true
 			}
 			if !used[obj] {
 				used[obj] = true
@@ -355,23 +375,29 @@ func unusedExports(m *module) (unused []string, declared map[string]bool) {
 		}
 	}
 
+	reachFacade(facade, byUser)
+
 	declared = make(map[string]bool)
-	judge := func(obj types.Object, name string) {
+	judge := func(obj types.Object, name string, reached map[types.Object]bool) {
 		declared[name] = true
-		if !used[obj] {
+		if !reached[obj] {
 			unused = append(unused, name)
 		}
 	}
 	for _, c := range m.pkgs {
 		dir, _ := strings.CutPrefix(c.pkg.Path(), modulePath+"/")
-		if !strings.HasPrefix(dir, "internal/") {
+		reached := used
+		switch {
+		case c.pkg == facade:
+			dir, reached = "seldel", byUser
+		case !strings.HasPrefix(dir, "internal/"):
 			continue
 		}
 		scope := c.pkg.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
 			if obj.Exported() {
-				judge(obj, dir+"."+n)
+				judge(obj, dir+"."+n, reached)
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -381,20 +407,90 @@ func unusedExports(m *module) (unused []string, declared map[string]bool) {
 			if iface, ok := named.Underlying().(*types.Interface); ok {
 				for i := 0; i < iface.NumExplicitMethods(); i++ {
 					if m := iface.ExplicitMethod(i); m.Exported() {
-						judge(m, dir+"."+n+"."+m.Name())
+						judge(m, dir+"."+n+"."+m.Name(), reached)
 					}
 				}
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
-					judge(m, dir+"."+n+"."+m.Name())
+					judge(m, dir+"."+n+"."+m.Name(), reached)
 				}
 			}
 		}
 	}
 	sort.Strings(unused)
 	return unused, declared
+}
+
+// reachFacade adds to reached the façade's names a user reaches without
+// naming them in examples/, cmd/ or benchmark/: its Err… values, and
+// each type that appears in the signature of an exported function of
+// the façade or of an exported method of a type it exports.
+func reachFacade(facade *types.Package, reached map[types.Object]bool) {
+	inSignature := make(map[*types.TypeName]bool)
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			inSignature[t.Origin().Obj()] = true
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Signature:
+			for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					walk(tuple.At(i).Type())
+				}
+			}
+		}
+	}
+	scope := facade.Scope()
+	for _, n := range scope.Names() {
+		switch obj := scope.Lookup(n).(type) {
+		case *types.Func:
+			if obj.Exported() {
+				walk(obj.Type())
+			}
+		case *types.TypeName:
+			if !obj.Exported() {
+				continue
+			}
+			t := types.Unalias(obj.Type())
+			if !types.IsInterface(t) {
+				t = types.NewPointer(t)
+			}
+			methods := types.NewMethodSet(t)
+			for i := 0; i < methods.Len(); i++ {
+				if m := methods.At(i).Obj(); m.Exported() {
+					walk(m.Type())
+				}
+			}
+		}
+	}
+	for _, n := range scope.Names() {
+		switch obj := scope.Lookup(n).(type) {
+		case *types.Var:
+			if strings.HasPrefix(n, "Err") {
+				reached[obj] = true
+			}
+		case *types.TypeName:
+			if named, ok := types.Unalias(obj.Type()).(*types.Named); ok && inSignature[named.Obj()] {
+				reached[obj] = true
+			}
+		}
+	}
 }
 
 // receiverIdent is the type name of a method receiver expression (T,
