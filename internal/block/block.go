@@ -203,49 +203,26 @@ var (
 	ErrRootMismatch = errors.New("block: entries root mismatch")
 )
 
-// rootThreshold is the entry count below which fanning commitment
-// building across a Runner costs more than it saves.
-const rootThreshold = 32
-
 // EntriesRoot computes the Merkle root over the canonical encodings of a
 // normal block's entries.
-func EntriesRoot(entries []*Entry) codec.Hash { return EntriesRootWith(nil, entries) }
+func EntriesRoot(entries []*Entry) codec.Hash { return merkle.RootFromHashes(entryLeaves(entries)) }
 
-// EntriesRootWith is EntriesRoot with the per-entry encoding and leaf
-// hashing fanned out across r (nil runs serially). The root is
-// identical to EntriesRoot's.
-func EntriesRootWith(r merkle.Runner, entries []*Entry) codec.Hash {
-	return merkle.RootFromHashes(leafHashes(r, len(entries), func(i int, buf []byte) []byte {
-		return entries[i].AppendEncode(buf)
-	}))
-}
-
-// leafHashes hashes n commitment leaves, fanned out across r when the
-// list is long enough to pay for it. The leaf encodings exist only to be
-// hashed: encode(i, buf) appends leaf i's canonical encoding to a pooled
-// scratch buffer, so no per-leaf allocation survives the loop.
-func leafHashes(r merkle.Runner, n int, encode func(i int, buf []byte) []byte) []codec.Hash {
-	hashes := make([]codec.Hash, n)
-	if r != nil && n >= rootThreshold {
-		r.Each(n, func(i int) {
-			bp := leafScratchPool.Get().(*[]byte)
-			*bp = encode(i, (*bp)[:0])
-			hashes[i] = merkle.HashLeaf(*bp)
-			leafScratchPool.Put(bp)
-		})
-		return hashes
-	}
+// entryLeaves hashes every entry's leaf, in order. The encodings exist
+// only to be hashed, so each goes into one pooled scratch buffer and no
+// per-leaf allocation survives the loop.
+func entryLeaves(entries []*Entry) []codec.Hash {
+	leaves := make([]codec.Hash, len(entries))
 	bp := leafScratchPool.Get().(*[]byte)
-	for i := range hashes {
-		*bp = encode(i, (*bp)[:0])
-		hashes[i] = merkle.HashLeaf(*bp)
+	for i, e := range entries {
+		*bp = e.AppendEncode((*bp)[:0])
+		leaves[i] = merkle.HashLeaf(*bp)
 	}
 	leafScratchPool.Put(bp)
-	return hashes
+	return leaves
 }
 
 // leafScratchPool holds encode buffers for commitment-root leaf
-// hashing; one buffer per goroutine in the fanned-out path.
+// hashing.
 var leafScratchPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 512)
@@ -283,20 +260,13 @@ func CarriedRoot(carried []CarriedEntry) codec.Hash {
 // NewNormal assembles an unmined normal block on top of the given
 // predecessor hash. The caller (consensus engine) seals it afterwards.
 func NewNormal(number, time uint64, prevHash codec.Hash, entries []*Entry) *Block {
-	return NewNormalWith(nil, number, time, prevHash, entries)
-}
-
-// NewNormalWith is NewNormal with the entries commitment built across
-// r — the chain passes its verification pool so block assembly under
-// load uses every core.
-func NewNormalWith(r merkle.Runner, number, time uint64, prevHash codec.Hash, entries []*Entry) *Block {
 	return &Block{
 		Header: Header{
 			Kind:        KindNormal,
 			Number:      number,
 			Time:        time,
 			PrevHash:    prevHash,
-			EntriesRoot: EntriesRootWith(r, entries),
+			EntriesRoot: EntriesRoot(entries),
 		},
 		Entries: entries,
 	}
@@ -605,9 +575,7 @@ func (b *Block) EntryTree() *merkle.Tree {
 	if b.IsSummary() {
 		return merkle.BuildFromHashes(carriedLeaves(b.Carried))
 	}
-	return merkle.BuildFromHashes(leafHashes(nil, len(b.Entries), func(i int, buf []byte) []byte {
-		return b.Entries[i].AppendEncode(buf)
-	}))
+	return merkle.BuildFromHashes(entryLeaves(b.Entries))
 }
 
 // EntryProof returns a Merkle inclusion proof for entry i of a normal

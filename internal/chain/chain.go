@@ -577,7 +577,7 @@ func (c *Chain) BuildNormal(entries []*block.Entry) (*block.Block, error) {
 	if err := c.validateDepsLocked(entries); err != nil {
 		return nil, err
 	}
-	return block.NewNormalWith(c.cfg.Verifier, next, c.cfg.Clock.Tick(), c.head().Hash(), entries), nil
+	return block.NewNormal(next, c.cfg.Clock.Tick(), c.head().Hash(), entries), nil
 }
 
 // AppendBlock validates and appends a block received from consensus or

@@ -122,13 +122,13 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 // suffix.
 //
 // There is deliberately no stage running the stateless checks ahead of
-// registration: one block's signature batch already fans out across the
-// verification pool, registration is a twentieth of it, and a four-block
-// window measured no gain with owner signatures on or off. Nor does
-// CheckShape fan its leaf hashing out across the verifier: on a restore
-// of the node's own store, where it is the largest check left, that too
-// measured no consistent gain (numbers for both in docs/ARCHITECTURE.md
-// §4).
+// registration: one block's signatures already spread over the
+// verifier's workers, registration is a twentieth of their cost, and a
+// four-block window measured no gain with owner signatures on or off.
+// Nor does CheckShape spread its leaf hashing over goroutines: on a
+// restore of the node's own store, where it is the largest check left,
+// that too measured no consistent gain (numbers for both in
+// docs/ARCHITECTURE.md §4).
 //
 // Deletion marks are reconstructed by re-processing the deletion entries
 // present in the live blocks; marks whose targets were already physically

@@ -117,8 +117,8 @@ func (c *Chain) isPlanned(b *block.Block) bool {
 // cost is what the cut holds, not everything carried. Σ's carried list,
 // its candidates and its leaves are each allocated once, sized by what
 // the cut holds before the walk visits any of it. Only entries
-// carried for the first time have their leaf hashed, fanned out across
-// the verifier; every other leaf is its candidate's memo. The result is
+// carried for the first time have their leaf hashed, as the walk
+// reaches them; every other leaf is its candidate's memo. The result is
 // bit-identical to planSummaryReferenceLocked, which the golden tests
 // enforce. Callers must hold the chain lock (read or write) and must
 // have verified that the next slot is a summary slot; the method never
@@ -129,7 +129,6 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 	p := &plannedSummary{head: head, plan: c.retentionPlanLocked(num, head.Header.Time)}
 
 	var carried []block.CarriedEntry
-	var missing []int
 	if p.plan.newMarker > c.marker {
 		checkExpiry := c.ledger.expiryPossible(head.Header.Time, num)
 		p.visited = c.ledger.walkCut(c.marker, p.plan.newMarker, func(n int) {
@@ -144,19 +143,16 @@ func (c *Chain) computeSummaryLocked() *plannedSummary {
 				p.plan.expired++
 				return
 			}
-			if cand.leaf.IsZero() {
-				missing = append(missing, len(carried))
+			leaf := cand.leaf
+			if leaf.IsZero() {
+				leaf = block.CarriedLeaf(cand.ce)
+				p.hashed++
 			}
 			carried = append(carried, cand.ce)
 			p.cands = append(p.cands, cand)
-			p.leaves = append(p.leaves, cand.leaf)
+			p.leaves = append(p.leaves, leaf)
 		})
 	}
-	c.cfg.Verifier.Each(len(missing), func(k int) {
-		i := missing[k]
-		p.leaves[i] = block.CarriedLeaf(carried[i])
-	})
-	p.hashed = len(missing)
 
 	var seqRef *block.SequenceRef
 	if c.cfg.RedundancyReference {

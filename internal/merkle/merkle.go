@@ -66,36 +66,15 @@ type Tree struct {
 	levels [][]codec.Hash
 }
 
-// Runner fans independent units of work out: Each runs fn(i) for every
-// i in [0, n) and waits for all of them. verify.Pool satisfies it, so
-// batch-level tree building forks no wider than the chain's signature
-// verification. A nil Runner runs serially.
-type Runner interface {
-	Each(n int, fn func(int))
-}
-
-// parallelThreshold is the leaf count below which fan-out overhead
-// exceeds the hashing it saves.
-const parallelThreshold = 64
-
 // Build constructs a tree over the given leaf payloads. A nil or empty
 // leaf list yields the canonical empty-tree root.
-func Build(leaves [][]byte) *Tree { return BuildWith(nil, leaves) }
-
-// BuildWith is Build with the leaf hashing fanned out across r (the
-// dominant cost; interior levels halve geometrically and stay serial).
-// The resulting tree is identical to Build's.
-func BuildWith(r Runner, leaves [][]byte) *Tree {
+func Build(leaves [][]byte) *Tree {
 	if len(leaves) == 0 {
 		return &Tree{}
 	}
 	level := make([]codec.Hash, len(leaves))
-	if r != nil && len(leaves) >= parallelThreshold {
-		r.Each(len(leaves), func(i int) { level[i] = HashLeaf(leaves[i]) })
-	} else {
-		for i, l := range leaves {
-			level[i] = HashLeaf(l)
-		}
+	for i, l := range leaves {
+		level[i] = HashLeaf(l)
 	}
 	return grow(level)
 }

@@ -97,6 +97,81 @@ func TestRecoverTornRecordTail(t *testing.T) {
 	}
 }
 
+// TestOpenRestampsATornStamp: a crash between a segment's create and
+// its 8-byte stamp leaves a newest segment holding a strict prefix of
+// the magic, the empty file included. Open stamps it whole and appends
+// land in it; any other bytes, and a torn stamp in a sealed segment, are
+// refused.
+func TestOpenRestampsATornStamp(t *testing.T) {
+	type tc struct {
+		name         string
+		newest       string
+		sealedTorn   bool // write newest as a sealed segment with an empty stamped one after it
+		wantBadMagic bool
+	}
+	cases := []tc{{name: "empty"}}
+	for n := 1; n < len(segMagic); n++ {
+		cases = append(cases, tc{name: fmt.Sprintf("prefix-%d", n), newest: segMagic[:n]})
+	}
+	cases = append(cases,
+		tc{name: "wrong-bytes", newest: "SELX", wantBadMagic: true},
+		tc{name: "wrong-magic", newest: "SELSEG2\n", wantBadMagic: true},
+		tc{name: "sealed-torn", newest: segMagic[:3], sealedTorn: true, wantBadMagic: true},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := open(t, dir, Options{})
+			blocks := fill(t, s, 9)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			last, _ := parseSegmentName(filepath.Base(lastSegmentPath(t, dir)))
+			torn := filepath.Join(dir, segmentName(last+1))
+			if err := os.WriteFile(torn, []byte(c.newest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c.sealedTorn {
+				if err := os.WriteFile(filepath.Join(dir, segmentName(last+2)), []byte(segMagic), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, err := Open(dir, Options{})
+			if c.wantBadMagic {
+				if err == nil {
+					s2.Close()
+					t.Fatalf("Open accepted a segment holding %q", c.newest)
+				}
+				if !strings.Contains(err.Error(), "bad magic") {
+					t.Fatalf("Open: %v, want bad magic", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open with a newest segment holding %q: %v", c.newest, err)
+			}
+			defer s2.Close()
+			if nums := liveNumbers(t, s2); len(nums) != 9 || nums[8] != 8 {
+				t.Fatalf("recovered %v, want blocks 0..8", nums)
+			}
+			if err := s2.PutBlock(testBlock(t, 9, blocks[8])); err != nil {
+				t.Fatalf("PutBlock after the restamp: %v", err)
+			}
+			if _, err := s2.GetBlock(9); err != nil {
+				t.Fatalf("GetBlock(9): %v", err)
+			}
+			raw, err := os.ReadFile(torn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(raw), segMagic) || len(raw) == len(segMagic) {
+				t.Fatalf("the restamped segment holds %q…, want the magic and block 9", raw[:min(len(raw), 16)])
+			}
+		})
+	}
+}
+
 func TestRecoverCorruptPayloadChecksum(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})

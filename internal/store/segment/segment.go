@@ -329,19 +329,23 @@ func (s *Store) openSegment(id uint64, path string, newest bool) (*segmentFile, 
 	raw, good, err := scanSegment(f, s.recordLocked, func(num uint64, off int64, n int) {
 		s.indexRecord(seg, num, off, n)
 	})
+	// A crash between a segment's create and its stamp leaves a strict
+	// prefix of the magic: nothing, or a torn stamp. Only the newest
+	// segment can be torn so; in a sealed one a torn stamp is refused
+	// like any other bytes.
+	torn := len(raw) == 0 || newest && len(raw) < len(segMagic) && string(raw) == segMagic[:len(raw)]
 	s.releaseRecordLocked(len(raw))
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("segment: %s: %w", path, err)
 	}
 	if good == 0 {
-		if len(raw) > 0 {
+		if !torn {
 			f.Close()
 			return nil, fmt.Errorf("segment: %s: bad magic", path)
 		}
-		// Zero-length file: a segment created right before a crash.
-		// Stamp the magic so appends can proceed.
-		if _, err := f.Write([]byte(segMagic)); err != nil {
+		// Stamp it whole so appends can proceed.
+		if _, err := f.WriteAt([]byte(segMagic), 0); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("segment: stamp %s: %w", path, err)
 		}

@@ -19,10 +19,10 @@ const DefaultCacheSize = 1 << 14
 
 // Options parameterize a Pool.
 type Options struct {
-	// Workers bounds how many goroutines one Each call runs fn on,
-	// the caller included, and how many run the warm-up queue at once.
-	// 0 means runtime.GOMAXPROCS(0); 1 keeps every Each call on the
-	// caller's goroutine and the warm-up queue on one worker.
+	// Workers bounds how many goroutines run the queue at once: the
+	// warm-up entries and, ahead of them, the signatures of check calls
+	// beyond the one each caller runs itself. 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// CacheSize is the verified-signature cache capacity. 0 means
 	// DefaultCacheSize; negative disables the cache entirely (every
@@ -33,14 +33,14 @@ type Options struct {
 
 // Stats is a snapshot of pool activity.
 type Stats struct {
-	// Workers is the fan-out bound.
+	// Workers is the bound on the queue's workers.
 	Workers int
 	// Verified counts Ed25519 verifications actually performed.
 	Verified uint64
 	// Batched counts signatures that reached the curve through the
-	// batch path rather than a standalone VerifySig or VerifySigner
-	// call. Batched ≤ Verified; the gap is the single-signature
-	// traffic (lone entries, envelopes, audits).
+	// queue (Entries, Blocks, CoSigners and Warm) rather than a
+	// standalone VerifySig or VerifySigner call. Batched ≤ Verified;
+	// the gap is the single-signature traffic (envelopes, audits).
 	Batched uint64
 	// CacheHits counts verifications answered from the cache.
 	CacheHits uint64
@@ -62,27 +62,31 @@ func (e *EntryError) Error() string { return fmt.Sprintf("entry %d: %v", e.Index
 func (e *EntryError) Unwrap() error { return e.Err }
 
 // Pool is a signature verifier: a verified-signature cache, activity
-// counters, a bound on fork-join fan-out, and the warm-up queue (Warm).
-// An idle pool holds no goroutines: the queue's workers exist only
-// while it holds unclaimed work. Safe for concurrent use; the zero
-// value is not usable, call New (or use Shared).
+// counters, and the queue that both Warm and the synchronous checks
+// (Entries, Blocks, CoSigners) run through. An idle pool holds no
+// goroutines: the queue's workers exist only while it holds unclaimed
+// work. Safe for concurrent use; the zero value is not usable, call New
+// (or use Shared).
 type Pool struct {
 	workers int
 	cache   *cache
 
-	// mu guards the warm-up queue: warming holds the groups not yet
-	// closed, oldest first, popped counts the groups closed before them,
-	// and claimAt indexes the first that may have unclaimed entries;
-	// unclaimed counts those entries over all groups, and workersUp the
-	// workers running. inflight holds the signatures a worker is
-	// checking right now; landed is broadcast when one lands.
+	// mu guards the queue: checks holds the check calls with flights
+	// no one has claimed, oldest first; warming holds the warm-up groups
+	// not yet closed, oldest first, popped counts the groups closed
+	// before them, and claimAt indexes the first that may have unclaimed
+	// entries; unclaimed counts the unclaimed flights and entries over
+	// both, and workersUp the workers running. inflight holds the
+	// signatures queued or on the curve right now; landed is broadcast
+	// when one lands.
 	mu        sync.Mutex
+	checks    []*checkCall
 	warming   []warmGroup
 	popped    int
 	claimAt   int
 	unclaimed int
 	workersUp int
-	inflight  map[cacheKey]bool
+	inflight  map[cacheKey]*flight
 	landed    sync.Cond
 
 	verified atomic.Uint64
@@ -93,7 +97,7 @@ type Pool struct {
 
 // New returns a verifier.
 func New(opts Options) *Pool {
-	p := &Pool{workers: opts.Workers}
+	p := &Pool{workers: opts.Workers, inflight: make(map[cacheKey]*flight)}
 	p.landed.L = &p.mu
 	if p.workers <= 0 {
 		p.workers = runtime.GOMAXPROCS(0)
@@ -108,8 +112,8 @@ func New(opts Options) *Pool {
 	return p
 }
 
-// Shared returns the process-wide default pool: GOMAXPROCS-wide fan-out
-// and the default cache. Chains that are not configured with their own
+// Shared returns the process-wide default pool: GOMAXPROCS workers and
+// the default cache. Chains that are not configured with their own
 // pool verify through it, so summary re-computation on every node of a
 // local cluster shares one cache.
 var Shared = sync.OnceValue(func() *Pool { return New(Options{}) })
@@ -127,37 +131,6 @@ func (p *Pool) Stats() Stats {
 
 // Close does nothing — an idle Pool owns nothing to stop — and goes once benchmark/ stops calling it.
 func (p *Pool) Close() {}
-
-// Each runs fn(i) for every i in [0, n) and waits for all of them: on
-// the caller alone when Workers or n is 1, otherwise on the caller plus
-// min(Workers, n)-1 goroutines that pull indices from one counter and
-// exit. It is the generic fan-out primitive — batch signature checks and
-// Merkle leaf hashing route through it (it satisfies merkle.Runner).
-func (p *Pool) Each(n int, fn func(int)) {
-	width := min(p.workers, n)
-	if width <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	pull := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(width - 1)
-	for g := 1; g < width; g++ {
-		go func() {
-			defer wg.Done()
-			pull()
-		}()
-	}
-	pull()
-	wg.Wait()
-}
 
 // cacheKeyScratchPool holds concat buffers for cacheKeyFor, so the two
 // key computations per entry on the warm+seal path allocate nothing.
@@ -189,9 +162,8 @@ func cacheKeyFor(pub ed25519.PublicKey, msg, sig []byte) cacheKey {
 }
 
 // VerifySig checks one raw signature through the cache and pool
-// counters. It does not parallelize (a single check has nothing to fan
-// out) but shares the cache with batch verification. Malformed key or
-// signature sizes are rejected before the cache is consulted.
+// counters, on the caller's goroutine and outside the queue. Malformed
+// key or signature sizes are rejected before the cache is consulted.
 func (p *Pool) VerifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
@@ -250,65 +222,37 @@ func screen(reg *identity.Registry, e *block.Entry) (ed25519.PublicKey, error) {
 	return info.Public, nil
 }
 
-// firstBad checks shape and owner signature of every entry and returns
-// the first failure by position, nil when all pass. Screening runs
-// inline (nanoseconds against the microseconds of curve math); the
-// surviving signatures resolve together through one Batch — cache
-// screen, duplicate collapse, one curve check each fanned out by Each.
-// A lone entry, the common submit shape, skips the batch.
-func (p *Pool) firstBad(reg *identity.Registry, entries []*block.Entry) *EntryError {
-	badSig := func(e *block.Entry) error {
-		return fmt.Errorf("%w: signer %q", identity.ErrBadSignature, e.Owner)
-	}
-	if len(entries) == 1 {
-		e := entries[0]
-		pub, err := screen(reg, e)
-		if err == nil && !p.VerifySig(pub, e.SigningBytes(), e.Signature) {
-			err = badSig(e)
-		}
-		if err != nil {
-			return &EntryError{Index: 0, Err: err}
-		}
-		return nil
-	}
-	errs := make([]error, len(entries))
-	b := p.NewBatch(len(entries))
-	for i, e := range entries {
-		pub, err := screen(reg, e)
-		if errs[i] = err; err != nil {
-			// A keyless check keeps verdict i on entry i; Add fails it
-			// without touching the cache or the curve.
-			b.Add(nil, nil, nil)
-			continue
-		}
-		b.Add(pub, e.SigningBytes(), e.Signature)
-	}
-	for i, ok := range b.Verify() {
-		switch {
-		case errs[i] != nil:
-			return &EntryError{Index: i, Err: errs[i]}
-		case !ok:
-			return &EntryError{Index: i, Err: badSig(entries[i])}
-		}
-	}
-	return nil
-}
-
 // Entries verifies a batch of entries against reg: structural shape and
 // owner signature for every entry. The first failure (by batch
-// position) is returned as an *EntryError. Chain-state-dependent rules
-// (dependencies, marks) are not checked here — they belong under the
-// chain lock.
+// position) is returned as an *EntryError. Screening runs inline
+// (nanoseconds against the microseconds of curve math) and stops at the
+// first entry that fails it; the signatures before that entry resolve
+// together through one check. Chain-state-dependent rules (dependencies,
+// marks) are not checked here — they belong under the chain lock.
 func (p *Pool) Entries(reg *identity.Registry, entries []*block.Entry) error {
-	if bad := p.firstBad(reg, entries); bad != nil {
-		return bad
+	sigs := make([]flight, 0, len(entries))
+	var err error
+	for _, e := range entries {
+		var pub ed25519.PublicKey
+		if pub, err = screen(reg, e); err != nil {
+			break
+		}
+		sigs = append(sigs, flight{pub: pub, msg: e.SigningBytes(), sig: e.Signature})
+	}
+	for i, ok := range p.check(sigs) {
+		if !ok {
+			return &EntryError{Index: i, Err: fmt.Errorf("%w: signer %q", identity.ErrBadSignature, entries[i].Owner)}
+		}
+	}
+	if err != nil {
+		return &EntryError{Index: len(sigs), Err: err}
 	}
 	return nil
 }
 
-// CoSigners batch-verifies the co-signatures of a deletion entry: each
-// listed co-signer's Ed25519 signature over the cosigning bytes of the
-// entry's target, through the verified-signature cache. verdicts[i]
+// CoSigners verifies the co-signatures of a deletion entry in one
+// check: each listed co-signer's Ed25519 signature over the cosigning
+// bytes of the entry's target, through the verified-signature cache. verdicts[i]
 // reports whether e.CoSigners[i] is a known identity with a valid
 // signature. This is the lock-free half of deletion authorization — the
 // chain consumes the verdicts under its lock without touching a
@@ -318,17 +262,17 @@ func (p *Pool) CoSigners(reg *identity.Registry, e *block.Entry) []bool {
 		return nil
 	}
 	msg := block.CoSigningBytes(e.Target)
-	b := p.NewBatch(len(e.CoSigners))
-	for _, cs := range e.CoSigners {
-		// An unknown name has no key, and Add fails a keyless check
-		// without touching the cache or the curve.
+	sigs := make([]flight, len(e.CoSigners))
+	for i, cs := range e.CoSigners {
+		// An unknown name has no key, and check fails a keyless
+		// signature without touching the cache or the curve.
 		info, _ := reg.Lookup(cs.Name)
-		b.Add(info.Public, msg, cs.Signature)
+		sigs[i] = flight{pub: info.Public, msg: msg, sig: cs.Signature}
 	}
-	return b.Verify()
+	return p.check(sigs)
 }
 
-// Blocks verifies the entries of many blocks as one batch — the restore
+// Blocks verifies the entries of many blocks in one check — the restore
 // path: a whole persisted chain (or an adopted status quo) is re-checked
 // before any of it is trusted. Summary blocks contribute their carried
 // entries, which the cache screens when several re-carry the same one.
@@ -346,7 +290,7 @@ func (p *Pool) Blocks(reg *identity.Registry, blocks []*block.Block) error {
 			all = append(all, ce.Entry)
 		}
 	}
-	bad := p.firstBad(reg, all)
+	bad, _ := p.Entries(reg, all).(*EntryError)
 	if bad == nil {
 		return nil
 	}

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,71 +228,6 @@ func TestCloseStopsWorkersKeepsVerifying(t *testing.T) {
 	}
 	if got := p.Stats().CacheHits - hits; got != 40 {
 		t.Fatalf("after close: %d cache hits, want 40", got)
-	}
-}
-
-// goid returns the calling goroutine's id, from its stack header.
-func goid() string {
-	buf := make([]byte, 64)
-	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
-}
-
-func TestEachBoundsFanOut(t *testing.T) {
-	// Workers 1: ascending, on the caller's goroutine.
-	var order []int
-	caller := goid()
-	New(Options{Workers: 1}).Each(50, func(i int) {
-		if g := goid(); g != caller {
-			t.Errorf("index %d ran on goroutine %s, caller is %s", i, g, caller)
-		}
-		order = append(order, i)
-	})
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("Workers 1 visited %v, want ascending", order)
-		}
-	}
-	if len(order) != 50 {
-		t.Fatalf("Workers 1 visited %d of 50 indices", len(order))
-	}
-
-	// Every index exactly once, never more than Workers calls at once.
-	for _, tc := range []struct{ workers, n int }{{3, 200}, {8, 5}, {2, 2}, {4, 1}, {4, 0}} {
-		var running, peak atomic.Int64
-		visits := make([]atomic.Int64, tc.n)
-		New(Options{Workers: tc.workers}).Each(tc.n, func(i int) {
-			now := running.Add(1)
-			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
-			}
-			visits[i].Add(1)
-			time.Sleep(50 * time.Microsecond)
-			running.Add(-1)
-		})
-		for i := range visits {
-			if v := visits[i].Load(); v != 1 {
-				t.Fatalf("workers=%d n=%d: index %d visited %d times", tc.workers, tc.n, i, v)
-			}
-		}
-		if got, limit := peak.Load(), int64(min(tc.workers, tc.n)); got > limit {
-			t.Fatalf("workers=%d n=%d: %d calls in flight at once, bound is %d", tc.workers, tc.n, got, limit)
-		}
-	}
-
-	// And it does fan out: four calls that each wait for the other three
-	// only finish if min(Workers, n) of them run at once.
-	var arrived, met atomic.Int64
-	deadline := time.Now().Add(5 * time.Second)
-	New(Options{Workers: 4}).Each(4, func(int) {
-		arrived.Add(1)
-		for arrived.Load() < 4 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if arrived.Load() == 4 {
-			met.Add(1)
-		}
-	})
-	if met.Load() != 4 {
-		t.Fatalf("Workers 4, n 4: the four calls never ran at once (%d of them saw all four)", met.Load())
 	}
 }
 

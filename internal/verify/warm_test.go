@@ -118,7 +118,7 @@ func TestIdlePoolHoldsNoGoroutine(t *testing.T) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.warming) != 0 || p.unclaimed != 0 || len(p.inflight) != 0 {
-		t.Fatalf("drained queue still holds %d groups, %d unclaimed, %d in flight", len(p.warming), p.unclaimed, len(p.inflight))
+	if len(p.checks) != 0 || len(p.warming) != 0 || p.unclaimed != 0 || len(p.inflight) != 0 {
+		t.Fatalf("drained queue still holds %d check calls, %d groups, %d unclaimed, %d in flight", len(p.checks), len(p.warming), p.unclaimed, len(p.inflight))
 	}
 }

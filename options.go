@@ -301,8 +301,8 @@ func WithVerifier(p *Verifier) Option {
 }
 
 // NewVerifier builds a standalone signature verifier. workers bounds
-// the goroutines one batch forks across (0 means GOMAXPROCS, 1 keeps
-// every check on its caller); cacheSize 0 means the default
+// the goroutines that run its verification queue besides each caller
+// (0 means GOMAXPROCS); cacheSize 0 means the default
 // verified-signature cache, negative disables caching.
 func NewVerifier(workers, cacheSize int) *Verifier {
 	return verify.New(verify.Options{Workers: workers, CacheSize: cacheSize})
