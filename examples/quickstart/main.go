@@ -89,8 +89,8 @@ func run() error {
 	if _, _, ok := chain.Lookup(secret); ok {
 		return fmt.Errorf("entry still resolvable after deletion")
 	}
-	// Physical cleanup (pruning the store) runs on the background
-	// compactor; barrier on it before measuring the directory.
+	// Physical cleanup (pruning the store) runs off the append path;
+	// barrier on it before measuring the directory.
 	if err := chain.CompactWait(ctx); err != nil {
 		return err
 	}

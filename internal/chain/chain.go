@@ -16,7 +16,6 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/codec"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
@@ -184,7 +183,7 @@ type Mark struct {
 
 // Listener observes chain mutations. OnAppend runs synchronously after
 // the mutation completed and the chain lock was released; OnTruncate
-// runs on the background compactor's goroutine, off the append path
+// runs on the chain's stage goroutine (stage.go), off the append path
 // (CompactWait barriers on it), and only after the OnAppend calls of the
 // append that truncated have returned. Implementations must not mutate
 // the chain reentrantly from callbacks, and OnAppend must not wait for
@@ -193,9 +192,8 @@ type Listener interface {
 	// OnAppend fires for every appended block (normal and summary).
 	OnAppend(b *block.Block)
 	// OnTruncate fires after a marker shift logically removed the
-	// blocks with numbers in [oldMarker, newMarker), when the
-	// compactor executes the physical cleanup. Store implementations
-	// prune here.
+	// blocks with numbers in [oldMarker, newMarker), when the stage
+	// executes the physical cleanup. Store implementations prune here.
 	OnTruncate(oldMarker, newMarker uint64)
 }
 
@@ -281,32 +279,25 @@ type Chain struct {
 	pipeMu     sync.Mutex
 	pipe       atomic.Pointer[mempool.Batcher]
 	pipeClosed bool
-	// gc is the group-commit committer (DurabilityGroup only), started
-	// with the pipeline and closed strictly after it so every sealed
-	// batch's resolution reaches its final sync.
-	gc *groupCommitter
 	// summaryStep, created by a SealBlocks waiting for a summary block,
 	// is closed when the pipeline's flusher next finishes its summary
 	// step (sealer.AfterResolve); stepMu guards it.
 	stepMu      sync.Mutex
 	summaryStep chan struct{}
 
-	// comp is the lazily started background compactor executing the
-	// physical side of truncation; same lifecycle discipline as pipe.
-	compMu     sync.Mutex
-	comp       atomic.Pointer[compact.Compactor]
-	compClosed bool
+	// stage runs what follows an append, in seal order: group-commit
+	// syncs and the physical side of truncations (stage.go).
+	stage *stage
 
 	// owned are resources whose lifecycle the chain adopted (e.g. a
 	// store opened internally by seldel.WithSegmentStore). Close shuts
-	// them down last — after the pipeline drained and the compactor
-	// executed its final store pruning.
+	// them down last — after the pipeline and the stage drained.
 	ownMu sync.Mutex
 	owned []io.Closer
 }
 
 // Own transfers a resource's lifecycle to the chain: it is closed by
-// Chain.Close after the submission pipeline and compactor have drained.
+// Chain.Close after the submission pipeline and the stage have drained.
 // Used by the façade for stores it opens on the caller's behalf;
 // resources the caller constructed stay the caller's to close.
 func (c *Chain) Own(r io.Closer) {
@@ -322,6 +313,16 @@ func New(cfg Config) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
+	c := blankChain(full)
+	genesis := block.NewNormal(0, full.Clock.Tick(), block.GenesisPrevHash, nil)
+	c.blocks = append(c.blocks, genesis)
+	c.liveBytes = int64(genesis.EncodedSize())
+	c.stats.AppendedBlocks = 1
+	return c, nil
+}
+
+// blankChain returns an empty chain on a defaulted config: no blocks yet.
+func blankChain(full Config) *Chain {
 	c := &Chain{
 		cfg:         full,
 		auth:        newAuthorizer(full),
@@ -331,11 +332,8 @@ func New(cfg Config) (*Chain, error) {
 		tombIndex:   make(map[block.Ref]int),
 		nextTombSeq: 1,
 	}
-	genesis := block.NewNormal(0, full.Clock.Tick(), block.GenesisPrevHash, nil)
-	c.blocks = append(c.blocks, genesis)
-	c.liveBytes = int64(genesis.EncodedSize())
-	c.stats.AppendedBlocks = 1
-	return c, nil
+	c.stage = newStage(c.syncStore, full.Durability.GroupWindow, c.runCompaction)
+	return c
 }
 
 // AddListener registers a mutation observer.
@@ -593,7 +591,7 @@ func (c *Chain) BuildNormal(entries []*block.Entry) (*block.Block, error) {
 // dependencies, seal, deletion cohesion) are checked under the lock,
 // consuming the precomputed signature verdicts. Truncation triggered by
 // a summary block is executed logically under the lock; its physical
-// side is handed to the background compactor (see CompactWait).
+// side is queued on the chain's stage (see CompactWait).
 func (c *Chain) AppendBlock(b *block.Block) error {
 	_, err := c.appendBlock(b)
 	return err
@@ -650,9 +648,6 @@ func (c *Chain) appendVerified(b *block.Block, checks cosigChecks) ([]mempool.Ma
 	}
 	if events.listened != nil {
 		close(events.listened)
-	}
-	if events.truncated != nil {
-		c.compactor().Enqueue(*events.truncated)
 	}
 	return events.outcomes, nil
 }
@@ -728,9 +723,6 @@ func (c *Chain) checkLink(prev, b *block.Block) error {
 
 type chainEvents struct {
 	appended []*block.Block
-	// truncated is set when the append's truncation could not be staged
-	// (the compactor is closed) and must run inline after the listeners.
-	truncated *compact.Event
 	// listened, set when the append truncated, is closed once the
 	// appended blocks reached every listener; the truncation waits for it.
 	listened chan struct{}
@@ -769,19 +761,13 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 		c.rehomeLocked(b, p)
 		events.appended = append(events.appended, b)
 		if ev := c.applyPlanLocked(p.plan); ev != nil {
-			// Stage the physical work while still under the chain lock:
-			// the compactor's intake is non-blocking, and staging here
-			// is what keeps truncation events in marker order across
-			// concurrent appenders. The event is held until this append
-			// has run its listeners (appendVerified closes listened), so
-			// no store prunes below a Σ it has not written. A closed
-			// compactor instead runs inline after the listeners —
-			// appendVerified executes events.truncated then.
+			// Staged while still under the chain lock, which keeps cuts
+			// in marker order across concurrent appenders, and held
+			// until this append has run its listeners (appendVerified
+			// closes listened), so no store prunes below a Σ it has not
+			// written.
 			events.listened = make(chan struct{})
-			ev.After = events.listened
-			if !c.compactor().TryEnqueue(*ev) {
-				events.truncated = ev
-			}
+			c.stage.push(stageItem{cut: ev, listened: events.listened})
 		}
 		return events, nil
 	}
@@ -1084,36 +1070,12 @@ func (c *Chain) HeadHash() codec.Hash {
 	return c.head().Hash()
 }
 
-// compactor lazily starts the background compactor on the first
-// truncation. After Close it returns the retained instance, whose
-// Enqueue runs inline. Read-only paths (PipelineStats, CompactWait)
-// deliberately avoid this accessor while the pointer is nil, so a
-// monitoring loop never spawns the goroutine.
-func (c *Chain) compactor() *compact.Compactor {
-	if k := c.comp.Load(); k != nil {
-		return k
-	}
-	c.compMu.Lock()
-	defer c.compMu.Unlock()
-	if k := c.comp.Load(); k != nil {
-		return k
-	}
-	k := compact.New(c.runCompaction)
-	if c.compClosed {
-		// First needed after Close: closed at once, so Enqueue runs
-		// inline and there is nothing to shut down later.
-		k.Close()
-	}
-	c.comp.Store(k)
-	return k
-}
-
 // runCompaction executes the physical side of one truncation: release
 // the cut prefix's memory, sweep dead dependency edges, then let the
 // listeners prune their stores. The logical truncation (marker shift,
 // ledger sweep) already happened under the append lock — validation
-// correctness never waits for the compactor.
-func (c *Chain) runCompaction(ev compact.Event) {
+// correctness never waits for the stage.
+func (c *Chain) runCompaction(ev Event) {
 	c.mu.Lock()
 	// Copy the live slice into a fresh backing array so the cut prefix
 	// (still pinned by the shared array after the appender's cheap
@@ -1148,7 +1110,7 @@ func (c *Chain) runCompaction(ev compact.Event) {
 	c.mu.Unlock()
 	// The store's disk work below blocks in fsync. Yield first, so the
 	// goroutine that resolved the truncating batch's receipts — an HTTP
-	// reply, say — runs before the compactor holds the processor.
+	// reply, say — runs before the stage holds the processor.
 	runtime.Gosched()
 	for _, l := range c.listenersSnapshot() {
 		if tl, ok := l.(TruncateEventListener); ok {
@@ -1165,22 +1127,25 @@ func (c *Chain) runCompaction(ev compact.Event) {
 // bare marker pair. Persistent stores use it to write the audit record
 // durably in the same operation as the physical prune.
 type TruncateEventListener interface {
-	OnTruncateEvent(ev compact.Event)
+	OnTruncateEvent(ev Event)
 }
 
 // CompactWait blocks until every truncation that happened before the
 // call has been physically compacted (memory released, stores pruned,
 // OnTruncate listeners notified), or ctx is cancelled. It is the
 // determinism barrier for tests and experiments that assert on
-// post-truncation state; on a never-truncated chain it returns
-// immediately (without starting the compactor).
+// post-truncation state. It waits for the whole stage, so under
+// DurabilityGroup for the syncs queued before it too; on an idle stage
+// it returns at once.
 func (c *Chain) CompactWait(ctx context.Context) error {
-	c.compMu.Lock()
-	k := c.comp.Load()
-	c.compMu.Unlock()
-	if k == nil {
-		// No compactor means no truncation was ever staged.
-		return nil
+	return c.stage.wait(ctx)
+}
+
+// syncStore is the group commit's sync. A sync that succeeds after a
+// failed write synced nothing, so the latch is read after it.
+func (c *Chain) syncStore() error {
+	if err := c.cfg.Durability.Sync(); err != nil {
+		return err
 	}
-	return k.Wait(ctx)
+	return c.StoreErr()
 }

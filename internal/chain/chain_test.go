@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
@@ -468,7 +467,7 @@ func (l *slowSummaryListener) OnAppend(b *block.Block) {
 
 func (l *slowSummaryListener) OnTruncate(uint64, uint64) {}
 
-func (l *slowSummaryListener) OnTruncateEvent(ev compact.Event) {
+func (l *slowSummaryListener) OnTruncateEvent(ev Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.truncations++

@@ -196,8 +196,9 @@ func candidateLess(a, b *candidate) bool {
 // index; the cut summaries' held lists and dead expiry-heap items go
 // too. So a prune costs what the cut held, not everything live. The
 // dropped candidates stay in ordered, held below the new marker, until
-// the compactor's compact removes them; each lets go of its entry at
-// once, so an erased entry's bytes are not kept alive meanwhile.
+// the cut's physical side (compact) removes them; each lets go of its
+// entry at once, so an erased entry's bytes are not kept alive
+// meanwhile.
 func (l *carriedLedger) prune(marker, newMarker uint64, drop func(*candidate)) {
 	l.walkCut(marker, newMarker, func(int) {}, func(cand *candidate) {
 		delete(l.byRef, cand.ce.Ref())
@@ -308,8 +309,9 @@ const indexShrinkMinPeak = 1024
 const indexShrinkFactor = 4
 
 // maybeShrink rebuilds byRef into a right-sized map when a cut left it
-// mostly empty. The compactor calls it under the chain lock: the rebuild
-// is O(live), off the append path, and invisible to readers.
+// mostly empty. A cut's physical side calls it under the chain lock:
+// the rebuild is O(live), off the append path, and invisible to
+// readers.
 func (l *carriedLedger) maybeShrink() {
 	if l.peak < indexShrinkMinPeak || len(l.byRef)*indexShrinkFactor >= l.peak {
 		return

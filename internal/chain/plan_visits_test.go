@@ -11,6 +11,7 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store"
+	"github.com/seldel/seldel/internal/store/segment"
 )
 
 // TestSummaryPlanVisitsOnlyTheCut pins the planner's cost to the cut: on
@@ -39,8 +40,12 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer whole.Close()
-	mem := store.NewMem()
-	reopened, err := store.Open(config(), mem)
+	disk, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	reopened, err := store.Open(config(), disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +69,7 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 			if err := reopened.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if reopened, err = store.Open(config(), mem); err != nil {
+			if reopened, err = store.Open(config(), disk); err != nil {
 				t.Fatal(err)
 			}
 		}

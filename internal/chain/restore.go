@@ -43,15 +43,7 @@ func newRestorer(cfg Config, ownerSigs bool) *Restorer {
 		return &Restorer{err: err}
 	}
 	return &Restorer{
-		c: &Chain{
-			cfg:         full,
-			auth:        newAuthorizer(full),
-			dependents:  make(map[block.Ref][]deletion.Dependent),
-			marks:       make(map[block.Ref]Mark),
-			ledger:      newCarriedLedger(),
-			tombIndex:   make(map[block.Ref]int),
-			nextTombSeq: 1,
-		},
+		c:         blankChain(full),
 		ownerSigs: ownerSigs,
 	}
 }
@@ -126,9 +118,12 @@ func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain
 // verifier's workers, registration is a twentieth of their cost, and a
 // four-block window measured no gain with owner signatures on or off.
 // Nor does CheckShape spread its leaf hashing over goroutines: on a
-// restore of the node's own store, where it is the largest check left,
-// that too measured no consistent gain (numbers for both in
-// docs/ARCHITECTURE.md §4).
+// restore of the node's own store, where it is the largest check left
+// (about 40 % of a reopen on a read-sized store, 22 % leaf SHA-256),
+// that too measured no consistent gain. A two-way leaf hash and a
+// decode-and-check look-ahead measured none either, most likely
+// because the garbage collector holds the second core (numbers for
+// all in docs/ARCHITECTURE.md §4).
 //
 // Deletion marks are reconstructed by re-processing the deletion entries
 // present in the live blocks; marks whose targets were already physically

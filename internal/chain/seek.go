@@ -51,8 +51,8 @@ func (c *Chain) EntriesAfter(after block.Ref, haveCursor bool, limit int, skipMa
 		i = sort.Search(len(ord), func(j int) bool { return refLess(after, ord[j].ce.Ref()) })
 	}
 	for ; i < len(ord) && len(out) < limit && ord[i].ce.OriginBlock < c.marker; i++ {
-		// A candidate held below the marker was pruned by a cut the
-		// compactor has not compacted away yet.
+		// A candidate held below the marker was pruned by a cut whose
+		// physical side has not run yet.
 		if ord[i].holder < c.marker || skipMarked && ord[i].marked {
 			continue
 		}

@@ -138,18 +138,10 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 	// that failed is visible here.
 	opts.Durable = func(resolve func(error)) { resolve(c.StoreErr()) }
 	if c.cfg.Durability.Mode == DurabilityGroup {
-		// Group commit: sealed batches hand their receipt resolution to
-		// the committer, which shares one store fsync across everything
-		// sealed since the previous sync. A sync that succeeds after a
-		// failed write synced nothing, so the latch is read after it.
-		syncStore := func() error {
-			if err := c.cfg.Durability.Sync(); err != nil {
-				return err
-			}
-			return c.StoreErr()
-		}
-		c.gc = newGroupCommitter(syncStore, c.cfg.Durability.GroupWindow)
-		opts.Durable = c.gc.enqueue
+		// Group commit: sealed batches queue their receipt resolution on
+		// the stage, which shares one store fsync across everything
+		// sealed since the previous sync.
+		opts.Durable = func(resolve func(error)) { c.stage.push(stageItem{resolve: resolve}) }
 	}
 	b := mempool.NewBatcher(sealer{c}, opts)
 	c.pipe.Store(b)
@@ -184,8 +176,8 @@ func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutc
 // wait for Σ's build, its store record or the truncation it stages.
 // Then a SubmitWait waiting for that Σ is woken.
 //
-// When Σ cut the chain, the flusher seals nothing more until the
-// compactor has executed that cut. A store ends a segment with every
+// When Σ cut the chain, the flusher seals nothing more until the stage
+// has executed that cut. A store ends a segment with every
 // Σ, and the cut starts the next one together with the fsyncs it
 // pays anyway; the block after Σ, stored first, would pay a roll of
 // its own on the writer's path.
@@ -232,8 +224,8 @@ func (s sealer) ValidateEntries(entries []*block.Entry) error {
 
 // PipelineStats returns the submission pipeline's cumulative counters
 // and backpressure gauges: intake-queue depth/capacity, the verifier's
-// curve work and cache effectiveness, and the background compactor's
-// progress (pending truncations, blocks/bytes physically reclaimed). The
+// curve work and cache effectiveness, and the stage's truncation
+// progress (pending cuts, blocks/bytes physically reclaimed). The
 // counters survive Close, so shutdown reports see the final totals;
 // the verify and compaction snapshots are filled even before the first
 // Submit. Note the verify gauges describe the chain's POOL: when
@@ -253,20 +245,16 @@ func (c *Chain) PipelineStats() mempool.Stats {
 		Rebuilds: c.ledger.rebuilds,
 	}
 	c.mu.RUnlock()
-	// Never truncated: the zero snapshot, without starting the
-	// compactor goroutine for a pure read.
-	if k := c.comp.Load(); k != nil {
-		s.Compaction = k.Stats()
-	}
+	s.Compaction = c.stage.snapshot()
 	return s
 }
 
-// Close shuts down the submission pipeline and the background
-// compactor, in that order: in-flight submissions are still sealed and
-// their receipts resolve, then the flusher exits; pending truncations
-// are compacted (stores pruned), then the compactor exits. Subsequent
-// Submit calls return mempool.ErrClosed; reads, AppendBlock/AppendEmpty,
-// and PipelineStats keep working (late truncations compact inline).
+// Close shuts down the submission pipeline, drains the stage and closes
+// owned stores, in that order: in-flight submissions are still sealed,
+// then the flusher exits; the stage's queued syncs and cuts run (stores
+// pruned, receipts resolved). Subsequent Submit calls return
+// mempool.ErrClosed; reads, AppendBlock/AppendEmpty, and PipelineStats
+// keep working (a late truncation still runs on the stage).
 // Close is idempotent, and concurrent Close calls all block until the
 // drain completes. It returns the store failure latched by FailStore,
 // if any: the chain then holds blocks, or a marker, its store does not.
@@ -279,24 +267,12 @@ func (c *Chain) Close() error {
 	if b != nil {
 		err = b.Close()
 	}
-	// The committer closes after the batcher has fully drained: its
-	// queue then holds every not-yet-durable batch, and Close issues
-	// their final sync before the owned store shuts down below.
-	c.pipeMu.Lock()
-	gc := c.gc
-	c.pipeMu.Unlock()
-	if gc != nil {
-		gc.Close()
-	}
-	c.compMu.Lock()
-	c.compClosed = true
-	k := c.comp.Load()
-	c.compMu.Unlock()
-	if k != nil {
-		k.Close()
-	}
+	// The stage closes after the batcher has fully drained: its queue
+	// then holds every not-yet-durable batch and every pending cut, and
+	// they run before the owned store shuts down below.
+	c.stage.close()
 	// Owned resources (stores opened by the façade on the caller's
-	// behalf) close last, after the compactor's final store pruning:
+	// behalf) close last, after the stage's final store pruning:
 	// this is where a segment store syncs its active tail and persists
 	// its manifest.
 	c.ownMu.Lock()

@@ -5,7 +5,6 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/codec"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/merkle"
 )
 
@@ -267,9 +266,9 @@ func (c *Chain) BuildSummary() (*block.Block, error) {
 // old sequence can be cut off and deleted").
 // The physical side — releasing the cut blocks' memory, sweeping dead
 // dependency edges, pruning persistent stores — is described by the
-// returned compact.Event and executed by the background compactor off
-// the append path. Returns nil when nothing was cut.
-func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
+// returned Event and executed by the chain's stage off the append path.
+// Returns nil when nothing was cut.
+func (c *Chain) applyPlanLocked(plan summaryPlan) *Event {
 	c.stats.ExpiredEntries += plan.expired
 	if plan.newMarker == c.marker {
 		return nil
@@ -288,7 +287,7 @@ func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
 	}
 	c.liveBytes -= cutBytes
 	c.stats.CutBlocks += uint64(cut)
-	// Cheap re-slice only: the compactor copies the tail into a fresh
+	// Cheap re-slice only: the stage copies the tail into a fresh
 	// backing array so the cut blocks become collectable without the
 	// append path paying for it.
 	c.blocks = c.blocks[cut:]
@@ -314,7 +313,7 @@ func (c *Chain) applyPlanLocked(plan summaryPlan) *compact.Event {
 			c.carriedEntries--
 		}
 	})
-	ev := &compact.Event{
+	ev := &Event{
 		OldMarker: old,
 		NewMarker: c.marker,
 		Blocks:    uint64(cut),

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"github.com/seldel/seldel/internal/block"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/verify"
 )
 
@@ -35,7 +34,7 @@ type Options struct {
 	// Durable, when set, defers receipt resolution to the durability
 	// point: after a successful seal the batch's resolution closure is
 	// handed to Durable instead of running inline, and the installed
-	// committer must run every closure exactly once — with nil once the
+	// hook must run every closure exactly once — with nil once the
 	// sealed blocks reached stable storage (receipts resolve), or with
 	// the store-write or sync failure (receipts fail). Sealing is not
 	// delayed; only the receipts are.
@@ -81,11 +80,10 @@ type Stats struct {
 	// and cache effectiveness. Filled by Chain.PipelineStats; zero for a
 	// bare Batcher, which does not own a pool.
 	Verify verify.Stats
-	// Compaction is the background compactor's activity snapshot —
-	// pending truncations and blocks/bytes physically reclaimed off the
-	// append path. Filled by Chain.PipelineStats; zero for a bare
-	// Batcher, which does not own a compactor.
-	Compaction compact.Stats
+	// Compaction is the chain's truncation activity — pending cuts and
+	// blocks/bytes physically reclaimed off the append path. Filled by
+	// Chain.PipelineStats; zero for a bare Batcher, which cuts nothing.
+	Compaction CompactionStats
 	// Index is the chain's entry-index map occupancy gauge. Filled by
 	// Chain.PipelineStats; zero for a bare Batcher.
 	Index IndexStats
@@ -103,17 +101,34 @@ func (s Stats) QueueFraction() float64 {
 	return float64(s.QueueDepth) / float64(s.QueueCap)
 }
 
+// CompactionStats is a snapshot of the physical side of truncation,
+// which a chain runs after the append that truncated.
+type CompactionStats struct {
+	// Pending is the number of truncations staged but not yet executed.
+	Pending int
+	// Truncations counts executed truncations.
+	Truncations uint64
+	// BlocksCompacted counts blocks whose physical cleanup ran.
+	BlocksCompacted uint64
+	// BytesReclaimed totals the canonical encoded size of compacted
+	// blocks.
+	BytesReclaimed int64
+	// LastMarker is the new Genesis marker of the last executed
+	// truncation (0 before any).
+	LastMarker uint64
+}
+
 // IndexStats describe the chain's entry-index map: Go maps never
 // release buckets, so after a large cut Live can be a small fraction of
-// the capacity Peak implies — the compactor then rebuilds the map
-// (Rebuilds counts those shrinks).
+// the capacity Peak implies — the cut's physical side then rebuilds the
+// map (Rebuilds counts those shrinks).
 type IndexStats struct {
 	// Live is the number of entries currently indexed.
 	Live int
 	// Peak is the high-water entry count since the last rebuild — a
 	// proxy for the bucket capacity the map is holding on to.
 	Peak int
-	// Rebuilds counts shrink rebuilds performed by the compactor.
+	// Rebuilds counts shrink rebuilds run after truncations.
 	Rebuilds uint64
 }
 

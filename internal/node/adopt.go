@@ -35,7 +35,7 @@ func (n *Node) adoptRestored(restored *chain.Chain) bool {
 	n.tallies = make(map[uint64]*voteState)
 	n.forked = false
 	n.mu.Unlock()
-	// Drain the old chain first (its compactor may still prune the
+	// Drain the old chain first (its stage may still prune the
 	// store with pre-adoption markers; the segment store rejects those
 	// backwards marker moves), then re-point the store at the adopted
 	// chain: Attach backfills the new live suffix and deletes

@@ -16,7 +16,6 @@ import (
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
 )
@@ -408,7 +407,7 @@ func TestNodeSubmitDeletionReceiptOutcome(t *testing.T) {
 
 // putFailing is a store that stops accepting blocks at a given number.
 type putFailing struct {
-	*store.Mem
+	*segment.Store
 	from uint64
 }
 
@@ -416,7 +415,7 @@ func (s putFailing) PutBlock(b *block.Block) error {
 	if b.Header.Number >= s.from {
 		return errors.New("disk full")
 	}
-	return s.Mem.PutBlock(b)
+	return s.Store.PutBlock(b)
 }
 
 func TestStoreErrReportsFailedWrite(t *testing.T) {
@@ -425,10 +424,15 @@ func TestStoreErrReportsFailedWrite(t *testing.T) {
 	if err := reg.RegisterKey(kp, identity.RoleMaster); err != nil {
 		t.Fatal(err)
 	}
+	disk, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
 	n, err := New(Config{
 		Key:   kp,
 		Chain: chain.Config{SequenceLength: 3, Registry: reg, Clock: simclock.NewLogical(0)},
-		Store: putFailing{store.NewMem(), 1},
+		Store: putFailing{disk, 1},
 	})
 	if err != nil {
 		t.Fatal(err)

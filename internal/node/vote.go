@@ -178,7 +178,9 @@ func (n *Node) handleVote(env wire.Envelope) {
 	if n.observeVote(env, v) {
 		return // flagged equivocator (previously or just now): not counted
 	}
-	if !n.recordVote(env.Sender, v) && !v.Repair && n.decidedOnRetracted(v.Number) {
+	decided, _ := n.decided(v.Number)
+	repeat := !n.recordVote(env.Sender, v)
+	if _, retracted := n.decided(v.Number); repeat && !v.Repair && retracted {
 		// The sender announces again a round we decided on votes since
 		// retracted: it discarded them before they could count and is
 		// still a summary behind. Serve it the blocks from that round on;
@@ -191,10 +193,14 @@ func (n *Node) handleVote(env wire.Envelope) {
 		n.requestSync(env.Sender)
 		return
 	}
-	// Answer announcements (never answers): repairs lost votes. Repair
-	// votes themselves are counted above but not answered, so the repair
-	// protocol cannot loop. A vote-withholding member never answers.
-	if !v.Repair && n.byzantine != attack.VoteWithholding {
+	// Answer an announcement (never an answer, so repair cannot loop)
+	// only where our vote can be missing there: the sender repeats a
+	// vote we already counted, so it is still pending and ours was lost,
+	// or we decided the round and will not announce it again. While we
+	// are pending, a first announcement goes unanswered: our own is on
+	// its way, or goes out when we build Σ. A vote-withholding member
+	// never answers.
+	if !v.Repair && (repeat || decided) && n.byzantine != attack.VoteWithholding {
 		n.answerVote(env.Sender, v.Number)
 	}
 }
@@ -352,13 +358,16 @@ func (n *Node) recordVote(sender string, v wire.VotePayload) bool {
 	return true
 }
 
-// decidedOnRetracted reports whether round num was applied here with a
-// vote since retracted as an equivocator's.
-func (n *Node) decidedOnRetracted(num uint64) bool {
+// decided reports whether round num was decided here and, if so,
+// whether with a vote since retracted as an equivocator's.
+func (n *Node) decided(num uint64) (applied, retracted bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.tallies[num]
-	return st != nil && st.applied && st.retracted
+	if st == nil || !st.applied {
+		return false, false
+	}
+	return true, st.retracted
 }
 
 // maybeApplySummary appends the locally built summary once a quorum

@@ -6,7 +6,6 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
-	"github.com/seldel/seldel/internal/compact"
 	"github.com/seldel/seldel/internal/manifest"
 )
 
@@ -162,7 +161,7 @@ func (r recorder) OnAppend(b *block.Block) {
 
 // OnTruncate implements chain.Listener; the chain calls OnTruncateEvent.
 func (r recorder) OnTruncate(_, newMarker uint64) {
-	r.OnTruncateEvent(compact.Event{NewMarker: newMarker})
+	r.OnTruncateEvent(chain.Event{NewMarker: newMarker})
 }
 
 // OnTruncateEvent implements chain.TruncateEventListener: when the
@@ -172,7 +171,7 @@ func (r recorder) OnTruncate(_, newMarker uint64) {
 // aliases chain state; a store whose DELETIONS log is further along
 // than the chain's numbering (a reattached chain over an older dir)
 // gets the record renumbered rather than dropped.
-func (r recorder) OnTruncateEvent(ev compact.Event) {
+func (r recorder) OnTruncateEvent(ev chain.Event) {
 	if r.chain.StoreErr() != nil {
 		return
 	}

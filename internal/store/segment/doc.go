@@ -5,8 +5,8 @@
 //
 // One file per block would make physical deletion just as observable,
 // but at scale it is an inode explosion, one open/rename per block on
-// the hot path, and an unbounded unlink storm when the compactor
-// prunes a long prefix. The segment store keeps the paper's storage
+// the hot path, and an unbounded unlink storm when a cut prunes a
+// long prefix. The segment store keeps the paper's storage
 // promise — "the old sequence can be cut off and deleted from the
 // blockchain" (§IV-C) must reclaim bytes, not just unreachability —
 // while amortizing the filesystem cost:

@@ -98,9 +98,9 @@ func (s *syncCounting) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestOpen covers store.Open — the one way a chain gets onto a store —
-// over both stores. reopen returns the store as the next process would
-// find it: the same Mem, or the segment directory closed and reopened.
+// TestOpen covers store.Open — the one way a chain gets onto a store.
+// reopen returns the store as the next process would find it: the
+// segment directory closed and reopened.
 func TestOpen(t *testing.T) {
 	segmentTarget := func(t *testing.T) (func() store.Store, string) {
 		dir := t.TempDir()
@@ -116,117 +116,101 @@ func TestOpen(t *testing.T) {
 			return cur
 		}, dir
 	}
-	targets := []struct {
-		name string
-		new  func(t *testing.T) (reopen func() store.Store, dir string)
-	}{
-		{"mem", func(*testing.T) (func() store.Store, string) {
-			m := store.NewMem()
-			return func() store.Store { return m }, ""
-		}},
-		{"segment", segmentTarget},
-	}
-	for _, tg := range targets {
-		t.Run(tg.name+"/empty", func(t *testing.T) {
-			e := newOpenEnv(t)
-			reopen, _ := tg.new(t)
-			s := reopen()
-			c, err := store.Open(e.config(), s)
-			if err != nil {
-				t.Fatalf("Open on an empty store: %v", err)
-			}
-			defer c.Close()
-			if c.Head().Number != 0 || c.Marker() != 0 {
-				t.Fatalf("created chain is %d..%d, want genesis only", c.Marker(), c.Head().Number)
-			}
-			mirrors(t, s, c)
-			e.write(t, c, "first", 8, false)
-			if c.Marker() == 0 {
-				t.Fatal("chain never truncated; geometry broken")
-			}
-			mirrors(t, s, c)
-		})
 
-		t.Run(tg.name+"/populated", func(t *testing.T) {
-			e := newOpenEnv(t)
-			reopen, _ := tg.new(t)
-			c, err := store.Open(e.config(), reopen())
-			if err != nil {
-				t.Fatal(err)
-			}
-			keep := e.write(t, c, "first", 8, false)
-			head, marker := c.HeadHash(), c.Marker()
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+	t.Run("segment/empty", func(t *testing.T) {
+		e := newOpenEnv(t)
+		reopen, _ := segmentTarget(t)
+		s := reopen()
+		c, err := store.Open(e.config(), s)
+		if err != nil {
+			t.Fatalf("Open on an empty store: %v", err)
+		}
+		defer c.Close()
+		if c.Head().Number != 0 || c.Marker() != 0 {
+			t.Fatalf("created chain is %d..%d, want genesis only", c.Marker(), c.Head().Number)
+		}
+		mirrors(t, s, c)
+		e.write(t, c, "first", 8, false)
+		if c.Marker() == 0 {
+			t.Fatal("chain never truncated; geometry broken")
+		}
+		mirrors(t, s, c)
+	})
 
-			s := reopen()
-			restored, err := store.Open(e.config(), s)
-			if err != nil {
-				t.Fatalf("Open on a populated store: %v", err)
-			}
-			defer restored.Close()
-			if restored.HeadHash() != head {
-				t.Error("restored head differs")
-			}
-			if restored.Marker() != marker {
-				t.Errorf("restored marker %d, want %d", restored.Marker(), marker)
-			}
-			if err := restored.VerifyIntegrity(); err != nil {
-				t.Errorf("restored integrity: %v", err)
-			}
-			if _, _, ok := restored.Lookup(keep); !ok {
-				t.Error("restored chain lost a live entry")
-			}
-			e.write(t, restored, "second", 4, false)
-			mirrors(t, s, restored)
-		})
+	t.Run("segment/populated", func(t *testing.T) {
+		e := newOpenEnv(t)
+		reopen, _ := segmentTarget(t)
+		c, err := store.Open(e.config(), reopen())
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := e.write(t, c, "first", 8, false)
+		head, marker := c.HeadHash(), c.Marker()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-		t.Run(tg.name+"/group-sync-from-store", func(t *testing.T) {
-			e := newOpenEnv(t)
-			reopen, _ := tg.new(t)
-			cfg := e.config()
-			cfg.Durability.Mode = chain.DurabilityGroup
-			s := reopen()
-			seg, ok := s.(*Store)
-			if !ok {
-				// No Sync to take: a configuration error, not a chain
-				// that claims durability it cannot give.
-				if _, err := store.Open(cfg, s); !errors.Is(err, chain.ErrConfig) {
-					t.Fatalf("group durability on a store without Sync: %v, want ErrConfig", err)
-				}
-				return
-			}
-			before := seg.FsyncCount()
-			c, err := store.Open(cfg, s)
-			if err != nil {
-				t.Fatalf("Open with group durability: %v", err)
-			}
-			e.write(t, c, "direct", 2, false)
-			if seg.FsyncCount() == before {
-				t.Error("receipts resolved without the store's Sync running")
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+		s := reopen()
+		restored, err := store.Open(e.config(), s)
+		if err != nil {
+			t.Fatalf("Open on a populated store: %v", err)
+		}
+		defer restored.Close()
+		if restored.HeadHash() != head {
+			t.Error("restored head differs")
+		}
+		if restored.Marker() != marker {
+			t.Errorf("restored marker %d, want %d", restored.Marker(), marker)
+		}
+		if err := restored.VerifyIntegrity(); err != nil {
+			t.Errorf("restored integrity: %v", err)
+		}
+		if _, _, ok := restored.Lookup(keep); !ok {
+			t.Error("restored chain lost a live entry")
+		}
+		e.write(t, restored, "second", 4, false)
+		mirrors(t, s, restored)
+	})
 
-			// Through a wrapper, Sync must be the wrapper's.
-			cfg.Clock = simclock.NewLogical(0)
-			w := &syncCounting{Store: reopen().(*Store)}
-			c, err = store.Open(cfg, w)
-			if err != nil {
-				t.Fatalf("Open through a wrapping store: %v", err)
-			}
-			defer c.Close()
-			e.write(t, c, "wrapped", 2, false)
-			if w.syncs.Load() == 0 {
-				t.Error("group commit bypassed the wrapping store's Sync")
-			}
-		})
-	}
+	t.Run("segment/group-sync-from-store", func(t *testing.T) {
+		e := newOpenEnv(t)
+		reopen, _ := segmentTarget(t)
+		cfg := e.config()
+		cfg.Durability.Mode = chain.DurabilityGroup
+		seg := reopen().(*Store)
+		// A store with no Sync to take is a configuration error, not a
+		// chain that claims durability it cannot give.
+		if _, err := store.Open(cfg, struct{ store.Store }{seg}); !errors.Is(err, chain.ErrConfig) {
+			t.Fatalf("group durability on a store without Sync: %v, want ErrConfig", err)
+		}
+		before := seg.FsyncCount()
+		c, err := store.Open(cfg, seg)
+		if err != nil {
+			t.Fatalf("Open with group durability: %v", err)
+		}
+		e.write(t, c, "direct", 2, false)
+		if seg.FsyncCount() == before {
+			t.Error("receipts resolved without the store's Sync running")
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Only the segment store keeps a DELETIONS log that can outlive its
-	// blocks.
+		// Through a wrapper, Sync must be the wrapper's.
+		cfg.Clock = simclock.NewLogical(0)
+		w := &syncCounting{Store: reopen().(*Store)}
+		c, err = store.Open(cfg, w)
+		if err != nil {
+			t.Fatalf("Open through a wrapping store: %v", err)
+		}
+		defer c.Close()
+		e.write(t, c, "wrapped", 2, false)
+		if w.syncs.Load() == 0 {
+			t.Error("group commit bypassed the wrapping store's Sync")
+		}
+	})
+
+	// The DELETIONS log can outlive the blocks it describes.
 	t.Run("segment/wiped-blocks-kept-deletions", func(t *testing.T) {
 		e := newOpenEnv(t)
 		reopen, dir := segmentTarget(t)

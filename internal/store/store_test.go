@@ -1,8 +1,7 @@
-package store
+package store_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -10,6 +9,8 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
+	"github.com/seldel/seldel/internal/store"
+	"github.com/seldel/seldel/internal/store/segment"
 )
 
 // sealOne drives one entry through the chain's submission pipeline and
@@ -25,100 +26,6 @@ func sealOne(t *testing.T, c *chain.Chain, e *block.Entry) []*block.Block {
 		t.Fatalf("CompactWait: %v", err)
 	}
 	return blocks
-}
-
-func testBlock(t *testing.T, num uint64, prev *block.Block) *block.Block {
-	t.Helper()
-	kp := identity.Deterministic("alpha", "store-test")
-	e := block.NewData("alpha", []byte(fmt.Sprintf("payload-%d", num))).Sign(kp)
-	prevHash := block.GenesisPrevHash
-	var prevTime uint64
-	if prev != nil {
-		prevHash = prev.Hash()
-		prevTime = prev.Header.Time
-	}
-	return block.NewNormal(num, prevTime+1, prevHash, []*block.Entry{e})
-}
-
-// SizeBytes returns the total stored block bytes.
-func (m *Mem) SizeBytes() (int64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
-	var total int64
-	for _, raw := range m.blocks {
-		total += int64(len(raw))
-	}
-	return total, nil
-}
-
-func TestMemStoreContract(t *testing.T) {
-	s := NewMem()
-	if _, _, ok, err := s.Range(); err != nil || ok {
-		t.Fatalf("fresh store Range = ok=%v err=%v", ok, err)
-	}
-	var blocks []*block.Block
-	var prev *block.Block
-	for num := uint64(0); num < 6; num++ {
-		b := testBlock(t, num, prev)
-		blocks = append(blocks, b)
-		prev = b
-		if err := s.PutBlock(b); err != nil {
-			t.Fatalf("PutBlock(%d): %v", num, err)
-		}
-	}
-	first, last, ok, err := s.Range()
-	if err != nil || !ok || first != 0 || last != 5 {
-		t.Fatalf("Range = %d..%d ok=%v err=%v", first, last, ok, err)
-	}
-	sizeBefore, err := s.SizeBytes()
-	if err != nil || sizeBefore <= 0 {
-		t.Fatalf("SizeBytes = %d, %v", sizeBefore, err)
-	}
-	// Truncate below 3 and verify physical deletion.
-	if err := s.DeleteBelow(3); err != nil {
-		t.Fatalf("DeleteBelow: %v", err)
-	}
-	sizeAfter, err := s.SizeBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sizeAfter >= sizeBefore {
-		t.Errorf("no space reclaimed: %d -> %d", sizeBefore, sizeAfter)
-	}
-	// Stream yields exactly the blocks at and above the marker, in
-	// order and unchanged, and honours early termination.
-	var streamed []*block.Block
-	for b, err := range s.Stream() {
-		if err != nil {
-			t.Fatalf("Stream: %v", err)
-		}
-		streamed = append(streamed, b)
-	}
-	if len(streamed) != 3 {
-		t.Fatalf("Stream yielded %d blocks, want 3", len(streamed))
-	}
-	for i, b := range streamed {
-		if b.Hash() != blocks[3+i].Hash() {
-			t.Errorf("Stream[%d] is not block %d as stored", i, 3+i)
-		}
-	}
-	for range s.Stream() {
-		break // an early break must not panic or leak
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := s.PutBlock(blocks[0]); !errors.Is(err, ErrClosed) {
-		t.Errorf("PutBlock after Close = %v, want ErrClosed", err)
-	}
-	for _, err := range s.Stream() {
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("Stream after Close = %v, want ErrClosed", err)
-		}
-	}
 }
 
 func chainConfig(reg *identity.Registry) chain.Config {
@@ -141,8 +48,12 @@ func TestRecorderMirrorsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewMem()
-	if err := Attach(c, s); err != nil {
+	s, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := store.Attach(c, s); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {

@@ -255,8 +255,8 @@ func WithSegmentStore(dir string, opts ...SegmentOptions) Option {
 // their blocks reach stable storage, and all blocks sealed while one
 // fsync is in flight share the next one — per-receipt durability at a
 // small fraction of an fsync per block. window bounds how long the
-// committer accumulates sealed blocks before forcing the sync (0 syncs
-// as soon as the committer is free); it is an upper bound on the extra
+// chain accumulates sealed blocks before forcing the sync (0 syncs as
+// soon as the previous sync is done); it is an upper bound on the extra
 // receipt latency group commit introduces.
 //
 // DurabilityGroup requires a store whose handle can force durability:
