@@ -19,8 +19,7 @@ type Event struct {
 	// Record is the deletion-manifest record describing this truncation
 	// (what was cut, which marks executed, under whose authority), built
 	// under the append lock while the cut blocks were still reachable.
-	// Listeners that persist an audit trail consume it; nil on an event
-	// a store builds from a bare marker pair.
+	// Every truncation carries one; stores write it with the prune.
 	Record *manifest.Record
 }
 

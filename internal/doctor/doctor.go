@@ -240,7 +240,7 @@ func checkManifest(rep *Report, recs []manifest.Record, info *segment.DirInfo) {
 	}
 	if rep.ManifestMarker < rep.Marker {
 		rep.add("manifest-missing-record", Warn, true,
-			"marker %d has no covering deletion record (manifest predates it or was lost); repair hydrates one from the marker block",
+			"marker %d has no covering deletion record, though every marker shift writes one (the DELETIONS log was lost, or an older version moved the marker without one); repair hydrates one from the marker block",
 			rep.Marker)
 	}
 	for i := 1; i < len(recs); i++ {
@@ -312,15 +312,9 @@ func hydrate(s *segment.Store, log *manifest.Log, marker uint64) (string, error)
 	if covered >= marker {
 		return "", nil
 	}
-	rec := manifest.Record{
-		OldMarker: covered,
-		NewMarker: marker,
-		Hydrated:  true,
-	}
+	rec := manifest.Record{OldMarker: covered, NewMarker: marker, Hydrated: true}
 	if b, err := s.GetBlock(marker); err == nil {
-		rec.SummaryBlock = b.Header.Number
-		rec.SummaryHash = b.Hash()
-		rec.Time = b.Header.Time
+		rec = manifest.MarkerRecord(covered, b)
 	}
 	stored, err := log.Append(rec)
 	if err != nil {

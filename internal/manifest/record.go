@@ -64,10 +64,27 @@ type Record struct {
 	// Tombstones lists the entries whose deletion marks were executed
 	// by this truncation (deliberately dropped, not merely expired).
 	Tombstones []Tombstone `json:"tombstones,omitempty"`
-	// Hydrated marks records reconstructed after the fact by
-	// `seldel doctor` from the stored marker block, which can recover
-	// the height range but not the per-entry tombstones.
+	// Hydrated marks records built from a marker block alone
+	// (MarkerRecord): a marker adopted from a peer's status quo, or one
+	// `seldel doctor` found no record for. Such a record knows the
+	// height range, not the per-entry tombstones.
 	Hydrated bool `json:"hydrated,omitempty"`
+}
+
+// MarkerRecord is the record of a marker shift from old to the marker
+// block's number that only the marker block can describe: the block, "a
+// trusted anchor … already approved by the anchor nodes" (§IV-C),
+// stands in for the summary the cut's own record would name, and the
+// per-entry tombstones are unknown, which Hydrated says.
+func MarkerRecord(old uint64, marker *block.Block) Record {
+	return Record{
+		OldMarker:    old,
+		NewMarker:    marker.Header.Number,
+		SummaryBlock: marker.Header.Number,
+		SummaryHash:  marker.Hash(),
+		Time:         marker.Header.Time,
+		Hydrated:     true,
+	}
 }
 
 // FindTombstone returns the tombstone for ref, if this record holds one.

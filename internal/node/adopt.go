@@ -1,11 +1,13 @@
 // Status-quo adoption (§IV-C): swapping the node onto a restored chain
-// and re-pointing its store. It owns the chain pointer and storeErr,
-// both guarded by mu; an adoption also holds sealMu throughout, so no
-// proposal runs while the chain is swapped.
+// and re-pointing its store. It owns the chain pointer, guarded by mu;
+// an adoption also holds sealMu throughout, so no proposal runs while
+// the chain is swapped.
 
 package node
 
 import (
+	"fmt"
+
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/store"
 )
@@ -13,9 +15,9 @@ import (
 // adoptRestored swaps the node onto a fully restored, integrity-checked
 // chain when it is strictly ahead of the local head, re-pointing the
 // local store at it — the old suffix below the new marker is physically
-// deleted, exactly as if this node had executed the quorum's
-// truncations itself. Returns whether the adoption happened; a rejected
-// chain is closed here.
+// deleted and the shift recorded in the store's DELETIONS log, exactly
+// as if this node had executed the quorum's truncations itself. Returns
+// whether the adoption happened; a rejected chain is closed here.
 func (n *Node) adoptRestored(restored *chain.Chain) bool {
 	// sealMu excludes the proposal pipeline for the whole adoption:
 	// gossip and vote appends run on this same delivery goroutine, so
@@ -38,17 +40,16 @@ func (n *Node) adoptRestored(restored *chain.Chain) bool {
 	// Drain the old chain first (its stage may still prune the
 	// store with pre-adoption markers; the segment store rejects those
 	// backwards marker moves), then re-point the store at the adopted
-	// chain: Attach backfills the new live suffix and deletes
-	// everything below the new marker.
+	// chain: Attach backfills the new live suffix, deletes everything
+	// below the new marker and records the shift.
 	old.Close()
 	if n.store != nil {
 		if err := store.Attach(restored, n.store); err != nil {
 			// The node keeps serving from memory, but persistence is
-			// broken: surface it instead of silently restoring a
-			// pre-adoption (quorum-deleted) suffix on the next restart.
-			n.mu.Lock()
-			n.storeErr = err
-			n.mu.Unlock()
+			// broken: latch it on the chain like any failed write,
+			// instead of silently restoring a pre-adoption
+			// (quorum-deleted) suffix on the next restart.
+			restored.FailStore(fmt.Errorf("attach adopted chain: %w", err))
 		}
 	}
 	return true
@@ -57,13 +58,8 @@ func (n *Node) adoptRestored(restored *chain.Chain) bool {
 // StoreErr reports a persistence failure the node could not surface
 // through a return value: a failed store re-point during snapshot
 // adoption, or a block or prune of the current chain that did not reach
-// the store (chain.ErrStore). A non-nil value means the store must not
-// be trusted for a restart.
+// the store. Either is latched on the chain (chain.ErrStore). A non-nil
+// value means the store must not be trusted for a restart.
 func (n *Node) StoreErr() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.storeErr != nil {
-		return n.storeErr
-	}
-	return n.chain.StoreErr()
+	return n.Chain().StoreErr()
 }

@@ -86,7 +86,6 @@ type Node struct {
 	forked    bool
 	byzantine attack.Behavior
 	closed    bool
-	storeErr  error // persistence failure during snapshot adoption
 
 	logf func(format string, args ...any)
 

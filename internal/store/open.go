@@ -1,39 +1,12 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/manifest"
 )
-
-// deletionRecorder is the optional store capability behind the durable
-// deletion manifest: stores implementing it (the segment store) persist
-// the audit record atomically with the marker shift.
-type deletionRecorder interface {
-	DeleteBelowRecord(marker uint64, rec *manifest.Record) error
-}
-
-// deletionSource is the optional store capability of recovering
-// previously persisted deletion records, used to re-seed a restored
-// chain's tombstone index.
-type deletionSource interface {
-	DeletionRecords() ([]manifest.Record, error)
-}
-
-// markerSource is the optional store capability of reporting its
-// persisted Genesis marker.
-type markerSource interface {
-	Marker() (uint64, error)
-}
-
-// syncer is the optional store capability of forcing buffered writes
-// to stable storage, which group commit needs.
-type syncer interface {
-	Sync() error
-}
 
 // Open puts a chain on s: restored from the stored blocks when s holds
 // any, created and mirrored into s from genesis otherwise. s is the
@@ -45,18 +18,14 @@ type syncer interface {
 // and from then on every append and truncation of the chain is written
 // through to s. A write that fails is latched on the chain
 // (chain.ErrStore). With DurabilityGroup and no Sync configured, the
-// store's own Sync is used.
+// store's Sync is used.
 //
 // Every call goes through the Store value passed in — never through a
 // type unwrapped from it — so a wrapper around a store sees them all.
 // The caller keeps ownership of s.
 func Open(cfg chain.Config, s Store) (*chain.Chain, error) {
 	if cfg.Durability.Mode == chain.DurabilityGroup && cfg.Durability.Sync == nil {
-		sy, ok := s.(syncer)
-		if !ok {
-			return nil, fmt.Errorf("%w: DurabilityGroup requires a store implementing Sync() error, such as the segment store", chain.ErrConfig)
-		}
-		cfg.Durability.Sync = sy.Sync
+		cfg.Durability.Sync = s.Sync
 	}
 	_, _, populated, err := s.Range()
 	if err != nil {
@@ -89,33 +58,51 @@ func Open(cfg chain.Config, s Store) (*chain.Chain, error) {
 }
 
 // Attach points s at a chain that already exists: the live blocks are
-// backfilled, everything below the chain's marker is deleted, and the
+// backfilled, the store's marker is moved up to the chain's, and the
 // chain is mirrored into s from then on. Open uses it for an empty
 // store; a node uses it to re-point its store at an adopted chain.
+//
+// Moving the marker is a marker shift like any cut, so it writes its
+// deletion record: one built from the chain's marker block
+// (manifest.MarkerRecord), the anchor the adopted status quo was
+// approved on. The record lands before the chain is seeded from the
+// log, so the store's resurrection floor covers the adopted marker, and
+// the chain's own record numbers continue the log's.
+//
+// A store whose marker is already ahead of the chain's (its blocks were
+// lost but the DELETIONS log survived) keeps it: moving it back would
+// resurrect the store's deleted range. The chain's blocks below it are
+// not backfilled, and the chain's own marker catches up when it adopts
+// a post-deletion status quo.
 func Attach(c *chain.Chain, s Store) error {
+	stored, err := s.Marker()
+	if err != nil {
+		return err
+	}
 	for _, b := range c.Blocks() {
+		if b.Header.Number < stored {
+			continue
+		}
 		if err := s.PutBlock(b); err != nil {
 			return err
 		}
 	}
-	// A store whose persisted marker is already AHEAD of the chain's
-	// (blocks were lost but the DELETIONS log survived, rolling the
-	// marker forward at Open) must keep it: moving it back would
-	// resurrect the store's deleted range, and the segment store
-	// rejects backwards moves anyway. The chain's own marker catches
-	// up when it adopts a post-deletion status quo.
-	target := c.Marker()
-	if ms, ok := s.(markerSource); ok {
-		if m, err := ms.Marker(); err == nil && m > target {
-			target = m
+	// The backfill is durable before the chain is mirrored on top of it:
+	// the cut syncs it when the marker moves, Sync otherwise.
+	if marker := c.Marker(); marker > stored {
+		b, ok := c.Block(marker)
+		if !ok {
+			return fmt.Errorf("store: attach: chain holds no marker block %d", marker)
 		}
-	}
-	if err := s.DeleteBelow(target); err != nil {
+		rec := manifest.MarkerRecord(stored, b)
+		if err := s.DeleteBelowRecord(marker, &rec); err != nil {
+			return err
+		}
+	} else if err := s.Sync(); err != nil {
 		return err
 	}
-	// A store directory can outlive its block files (an operator wiped
-	// segments but kept the DELETIONS audit log): the surviving records
-	// must still arm the fresh chain's resurrection floor.
+	// The surviving records, the one just written included, arm the
+	// chain's resurrection floor, even when the store's blocks are gone.
 	if err := seedTombstones(c, s); err != nil {
 		return err
 	}
@@ -127,11 +114,7 @@ func Attach(c *chain.Chain, s Store) error {
 // the restored chain, so audits and the sync resurrection floor survive
 // the restart that erased the blocks they describe.
 func seedTombstones(c *chain.Chain, s Store) error {
-	ds, ok := s.(deletionSource)
-	if !ok {
-		return nil
-	}
-	recs, err := ds.DeletionRecords()
+	recs, err := s.DeletionRecords()
 	if err != nil {
 		return err
 	}
@@ -141,9 +124,10 @@ func seedTombstones(c *chain.Chain, s Store) error {
 
 // recorder is the chain.Listener that mirrors every chain mutation into
 // a Store: appended blocks are persisted, truncations delete the cut
-// prefix. Listener callbacks have no error return, so the first failure
-// is latched on the chain, which stops resolving receipts; nothing more
-// is written after it, since the store would have a gap.
+// prefix and write its record. Listener callbacks have no error return,
+// so the first failure is latched on the chain, which stops resolving
+// receipts; nothing more is written after it, since the store would
+// have a gap.
 type recorder struct {
 	chain *chain.Chain
 	store Store
@@ -159,35 +143,20 @@ func (r recorder) OnAppend(b *block.Block) {
 	}
 }
 
-// OnTruncate implements chain.Listener; the chain calls OnTruncateEvent.
-func (r recorder) OnTruncate(_, newMarker uint64) {
-	r.OnTruncateEvent(chain.Event{NewMarker: newMarker})
-}
+// OnTruncate implements chain.Listener. The chain calls OnTruncateEvent
+// instead, whose event carries the record a cut must write.
+func (recorder) OnTruncate(_, _ uint64) {}
 
-// OnTruncateEvent implements chain.TruncateEventListener: when the
-// event carries a deletion record and the store can persist one, the
-// record is written durably in the same operation as the prune. The
-// record is passed by copy so the store's sequence write-back never
-// aliases chain state; a store whose DELETIONS log is further along
-// than the chain's numbering (a reattached chain over an older dir)
-// gets the record renumbered rather than dropped.
+// OnTruncateEvent implements chain.TruncateEventListener: the cut and
+// its deletion record reach the store in one operation. The record is
+// passed by copy so the store's sequence write-back never aliases chain
+// state.
 func (r recorder) OnTruncateEvent(ev chain.Event) {
 	if r.chain.StoreErr() != nil {
 		return
 	}
-	var err error
-	if dr, ok := r.store.(deletionRecorder); ok && ev.Record != nil {
-		rec := *ev.Record
-		err = dr.DeleteBelowRecord(ev.NewMarker, &rec)
-		if errors.Is(err, manifest.ErrSeqOrder) {
-			rec = *ev.Record
-			rec.Seq = 0 // let the log assign its own next sequence
-			err = dr.DeleteBelowRecord(ev.NewMarker, &rec)
-		}
-	} else {
-		err = r.store.DeleteBelow(ev.NewMarker)
-	}
-	if err != nil {
+	rec := *ev.Record
+	if err := r.store.DeleteBelowRecord(ev.NewMarker, &rec); err != nil {
 		r.chain.FailStore(fmt.Errorf("delete below %d: %w", ev.NewMarker, err))
 	}
 }

@@ -222,9 +222,7 @@ func TestRecoverInterruptedTruncation(t *testing.T) {
 			preFiles[e.Name()] = raw
 		}
 	}
-	if err := s.DeleteBelow(15); err != nil {
-		t.Fatal(err)
-	}
+	CutBare(t, s, 15)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

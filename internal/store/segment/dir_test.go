@@ -196,51 +196,47 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 // for the order a sequence boundary's cut now runs in: sync Σ's segment
 // and start the next one, append the DELETIONS record, unlink the cut
 // segments, rewrite MANIFEST once. It stages the directory a crash
-// leaves after each step that is not the last — and, for a record-less
-// DeleteBelow, which rewrites MANIFEST before its unlinks, a crash
-// between two unlinks. The doctor reports only findings its repair
-// resolves, and the repair leaves the directory clean and holding only
-// the store's files; a plain Open recovers to the durable marker, serves
-// no cut block and every live one.
+// leaves after each step that is not the last — and, for DeleteBelow's
+// bare record, which takes the same path, a crash between two unlinks.
+// The doctor reports only findings its repair resolves, and the repair
+// leaves the directory clean and holding only the store's files; a plain
+// Open recovers to the durable marker, serves no cut block and every
+// live one.
 func TestRecoverInterruptedBoundaryCut(t *testing.T) {
 	const from, marker = 3, 9
 	for _, tc := range []struct {
 		name string
 		// stage turns the directory after the cut into the crash state,
 		// given its files before the cut and after it.
-		stage    func(t *testing.T, dir string, before, after map[string][]byte)
-		recorded bool
+		stage func(t *testing.T, dir string, before, after map[string][]byte)
+		bare  bool
 	}{
 		{"after the DELETIONS append", func(t *testing.T, dir string, before, _ map[string][]byte) {
 			restore(t, dir, before, func(name string) bool { return true })
-		}, true},
+		}, false},
 		{"after the unlinks, before the MANIFEST rename", func(t *testing.T, dir string, before, _ map[string][]byte) {
 			restore(t, dir, before, func(name string) bool { return name == "MANIFEST" })
-		}, true},
+		}, false},
 		{"with MANIFEST.tmp left behind", func(t *testing.T, dir string, before, after map[string][]byte) {
 			restore(t, dir, before, func(name string) bool { return name == "MANIFEST" })
 			if err := os.WriteFile(filepath.Join(dir, "MANIFEST.tmp"), after["MANIFEST"], 0o644); err != nil {
 				t.Fatal(err)
 			}
-		}, true},
-		{"record-less, after one of its unlinks", func(t *testing.T, dir string, before, after map[string][]byte) {
+		}, false},
+		{"bare record, after one of its unlinks", func(t *testing.T, dir string, before, after map[string][]byte) {
+			// MANIFEST as it was, and every cut segment but the first.
 			unlinked := 0
 			restore(t, dir, before, func(name string) bool {
-				if _, kept := after[name]; kept || name == "MANIFEST" || unlinked > 0 {
-					return false
+				if _, kept := after[name]; kept {
+					return name == "MANIFEST"
 				}
 				unlinked++
-				return true
+				return unlinked > 1
 			})
-			if unlinked == 0 {
-				t.Fatal("the cut unlinked no segment; nothing to stage")
+			if unlinked < 2 {
+				t.Fatalf("the cut unlinked %d segments; no crash between two to stage", unlinked)
 			}
-			// The MANIFEST the cut wrote before its unlinks, which still
-			// lists the segments they removed; Close rewrote it since.
-			if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), after["MANIFEST"], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, false},
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			staged := make([]string, 2)
@@ -256,12 +252,9 @@ func TestRecoverInterruptedBoundaryCut(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := dirFiles(t, dir)
-				if tc.recorded {
-					err = s.DeleteBelowRecord(marker, &manifest.Record{OldMarker: from, NewMarker: marker})
-				} else {
-					err = s.DeleteBelow(marker)
-				}
-				if err != nil {
+				if tc.bare {
+					segment.CutBare(t, s, marker)
+				} else if err := s.DeleteBelowRecord(marker, &manifest.Record{OldMarker: from, NewMarker: marker}); err != nil {
 					t.Fatal(err)
 				}
 				after := dirFiles(t, dir)

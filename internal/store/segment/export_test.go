@@ -1,6 +1,45 @@
 package segment
 
-import "github.com/seldel/seldel/internal/store"
+import (
+	"testing"
+
+	"github.com/seldel/seldel/internal/store"
+)
+
+// CutBare cuts s to marker through DeleteBelow and fails t unless the
+// cut left its bare record as the DELETIONS head: the shift from the
+// store's previous marker to marker, the next sequence number, and
+// nothing else.
+func CutBare(t testing.TB, s *Store, marker uint64) {
+	t.Helper()
+	old, err := s.Marker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.DeletionRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.DeleteBelow(marker); err != nil {
+		t.Fatalf("DeleteBelow(%d): %v", marker, err)
+	}
+	recs, err := s.DeletionRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(before)+1 {
+		t.Fatalf("DeleteBelow(%d) left %d deletion records, want %d", marker, len(recs), len(before)+1)
+	}
+	head := recs[len(recs)-1]
+	wantSeq := uint64(1)
+	if len(before) > 0 {
+		wantSeq = before[len(before)-1].Seq + 1
+	}
+	if head.Seq != wantSeq || head.OldMarker != old || head.NewMarker != marker ||
+		head.SummaryBlock != 0 || len(head.Tombstones) != 0 || head.Hydrated {
+		t.Fatalf("DeleteBelow(%d) recorded %+v, want the bare record %d: [%d, %d)", marker, head, wantSeq, old, marker)
+	}
+}
 
 // OpenHandles reports how many segment file handles are open: always at
 // least the active segment's.

@@ -680,22 +680,20 @@ func (s *Store) Stream() iter.Seq2[*block.Block, error] {
 	}
 }
 
-// DeleteBelow implements store.Store: retire the cut prefix by
-// unlinking the segments below the marker — one syscall each, however
-// many blocks they held. A segment never spans a sequence start
-// (PutBlock), so at a marker the chain sets every segment lies wholly on
-// one side; a marker inside a segment is refused before anything is made
-// durable. Without a record, MANIFEST is the marker's only durable home
-// (the store.Attach path), so it is rewritten before the unlinks: Open
-// then completes an interrupted truncation instead of resurrecting cut
-// blocks.
+// DeleteBelow is DeleteBelowRecord with a bare record: the marker
+// shift [current marker, marker) and nothing else.
 func (s *Store) DeleteBelow(marker uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleteBelowLocked(marker, nil)
+	return s.deleteBelowLocked(marker, &manifestlog.Record{OldMarker: s.marker, NewMarker: marker})
 }
 
-// DeleteBelowRecord is DeleteBelow with a deletion-manifest record, and
+// DeleteBelowRecord implements store.Store: retire the cut prefix by
+// unlinking the segments below the marker — one syscall each, however
+// many blocks they held — after rec, the shift's deletion record, is
+// durable. A segment never spans a sequence start (PutBlock), so at a
+// marker the chain sets every segment lies wholly on one side; a marker
+// inside a segment is refused before anything is made durable. It is
 // the one place a sequence boundary pays for durability:
 //
 //  1. fsync the active segment, which holds the summary block Σ;
@@ -735,20 +733,13 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 			return err
 		}
 	}
-	if rec != nil {
-		stored, err := s.del.Append(*rec)
-		if err != nil {
-			return err
-		}
-		s.fsyncs[syncDeletions].Add(1)
-		rec.Seq = stored.Seq
+	stored, err := s.del.Append(*rec)
+	if err != nil {
+		return err
 	}
+	s.fsyncs[syncDeletions].Add(1)
+	rec.Seq = stored.Seq
 	s.marker = marker
-	if rec == nil {
-		if err := s.writeManifestLocked(); err != nil {
-			return err
-		}
-	}
 	for num, loc := range s.index {
 		if num < marker {
 			loc.seg.count--
@@ -782,12 +773,6 @@ func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error 
 		if err := s.startSegmentLocked(act.id + 1); err != nil {
 			return err
 		}
-	}
-	if rec == nil {
-		// The unlinks become durable with the next directory sync; a
-		// crash before it leaves segments wholly below the MANIFEST
-		// marker, which Open unlinks again.
-		return nil
 	}
 	return s.writeManifestLocked()
 }

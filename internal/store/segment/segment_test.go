@@ -88,9 +88,7 @@ func TestStoreContract(t *testing.T) {
 	if err != nil || sizeBefore <= 0 {
 		t.Fatalf("SizeBytes = %d, %v", sizeBefore, err)
 	}
-	if err := s.DeleteBelow(3); err != nil {
-		t.Fatalf("DeleteBelow: %v", err)
-	}
+	CutBare(t, s, 3)
 	if _, err := s.GetBlock(2); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("block 2 survived truncation: %v", err)
 	}
@@ -141,9 +139,7 @@ func TestSegmentRollAndPhysicalRetirement(t *testing.T) {
 		t.Fatalf("expected several segments, got %d", segsBefore)
 	}
 	sizeBefore, _ := s.SizeBytes()
-	if err := s.DeleteBelow(18); err != nil {
-		t.Fatalf("DeleteBelow: %v", err)
-	}
+	CutBare(t, s, 18)
 	segsAfter, _ := s.SegmentCount()
 	if segsAfter >= segsBefore {
 		t.Errorf("no segments retired: %d -> %d", segsBefore, segsAfter)
@@ -164,9 +160,7 @@ func TestReopenPreservesBlocksAndMarker(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{SegmentBytes: 512})
 	blocks := fill(t, s, 12)
-	if err := s.DeleteBelow(6); err != nil {
-		t.Fatal(err)
-	}
+	CutBare(t, s, 6)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +346,7 @@ func TestReadHandleLRUCapsOpenFiles(t *testing.T) {
 	checkCap("after Stream")
 
 	// Truncation works with evicted handles too.
-	if err := s.DeleteBelow(21); err != nil {
-		t.Fatalf("DeleteBelow: %v", err)
-	}
+	CutBare(t, s, 21)
 	checkCap("after truncation")
 	if _, err := s.GetBlock(21); err != nil {
 		t.Fatalf("read after truncation: %v", err)

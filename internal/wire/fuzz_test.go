@@ -2,10 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/seldel/seldel/internal/codec"
+	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/verify"
 )
 
 // Fuzz targets for the decode surface every network byte crosses: a
@@ -124,6 +129,51 @@ func lookupRespSeeds() [][]byte {
 	seeds := fuzzMutations(valid)
 	seeds = append(seeds, EncodeLookupResp(LookupRespPayload{ReqID: 1}))
 	return seeds
+}
+
+// envelopeSigner is the registered sender FuzzOpenEnvelope's seeds are
+// sealed by.
+func envelopeSigner() (*identity.Registry, *identity.KeyPair) {
+	reg := identity.NewRegistry()
+	kp := identity.Deterministic("node-1", "wire-test")
+	if err := reg.RegisterKey(kp, identity.RoleMaster); err != nil {
+		panic(err)
+	}
+	return reg, kp
+}
+
+func envelopeSeeds() [][]byte {
+	_, kp := envelopeSigner()
+	vote := SealEnvelope(kp, KindVote, EncodeVote(VotePayload{
+		Number: 9, Hash: codec.Hash{0xab}, Marker: 6, Approve: true,
+	}))
+	flipped := append([]byte(nil), vote...)
+	flipped[len(flipped)-1] ^= 0x01 // the signature's last byte
+	return [][]byte{vote, vote[:len(vote)/2], flipped}
+}
+
+// FuzzOpenEnvelope drives the decoder every inter-node message passes
+// first: a fuzzed envelope must draw ErrBadEnvelope or open, never
+// panic, and one that opens must re-encode byte for byte, so a relayed
+// envelope (vote evidence) is the bytes its sender signed.
+func FuzzOpenEnvelope(f *testing.F) {
+	for _, s := range envelopeSeeds() {
+		f.Add(s)
+	}
+	reg, _ := envelopeSigner()
+	pool := verify.New(verify.Options{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		env, err := OpenEnvelope(pool, reg, raw)
+		if err != nil {
+			if !errors.Is(err, ErrBadEnvelope) {
+				t.Fatalf("rejection %v is not ErrBadEnvelope", err)
+			}
+			return
+		}
+		if got := EncodeEnvelope(env); !bytes.Equal(got, raw) {
+			t.Fatalf("opened envelope re-encodes to %x, was %x", got, raw)
+		}
+	})
 }
 
 func FuzzDecodeSyncResp(f *testing.F) {
@@ -245,6 +295,7 @@ func TestGenerateFuzzCorpora(t *testing.T) {
 		"FuzzDecodeSnapshot":          snapshotSeeds(),
 		"FuzzDecodeLookupResp":        lookupRespSeeds(),
 		"FuzzSnapshotOfferValidation": offerValidationSeeds(),
+		"FuzzOpenEnvelope":            envelopeSeeds(),
 	} {
 		writeFuzzCorpus(t, name, seeds)
 	}

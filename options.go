@@ -211,7 +211,10 @@ func WithEngine(e Engine) Option {
 }
 
 // WithStore persists the chain into s: restored from it when non-empty,
-// mirrored into it from genesis otherwise.
+// mirrored into it from genesis otherwise. s keeps the whole Store
+// contract: every marker shift reaches it as DeleteBelowRecord with its
+// deletion record, whose log re-arms the resurrection floor on the next
+// open, and group commit syncs through its Sync.
 func WithStore(s Store) Option {
 	return func(b *builder) error {
 		if s == nil {
@@ -259,9 +262,8 @@ func WithSegmentStore(dir string, opts ...SegmentOptions) Option {
 // soon as the previous sync is done); it is an upper bound on the extra
 // receipt latency group commit introduces.
 //
-// DurabilityGroup requires a store whose handle can force durability:
-// WithSegmentStore, or WithStore with a store implementing
-// `Sync() error`.
+// DurabilityGroup requires a store (WithSegmentStore or WithStore) and
+// syncs through its Sync, which every Store has.
 func WithDurability(mode DurabilityMode, window time.Duration) Option {
 	return func(b *builder) error {
 		if !mode.Valid() {

@@ -543,7 +543,7 @@ func origin(obj types.Object) types.Object {
 // names no value or cites a test that does not exist. A knob without
 // evidence becomes a constant.
 func TestSettableValuesEarnTheirKeep(t *testing.T) {
-	tests := testFunctions(t)
+	tests := testFunctions(t, "Test")
 	golden := readGolden(t, "testdata/settable.golden", func(kind string) error {
 		switch {
 		case kind == "seam", kind == "deployment", paperKind.MatchString(kind):
@@ -639,15 +639,22 @@ func settableValues(t *testing.T) []string {
 	return out
 }
 
-// testFunctions returns the names of the Test functions of this module
-// and of benchmark/.
-func testFunctions(t *testing.T) map[string]bool {
+// testFunctions returns the names of the test-file functions of this
+// module and of benchmark/ that start with one of kinds ("Test",
+// "Fuzz").
+func testFunctions(t *testing.T, kinds ...string) map[string]bool {
 	t.Helper()
 	out := make(map[string]bool)
 	walkGo(t, true, func(_ string, f *ast.File) {
 		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
-				out[fn.Name.Name] = true
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, kind := range kinds {
+				if strings.HasPrefix(fn.Name.Name, kind) {
+					out[fn.Name.Name] = true
+				}
 			}
 		}
 	})
