@@ -68,15 +68,10 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	maxSeq := fs.Int("max-sequences", 64, "live-chain bound in sequences (0: unbounded, no physical deletion)")
 	durability := fs.String("durability", "seal", `receipt durability: "seal" or "group" (group commit; requires -store)`)
 	groupWindow := fs.Duration("group-window", 0, "group-commit accumulation window (with -durability group)")
-	shedFrac := fs.Float64("shed-frac", 0.75, "intake-queue fullness at which submits shed with 429")
-	maxPending := fs.Int("max-pending", 0, "admission budget of accepted-but-unsealed entries (0: derive from queue capacity, negative: disable)")
 	keys := fs.Int("keys", 64, "deterministic user keys to register (user000, ...)")
 	keySeed := fs.String("key-seed", "seldel-serve", "seed for deterministic key derivation")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shedFrac <= 0 || *shedFrac > 1 {
-		return fmt.Errorf("-shed-frac %v: want a fraction in (0,1]", *shedFrac)
 	}
 
 	reg, err := registrySeed(*keys, *keySeed)
@@ -110,13 +105,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	}
 	defer func() { _ = c.Close() }()
 
-	srv := serve.New(c, serve.Options{Admission: serve.AdmissionOptions{
-		ShedFraction: *shedFrac,
-		MaxPending:   *maxPending,
-	}})
-	defer srv.Close()
-
-	httpSrv := srv.HTTPServer(*addr)
+	httpSrv := serve.New(c, serve.Options{}).HTTPServer(*addr)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err

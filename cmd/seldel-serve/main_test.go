@@ -325,7 +325,7 @@ func TestServeFlagValidation(t *testing.T) {
 		{"-durability", "group"},       // group commit requires -store
 		{"-durability", "bogus"},       // unknown mode
 		{"-partitions", "2"},           // undefined flag: one chain type
-		{"-shed-frac", "1.5"},          // fraction out of range
+		{"-shed-frac", "1.5"},          // undefined flag: the budget is fixed
 		{"-addr", "127.0.0.1:0", "-x"}, // unknown flag
 	} {
 		if err := run(context.Background(), args, func(string) {}); err == nil {

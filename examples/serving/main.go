@@ -44,7 +44,6 @@ func run() error {
 	defer c.Close()
 
 	srv := seldel.NewServer(c, seldel.ServerOptions{})
-	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err

@@ -15,6 +15,12 @@ import (
 // together, so a single oversized call may exceed it.
 const maxBatch = 256
 
+// IntakeCap is the intake queue's capacity in submission groups, the
+// same for every Batcher: one full batch of single-entry groups, so a
+// sealed batch can reach maxBatch even when every producer submits one
+// entry at a time. A producer that finds it full waits.
+const IntakeCap = maxBatch
+
 // errLedgerContract flags a Ledger.Seal that returned neither blocks
 // nor an error.
 var errLedgerContract = errors.New("mempool: ledger returned no blocks and no error")
@@ -74,7 +80,8 @@ type Stats struct {
 	// for the next block while its warm-up runs. QueueDepth near
 	// QueueCap means producers are about to block (backpressure).
 	QueueDepth int
-	// QueueCap is the intake queue capacity.
+	// QueueCap is the intake queue capacity: IntakeCap once the pipeline
+	// has started, 0 before.
 	QueueCap int
 	// Verify is the verification pool's activity snapshot — curve work
 	// and cache effectiveness. Filled by Chain.PipelineStats; zero for a
@@ -90,10 +97,8 @@ type Stats struct {
 }
 
 // QueueFraction is the intake queue's fullness in [0,1]: QueueDepth
-// over QueueCap, 0 when the pipeline has not started. Admission
-// controllers shed ingress when it approaches 1 — producers are then
-// about to block on the intake, which is the overload signal a serving
-// front-end must answer with backpressure (429) instead of queueing.
+// over QueueCap, 0 when the pipeline has not started. Near 1, producers
+// are about to block on the intake.
 func (s Stats) QueueFraction() float64 {
 	if s.QueueCap <= 0 {
 		return 0
@@ -167,14 +172,11 @@ type Batcher struct {
 
 // NewBatcher starts a pipeline sealing through ledger.
 func NewBatcher(ledger Ledger, opts Options) *Batcher {
-	// The intake buffer holds one full batch of single-entry groups, so
-	// a sealed batch can reach maxBatch even when every producer submits
-	// one entry at a time.
 	b := &Batcher{
 		ledger:  ledger,
 		warm:    opts.Warm,
 		durable: opts.Durable,
-		ch:      make(chan group, maxBatch),
+		ch:      make(chan group, IntakeCap),
 		turn:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),

@@ -132,14 +132,22 @@ func (cl *cluster) fill(t *testing.T, i int) *block.Block {
 
 func (cl *cluster) untilSummaryLands(t *testing.T, op func() error) {
 	t.Helper()
+	if err := cl.retrySummary(op); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// retrySummary is untilSummaryLands returning the error instead, for
+// producers running on goroutines of their own.
+func (cl *cluster) retrySummary(op func() error) error {
 	for attempt := 1; ; attempt++ {
 		err := op()
 		cl.net.Flush()
 		if err == nil {
-			return
+			return nil
 		}
 		if !errors.Is(err, ErrSummaryPending) || attempt == writeAttempts {
-			t.Fatalf("attempt %d: %v", attempt, err)
+			return fmt.Errorf("attempt %d: %w", attempt, err)
 		}
 	}
 }

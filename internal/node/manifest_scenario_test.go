@@ -141,10 +141,12 @@ func TestRejoinRejectsResurrectionOffers(t *testing.T) {
 		t.Fatal("victim resurrected via sync offer")
 	}
 
-	// Poisoned snapshot adoption: pre-deletion status quo, marker 0.
+	// Poisoned snapshot adoption: pre-deletion status quo, marker 0, in
+	// one final chunk, so only the floor stands between it and adoption.
 	rejoined.handleSnapshotResp(wire.Envelope{
 		Sender: cl.nodes[0].Name(),
 		Body: wire.EncodeSnapshot(wire.SnapshotPayload{
+			Last:   true,
 			Marker: 0,
 			Head:   staleHead,
 			Blocks: stale,

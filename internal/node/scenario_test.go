@@ -337,7 +337,11 @@ func TestNodeSubmitPipelineConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
 				e := block.NewData("alpha", []byte(fmt.Sprintf("w%d-%d", w, i))).Sign(alpha)
-				sealed, err := cl.nodes[0].SubmitWait(ctx, e)
+				var sealed []mempool.Sealed
+				err := cl.retrySummary(func() (err error) {
+					sealed, err = cl.nodes[0].SubmitWait(ctx, e)
+					return err
+				})
 				if err != nil {
 					errCh <- fmt.Errorf("producer %d: %w", w, err)
 					return

@@ -37,8 +37,8 @@ type Backend interface {
 	ProveDeleted(ref block.Ref) (*chain.DeletedProof, error)
 	// Stats is the chain-size and deletion-counter snapshot.
 	Stats() chain.Stats
-	// PipelineStats exposes the submission pipeline's backpressure
-	// gauges — the admission controller's signal.
+	// PipelineStats is the submission pipeline's counters and gauges,
+	// reported under /v1/stats.
 	PipelineStats() mempool.Stats
 }
 

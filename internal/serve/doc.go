@@ -34,12 +34,13 @@
 // physically executed. /v1/stats counts pages and the entries their
 // seeks copied out (read_pages, entries_scanned).
 //
-// Admission control is wired to the pipeline's backpressure gauges
-// (mempool.Stats): requests are shed with 429 + Retry-After BEFORE the
-// intake queue saturates — via a server-local pending-entry budget that
-// tracks accepted-but-unsealed entries exactly, plus a sampled
-// queue-depth gauge that covers producers outside this server (gossip
-// intake, in-process writers). Producers therefore never block on a
-// full intake through this front-end, which is what keeps tail latency
-// bounded under hostile offered load. See docs/ARCHITECTURE.md §9.
+// Admission control is one budget, fixed by the intake: the server
+// counts accepted entries whose receipts have not resolved and sheds a
+// request with 429 + Retry-After when it would take that count past
+// three quarters of the intake's capacity (mempool.IntakeCap groups).
+// Each request is one intake group, so the front-end alone never fills
+// the intake and no handler blocks on it, which is what keeps tail
+// latency bounded under hostile offered load. The per-request limit is
+// the whole budget, so an idle server admits every request it does not
+// refuse as too large. See docs/ARCHITECTURE.md §9.
 package serve

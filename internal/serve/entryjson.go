@@ -75,6 +75,11 @@ func (j *EntryJSON) Entry(maxPayload int) (*block.Entry, error) {
 		return nil, fmt.Errorf("payload %d bytes exceeds limit %d", len(j.Payload), maxPayload)
 	}
 	if j.Target != nil {
+		// CheckShape refuses a data entry's non-zero target, but a zero
+		// one would pass and vanish from the entry: refuse any.
+		if e.Kind != block.KindDeletion {
+			return nil, fmt.Errorf("%w: data entry carries a deletion target", block.ErrBadEntry)
+		}
 		e.Target = j.Target.Ref()
 	}
 	for _, d := range j.DependsOn {

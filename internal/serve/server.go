@@ -16,16 +16,25 @@ import (
 	"github.com/seldel/seldel/internal/mempool"
 )
 
-// Options parameterize a Server.
-type Options struct {
-	// Admission tunes load shedding; see AdmissionOptions.
-	Admission AdmissionOptions
-}
+// Options parameterize a Server. It has no fields: the admission budget
+// is fixed by the intake (maxPendingEntries).
+type Options struct{}
 
 // Request limits.
 const (
+	// maxPendingEntries is the admission budget: entries this server has
+	// accepted whose receipts have not resolved, three quarters of the
+	// intake's capacity in groups. Each submit is one intake group of at
+	// least one entry, so the front-end alone can never fill the intake
+	// and no handler ever waits on it.
+	maxPendingEntries = mempool.IntakeCap * 3 / 4
 	// maxEntriesPerRequest caps one submit body's entries (413 above).
-	maxEntriesPerRequest = 512
+	// It is the whole budget, so an idle server admits every request it
+	// does not refuse as too large.
+	maxEntriesPerRequest = maxPendingEntries
+	// retryAfterSec is the client backoff hint on 429 responses, in
+	// whole seconds (the Retry-After header value).
+	retryAfterSec = 1
 	// maxPayloadBytes caps one entry's payload (400 above).
 	maxPayloadBytes = 1 << 20
 	// maxBodyBytes caps a submit request body (413 above).
@@ -65,20 +74,19 @@ type ServerStats struct {
 type StatsResponse struct {
 	Chain    chain.Stats   `json:"chain"`
 	Pipeline mempool.Stats `json:"pipeline"`
-	// QueueFraction is the intake fullness the admission controller
-	// sheds on (Pipeline.QueueDepth / Pipeline.QueueCap).
-	QueueFraction float64     `json:"queue_fraction"`
-	Server        ServerStats `json:"server"`
+	Server   ServerStats   `json:"server"`
 }
 
-// Server is the HTTP front-end over a Backend. Create with New, serve
-// through HTTPServer (an h2c-enabled http.Server), and Close when done
-// to stop the admission sampler.
+// Server is the HTTP front-end over a Backend. Create with New and serve
+// through HTTPServer (an h2c-enabled http.Server).
 type Server struct {
 	b   Backend
-	adm *admission
 	mux *http.ServeMux
 
+	// pending counts accepted entries whose receipts have not resolved;
+	// admit keeps it at or below maxPendingEntries.
+	pending   atomic.Int64
+	sheds     atomic.Uint64
 	sealed    atomic.Uint64
 	rejected  atomic.Uint64
 	accepted  atomic.Uint64
@@ -87,10 +95,8 @@ type Server struct {
 }
 
 // New builds a Server fronting b.
-func New(b Backend, opts Options) *Server {
+func New(b Backend, _ Options) *Server {
 	s := &Server{b: b}
-	s.adm = newAdmission(opts.Admission, b.PipelineStats().QueueCap,
-		func() float64 { return b.PipelineStats().QueueFraction() })
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/submit", s.handleSubmit)
 	mux.HandleFunc("GET /v1/entries", s.handleEntries)
@@ -122,14 +128,24 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 	}
 }
 
-// Close stops the admission sampler. It does not close the backend.
-func (s *Server) Close() error {
-	s.adm.close()
-	return nil
-}
+// Close returns nil: the server owns no goroutine of its own. It does
+// not close the backend.
+func (s *Server) Close() error { return nil }
 
 // ShedCount reports submits answered 429 so far.
-func (s *Server) ShedCount() uint64 { return s.adm.sheds.Load() }
+func (s *Server) ShedCount() uint64 { return s.sheds.Load() }
+
+// admit reserves n entries of the budget. false means the request is
+// shed and nothing was reserved; otherwise one entry is released as
+// each receipt resolves, or all n if the submit fails.
+func (s *Server) admit(n int) bool {
+	if s.pending.Add(int64(n)) > maxPendingEntries {
+		s.pending.Add(int64(-n))
+		s.sheds.Add(1)
+		return false
+	}
+	return true
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -174,10 +190,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		entries[i] = e
 	}
 	// Admission: shed BEFORE touching the pipeline. A shed request has
-	// cost us JSON decoding but no intake-queue slot; the pending budget
-	// and the sampled queue gauge both sit below saturation, so the
-	// Submit below never blocks on a full intake.
-	if !s.adm.admit(len(entries)) {
+	// cost us JSON decoding but no intake-queue slot; the budget sits
+	// below the intake's capacity, so the Submit below never blocks on a
+	// full intake.
+	if !s.admit(len(entries)) {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSec))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 			Error:         "overloaded: submission pipeline is saturated",
@@ -187,7 +203,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	receipts, err := s.b.Submit(r.Context(), entries...)
 	if err != nil {
-		s.adm.release(len(entries))
+		s.pending.Add(int64(-len(entries)))
 		if r.Context().Err() != nil {
 			// Client went away mid-enqueue; nothing was submitted.
 			return
@@ -213,12 +229,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			s.rejected.Add(1)
-			s.adm.release(1)
+			s.pending.Add(-1)
 			resp.Sealed[i] = SealedJSON{Error: werr.Error()}
 			continue
 		}
 		s.sealed.Add(1)
-		s.adm.release(1)
+		s.pending.Add(-1)
 		resp.Sealed[i] = sealedJSON(sealed)
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -234,7 +250,7 @@ func (s *Server) drainReceipts(receipts []mempool.Receipt) {
 		} else {
 			s.sealed.Add(1)
 		}
-		s.adm.release(1)
+		s.pending.Add(-1)
 	}
 }
 
@@ -385,18 +401,16 @@ func (s *Server) handleProveDeleted(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	ps := s.b.PipelineStats()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		Chain:         s.b.Stats(),
-		Pipeline:      ps,
-		QueueFraction: ps.QueueFraction(),
+		Chain:    s.b.Stats(),
+		Pipeline: s.b.PipelineStats(),
 		Server: ServerStats{
 			AcceptedEntries:   s.accepted.Load(),
 			SealedEntries:     s.sealed.Load(),
 			RejectedEntries:   s.rejected.Load(),
-			ShedRequests:      s.adm.sheds.Load(),
-			PendingEntries:    s.adm.pending.Load(),
-			MaxPendingEntries: s.adm.maxPending,
+			ShedRequests:      s.sheds.Load(),
+			PendingEntries:    s.pending.Load(),
+			MaxPendingEntries: maxPendingEntries,
 			ReadPages:         s.readPages.Load(),
 			EntriesScanned:    s.scanned.Load(),
 		},

@@ -17,6 +17,7 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/consensus"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
 	"github.com/seldel/seldel/internal/simclock"
@@ -75,7 +76,6 @@ func boundedChain(t testing.TB, e *env, mutate ...func(*chain.Config)) *chain.Ch
 func testServer(t *testing.T, backend Backend, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(backend, opts)
-	t.Cleanup(func() { s.Close() })
 	hs := httptest.NewServer(s.mux)
 	t.Cleanup(hs.Close)
 	return s, hs
@@ -165,8 +165,39 @@ func TestSubmitWaitRoundTrip(t *testing.T) {
 	if stats.Chain.LiveEntries != 3 {
 		t.Errorf("chain live entries = %d", stats.Chain.LiveEntries)
 	}
-	if stats.Server.MaxPendingEntries <= 0 {
-		t.Errorf("derived admission budget = %d", stats.Server.MaxPendingEntries)
+	if stats.Server.MaxPendingEntries != maxPendingEntries {
+		t.Errorf("admission budget = %d, want %d", stats.Server.MaxPendingEntries, maxPendingEntries)
+	}
+}
+
+// TestLargestRequestIsAdmitted: on an idle server over a fresh chain,
+// whose pipeline has not started, a request of the per-request limit is
+// admitted and sealed whole; one entry more is refused as too large.
+func TestLargestRequestIsAdmitted(t *testing.T) {
+	e := newTestEnv(t, "alpha")
+	c := boundedChain(t, e)
+	_, hs := testServer(t, c, Options{})
+	if qc := c.PipelineStats().QueueCap; qc != 0 {
+		t.Fatalf("pipeline already started (queue cap %d); the test needs a fresh chain", qc)
+	}
+	entries := make([]EntryJSON, maxEntriesPerRequest+1)
+	for i := range entries {
+		entries[i] = e.data("alpha", fmt.Sprintf("largest-%03d", i))
+	}
+	resp, sr := postSubmit(t, hs.URL, true, entries[:maxEntriesPerRequest]...)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d entries on an idle server: HTTP %d, want 200", maxEntriesPerRequest, resp.StatusCode)
+	}
+	if len(sr.Sealed) != maxEntriesPerRequest {
+		t.Fatalf("sealed %d results, want %d", len(sr.Sealed), maxEntriesPerRequest)
+	}
+	for i, s := range sr.Sealed {
+		if s.Error != "" || s.BlockHash == "" {
+			t.Fatalf("entry %d not sealed: %+v", i, s)
+		}
+	}
+	if resp, _ := postSubmit(t, hs.URL, true, entries...); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d entries: HTTP %d, want 413", len(entries), resp.StatusCode)
 	}
 }
 
@@ -181,6 +212,13 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 	resp, _ := postSubmit(t, hs.URL, true, bad)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown kind: HTTP %d", resp.StatusCode)
+	}
+	// A target on a data entry, even the zero one.
+	targeted := e.data("alpha", "x")
+	targeted.Target = &RefJSON{}
+	resp, _ = postSubmit(t, hs.URL, true, targeted)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("data entry with a target: HTTP %d", resp.StatusCode)
 	}
 	// Payload over the per-entry cap.
 	resp, _ = postSubmit(t, hs.URL, true, e.data("alpha", strings.Repeat("x", maxPayloadBytes+1)))
@@ -240,22 +278,22 @@ func TestSubmitAsyncReleasesBudget(t *testing.T) {
 	// back to zero and the seal counters must catch up.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if s.adm.pending.Load() == 0 && s.sealed.Load() == 2 {
+		if s.pending.Load() == 0 && s.sealed.Load() == 2 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("budget never drained: pending=%d sealed=%d",
-				s.adm.pending.Load(), s.sealed.Load())
+				s.pending.Load(), s.sealed.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestShedsHappenBeforeQueueOverflow saturates the front-end with
-// concurrent submits against a tiny admission budget and asserts the
-// overload answer is 429 + Retry-After BEFORE the pipeline's intake
-// queue ever reaches capacity — no handler parks on a full queue.
-// Run with -race (CI does): the sampler races the handlers by design.
+// TestShedsHappenBeforeQueueOverflow floods the front-end with more
+// concurrent entries than its admission budget and asserts the overload
+// answer is 429 + Retry-After BEFORE the pipeline's intake queue ever
+// reaches capacity — no handler parks on a full queue. Run with -race
+// (CI does): the depth sampler races the handlers by design.
 func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 	e := newTestEnv(t, "alpha")
 	// A slow sealer, as under proof of work: receipts resolve slowly
@@ -267,16 +305,7 @@ func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 			return nil
 		}
 	})
-	s, hs := testServer(t, c, Options{Admission: AdmissionOptions{MaxPending: 12}})
-
-	// The pipeline starts lazily; one warm-up submit makes QueueCap real.
-	if _, err := c.SubmitWait(context.Background(), block.NewData("alpha", []byte("warm-up")).Sign(e.keys["alpha"])); err != nil {
-		t.Fatal(err)
-	}
-	queueCap := c.PipelineStats().QueueCap
-	if queueCap <= 12 {
-		t.Fatalf("queue cap %d not above the admission budget; test is vacuous", queueCap)
-	}
+	s, hs := testServer(t, c, Options{})
 
 	// Sample the intake depth at high frequency for the whole run.
 	var maxDepth atomic.Int64
@@ -300,7 +329,11 @@ func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 		}
 	}()
 
-	const clients = 32
+	// 32 clients × 16 entries in flight is more than the budget holds.
+	const clients, perRequest = 32, 16
+	if clients*perRequest <= maxPendingEntries {
+		t.Fatalf("flood of %d entries fits the budget %d; test is vacuous", clients*perRequest, maxPendingEntries)
+	}
 	var wg sync.WaitGroup
 	var sheds, oks atomic.Int64
 	var retryAfterSeen atomic.Bool
@@ -308,10 +341,10 @@ func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				entries := []EntryJSON{
-					e.data("alpha", fmt.Sprintf("flood-%d-%d-a", g, i)),
-					e.data("alpha", fmt.Sprintf("flood-%d-%d-b", g, i)),
+			for i := 0; i < 4; i++ {
+				entries := make([]EntryJSON, perRequest)
+				for j := range entries {
+					entries[j] = e.data("alpha", fmt.Sprintf("flood-%d-%d-%d", g, i, j))
 				}
 				body, _ := json.Marshal(SubmitRequest{Entries: entries})
 				resp, err := http.Post(hs.URL+"/v1/submit?wait=1", "application/json", bytes.NewReader(body))
@@ -339,7 +372,7 @@ func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 	<-samplerDone
 
 	if sheds.Load() == 0 {
-		t.Fatal("no sheds under 32-way flood with budget 12; admission control inert")
+		t.Fatalf("no sheds under a %d-way flood of %d-entry requests; admission control inert", clients, perRequest)
 	}
 	if oks.Load() == 0 {
 		t.Fatal("every request shed; server never admitted anything")
@@ -347,8 +380,11 @@ func TestShedsHappenBeforeQueueOverflow(t *testing.T) {
 	if !retryAfterSeen.Load() {
 		t.Error("no 429 carried a Retry-After header")
 	}
-	if got := maxDepth.Load(); got >= int64(queueCap) {
-		t.Errorf("intake queue reached capacity (%d of %d) despite admission control", got, queueCap)
+	if got := c.PipelineStats().QueueCap; got != mempool.IntakeCap {
+		t.Fatalf("intake capacity %d, want %d", got, mempool.IntakeCap)
+	}
+	if got := maxDepth.Load(); got >= mempool.IntakeCap {
+		t.Errorf("intake queue reached capacity (%d of %d) despite admission control", got, mempool.IntakeCap)
 	}
 	if s.ShedCount() != uint64(sheds.Load()) {
 		t.Errorf("server counted %d sheds, clients saw %d", s.ShedCount(), sheds.Load())
@@ -640,36 +676,16 @@ func TestCursorParsing(t *testing.T) {
 	}
 }
 
-func TestAdmissionBudgetDerivation(t *testing.T) {
-	// Derived budget sits strictly below a small queue's capacity.
-	a := newAdmission(AdmissionOptions{}, 32, func() float64 { return 0 })
-	defer a.close()
-	if a.maxPending >= 32 {
-		t.Errorf("derived budget %d not below queue cap 32", a.maxPending)
+// TestAdmissionBudgetFitsTheIntake pins the arithmetic the admission
+// guarantee rests on: every submit is one intake group, so a budget
+// below the intake's capacity keeps the front-end alone from filling it,
+// and a per-request limit within the budget lets an idle server admit
+// every request it does not refuse as too large.
+func TestAdmissionBudgetFitsTheIntake(t *testing.T) {
+	if maxPendingEntries >= mempool.IntakeCap {
+		t.Errorf("budget %d entries, intake capacity %d groups", maxPendingEntries, mempool.IntakeCap)
 	}
-	// Large queues derive ShedFraction * cap.
-	b := newAdmission(AdmissionOptions{}, 1000, func() float64 { return 0 })
-	defer b.close()
-	if b.maxPending != 750 {
-		t.Errorf("derived budget %d, want 750", b.maxPending)
-	}
-	// The sampled gauge sheds on its own once it crosses ShedFraction,
-	// even with the pending budget idle.
-	frac := atomic.Uint64{}
-	c := newAdmission(AdmissionOptions{}, 1000,
-		func() float64 { return float64(frac.Load()) })
-	defer c.close()
-	if !c.admit(1) {
-		t.Error("idle admission refused")
-	}
-	c.release(1)
-	frac.Store(1)
-	deadline := time.Now().Add(2 * time.Second)
-	for c.admit(1) {
-		c.release(1)
-		if time.Now().After(deadline) {
-			t.Fatal("saturated gauge never tripped admission")
-		}
-		time.Sleep(time.Millisecond)
+	if maxEntriesPerRequest > maxPendingEntries {
+		t.Errorf("per-request limit %d above the budget %d", maxEntriesPerRequest, maxPendingEntries)
 	}
 }

@@ -406,8 +406,7 @@ const (
 func NewEntryJSON(e *Entry) EntryJSON { return serve.NewEntryJSON(e) }
 
 // NewServer builds the HTTP front-end over backend (a *Chain or a
-// *Node). Close the server to stop its admission
-// sampler; closing the backend stays the caller's job.
+// *Node). Closing the backend stays the caller's job.
 func NewServer(backend ServerBackend, opts ServerOptions) *Server {
 	return serve.New(backend, opts)
 }
