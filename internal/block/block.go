@@ -408,24 +408,11 @@ func (b *Block) encodeTo(e *codec.Encoder) {
 	}
 }
 
-// DecodeBlock parses a canonical block encoding and verifies the header
-// commitments (Decode, then CheckShape): the decoder for bytes that
-// arrive from elsewhere — the wire.
-func DecodeBlock(data []byte) (*Block, error) {
-	b, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.CheckShape(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // Decode parses a canonical block encoding without checking its shape:
-// the body is not re-committed against the header. It is for readers
-// whose consumer shape-checks every block anyway (a store's Stream feeds
-// RestoreOwnStream), so each block pays for CheckShape once. The nested
+// the body is not re-committed against the header. Every consumer
+// shape-checks each block it did not build itself (chain.Chain.AppendBlock,
+// chain.Restorer.Add, and the restore behind chain.Open for a store's
+// Stream), so each block pays for CheckShape once. The nested
 // structures are decoded through views into data — each inner decoder
 // copies what it retains, so the returned block never aliases data and
 // the caller may reuse the input buffer (the segment store reads every

@@ -205,9 +205,9 @@ func TestBlockEncodeRoundTrip(t *testing.T) {
 	emptySummary := NewSummary(2, 10, normal.Hash(), nil, nil)
 
 	for i, b := range []*Block{normal, summary, emptySummary} {
-		back, err := DecodeBlock(b.Encode())
+		back, err := decodeChecked(b.Encode())
 		if err != nil {
-			t.Fatalf("block %d: DecodeBlock: %v", i, err)
+			t.Fatalf("block %d: Decode+CheckShape: %v", i, err)
 		}
 		if back.Hash() != b.Hash() {
 			t.Errorf("block %d: hash changed after round trip", i)
@@ -223,21 +223,21 @@ func TestDecodeBlockRejectsCorruption(t *testing.T) {
 	b := NewNormal(1, 10, GenesisPrevHash, entries)
 	enc := b.Encode()
 
-	if _, err := DecodeBlock(nil); err == nil {
+	if _, err := decodeChecked(nil); err == nil {
 		t.Error("nil input accepted")
 	}
-	if _, err := DecodeBlock(enc[:len(enc)/2]); err == nil {
+	if _, err := decodeChecked(enc[:len(enc)/2]); err == nil {
 		t.Error("truncated block accepted")
 	}
 	trailing := append(append([]byte(nil), enc...), 0xAA)
-	if _, err := DecodeBlock(trailing); err == nil {
+	if _, err := decodeChecked(trailing); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 	// Flip a byte inside an entry payload: the root check must catch it.
 	corrupt := append([]byte(nil), enc...)
 	corrupt[len(corrupt)-10] ^= 0xFF
-	if _, err := DecodeBlock(corrupt); !errors.Is(err, ErrRootMismatch) {
-		t.Errorf("corrupted body: DecodeBlock = %v, want ErrRootMismatch", err)
+	if _, err := decodeChecked(corrupt); !errors.Is(err, ErrRootMismatch) {
+		t.Errorf("corrupted body: Decode+CheckShape = %v, want ErrRootMismatch", err)
 	}
 	// Decode only parses: the root check is left to CheckShape.
 	parsed, err := Decode(corrupt)
@@ -433,7 +433,7 @@ func TestQuickDecodeBlockNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = DecodeBlock(data)
+		_, _ = decodeChecked(data)
 		_, _ = DecodeEntry(data)
 		_, _ = DecodeHeaderBytes(data)
 		_, _ = DecodeCarried(data)
@@ -457,7 +457,7 @@ func TestQuickDecodeMutatedBlock(t *testing.T) {
 		}()
 		mutated := append([]byte(nil), base...)
 		mutated[int(pos)%len(mutated)] ^= flip
-		b, err := DecodeBlock(mutated)
+		b, err := decodeChecked(mutated)
 		if err != nil {
 			return true // rejected: fine
 		}
@@ -467,4 +467,17 @@ func TestQuickDecodeMutatedBlock(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// decodeChecked is what every consumer of a received block runs: Decode,
+// then CheckShape (AppendBlock, Restorer.Add).
+func decodeChecked(data []byte) (*Block, error) {
+	b, err := Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := b.CheckShape(); err != nil {
+		return nil, err
+	}
+	return b, nil
 }

@@ -92,8 +92,9 @@ type Config struct {
 	// Durability selects when submission receipts resolve relative to
 	// the store's durability point: the zero value resolves at seal
 	// time (durability follows the store's policy), DurabilityGroup
-	// holds receipts until a group fsync confirmed their blocks on
-	// stable storage — many sealed blocks per sync under load.
+	// holds receipts until a group fsync of the chain's store (Open)
+	// confirmed their blocks on stable storage — many sealed blocks per
+	// sync under load.
 	Durability Durability
 }
 
@@ -182,9 +183,10 @@ type Mark struct {
 }
 
 // Listener observes chain mutations. OnAppend runs synchronously after
-// the mutation completed and the chain lock was released; OnTruncate
-// runs on the chain's stage goroutine (stage.go), off the append path
-// (CompactWait barriers on it), and only after the OnAppend calls of the
+// the mutation completed, the chain lock was released and the block
+// reached the chain's store; OnTruncate runs on the chain's stage
+// goroutine (stage.go), off the append path (CompactWait barriers on
+// it), after the store was cut and only after the OnAppend calls of the
 // append that truncated have returned. Implementations must not mutate
 // the chain reentrantly from callbacks, and OnAppend must not wait for
 // compaction (CompactWait, Tombstones).
@@ -193,7 +195,7 @@ type Listener interface {
 	OnAppend(b *block.Block)
 	// OnTruncate fires after a marker shift logically removed the
 	// blocks with numbers in [oldMarker, newMarker), when the stage
-	// executes the physical cleanup. Store implementations prune here.
+	// has executed the physical cleanup.
 	OnTruncate(oldMarker, newMarker uint64)
 }
 
@@ -270,7 +272,10 @@ type Chain struct {
 	pendingTombs []manifest.Tombstone
 
 	listeners []Listener
-	// storeErr latches the first persistence failure (FailStore).
+	// store is where the chain writes its blocks and cuts (store.go);
+	// nil while it lives in memory only. Set by Open and Attach.
+	store Store
+	// storeErr latches the first persistence failure (failStore).
 	storeErr atomic.Pointer[error]
 
 	// pipe is the lazily started submission pipeline behind Submit,
@@ -307,8 +312,18 @@ func (c *Chain) Own(r io.Closer) {
 }
 
 // New creates a chain with a fresh genesis block (number 0, previous
-// hash GenesisPrevHash, no entries).
+// hash GenesisPrevHash, no entries) that lives in memory only. A chain
+// on a store comes from Open; DurabilityGroup, which syncs the store,
+// needs one.
 func New(cfg Config) (*Chain, error) {
+	if cfg.Durability.Mode == DurabilityGroup {
+		return nil, fmt.Errorf("%w: DurabilityGroup requires a store (chain.Open)", ErrConfig)
+	}
+	return newGenesis(cfg)
+}
+
+// newGenesis is New without the store check: Open attaches one next.
+func newGenesis(cfg Config) (*Chain, error) {
 	full, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -341,27 +356,6 @@ func (c *Chain) AddListener(l Listener) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.listeners = append(c.listeners, l)
-}
-
-// FailStore latches err as the chain's persistence failure; only the
-// first call counts. The store recorder calls it when a block or a
-// prune did not reach the store: listener callbacks have no error
-// return, and a chain that kept resolving receipts past that point
-// would report as sealed (or durable) blocks the disk does not hold.
-// From then on the batch being sealed and every later Submit resolve
-// with the error (wrapping ErrStore), and Close returns it. Blocks
-// received through AppendBlock are not stopped.
-func (c *Chain) FailStore(err error) {
-	err = fmt.Errorf("%w: %w", ErrStore, err)
-	c.storeErr.CompareAndSwap(nil, &err)
-}
-
-// StoreErr returns the latched persistence failure, or nil.
-func (c *Chain) StoreErr() error {
-	if p := c.storeErr.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Registry returns the identity registry the chain validates against.
@@ -533,8 +527,12 @@ func (c *Chain) validateDepsLocked(entries []*block.Entry) error {
 // advancing the clock. Signatures verify in parallel outside the chain
 // lock; only the dependency rules are checked under it. Note that
 // entries cannot depend on other entries in the same candidate set:
-// dependencies must already be committed.
+// dependencies must already be committed. After a store failure every
+// entry fails with it (StoreErr): the chain appends nothing more.
 func (c *Chain) ValidateEntries(entries []*block.Entry) error {
+	if err := c.StoreErr(); err != nil {
+		return err
+	}
 	if err := c.verifyEntries(entries); err != nil {
 		return err
 	}
@@ -557,12 +555,12 @@ func (c *Chain) InjectMarkForTest(ref block.Ref) {
 	c.planned.Store(nil)
 }
 
-// BuildNormal assembles (but does not append) the next normal block from
-// the given entries. The block is unsealed; callers with a consensus
-// engine seal it before appending. Fails if the next slot is a summary
-// slot or any entry is invalid. Signatures verify in parallel before the
-// chain lock is taken; only slot and dependency rules run under it.
-func (c *Chain) BuildNormal(entries []*block.Entry) (*block.Block, error) {
+// buildNormal assembles (but does not append) the next normal block from
+// the given entries. The block is unsealed; CommitNormal seals it before
+// appending. Fails if the next slot is a summary slot or any entry is
+// invalid. Signatures verify in parallel before the chain lock is taken;
+// only slot and dependency rules run under it.
+func (c *Chain) buildNormal(entries []*block.Entry) (*block.Block, error) {
 	if err := c.verifyEntries(entries); err != nil {
 		return nil, err
 	}
@@ -591,25 +589,19 @@ func (c *Chain) BuildNormal(entries []*block.Entry) (*block.Block, error) {
 // dependencies, seal, deletion cohesion) are checked under the lock,
 // consuming the precomputed signature verdicts. Truncation triggered by
 // a summary block is executed logically under the lock; its physical
-// side is queued on the chain's stage (see CompactWait).
+// side is queued on the chain's stage (see CompactWait). After a store
+// failure every append fails with it (StoreErr).
 func (c *Chain) AppendBlock(b *block.Block) error {
 	_, err := c.appendBlock(b)
 	return err
 }
 
-// AppendBlockOutcomes is AppendBlock surfacing the deletion-mark
-// outcomes of the appended block's entries (aligned with b.Entries).
-// Distributed proposers (internal/node) seal blocks through their own
-// engine rather than the chain's submission pipeline; this hook lets
-// them resolve mark outcomes onto their receipts exactly like the
-// local pipeline does.
-func (c *Chain) AppendBlockOutcomes(b *block.Block) ([]mempool.MarkOutcome, error) {
-	return c.appendBlock(b)
-}
-
 // appendBlock is AppendBlock surfacing the deletion-mark outcomes of
-// the appended block's entries, for the submission pipeline's receipts.
+// the appended block's entries, for the receipts of CommitNormal.
 func (c *Chain) appendBlock(b *block.Block) ([]mempool.MarkOutcome, error) {
+	if err := c.StoreErr(); err != nil {
+		return nil, err
+	}
 	// Σ as this chain planned it is built from checked entries; any other
 	// block, a copy of that Σ included, is checked.
 	if !c.isPlanned(b) {
@@ -633,14 +625,17 @@ func (c *Chain) appendBlock(b *block.Block) ([]mempool.MarkOutcome, error) {
 // appendVerified finishes an append whose lock-free verification
 // already ran, returning the mark outcomes of the block's deletion
 // entries (aligned with b.Entries; nil for summary blocks) so the
-// submission pipeline can resolve them onto receipts.
+// submission pipeline can resolve them onto receipts. The appended
+// blocks reach the store before any listener.
 func (c *Chain) appendVerified(b *block.Block, checks cosigChecks) ([]mempool.MarkOutcome, error) {
 	c.mu.Lock()
 	events, err := c.appendLocked(b, checks)
+	s := c.store
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	c.storeBlocks(s, events.appended)
 	for _, l := range c.listenersSnapshot() {
 		for _, ab := range events.appended {
 			l.OnAppend(ab)
@@ -763,9 +758,9 @@ func (c *Chain) appendLocked(b *block.Block, checks cosigChecks) (chainEvents, e
 		if ev := c.applyPlanLocked(p.plan); ev != nil {
 			// Staged while still under the chain lock, which keeps cuts
 			// in marker order across concurrent appenders, and held
-			// until this append has run its listeners (appendVerified
-			// closes listened), so no store prunes below a Σ it has not
-			// written.
+			// until this append has stored Σ and run its listeners
+			// (appendVerified closes listened), so the store is never
+			// cut below a Σ it has not written.
 			events.listened = make(chan struct{})
 			c.stage.push(stageItem{cut: ev, listened: events.listened})
 		}
@@ -924,17 +919,17 @@ func (c *Chain) CheckDeletionRequest(e *block.Entry) error {
 	return c.auth.ValidateRequestPrechecked(e, target, c.liveDependents(e.Target), pre)
 }
 
-// commitNormal builds, seals, and appends a normal block holding
-// entries, returning it with its deletion-mark verdicts (aligned with
-// entries).
+// CommitNormal builds, seals (Config.Seal), appends and stores a normal
+// block holding entries, returning it with its deletion-mark verdicts
+// (aligned with entries).
 //
-// commitNormal is the single-writer sealing primitive behind the
-// submission pipeline: concurrent calls do not corrupt the chain, but
-// they can fail with ErrNotNext when they race for the same head slot.
-// The pipeline's single flusher serializes them; everything else writes
-// through Submit.
-func (c *Chain) commitNormal(entries []*block.Entry) (*block.Block, []mempool.MarkOutcome, error) {
-	normal, err := c.BuildNormal(entries)
+// CommitNormal is the single-writer sealing primitive under both write
+// paths: the chain's submission pipeline and a node's proposal pipeline.
+// Concurrent calls do not corrupt the chain, but they can fail with
+// ErrNotNext when they race for the same head slot; each pipeline's
+// single flusher serializes its own.
+func (c *Chain) CommitNormal(entries []*block.Entry) (*block.Block, []mempool.MarkOutcome, error) {
+	normal, err := c.buildNormal(entries)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -975,9 +970,9 @@ func (c *Chain) sealSummaries() ([]*block.Block, error) {
 // batch's receipts resolved (sealer.AfterResolve).
 func (c *Chain) commit(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
 	// A lost race leaves a due Σ to its winner; any other failure leaves
-	// the slot due, and BuildNormal reports it.
+	// the slot due, and buildNormal reports it.
 	appended, _ := c.sealSummaries()
-	normal, outcomes, err := c.commitNormal(entries)
+	normal, outcomes, err := c.CommitNormal(entries)
 	if err != nil {
 		return appended, nil, err
 	}
@@ -1019,7 +1014,7 @@ func (c *Chain) VerifyIntegrity() error {
 }
 
 // VerifySignatures is the audit a trusted reopen leaves out (see
-// RestoreOwnStream): it verifies the owner signature of every live
+// restoreOwnStream): it verifies the owner signature of every live
 // entry, carried entries included, and re-derives every active deletion
 // mark from the co-signatures of the request that created it. The first
 // failure names the block and the entry. A chain restored from its own
@@ -1071,10 +1066,10 @@ func (c *Chain) HeadHash() codec.Hash {
 }
 
 // runCompaction executes the physical side of one truncation: release
-// the cut prefix's memory, sweep dead dependency edges, then let the
-// listeners prune their stores. The logical truncation (marker shift,
-// ledger sweep) already happened under the append lock — validation
-// correctness never waits for the stage.
+// the cut prefix's memory, sweep dead dependency edges, write the cut
+// and its deletion record to the store, then tell the listeners. The
+// logical truncation (marker shift, ledger sweep) already happened under
+// the append lock — validation correctness never waits for the stage.
 func (c *Chain) runCompaction(ev Event) {
 	c.mu.Lock()
 	// Copy the live slice into a fresh backing array so the cut prefix
@@ -1107,27 +1102,16 @@ func (c *Chain) runCompaction(ev Event) {
 	// off the append path.
 	c.ledger.compact(c.marker)
 	c.ledger.maybeShrink()
+	s := c.store
 	c.mu.Unlock()
 	// The store's disk work below blocks in fsync. Yield first, so the
 	// goroutine that resolved the truncating batch's receipts — an HTTP
 	// reply, say — runs before the stage holds the processor.
 	runtime.Gosched()
+	c.storeCut(s, ev)
 	for _, l := range c.listenersSnapshot() {
-		if tl, ok := l.(TruncateEventListener); ok {
-			tl.OnTruncateEvent(ev)
-			continue
-		}
 		l.OnTruncate(ev.OldMarker, ev.NewMarker)
 	}
-}
-
-// TruncateEventListener is an optional Listener extension: listeners
-// implementing it receive the full truncation event — including the
-// deletion-manifest record built under the append lock — instead of the
-// bare marker pair. Persistent stores use it to write the audit record
-// durably in the same operation as the physical prune.
-type TruncateEventListener interface {
-	OnTruncateEvent(ev Event)
 }
 
 // CompactWait blocks until every truncation that happened before the
@@ -1139,13 +1123,4 @@ type TruncateEventListener interface {
 // it returns at once.
 func (c *Chain) CompactWait(ctx context.Context) error {
 	return c.stage.wait(ctx)
-}
-
-// syncStore is the group commit's sync. A sync that succeeds after a
-// failed write synced nothing, so the latch is read after it.
-func (c *Chain) syncStore() error {
-	if err := c.cfg.Durability.Sync(); err != nil {
-		return err
-	}
-	return c.StoreErr()
 }

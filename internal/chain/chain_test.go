@@ -11,6 +11,7 @@ import (
 	"github.com/seldel/seldel/internal/block"
 	"github.com/seldel/seldel/internal/deletion"
 	"github.com/seldel/seldel/internal/identity"
+	"github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
 )
 
@@ -186,7 +187,7 @@ func TestAppendBlockRejections(t *testing.T) {
 	cfg := defaultConfig(env)
 	c := newChain(t, cfg)
 
-	okBlock, err := c.BuildNormal([]*block.Entry{env.data("alpha", "x")})
+	okBlock, err := c.buildNormal([]*block.Entry{env.data("alpha", "x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestSummaryPlannedOncePerHead(t *testing.T) {
 
 func mustBuildNormal(t *testing.T, c *Chain, entries ...*block.Entry) *block.Block {
 	t.Helper()
-	b, err := c.BuildNormal(entries)
+	b, err := c.buildNormal(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +345,8 @@ func TestBuildNormalRejectsSummarySlot(t *testing.T) {
 	if err := c.AppendBlock(mustBuildNormal(t, c, env.data("alpha", "x"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BuildNormal(nil); !errors.Is(err, ErrWrongSlot) {
-		t.Errorf("BuildNormal in summary slot: %v", err)
+	if _, err := c.buildNormal(nil); !errors.Is(err, ErrWrongSlot) {
+		t.Errorf("buildNormal in summary slot: %v", err)
 	}
 	if _, err := c.BuildSummary(); err != nil {
 		t.Errorf("BuildSummary: %v", err)
@@ -447,8 +448,9 @@ func (l *funcListener) OnAppend(b *block.Block)      { l.onAppend(b) }
 func (l *funcListener) OnTruncate(oldM, newM uint64) { l.onTruncate(oldM, newM) }
 
 // slowSummaryListener takes 20 ms over every summary block it is handed,
-// as a store writing a large Σ to a slow disk does, and notes each
-// truncation that arrives before its summary block did.
+// as an observer doing slow work on a large Σ does, and, as the cut of
+// a store it watches, notes each truncation that arrives before its
+// summary block did.
 type slowSummaryListener struct {
 	mu          sync.Mutex
 	appended    map[uint64]bool
@@ -467,27 +469,30 @@ func (l *slowSummaryListener) OnAppend(b *block.Block) {
 
 func (l *slowSummaryListener) OnTruncate(uint64, uint64) {}
 
-func (l *slowSummaryListener) OnTruncateEvent(ev Event) {
+func (l *slowSummaryListener) cut(marker uint64, rec *manifest.Record) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.truncations++
-	if !l.appended[ev.Record.SummaryBlock] {
-		l.early = append(l.early, fmt.Sprintf("truncation to %d arrived before summary %d", ev.NewMarker, ev.Record.SummaryBlock))
+	if !l.appended[rec.SummaryBlock] {
+		l.early = append(l.early, fmt.Sprintf("truncation to %d arrived before summary %d", marker, rec.SummaryBlock))
 	}
 }
 
 // TestTruncationWaitsForItsSummaryListeners: a truncation reaches the
-// listeners only after the summary block that caused it did, however
-// long OnAppend takes, so a store never deletes below a Σ it has not
-// written yet.
+// store only after the summary block that caused it reached every
+// listener, however long OnAppend takes, so a store never deletes below
+// a Σ it has not written yet.
 func TestTruncationWaitsForItsSummaryListeners(t *testing.T) {
 	env := newEnv(t, "alpha")
 	cfg := defaultConfig(env)
 	cfg.MaxSequences = 1
 	cfg.Shrink = ShrinkMinimal
-	c := newChain(t, cfg)
-	defer c.Close()
 	l := &slowSummaryListener{appended: make(map[uint64]bool)}
+	c, err := Open(cfg, &hookStore{Store: openSegment(t), cut: l.cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	c.AddListener(l)
 	for i := 0; i < 6; i++ {
 		mustSeal(t, c, env.data("alpha", fmt.Sprintf("p%d", i)))

@@ -11,18 +11,19 @@ type DurabilityMode uint8
 
 const (
 	// DurabilitySeal is the default contract: a receipt resolves as
-	// soon as its block is sealed, appended, and handed to the store
-	// listeners. Durability then follows the store's own policy (the
+	// soon as its block is sealed, appended, and written to the
+	// chain's store. Durability then follows the store's own policy (the
 	// segment store fsyncs on segment roll, truncation and Close) — a
 	// crash can lose the unsynced tail even though its receipts
 	// resolved.
 	DurabilitySeal DurabilityMode = iota
 	// DurabilityGroup is the group-commit contract: receipts resolve
-	// only after Durability.Sync confirmed their blocks on stable
-	// storage. Sealing keeps running ahead; the chain's stage (stage.go)
-	// makes every batch sealed since the previous sync durable with ONE
-	// fsync, so under load many blocks share each sync while an idle
-	// chain still syncs per batch.
+	// only after the chain's store (Open) confirmed their blocks on
+	// stable storage with Store.Sync. Sealing keeps running ahead; the
+	// chain's stage (stage.go) makes every batch sealed since the
+	// previous sync durable with ONE fsync, so under load many blocks
+	// share each sync while an idle chain still syncs per batch. It
+	// requires a store: New refuses it.
 	DurabilityGroup
 )
 
@@ -36,11 +37,6 @@ func (m DurabilityMode) Valid() bool {
 type Durability struct {
 	// Mode selects the contract; zero is DurabilitySeal.
 	Mode DurabilityMode
-	// Sync forces everything the store buffered to stable storage. It
-	// is required for DurabilityGroup (the façade wires the attached
-	// store's Sync) and is called from the stage's goroutine only,
-	// outside the chain lock.
-	Sync func() error
 	// GroupWindow bounds how long the stage waits after the first
 	// pending batch before issuing the group sync, accumulating more
 	// sealed blocks into the same fsync. It is an upper bound on the
@@ -57,9 +53,6 @@ type Durability struct {
 func (d Durability) validate() error {
 	if !d.Mode.Valid() {
 		return fmt.Errorf("%w: invalid durability mode %d", ErrConfig, d.Mode)
-	}
-	if d.Mode == DurabilityGroup && d.Sync == nil {
-		return fmt.Errorf("%w: DurabilityGroup requires Durability.Sync (attach a durable store)", ErrConfig)
 	}
 	if d.GroupWindow < 0 {
 		return fmt.Errorf("%w: negative GroupWindow", ErrConfig)

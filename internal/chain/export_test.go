@@ -1,5 +1,13 @@
 package chain
 
+import "github.com/seldel/seldel/internal/block"
+
+// BuildNormalForTest assembles, without appending, the normal block
+// CommitNormal would seal from entries.
+func (c *Chain) BuildNormalForTest(entries []*block.Entry) (*block.Block, error) {
+	return c.buildNormal(entries)
+}
+
 // PlanVisitsForTest plans the summary block due next, as BuildSummary
 // does, and reports how many ledger candidates the plan looked at, how
 // many the blocks it cuts hold, how many an origin-ordered walk up to

@@ -10,7 +10,6 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -19,7 +18,7 @@ import (
 // and expiring temporaries, every summary plan looks at exactly the
 // ledger candidates the blocks it cuts hold — not at every entry carried
 // below the new marker. A second chain fed the same blocks is reopened
-// through store.Open midway; its plans obey the same count, and every
+// through chain.Open midway; its plans obey the same count, and every
 // summary block it builds is byte-identical to the uninterrupted chain's.
 func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 	reg := identity.NewRegistry()
@@ -45,7 +44,7 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	reopened, err := store.Open(config(), disk)
+	reopened, err := chain.Open(config(), disk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 			if err := reopened.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if reopened, err = store.Open(config(), disk); err != nil {
+			if reopened, err = chain.Open(config(), disk); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -89,7 +88,7 @@ func TestSummaryPlanVisitsOnlyTheCut(t *testing.T) {
 		if r >= 60 {
 			entries = append(entries, block.NewDeletion("alpha", data[(r-60)*perBlock+(r+7)%perBlock]).Sign(kp))
 		}
-		normal, err := whole.BuildNormal(entries)
+		normal, err := whole.BuildNormalForTest(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +167,7 @@ func TestSummaryPlanSizesItsListsOnce(t *testing.T) {
 		if r > 0 {
 			entries = append(entries, block.NewDeletion("alpha", block.Ref{Block: first.Block, Entry: uint32(r)}).Sign(kp))
 		}
-		normal, err := c.BuildNormal(entries)
+		normal, err := c.BuildNormalForTest(entries)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // block being the current Genesis marker (§IV-C: the marker block "is a
 // trusted anchor for the left blockchain part already approved by the
 // anchor nodes"). Nothing is believed: on top of everything
-// RestoreOwnStream checks, the owner signature of every entry —
+// restoreOwnStream checks, the owner signature of every entry —
 // including entries carried inside summary blocks — is verified through
 // the parallel verification pool, so a malicious offer is rejected at
 // the offending block instead of poisoning later validations.
@@ -90,8 +90,8 @@ func (r *Restorer) Finish() (*Chain, error) {
 	return r.c, nil
 }
 
-// RestoreOwnStream rebuilds a chain from the stream of blocks this
-// process's own store wrote (store.Open is its one caller). A restart
+// restoreOwnStream rebuilds a chain from the stream of blocks this
+// process's own store wrote (Open is its one caller). A restart
 // crosses no trust boundary — the stored suffix is what this node
 // already validated, entry by entry, before it wrote it — so the bytes
 // are checked and the owner signatures are not: every block is
@@ -103,7 +103,7 @@ func (r *Restorer) Finish() (*Chain, error) {
 // undetected is an attacker who can rewrite the directory AND re-hash
 // everything behind the rewritten block; VerifySignatures is the audit
 // for that, on demand.
-func RestoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
+func restoreOwnStream(cfg Config, blocks iter.Seq2[*block.Block, error]) (*Chain, error) {
 	return restoreStream(cfg, blocks, false)
 }
 

@@ -85,7 +85,7 @@ var origins = map[string]func(Config, iter.Seq2[*block.Block, error]) (*Chain, e
 		}
 		return r.Finish()
 	},
-	"own": RestoreOwnStream,
+	"own": restoreOwnStream,
 }
 
 // restoreBlocks restores somebody else's blocks held in memory.
@@ -271,5 +271,47 @@ func TestRestorerCarriesConfigError(t *testing.T) {
 	}
 	if c, err := r.Finish(); c != nil || !errors.Is(err, ErrConfig) {
 		t.Fatalf("Finish = %v, %v, want no chain and ErrConfig", c, err)
+	}
+}
+
+// TestRestoreRejectsCorruptSuffix: a restore of somebody else's blocks
+// refuses an empty suffix, a gap in the hash links and a suffix that
+// does not start at a sequence boundary.
+func TestRestoreRejectsCorruptSuffix(t *testing.T) {
+	env := newEnv(t, "alpha")
+	cfg := defaultConfig(env)
+	cfg.MaxSequences = 1
+	cfg.Shrink = ShrinkMinimal
+	c := newChain(t, cfg)
+	defer c.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := SealBlocks(context.Background(), c, env.data("alpha", fmt.Sprintf("p%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CompactWait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blocks := c.Blocks()
+	restore := func(blocks []*block.Block) (*Chain, error) {
+		r := NewRestorer(cfg)
+		for _, b := range blocks {
+			if err := r.Add(b); err != nil {
+				return nil, err
+			}
+		}
+		return r.Finish()
+	}
+	if _, err := restore(nil); err == nil {
+		t.Error("empty restore accepted")
+	}
+	// Drop a middle block: hash link broken.
+	gap := append(append([]*block.Block{}, blocks[:2]...), blocks[3:]...)
+	if _, err := restore(gap); err == nil {
+		t.Error("gapped restore accepted")
+	}
+	// Misaligned start (not at a sequence boundary).
+	if _, err := restore(blocks[1:]); err == nil {
+		t.Error("misaligned restore accepted")
 	}
 }

@@ -30,8 +30,9 @@ type stageItem struct {
 	// after the sync that covers the batch's block, with its error.
 	resolve func(error)
 	// cut is a truncation's physical side, held until listened is
-	// closed: the append that staged it has run its OnAppend listeners,
-	// so no store prunes below a summary block it has not written.
+	// closed: the append that staged it has stored its blocks and run
+	// its OnAppend listeners, so the store is never cut below a summary
+	// block it has not written.
 	cut      *Event
 	listened <-chan struct{}
 	// barrier is closed once everything queued before it has run.

@@ -161,21 +161,23 @@ func TestStageResolvesNoReceiptBeforeItsSync(t *testing.T) {
 
 // TestGroupCommitReceiptFollowsItsSync is the same property through the
 // chain's pipeline: when a DurabilityGroup receipt resolves, a sync
-// that started after its block reached the listeners has returned.
+// that started after its block reached the store has returned.
 func TestGroupCommitReceiptFollowsItsSync(t *testing.T) {
 	env := newEnv(t, "alpha")
 	cfg := defaultConfig(env)
+	cfg.Durability = Durability{Mode: DurabilityGroup, GroupWindow: time.Millisecond}
 	var stored, durable atomic.Uint64
-	cfg.Durability = Durability{Mode: DurabilityGroup, GroupWindow: time.Millisecond, Sync: func() error {
+	s := &hookStore{Store: openSegment(t)}
+	s.put = func(b *block.Block) { stored.Store(b.Header.Number) }
+	s.sync = func() error {
 		durable.Store(stored.Load())
-		return nil
-	}}
-	c := newChain(t, cfg)
+		return s.Store.Sync()
+	}
+	c, err := Open(cfg, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
-	c.AddListener(&funcListener{
-		onAppend:   func(b *block.Block) { stored.Store(b.Header.Number) },
-		onTruncate: func(uint64, uint64) {},
-	})
 	for i := 0; i < 12; i++ {
 		sealed, err := c.SubmitWait(context.Background(), env.data("alpha", fmt.Sprintf("g%d", i)))
 		if err != nil {

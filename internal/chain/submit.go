@@ -125,44 +125,30 @@ func (c *Chain) pipeline() (*mempool.Batcher, error) {
 	if c.pipeClosed {
 		return nil, mempool.ErrClosed
 	}
-	opts := mempool.Options{
+	b := mempool.NewBatcher(sealer{c}, mempool.Options{
 		// Pre-verify submissions while their batch assembles, so the
 		// sealing commit resolves the signatures from the verified-
 		// signature cache instead of re-paying Ed25519 for each.
 		Warm: func(entries []*block.Entry) <-chan struct{} {
 			return c.cfg.Verifier.Warm(c.cfg.Registry, entries)
 		},
-	}
-	// A sealed batch resolves with the store-failure latch: its blocks
-	// went through the store listeners before Seal returned, so a write
-	// that failed is visible here.
-	opts.Durable = func(resolve func(error)) { resolve(c.StoreErr()) }
-	if c.cfg.Durability.Mode == DurabilityGroup {
-		// Group commit: sealed batches queue their receipt resolution on
-		// the stage, which shares one store fsync across everything
-		// sealed since the previous sync.
-		opts.Durable = func(resolve func(error)) { c.stage.push(stageItem{resolve: resolve}) }
-	}
-	b := mempool.NewBatcher(sealer{c}, opts)
+		Durable: c.Durable,
+	})
 	c.pipe.Store(b)
 	return b, nil
 }
 
-// sealer adapts the chain's unexported sealing primitive to the
-// pipeline's Ledger interface without exporting a synchronous commit
-// on Chain itself.
+// sealer adapts the chain's sealing primitive to the pipeline's Ledger
+// interface.
 type sealer struct{ c *Chain }
 
 // Seal implements mempool.Ledger: it appends the batch's normal block
 // only, and AfterResolve the summary block it leaves due. After a store
-// failure nothing more is sealed: the pipeline then asks
+// failure the chain appends nothing more: the pipeline then asks
 // ValidateEntries which entries to reject, and that answers with the
 // same error for every one.
 func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
-	if err := s.c.StoreErr(); err != nil {
-		return nil, nil, err
-	}
-	normal, outcomes, err := s.c.commitNormal(entries)
+	normal, outcomes, err := s.c.CommitNormal(entries)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -170,11 +156,11 @@ func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutc
 }
 
 // AfterResolve implements mempool.PostResolver: once the batch's
-// receipts resolved — its block appended and, through the listeners,
-// stored — the summary block it left due is sealed, before the flusher
-// collects the next batch. So the write that closes a sequence does not
-// wait for Σ's build, its store record or the truncation it stages.
-// Then a SubmitWait waiting for that Σ is woken.
+// receipts resolved — its block appended and stored — the summary block
+// it left due is sealed, before the flusher collects the next batch.
+// So the write that closes a sequence does not wait for Σ's build, its
+// store record or the truncation it stages. Then a SubmitWait waiting
+// for that Σ is woken.
 //
 // When Σ cut the chain, the flusher seals nothing more until the stage
 // has executed that cut. A store ends a segment with every
@@ -183,10 +169,6 @@ func (s sealer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutc
 // its own on the writer's path.
 func (s sealer) AfterResolve() {
 	defer s.c.endSummaryStep()
-	if s.c.StoreErr() != nil {
-		// After a store failure nothing more is sealed (Seal).
-		return
-	}
 	if !s.c.NextIsSummary() {
 		return
 	}
@@ -195,8 +177,8 @@ func (s sealer) AfterResolve() {
 	runtime.Gosched()
 	marker := s.c.Marker()
 	// A lost race leaves Σ to its winner (AppendEmpty beside the
-	// pipeline), and a store failure is latched by the store's recorder:
-	// neither is this batch's to report.
+	// pipeline), and a store failure is latched on the chain: neither is
+	// this batch's to report.
 	_, _ = s.c.sealSummaries()
 	if s.c.Marker() != marker {
 		_ = s.c.CompactWait(context.Background())
@@ -216,9 +198,6 @@ func (c *Chain) endSummaryStep() {
 
 // ValidateEntries implements mempool.Ledger.
 func (s sealer) ValidateEntries(entries []*block.Entry) error {
-	if err := s.c.StoreErr(); err != nil {
-		return err
-	}
 	return s.c.ValidateEntries(entries)
 }
 
@@ -256,7 +235,7 @@ func (c *Chain) PipelineStats() mempool.Stats {
 // mempool.ErrClosed; reads, AppendBlock/AppendEmpty, and PipelineStats
 // keep working (a late truncation still runs on the stage).
 // Close is idempotent, and concurrent Close calls all block until the
-// drain completes. It returns the store failure latched by FailStore,
+// drain completes. It returns the store failure latched on the chain,
 // if any: the chain then holds blocks, or a marker, its store does not.
 func (c *Chain) Close() error {
 	c.pipeMu.Lock()

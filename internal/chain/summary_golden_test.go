@@ -198,7 +198,10 @@ func driveGolden(t *testing.T, c *Chain, env *goldenEnv, rounds int) []string {
 				}
 				inc = planned
 			} else {
-				copied, err := block.DecodeBlock(inc.Encode())
+				copied, err := block.Decode(inc.Encode())
+				if err == nil {
+					err = copied.CheckShape()
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +267,7 @@ func driveGolden(t *testing.T, c *Chain, env *goldenEnv, rounds int) []string {
 				block.NewDeletion("alice", aliceRefs[deleted]).Sign(env.alice))
 			deleted++
 		}
-		normal, err := c.BuildNormal(entries)
+		normal, err := c.buildNormal(entries)
 		if err != nil {
 			t.Fatalf("round %d: build: %v", r, err)
 		}

@@ -115,12 +115,12 @@ func refLess(a, b block.Ref) bool {
 	return a.Entry < b.Entry
 }
 
-// SeedTombstones installs deletion records recovered from a persistent
+// seedTombstones installs deletion records recovered from the chain's
 // store (its DELETIONS log) into the chain's tombstone index, so a
 // restored chain answers audits for — and refuses resurrection of —
 // deletions that executed in earlier lifetimes. Records already seeded
 // or sealed are kept; recs only extends.
-func (c *Chain) SeedTombstones(recs []manifest.Record) {
+func (c *Chain) seedTombstones(recs []manifest.Record) {
 	if len(recs) == 0 {
 		return
 	}
@@ -153,16 +153,6 @@ func (c *Chain) Tombstones(ctx context.Context) ([]manifest.Record, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return append([]manifest.Record(nil), c.tombRecs...), nil
-}
-
-// TombstoneHead returns the most recent deletion record, if any.
-func (c *Chain) TombstoneHead() (manifest.Record, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.tombRecs) == 0 {
-		return manifest.Record{}, false
-	}
-	return c.tombRecs[len(c.tombRecs)-1], true
 }
 
 // ResurrectionFloor returns the highest NewMarker across the chain's

@@ -74,8 +74,8 @@ func TestTruncationSealsDeletionRecord(t *testing.T) {
 	if head.NewMarker != c.Marker() {
 		t.Errorf("head record marker %d, chain marker %d", head.NewMarker, c.Marker())
 	}
-	if got, ok := c.TombstoneHead(); !ok || got.Seq != head.Seq {
-		t.Errorf("TombstoneHead = %+v ok=%v", got, ok)
+	if got, ok := c.tombstoneHead(); !ok || got.Seq != head.Seq {
+		t.Errorf("tombstoneHead = %+v ok=%v", got, ok)
 	}
 	if c.ResurrectionFloor() != head.NewMarker {
 		t.Errorf("floor %d, want %d", c.ResurrectionFloor(), head.NewMarker)
@@ -282,12 +282,12 @@ func TestSeedTombstones(t *testing.T) {
 		}},
 	}
 	// Seed out of order: the index must sort by sequence.
-	c.SeedTombstones([]manifest.Record{seeded[1], seeded[0]})
+	c.seedTombstones([]manifest.Record{seeded[1], seeded[0]})
 
 	if got := c.ResurrectionFloor(); got != 6 {
 		t.Errorf("floor %d after seeding, want 6", got)
 	}
-	if head, ok := c.TombstoneHead(); !ok || head.Seq != 5 {
+	if head, ok := c.tombstoneHead(); !ok || head.Seq != 5 {
 		t.Errorf("head = %+v ok=%v, want seq 5", head, ok)
 	}
 	p, err := c.ProveDeleted(target)
@@ -304,7 +304,7 @@ func TestSeedTombstones(t *testing.T) {
 	// Records sealed after seeding continue the sequence instead of
 	// colliding with it.
 	deleteAndTruncate(t, c, env, "d")
-	head, ok := c.TombstoneHead()
+	head, ok := c.tombstoneHead()
 	if !ok || head.Seq <= 5 {
 		t.Fatalf("post-seed record seq %d, want > 5", head.Seq)
 	}
@@ -315,4 +315,14 @@ func TestSeedTombstones(t *testing.T) {
 	if len(recs) < 3 {
 		t.Fatalf("seeded records dropped: %d total", len(recs))
 	}
+}
+
+// tombstoneHead returns the chain's most recent deletion record, if any.
+func (c *Chain) tombstoneHead() (manifest.Record, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if len(c.tombRecs) == 0 {
+		return manifest.Record{}, false
+	}
+	return c.tombRecs[len(c.tombRecs)-1], true
 }

@@ -118,7 +118,7 @@ func TestParallelVerifier16Producers(t *testing.T) {
 	// to the next summary slot with bare appends (a pipelined seal would append
 	// the due summary itself and never rest on the slot).
 	for !c.NextIsSummary() {
-		b, err := c.BuildNormal(nil)
+		b, err := c.buildNormal(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

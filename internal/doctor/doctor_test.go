@@ -18,7 +18,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -49,7 +48,7 @@ func buildDir(t *testing.T, rounds int) (dir string, marker, head uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Attach(c, s); err != nil {
+	if err := c.Attach(s); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -564,7 +563,7 @@ func TestDoctorStoreReopensAfterRepair(t *testing.T) {
 	if err := reg.RegisterKey(kp, identity.RoleUser); err != nil {
 		t.Fatal(err)
 	}
-	c, err := store.Open(chain.Config{
+	c, err := chain.Open(chain.Config{
 		SequenceLength: 3,
 		MaxSequences:   2,
 		Registry:       reg,

@@ -405,13 +405,17 @@ func TestForgedSnapshotRejectedByRejoiningReplica(t *testing.T) {
 	}
 	reopenCfg := cfg.Chain
 	reopenCfg.Clock = simclock.NewLogical(0)
-	rewritten, err := chain.RestoreOwnStream(reopenCfg, func(yield func(*block.Block, error) bool) {
-		for _, b := range attack.RehashedSuffix(honest, at, func(b *block.Block) { attack.ForgeEntry(b.Entries[0]) }) {
-			if !yield(b, nil) {
-				return
-			}
+	disk, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	for _, b := range attack.RehashedSuffix(honest, at, func(b *block.Block) { attack.ForgeEntry(b.Entries[0]) }) {
+		if err := disk.PutBlock(b); err != nil {
+			t.Fatal(err)
 		}
-	})
+	}
+	rewritten, err := chain.Open(reopenCfg, disk)
 	if err != nil {
 		t.Fatalf("re-hashed suffix did not open as the node's own: %v", err)
 	}

@@ -11,13 +11,17 @@
 //
 // There is one way to write to a node, and it is the batching pipeline
 // of a single-process chain: Submit coalesces concurrent producers
-// through a mempool.Batcher whose sealer proposes blocks — build,
-// engine-seal, append, gossip, then kick the summary vote when the next
-// slot is a summary slot. Each entry is accepted or rejected on its own
-// receipt; peers see entries only inside sealed blocks. AppendEmpty
-// seals the §IV-D.3 filler block through the same sealer. Once a block
-// of the node's own misses its store, the pipeline fails closed like a
-// chain's: that batch's receipts and every later write fail.
+// through a mempool.Batcher whose sealer proposes blocks through the
+// chain's own sealing primitive (chain.Chain.CommitNormal: build,
+// engine-seal, append, store), then gossips each block and kicks the
+// summary vote when the next slot is a summary slot. Receipts resolve
+// under the chain's durability contract (chain.Chain.Durable). Each
+// entry is accepted or rejected on its own receipt; peers see entries
+// only inside sealed blocks. AppendEmpty seals the §IV-D.3 filler block
+// through the same sealer. Once a block misses the node's store, the
+// node fails closed like a chain: that batch's receipts and every later
+// write fail, the chain appends no block a peer sends, and the node
+// votes on no summary.
 //
 // Peer synchronization is snapshot-anchored: a node that fell behind
 // within the live window receives the missing suffix (wire.SyncResp),

@@ -22,7 +22,6 @@ import (
 	"github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/mempool"
 	"github.com/seldel/seldel/internal/netsim"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/wire"
 )
 
@@ -40,12 +39,12 @@ type Config struct {
 	Quorum *consensus.Quorum
 	// Network connects the node to its peers.
 	Network *netsim.Network
-	// Store, when set, persists the node's chain. A populated store is
-	// restored from at startup — starting at its Genesis marker, so
-	// only the live suffix is replayed — and an empty one is
-	// mirrored from genesis. The store stays the caller's to close
-	// (after Node.Close), like seldel.WithStore.
-	Store store.Store
+	// Store, when set, persists the node's chain (chain.Open). A
+	// populated store is restored from at startup — starting at its
+	// Genesis marker, so only the live suffix is replayed — and an
+	// empty one is mirrored from genesis. The store stays the caller's
+	// to close (after Node.Close), like seldel.WithStore.
+	Store chain.Store
 	// Byzantine fault-injects the node for the scenario suite; the
 	// zero value is an honest node. See internal/attack.Behavior.
 	Byzantine attack.Behavior
@@ -73,10 +72,9 @@ type Node struct {
 	key      *identity.KeyPair
 	chain    *chain.Chain // guarded by mu for the rare status-quo adoption swap
 	chainCfg chain.Config // engine-wired config, reused by snapshot restores
-	engine   consensus.Engine
 	quorum   *consensus.Quorum
 	ep       *netsim.Endpoint
-	store    store.Store
+	store    chain.Store
 	prop     *mempool.Batcher // proposal pipeline; its sealer is proposer
 	// sealMu serializes block proposals: the pipeline flusher and
 	// AppendEmpty both seal through it, so they never race each other
@@ -138,7 +136,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	chainCfg := cfg.Chain
 	consensus.Configure(&chainCfg, cfg.Engine)
-	c, err := openChain(chainCfg, cfg.Store)
+	c, err := chain.Open(chainCfg, cfg.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +149,6 @@ func New(cfg Config) (*Node, error) {
 		key:           cfg.Key,
 		chain:         c,
 		chainCfg:      chainCfg,
-		engine:        cfg.Engine,
 		quorum:        cfg.Quorum,
 		store:         cfg.Store,
 		tallies:       make(map[uint64]*voteState),
@@ -164,10 +161,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.prop = mempool.NewBatcher(proposer{n}, mempool.Options{
 		Warm: n.warmEntries,
-		// A sealed batch resolves with the store-failure latch, like a
-		// chain's own pipeline: its block went through the store
-		// listeners before Seal returned, so a failed write is visible.
-		Durable: func(resolve func(error)) { resolve(n.StoreErr()) },
+		// A sealed batch resolves under the chain's durability
+		// contract, like the chain's own pipeline.
+		Durable: func(resolve func(error)) { n.Chain().Durable(resolve) },
 	})
 	if cfg.Network != nil {
 		ep, err := cfg.Network.Join(n.name, n.handle)
@@ -179,16 +175,6 @@ func New(cfg Config) (*Node, error) {
 		n.ep = ep
 	}
 	return n, nil
-}
-
-// openChain builds the node's chain: on the store when there is one
-// (restored from its live suffix, or mirrored into it from genesis),
-// stand-alone without one.
-func openChain(cfg chain.Config, s store.Store) (*chain.Chain, error) {
-	if s == nil {
-		return chain.New(cfg)
-	}
-	return store.Open(cfg, s)
 }
 
 // Close detaches the node from the network, drains its proposal

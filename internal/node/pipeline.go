@@ -8,7 +8,6 @@ package node
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"github.com/seldel/seldel/internal/block"
@@ -47,33 +46,31 @@ func (n *Node) warmEntries(entries []*block.Entry) <-chan struct{} {
 // Ledger interface: sealed batches become proposed blocks.
 type proposer struct{ n *Node }
 
-// Seal implements mempool.Ledger. After a store failure nothing more is
-// sealed: the pipeline then asks ValidateEntries which entries to
-// reject, and that answers with the same error for every one.
+// Seal implements mempool.Ledger. After a store failure the chain
+// appends nothing more: the pipeline then asks ValidateEntries which
+// entries to reject, and that answers with the same error for every one.
 func (p proposer) Seal(entries []*block.Entry) ([]*block.Block, []mempool.MarkOutcome, error) {
-	if err := p.n.StoreErr(); err != nil {
-		return nil, nil, err
-	}
 	return p.n.sealProposal(entries)
 }
 
 // ValidateEntries implements mempool.Ledger. While the summary slot is
-// still due, every entry fails with ErrSummaryPending, so a batch whose
-// seal stalled on the vote fails once instead of being re-sealed.
+// still due, every valid entry fails with ErrSummaryPending, so a batch
+// whose seal stalled on the vote fails once instead of being re-sealed.
 func (p proposer) ValidateEntries(entries []*block.Entry) error {
-	if err := p.n.StoreErr(); err != nil {
+	c := p.n.Chain()
+	if err := c.ValidateEntries(entries); err != nil {
 		return err
 	}
-	c := p.n.Chain()
 	if c.NextIsSummary() {
 		return ErrSummaryPending
 	}
-	return c.ValidateEntries(entries)
+	return nil
 }
 
-// sealProposal is the node's single sealing path: build a normal block
-// from the batch, seal it with the consensus engine, append it, gossip
-// it, and kick the summary vote when the next slot is a summary slot.
+// sealProposal is the node's single sealing path: the chain builds,
+// seals (with the consensus engine), appends and stores a normal block
+// from the batch (chain.Chain.CommitNormal), and the node gossips it and
+// kicks the summary vote when the next slot is a summary slot.
 // When that next slot is ALREADY a summary slot, the proposal must wait
 // for the quorum vote to land the summary first; if the vote is not
 // decided within summaryWait (lost votes, minority partition), the
@@ -89,14 +86,7 @@ func (n *Node) sealProposal(entries []*block.Entry) ([]*block.Block, []mempool.M
 		}
 		c = n.Chain()
 	}
-	b, err := c.BuildNormal(entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := n.engine.Seal(b); err != nil {
-		return nil, nil, fmt.Errorf("node: seal: %w", err)
-	}
-	outcomes, err := c.AppendBlockOutcomes(b)
+	b, outcomes, err := c.CommitNormal(entries)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"github.com/seldel/seldel/internal/simclock"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
+	"github.com/seldel/seldel/internal/wire"
 )
 
 // The scenario suite: multi-phase failure drills for the cluster layer,
@@ -461,6 +463,197 @@ func TestStoreErrReportsFailedWrite(t *testing.T) {
 	}
 	if got := n.Chain().HeadHash(); got != head {
 		t.Errorf("head moved after the store failed: %s, was %s", got, head)
+	}
+}
+
+// TestFailedStoreStopsAppendsAndVotes: once a node's store refused a
+// block, the node fails closed towards its peers too. It appends no
+// gossiped block after that one, and it sends no summary vote (no
+// announcement, no retry, no repair answer) for a Σ it could not store,
+// while the rest of the quorum goes on without it.
+func TestFailedStoreStopsAppendsAndVotes(t *testing.T) {
+	cl := newClusterWith(t, 3, func(i int, cfg *Config) {
+		if i != 0 {
+			return
+		}
+		disk, err := segment.Open(t.TempDir(), segment.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { disk.Close() })
+		cfg.Store = putFailing{disk, 1}
+		cfg.VoteRetryInterval = time.Millisecond
+	}, "user")
+	failed := cl.nodes[0]
+	// Node 1 seals block 1; node 0 appends the gossiped copy, and its
+	// store refuses it.
+	cl.write(t, 1, cl.data("user", "first"))
+	if err := failed.StoreErr(); !errors.Is(err, chain.ErrStore) {
+		t.Fatalf("StoreErr after the refused block: %v, want ErrStore", err)
+	}
+	head := failed.Chain().Head().Number
+	for i := 0; i < 4; i++ {
+		cl.write(t, 1, cl.data("user", fmt.Sprintf("next-%d", i)))
+	}
+	// Give a vote retry time to fire, were one armed.
+	time.Sleep(10 * time.Millisecond)
+	cl.net.Flush()
+	if got := cl.nodes[1].Chain().Head().Number; got <= head+1 {
+		t.Fatalf("the quorum stopped at block %d", got)
+	}
+	if got := failed.Chain().Head().Number; got != head {
+		t.Errorf("the failed node appended gossiped blocks up to %d after its store failed at %d", got, head)
+	}
+	for _, peer := range cl.nodes[1:] {
+		peer.mu.Lock()
+		for num, st := range peer.tallies {
+			if _, ok := st.voted[failed.Name()]; ok {
+				t.Errorf("%s counted a vote of the failed node for summary %d", peer.Name(), num)
+			}
+		}
+		peer.mu.Unlock()
+	}
+}
+
+// syncGated is a segment store whose Sync notes the highest block
+// stored when it started, once the sync has returned, and can be held
+// until the test releases it.
+type syncGated struct {
+	*segment.Store
+	stored, durable atomic.Uint64
+	syncs           atomic.Int64
+	mu              sync.Mutex
+	hold            chan struct{}
+}
+
+func (s *syncGated) PutBlock(b *block.Block) error {
+	if err := s.Store.PutBlock(b); err != nil {
+		return err
+	}
+	s.stored.Store(b.Header.Number)
+	return nil
+}
+
+func (s *syncGated) Sync() error {
+	covers := s.stored.Load()
+	s.mu.Lock()
+	hold := s.hold
+	s.mu.Unlock()
+	if hold != nil {
+		<-hold
+	}
+	if err := s.Store.Sync(); err != nil {
+		return err
+	}
+	s.durable.Store(covers)
+	s.syncs.Add(1)
+	return nil
+}
+
+// TestNodeGroupCommitReceiptFollowsItsSync: a node on a store in
+// DurabilityGroup resolves a receipt only after a sync that started
+// after the receipt's block was stored has returned, like a chain's
+// own pipeline; while that sync is held, the receipt waits.
+func TestNodeGroupCommitReceiptFollowsItsSync(t *testing.T) {
+	kp := identity.Deterministic("solo", "cluster-test")
+	reg := identity.NewRegistry()
+	if err := reg.RegisterKey(kp, identity.RoleMaster); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := segment.Open(t.TempDir(), segment.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	s := &syncGated{Store: disk}
+	n, err := New(Config{
+		Key: kp,
+		Chain: chain.Config{
+			SequenceLength: 3, Registry: reg, Clock: simclock.NewLogical(0),
+			Durability: chain.Durability{Mode: chain.DurabilityGroup},
+		},
+		Store: s,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	// The sync of the backfilled genesis is no group commit.
+	s.syncs.Store(0)
+	ctx := context.Background()
+	for i := 0; i < 5; i++ {
+		sealed, err := n.SubmitWait(ctx, block.NewData("solo", []byte(fmt.Sprintf("g%d", i))).Sign(kp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := s.durable.Load(); d < sealed[0].Block {
+			t.Fatalf("receipt for block %d resolved with blocks up to %d synced (%d syncs)", sealed[0].Block, d, s.syncs.Load())
+		}
+	}
+	if s.syncs.Load() == 0 {
+		t.Fatal("group receipts resolved without any sync")
+	}
+
+	// Hold the sync: the next block is stored, its receipt waits.
+	s.mu.Lock()
+	s.hold = make(chan struct{})
+	hold := s.hold
+	s.mu.Unlock()
+	stored := s.stored.Load()
+	receipts, err := n.Submit(ctx, block.NewData("solo", []byte("held")).Sign(kp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.stored.Load() == stored; {
+		if time.Now().After(deadline) {
+			t.Fatal("block never stored while the sync was held")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	_, werr := receipts[0].Wait(short)
+	cancel()
+	if !errors.Is(werr, context.DeadlineExceeded) {
+		t.Fatalf("receipt resolved while its sync was held: %v", werr)
+	}
+	s.mu.Lock()
+	s.hold = nil
+	s.mu.Unlock()
+	close(hold)
+	sealed, err := receipts[0].Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.durable.Load(); d < sealed.Block {
+		t.Fatalf("held receipt for block %d resolved with blocks up to %d synced", sealed.Block, d)
+	}
+}
+
+// TestGossipedBlockWithEditedPayloadIsRefused: a gossiped block whose
+// entries are not the ones its header commits to is not appended, even
+// when every entry is validly signed. The node decodes gossip without
+// a shape check; the chain's append is where the body is re-committed
+// against the header.
+func TestGossipedBlockWithEditedPayloadIsRefused(t *testing.T) {
+	cl := newCluster(t, 2, "user")
+	sender, receiver := cl.nodes[1], cl.nodes[0]
+	head := receiver.Chain().Head()
+	entry := cl.data("user", "original")
+	original := block.NewNormal(head.Number+1, head.Time+1, head.Hash(), []*block.Entry{entry})
+	edited := block.NewNormal(head.Number+1, head.Time+1, head.Hash(), []*block.Entry{entry})
+	edited.Entries = []*block.Entry{cl.data("user", "edited")}
+	gossip := func(b *block.Block) {
+		sender.ep.Broadcast(wire.KindBlock, wire.SealEnvelope(sender.key, wire.KindBlock, b.Encode()))
+		cl.net.Flush()
+	}
+	gossip(edited)
+	if got := receiver.Chain().Head().Number; got != head.Number {
+		t.Fatalf("block with an edited payload appended: head %d, was %d", got, head.Number)
+	}
+	// The same slot takes the block as its header committed it.
+	gossip(original)
+	if b, ok := receiver.Chain().Block(head.Number + 1); !ok || b.Hash() != original.Hash() {
+		t.Fatal("the unedited block was not appended")
 	}
 }
 

@@ -55,8 +55,10 @@ func (n *Node) SyncStats() SyncStats {
 	return n.stats
 }
 
+// handleBlock appends a gossiped block. It is decoded, not shape-checked:
+// AppendBlock checks the shape of every block it did not build.
 func (n *Node) handleBlock(env wire.Envelope) {
-	b, err := block.DecodeBlock(env.Body)
+	b, err := block.Decode(env.Body)
 	if err != nil {
 		return
 	}
@@ -77,9 +79,10 @@ func (n *Node) handleBlock(env wire.Envelope) {
 
 // requestSync asks peer for everything after our head. Asking is a
 // deliberate act, so it lifts any offer-rejection backoff against that
-// peer: the answer we just solicited will be read.
+// peer: the answer we just solicited will be read. A node whose store
+// failed asks nothing: it could append or adopt none of the answer.
 func (n *Node) requestSync(peer string) {
-	if n.ep == nil {
+	if n.ep == nil || n.StoreErr() != nil {
 		return
 	}
 	n.mu.Lock()
@@ -158,10 +161,6 @@ func (n *Node) serveSync(peer string, from uint64) {
 		return
 	}
 	resp := wire.SyncRespPayload{}
-	if head, ok := c.TombstoneHead(); ok {
-		resp.ManifestSeq = head.Seq
-		resp.ManifestMarker = head.NewMarker
-	}
 	for b := range c.BlocksSeq() {
 		if b.Header.Number < from {
 			continue
@@ -217,10 +216,6 @@ func (n *Node) sendSnapshot(peer string, c *chain.Chain) {
 
 	var sent []wire.SnapshotPayload
 	base := wire.SnapshotPayload{OfferID: offerID}
-	if head, ok := c.TombstoneHead(); ok {
-		base.ManifestSeq = head.Seq
-		base.ManifestMarker = head.NewMarker
-	}
 	chunk := base
 	idx := uint32(0)
 	flush := func(last bool) {
@@ -280,12 +275,11 @@ func (n *Node) handleSyncResp(env wire.Envelope) {
 	// Resurrection guard: our own deletion manifest is authoritative.
 	// Any offered block below the highest marker we recorded a deletion
 	// for would re-introduce data the quorum erased — drop the whole
-	// offer, whatever manifest head the sender claims, and give the
-	// sender a strike toward offer suppression.
+	// offer, and give the sender a strike toward offer suppression.
 	floor := c.ResurrectionFloor()
 	appended := false
 	for _, raw := range resp.Blocks {
-		b, err := block.DecodeBlock(raw)
+		b, err := block.Decode(raw) // AppendBlock checks the shape
 		if err != nil {
 			return
 		}
@@ -311,7 +305,7 @@ func (n *Node) handleSyncResp(env wire.Envelope) {
 // offer costs one chunk of memory beyond the chain being rebuilt,
 // whatever its length. These are a peer's bytes: the Restorer verifies
 // every owner signature, which a node reopening its own store
-// (store.Open) does not. The final chunk finishes the restore, and the
+// (chain.Open) does not. The final chunk finishes the restore, and the
 // restored chain is adopted (adoptRestored) only when it is
 // integrity-clean and strictly ahead of the local head. Out-of-order,
 // cross-offer, or non-contiguous chunks, and any block the Restorer
@@ -368,7 +362,7 @@ func (n *Node) handleSnapshotResp(env wire.Envelope) {
 		}
 	}
 	for _, raw := range p.Blocks {
-		b, err := block.DecodeBlock(raw)
+		b, err := block.Decode(raw) // Add checks the shape
 		if err == nil {
 			err = sess.r.Add(b)
 		}

@@ -76,8 +76,13 @@ func (n *Node) afterAppend() {
 // each half of the quorum a different hash (attack.PlanSummaryVotes).
 // Safe to call repeatedly — re-announcement is the repair protocol for
 // lost votes. With Config.VoteRetryInterval set, a retry timer re-runs
-// this until the vote lands.
+// this until the vote lands. After a store failure the node votes no
+// more (a chain that appends nothing cannot stand behind a Σ), so
+// neither this nor a retry sends anything.
 func (n *Node) announceSummary(c *chain.Chain) {
+	if c.StoreErr() != nil {
+		return
+	}
 	local, err := c.BuildSummary()
 	if err != nil {
 		return
@@ -318,9 +323,10 @@ func (n *Node) markEquivocatorLocked(sender string) {
 }
 
 // answerVote unicasts our own vote for round num back to peer, marked as
-// a repair answer.
+// a repair answer; after a store failure it sends nothing, like
+// announceSummary.
 func (n *Node) answerVote(peer string, num uint64) {
-	if n.ep == nil {
+	if n.ep == nil || n.StoreErr() != nil {
 		return
 	}
 	n.mu.Lock()

@@ -12,13 +12,37 @@ import (
 	"github.com/seldel/seldel/internal/block"
 )
 
-// submitSeeds are POST /v1/submit bodies: a data entry, a co-signed
-// deletion, and the first body cut short.
+// submitSeeds are POST /v1/submit bodies, one entry each: every
+// optional field (target, depends_on, co_signers, expire_time and
+// expire_block, a co-signer with an empty signature) on each kind,
+// accepted or not, a deletion without a target, and the first body cut
+// short. Byte mutation of JSON seldom forms a new key, so each key the
+// decoder knows starts out in some seed.
 func submitSeeds(t testing.TB) [][]byte {
 	e := newTestEnv(t, "alpha", "beta")
-	del := block.NewDeletion("alpha", block.Ref{Block: 4, Entry: 1}).AddCoSignature(e.keys["beta"]).Sign(e.keys["alpha"])
+	alpha, beta := e.keys["alpha"], e.keys["beta"]
+	dep := block.Ref{Block: 2, Entry: 0}
+	target := block.Ref{Block: 4, Entry: 1}
+	with := func(j EntryJSON, edit func(*EntryJSON)) EntryJSON {
+		edit(&j)
+		return j
+	}
+	entries := []EntryJSON{
+		e.data("alpha", "reading 1"),
+		NewEntryJSON(block.NewDeletion("alpha", target).AddCoSignature(beta).Sign(alpha)),
+		NewEntryJSON(block.NewData("alpha", []byte("reading 2")).WithDependsOn(dep).Sign(alpha)),
+		NewEntryJSON(block.NewTemporary("alpha", []byte("reading 3"), 90, 12).Sign(alpha)),
+		with(e.data("alpha", "reading 4"), func(j *EntryJSON) { j.Target = &RefJSON{} }),
+		with(e.data("alpha", "reading 5"), func(j *EntryJSON) {
+			j.CoSigners = []CoSignerJSON{{Name: "beta", Signature: beta.Sign([]byte("reading 5"))}}
+		}),
+		NewEntryJSON(block.NewDeletion("alpha", target).WithDependsOn(dep).Sign(alpha)),
+		with(e.del("alpha", target), func(j *EntryJSON) { j.ExpireTime, j.ExpireBlock = 90, 12 }),
+		with(e.del("alpha", target), func(j *EntryJSON) { j.CoSigners = []CoSignerJSON{{Name: "beta"}} }),
+		with(e.del("alpha", target), func(j *EntryJSON) { j.Target = nil }),
+	}
 	var seeds [][]byte
-	for _, entry := range []EntryJSON{e.data("alpha", "reading 1"), NewEntryJSON(del)} {
+	for _, entry := range entries {
 		raw, err := json.Marshal(SubmitRequest{Entries: []EntryJSON{entry}})
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"github.com/seldel/seldel/internal/netsim"
 	"github.com/seldel/seldel/internal/node"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -224,7 +223,7 @@ func TestSeekOnChainReopenedFromSegmentStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Clock = simclock.NewLogical(0)
-		c, err := store.Open(cfg, s)
+		c, err := chain.Open(cfg, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	manifestlog "github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 )
 
 // lastSegmentPath returns the path of the highest-numbered segment file.
@@ -376,7 +375,7 @@ func TestRestoreAfterTornTailOnChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Attach(c, s); err != nil {
+	if err := c.Attach(s); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -405,7 +404,7 @@ func TestRestoreAfterTornTailOnChain(t *testing.T) {
 	}
 	s2 := open(t, dir, Options{})
 	defer s2.Close()
-	c2, err := store.Open(cfg, s2)
+	c2, err := chain.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore after torn tail: %v", err)
 	}
@@ -417,6 +416,14 @@ func TestRestoreAfterTornTailOnChain(t *testing.T) {
 		t.Errorf("restored chain integrity: %v", err)
 	}
 }
+
+// syncHook is a store whose Sync the test interposes on.
+type syncHook struct {
+	*Store
+	sync func() error
+}
+
+func (s syncHook) Sync() error { return s.sync() }
 
 // TestGroupCommitCrashSemantics pins the group-commit receipt contract
 // across a crash: receipts that resolved durable name only blocks the
@@ -463,18 +470,17 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 		SequenceLength: 100,
 		Registry:       reg,
 		Clock:          simclock.NewLogical(0),
-		Durability: chain.Durability{
-			Mode: chain.DurabilityGroup,
-			Sync: syncFn,
-		},
+		Durability:     chain.Durability{Mode: chain.DurabilityGroup},
 	}
-	c, err := chain.New(cfg)
+	c, err := chain.Open(cfg, syncHook{ss, syncFn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Attach(c, ss); err != nil {
-		t.Fatal(err)
-	}
+	// The attach's own sync of the backfilled genesis is not a group
+	// commit's.
+	gateMu.Lock()
+	syncs = 0
+	gateMu.Unlock()
 	ctx := context.Background()
 
 	// Phase A: in group mode a resolved receipt means the block's bytes
@@ -511,8 +517,7 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait on the store, not the chain: the head advances under the
-	// chain lock, and the block reaches the store only after it, when
-	// the append's listeners run.
+	// chain lock, and the block reaches the store only after it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if _, err := ss.GetBlock(headDurable + 1); err == nil {
@@ -565,7 +570,7 @@ func TestGroupCommitCrashSemantics(t *testing.T) {
 	cfg.Durability = chain.Durability{}
 	s2 := open(t, dir, Options{})
 	defer s2.Close()
-	c2, err := store.Open(cfg, s2)
+	c2, err := chain.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore after group-commit crash: %v", err)
 	}

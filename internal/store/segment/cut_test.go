@@ -14,7 +14,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	manifestlog "github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 )
 
 // cutWatch is a segment store whose every cut is checked against the
@@ -104,7 +103,7 @@ func TestCutOnlyUnlinks(t *testing.T) {
 				Registry:       reg,
 				Clock:          simclock.NewLogical(0),
 			}
-			c, err := store.Open(cfg, w)
+			c, err := chain.Open(cfg, w)
 			if err != nil {
 				t.Fatal(err)
 			}

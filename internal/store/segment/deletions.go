@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	manifestlog "github.com/seldel/seldel/internal/manifest"
-	"github.com/seldel/seldel/internal/store"
 )
 
 // DeletionRecords returns every readable deletion record, oldest
@@ -16,7 +15,7 @@ func (s *Store) DeletionRecords() ([]manifestlog.Record, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, store.ErrClosed
+		return nil, ErrClosed
 	}
 	return s.del.Records(), nil
 }

@@ -15,7 +15,6 @@ import (
 	"github.com/seldel/seldel/internal/doctor"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/manifest"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 )
 
@@ -300,7 +299,7 @@ func TestRecoverInterruptedBoundaryCut(t *testing.T) {
 				got, err := s.GetBlock(want.Header.Number)
 				switch {
 				case want.Header.Number < marker:
-					if !errors.Is(err, store.ErrNotFound) {
+					if !errors.Is(err, segment.ErrNotFound) {
 						t.Errorf("cut block %d readable: %v", want.Header.Number, err)
 					}
 				case err != nil || got.Hash() != want.Hash():

@@ -52,16 +52,17 @@
 //     against the directory, truncating torn record tails and
 //     completing interrupted truncations.
 //   - The Genesis marker has two durable homes, and every marker shift
-//     writes both: a chain's cut, an adopted chain's marker (store.Attach)
-//     and DeleteBelow's bare record all take DeleteBelowRecord, so the
-//     DELETIONS head always covers the marker. A cut pays for both in
-//     four fsyncs, in this order: the segment holding Σ; the DELETIONS
-//     record, which from then on rolls an interrupted truncation
-//     forward; and one MANIFEST rewrite after the unlinks (its temporary
-//     file and the directory, whose fsync makes the unlinks and the new
-//     segment's entry durable). Open takes the larger of the two
-//     markers, and a segment MANIFEST lists but the directory lacks is
-//     data loss only at or above it.
+//     writes both: a chain's cut, an adopted chain's marker
+//     (chain.Chain.Attach) and DeleteBelow's bare record all take
+//     DeleteBelowRecord, so the DELETIONS head always covers the
+//     marker. A cut pays for both in four fsyncs, in this order: the
+//     segment holding Σ; the DELETIONS record, which from then on
+//     rolls an interrupted truncation forward; and one MANIFEST
+//     rewrite after the unlinks (its temporary file and the directory,
+//     whose fsync makes the unlinks and the new segment's entry
+//     durable). Open takes the larger of the two markers, and a
+//     segment MANIFEST lists but the directory lacks is data loss only
+//     at or above it.
 //   - The marker block itself — the paper's trusted anchor for the cut
 //     part (§IV-C) — is stored once, as the first live record. Stream
 //     starts at it, so a restore replays only the live suffix even when

@@ -2,8 +2,6 @@ package segment
 
 import (
 	"testing"
-
-	"github.com/seldel/seldel/internal/store"
 )
 
 // CutBare cuts s to marker through DeleteBelow and fails t unless the
@@ -47,7 +45,7 @@ func (s *Store) OpenHandles() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, store.ErrClosed
+		return 0, ErrClosed
 	}
 	open := 0
 	for _, seg := range s.segs {

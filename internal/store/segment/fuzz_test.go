@@ -127,7 +127,7 @@ func FuzzParseRecord(f *testing.F) {
 		// A payload that decodes is a canonical block encoding: the
 		// chain's byte accounting (EncodedSize, a counting pass) must
 		// size it as exactly the bytes on disk.
-		if b, err := block.DecodeBlock(payload); err == nil && b.EncodedSize() != len(payload) {
+		if b, err := block.Decode(payload); err == nil && b.CheckShape() == nil && b.EncodedSize() != len(payload) {
 			t.Fatalf("EncodedSize %d for a %d-byte block encoding", b.EncodedSize(), len(payload))
 		}
 	})

@@ -17,7 +17,6 @@ import (
 	"github.com/seldel/seldel/internal/identity"
 	manifestlog "github.com/seldel/seldel/internal/manifest"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 )
 
 // openEnv is one writer and the chain geometry TestOpen uses: short
@@ -70,8 +69,10 @@ func (e openEnv) write(t *testing.T, c *chain.Chain, tag string, n int, del bool
 	return last
 }
 
+var _ chain.Store = (*Store)(nil)
+
 // mirrors fails the test unless s holds exactly c's live blocks.
-func mirrors(t *testing.T, s store.Store, c *chain.Chain) {
+func mirrors(t *testing.T, s chain.Store, c *chain.Chain) {
 	t.Helper()
 	first, last, ok, err := s.Range()
 	if err != nil || !ok {
@@ -86,7 +87,7 @@ func mirrors(t *testing.T, s store.Store, c *chain.Chain) {
 }
 
 // syncCounting wraps a segment store the way the benchmark's tracing
-// decorator does: the rest of store.Store comes from the embedded
+// decorator does: the rest of chain.Store comes from the embedded
 // store, Sync is the wrapper's own.
 type syncCounting struct {
 	*Store
@@ -98,15 +99,15 @@ func (s *syncCounting) Sync() error {
 	return s.Store.Sync()
 }
 
-// TestOpen covers store.Open — the one way a chain gets onto a store.
+// TestOpen covers chain.Open — the one way a chain gets onto a store.
 // reopen returns the store as the next process would find it: the
 // segment directory closed and reopened.
 func TestOpen(t *testing.T) {
-	segmentTarget := func(t *testing.T) (func() store.Store, string) {
+	segmentTarget := func(t *testing.T) (func() chain.Store, string) {
 		dir := t.TempDir()
 		var cur *Store
 		t.Cleanup(func() { cur.Close() })
-		return func() store.Store {
+		return func() chain.Store {
 			if cur != nil {
 				if err := cur.Close(); err != nil {
 					t.Fatalf("closing store: %v", err)
@@ -121,7 +122,7 @@ func TestOpen(t *testing.T) {
 		e := newOpenEnv(t)
 		reopen, _ := segmentTarget(t)
 		s := reopen()
-		c, err := store.Open(e.config(), s)
+		c, err := chain.Open(e.config(), s)
 		if err != nil {
 			t.Fatalf("Open on an empty store: %v", err)
 		}
@@ -140,7 +141,7 @@ func TestOpen(t *testing.T) {
 	t.Run("segment/populated", func(t *testing.T) {
 		e := newOpenEnv(t)
 		reopen, _ := segmentTarget(t)
-		c, err := store.Open(e.config(), reopen())
+		c, err := chain.Open(e.config(), reopen())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestOpen(t *testing.T) {
 		}
 
 		s := reopen()
-		restored, err := store.Open(e.config(), s)
+		restored, err := chain.Open(e.config(), s)
 		if err != nil {
 			t.Fatalf("Open on a populated store: %v", err)
 		}
@@ -179,7 +180,7 @@ func TestOpen(t *testing.T) {
 		cfg.Durability.Mode = chain.DurabilityGroup
 		seg := reopen().(*Store)
 		before := seg.FsyncCount()
-		c, err := store.Open(cfg, seg)
+		c, err := chain.Open(cfg, seg)
 		if err != nil {
 			t.Fatalf("Open with group durability: %v", err)
 		}
@@ -194,7 +195,7 @@ func TestOpen(t *testing.T) {
 		// Through a wrapper, Sync must be the wrapper's.
 		cfg.Clock = simclock.NewLogical(0)
 		w := &syncCounting{Store: reopen().(*Store)}
-		c, err = store.Open(cfg, w)
+		c, err = chain.Open(cfg, w)
 		if err != nil {
 			t.Fatalf("Open through a wrapping store: %v", err)
 		}
@@ -209,7 +210,7 @@ func TestOpen(t *testing.T) {
 	t.Run("segment/wiped-blocks-kept-deletions", func(t *testing.T) {
 		e := newOpenEnv(t)
 		reopen, dir := segmentTarget(t)
-		c, err := store.Open(e.config(), reopen())
+		c, err := chain.Open(e.config(), reopen())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +244,7 @@ func TestOpen(t *testing.T) {
 		if err != nil || storeMarker != floor {
 			t.Fatalf("wiped store's marker = %d, %v; want %d rolled forward from DELETIONS", storeMarker, err, floor)
 		}
-		fresh, err := store.Open(e.config(), s)
+		fresh, err := chain.Open(e.config(), s)
 		if err != nil {
 			t.Fatalf("Open on a wiped store: %v", err)
 		}
@@ -342,7 +343,7 @@ func TestTruncationReachesStoreAfterItsSummary(t *testing.T) {
 	dir := t.TempDir()
 	s := &slowSummaryStore{Store: open(t, dir, Options{}), dir: dir, images: t.TempDir()}
 	defer s.Store.Close()
-	c, err := store.Open(e.config(), s)
+	c, err := chain.Open(e.config(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestTruncationReachesStoreAfterItsSummary(t *testing.T) {
 	}
 	for i, img := range s.captured {
 		reopened := open(t, img.dir, Options{})
-		rc, err := store.Open(e.config(), reopened)
+		rc, err := chain.Open(e.config(), reopened)
 		if err != nil {
 			t.Fatalf("image %d: reopen: %v", i, err)
 		}
@@ -426,7 +427,7 @@ func TestStoreFailureStopsReceipts(t *testing.T) {
 			t.Cleanup(func() { fs.Store.Close() })
 			cfg := e.config()
 			cfg.Durability.Mode = mode.mode
-			c, err := store.Open(cfg, fs)
+			c, err := chain.Open(cfg, fs)
 			if err != nil {
 				t.Fatal(err)
 			}

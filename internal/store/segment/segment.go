@@ -13,7 +13,6 @@ import (
 
 	"github.com/seldel/seldel/internal/block"
 	manifestlog "github.com/seldel/seldel/internal/manifest"
-	"github.com/seldel/seldel/internal/store"
 )
 
 const (
@@ -79,7 +78,7 @@ type segmentFile struct {
 	last  uint64 // highest indexed block number
 }
 
-// Store is a file-backed store.Store keeping blocks in size-capped,
+// Store is a file-backed chain.Store keeping blocks in size-capped,
 // append-only segment files. All methods are safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
@@ -134,7 +133,11 @@ const (
 	syncSites
 )
 
-var _ store.Store = (*Store)(nil)
+// Errors returned by the store's operations.
+var (
+	ErrNotFound = errors.New("segment: block not found")
+	ErrClosed   = errors.New("segment: closed")
+)
 
 // ErrCorrupt reports a record of a sealed segment that fails its length
 // or checksum, or a segment holding records on both sides of the Genesis
@@ -234,7 +237,7 @@ func (s *Store) Marker() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, store.ErrClosed
+		return 0, ErrClosed
 	}
 	return s.marker, nil
 }
@@ -487,11 +490,11 @@ func (s *Store) lruDrop(seg *segmentFile) {
 	}
 }
 
-// PutBlock implements store.Store: append one length-prefixed record to
+// PutBlock implements chain.Store: append one length-prefixed record to
 // the active segment. A non-empty active segment is sealed and a new one
 // started first when the block begins a sequence or may: the previous
 // record was a summary block Σ, which ends its sequence; the block does
-// not follow the segment's last number (a re-put, or store.Attach's
+// not follow the segment's last number (a re-put, or chain.Chain.Attach's
 // backfill of an adopted chain); or this is the first append since Open.
 // So a segment never spans a sequence start, where the chain sets every
 // Genesis marker, and a cut retires whole files. The active segment also
@@ -506,7 +509,7 @@ func (s *Store) PutBlock(b *block.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return store.ErrClosed
+		return ErrClosed
 	}
 	// The write path must agree with the recovery scan: a record larger
 	// than maxRecordBytes would append fine today and then be treated
@@ -587,7 +590,7 @@ func (s *Store) syncActiveLocked() error {
 
 // GetBlock loads one block: one pread via the offset index. The block
 // is parsed, not shape-checked (block.Decode): its body is not
-// re-committed against its header. RestoreOwnStream does that for every
+// re-committed against its header. chain.Open's restore does that for every
 // block Stream yields; other callers run Block.CheckShape themselves.
 func (s *Store) GetBlock(num uint64) (*block.Block, error) {
 	s.mu.Lock()
@@ -597,11 +600,11 @@ func (s *Store) GetBlock(num uint64) (*block.Block, error) {
 
 func (s *Store) getBlockLocked(num uint64) (*block.Block, error) {
 	if s.closed {
-		return nil, store.ErrClosed
+		return nil, ErrClosed
 	}
 	loc, ok := s.index[num]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", store.ErrNotFound, num)
+		return nil, fmt.Errorf("%w: %d", ErrNotFound, num)
 	}
 	f, err := s.handleLocked(loc.seg)
 	if err != nil {
@@ -617,12 +620,12 @@ func (s *Store) getBlockLocked(num uint64) (*block.Block, error) {
 	return block.Decode(payload)
 }
 
-// Range implements store.Store.
+// Range implements chain.Store.
 func (s *Store) Range() (uint64, uint64, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, 0, false, store.ErrClosed
+		return 0, 0, false, ErrClosed
 	}
 	if len(s.index) == 0 {
 		return 0, 0, false, nil
@@ -651,7 +654,7 @@ func (s *Store) sortedNumbersLocked() []uint64 {
 	return nums
 }
 
-// Stream implements store.Store: blocks are yielded in ascending order
+// Stream implements chain.Store: blocks are yielded in ascending order
 // starting at the Genesis marker, so a restore replays only the live
 // suffix — the marker block first, the paper's trusted anchor for the
 // cut-off part (§IV-C). Each block is read and
@@ -662,7 +665,7 @@ func (s *Store) Stream() iter.Seq2[*block.Block, error] {
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
-			yield(nil, store.ErrClosed)
+			yield(nil, ErrClosed)
 			return
 		}
 		nums := s.sortedNumbersLocked()
@@ -688,7 +691,7 @@ func (s *Store) DeleteBelow(marker uint64) error {
 	return s.deleteBelowLocked(marker, &manifestlog.Record{OldMarker: s.marker, NewMarker: marker})
 }
 
-// DeleteBelowRecord implements store.Store: retire the cut prefix by
+// DeleteBelowRecord implements chain.Store: retire the cut prefix by
 // unlinking the segments below the marker — one syscall each, however
 // many blocks they held — after rec, the shift's deletion record, is
 // durable. A segment never spans a sequence start (PutBlock), so at a
@@ -715,7 +718,7 @@ func (s *Store) DeleteBelowRecord(marker uint64, rec *manifestlog.Record) error 
 
 func (s *Store) deleteBelowLocked(marker uint64, rec *manifestlog.Record) error {
 	if s.closed {
-		return store.ErrClosed
+		return ErrClosed
 	}
 	if marker < s.marker {
 		return fmt.Errorf("segment: marker moving backwards: %d < %d", marker, s.marker)
@@ -784,7 +787,7 @@ func (s *Store) SizeBytes() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, store.ErrClosed
+		return 0, ErrClosed
 	}
 	var total int64
 	for _, seg := range s.segs {
@@ -799,7 +802,7 @@ func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return store.ErrClosed
+		return ErrClosed
 	}
 	if err := s.syncActiveLocked(); err != nil {
 		return fmt.Errorf("segment: sync: %w", err)
@@ -825,7 +828,7 @@ func (s *Store) SegmentCount() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, store.ErrClosed
+		return 0, ErrClosed
 	}
 	return len(s.segs), nil
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/identity"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 )
 
 // testSequenceLength is the sequence length store-level fixtures write
@@ -81,7 +80,7 @@ func TestStoreContract(t *testing.T) {
 	if got.Hash() != blocks[3].Hash() {
 		t.Error("round-tripped block hash differs")
 	}
-	if _, err := s.GetBlock(99); !errors.Is(err, store.ErrNotFound) {
+	if _, err := s.GetBlock(99); !errors.Is(err, ErrNotFound) {
 		t.Errorf("GetBlock(99) = %v, want ErrNotFound", err)
 	}
 	sizeBefore, err := s.SizeBytes()
@@ -89,7 +88,7 @@ func TestStoreContract(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, %v", sizeBefore, err)
 	}
 	CutBare(t, s, 3)
-	if _, err := s.GetBlock(2); !errors.Is(err, store.ErrNotFound) {
+	if _, err := s.GetBlock(2); !errors.Is(err, ErrNotFound) {
 		t.Errorf("block 2 survived truncation: %v", err)
 	}
 	if _, err := s.GetBlock(3); err != nil {
@@ -119,7 +118,7 @@ func TestStoreContract(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := s.PutBlock(blocks[5]); !errors.Is(err, store.ErrClosed) {
+	if err := s.PutBlock(blocks[5]); !errors.Is(err, ErrClosed) {
 		t.Errorf("PutBlock after Close = %v, want ErrClosed", err)
 	}
 }
@@ -218,7 +217,7 @@ func TestChainLifecycleOnSegmentStore(t *testing.T) {
 		Clock:          simclock.NewLogical(0),
 	}
 	s := open(t, dir, Options{SegmentBytes: 1024})
-	c, err := store.Open(cfg, s)
+	c, err := chain.Open(cfg, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestChainLifecycleOnSegmentStore(t *testing.T) {
 
 	s2 := open(t, dir, Options{SegmentBytes: 1024})
 	defer s2.Close()
-	c2, err := store.Open(cfg, s2)
+	c2, err := chain.Open(cfg, s2)
 	if err != nil {
 		t.Fatalf("restore from segment store: %v", err)
 	}

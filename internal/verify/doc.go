@@ -2,9 +2,9 @@
 // every validation call site of the chain.
 //
 // Ed25519 verification dominates the append path, and the layered write
-// path checks the same signature more than once (BuildNormal validates a
-// candidate, AppendBlock re-validates the sealed block; gossip
-// re-validates what the mempool already screened). The engine removes
+// path checks the same signature more than once (CommitNormal validates
+// a candidate, then re-validates the sealed block as it appends it;
+// gossip re-validates what the mempool already screened). The engine removes
 // both costs:
 //
 //   - a sharded LRU cache keyed by (public key, message, signature)

@@ -39,9 +39,7 @@ func fuzzMutations(valid []byte) [][]byte {
 
 func syncRespSeeds() [][]byte {
 	valid := EncodeSyncResp(SyncRespPayload{
-		Blocks:         [][]byte{[]byte("block-one"), []byte("block-two")},
-		ManifestSeq:    7,
-		ManifestMarker: 42,
+		Blocks: [][]byte{[]byte("block-one"), []byte("block-two")},
 	})
 	seeds := fuzzMutations(valid)
 	seeds = append(seeds, EncodeSyncResp(SyncRespPayload{}))
@@ -52,14 +50,12 @@ func syncRespSeeds() [][]byte {
 
 func snapshotSeeds() [][]byte {
 	valid := EncodeSnapshot(SnapshotPayload{
-		OfferID:        5,
-		Chunk:          0,
-		Last:           true,
-		Marker:         3,
-		Head:           4,
-		Blocks:         [][]byte{[]byte("marker-block"), []byte("head-block")},
-		ManifestSeq:    2,
-		ManifestMarker: 3,
+		OfferID: 5,
+		Chunk:   0,
+		Last:    true,
+		Marker:  3,
+		Head:    4,
+		Blocks:  [][]byte{[]byte("marker-block"), []byte("head-block")},
 	})
 	seeds := fuzzMutations(valid)
 	// Range/count mismatch: declared head does not cover the blocks.
@@ -192,7 +188,7 @@ func FuzzDecodeSyncResp(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip rejected: %v", err)
 		}
-		if len(rt.Blocks) != len(p.Blocks) || rt.ManifestSeq != p.ManifestSeq || rt.ManifestMarker != p.ManifestMarker {
+		if len(rt.Blocks) != len(p.Blocks) {
 			t.Fatalf("round trip changed payload: %+v != %+v", rt, p)
 		}
 		for i := range p.Blocks {
@@ -221,8 +217,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 		if rt.OfferID != p.OfferID || rt.Chunk != p.Chunk || rt.Last != p.Last ||
-			rt.Marker != p.Marker || rt.Head != p.Head || rt.ManifestSeq != p.ManifestSeq ||
-			rt.ManifestMarker != p.ManifestMarker || len(rt.Blocks) != len(p.Blocks) {
+			rt.Marker != p.Marker || rt.Head != p.Head || len(rt.Blocks) != len(p.Blocks) {
 			t.Fatalf("round trip changed payload: %+v != %+v", rt, p)
 		}
 	})

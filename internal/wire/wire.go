@@ -312,17 +312,11 @@ func DecodeSyncReq(raw []byte) (SyncReqPayload, error) {
 // SyncRespPayload is the body of a KindSyncResp message.
 type SyncRespPayload struct {
 	// Blocks are canonical block encodings in ascending order, directly
-	// appendable onto the requester's head.
+	// appendable onto the requester's head. The receiver checks them
+	// against its OWN deletion manifest (its resurrection floor): a peer
+	// cannot talk a node into resurrecting a range the node itself
+	// witnessed being deleted.
 	Blocks [][]byte
-	// ManifestSeq and ManifestMarker describe the sender's deletion
-	// manifest head (zero when the sender never deleted anything): the
-	// sequence number of its newest deletion record and the Genesis
-	// marker that record established. The receiver checks the offered
-	// blocks against its OWN manifest — a peer cannot talk a node into
-	// resurrecting a range the node itself witnessed being deleted —
-	// and uses the sender's head only for audit and diagnostics.
-	ManifestSeq    uint64
-	ManifestMarker uint64
 }
 
 // MaxSyncBlocks bounds an incremental sync response. Senders must not
@@ -344,13 +338,11 @@ func EncodeSyncResp(p SyncRespPayload) []byte {
 	for _, b := range p.Blocks {
 		e.Bytes(b)
 	}
-	e.Uint64(p.ManifestSeq)
-	e.Uint64(p.ManifestMarker)
 	return e.Data()
 }
 
 // DecodeSyncResp decodes a sync response. Blocks are views into raw:
-// each is fed straight to block.DecodeBlock, which copies everything it
+// each is fed straight to block.Decode, which copies everything it
 // retains, so the catch-up path decodes a whole batch without
 // duplicating the payload bytes first.
 func DecodeSyncResp(raw []byte) (SyncRespPayload, error) {
@@ -366,8 +358,6 @@ func DecodeSyncResp(raw []byte) (SyncRespPayload, error) {
 	for i := uint32(0); i < n; i++ {
 		p.Blocks = append(p.Blocks, d.View())
 	}
-	p.ManifestSeq = d.Uint64()
-	p.ManifestMarker = d.Uint64()
 	if err := d.Finish(); err != nil {
 		return p, fmt.Errorf("wire: decode sync response: %w", err)
 	}
@@ -408,11 +398,6 @@ type SnapshotPayload struct {
 	// Blocks are canonical block encodings, ascending Marker..Head. At
 	// most MaxSnapshotChunkBlocks per chunk.
 	Blocks [][]byte
-	// ManifestSeq and ManifestMarker describe the sender's deletion
-	// manifest head (see SyncRespPayload). Repeated on every chunk so
-	// each message is self-describing for audit.
-	ManifestSeq    uint64
-	ManifestMarker uint64
 }
 
 // EncodeSnapshot encodes one snapshot-offer chunk.
@@ -427,8 +412,6 @@ func EncodeSnapshot(p SnapshotPayload) []byte {
 	for _, b := range p.Blocks {
 		e.Bytes(b)
 	}
-	e.Uint64(p.ManifestSeq)
-	e.Uint64(p.ManifestMarker)
 	return e.Data()
 }
 
@@ -460,8 +443,6 @@ func DecodeSnapshot(raw []byte) (SnapshotPayload, error) {
 	for i := uint32(0); i < n; i++ {
 		p.Blocks = append(p.Blocks, d.View())
 	}
-	p.ManifestSeq = d.Uint64()
-	p.ManifestMarker = d.Uint64()
 	if err := d.Finish(); err != nil {
 		return p, fmt.Errorf("wire: decode snapshot: %w", err)
 	}

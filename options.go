@@ -7,7 +7,6 @@ import (
 
 	"github.com/seldel/seldel/internal/chain"
 	"github.com/seldel/seldel/internal/consensus"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
 )
@@ -101,10 +100,7 @@ func (b *builder) open() (*Chain, error) {
 		b.store = s
 		b.owned = append(b.owned, s)
 	}
-	if b.store == nil {
-		return chain.New(b.cfg)
-	}
-	return store.Open(b.cfg, b.store)
+	return chain.Open(b.cfg, b.store)
 }
 
 // WithSequenceLength sets l, the distance between summary blocks

@@ -80,7 +80,6 @@ import (
 	"github.com/seldel/seldel/internal/node"
 	"github.com/seldel/seldel/internal/serve"
 	"github.com/seldel/seldel/internal/simclock"
-	"github.com/seldel/seldel/internal/store"
 	"github.com/seldel/seldel/internal/store/segment"
 	"github.com/seldel/seldel/internal/verify"
 )
@@ -186,7 +185,7 @@ type (
 // Storage types.
 type (
 	// Store persists live blocks.
-	Store = store.Store
+	Store = chain.Store
 	// SegmentStore is the segmented store: blocks append into bounded,
 	// length-prefixed segment files; truncation physically retires
 	// whole segments; restores start at the durable Genesis marker. See

@@ -165,6 +165,80 @@ func TestWithDurabilityGroup(t *testing.T) {
 	}
 }
 
+// storeWatcher is a listener that checks, at every callback, that the
+// store already holds what the callback announces.
+type storeWatcher struct {
+	store *SegmentStore
+
+	mu                  sync.Mutex
+	appended, truncated int
+	wrong               []string
+}
+
+func (w *storeWatcher) OnAppend(b *Block) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.appended++
+	if _, err := w.store.GetBlock(b.Header.Number); err != nil {
+		w.wrong = append(w.wrong, fmt.Sprintf("OnAppend(%d): not stored: %v", b.Header.Number, err))
+	}
+}
+
+func (w *storeWatcher) OnTruncate(_, newMarker uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.truncated++
+	if m, err := w.store.Marker(); err != nil || m != newMarker {
+		w.wrong = append(w.wrong, fmt.Sprintf("OnTruncate(→%d): store marker %d (%v)", newMarker, m, err))
+	}
+}
+
+// TestListenerSeesTheStore pins the order the benchmark's erase timing
+// relies on: a WithListener listener finds the block OnAppend hands it
+// already stored, and at OnTruncate the store's marker is already the
+// new one, so a victim gone from the chain is gone from the disk.
+func TestListenerSeesTheStore(t *testing.T) {
+	reg := NewRegistry()
+	alice := DeterministicKey("alice", "listener-order-test")
+	if err := reg.RegisterKey(alice, RoleUser); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSegmentStore(t.TempDir(), SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	w := &storeWatcher{store: ss}
+	c, err := New(reg,
+		WithSequenceLength(3),
+		WithMaxSequences(1),
+		WithClock(NewLogicalClock(0)),
+		WithStore(ss),
+		WithListener(w),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		if _, err := c.SubmitWait(ctx, NewData("alice", []byte(fmt.Sprintf("o-%02d", i))).Sign(alice)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CompactWait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.appended == 0 || w.truncated == 0 {
+		t.Fatalf("%d appends and %d truncations heard, want both", w.appended, w.truncated)
+	}
+	for _, msg := range w.wrong {
+		t.Error(msg)
+	}
+}
+
 // costChain is the chain the two cost tests below measure: the
 // submission pipeline over a fresh segment store whose handle the test
 // keeps, and n pre-signed entries to push through it.
@@ -459,8 +533,8 @@ func (w *boundaryWatch) PutBlock(b *Block) error {
 	switch {
 	case w.chain == nil:
 	case b.IsSummary():
-		// The marker moves under the chain lock, before the listeners
-		// store the Σ that moved it.
+		// The marker moves under the chain lock, before the chain
+		// stores the Σ that moved it.
 		m := w.chain.Marker()
 		w.afterCut, w.marker = m != w.marker, m
 	case w.afterCut:
